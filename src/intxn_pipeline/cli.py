@@ -87,12 +87,17 @@ def stage_clean(cfg: PipelineConfig) -> str:
     detections, cv_drops = ingest.clean_cv(
         cv_files, sensor, join_tol_s=cfg.params["join_tol_s"], jobs=cfg.jobs
     )
-    wall = time.perf_counter() - t0
 
     sensor_out = cfg.output_path("clean_sensor")
     with atomic_write(sensor_out) as handle:
         ingest.write_sensor_csv(sensor, handle)
     _write_json(Path(str(sensor_out) + ".drops.json"), sensor_drops)
+    cv_out = cfg.output_path("clean_cv")
+    with atomic_write(cv_out) as handle:
+        ingest.write_detections_csv(detections, handle)
+    _write_json(Path(str(cv_out) + ".drops.json"), cv_drops)
+    wall = time.perf_counter() - t0
+
     _write_report(
         sensor_out,
         {
@@ -104,11 +109,6 @@ def stage_clean(cfg: PipelineConfig) -> str:
             "wall_time_s": wall,
         },
     )
-
-    cv_out = cfg.output_path("clean_cv")
-    with atomic_write(cv_out) as handle:
-        ingest.write_detections_csv(detections, handle)
-    _write_json(Path(str(cv_out) + ".drops.json"), cv_drops)
     _write_report(
         cv_out,
         {
@@ -255,9 +255,7 @@ def stage_traj(cfg: PipelineConfig) -> str:
         heading_tol_deg=cfg.params["heading_tol_deg"],
         pass_gap_s=cfg.params["pass_gap_s"],
     )
-    trajs, skip_report = trajectory.extract_trajectories(
-        sensor, reviewed, params, jobs=cfg.jobs
-    )
+    trajs, skip_report = trajectory.extract_trajectories(sensor, reviewed, params)
     out = cfg.output_path("trajectories")
     with atomic_write(out) as handle:
         trajectory.write_trajectories_csv(trajs, handle)

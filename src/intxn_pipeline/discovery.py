@@ -18,7 +18,7 @@ from typing import IO
 import numpy as np
 
 from .errors import DataError
-from .geo import EARTH_RADIUS_FT, FT_PER_DEG, GeoPoint, centroid
+from .geo import EARTH_RADIUS_FT, CellGrid, GeoPoint, centroid
 from .ingest import DetectionRecord
 from .storage import resolve_uri
 
@@ -75,47 +75,28 @@ def _haversine_many(p: GeoPoint, lats: np.ndarray, lons: np.ndarray) -> np.ndarr
     return 2.0 * EARTH_RADIUS_FT * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-class GridIndex:
-    """Uniform lat/lon cell hash supporting radius queries up to the cell size.
+class GridIndex(CellGrid):
+    """Radius queries up to the cell size over a ``CellGrid`` of points.
 
-    Cells are sized so any neighbor within ``cell_ft`` feet lies in the 3x3
-    cell block around a query point; candidates are then verified with the
-    exact haversine distance. Read-only after construction, so it can be
-    probed from any number of workers.
+    Candidates from the 3x3 cell block around a query point are verified
+    with the exact haversine distance. Read-only after construction, so it
+    can be probed from any number of workers.
     """
 
     def __init__(self, points: list[GeoPoint], cell_ft: float):
-        if cell_ft <= 0:
-            raise ValueError("cell_ft must be positive")
         self.points = points
         self.cell_ft = cell_ft
         self._lats = np.array([p.lat_deg for p in points], dtype=float)
         self._lons = np.array([p.lon_deg for p in points], dtype=float)
-        if len(points):
-            cos_min = max(1e-6, float(np.min(np.cos(np.radians(self._lats)))))
-        else:
-            cos_min = 1.0
-        self._dlat = cell_ft / FT_PER_DEG
-        self._dlon = cell_ft / (FT_PER_DEG * cos_min)
-        self._cells: dict[tuple[int, int], list[int]] = {}
-        for i, p in enumerate(points):
-            self._cells.setdefault(self._cell_of(p), []).append(i)
-
-    def _cell_of(self, p: GeoPoint) -> tuple[int, int]:
-        return (math.floor(p.lat_deg / self._dlat), math.floor(p.lon_deg / self._dlon))
+        super().__init__(self._lats, self._lons, cell_ft)
 
     def neighbors_within(self, p: GeoPoint, radius_ft: float) -> list[int]:
         """Indices of all points within radius_ft of p, ascending."""
         if radius_ft > self.cell_ft:
             raise ValueError("query radius exceeds the index cell size")
-        ci, cj = self._cell_of(p)
-        candidates: list[int] = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                candidates.extend(self._cells.get((ci + di, cj + dj), ()))
-        if not candidates:
+        idx = self.block(p.lat_deg, p.lon_deg)
+        if not idx.size:
             return []
-        idx = np.array(sorted(candidates), dtype=int)
         dists = _haversine_many(p, self._lats[idx], self._lons[idx])
         return [int(i) for i in idx[dists <= radius_ft]]
 

@@ -2,13 +2,17 @@
 
 Distances are in feet on a spherical earth (R = 6,371 km, converted at
 exactly 0.3048 m/ft). Headings and bearings are degrees clockwise from
-true north in [0, 360). All functions here are pure and thread-safe.
+true north in [0, 360). All functions here are pure and thread-safe, and
+``CellGrid`` is read-only after construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
+
+import numpy as np
 
 METERS_PER_FOOT = 0.3048
 EARTH_RADIUS_FT = 6_371_000.0 / METERS_PER_FOOT
@@ -18,7 +22,7 @@ FT_PER_DEG = EARTH_RADIUS_FT * math.pi / 180.0
 
 # Lateral tolerance for the on-edge test, in degrees (~0.0004 ft).
 # Absorbs float noise without promoting genuinely interior/exterior points.
-_ON_EDGE_TOL_DEG = 1e-9
+ON_EDGE_TOL_DEG = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,81 @@ class PolygonRing:
         if _ring_self_intersects(self.vertices):
             raise ValueError("polygon ring is self-intersecting")
 
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(min_lat, min_lon, max_lat, max_lon) of the ring."""
+    def bounds(self, pad_deg: float = 0.0) -> tuple[float, float, float, float]:
+        """(min_lat, min_lon, max_lat, max_lon) of the ring, widened by ``pad_deg``.
+
+        Every point ``point_in_polygon`` accepts lies within
+        ``bounds(ON_EDGE_TOL_DEG)``.
+        """
         lats = [v.lat_deg for v in self.vertices]
         lons = [v.lon_deg for v in self.vertices]
-        return min(lats), min(lons), max(lats), max(lons)
+        return min(lats) - pad_deg, min(lons) - pad_deg, max(lats) + pad_deg, max(lons) + pad_deg
+
+
+def in_box(box, lats, lons):
+    """Vectorised closed-box test of point arrays against (min_lat, min_lon, max_lat, max_lon)."""
+    min_lat, min_lon, max_lat, max_lon = box
+    return (min_lat <= lats) & (lats <= max_lat) & (min_lon <= lons) & (lons <= max_lon)
+
+
+class CellGrid:
+    """Points binned into uniform lat/lon cells (Akman et al., "Geometric
+    computing and uniform grid technique", Computer-Aided Design, 1989).
+
+    Cells are ``cell_ft`` tall and at least ``cell_ft`` wide at every binned
+    latitude and every latitude in ``cover_lats``, so any binned point within
+    ``cell_ft`` of a point at one of those latitudes lies in the 3x3 cell
+    block around it. Longitude is planar: the ±180° seam is not joined.
+    """
+
+    def __init__(self, lats, lons, cell_ft: float, cover_lats=()):
+        if cell_ft <= 0:
+            raise ValueError("cell_ft must be positive")
+        lats = np.asarray(lats, dtype=float)
+        lons = np.asarray(lons, dtype=float)
+        cover = np.concatenate([lats, np.asarray(cover_lats, dtype=float)])
+        cos_min = max(1e-6, float(np.min(np.cos(np.radians(cover))))) if cover.size else 1.0
+        self.dlat = cell_ft / FT_PER_DEG
+        self.dlon = cell_ft / (FT_PER_DEG * cos_min)
+        rows = np.floor(lats / self.dlat).astype(np.int64)
+        cols = np.floor(lons / self.dlon).astype(np.int64)
+        order = np.lexsort((cols, rows))  # stable, so indices ascend within a cell
+        rows, cols = rows[order], cols[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first).tolist()
+        keys = zip(rows[starts].tolist(), cols[starts].tolist())
+        self._cells = {
+            key: order[s:e] for key, s, e in zip(keys, starts, starts[1:] + [len(order)])
+        }
+
+    def cell_of(self, lat: float, lon: float) -> tuple[int, int]:
+        return math.floor(lat / self.dlat), math.floor(lon / self.dlon)
+
+    def _members(self, cells) -> np.ndarray:
+        parts = [m for m in map(self._cells.get, cells) if m is not None]
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.sort(np.concatenate(parts))
+
+    def block(self, lat: float, lon: float) -> np.ndarray:
+        """Ascending indices of the points in the 3x3 cell block around (lat, lon)."""
+        r, c = self.cell_of(lat, lon)
+        return self._members((r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1))
+
+    def overlapping(self, box: tuple[float, float, float, float]) -> np.ndarray:
+        """Ascending indices of the points in cells that meet ``box``.
+
+        A superset of the points inside the box: cell indices are monotone in
+        lat and lon, so no float rounding can move an inside point out.
+        """
+        r0, c0 = self.cell_of(box[0], box[1])
+        r1, c1 = self.cell_of(box[2], box[3])
+        if (r1 - r0 + 1) * (c1 - c0 + 1) > len(self._cells):
+            cells = [k for k in self._cells if r0 <= k[0] <= r1 and c0 <= k[1] <= c1]
+        else:
+            cells = product(range(r0, r1 + 1), range(c0, c1 + 1))
+        return self._members(cells)
 
 
 def haversine_distance_ft(a: GeoPoint, b: GeoPoint) -> float:
@@ -88,10 +162,13 @@ def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
     return math.degrees(math.atan2(y, x)) % 360.0
 
 
-def angular_difference_deg(h1: float, h2: float) -> float:
-    """Smallest absolute angular separation of two headings, in [0, 180]."""
+def angular_difference_deg(h1, h2):
+    """Smallest absolute angular separation of two headings, in [0, 180].
+
+    Takes floats or numpy arrays; arrays give the scalar result elementwise.
+    """
     d = abs(h1 - h2) % 360.0
-    return min(d, 360.0 - d)
+    return np.minimum(d, 360.0 - d)
 
 
 def centroid(points: list[GeoPoint]) -> GeoPoint:
@@ -116,11 +193,11 @@ def _on_segment(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
     px, py = pt.lon_deg, pt.lat_deg
     seg_len = math.hypot(bx - ax, by - ay)
     if seg_len == 0.0:
-        return math.hypot(px - ax, py - ay) <= _ON_EDGE_TOL_DEG
+        return math.hypot(px - ax, py - ay) <= ON_EDGE_TOL_DEG
     cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if abs(cross) / seg_len > _ON_EDGE_TOL_DEG:
+    if abs(cross) / seg_len > ON_EDGE_TOL_DEG:
         return False
-    tol = _ON_EDGE_TOL_DEG
+    tol = ON_EDGE_TOL_DEG
     return (
         min(ax, bx) - tol <= px <= max(ax, bx) + tol
         and min(ay, by) - tol <= py <= max(ay, by) + tol

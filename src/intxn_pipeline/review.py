@@ -12,13 +12,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from .errors import DataError, KmlParseError
 from .geo import (
+    FT_PER_DEG,
+    CellGrid,
     GeoPoint,
     PolygonRing,
     centroid,
@@ -36,6 +41,10 @@ KML_NS = "http://www.opengis.net/kml/2.2"
 # within ~300 ft of their junction, so these bounds are generous.
 POLYGON_MATCH_FT = 500.0
 LINE_EDGE_MATCH_FT = 100.0
+
+# Slack on the index cutoffs for both joins, far above float rounding, so
+# the index never drops geometry the exact scalar test would accept.
+INDEX_MARGIN_FT = 1.0
 
 CONTROL_TYPES = ("stop", "signal")
 
@@ -261,46 +270,68 @@ def import_reviewed_kml(
             continue
         intersections[intxn_id] = ReviewedIntersection(intxn_id, p.coordinates[0], control)
 
-    # (intxn_id, ring, polygon name, entering line or None)
-    pending: list[dict] = []
+    # Polygon -> nearest intersection. Candidates come from the 3x3 cell
+    # block around the centroid; cells a margin wider than the gate hold
+    # every intersection the gate can accept, and the scalar distance with
+    # the (dist, id) tie-break decides among them.
+    rings: list[PolygonRing | None] = []
     for poly in feats.polygons:
         try:
-            ring = PolygonRing(tuple(poly.coordinates))
+            rings.append(PolygonRing(tuple(poly.coordinates)))
         except ValueError:
+            rings.append(None)
+    centers = [None if ring is None else centroid(list(ring.vertices)) for ring in rings]
+    ids = sorted(intersections)
+    grid = CellGrid(
+        [intersections[i].pos.lat_deg for i in ids],
+        [intersections[i].pos.lon_deg for i in ids],
+        max(polygon_match_ft, 0.0) + INDEX_MARGIN_FT,
+        cover_lats=[c.lat_deg for c in centers if c is not None],
+    )
+
+    # (intxn_id, ring, polygon name, entering line or None)
+    pending: list[dict] = []
+    for poly, ring, center in zip(feats.polygons, rings, centers):
+        if ring is None:
             rejects.append(RejectEntry("polygon", poly.name, "invalid_polygon"))
             continue
-        if not intersections:
-            rejects.append(RejectEntry("polygon", poly.name, "unassigned_polygon"))
-            continue
-        center = centroid(list(ring.vertices))
-        best_id = min(
-            intersections,
-            key=lambda i: (haversine_distance_ft(center, intersections[i].pos), i),
+        best = min(
+            (
+                (haversine_distance_ft(center, intersections[ids[k]].pos), ids[k])
+                for k in grid.block(center.lat_deg, center.lon_deg).tolist()
+            ),
+            default=None,
         )
-        dist = haversine_distance_ft(center, intersections[best_id].pos)
-        if dist > polygon_match_ft:
+        if best is None or best[0] > polygon_match_ft:
             rejects.append(RejectEntry("polygon", poly.name, "unassigned_polygon"))
             continue
-        pending.append({"intxn_id": best_id, "ring": ring, "name": poly.name, "line": None})
+        pending.append({"intxn_id": best[1], "ring": ring, "name": poly.name, "line": None})
 
+    # Line midpoint -> polygon. A polygon's bounding box gives a lower bound
+    # on its edge distance, in the same local frame as point_to_segment_ft,
+    # so only polygons whose box lies within the edge gate (plus margin) can
+    # contain the midpoint or be its nearest edge.
+    boxes = np.array([leg["ring"].bounds() for leg in pending], dtype=float).reshape(-1, 4).T
     for line in feats.lines:
         if len(line.coordinates) < 2:
             rejects.append(RejectEntry("line", line.name, "invalid_line"))
             continue
         mid = polyline_midpoint(line.coordinates)
-        containing = [
-            (i, leg) for i, leg in enumerate(pending) if point_in_polygon(mid, leg["ring"])
-        ]
+        lat_gap = np.maximum(np.maximum(boxes[0] - mid.lat_deg, mid.lat_deg - boxes[2]), 0.0)
+        lon_gap = np.maximum(np.maximum(boxes[1] - mid.lon_deg, mid.lon_deg - boxes[3]), 0.0)
+        lon_ft_per_deg = FT_PER_DEG * math.cos(math.radians(mid.lat_deg))
+        gap_ft = np.maximum(lat_gap * FT_PER_DEG, lon_gap * lon_ft_per_deg)
+        near = np.flatnonzero(gap_ft <= max(line_edge_match_ft, 0.0) + INDEX_MARGIN_FT).tolist()
+        edge_ft = {i: _ring_edge_distance_ft(mid, pending[i]["ring"]) for i in near}
+        containing = [i for i in near if point_in_polygon(mid, pending[i]["ring"])]
         if containing:
-            idx = min(containing, key=lambda t: (_ring_edge_distance_ft(mid, t[1]["ring"]), t[0]))[0]
+            idx = min(containing, key=lambda i: (edge_ft[i], i))
         else:
-            ranked = sorted(
-                ((_ring_edge_distance_ft(mid, leg["ring"]), i) for i, leg in enumerate(pending)),
-            )
-            if not ranked or ranked[0][0] > line_edge_match_ft:
+            nearest = min(((d, i) for i, d in edge_ft.items()), default=None)
+            if nearest is None or nearest[0] > line_edge_match_ft:
                 rejects.append(RejectEntry("line", line.name, "unassigned_line"))
                 continue
-            idx = ranked[0][1]
+            idx = nearest[1]
         if pending[idx]["line"] is not None:
             rejects.append(RejectEntry("line", line.name, "extra_line"))
             continue

@@ -18,6 +18,11 @@ from urllib.request import url2pathname
 
 from .errors import StorageNotFoundError, UnsupportedSchemeError
 
+# The process umask, read once: os.umask can only be read by setting it,
+# which would race with other threads creating files.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
 
 def local_path(uri: str | Path) -> Path:
     """Resolve a ``file:`` URI or bare path to a local Path."""
@@ -68,7 +73,11 @@ def resolve_uri(uri: str | Path, mode: str = "rb") -> IO:
 
 @contextmanager
 def atomic_write(uri: str | Path, mode: str = "w") -> Iterator[IO]:
-    """Write to a temp file in the target directory, rename on success."""
+    """Write to a temp file in the target directory, rename on success.
+
+    The result gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the 0o600 of the temp file.
+    """
     path = local_path(uri)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
@@ -81,6 +90,7 @@ def atomic_write(uri: str | Path, mode: str = "w") -> Iterator[IO]:
             yield handle
         finally:
             handle.close()
+        os.chmod(tmp_name, 0o666 & ~_UMASK)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -11,16 +11,26 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import accumulate, groupby
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from .errors import DataError
-from .geo import angular_difference_deg, haversine_distance_ft, initial_bearing_deg, point_in_polygon
+from .geo import (
+    ON_EDGE_TOL_DEG,
+    CellGrid,
+    angular_difference_deg,
+    haversine_distance_ft,
+    in_box,
+    initial_bearing_deg,
+    point_in_polygon,
+)
 from .ingest import SensorRecord, format_time_utc, parse_time_utc
-from .review import ReviewedIntersection
+from .review import ApproachLeg, ReviewedIntersection
 from .storage import resolve_uri
 
 
@@ -91,10 +101,62 @@ def _split_episodes(indices: list[int], times: list[float], gap_s: float) -> lis
     return episodes
 
 
-def _extract_for_drive(
-    recs: list[SensorRecord],
+# Cell size of the point index, about one approach leg long, so a leg's
+# bounding box meets only a handful of cells.
+LEG_CELL_FT = 300.0
+
+# Per approach leg: its intersection, the leg, and the ascending drive
+# indices of the points inside the polygon heading the entering way.
+LegHits = list[tuple[ReviewedIntersection, ApproachLeg, list[int]]]
+
+
+def _drives(sensor: list[SensorRecord]) -> dict[tuple[str, int], list[SensorRecord]]:
+    drives: dict[tuple[str, int], list[SensorRecord]] = {}
+    for rec in sensor:
+        drives.setdefault((rec.subj, rec.drive), []).append(rec)
+    for recs in drives.values():
+        recs.sort(key=SensorRecord.sort_key)
+    return drives
+
+
+def _leg_hits(
+    drives: list[list[SensorRecord]],
     reviewed: list[ReviewedIntersection],
-    params: WindowParams,
+    heading_tol_deg: float,
+) -> dict[int, LegHits]:
+    """Points inside each approach polygon and heading the entering way, by drive.
+
+    All points sit in one study-wide ``CellGrid``. Each leg gathers the
+    points in the cells its bounding box meets, applies the box and the
+    heading gate as array operations, and runs ``point_in_polygon`` only on
+    the survivors. Keys are positions in ``drives``; hits follow the order
+    of ``reviewed`` and its approaches.
+    """
+    recs = [r for drive in drives for r in drive]
+    starts = [0, *accumulate(len(drive) for drive in drives)]
+    lats = np.fromiter((r.pos.lat_deg for r in recs), dtype=float, count=len(recs))
+    lons = np.fromiter((r.pos.lon_deg for r in recs), dtype=float, count=len(recs))
+    headings = np.fromiter((r.heading_deg for r in recs), dtype=float, count=len(recs))
+    grid = CellGrid(lats, lons, LEG_CELL_FT)
+
+    hits: dict[int, LegHits] = {}
+    for intxn in reviewed:
+        for leg in intxn.approaches:
+            if leg.entering_bearing is None:
+                raise ValueError("entering bearings must be assigned before extraction")
+            box = leg.polygon.bounds(ON_EDGE_TOL_DEG)
+            idx = grid.overlapping(box)
+            keep = in_box(box, lats[idx], lons[idx]) & (
+                angular_difference_deg(headings[idx], leg.entering_bearing) <= heading_tol_deg
+            )
+            inside = [i for i in idx[keep].tolist() if point_in_polygon(recs[i].pos, leg.polygon)]
+            for d, members in groupby(inside, key=lambda i: bisect_right(starts, i) - 1):
+                hits.setdefault(d, []).append((intxn, leg, [i - starts[d] for i in members]))
+    return hits
+
+
+def _extract_for_drive(
+    recs: list[SensorRecord], hits: LegHits, params: WindowParams
 ) -> tuple[list[TrajectoryCandidate], int, int]:
     times = [r.t_utc.timestamp() for r in recs]
     cums = [r.cum_dist_ft for r in recs]
@@ -102,28 +164,13 @@ def _extract_for_drive(
 
     # (intxn_id, ref_time, leg_id, ref_drive_index) per approach visit
     picks: list[tuple[int, float, int, int]] = []
-    for intxn in reviewed:
-        for leg in intxn.approaches:
-            if leg.entering_bearing is None:
-                raise ValueError("entering bearings must be assigned before extraction")
-            min_lat, min_lon, max_lat, max_lon = leg.polygon.bounds()
-            surviving = [
-                i
-                for i, r in enumerate(recs)
-                if min_lat - 1e-9 <= r.pos.lat_deg <= max_lat + 1e-9
-                and min_lon - 1e-9 <= r.pos.lon_deg <= max_lon + 1e-9
-                and angular_difference_deg(r.heading_deg, leg.entering_bearing)
-                <= params.heading_tol_deg
-                and point_in_polygon(r.pos, leg.polygon)
-            ]
-            if not surviving:
-                continue
-            for episode in _split_episodes(surviving, times, params.pass_gap_s):
-                ref_i = min(
-                    episode,
-                    key=lambda i: (haversine_distance_ft(recs[i].pos, intxn.pos), times[i]),
-                )
-                picks.append((intxn.intxn_id, times[ref_i], leg.leg_id, ref_i))
+    for intxn, leg, surviving in hits:
+        for episode in _split_episodes(surviving, times, params.pass_gap_s):
+            ref_i = min(
+                episode,
+                key=lambda i: (haversine_distance_ft(recs[i].pos, intxn.pos), times[i]),
+            )
+            picks.append((intxn.intxn_id, times[ref_i], leg.leg_id, ref_i))
 
     by_intxn: dict[int, list[tuple[int, float, int, int]]] = {}
     for pick in picks:
@@ -164,7 +211,6 @@ def extract_trajectories(
     sensor: list[SensorRecord],
     reviewed: list[ReviewedIntersection],
     params: WindowParams | None = None,
-    jobs: int = 1,
 ) -> tuple[list[TrajectoryCandidate], dict[str, int]]:
     """Extract one entering trajectory per (subj, drive, intersection).
 
@@ -174,26 +220,14 @@ def extract_trajectories(
     are kept and tallied as ``truncated``.
     """
     params = params or WindowParams()
-    drives: dict[tuple[str, int], list[SensorRecord]] = {}
-    for rec in sensor:
-        drives.setdefault((rec.subj, rec.drive), []).append(rec)
-    for recs in drives.values():
-        recs.sort(key=SensorRecord.sort_key)
-
-    keys = sorted(drives)
-
-    def worker(key):
-        return _extract_for_drive(drives[key], reviewed, params)
-
-    if jobs > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, keys))
-    else:
-        results = [worker(key) for key in keys]
+    by_key = _drives(sensor)
+    drives = [by_key[key] for key in sorted(by_key)]
+    hits = _leg_hits(drives, reviewed, params.heading_tol_deg)
 
     trajs: list[TrajectoryCandidate] = []
     skip_report = {"duplicate_pass": 0, "truncated": 0}
-    for drive_trajs, duplicates, truncated in results:
+    for d in sorted(hits):
+        drive_trajs, duplicates, truncated = _extract_for_drive(drives[d], hits[d], params)
         trajs.extend(drive_trajs)
         skip_report["duplicate_pass"] += duplicates
         skip_report["truncated"] += truncated
@@ -248,11 +282,8 @@ def load_trajectories_csv(
     The window is the time span [start, end] of the drive, which delimits
     the same contiguous point run the extractor produced.
     """
-    drives: dict[tuple[str, int], list[SensorRecord]] = {}
-    for rec in sensor:
-        drives.setdefault((rec.subj, rec.drive), []).append(rec)
-    for recs in drives.values():
-        recs.sort(key=SensorRecord.sort_key)
+    drives = _drives(sensor)
+    drive_times = {key: [r.t_utc for r in recs] for key, recs in drives.items()}
 
     handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
     try:
@@ -268,7 +299,7 @@ def load_trajectories_csv(
             recs = drives.get((subj, drive))
             if not recs:
                 raise DataError(f"no sensor data for trajectory {row['traj_id']}")
-            times = [r.t_utc for r in recs]
+            times = drive_times[(subj, drive)]
             start = parse_time_utc(row["start_time_utc"])
             end = parse_time_utc(row["end_time_utc"])
             ref_time = parse_time_utc(row["ref_time_utc"])
@@ -278,7 +309,7 @@ def load_trajectories_csv(
             if not window:
                 raise DataError(f"empty window for trajectory {row['traj_id']}")
             try:
-                ref_index = [r.t_utc for r in window].index(ref_time)
+                ref_index = times.index(ref_time, left, right + 1) - left
             except ValueError as exc:
                 raise DataError(
                     f"reference time not in window for trajectory {row['traj_id']}"

@@ -1,7 +1,15 @@
 import json
+import os
+import stat
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import intxn_pipeline
+from intxn_pipeline import ingest
 from intxn_pipeline.cli import main
 from intxn_pipeline.errors import StorageNotFoundError, UnsupportedSchemeError
 from intxn_pipeline.storage import atomic_write, local_path, resolve_uri
@@ -45,6 +53,28 @@ def test_atomic_write_no_partial_output(tmp_path):
     with atomic_write(target) as handle:
         handle.write("done")
     assert target.read_text() == "done"
+
+
+@pytest.mark.parametrize(
+    "umask, expected", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+)
+def test_atomic_write_mode_follows_umask(tmp_path, umask, expected):
+    # A fresh interpreter, because the storage module reads the umask once at import.
+    target = tmp_path / "out.txt"
+    code = (
+        "import sys\n"
+        "from intxn_pipeline.storage import atomic_write\n"
+        "with atomic_write(sys.argv[1]) as handle:\n"
+        "    handle.write('done')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(intxn_pipeline.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", code, str(target)],
+        check=True,
+        env=env,
+        preexec_fn=lambda: os.umask(umask),
+    )
+    assert stat.S_IMODE(target.stat().st_mode) == expected
 
 
 @pytest.fixture()
@@ -186,3 +216,18 @@ def test_stage_reports_reconcile(workspace):
         len(f["properties"]["supporting_cluster_ids"]) for f in visited["features"]
     )
     assert subj_report["clusters"] == supporting + len(subj_report["unmatched"])
+
+
+def test_clean_report_times_the_csv_writes(workspace, monkeypatch):
+    ws, config = workspace
+    write = ingest.write_sensor_csv
+
+    def slow_write(*args, **kwargs):
+        time.sleep(0.2)
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "write_sensor_csv", slow_write)
+    assert _run(config, "clean") == 0
+    for name in ("clean_sensor.csv", "clean_cv.csv"):
+        report = json.loads((ws / "out" / f"{name}.report.json").read_text())
+        assert report["wall_time_s"] >= 0.2, name

@@ -225,17 +225,6 @@ def test_output_sorted_and_unique():
     assert len({t.traj_id for t in trajs}) == len(trajs)
 
 
-def test_jobs_parameter_gives_identical_results():
-    sensor = northbound_drive() + northbound_drive(subj="B") + northbound_drive(drive=2)
-    intxns = [northbound_intersection()]
-    serial, serial_skips = _extract(sensor, intxns, jobs=1)
-    parallel, parallel_skips = _extract(sensor, intxns, jobs=4)
-    assert [(t.traj_id, t.ref_time_utc) for t in serial] == [
-        (t.traj_id, t.ref_time_utc) for t in parallel
-    ]
-    assert serial_skips == parallel_skips
-
-
 def test_window_params_validation():
     with pytest.raises(ValueError):
         WindowParams(upstream_ft=-1)
