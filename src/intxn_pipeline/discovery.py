@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -66,42 +65,18 @@ class UnmatchedCluster:
     dist_ft: float
 
 
-def _haversine_many(p: GeoPoint, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-    phi1 = math.radians(p.lat_deg)
-    phi2 = np.radians(lats)
-    dphi = np.radians(lats - p.lat_deg)
-    dlam = np.radians(lons - p.lon_deg)
-    h = np.sin(dphi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_FT * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+def _haversine_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Haversine distance in feet between numpy-broadcast coordinates, degrees in.
 
-
-class GridIndex(CellGrid):
-    """Radius queries up to the cell size over a ``CellGrid`` of points.
-
-    Candidates from the 3x3 cell block around a query point are verified
-    with the exact haversine distance. Read-only after construction, so it
-    can be probed from any number of workers.
+    Symmetric in its two points (their differences enter only through squared
+    sines), so a pair compares with eps the same way whichever is the query.
     """
-
-    def __init__(self, points: list[GeoPoint], cell_ft: float):
-        self.points = points
-        self.cell_ft = cell_ft
-        self._lats = np.array([p.lat_deg for p in points], dtype=float)
-        self._lons = np.array([p.lon_deg for p in points], dtype=float)
-        super().__init__(self._lats, self._lons, cell_ft)
-
-    def neighbors_within(self, p: GeoPoint, radius_ft: float) -> list[int]:
-        """Indices of all points within radius_ft of p, ascending."""
-        if radius_ft > self.cell_ft:
-            raise ValueError("query radius exceeds the index cell size")
-        idx = self.block(p.lat_deg, p.lon_deg)
-        if not idx.size:
-            return []
-        dists = _haversine_many(p, self._lats[idx], self._lons[idx])
-        return [int(i) for i in idx[dists <= radius_ft]]
-
-    def neighbors_of(self, i: int, radius_ft: float) -> list[int]:
-        return self.neighbors_within(self.points[i], radius_ft)
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlam = np.radians(lon2 - lon1)
+    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_FT * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
 def extract_lrs_candidates(
@@ -110,10 +85,10 @@ def extract_lrs_candidates(
     """Intersection candidates where three or more polyline vertices coincide.
 
     All vertices are pooled and grouped by transitive closure of the
-    within-``tol_ft`` neighbor relation; each group of size three or more
-    becomes a candidate at the group centroid, with the group size as its
-    degree. IDs are assigned in (lat, lon) order of the candidate positions
-    so output is deterministic.
+    within-``tol_ft`` neighbor relation (DBSCAN with min_pts = 1); each
+    group of size three or more becomes a candidate at the group centroid,
+    with the group size as its degree. IDs are assigned in (lat, lon) order
+    of the candidate positions so output is deterministic.
     """
     verts: list[GeoPoint] = []
     for _, points in network.polylines:
@@ -121,25 +96,9 @@ def extract_lrs_candidates(
     if not verts:
         return []
 
-    index = GridIndex(verts, cell_ft=max(tol_ft, 1e-6))
-    parent = list(range(len(verts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(verts)):
-        for j in index.neighbors_of(i, tol_ft):
-            if j > i:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
     groups: dict[int, list[GeoPoint]] = {}
-    for i, v in enumerate(verts):
-        groups.setdefault(find(i), []).append(v)
+    for v, lab in zip(verts, dbscan_labels(verts, tol_ft, min_pts=1)):
+        groups.setdefault(lab, []).append(v)
 
     found = []
     for members in groups.values():
@@ -187,37 +146,109 @@ def dbscan_labels(
 
     A point is core when its eps-neighborhood (itself included) holds at
     least ``min_pts`` points. With min_pts = 2 the clusters are exactly the
-    connected components of the eps-threshold graph.
+    connected components of the eps-threshold graph. Labels are those of the
+    scan-order queue expansion: cluster k is the component of core points
+    whose smallest index ranks k-th, a border point takes the lowest-ranked
+    cluster among its core neighbors, and the rest is noise.
+
+    Grid DBSCAN (Gunawan, "A faster algorithm for DBSCAN", 2013): cells are
+    at most eps/2 on a side, so the points of one cell are all neighbors. A
+    cell of ``min_pts`` or more points is all core with no distance test; a
+    point of a sparser cell counts its neighbors with one haversine against
+    the cells within reach. Cells within reach join in a union-find over
+    cells when some pair of their core points is within eps.
     """
     n = len(points)
-    labels: list[int | None] = [None] * n
     if n == 0:
         return []
-    index = GridIndex(points, cell_ft=eps_ft)
-    cluster = -1
-    for i in range(n):
-        if labels[i] is not None:
+    lats = np.array([p.lat_deg for p in points], dtype=float)
+    lons = np.array([p.lon_deg for p in points], dtype=float)
+    grid = CellGrid(lats, lons, eps_ft / 2.0, narrow=True)
+    cells = list(grid.cells.values())
+
+    # A pair within eps is at most 2 cell heights apart, so at most 3 rows
+    # (one for rounding in the cell index), and at most `reach` columns:
+    # haversine bounds its longitude gap by cos(lat) * sin(dlam / 2) <=
+    # sin(eps / 2R), taken at the smallest cos(lat), plus half a cell.
+    x = math.sin(min(eps_ft / (2.0 * EARTH_RADIUS_FT), math.pi / 2.0))
+    x /= float(np.min(np.cos(np.radians(lats))))
+    reach = math.ceil(2.0 * math.degrees(math.asin(x)) / grid.dlon + 0.5) if x < 1.0 else math.inf
+    # Complex numbers sort by (real, imag), so keys ascend as the cells do,
+    # and each row within reach is one run [lo, hi) of cell indices.
+    keys = np.array([complex(*key) for key in grid.cells])
+    runs = [
+        (np.searchsorted(keys, keys + dr - complex(0, reach)).tolist(),
+         np.searchsorted(keys, keys + dr + complex(0, reach), side="right").tolist())
+        for dr in range(-3, 4)
+    ]
+
+    core = np.zeros(n, dtype=bool)
+    near: dict[int, np.ndarray] = {}  # non-core point -> its neighbors
+    for a, own in enumerate(cells):
+        if len(own) >= min_pts:
+            core[own] = True
             continue
-        neighborhood = index.neighbors_of(i, eps_ft)
-        if len(neighborhood) < min_pts:
-            labels[i] = -1
+        cand = np.concatenate([cells[b] for lo, hi in runs for b in range(lo[a], hi[a])])
+        step = max(1, _PAIR_BLOCK**2 // len(cand))
+        for k in range(0, len(own), step):
+            rows = own[k : k + step]
+            within = (
+                _haversine_ft(lats[rows, None], lons[rows, None], lats[cand], lons[cand]) <= eps_ft
+            )
+            is_core = within.sum(axis=1) >= min_pts
+            core[rows[is_core]] = True
+            near.update((i, cand[w]) for i, w in zip(rows[~is_core].tolist(), within[~is_core]))
+
+    parent = list(range(len(cells)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    cores = [own[core[own]] for own in cells]
+    for a, ca in enumerate(cores):
+        if not ca.size:
             continue
-        cluster += 1
-        labels[i] = cluster
-        queue = deque(j for j in neighborhood if j != i)
-        while queue:
-            j = queue.popleft()
-            if labels[j] == -1:
-                labels[j] = cluster  # border point previously tagged as noise
-            if labels[j] is not None:
-                continue
-            labels[j] = cluster
-            reach = index.neighbors_of(j, eps_ft)
-            if len(reach) >= min_pts:
-                # Noise-labeled points stay eligible: they become border
-                # points when a core point reaches them.
-                queue.extend(k for k in reach if labels[k] is None or labels[k] == -1)
-    return [lab if lab is not None else -1 for lab in labels]
+        root = find(a)
+        later = [
+            b for lo, hi in runs for b in range(max(lo[a], a + 1), hi[a])
+            if cores[b].size and find(b) != root
+        ]
+        if later:
+            cb = np.concatenate([cores[b] for b in later])
+            owner = np.repeat(later, [cores[b].size for b in later])
+            for b in set(owner[_within_any(lats, lons, ca, cb, eps_ft)].tolist()):
+                parent[find(b)] = find(a)
+
+    # Number the components in the order of their smallest core point.
+    rank: dict[int, int] = {}
+    labels = np.full(n, -1, dtype=np.int64)
+    for _, a in sorted((int(ca[0]), a) for a, ca in enumerate(cores) if ca.size):
+        labels[cores[a]] = rank.setdefault(find(a), len(rank))
+    for i, found in near.items():
+        adopted = labels[found[core[found]]]
+        if adopted.size:
+            labels[i] = adopted.min()
+    return labels.tolist()
+
+
+# Cross-cell distance tests run on blocks of at most this many points a
+# side, so their temporaries stay small however crowded a cell is.
+_PAIR_BLOCK = 256
+
+
+def _within_any(lats, lons, a: np.ndarray, b: np.ndarray, eps_ft: float) -> np.ndarray:
+    """For each point of ``b``, whether some point of ``a`` is within eps_ft."""
+    hit = np.zeros(len(b), dtype=bool)
+    for i in range(0, len(a), _PAIR_BLOCK):
+        ai = a[i : i + _PAIR_BLOCK, None]
+        for j in range(0, len(b), _PAIR_BLOCK):
+            bj = b[None, j : j + _PAIR_BLOCK]
+            d = _haversine_ft(lats[ai], lons[ai], lats[bj], lons[bj])
+            hit[j : j + _PAIR_BLOCK] |= (d <= eps_ft).any(axis=0)
+    return hit
 
 
 def cluster_detections(
@@ -272,7 +303,7 @@ def match_clusters(
     matched: dict[int, list[tuple[int, float]]] = {}
     unmatched: list[UnmatchedCluster] = []
     for cluster_id, center in sorted(centers, key=lambda t: t[0]):
-        dists = _haversine_many(center, lats, lons)
+        dists = _haversine_ft(center.lat_deg, center.lon_deg, lats, lons)
         k = int(np.argmin(dists))  # ties resolve to the lowest intxn_id
         dist = float(dists[k])
         if dist > max_match_ft:
@@ -299,14 +330,7 @@ def match_clusters(
 
 def load_network_geojson(source: str | Path | IO) -> RoadNetwork:
     """Read a WGS84 FeatureCollection of LineString/MultiLineString features."""
-    handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
-    try:
-        doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid GeoJSON: {exc}") from exc
-    finally:
-        if owned:
-            handle.close()
+    doc = load_geojson(source)
     if doc.get("type") != "FeatureCollection":
         raise DataError("road network must be a GeoJSON FeatureCollection")
 

@@ -81,18 +81,25 @@ class CellGrid:
     Cells are ``cell_ft`` tall and at least ``cell_ft`` wide at every binned
     latitude and every latitude in ``cover_lats``, so any binned point within
     ``cell_ft`` of a point at one of those latitudes lies in the 3x3 cell
-    block around it. Longitude is planar: the ±180° seam is not joined.
+    block around it. With ``narrow`` they are instead at most ``cell_ft``
+    wide at all those latitudes (sized from the largest cos(lat)), so two
+    points in one cell are less than ``cell_ft * sqrt(2)`` apart, up to a
+    relative ~(cell_ft / R)^2. Longitude is planar: the ±180° seam is not
+    joined. ``cells`` maps each occupied (row, col) to its ascending point
+    indices, in (row, col) order.
     """
 
-    def __init__(self, lats, lons, cell_ft: float, cover_lats=()):
-        if cell_ft <= 0:
+    def __init__(self, lats, lons, cell_ft: float, cover_lats=(), narrow: bool = False):
+        if not cell_ft > 0:  # NaN too
             raise ValueError("cell_ft must be positive")
         lats = np.asarray(lats, dtype=float)
         lons = np.asarray(lons, dtype=float)
         cover = np.concatenate([lats, np.asarray(cover_lats, dtype=float)])
-        cos_min = max(1e-6, float(np.min(np.cos(np.radians(cover))))) if cover.size else 1.0
+        # One expression, so the per-point cos array is freed before binning.
+        pick = np.max if narrow else np.min
+        cos_ref = float(pick(np.cos(np.radians(cover)))) if cover.size else 1.0
         self.dlat = cell_ft / FT_PER_DEG
-        self.dlon = cell_ft / (FT_PER_DEG * cos_min)
+        self.dlon = cell_ft / (FT_PER_DEG * (cos_ref if narrow else max(1e-6, cos_ref)))
         rows = np.floor(lats / self.dlat).astype(np.int64)
         cols = np.floor(lons / self.dlon).astype(np.int64)
         order = np.lexsort((cols, rows))  # stable, so indices ascend within a cell
@@ -101,7 +108,7 @@ class CellGrid:
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         starts = np.flatnonzero(first).tolist()
         keys = zip(rows[starts].tolist(), cols[starts].tolist())
-        self._cells = {
+        self.cells = {
             key: order[s:e] for key, s, e in zip(keys, starts, starts[1:] + [len(order)])
         }
 
@@ -109,7 +116,7 @@ class CellGrid:
         return math.floor(lat / self.dlat), math.floor(lon / self.dlon)
 
     def _members(self, cells) -> np.ndarray:
-        parts = [m for m in map(self._cells.get, cells) if m is not None]
+        parts = [m for m in map(self.cells.get, cells) if m is not None]
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(parts))
@@ -127,8 +134,8 @@ class CellGrid:
         """
         r0, c0 = self.cell_of(box[0], box[1])
         r1, c1 = self.cell_of(box[2], box[3])
-        if (r1 - r0 + 1) * (c1 - c0 + 1) > len(self._cells):
-            cells = [k for k in self._cells if r0 <= k[0] <= r1 and c0 <= k[1] <= c1]
+        if (r1 - r0 + 1) * (c1 - c0 + 1) > len(self.cells):
+            cells = [k for k in self.cells if r0 <= k[0] <= r1 and c0 <= k[1] <= c1]
         else:
             cells = product(range(r0, r1 + 1), range(c0, c1 + 1))
         return self._members(cells)

@@ -162,10 +162,11 @@ def clean_sensor(
 ) -> tuple[list[SensorRecord], dict[str, int]]:
     """Merge sensor CSVs into one canonical table plus a drop report.
 
-    Malformed or out-of-range rows are dropped and counted, duplicate
-    (subj, drive, time) rows collapse to one survivor, and the cumulative
-    distance column is recomputed for any drive that lacks it. A supplied
-    odometer column is trusted but rows that run it backwards are dropped.
+    Malformed or out-of-range rows are dropped and counted, rows that share
+    (subj, drive, time to the millisecond) collapse to one survivor, and the
+    cumulative distance column is recomputed for any drive that lacks it. A
+    supplied odometer column is trusted but rows that run it backwards are
+    dropped.
     """
     drops = {"unparseable": 0, "out_of_range": 0, "duplicate": 0, "cum_dist_regression": 0}
     if jobs > 1 and len(files) > 1:
@@ -189,7 +190,11 @@ def clean_sensor(
     deduped: list[tuple] = []
     last_key = None
     for r in rows:
-        key = (r[0], r[1], r[2])
+        # The clean table stores milliseconds: dedupe on what it will hold.
+        t = r[2]
+        if t.microsecond % 1000:
+            t = t.replace(microsecond=t.microsecond // 1000 * 1000)
+        key = (r[0], r[1], t)
         if key == last_key:
             drops["duplicate"] += 1
             continue

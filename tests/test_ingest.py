@@ -90,6 +90,24 @@ def test_clean_sensor_collapses_duplicates():
     assert drops["duplicate"] == 1
 
 
+def test_clean_sensor_collapses_rows_within_one_millisecond():
+    # The clean table stores milliseconds, so sub-millisecond neighbours
+    # are one (subj, drive, time) key and must not both reach the output.
+    src = sensor_csv(
+        [
+            "A,1,2019-05-01T12:00:22.5004Z,41.0,-96.0,90.0,50.0",
+            "A,1,2019-05-01T12:00:22.5001Z,41.0,-96.0,90.0,50.0",
+            "A,1,2019-05-01T12:00:22.5010Z,41.0,-96.0,90.0,50.0",
+        ]
+    )
+    records, drops = clean_sensor([src])
+    assert drops["duplicate"] == 1
+    out = io.StringIO()
+    write_sensor_csv(records, out)
+    times = [line.split(",")[2] for line in out.getvalue().splitlines()[1:]]
+    assert times == ["2019-05-01T12:00:22.500Z", "2019-05-01T12:00:22.501Z"]
+
+
 def test_clean_sensor_header_mismatch():
     bad = io.StringIO("subj,drive,time_utc,lat\nA,1,2019-05-01T12:00:00.000Z,41.0\n")
     with pytest.raises(HeaderMismatchError) as err:
