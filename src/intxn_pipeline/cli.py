@@ -25,7 +25,7 @@ from . import clips as clips_mod
 from . import discovery, ingest, review, synth, trajectory
 from .config import PipelineConfig, load_config
 from .errors import DataError, MissingPrerequisiteError, PipelineError
-from .storage import atomic_write
+from .storage import resolve_uri
 
 STAGES = (
     "clean",
@@ -47,13 +47,11 @@ POST_REVIEW_STAGES = ("import-review", "traj", "clips", "template")
 
 
 def _write_report(output: Path, report: dict) -> None:
-    with atomic_write(Path(str(output) + ".report.json")) as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    _write_json(Path(str(output) + ".report.json"), report)
 
 
 def _write_json(output: Path, doc) -> None:
-    with atomic_write(output) as handle:
+    with resolve_uri(output, "w") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
 
@@ -89,12 +87,10 @@ def stage_clean(cfg: PipelineConfig) -> str:
     )
 
     sensor_out = cfg.output_path("clean_sensor")
-    with atomic_write(sensor_out) as handle:
-        ingest.write_sensor_csv(sensor, handle)
+    ingest.write_sensor_csv(sensor, sensor_out)
     _write_json(Path(str(sensor_out) + ".drops.json"), sensor_drops)
     cv_out = cfg.output_path("clean_cv")
-    with atomic_write(cv_out) as handle:
-        ingest.write_detections_csv(detections, handle)
+    ingest.write_detections_csv(detections, cv_out)
     _write_json(Path(str(cv_out) + ".drops.json"), cv_drops)
     wall = time.perf_counter() - t0
 
@@ -133,8 +129,7 @@ def stage_lrs_intxns(cfg: PipelineConfig) -> str:
     network = discovery.load_network_geojson(network_path)
     candidates = discovery.extract_lrs_candidates(network, tol_ft=cfg.params["tol_ft"])
     out = cfg.output_path("lrs_candidates")
-    with atomic_write(out) as handle:
-        discovery.save_geojson(discovery.candidates_to_geojson(candidates), handle)
+    discovery.save_geojson(discovery.candidates_to_geojson(candidates), out)
     _write_report(
         out,
         {
@@ -169,8 +164,7 @@ def stage_subj_intxns(cfg: PipelineConfig) -> str:
         max_match_ft=cfg.params["max_match_ft"],
     )
     out = cfg.output_path("visited_candidates")
-    with atomic_write(out) as handle:
-        discovery.save_geojson(discovery.visited_to_geojson(visited), handle)
+    discovery.save_geojson(discovery.visited_to_geojson(visited), out)
     _write_report(
         out,
         {
@@ -201,8 +195,7 @@ def stage_export_kml(cfg: PipelineConfig) -> str:
     if not visited:
         raise DataError(f"no visited candidates to export: {visited_path}")
     out = cfg.output_path("candidates_kml")
-    with atomic_write(out) as handle:
-        review.export_candidates_kml(visited, handle)
+    review.export_candidates_kml(visited, out)
     _write_report(
         out,
         {
@@ -224,8 +217,7 @@ def stage_import_review(cfg: PipelineConfig) -> str:
         line_edge_match_ft=cfg.params["line_edge_match_ft"],
     )
     out = cfg.output_path("reviewed_json")
-    with atomic_write(out) as handle:
-        review.save_reviewed_json(reviewed, handle)
+    review.save_reviewed_json(reviewed, out)
     _write_report(
         out,
         {
@@ -257,8 +249,7 @@ def stage_traj(cfg: PipelineConfig) -> str:
     )
     trajs, skip_report = trajectory.extract_trajectories(sensor, reviewed, params)
     out = cfg.output_path("trajectories")
-    with atomic_write(out) as handle:
-        trajectory.write_trajectories_csv(trajs, handle)
+    trajectory.write_trajectories_csv(trajs, out)
     _write_report(
         out,
         {
@@ -289,8 +280,7 @@ def stage_clips(cfg: PipelineConfig) -> str:
     specs, report = clips_mod.build_clip_specs(trajs, videos, overlay)
     out = cfg.output_path("cutlist")
     script_out = cfg.output_path("cutlist_script")
-    with atomic_write(out) as json_handle, atomic_write(script_out) as script_handle:
-        clips_mod.emit_cutlist(specs, json_handle, script_handle, processor=cfg.processor)
+    clips_mod.emit_cutlist(specs, out, script_out, processor=cfg.processor)
     _write_report(
         out,
         {
@@ -327,11 +317,9 @@ def stage_template(cfg: PipelineConfig) -> str:
         video_base_url=cfg.video_base_url,
     )
     out = cfg.output_path("review_template")
-    with atomic_write(out) as handle:
-        review.write_review_csv(rows, list(cfg.custom_fields), handle)
+    review.write_review_csv(rows, list(cfg.custom_fields), out)
     manifest_out = cfg.output_path("validation_manifest")
-    with atomic_write(manifest_out) as handle:
-        review.write_validation_manifest(manifest, handle)
+    review.write_validation_manifest(manifest, manifest_out)
     _write_report(
         out,
         {

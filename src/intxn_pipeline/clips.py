@@ -76,8 +76,7 @@ class ClipSpec:
 
 
 def read_videos_csv(source: str | Path | IO) -> list[VideoFile]:
-    handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
-    try:
+    with resolve_uri(source, "r") as handle:
         reader = csv.DictReader(handle)
         have = set(reader.fieldnames or ())
         missing = [c for c in VIDEO_COLUMNS if c not in have]
@@ -99,9 +98,6 @@ def read_videos_csv(source: str | Path | IO) -> list[VideoFile]:
             except (TypeError, ValueError) as exc:
                 raise DataError(f"bad video metadata row: {row!r}") from exc
         return out
-    finally:
-        if owned:
-            handle.close()
 
 
 def match_video(
@@ -249,7 +245,9 @@ def emit_cutlist(
 
     The script is advisory: nothing in the pipeline runs the processor, so
     clips can be rendered later, elsewhere, or not at all (dry runs).
-    Numbers are serialized with exactly three decimals.
+    Numbers are serialized with exactly three decimals. Given paths, the
+    script is written inside the cut-list's ``with``, so a failure while
+    writing either leaves neither file behind.
     """
     ordered = sorted(specs, key=lambda s: s.traj_id)
     names = [s.output_name for s in ordered]
@@ -259,39 +257,21 @@ def emit_cutlist(
         body = "[\n" + ",\n".join(_clip_json_line(s) for s in ordered) + "\n]\n"
     else:
         body = "[]\n"
-    handle, owned = (
-        (json_dest, False) if hasattr(json_dest, "write") else (resolve_uri(json_dest, "w"), True)
-    )
-    try:
+    with resolve_uri(json_dest, "w") as handle:
         handle.write(body)
-    finally:
-        if owned:
-            handle.close()
-
-    if script_dest is None:
-        return
-    script = "".join(clip_command(s, processor) + "\n" for s in ordered)
-    handle, owned = (
-        (script_dest, False)
-        if hasattr(script_dest, "write")
-        else (resolve_uri(script_dest, "w"), True)
-    )
-    try:
-        handle.write(script)
-    finally:
-        if owned:
-            handle.close()
+        if script_dest is None:
+            return
+        script = "".join(clip_command(s, processor) + "\n" for s in ordered)
+        with resolve_uri(script_dest, "w") as script_handle:
+            script_handle.write(script)
 
 
 def parse_cutlist(source: str | Path | IO) -> list[ClipSpec]:
-    handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
-    try:
-        entries = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid cut-list JSON: {exc}") from exc
-    finally:
-        if owned:
-            handle.close()
+    with resolve_uri(source, "r") as handle:
+        try:
+            entries = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid cut-list JSON: {exc}") from exc
     return [
         ClipSpec(
             e["traj_id"],

@@ -11,6 +11,7 @@ DBSCAN 100 ft / 2 features, windows 300 ft up / 200 ft down, overlay
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,6 +92,8 @@ def _coerce_param(key: str, raw: object) -> float | int:
         value: float | int = float(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"parameter {key!r} must be numeric, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"parameter {key!r} must be finite, got {raw!r}")
     if isinstance(default, int):
         if value != int(value):
             raise ConfigError(f"parameter {key!r} must be an integer, got {raw!r}")
@@ -178,9 +181,9 @@ def load_config(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth spec: {exc}") from exc
 
-    effective_jobs = jobs if jobs is not None else int(doc.get("jobs", 1))
-    if effective_jobs < 1:
-        raise ConfigError("jobs must be at least 1")
+    effective_jobs = jobs if jobs is not None else doc.get("jobs", 1)
+    if type(effective_jobs) is not int or effective_jobs < 1:
+        raise ConfigError(f"jobs must be an integer of at least 1, got {effective_jobs!r}")
 
     return PipelineConfig(
         workspace=workspace,

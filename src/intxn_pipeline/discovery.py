@@ -421,21 +421,14 @@ def visited_from_geojson(doc: dict) -> list[VisitedCandidate]:
 
 
 def save_geojson(doc: dict, dest: str | Path | IO) -> None:
-    handle, owned = (dest, False) if hasattr(dest, "write") else (resolve_uri(dest, "w"), True)
-    try:
+    with resolve_uri(dest, "w") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def load_geojson(source: str | Path | IO) -> dict:
-    handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
-    try:
-        return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid GeoJSON: {exc}") from exc
-    finally:
-        if owned:
-            handle.close()
+    with resolve_uri(source, "r") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid GeoJSON: {exc}") from exc

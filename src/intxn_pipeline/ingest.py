@@ -88,12 +88,6 @@ class CleanTables:
     drop_report: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-def _open_text(source: str | Path | IO) -> tuple[IO, bool]:
-    if hasattr(source, "read"):
-        return source, False
-    return resolve_uri(source, "r"), True
-
-
 def _check_header(fieldnames: list[str] | None, required: Iterable[str], name: str) -> None:
     have = set(fieldnames or ())
     missing = [c for c in required if c not in have]
@@ -104,8 +98,7 @@ def _check_header(fieldnames: list[str] | None, required: Iterable[str], name: s
 def _parse_sensor_file(source) -> tuple[list[tuple], bool, dict[str, int]]:
     """Parse one sensor CSV into row tuples; count unusable rows."""
     drops = {"unparseable": 0, "out_of_range": 0}
-    handle, owned = _open_text(source)
-    try:
+    with resolve_uri(source, "r") as handle:
         reader = csv.DictReader(handle)
         _check_header(reader.fieldnames, SENSOR_COLUMNS, getattr(source, "name", source))
         has_cum = SENSOR_CUM_COLUMN in (reader.fieldnames or ())
@@ -135,9 +128,6 @@ def _parse_sensor_file(source) -> tuple[list[tuple], bool, dict[str, int]]:
                 continue
             rows.append((subj, drive, t, lat, lon, heading, speed, cum))
         return rows, has_cum, drops
-    finally:
-        if owned:
-            handle.close()
 
 
 def compute_cum_dist(drive_records: list[SensorRecord]) -> list[SensorRecord]:
@@ -224,8 +214,7 @@ def clean_sensor(
 
 def _parse_detection_file(source) -> tuple[list[tuple], dict[str, int]]:
     drops = {"unparseable": 0, "out_of_range": 0, "unknown_class": 0}
-    handle, owned = _open_text(source)
-    try:
+    with resolve_uri(source, "r") as handle:
         reader = csv.DictReader(handle)
         _check_header(reader.fieldnames, DETECTION_COLUMNS, getattr(source, "name", source))
         rows = []
@@ -249,9 +238,6 @@ def _parse_detection_file(source) -> tuple[list[tuple], dict[str, int]]:
                 continue
             rows.append((subj, drive, t, object_class, confidence))
         return rows, drops
-    finally:
-        if owned:
-            handle.close()
 
 
 def clean_cv(
@@ -324,8 +310,7 @@ def clean_tables(
 
 
 def write_sensor_csv(records: list[SensorRecord], dest: str | Path | IO) -> None:
-    handle, owned = (dest, False) if hasattr(dest, "write") else (resolve_uri(dest, "w"), True)
-    try:
+    with resolve_uri(dest, "w") as handle:
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,))
         for r in records:
@@ -341,17 +326,13 @@ def write_sensor_csv(records: list[SensorRecord], dest: str | Path | IO) -> None
                     repr(r.cum_dist_ft),
                 ]
             )
-    finally:
-        if owned:
-            handle.close()
 
 
 CLEAN_DETECTION_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "object_class", "confidence")
 
 
 def write_detections_csv(records: list[DetectionRecord], dest: str | Path | IO) -> None:
-    handle, owned = (dest, False) if hasattr(dest, "write") else (resolve_uri(dest, "w"), True)
-    try:
+    with resolve_uri(dest, "w") as handle:
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(CLEAN_DETECTION_COLUMNS)
         for r in records:
@@ -366,15 +347,11 @@ def write_detections_csv(records: list[DetectionRecord], dest: str | Path | IO) 
                     repr(r.confidence),
                 ]
             )
-    finally:
-        if owned:
-            handle.close()
 
 
 def read_clean_sensor(source: str | Path | IO) -> list[SensorRecord]:
     """Load a clean sensor table; raises DataError on any anomaly."""
-    handle, owned = _open_text(source)
-    try:
+    with resolve_uri(source, "r") as handle:
         reader = csv.DictReader(handle)
         _check_header(
             reader.fieldnames, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,), getattr(source, "name", source)
@@ -396,15 +373,11 @@ def read_clean_sensor(source: str | Path | IO) -> list[SensorRecord]:
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"bad row in clean sensor table: {raw!r}") from exc
         return out
-    finally:
-        if owned:
-            handle.close()
 
 
 def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
     """Load a clean detection table; raises DataError on any anomaly."""
-    handle, owned = _open_text(source)
-    try:
+    with resolve_uri(source, "r") as handle:
         reader = csv.DictReader(handle)
         _check_header(reader.fieldnames, CLEAN_DETECTION_COLUMNS, getattr(source, "name", source))
         out = []
@@ -423,6 +396,3 @@ def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"bad row in clean detection table: {raw!r}") from exc
         return out
-    finally:
-        if owned:
-            handle.close()

@@ -101,14 +101,10 @@ def export_candidates_kml(candidates: list, dest: str | Path | IO) -> None:
     tree = ET.ElementTree(kml)
     ET.indent(tree)
     payload = ET.tostring(kml, encoding="unicode")
-    handle, owned = (dest, False) if hasattr(dest, "write") else (resolve_uri(dest, "w"), True)
-    try:
+    with resolve_uri(dest, "w") as handle:
         handle.write('<?xml version="1.0" encoding="UTF-8"?>\n')
         handle.write(payload)
         handle.write("\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def _local(tag: str) -> str:
@@ -159,14 +155,11 @@ class KmlFeatures:
 
 def parse_kml_features(source: str | Path | IO) -> KmlFeatures:
     """Extract Point/LineString/Polygon placemarks with their folder context."""
-    handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
-    try:
-        tree = ET.parse(handle)
-    except ET.ParseError as exc:
-        raise KmlParseError(f"malformed KML: {exc}") from exc
-    finally:
-        if owned:
-            handle.close()
+    with resolve_uri(source, "r") as handle:
+        try:
+            tree = ET.parse(handle)
+        except ET.ParseError as exc:
+            raise KmlParseError(f"malformed KML: {exc}") from exc
 
     feats = KmlFeatures()
 
@@ -406,24 +399,17 @@ def reviewed_from_json(doc: dict) -> list[ReviewedIntersection]:
 
 
 def save_reviewed_json(reviewed: list[ReviewedIntersection], dest: str | Path | IO) -> None:
-    handle, owned = (dest, False) if hasattr(dest, "write") else (resolve_uri(dest, "w"), True)
-    try:
+    with resolve_uri(dest, "w") as handle:
         json.dump(reviewed_to_json(reviewed), handle, indent=2)
         handle.write("\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def load_reviewed_json(source: str | Path | IO) -> list[ReviewedIntersection]:
-    handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
-    try:
-        return reviewed_from_json(json.load(handle))
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise DataError(f"invalid reviewed-intersection JSON: {exc}") from exc
-    finally:
-        if owned:
-            handle.close()
+    with resolve_uri(source, "r") as handle:
+        try:
+            return reviewed_from_json(json.load(handle))
+        except (json.JSONDecodeError, KeyError) as exc:
+            raise DataError(f"invalid reviewed-intersection JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +430,7 @@ REVIEW_COLUMNS = (
 
 def read_demographics(source: str | Path | IO) -> dict[str, tuple[str, str]]:
     """Load the subj,age,gender table as a subj -> (age, gender) map."""
-    handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
-    try:
+    with resolve_uri(source, "r") as handle:
         reader = csv.DictReader(handle)
         have = set(reader.fieldnames or ())
         missing = [c for c in ("subj", "age", "gender") if c not in have]
@@ -455,9 +440,6 @@ def read_demographics(source: str | Path | IO) -> dict[str, tuple[str, str]]:
             row["subj"].strip(): (row["age"].strip(), row["gender"].strip())
             for row in reader
         }
-    finally:
-        if owned:
-            handle.close()
 
 
 def build_review_template(
@@ -512,8 +494,7 @@ def write_review_csv(
 ) -> None:
     """Write review rows with the fixed column order, then custom columns."""
     header = list(REVIEW_COLUMNS) + list(custom_names)
-    handle, owned = (dest, False) if hasattr(dest, "write") else (resolve_uri(dest, "w"), True)
-    try:
+    with resolve_uri(dest, "w") as handle:
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(header)
         for row in rows:
@@ -524,16 +505,9 @@ def write_review_csv(
                     value = f"{float(value):.3f}"
                 out.append(value)
             w.writerow(out)
-    finally:
-        if owned:
-            handle.close()
 
 
 def write_validation_manifest(manifest: dict[str, list[str]], dest: str | Path | IO) -> None:
-    handle, owned = (dest, False) if hasattr(dest, "write") else (resolve_uri(dest, "w"), True)
-    try:
+    with resolve_uri(dest, "w") as handle:
         json.dump(manifest, handle, indent=2)
         handle.write("\n")
-    finally:
-        if owned:
-            handle.close()

@@ -1,18 +1,17 @@
-"""URI-addressed storage with a local-file backend and atomic writes.
+"""The one way the pipeline opens files: ``file:`` URIs or bare paths.
 
-Batch runs accumulate over months, so stage outputs are written via a
-temp-file-plus-rename so a crash never leaves a partial file behind.
-Remote backends (box://, s3://, ...) can be registered by scheme; only
-``file:`` and bare paths ship here.
+Batch runs accumulate over months, so every path opened for writing goes
+through a temp-file-plus-rename and a crash never leaves a partial file
+behind. Only ``file:`` and bare paths are supported.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Iterator
 from urllib.parse import urlparse
 from urllib.request import url2pathname
 
@@ -29,46 +28,34 @@ def local_path(uri: str | Path) -> Path:
     if isinstance(uri, Path):
         return uri
     parsed = urlparse(str(uri))
-    if parsed.scheme in ("", "file"):
-        if parsed.scheme == "file":
-            return Path(url2pathname(parsed.path))
+    if parsed.scheme == "file":
+        return Path(url2pathname(parsed.path))
+    if parsed.scheme == "":
         return Path(uri)
     raise UnsupportedSchemeError(
-        f"no storage backend registered for scheme {parsed.scheme!r} ({uri})"
+        f"unsupported storage scheme {parsed.scheme!r} ({uri}): use a path or a file: URI"
     )
 
 
-def _open_local(uri: str | Path, mode: str) -> IO:
-    path = local_path(uri)
-    if ("r" in mode) and not path.exists():
-        raise StorageNotFoundError(f"not found: {uri}")
-    if "w" in mode or "a" in mode:
-        path.parent.mkdir(parents=True, exist_ok=True)
+def resolve_uri(source: str | Path | IO, mode: str = "rb") -> AbstractContextManager[IO]:
+    """Open ``source`` for use in a ``with`` statement.
+
+    A stream passes through unchanged and is left open. A path or ``file:``
+    URI opened for reading is a utf-8 text file with ``newline=""`` (or a
+    binary file for a ``b`` mode); a missing file raises
+    StorageNotFoundError. A path opened for writing goes through
+    ``atomic_write``. Unknown schemes raise UnsupportedSchemeError.
+    """
+    if hasattr(source, "read") or hasattr(source, "write"):
+        return nullcontext(source)
+    path = local_path(source)
+    if "r" not in mode:
+        return atomic_write(path, mode)
+    if not path.exists():
+        raise StorageNotFoundError(f"not found: {source}")
     if "b" in mode:
         return open(path, mode)
     return open(path, mode, encoding="utf-8", newline="")
-
-
-# scheme -> opener(uri, mode) -> stream. "" and "file" are the local backend.
-BACKENDS: dict[str, Callable[[str | Path, str], IO]] = {
-    "": _open_local,
-    "file": _open_local,
-}
-
-
-def resolve_uri(uri: str | Path, mode: str = "rb") -> IO:
-    """Open a readable or writable stream for a URI.
-
-    Unknown schemes raise UnsupportedSchemeError; missing readable targets
-    raise StorageNotFoundError.
-    """
-    scheme = urlparse(str(uri)).scheme if not isinstance(uri, Path) else ""
-    opener = BACKENDS.get(scheme)
-    if opener is None:
-        raise UnsupportedSchemeError(
-            f"no storage backend registered for scheme {scheme!r} ({uri})"
-        )
-    return opener(uri, mode)
 
 
 @contextmanager

@@ -28,7 +28,7 @@ from .discovery import IntersectionCandidate, RoadNetwork, save_geojson
 from .geo import FT_PER_DEG, GeoPoint
 from .ingest import SensorRecord, format_time_utc, write_sensor_csv
 from .review import KML_NS, TRUE_FOLDER
-from .storage import atomic_write
+from .storage import resolve_uri
 
 BASE_TIME = datetime(2019, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -247,7 +247,7 @@ def _write_reviewed_kml(
 
     tree = ET.ElementTree(kml)
     ET.indent(tree)
-    with atomic_write(path) as handle:
+    with resolve_uri(path, "w") as handle:
         handle.write('<?xml version="1.0" encoding="UTF-8"?>\n')
         handle.write(ET.tostring(kml, encoding="unicode"))
         handle.write("\n")
@@ -428,22 +428,20 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
     }
     out.mkdir(parents=True, exist_ok=True)
 
-    with atomic_write(paths["network"]) as handle:
-        save_geojson(_network_geojson(network), handle)
+    save_geojson(_network_geojson(network), paths["network"])
 
     sensor_paths = []
     for subj in sorted(sensor_by_subj):
         path = out / "sensor" / f"{subj}.csv"
         sensor_paths.append(path)
-        with atomic_write(path) as handle:
-            write_sensor_csv(sensor_by_subj[subj], handle)
+        write_sensor_csv(sensor_by_subj[subj], path)
     paths["sensor_files"] = sensor_paths
 
     cv_paths = []
     for subj in sorted(detection_rows):
         path = out / "cv" / f"{subj}.csv"
         cv_paths.append(path)
-        with atomic_write(path) as handle:
+        with resolve_uri(path, "w") as handle:
             w = csv.writer(handle, lineterminator="\n")
             w.writerow(("subj", "drive", "time_utc", "object_class", "confidence"))
             for subj_v, drive, t, object_class, confidence in detection_rows[subj]:
@@ -452,13 +450,13 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
                 )
     paths["cv_files"] = cv_paths
 
-    with atomic_write(paths["videos"]) as handle:
+    with resolve_uri(paths["videos"], "w") as handle:
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(VIDEO_COLUMNS)
         for uri, subj, drive, start, end, fps in video_rows:
             w.writerow([uri, subj, drive, format_time_utc(start), format_time_utc(end), _fmt(fps)])
 
-    with atomic_write(paths["demographics"]) as handle:
+    with resolve_uri(paths["demographics"], "w") as handle:
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(("subj", "age", "gender"))
         for subj_idx in range(spec.n_subjects):
@@ -466,7 +464,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
 
     _write_reviewed_kml(paths["reviewed_kml"], grid, controlled)
 
-    with atomic_write(paths["ground_truth"]) as handle:
+    with resolve_uri(paths["ground_truth"], "w") as handle:
         json.dump(_ground_truth_json(ground_truth), handle, indent=2)
         handle.write("\n")
 

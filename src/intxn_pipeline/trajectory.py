@@ -250,8 +250,7 @@ TRAJECTORY_COLUMNS = (
 
 
 def write_trajectories_csv(trajs: list[TrajectoryCandidate], dest: str | Path | IO) -> None:
-    handle, owned = (dest, False) if hasattr(dest, "write") else (resolve_uri(dest, "w"), True)
-    try:
+    with resolve_uri(dest, "w") as handle:
         w = csv.writer(handle, lineterminator="\n")
         w.writerow(TRAJECTORY_COLUMNS)
         for t in trajs:
@@ -269,9 +268,6 @@ def write_trajectories_csv(trajs: list[TrajectoryCandidate], dest: str | Path | 
                     len(t.points),
                 ]
             )
-    finally:
-        if owned:
-            handle.close()
 
 
 def load_trajectories_csv(
@@ -285,8 +281,7 @@ def load_trajectories_csv(
     drives = _drives(sensor)
     drive_times = {key: [r.t_utc for r in recs] for key, recs in drives.items()}
 
-    handle, owned = (source, False) if hasattr(source, "read") else (resolve_uri(source, "r"), True)
-    try:
+    with resolve_uri(source, "r") as handle:
         reader = csv.DictReader(handle)
         have = set(reader.fieldnames or ())
         missing = [c for c in TRAJECTORY_COLUMNS if c not in have]
@@ -329,6 +324,3 @@ def load_trajectories_csv(
                 )
             )
         return sorted(out, key=lambda t: (t.subj, t.drive, t.intxn_id))
-    finally:
-        if owned:
-            handle.close()

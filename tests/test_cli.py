@@ -11,7 +11,8 @@ import pytest
 import intxn_pipeline
 from intxn_pipeline import ingest
 from intxn_pipeline.cli import main
-from intxn_pipeline.errors import StorageNotFoundError, UnsupportedSchemeError
+from intxn_pipeline.config import load_config
+from intxn_pipeline.errors import ConfigError, StorageNotFoundError, UnsupportedSchemeError
 from intxn_pipeline.storage import atomic_write, local_path, resolve_uri
 
 
@@ -192,6 +193,35 @@ def test_invalid_config_keys_rejected(tmp_path, capsys):
     config.write_text('{"bogus_key": 1}')
     assert main(["clean", "--config", str(config)]) == 1
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["eps_ft", "min_pts"])
+def test_non_finite_param_rejected(tmp_path, key, value):
+    config = tmp_path / "pipeline.json"
+    config.write_text("{}")
+    with pytest.raises(ConfigError, match=key):
+        load_config(config, overrides=[f"{key}={value}"])
+    config.write_text(json.dumps({"params": {key: float(value)}}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(config)
+
+
+def test_non_finite_param_is_user_error(workspace, capsys):
+    ws, config = workspace
+    assert _run(config, "clean") == 0
+    assert _run(config, "lrs-intxns") == 0
+    assert _run(config, "subj-intxns", "--param", "eps_ft=nan") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eps_ft" in err
+
+
+@pytest.mark.parametrize("jobs", ['"x"', "null", "1.5", "true", "0", "-2"])
+def test_bad_config_jobs_rejected(tmp_path, jobs):
+    config = tmp_path / "pipeline.json"
+    config.write_text(f'{{"jobs": {jobs}}}')
+    with pytest.raises(ConfigError, match="jobs"):
+        load_config(config)
 
 
 def test_data_error_exit_code(workspace, capsys):
