@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import json
 import sys
 import time
@@ -60,6 +61,26 @@ def _require(path: Path, what: str, produced_by: str | None = None) -> None:
     if not path.exists():
         hint = f" (produced by `intxn-pipeline {produced_by}`)" if produced_by else ""
         raise MissingPrerequisiteError(f"missing {what}: {path}{hint}")
+
+
+# The last clean sensor table parsed in this process, keyed by the sha256
+# of the file it came from. traj, clips and template share the one list
+# (`all` runs them in one process), so no stage may mutate it or its records.
+_sensor_table: tuple[str, list[ingest.SensorRecord]] | None = None
+
+
+def _clean_sensor(path: Path) -> list[ingest.SensorRecord]:
+    """The clean sensor table at ``path``, parsed at most once per content."""
+    global _sensor_table
+    digest = hashlib.sha256()
+    with resolve_uri(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    key = digest.hexdigest()
+    if _sensor_table is None or _sensor_table[0] != key:
+        _sensor_table = None  # free the old table before parsing the new one
+        _sensor_table = (key, ingest.read_clean_sensor(path))
+    return _sensor_table[1]
 
 
 def _expand_files(cfg: PipelineConfig, key: str) -> list[str]:
@@ -240,7 +261,7 @@ def stage_traj(cfg: PipelineConfig) -> str:
     _require(reviewed_path, "reviewed intersections", produced_by="import-review")
     _require(sensor_path, "clean sensor table", produced_by="clean")
     reviewed = trajectory.assign_bearings(review.load_reviewed_json(reviewed_path))
-    sensor = ingest.read_clean_sensor(sensor_path)
+    sensor = _clean_sensor(sensor_path)
     params = trajectory.WindowParams(
         upstream_ft=cfg.params["upstream_ft"],
         downstream_ft=cfg.params["downstream_ft"],
@@ -270,7 +291,7 @@ def stage_clips(cfg: PipelineConfig) -> str:
     _require(traj_path, "trajectory table", produced_by="traj")
     _require(sensor_path, "clean sensor table", produced_by="clean")
     _require(videos_path, "video metadata CSV")
-    sensor = ingest.read_clean_sensor(sensor_path)
+    sensor = _clean_sensor(sensor_path)
     trajs = trajectory.load_trajectories_csv(traj_path, sensor)
     videos = clips_mod.read_videos_csv(videos_path)
     overlay = clips_mod.OverlayParams(
@@ -305,7 +326,7 @@ def stage_template(cfg: PipelineConfig) -> str:
     _require(sensor_path, "clean sensor table", produced_by="clean")
     _require(cutlist_path, "cut-list JSON", produced_by="clips")
     _require(demo_path, "demographics CSV")
-    sensor = ingest.read_clean_sensor(sensor_path)
+    sensor = _clean_sensor(sensor_path)
     trajs = trajectory.load_trajectories_csv(traj_path, sensor)
     specs = clips_mod.parse_cutlist(cutlist_path)
     participants = review.read_demographics(demo_path)

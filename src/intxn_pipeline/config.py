@@ -88,6 +88,8 @@ class PipelineConfig:
 
 def _coerce_param(key: str, raw: object) -> float | int:
     default = PARAM_DEFAULTS[key]
+    if isinstance(raw, bool):
+        raise ConfigError(f"parameter {key!r} must be numeric, got {raw!r}")
     try:
         value: float | int = float(raw)
     except (TypeError, ValueError) as exc:
@@ -133,6 +135,10 @@ def load_config(
     unknown = sorted(set(doc) - known_keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+
+    for key in ("inputs", "outputs", "params", "synth"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"config key {key!r} must be a JSON object, got {doc[key]!r}")
 
     workspace = (path.parent / doc.get("workspace", ".")).resolve()
 

@@ -33,6 +33,16 @@ DEFAULT_JOIN_TOL_S = 0.5
 
 def parse_time_utc(text: str) -> datetime:
     """Parse an ISO-8601 timestamp (Z or explicit offset) to aware UTC."""
+    # Fast path: from Python 3.11, fromisoformat alone parses the canonical
+    # "...Z" form of the clean tables. Python 3.10, padding, lowercase "z",
+    # other offsets and naive times take the general path below.
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        pass
+    else:
+        if dt.tzinfo is timezone.utc:
+            return dt
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
@@ -44,8 +54,8 @@ def parse_time_utc(text: str) -> datetime:
 
 def format_time_utc(dt: datetime) -> str:
     """Render UTC time with millisecond precision, e.g. 2019-05-01T14:03:22.500Z."""
-    dt = dt.astimezone(timezone.utc)
-    return f"{dt:%Y-%m-%dT%H:%M:%S}.{dt.microsecond // 1000:03d}Z"
+    # isoformat pads the year to four digits, as %Y does not below 1000.
+    return dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")[:-6] + "Z"
 
 
 @dataclass
@@ -350,28 +360,40 @@ def write_detections_csv(records: list[DetectionRecord], dest: str | Path | IO) 
 
 
 def read_clean_sensor(source: str | Path | IO) -> list[SensorRecord]:
-    """Load a clean sensor table; raises DataError on any anomaly."""
+    """Load a clean sensor table; raises DataError on any anomaly.
+
+    Blank lines are skipped. A row that lacks a column, or holds a value
+    that does not parse or a position out of range, raises DataError
+    naming its line.
+    """
     with resolve_uri(source, "r") as handle:
-        reader = csv.DictReader(handle)
-        _check_header(
-            reader.fieldnames, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,), getattr(source, "name", source)
-        )
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        columns = SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)
+        _check_header(header, columns, getattr(source, "name", source))
+        # A repeated column name reads its last occurrence, as DictReader did.
+        col = {name: i for i, name in enumerate(header)}
+        subj, drive, t, lat, lon, heading, speed, cum = (col[c] for c in columns)
         out = []
-        for raw in reader:
+        for row in reader:
+            if not row:
+                continue
             try:
                 out.append(
                     SensorRecord(
-                        raw["subj"],
-                        int(raw["drive"]),
-                        parse_time_utc(raw["time_utc"]),
-                        GeoPoint(float(raw["lat"]), float(raw["lon"])),
-                        float(raw["heading_deg"]),
-                        float(raw["speed_fps"]),
-                        float(raw["cum_dist_ft"]),
+                        row[subj],
+                        int(row[drive]),
+                        parse_time_utc(row[t]),
+                        GeoPoint(float(row[lat]), float(row[lon])),
+                        float(row[heading]),
+                        float(row[speed]),
+                        float(row[cum]),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"bad row in clean sensor table: {raw!r}") from exc
+            except (IndexError, ValueError) as exc:
+                raise DataError(
+                    f"bad row in clean sensor table at line {reader.line_num}: {row!r}"
+                ) from exc
         return out
 
 

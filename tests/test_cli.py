@@ -261,3 +261,30 @@ def test_clean_report_times_the_csv_writes(workspace, monkeypatch):
     for name in ("clean_sensor.csv", "clean_cv.csv"):
         report = json.loads((ws / "out" / f"{name}.report.json").read_text())
         assert report["wall_time_s"] >= 0.2, name
+
+
+@pytest.mark.parametrize("key", ["eps_ft", "min_pts"])
+def test_bool_param_rejected(tmp_path, key):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"params": {key: True}}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(config)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("params", [1]), ("inputs", "x"), ("outputs", ["a"]), ("synth", 3), ("params", None)],
+)
+def test_config_section_must_be_object(tmp_path, key, value):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(config)
+
+
+def test_bad_config_section_is_user_error(tmp_path, capsys):
+    config = tmp_path / "pipeline.json"
+    config.write_text('{"synth": 3}')
+    assert main(["clean", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "synth" in err

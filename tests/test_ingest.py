@@ -289,3 +289,20 @@ def test_clean_cv_all_outputs_within_tolerance():
     times = [r.t_utc for r in sensor]
     for det in detections:
         assert min(abs((det.t_utc - t).total_seconds()) for t in times) <= 0.5
+
+
+def test_clean_sensor_drops_row_without_time():
+    # A short row leaves time_utc as None, which must count as unparseable.
+    records, drops = clean_sensor(
+        [sensor_csv(["A,1", "A,1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0"])]
+    )
+    assert len(records) == 1
+    assert drops["unparseable"] == 1
+
+
+def test_clean_cv_drops_row_without_time():
+    detections, drops = clean_cv(
+        [cv_csv(["A,1", "A,1,2019-05-01T12:00:10.000Z,stop_sign,0.9"])], _sensor_for_join()
+    )
+    assert len(detections) == 1
+    assert drops["unparseable"] == 1
