@@ -42,6 +42,7 @@ from .ingest import (
     CleanTables,
     DetectionRecord,
     SensorRecord,
+    SensorTable,
     clean_cv,
     clean_sensor,
     clean_tables,
@@ -67,6 +68,7 @@ __all__ = [
     "point_in_polygon",
     "centroid",
     "SensorRecord",
+    "SensorTable",
     "DetectionRecord",
     "CleanTables",
     "clean_sensor",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import io
 import json
 import sys
 import time
@@ -64,22 +65,27 @@ def _require(path: Path, what: str, produced_by: str | None = None) -> None:
 
 
 # The last clean sensor table parsed in this process, keyed by the sha256
-# of the file it came from. traj, clips and template share the one list
-# (`all` runs them in one process), so no stage may mutate it or its records.
-_sensor_table: tuple[str, list[ingest.SensorRecord]] | None = None
+# of the bytes it was parsed from. traj, clips and template share the one
+# table (`all` runs them in one process); its columns are read-only.
+_sensor_table: tuple[str, ingest.SensorTable] | None = None
 
 
-def _clean_sensor(path: Path) -> list[ingest.SensorRecord]:
-    """The clean sensor table at ``path``, parsed at most once per content."""
+def _clean_sensor(path: Path) -> ingest.SensorTable:
+    """The clean sensor table at ``path``, parsed at most once per content.
+
+    The file is read once, and the bytes hashed are the bytes parsed, so a
+    file replaced meanwhile cannot be cached under another content's digest.
+    """
     global _sensor_table
-    digest = hashlib.sha256()
     with resolve_uri(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    key = digest.hexdigest()
+        data = handle.read()
+    key = hashlib.sha256(data).hexdigest()
     if _sensor_table is None or _sensor_table[0] != key:
         _sensor_table = None  # free the old table before parsing the new one
-        _sensor_table = (key, ingest.read_clean_sensor(path))
+        stream = io.BytesIO(data)
+        stream.name = str(path)  # errors name the file, not the stream
+        text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+        _sensor_table = (key, ingest.read_clean_sensor(text))
     return _sensor_table[1]
 
 

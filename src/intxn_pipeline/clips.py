@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO
 
 from .errors import DataError, NoCoveringVideoError
-from .ingest import SensorRecord, parse_time_utc
+from .ingest import SensorTable, from_us, parse_time_utc
 from .storage import resolve_uri
 from .trajectory import TrajectoryCandidate
 
@@ -125,22 +125,23 @@ def match_video(
     raise NoCoveringVideoError(f"no video covers trajectory {traj.traj_id}")
 
 
-def distance_crossing_time(points: list[SensorRecord], target_cum_dist_ft: float) -> datetime:
+def distance_crossing_time(points: SensorTable, target_cum_dist_ft: float) -> datetime:
     """Time at which the drive's odometer first reaches a target value.
 
     Piecewise-linear interpolation of time against cumulative distance; a
     target landing on a sample returns that sample's timestamp, and a target
     inside a zero-motion stretch resolves to the stretch's earliest time.
     """
-    cums = [p.cum_dist_ft for p in points]
-    if not points or not cums[0] <= target_cum_dist_ft <= cums[-1]:
+    cums = points.cum.tolist()
+    if not cums or not cums[0] <= target_cum_dist_ft <= cums[-1]:
         raise ValueError(f"target {target_cum_dist_ft} outside window cumulative range")
     i = bisect_left(cums, target_cum_dist_ft)
     if cums[i] == target_cum_dist_ft:
-        return points[i].t_utc
+        return from_us(points.t_us[i])
     c0, c1 = cums[i - 1], cums[i]
-    t0 = points[i - 1].t_utc.timestamp()
-    t1 = points[i].t_utc.timestamp()
+    # Exactly datetime.timestamp(): a correctly rounded int division.
+    t0 = int(points.t_us[i - 1]) / 1_000_000
+    t1 = int(points.t_us[i]) / 1_000_000
     frac = (target_cum_dist_ft - c0) / (c1 - c0)
     return datetime.fromtimestamp(t0 + frac * (t1 - t0), tz=timezone.utc)
 
@@ -148,7 +149,7 @@ def distance_crossing_time(points: list[SensorRecord], target_cum_dist_ft: float
 def _overlay_time(
     traj: TrajectoryCandidate, target: float, clip_start: datetime, clip_end: datetime
 ) -> datetime:
-    cums = [p.cum_dist_ft for p in traj.points]
+    cums = traj.points.cum
     if target < cums[0]:
         return clip_start
     if target > cums[-1]:

@@ -4,21 +4,29 @@ Study inputs arrive as one sensor CSV and one computer-vision CSV per
 participant. This module merges them into two study-wide tables with a
 canonical (subj, drive, time) order, drops malformed rows instead of
 failing, and accounts for every dropped row in a drop report.
+
+The sensor table is a ``SensorTable``: numpy columns in the Arrow columnar
+layout (https://arrow.apache.org/docs/format/Columnar.html), so cleaning,
+writing, reading and the later stages work on arrays, not on per-row objects.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
+import io
+import math
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
-from itertools import groupby
+from datetime import datetime, timedelta, timezone
+from itertools import chain, compress
 from pathlib import Path
 from typing import IO, Iterable
 
+import numpy as np
+
 from .errors import DataError, HeaderMismatchError
-from .geo import GeoPoint, haversine_distance_ft
+from .geo import EARTH_RADIUS_FT, GeoPoint
 from .storage import resolve_uri
 
 SENSOR_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "heading_deg", "speed_fps")
@@ -29,6 +37,12 @@ OBJECT_CLASSES = ("stop_sign", "signal_state")
 # Detections are joined to the nearest-in-time sensor sample of the same
 # (subj, drive); beyond this gap they are dropped.
 DEFAULT_JOIN_TOL_S = 0.5
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
+
+# What converting one bad CSV value raises; a short row raises IndexError.
+_BAD_VALUE = (IndexError, OverflowError, ValueError)
 
 
 def parse_time_utc(text: str) -> datetime:
@@ -56,6 +70,16 @@ def format_time_utc(dt: datetime) -> str:
     """Render UTC time with millisecond precision, e.g. 2019-05-01T14:03:22.500Z."""
     # isoformat pads the year to four digits, as %Y does not below 1000.
     return dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")[:-6] + "Z"
+
+
+def to_us(dt: datetime) -> int:
+    """Epoch microseconds of an aware datetime, exactly."""
+    return (dt - EPOCH) // _US
+
+
+def from_us(us: int) -> datetime:
+    """The aware UTC datetime of an epoch-microsecond time."""
+    return EPOCH + timedelta(microseconds=int(us))
 
 
 @dataclass
@@ -89,155 +113,372 @@ class DetectionRecord:
         return (self.subj, self.drive, self.t_utc, self.object_class, self.confidence)
 
 
+# The row columns of a SensorTable, in SensorRecord field order.
+ROW_COLUMNS = ("t_us", "lat", "lon", "heading", "speed", "cum")
+
+
+def _drive_codes(subj: list, drive: list) -> tuple[list[tuple[str, int]], np.ndarray]:
+    """The sorted distinct (subj, drive) keys and each row's index among them."""
+    pairs = list(zip(subj, drive))
+    keys = sorted(set(pairs))
+    code = {key: k for k, key in enumerate(keys)}
+    return keys, np.fromiter(map(code.__getitem__, pairs), np.int64, len(pairs))
+
+
+@dataclass(eq=False)
+class SensorTable:
+    """Sensor rows as read-only numpy columns, sorted by (subj, drive, time).
+
+    Drive key ``keys[d]`` (ascending, each once) owns rows
+    ``offsets[d]:offsets[d + 1]``. Keys stay Python objects, so a subj keeps
+    its exact text and a drive any int. Time is int64 epoch microseconds,
+    the rest float64. ``table[i]`` builds row i as a SensorRecord, and a
+    contiguous slice is a view. Stages share one table, so the columns of a
+    table built here or viewed from one are read-only.
+    """
+
+    keys: list[tuple[str, int]]
+    offsets: list[int]
+    t_us: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    heading: np.ndarray
+    speed: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def from_columns(cls, subj, drive, t_us, lat, lon, heading, speed, cum) -> SensorTable:
+        """A table of rows given column by column in any order; ties keep their order."""
+        keys, codes = _drive_codes(subj, drive)
+        t_us = np.asarray(t_us, dtype=np.int64)
+        order = np.lexsort((t_us, codes))
+        floats = (np.asarray(c, dtype=float)[order] for c in (lat, lon, heading, speed, cum))
+        return cls._grouped(keys, codes[order], t_us[order], *floats)
+
+    @classmethod
+    def from_records(cls, records: Iterable[SensorRecord]) -> SensorTable:
+        rows = [
+            (r.subj, r.drive, to_us(r.t_utc), r.pos.lat_deg, r.pos.lon_deg)
+            + (r.heading_deg, r.speed_fps, r.cum_dist_ft)
+            for r in records
+        ]
+        return cls.from_columns(*(zip(*rows) if rows else [()] * 8))
+
+    @classmethod
+    def _grouped(cls, keys: list, codes: np.ndarray, *columns: np.ndarray) -> SensorTable:
+        """A table of rows sorted by ``codes``, each row's index into ``keys``."""
+        counts = np.bincount(codes, minlength=len(keys))
+        present = np.flatnonzero(counts)
+        for column in columns:
+            column.flags.writeable = False
+        offsets = [0, *np.cumsum(counts[present]).tolist()]
+        return cls([keys[k] for k in present.tolist()], offsets, *columns)
+
+    def __len__(self) -> int:
+        return len(self.t_us)
+
+    def spans(self) -> Iterable[tuple[tuple[str, int], int, int]]:
+        """(key, start, stop) of each drive's rows."""
+        return zip(self.keys, self.offsets, self.offsets[1:])
+
+    def seconds(self) -> np.ndarray:
+        """Epoch seconds of each row, equal to ``datetime.timestamp()``."""
+        # int64 to float64 is exact below 2**53 us (years 1685 to 2255).
+        if len(self) and max(-int(self.t_us.min()), int(self.t_us.max())) >= 2**53:
+            return np.array([us / 1_000_000 for us in self.t_us.tolist()])
+        return self.t_us / 1_000_000
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            i = range(len(self))[i]  # raises IndexError out of range
+            d = bisect_right(self.offsets, i) - 1
+            t, lat, lon, heading, speed, cum = (getattr(self, n)[i].item() for n in ROW_COLUMNS)
+            return SensorRecord(*self.keys[d], from_us(t), GeoPoint(lat, lon), heading, speed, cum)
+        start, stop, step = i.indices(len(self))
+        if step != 1:
+            raise ValueError("SensorTable slices must be contiguous")
+        if stop <= start:
+            return SensorTable([], [0], *(getattr(self, n)[:0] for n in ROW_COLUMNS))
+        first = bisect_right(self.offsets, start) - 1
+        last = bisect_left(self.offsets, stop)
+        inner = [b - start for b in self.offsets[first + 1 : last]]
+        return SensorTable(
+            self.keys[first:last],
+            [0, *inner, stop - start],
+            self.t_us[start:stop],
+            self.lat[start:stop],
+            self.lon[start:stop],
+            self.heading[start:stop],
+            self.speed[start:stop],
+            self.cum[start:stop],
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, SensorTable):
+            return NotImplemented
+        return (self.keys, self.offsets) == (other.keys, other.offsets) and all(
+            np.array_equal(getattr(self, n), getattr(other, n)) for n in ROW_COLUMNS
+        )
+
+
 @dataclass
 class CleanTables:
     """The two study-wide clean tables plus per-table drop accounting."""
 
-    sensor: list[SensorRecord]
+    sensor: SensorTable
     detections: list[DetectionRecord]
     drop_report: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-def _check_header(fieldnames: list[str] | None, required: Iterable[str], name: str) -> None:
-    have = set(fieldnames or ())
-    missing = [c for c in required if c not in have]
+def _indices(header: list[str] | None, columns: tuple[str, ...], source) -> list[int]:
+    """Where each of ``columns`` sits in ``header``; raises HeaderMismatchError."""
+    missing = [c for c in columns if c not in (header or ())]
     if missing:
-        raise HeaderMismatchError(str(name), missing)
+        raise HeaderMismatchError(str(getattr(source, "name", source)), missing)
+    # A repeated column name reads its last occurrence, as DictReader did.
+    where = {c: i for i, c in enumerate(header)}
+    return [where[c] for c in columns]
 
 
-def _parse_sensor_file(source) -> tuple[list[tuple], bool, dict[str, int]]:
-    """Parse one sensor CSV into row tuples; count unusable rows."""
-    drops = {"unparseable": 0, "out_of_range": 0}
-    with resolve_uri(source, "r") as handle:
-        reader = csv.DictReader(handle)
-        _check_header(reader.fieldnames, SENSOR_COLUMNS, getattr(source, "name", source))
-        has_cum = SENSOR_CUM_COLUMN in (reader.fieldnames or ())
-        rows = []
-        for raw in reader:
-            try:
-                subj = raw["subj"].strip()
-                drive = int(raw["drive"])
-                t = parse_time_utc(raw["time_utc"])
-                lat = float(raw["lat"])
-                lon = float(raw["lon"])
-                heading = float(raw["heading_deg"])
-                speed = float(raw["speed_fps"])
-                cum = float(raw[SENSOR_CUM_COLUMN]) if has_cum else None
-                if not subj:
-                    raise ValueError("empty subj")
-            except (KeyError, TypeError, ValueError):
-                drops["unparseable"] += 1
-                continue
-            if (
-                not -90.0 <= lat <= 90.0
-                or not -180.0 <= lon <= 180.0
-                or not 0.0 <= heading < 360.0
-                or speed < 0.0
-            ):
-                drops["out_of_range"] += 1
-                continue
-            rows.append((subj, drive, t, lat, lon, heading, speed, cum))
-        return rows, has_cum, drops
+# Rows held at once while parsing: few enough that the cyclic GC does not
+# walk a whole file's row lists again and again.
+_CHUNK_ROWS = 4096
 
 
-def compute_cum_dist(drive_records: list[SensorRecord]) -> list[SensorRecord]:
-    """Fill the within-drive odometer from consecutive haversine distances.
+def _parse_rows(reader, parse, bad_row) -> list:
+    """Columns of a csv reader's non-blank rows, parsed a chunk at a time.
 
-    Input must be time-sorted records of a single drive. The first record
-    gets 0; each later record adds the distance from its predecessor.
+    ``parse(rows)`` returns the rows' columns (subj and drive lists, then
+    arrays) or raises an error of ``_BAD_VALUE``. In a chunk that fails,
+    each row that fails alone goes to ``bad_row(row, line, exc)`` and the
+    rest are parsed.
     """
-    out = []
-    cum = 0.0
-    prev_pos = None
-    for rec in drive_records:
-        if prev_pos is not None:
-            cum += haversine_distance_ft(prev_pos, rec.pos)
-        out.append(replace(rec, cum_dist_ft=cum))
-        prev_pos = rec.pos
-    return out
+    parts, rows, lines = [], [], []
+    for row in chain(reader, [None]):
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+        if row is None or len(rows) == _CHUNK_ROWS:
+            try:
+                parts.append(parse(rows))
+            except _BAD_VALUE:
+                good = []
+                for bad, line in zip(rows, lines):
+                    try:
+                        parse([bad])
+                        good.append(bad)
+                    except _BAD_VALUE as exc:
+                        bad_row(bad, line, exc)
+                parts.append(parse(good))
+            rows, lines = [], []
+    lists = [list(chain.from_iterable(p[k] for p in parts)) for k in (0, 1)]
+    return lists + [np.concatenate([p[k] for p in parts]) for k in range(2, len(parts[0]))]
 
 
-def clean_sensor(
-    files: list, jobs: int = 1
-) -> tuple[list[SensorRecord], dict[str, int]]:
+def _parse_files(parse, files: list, jobs: int) -> list:
+    if jobs > 1 and len(files) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(parse, files))
+    return [parse(f) for f in files]
+
+
+# The clean tables' time form; zeros stand for digits.
+_CANONICAL_TIME = np.array(list(map(ord, "0000-00-00T00:00:00.000Z")), dtype=np.uint32)
+_DIGIT = _CANONICAL_TIME == ord("0")
+
+
+def _times_us(texts: tuple[str, ...]) -> np.ndarray:
+    """Epoch microseconds of ISO timestamps, as parse_time_utc reads them.
+
+    A column wholly in the clean tables' form, YYYY-MM-DDTHH:MM:SS.mmmZ from
+    year 1, parses as one datetime64 array, whose parser rejects an invalid
+    month, day, hour, minute or second as fromisoformat does. Any other
+    column goes through parse_time_utc one time at a time.
+    """
+    text = np.array(texts, dtype=str)
+    if text.dtype == np.dtype("<U24"):
+        codes = text.view(np.uint32).reshape(len(text), 24)
+        if (
+            (codes[:, ~_DIGIT] == _CANONICAL_TIME[~_DIGIT]).all()
+            and (codes[:, _DIGIT] - ord("0") < 10).all()
+            and (codes[:, :4] != ord("0")).any(axis=1).all()
+        ):
+            try:
+                ms = text.astype("<U23").astype("datetime64[ms]")  # "<U23" drops the Z
+                return ms.astype("datetime64[us]").view(np.int64)
+            except ValueError:
+                pass
+    return np.array([(parse_time_utc(s) - EPOCH) // _US for s in texts], dtype=np.int64)
+
+
+def _on_earth(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    return (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+
+
+def _sensor_columns(rows: list[list[str]], idx: list[int], raw: bool) -> list:
+    """subj, drive, epoch-us time and the float columns of sensor CSV rows.
+
+    ``idx`` locates subj, drive and time, then the float columns. A raw
+    subj is stripped and must not be empty; a clean row must hold a
+    position on earth. Raises an error of ``_BAD_VALUE`` at a short row or
+    a bad value.
+    """
+    cols = list(zip(*rows)) or [()] * (max(idx) + 1)
+    subj = [s.strip() for s in cols[idx[0]]] if raw else list(cols[idx[0]])
+    drive = list(map(int, cols[idx[1]]))
+    t = _times_us(cols[idx[2]])
+    floats = [np.fromiter(map(float, cols[i]), float, len(rows)) for i in idx[3:]]
+    if raw and not all(subj):
+        raise ValueError("empty subj")
+    if not raw and not _on_earth(floats[0], floats[1]).all():
+        raise ValueError("position out of range")
+    return [subj, drive, t, *floats]
+
+
+def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int]]:
+    """One sensor CSV's in-range rows as columns, and its drop counts.
+
+    The columns are subj, drive, time, lat, lon, heading, speed and cum
+    (NaN when the file has no odometer column).
+    """
+    bad = []
+    with resolve_uri(source, "r") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        has_cum = SENSOR_CUM_COLUMN in (header or ())
+        idx = _indices(header, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,) * has_cum, source)
+        columns = _parse_rows(
+            reader,
+            lambda rows: _sensor_columns(rows, idx, raw=True),
+            lambda row, line, exc: bad.append(line),
+        )
+    if not has_cum:
+        columns.append(np.full(len(columns[2]), np.nan))
+    lat, lon, heading, speed, cum = columns[3:]
+    ok = (
+        _on_earth(lat, lon)
+        & (0.0 <= heading) & (heading < 360.0)
+        & (0.0 <= speed) & np.isfinite(speed)
+        & (np.isfinite(cum) | (not has_cum))
+    )
+    keep = ok.tolist()
+    columns = [list(compress(c, keep)) for c in columns[:2]] + [c[ok] for c in columns[2:]]
+    return columns, has_cum, {"unparseable": len(bad), "out_of_range": keep.count(False)}
+
+
+def _odometer(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """One drive's running sum of haversine steps, in feet, from 0.
+
+    Bit-identical to adding ``geo.haversine_distance_ft`` step by step: the
+    arithmetic is the same IEEE operations in the same order, np.cumsum adds
+    in sequence, and sin, cos and asin are math's own (numpy's SIMD asin
+    can differ in the last bit).
+    """
+
+    def each(fn, x):
+        return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+    phi = np.radians(lat)
+    dphi = np.radians(np.diff(lat))
+    dlam = np.radians(np.diff(lon))
+    h = (
+        each(math.sin, dphi / 2.0) ** 2
+        + each(math.cos, phi[:-1]) * each(math.cos, phi[1:]) * each(math.sin, dlam / 2.0) ** 2
+    )
+    steps = 2.0 * EARTH_RADIUS_FT * each(math.asin, np.minimum(1.0, np.sqrt(h)))
+    return np.cumsum(np.concatenate(([0.0], steps)))
+
+
+def compute_cum_dist(table: SensorTable) -> SensorTable:
+    """The table with every drive's odometer recomputed from its positions.
+
+    The first row of a drive gets 0; each later row adds the haversine
+    distance from its predecessor.
+    """
+    cum = np.empty(len(table))
+    for _, start, stop in table.spans():
+        cum[start:stop] = _odometer(table.lat[start:stop], table.lon[start:stop])
+    cum.flags.writeable = False
+    return replace(table, cum=cum)
+
+
+def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int]]:
     """Merge sensor CSVs into one canonical table plus a drop report.
 
     Malformed or out-of-range rows are dropped and counted, rows that share
     (subj, drive, time to the millisecond) collapse to one survivor, and the
-    cumulative distance column is recomputed for any drive that lacks it. A
-    supplied odometer column is trusted but rows that run it backwards are
-    dropped.
+    cumulative distance column is recomputed for any drive that lacks it in
+    any file. A supplied odometer column is trusted but rows that run it
+    backwards are dropped.
     """
     drops = {"unparseable": 0, "out_of_range": 0, "duplicate": 0, "cum_dist_regression": 0}
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(_parse_sensor_file, files))
-    else:
-        parsed = [_parse_sensor_file(f) for f in files]
-
-    rows: list[tuple] = []
-    # (subj, drive) pairs seen in any file without the odometer column.
-    missing_cum: set[tuple[str, int]] = set()
-    for file_rows, has_cum, file_drops in parsed:
-        rows.extend(file_rows)
-        if not has_cum:
-            missing_cum.update((r[0], r[1]) for r in file_rows)
+    parsed = _parse_files(_parse_sensor_file, files, jobs)
+    for _, _, file_drops in parsed:
         for k, v in file_drops.items():
             drops[k] += v
+    if not parsed:
+        return SensorTable.from_columns(*[[]] * 8), drops
 
-    # Full-tuple sort makes the dedupe winner independent of file order.
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] is None, r[7] or 0.0))
-    deduped: list[tuple] = []
-    last_key = None
-    for r in rows:
-        # The clean table stores milliseconds: dedupe on what it will hold.
-        t = r[2]
-        if t.microsecond % 1000:
-            t = t.replace(microsecond=t.microsecond // 1000 * 1000)
-        key = (r[0], r[1], t)
-        if key == last_key:
-            drops["duplicate"] += 1
-            continue
-        deduped.append(r)
-        last_key = key
+    subj = [s for columns, _, _ in parsed for s in columns[0]]
+    drive = [d for columns, _, _ in parsed for d in columns[1]]
+    t, lat, lon, heading, speed, cum = (
+        np.concatenate([columns[k] for columns, _, _ in parsed]) for k in range(2, 8)
+    )
+    sizes = [len(columns[2]) for columns, _, _ in parsed]
+    cumless = np.repeat([not has_cum for _, has_cum, _ in parsed], sizes)
+    keys, codes = _drive_codes(subj, drive)
+    # Drives seen in any file without the odometer column get it recomputed.
+    recompute = np.zeros(len(keys), dtype=bool)
+    recompute[codes[cumless]] = True
 
-    records: list[SensorRecord] = []
-    for (subj, drive), group in groupby(deduped, key=lambda r: (r[0], r[1])):
-        drive_rows = list(group)
-        recompute = (subj, drive) in missing_cum or any(r[7] is None for r in drive_rows)
-        drive_recs = [
-            SensorRecord(r[0], r[1], r[2], GeoPoint(r[3], r[4]), r[5], r[6], r[7] or 0.0)
-            for r in drive_rows
-        ]
-        if recompute:
-            records.extend(compute_cum_dist(drive_recs))
+    # The full-row sort makes the dedupe winner independent of file order.
+    order = np.lexsort((np.where(cumless, 0.0, cum), cumless, speed, heading, lon, lat, t, codes))
+    codes, t, lat, lon, heading, speed, cum = (
+        a[order] for a in (codes, t, lat, lon, heading, speed, cum)
+    )
+    # The clean table stores milliseconds: dedupe on what it will hold.
+    ms = t // 1000
+    first = np.ones(len(t), dtype=bool)
+    first[1:] = (codes[1:] != codes[:-1]) | (ms[1:] != ms[:-1])
+    drops["duplicate"] = len(t) - int(first.sum())
+    codes, t, lat, lon, heading, speed, cum = (
+        a[first] for a in (codes, t, lat, lon, heading, speed, cum)
+    )
+
+    keep = np.ones(len(t), dtype=bool)
+    bounds = np.searchsorted(codes, np.arange(len(keys) + 1)).tolist()
+    for code, start, stop in zip(range(len(keys)), bounds, bounds[1:]):
+        if recompute[code]:
+            cum[start:stop] = _odometer(lat[start:stop], lon[start:stop])
         else:
-            prev = None
-            for rec in drive_recs:
-                if prev is not None and rec.cum_dist_ft < prev:
-                    drops["cum_dist_regression"] += 1
-                    continue
-                records.append(rec)
-                prev = rec.cum_dist_ft
-    return records, drops
+            # A row that runs the odometer below any earlier row is dropped.
+            run = cum[start:stop]
+            keep[start + 1 : stop] = run[1:] >= np.maximum.accumulate(run)[:-1]
+    drops["cum_dist_regression"] = len(keep) - int(keep.sum())
+    columns = (a[keep] for a in (t, lat, lon, heading, speed, cum))
+    return SensorTable._grouped(keys, codes[keep], *columns), drops
 
 
 def _parse_detection_file(source) -> tuple[list[tuple], dict[str, int]]:
     drops = {"unparseable": 0, "out_of_range": 0, "unknown_class": 0}
     with resolve_uri(source, "r") as handle:
-        reader = csv.DictReader(handle)
-        _check_header(reader.fieldnames, DETECTION_COLUMNS, getattr(source, "name", source))
+        reader = csv.reader(handle)
+        i_subj, i_drive, i_t, i_class, i_conf = _indices(
+            next(reader, None), DETECTION_COLUMNS, source
+        )
         rows = []
         for raw in reader:
+            if not raw:
+                continue
             try:
-                subj = raw["subj"].strip()
-                drive = int(raw["drive"])
-                t = parse_time_utc(raw["time_utc"])
-                object_class = raw["object_class"].strip()
-                confidence = float(raw["confidence"])
+                subj = raw[i_subj].strip()
+                drive = int(raw[i_drive])
+                t = parse_time_utc(raw[i_t])
+                object_class = raw[i_class].strip()
+                confidence = float(raw[i_conf])
                 if not subj:
                     raise ValueError("empty subj")
-            except (KeyError, TypeError, ValueError):
+            except _BAD_VALUE:
                 drops["unparseable"] += 1
                 continue
             if object_class not in OBJECT_CLASSES:
@@ -252,7 +493,7 @@ def _parse_detection_file(source) -> tuple[list[tuple], dict[str, int]]:
 
 def clean_cv(
     files: list,
-    sensor: list[SensorRecord],
+    sensor: SensorTable,
     join_tol_s: float = DEFAULT_JOIN_TOL_S,
     jobs: int = 1,
 ) -> tuple[list[DetectionRecord], dict[str, int]]:
@@ -263,46 +504,38 @@ def clean_cv(
     Detections farther than ``join_tol_s`` from every sample are dropped.
     """
     drops = {"unparseable": 0, "out_of_range": 0, "unknown_class": 0, "no_sensor_match": 0}
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(_parse_detection_file, files))
-    else:
-        parsed = [_parse_detection_file(f) for f in files]
-
-    rows: list[tuple] = []
-    for file_rows, file_drops in parsed:
-        rows.extend(file_rows)
+    spans = {key: (start, stop) for key, start, stop in sensor.spans()}
+    by_drive: dict[tuple[int, int], list[tuple]] = {}
+    for file_rows, file_drops in _parse_files(_parse_detection_file, files, jobs):
         for k, v in file_drops.items():
             drops[k] += v
+        for row in file_rows:
+            span = spans.get((row[0], row[1]))
+            if span is None:
+                drops["no_sensor_match"] += 1
+            else:
+                by_drive.setdefault(span, []).append(row)
 
-    by_drive: dict[tuple[str, int], tuple[list[float], list[GeoPoint]]] = {}
-    for rec in sensor:
-        times, positions = by_drive.setdefault((rec.subj, rec.drive), ([], []))
-        times.append(rec.t_utc.timestamp())
-        positions.append(rec.pos)
-
+    seconds = sensor.seconds()
     joined: list[DetectionRecord] = []
-    for subj, drive, t, object_class, confidence in rows:
-        entry = by_drive.get((subj, drive))
-        if entry is None:
-            drops["no_sensor_match"] += 1
-            continue
-        times, positions = entry
-        ts = t.timestamp()
-        i = bisect_left(times, ts)
-        best = None
-        # Earlier sample wins exact ties, so consider it first.
-        for j in (i - 1, i):
-            if 0 <= j < len(times):
-                dt = abs(times[j] - ts)
-                if best is None or dt < best[0]:
-                    best = (dt, j)
-        if best is None or best[0] > join_tol_s:
-            drops["no_sensor_match"] += 1
-            continue
-        joined.append(
-            DetectionRecord(subj, drive, t, positions[best[1]], object_class, confidence)
-        )
+    for (start, stop), rows in by_drive.items():
+        times = seconds[start:stop]
+        ts = np.array([row[2].timestamp() for row in rows])
+        i = np.searchsorted(times, ts)
+        before = np.where(i > 0, np.abs(times[np.maximum(i - 1, 0)] - ts), np.inf)
+        after = np.where(i < len(times), np.abs(times[np.minimum(i, len(times) - 1)] - ts), np.inf)
+        # The earlier sample wins exact ties.
+        nearest = start + np.where(after < before, i, i - 1)
+        matched = np.minimum(before, after) <= join_tol_s
+        drops["no_sensor_match"] += len(rows) - int(matched.sum())
+        lats = sensor.lat[nearest].tolist()
+        lons = sensor.lon[nearest].tolist()
+        for row, lat, lon, ok in zip(rows, lats, lons, matched.tolist()):
+            if ok:
+                subj, drive, t, object_class, confidence = row
+                joined.append(
+                    DetectionRecord(subj, drive, t, GeoPoint(lat, lon), object_class, confidence)
+                )
     joined.sort(key=DetectionRecord.sort_key)
     return joined, drops
 
@@ -319,23 +552,23 @@ def clean_tables(
     return CleanTables(sensor, detections, {"sensor": sensor_drops, "detections": cv_drops})
 
 
-def write_sensor_csv(records: list[SensorRecord], dest: str | Path | IO) -> None:
+def write_sensor_csv(table: SensorTable, dest: str | Path | IO) -> None:
     with resolve_uri(dest, "w") as handle:
-        w = csv.writer(handle, lineterminator="\n")
-        w.writerow(SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,))
-        for r in records:
-            w.writerow(
-                [
-                    r.subj,
-                    r.drive,
-                    format_time_utc(r.t_utc),
-                    repr(r.pos.lat_deg),
-                    repr(r.pos.lon_deg),
-                    repr(r.heading_deg),
-                    repr(r.speed_fps),
-                    repr(r.cum_dist_ft),
-                ]
-            )
+        csv.writer(handle, lineterminator="\n").writerow(SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,))
+        # datetime64 renders as format_time_utc does: truncated to the
+        # millisecond, the year padded to four digits.
+        times = np.datetime_as_string(table.t_us.astype("datetime64[us]"), unit="ms").tolist()
+        times = [text + "Z" for text in times]
+        for (subj, drive), start, stop in table.spans():
+            # csv renders (and if need be quotes) the key once per drive. Times
+            # and float reprs never need quoting, so joining them with commas
+            # is what csv.writer would write.
+            key = io.StringIO()
+            csv.writer(key, lineterminator="").writerow((subj, drive, ""))
+            prefix = key.getvalue()
+            floats = (map(repr, getattr(table, n)[start:stop].tolist()) for n in ROW_COLUMNS[1:])
+            rows = zip(times[start:stop], *floats)
+            handle.write("".join([prefix + ",".join(row) + "\n" for row in rows]))
 
 
 CLEAN_DETECTION_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "object_class", "confidence")
@@ -359,8 +592,26 @@ def write_detections_csv(records: list[DetectionRecord], dest: str | Path | IO) 
             )
 
 
-def read_clean_sensor(source: str | Path | IO) -> list[SensorRecord]:
+def read_clean_sensor(source: str | Path | IO) -> SensorTable:
     """Load a clean sensor table; raises DataError on any anomaly.
+
+    Blank lines are skipped. A row that lacks a column, or holds a value
+    that does not parse or a position out of range, raises DataError
+    naming its line.
+    """
+
+    def bad_row(row, line, exc):
+        raise DataError(f"bad row in clean sensor table at line {line}: {row!r}") from exc
+
+    with resolve_uri(source, "r") as handle:
+        reader = csv.reader(handle)
+        idx = _indices(next(reader, None), SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,), source)
+        columns = _parse_rows(reader, lambda rows: _sensor_columns(rows, idx, raw=False), bad_row)
+    return SensorTable.from_columns(*columns)
+
+
+def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
+    """Load a clean detection table; raises DataError on any anomaly.
 
     Blank lines are skipped. A row that lacks a column, or holds a value
     that does not parse or a position out of range, raises DataError
@@ -368,53 +619,26 @@ def read_clean_sensor(source: str | Path | IO) -> list[SensorRecord]:
     """
     with resolve_uri(source, "r") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        columns = SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)
-        _check_header(header, columns, getattr(source, "name", source))
-        # A repeated column name reads its last occurrence, as DictReader did.
-        col = {name: i for i, name in enumerate(header)}
-        subj, drive, t, lat, lon, heading, speed, cum = (col[c] for c in columns)
+        subj, drive, t, lat, lon, object_class, confidence = _indices(
+            next(reader, None), CLEAN_DETECTION_COLUMNS, source
+        )
         out = []
         for row in reader:
             if not row:
                 continue
             try:
                 out.append(
-                    SensorRecord(
+                    DetectionRecord(
                         row[subj],
                         int(row[drive]),
                         parse_time_utc(row[t]),
                         GeoPoint(float(row[lat]), float(row[lon])),
-                        float(row[heading]),
-                        float(row[speed]),
-                        float(row[cum]),
+                        row[object_class],
+                        float(row[confidence]),
                     )
                 )
-            except (IndexError, ValueError) as exc:
+            except _BAD_VALUE as exc:
                 raise DataError(
-                    f"bad row in clean sensor table at line {reader.line_num}: {row!r}"
+                    f"bad row in clean detection table at line {reader.line_num}: {row!r}"
                 ) from exc
-        return out
-
-
-def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
-    """Load a clean detection table; raises DataError on any anomaly."""
-    with resolve_uri(source, "r") as handle:
-        reader = csv.DictReader(handle)
-        _check_header(reader.fieldnames, CLEAN_DETECTION_COLUMNS, getattr(source, "name", source))
-        out = []
-        for raw in reader:
-            try:
-                out.append(
-                    DetectionRecord(
-                        raw["subj"],
-                        int(raw["drive"]),
-                        parse_time_utc(raw["time_utc"]),
-                        GeoPoint(float(raw["lat"]), float(raw["lon"])),
-                        raw["object_class"],
-                        float(raw["confidence"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"bad row in clean detection table: {raw!r}") from exc
         return out

@@ -26,7 +26,7 @@ from pathlib import Path
 from .clips import VIDEO_COLUMNS
 from .discovery import IntersectionCandidate, RoadNetwork, save_geojson
 from .geo import FT_PER_DEG, GeoPoint
-from .ingest import SensorRecord, format_time_utc, write_sensor_csv
+from .ingest import SensorTable, format_time_utc, to_us, write_sensor_csv
 from .review import KML_NS, TRUE_FOLDER
 from .storage import resolve_uri
 
@@ -327,7 +327,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
     total_ft = 2 * spec.lead_ft + (spec.grid_cols - 1) * spec.block_ft
     n_samples = round(total_ft / spacing) + 1
 
-    sensor_by_subj: dict[str, list[SensorRecord]] = {}
+    sensor_by_subj: dict[str, list[tuple]] = {}
     detection_rows: dict[str, list[tuple]] = {}
     video_rows: list[tuple] = []
     traj_counts: dict[tuple[str, int], int] = {}
@@ -347,16 +347,9 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
                 if spec.jitter_ft > 0:
                     pos_lat += rng.gauss(0.0, spec.jitter_ft) / FT_PER_DEG
                     pos_lon += rng.gauss(0.0, spec.jitter_ft) / (FT_PER_DEG * grid.cos0)
+                t_us = to_us(t0 + timedelta(seconds=k / spec.sample_hz))
                 sensor_by_subj[subj].append(
-                    SensorRecord(
-                        subj,
-                        drive,
-                        t0 + timedelta(seconds=k / spec.sample_hz),
-                        GeoPoint(pos_lat, pos_lon),
-                        90.0,
-                        spec.speed_fps,
-                        cum,
-                    )
+                    (subj, drive, t_us, pos_lat, pos_lon, 90.0, spec.speed_fps, cum)
                 )
             video_rows.append(
                 (
@@ -434,7 +427,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
     for subj in sorted(sensor_by_subj):
         path = out / "sensor" / f"{subj}.csv"
         sensor_paths.append(path)
-        write_sensor_csv(sensor_by_subj[subj], path)
+        write_sensor_csv(SensorTable.from_columns(*zip(*sensor_by_subj[subj])), path)
     paths["sensor_files"] = sensor_paths
 
     cv_paths = []

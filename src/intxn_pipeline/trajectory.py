@@ -13,23 +13,22 @@ import csv
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import accumulate, groupby
+from itertools import groupby
 from pathlib import Path
 from typing import IO
-
-import numpy as np
 
 from .errors import DataError
 from .geo import (
     ON_EDGE_TOL_DEG,
     CellGrid,
+    GeoPoint,
     angular_difference_deg,
     haversine_distance_ft,
     in_box,
     initial_bearing_deg,
     point_in_polygon,
 )
-from .ingest import SensorRecord, format_time_utc, parse_time_utc
+from .ingest import SensorTable, format_time_utc, from_us, parse_time_utc, to_us
 from .review import ApproachLeg, ReviewedIntersection
 from .storage import resolve_uri
 
@@ -63,7 +62,7 @@ class TrajectoryCandidate:
     drive: int
     intxn_id: int
     leg_id: int
-    points: list[SensorRecord]
+    points: SensorTable
     ref_index: int
     ref_time_utc: datetime
     start_time_utc: datetime
@@ -71,7 +70,7 @@ class TrajectoryCandidate:
 
     @property
     def ref_cum_dist_ft(self) -> float:
-        return self.points[self.ref_index].cum_dist_ft
+        return float(self.points.cum[self.ref_index])
 
 
 def assign_bearings(reviewed: list[ReviewedIntersection]) -> list[ReviewedIntersection]:
@@ -110,36 +109,26 @@ LEG_CELL_FT = 300.0
 LegHits = list[tuple[ReviewedIntersection, ApproachLeg, list[int]]]
 
 
-def _drives(sensor: list[SensorRecord]) -> dict[tuple[str, int], list[SensorRecord]]:
-    drives: dict[tuple[str, int], list[SensorRecord]] = {}
-    for rec in sensor:
-        drives.setdefault((rec.subj, rec.drive), []).append(rec)
-    for recs in drives.values():
-        recs.sort(key=SensorRecord.sort_key)
-    return drives
-
-
 def _leg_hits(
-    drives: list[list[SensorRecord]],
+    sensor: SensorTable,
     reviewed: list[ReviewedIntersection],
     heading_tol_deg: float,
-) -> dict[int, LegHits]:
+) -> tuple[dict[int, LegHits], dict[int, GeoPoint]]:
     """Points inside each approach polygon and heading the entering way, by drive.
 
     All points sit in one study-wide ``CellGrid``. Each leg gathers the
     points in the cells its bounding box meets, applies the box and the
     heading gate as array operations, and runs ``point_in_polygon`` only on
-    the survivors. Keys are positions in ``drives``; hits follow the order
-    of ``reviewed`` and its approaches.
+    the survivors. Keys are drive positions in ``sensor.keys``; hits follow
+    the order of ``reviewed`` and its approaches. Also returns the position
+    of every point tested, by row.
     """
-    recs = [r for drive in drives for r in drive]
-    starts = [0, *accumulate(len(drive) for drive in drives)]
-    lats = np.fromiter((r.pos.lat_deg for r in recs), dtype=float, count=len(recs))
-    lons = np.fromiter((r.pos.lon_deg for r in recs), dtype=float, count=len(recs))
-    headings = np.fromiter((r.heading_deg for r in recs), dtype=float, count=len(recs))
+    lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
+    starts = sensor.offsets
     grid = CellGrid(lats, lons, LEG_CELL_FT)
 
     hits: dict[int, LegHits] = {}
+    points: dict[int, GeoPoint] = {}
     for intxn in reviewed:
         for leg in intxn.approaches:
             if leg.entering_bearing is None:
@@ -149,18 +138,22 @@ def _leg_hits(
             keep = in_box(box, lats[idx], lons[idx]) & (
                 angular_difference_deg(headings[idx], leg.entering_bearing) <= heading_tol_deg
             )
-            inside = [i for i in idx[keep].tolist() if point_in_polygon(recs[i].pos, leg.polygon)]
+            gated = idx[keep]
+            rows = zip(gated.tolist(), lats[gated].tolist(), lons[gated].tolist())
+            points.update((i, GeoPoint(lat, lon)) for i, lat, lon in rows if i not in points)
+            inside = [i for i in gated.tolist() if point_in_polygon(points[i], leg.polygon)]
             for d, members in groupby(inside, key=lambda i: bisect_right(starts, i) - 1):
                 hits.setdefault(d, []).append((intxn, leg, [i - starts[d] for i in members]))
-    return hits
+    return hits, points
 
 
 def _extract_for_drive(
-    recs: list[SensorRecord], hits: LegHits, params: WindowParams
+    rows: SensorTable, hits: LegHits, params: WindowParams, positions: dict[int, GeoPoint]
 ) -> tuple[list[TrajectoryCandidate], int, int]:
-    times = [r.t_utc.timestamp() for r in recs]
-    cums = [r.cum_dist_ft for r in recs]
-    subj, drive = recs[0].subj, recs[0].drive
+    """Trajectories of one drive; ``positions`` holds its hit points' positions by row."""
+    times = rows.seconds().tolist()
+    cums = rows.cum.tolist()
+    ((subj, drive),) = rows.keys
 
     # (intxn_id, ref_time, leg_id, ref_drive_index) per approach visit
     picks: list[tuple[int, float, int, int]] = []
@@ -168,7 +161,7 @@ def _extract_for_drive(
         for episode in _split_episodes(surviving, times, params.pass_gap_s):
             ref_i = min(
                 episode,
-                key=lambda i: (haversine_distance_ft(recs[i].pos, intxn.pos), times[i]),
+                key=lambda i: (haversine_distance_ft(positions[i], intxn.pos), times[i]),
             )
             picks.append((intxn.intxn_id, times[ref_i], leg.leg_id, ref_i))
 
@@ -189,7 +182,6 @@ def _extract_for_drive(
         right = bisect_right(cums, hi) - 1
         if cums[0] > lo or cums[-1] < hi:
             truncated += 1
-        window = recs[left : right + 1]
         out.append(
             TrajectoryCandidate(
                 traj_id=f"{subj}_{drive}_{intxn_id}",
@@ -197,18 +189,18 @@ def _extract_for_drive(
                 drive=drive,
                 intxn_id=intxn_id,
                 leg_id=leg_id,
-                points=window,
+                points=rows[left : right + 1],
                 ref_index=ref_i - left,
-                ref_time_utc=recs[ref_i].t_utc,
-                start_time_utc=window[0].t_utc,
-                end_time_utc=window[-1].t_utc,
+                ref_time_utc=from_us(rows.t_us[ref_i]),
+                start_time_utc=from_us(rows.t_us[left]),
+                end_time_utc=from_us(rows.t_us[right]),
             )
         )
     return out, duplicates, truncated
 
 
 def extract_trajectories(
-    sensor: list[SensorRecord],
+    sensor: SensorTable,
     reviewed: list[ReviewedIntersection],
     params: WindowParams | None = None,
 ) -> tuple[list[TrajectoryCandidate], dict[str, int]]:
@@ -220,14 +212,16 @@ def extract_trajectories(
     are kept and tallied as ``truncated``.
     """
     params = params or WindowParams()
-    by_key = _drives(sensor)
-    drives = [by_key[key] for key in sorted(by_key)]
-    hits = _leg_hits(drives, reviewed, params.heading_tol_deg)
+    hits, points = _leg_hits(sensor, reviewed, params.heading_tol_deg)
 
     trajs: list[TrajectoryCandidate] = []
     skip_report = {"duplicate_pass": 0, "truncated": 0}
     for d in sorted(hits):
-        drive_trajs, duplicates, truncated = _extract_for_drive(drives[d], hits[d], params)
+        start, stop = sensor.offsets[d], sensor.offsets[d + 1]
+        positions = {i: points[start + i] for _, _, members in hits[d] for i in members}
+        drive_trajs, duplicates, truncated = _extract_for_drive(
+            sensor[start:stop], hits[d], params, positions
+        )
         trajs.extend(drive_trajs)
         skip_report["duplicate_pass"] += duplicates
         skip_report["truncated"] += truncated
@@ -271,54 +265,56 @@ def write_trajectories_csv(trajs: list[TrajectoryCandidate], dest: str | Path | 
 
 
 def load_trajectories_csv(
-    source: str | Path | IO, sensor: list[SensorRecord]
+    source: str | Path | IO, sensor: SensorTable
 ) -> list[TrajectoryCandidate]:
     """Rebuild trajectory windows from the summary CSV plus the sensor table.
 
     The window is the time span [start, end] of the drive, which delimits
     the same contiguous point run the extractor produced.
     """
-    drives = _drives(sensor)
-    drive_times = {key: [r.t_utc for r in recs] for key, recs in drives.items()}
-
+    spans = {key: (start, stop) for key, start, stop in sensor.spans()}
     with resolve_uri(source, "r") as handle:
-        reader = csv.DictReader(handle)
-        have = set(reader.fieldnames or ())
-        missing = [c for c in TRAJECTORY_COLUMNS if c not in have]
+        reader = csv.reader(handle)
+        header = next(reader, None) or []
+        missing = [c for c in TRAJECTORY_COLUMNS if c not in header]
         if missing:
             raise DataError(f"trajectory table missing columns: {', '.join(missing)}")
+        # A repeated column name reads its last occurrence, as DictReader did.
+        col = {name: i for i, name in enumerate(header)}
+        i_id, i_subj, i_drive, i_intxn, i_leg, i_ref, i_start, i_end = (
+            col[c] for c in TRAJECTORY_COLUMNS[:8]
+        )
         out = []
         for row in reader:
-            subj = row["subj"]
-            drive = int(row["drive"])
-            recs = drives.get((subj, drive))
-            if not recs:
-                raise DataError(f"no sensor data for trajectory {row['traj_id']}")
-            times = drive_times[(subj, drive)]
-            start = parse_time_utc(row["start_time_utc"])
-            end = parse_time_utc(row["end_time_utc"])
-            ref_time = parse_time_utc(row["ref_time_utc"])
-            left = bisect_left(times, start)
-            right = bisect_right(times, end) - 1
-            window = recs[left : right + 1]
-            if not window:
-                raise DataError(f"empty window for trajectory {row['traj_id']}")
+            if not row:
+                continue
             try:
-                ref_index = times.index(ref_time, left, right + 1) - left
-            except ValueError as exc:
-                raise DataError(
-                    f"reference time not in window for trajectory {row['traj_id']}"
-                ) from exc
+                traj_id, key = row[i_id], (row[i_subj], int(row[i_drive]))
+                intxn_id, leg_id = int(row[i_intxn]), int(row[i_leg])
+                start, end, ref = (parse_time_utc(row[i]) for i in (i_start, i_end, i_ref))
+            except (IndexError, ValueError) as exc:
+                raise DataError(f"bad trajectory row at line {reader.line_num}: {row!r}") from exc
+            if key not in spans:
+                raise DataError(f"no sensor data for trajectory {traj_id}")
+            first, stop = spans[key]
+            t = sensor.t_us[first:stop]
+            left = int(t.searchsorted(to_us(start), "left"))
+            right = int(t.searchsorted(to_us(end), "right")) - 1
+            if left > right:
+                raise DataError(f"empty window for trajectory {traj_id}")
+            ref_index = int(t[left : right + 1].searchsorted(to_us(ref), "left"))
+            if ref_index > right - left or t[left + ref_index] != to_us(ref):
+                raise DataError(f"reference time not in window for trajectory {traj_id}")
             out.append(
                 TrajectoryCandidate(
-                    traj_id=row["traj_id"],
-                    subj=subj,
-                    drive=drive,
-                    intxn_id=int(row["intxn_id"]),
-                    leg_id=int(row["leg_id"]),
-                    points=window,
+                    traj_id=traj_id,
+                    subj=key[0],
+                    drive=key[1],
+                    intxn_id=intxn_id,
+                    leg_id=leg_id,
+                    points=sensor[first + left : first + right + 1],
                     ref_index=ref_index,
-                    ref_time_utc=ref_time,
+                    ref_time_utc=ref,
                     start_time_utc=start,
                     end_time_utc=end,
                 )

@@ -25,7 +25,7 @@ from intxn_pipeline.discovery import (
     match_clusters,
 )
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
-from intxn_pipeline.ingest import SensorRecord, clean_cv, clean_sensor
+from intxn_pipeline.ingest import SensorRecord, SensorTable, clean_cv, clean_sensor
 from intxn_pipeline.review import (
     build_review_template,
     export_candidates_kml,
@@ -192,7 +192,7 @@ def test_criterion_4_trajectory_windows(scenario, clean, trajectories):
             for r in sensor
         ]
         reversed_trajs, _ = extract_trajectories(
-            reversed_sensor, assign_bearings(reviewed)
+            SensorTable.from_records(reversed_sensor), assign_bearings(reviewed)
         )
         assert reversed_trajs == []
 

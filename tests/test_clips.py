@@ -18,14 +18,14 @@ from intxn_pipeline.clips import (
     read_videos_csv,
 )
 from intxn_pipeline.errors import NoCoveringVideoError
-from intxn_pipeline.ingest import SensorRecord
+from intxn_pipeline.ingest import SensorRecord, SensorTable
 from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
 
 
 def _trajs(sensor=None, intxns=None):
     sensor = sensor if sensor is not None else northbound_drive()
     intxns = intxns if intxns is not None else [northbound_intersection()]
-    trajs, _ = extract_trajectories(sensor, assign_bearings(intxns))
+    trajs, _ = extract_trajectories(SensorTable.from_records(sensor), assign_bearings(intxns))
     return trajs
 
 
@@ -81,7 +81,7 @@ def test_crossing_time_flat_segment_resolves_earliest():
         SensorRecord("A", 1, T0 + timedelta(seconds=s), base, 0.0, 0.0, cum)
         for s, cum in ((0, 0.0), (1, 100.0), (2, 100.0), (3, 100.0), (4, 200.0))
     ]
-    t = distance_crossing_time(points, 100.0)
+    t = distance_crossing_time(SensorTable.from_records(points), 100.0)
     assert t == T0 + timedelta(seconds=1)
 
 

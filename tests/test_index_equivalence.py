@@ -30,7 +30,7 @@ from intxn_pipeline.geo import (
     point_to_segment_ft,
     polyline_midpoint,
 )
-from intxn_pipeline.ingest import SensorRecord, clean_sensor
+from intxn_pipeline.ingest import SensorRecord, SensorTable, clean_sensor
 from intxn_pipeline.review import (
     CONTROL_TYPES,
     LINE_EDGE_MATCH_FT,
@@ -209,9 +209,9 @@ def brute_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
 
 
 def assert_same_trajectories(sensor, reviewed, params):
-    trajs, skips = extract_trajectories(sensor, reviewed, params)
+    trajs, skips = extract_trajectories(SensorTable.from_records(sensor), reviewed, params)
     expected, expected_skips = brute_extract_trajectories(sensor, reviewed, params)
-    got = [(t.traj_id, t.leg_id, t.ref_index, t.ref_time_utc, t.points) for t in trajs]
+    got = [(t.traj_id, t.leg_id, t.ref_index, t.ref_time_utc, list(t.points)) for t in trajs]
     assert got == expected
     assert skips == expected_skips
     return trajs

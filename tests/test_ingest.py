@@ -4,15 +4,17 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from intxn_pipeline.errors import HeaderMismatchError, StorageNotFoundError
+from intxn_pipeline.errors import DataError, HeaderMismatchError, StorageNotFoundError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import (
     SensorRecord,
+    SensorTable,
     clean_cv,
     clean_sensor,
     compute_cum_dist,
     format_time_utc,
     parse_time_utc,
+    read_clean_detections,
     write_sensor_csv,
 )
 
@@ -170,7 +172,7 @@ def _meridian_records(n, spacing_ft=50.0, subj="A", drive=1):
 
 
 def test_compute_cum_dist_single_record():
-    recs = compute_cum_dist(_meridian_records(1))
+    recs = compute_cum_dist(SensorTable.from_records(_meridian_records(1)))
     assert [r.cum_dist_ft for r in recs] == [0.0]
 
 
@@ -179,10 +181,12 @@ def test_compute_cum_dist_two_records_100ft_apart():
     a = GeoPoint(41.0, -96.0)
     b = GeoPoint(41.0 + 100.0 / FT_PER_DEG, -96.0)
     recs = compute_cum_dist(
-        [
-            SensorRecord("A", 1, t0, a, 0.0, 50.0, 0.0),
-            SensorRecord("A", 1, t0 + timedelta(seconds=2), b, 0.0, 50.0, 0.0),
-        ]
+        SensorTable.from_records(
+            [
+                SensorRecord("A", 1, t0, a, 0.0, 50.0, 0.0),
+                SensorRecord("A", 1, t0 + timedelta(seconds=2), b, 0.0, 50.0, 0.0),
+            ]
+        )
     )
     assert recs[0].cum_dist_ft == 0.0
     assert recs[1].cum_dist_ft == pytest.approx(100.0, abs=1e-6)
@@ -192,7 +196,9 @@ def test_compute_cum_dist_stationary():
     t0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
     p = GeoPoint(41.0, -96.0)
     recs = compute_cum_dist(
-        [SensorRecord("A", 1, t0 + timedelta(seconds=i), p, 0.0, 0.0, 0.0) for i in range(5)]
+        SensorTable.from_records(
+            [SensorRecord("A", 1, t0 + timedelta(seconds=i), p, 0.0, 0.0, 0.0) for i in range(5)]
+        )
     )
     assert [r.cum_dist_ft for r in recs] == [0.0] * 5
 
@@ -206,7 +212,7 @@ def test_compute_cum_dist_nondecreasing_and_sums():
         lat += rng.uniform(-1e-4, 1e-4)
         lon += rng.uniform(-1e-4, 1e-4)
         raw.append(SensorRecord("A", 1, t0 + timedelta(seconds=i), GeoPoint(lat, lon), 0.0, 1.0, 0.0))
-    recs = compute_cum_dist(raw)
+    recs = compute_cum_dist(SensorTable.from_records(raw))
     cums = [r.cum_dist_ft for r in recs]
     assert all(c1 <= c2 for c1, c2 in zip(cums, cums[1:]))
     total = sum(
@@ -291,6 +297,21 @@ def test_clean_cv_all_outputs_within_tolerance():
         assert min(abs((det.t_utc - t).total_seconds()) for t in times) <= 0.5
 
 
+def test_clean_sensor_drops_row_whose_time_precedes_year_one_in_utc():
+    records, drops = clean_sensor(
+        [
+            sensor_csv(
+                [
+                    "A,1,0001-01-01T00:30:00+01:00,41.0,-96.0,90.0,50.0",
+                    "A,1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0",
+                ]
+            )
+        ]
+    )
+    assert len(records) == 1
+    assert drops["unparseable"] == 1
+
+
 def test_clean_sensor_drops_row_without_time():
     # A short row leaves time_utc as None, which must count as unparseable.
     records, drops = clean_sensor(
@@ -306,3 +327,94 @@ def test_clean_cv_drops_row_without_time():
     )
     assert len(detections) == 1
     assert drops["unparseable"] == 1
+
+
+@pytest.mark.parametrize(
+    "speed, cum",
+    [("nan", "0.0"), ("inf", "0.0"), ("50.0", "nan"), ("50.0", "inf"), ("50.0", "-inf")],
+)
+def test_clean_sensor_drops_non_finite_speed_and_odometer(speed, cum):
+    src = sensor_csv(
+        [
+            "A,1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0,0.0",
+            f"A,1,2019-05-01T12:00:01.000Z,41.0,-96.0,90.0,{speed},{cum}",
+        ],
+        header=SENSOR_HEADER + ",cum_dist_ft",
+    )
+    records, drops = clean_sensor([src])
+    assert len(records) == 1
+    assert drops == {"unparseable": 0, "out_of_range": 1, "duplicate": 0, "cum_dist_regression": 0}
+
+
+# --- Detection readers ---------------------------------------------------------
+
+GOOD_CV = "A,1,2019-05-01T12:00:10.000Z,stop_sign,0.9"
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("A,1,2019-05-01T12:00:10.000Z", "unparseable"),  # short row
+        ("A,x,2019-05-01T12:00:10.000Z,stop_sign,0.9", "unparseable"),
+        ("A,1,2019-05-01T12:00:10.000Q,stop_sign,0.9", "unparseable"),
+        ("A,1,2019-05-01T12:00:10.000Z,stop_sign,x", "unparseable"),
+        ("A,1,0001-01-01T00:30:00+01:00,stop_sign,0.9", "unparseable"),  # before year 1 in UTC
+        (" ,1,2019-05-01T12:00:10.000Z,stop_sign,0.9", "unparseable"),
+        ("A,1,2019-05-01T12:00:10.000Z,pedestrian,0.9", "unknown_class"),
+        ("A,1,2019-05-01T12:00:10.000Z,stop_sign,1.5", "out_of_range"),
+        ("B,1,2019-05-01T12:00:10.000Z,stop_sign,0.9", "no_sensor_match"),
+    ],
+)
+def test_clean_cv_counts_each_bad_row(row, reason):
+    detections, drops = clean_cv([cv_csv(["", GOOD_CV, "", row])], _sensor_for_join())
+    assert len(detections) == 1
+    assert drops == {k: int(k == reason) for k in drops}
+
+
+def test_clean_cv_missing_column_raises_header_mismatch():
+    bad = io.StringIO("subj,drive,time_utc,confidence\nA,1,2019-05-01T12:00:10.000Z,0.9\n")
+    with pytest.raises(HeaderMismatchError, match="object_class"):
+        clean_cv([bad], _sensor_for_join())
+
+
+def test_clean_cv_finds_columns_by_name():
+    src = io.StringIO("confidence,object_class,time_utc,drive,subj\n0.9,stop_sign,2019-05-01T12:00:10.000Z,1,A\n")
+    assert clean_cv([src], _sensor_for_join()) == clean_cv([cv_csv([GOOD_CV])], _sensor_for_join())
+
+
+CLEAN_CV_HEADER = "subj,drive,time_utc,lat,lon,object_class,confidence"
+CLEAN_CV_ROW = "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign,0.9"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign",
+        "A,x,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign,0.9",
+        "A,1,2019-05-01T12:00:10.000Q,41.0,-96.0,stop_sign,0.9",
+        "A,1,2019-05-01T12:00:10.000Z,91.0,-96.0,stop_sign,0.9",
+        "A,1,2019-05-01T12:00:10.000Z,41.0,nan,stop_sign,0.9",
+        "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign,x",
+    ],
+    ids=["short-row", "drive-x", "bad-time", "lat-91", "lon-nan", "confidence-x"],
+)
+def test_read_clean_detections_bad_row_names_its_line(row):
+    src = io.StringIO(f"{CLEAN_CV_HEADER}\n{CLEAN_CV_ROW}\n{row}\n")
+    with pytest.raises(DataError, match="line 3") as info:
+        read_clean_detections(src)
+    assert repr(row.split(",")) in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["", "subj,drive,time_utc,lat,lon,confidence\n"])
+def test_read_clean_detections_missing_columns_raise_header_mismatch(text):
+    with pytest.raises(HeaderMismatchError):
+        read_clean_detections(io.StringIO(text))
+
+
+def test_read_clean_detections_skips_blank_lines_and_finds_columns_by_name():
+    (det,) = read_clean_detections(io.StringIO(f"{CLEAN_CV_HEADER}\n\n{CLEAN_CV_ROW}\n\n"))
+    assert (det.subj, det.drive, det.pos, det.object_class, det.confidence) == (
+        "A", 1, GeoPoint(41.0, -96.0), "stop_sign", 0.9
+    )
+    shuffled = "confidence,object_class,lon,lat,time_utc,drive,subj,extra\n0.9,stop_sign,-96.0,41.0,2019-05-01T12:00:10.000Z,1,A,x\n"
+    assert read_clean_detections(io.StringIO(shuffled)) == [det]

@@ -3,7 +3,10 @@
 ``read_clean_sensor`` must raise on every malformed row, skip blank lines,
 parse every timestamp form the old ``DictReader`` path parsed, and round-trip
 ``write_sensor_csv``. The CLI parses the table once per content within one
-process and hands the same list to traj, clips and template.
+process and hands the same table to traj, clips and template. The columnar
+``SensorTable`` behaves as the sorted list of its records, computes the
+odometer bit for bit as the scalar haversine sum, and parses a time column
+as ``parse_time_utc`` parses each time.
 """
 
 import io
@@ -15,9 +18,10 @@ from hypothesis import strategies as st
 
 from intxn_pipeline import cli, ingest
 from intxn_pipeline.errors import DataError, HeaderMismatchError
-from intxn_pipeline.geo import GeoPoint
+from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import (
     SensorRecord,
+    SensorTable,
     format_time_utc,
     parse_time_utc,
     read_clean_sensor,
@@ -161,10 +165,12 @@ _records = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_records, max_size=8))
 def test_write_then_read_round_trips(records):
+    table = SensorTable.from_records(records)
+    assert list(table) == sorted(records, key=SensorRecord.sort_key)
     buf = io.StringIO(newline="")
-    write_sensor_csv(records, buf)
+    write_sensor_csv(table, buf)
     buf.seek(0)
-    assert read_clean_sensor(buf) == records
+    assert read_clean_sensor(buf) == table
 
 
 # --- One parse per content within a process --------------------------------
@@ -193,7 +199,9 @@ def test_post_review_stages_parse_the_table_once(reviewed_workspace, monkeypatch
     monkeypatch.setattr(ingest, "read_clean_sensor", counting)
     for stage in ("traj", "clips", "template"):
         assert cli.main([stage, "--config", str(config)]) == 0, stage
-    assert calls == [ws / "out" / "clean_sensor.csv"]
+    # One parse, of the bytes read from the file, in a stream named for it.
+    path = ws / "out" / "clean_sensor.csv"
+    assert [(c.name, c.buffer.getvalue()) for c in calls] == [(str(path), path.read_bytes())]
     # The shared table is still what the file holds.
     assert cli._sensor_table[1] == read(ws / "out" / "clean_sensor.csv")
 
@@ -207,8 +215,126 @@ def test_rewritten_table_is_parsed_again(reviewed_workspace, capsys):
     records = read_clean_sensor(sensor_path)
     kept = [r for r in records if (r.subj, str(r.drive)) != (first[1], first[2])]
     assert 0 < len(kept) < len(records)
-    write_sensor_csv(kept, sensor_path)
+    write_sensor_csv(SensorTable.from_records(kept), sensor_path)
     capsys.readouterr()
     assert cli.main(["clips", "--config", str(config)]) == 2
     assert "no sensor data for trajectory" in capsys.readouterr().err
-    assert cli._sensor_table[1] == kept
+    assert list(cli._sensor_table[1]) == kept
+
+
+# --- The columnar table ------------------------------------------------------
+
+_drive_records = st.builds(
+    SensorRecord,
+    subj=st.sampled_from(["A", "B", "B\x00", 'q"']),
+    drive=st.sampled_from([1, 2, 2**70, -5]),
+    t_utc=st.datetimes(timezones=st.just(timezone.utc)),
+    pos=st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+    heading_deg=st.floats(0.0, 359.0),
+    speed_fps=st.floats(0.0, 100.0),
+    cum_dist_ft=st.floats(0.0, 1e6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_drive_records, max_size=10), st.integers(-12, 12), st.integers(-12, 12))
+def test_table_rows_slices_and_keys_behave_like_the_sorted_list(records, i, j):
+    table = SensorTable.from_records(records)
+    rows = sorted(records, key=SensorRecord.sort_key)
+    assert list(table) == rows and len(table) == len(rows)
+    assert table.keys == sorted({(r.subj, r.drive) for r in rows})
+    part = table[i:j]
+    assert list(part) == rows[i:j]
+    assert part.keys == list(dict.fromkeys((r.subj, r.drive) for r in rows[i:j]))
+    assert part == SensorTable.from_records(rows[i:j])
+    if -len(rows) <= i < len(rows):
+        assert table[i] == rows[i]
+    else:
+        with pytest.raises(IndexError):
+            table[i]
+
+
+def test_table_columns_are_read_only_and_compare_by_value():
+    sensor = read_clean_sensor(table(GOOD))
+    with pytest.raises(ValueError):
+        sensor.cum[0] = 1.0
+    assert sensor == read_clean_sensor(table(GOOD))
+    assert sensor != list(sensor)
+
+
+_positions = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)) | st.tuples(
+    st.floats(41.0, 41.001), st.floats(-96.001, -96.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_positions, min_size=1, max_size=30))
+def test_odometer_is_bitwise_the_scalar_haversine_sum(track):
+    t0 = datetime(2019, 5, 1, 12, tzinfo=timezone.utc)
+    records = [
+        SensorRecord("A", 1, t0 + timedelta(seconds=k), GeoPoint(lat, lon), 0.0, 0.0, 0.0)
+        for k, (lat, lon) in enumerate(track)
+    ]
+    expected, cum = [0.0], 0.0
+    for a, b in zip(records, records[1:]):
+        cum += haversine_distance_ft(a.pos, b.pos)
+        expected.append(cum)
+    assert ingest.compute_cum_dist(SensorTable.from_records(records)).cum.tolist() == expected
+
+
+_time_columns = st.lists(
+    st.datetimes(timezones=st.just(timezone.utc)).map(format_time_utc)
+    | st.builds(
+        lambda text, k, c: text[:k] + c + text[k + 1 :],
+        st.datetimes(timezones=st.just(timezone.utc)).map(format_time_utc),
+        st.integers(0, 23),
+        st.sampled_from("0123456789:-.TZz +9"),
+    ),
+    max_size=5,
+)
+
+
+def _us_one_by_one(texts):
+    try:
+        return [(parse_time_utc(s) - ingest.EPOCH) // timedelta(microseconds=1) for s in texts]
+    except Exception as exc:  # both paths must fail alike
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_time_columns)
+def test_time_column_parses_as_parse_time_utc_does(texts):
+    try:
+        got = ingest._times_us(tuple(texts)).tolist()
+    except Exception as exc:
+        got = type(exc)
+    assert got == _us_one_by_one(texts)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2019-02-29T00:00:00.000Z", "0000-01-01T00:00:00.000Z", "2019-05-01T24:00:00.000Z", "2019-05-01T12:00:60.000Z"],
+)
+def test_impossible_canonical_times_are_rejected(text):
+    good = "2019-05-01T12:00:00.000Z"
+    with pytest.raises(ValueError):
+        ingest._times_us((good, text))
+    with pytest.raises(ValueError):
+        parse_time_utc(text)
+
+
+def test_clean_sensor_opens_the_table_once_per_call(tmp_path, monkeypatch):
+    path = tmp_path / "clean_sensor.csv"
+    path.write_text(HEADER + "\n" + GOOD + "\n")
+    monkeypatch.setattr(cli, "_sensor_table", None)
+    opened = []
+    for module in (cli, ingest):
+        def counting(source, mode="rb", _open=module.resolve_uri):
+            opened.append(source)
+            return _open(source, mode)
+
+        monkeypatch.setattr(module, "resolve_uri", counting)
+    first = cli._clean_sensor(path)  # parsed
+    assert [s for s in opened if s == path] == [path]
+    assert cli._clean_sensor(path) is first  # cached
+    assert [s for s in opened if s == path] == [path, path]

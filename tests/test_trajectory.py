@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, PolygonRing, haversine_distance_ft
-from intxn_pipeline.ingest import SensorRecord
+from intxn_pipeline.ingest import SensorRecord, SensorTable
 from intxn_pipeline.review import ApproachLeg, ReviewedIntersection
 from intxn_pipeline.trajectory import (
     TrajectoryCandidate,
@@ -98,7 +98,7 @@ def test_assign_bearings_degenerate_line_rejected():
 
 def _extract(sensor, intxns, **kwargs):
     reviewed = assign_bearings(intxns)
-    return extract_trajectories(sensor, reviewed, **kwargs)
+    return extract_trajectories(SensorTable.from_records(sensor), reviewed, **kwargs)
 
 
 def test_constant_speed_window_oracle():
@@ -238,10 +238,33 @@ def test_trajectories_csv_roundtrip():
     out = io.StringIO()
     write_trajectories_csv(trajs, out)
     out.seek(0)
-    restored = load_trajectories_csv(out, sensor)
+    restored = load_trajectories_csv(out, SensorTable.from_records(sensor))
     assert len(restored) == 1
     a, b = trajs[0], restored[0]
     assert (a.traj_id, a.intxn_id, a.leg_id) == (b.traj_id, b.intxn_id, b.leg_id)
     assert [p.t_utc for p in a.points] == [p.t_utc for p in b.points]
     assert a.ref_index == b.ref_index
     assert isinstance(b, TrajectoryCandidate)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("drive", "x", "bad trajectory row at line 2"),
+        ("start_time_utc", "noon", "bad trajectory row at line 2"),
+        ("drive", "7", "no sensor data for trajectory A_1_4"),
+        ("ref_time_utc", "2019-05-01T12:00:10.500Z", "reference time not in window"),
+    ],
+)
+def test_trajectories_csv_bad_row_raises_data_error(field, value, message):
+    from intxn_pipeline.errors import DataError
+
+    sensor = SensorTable.from_records(northbound_drive())
+    trajs, _ = _extract(northbound_drive(), [northbound_intersection()])
+    out = io.StringIO()
+    write_trajectories_csv(trajs, out)
+    header, row = out.getvalue().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    cells[field] = value
+    with pytest.raises(DataError, match=message):
+        load_trajectories_csv(io.StringIO(header + "\n" + ",".join(cells.values()) + "\n"), sensor)
