@@ -6,7 +6,8 @@ keeps it out of the default test collection.
 The canonical timestamp (``...Z``) is what the clean tables hold and takes
 the ``fromisoformat`` fast path; the offset form takes the general path.
 The table benches clean, write, read, join and search a synth study of
-9,608 sensor rows held in memory, so no disk time is measured.
+9,608 sensor rows held in memory, so no disk time is measured; the dirty
+clean bench gives the raw files one unparseable row in 100 or in 4,000.
 """
 
 import io
@@ -76,6 +77,24 @@ def test_format_time_utc(benchmark):
 def test_clean_sensor(benchmark, raw_texts, sensor):
     records, drops = benchmark(lambda: clean_sensor(streams(raw_texts["sensor_files"])))
     assert records == sensor and not any(drops.values())
+
+
+def spoil(text, every):
+    """``text`` with every ``every``-th data row given an empty lat."""
+    header, *rows = text.splitlines()
+    for k in range(every - 1, len(rows), every):
+        fields = rows[k].split(",")
+        fields[3] = ""
+        rows[k] = ",".join(fields)
+    return "\n".join([header, *rows, ""])
+
+
+@pytest.mark.parametrize("every", [100, 4000])
+def test_clean_sensor_dirty(benchmark, raw_texts, every):
+    """Raw files with one unparseable row in ``every``: the bad-row path."""
+    texts = [spoil(text, every) for text in raw_texts["sensor_files"]]
+    records, drops = benchmark(lambda: clean_sensor(streams(texts)))
+    assert drops["unparseable"] == sum(len(text.splitlines()[1:]) // every for text in texts)
 
 
 def test_clean_cv_join(benchmark, raw_texts, sensor):

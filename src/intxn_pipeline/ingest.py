@@ -166,13 +166,14 @@ class SensorTable:
 
     @classmethod
     def _grouped(cls, keys: list, codes: np.ndarray, *columns: np.ndarray) -> SensorTable:
-        """A table of rows sorted by ``codes``, each row's index into ``keys``."""
-        counts = np.bincount(codes, minlength=len(keys))
-        present = np.flatnonzero(counts)
+        """A table of rows sorted by ``codes``, each row's index into ``keys``.
+
+        Every key must own at least one row.
+        """
         for column in columns:
             column.flags.writeable = False
-        offsets = [0, *np.cumsum(counts[present]).tolist()]
-        return cls([keys[k] for k in present.tolist()], offsets, *columns)
+        offsets = [0, *np.cumsum(np.bincount(codes, minlength=len(keys))).tolist()]
+        return cls(keys, offsets, *columns)
 
     def __len__(self) -> int:
         return len(self.t_us)
@@ -202,15 +203,10 @@ class SensorTable:
         first = bisect_right(self.offsets, start) - 1
         last = bisect_left(self.offsets, stop)
         inner = [b - start for b in self.offsets[first + 1 : last]]
+        rows = slice(start, stop)
         return SensorTable(
-            self.keys[first:last],
-            [0, *inner, stop - start],
-            self.t_us[start:stop],
-            self.lat[start:stop],
-            self.lon[start:stop],
-            self.heading[start:stop],
-            self.speed[start:stop],
-            self.cum[start:stop],
+            self.keys[first:last], [0, *inner, stop - start], self.t_us[rows], self.lat[rows],
+            self.lon[rows], self.heading[rows], self.speed[rows], self.cum[rows],
         )
 
     def __eq__(self, other):
@@ -230,7 +226,7 @@ class CleanTables:
     drop_report: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-def _indices(header: list[str] | None, columns: tuple[str, ...], source) -> list[int]:
+def header_indices(header: list[str] | None, columns: tuple[str, ...], source) -> list[int]:
     """Where each of ``columns`` sits in ``header``; raises HeaderMismatchError."""
     missing = [c for c in columns if c not in (header or ())]
     if missing:
@@ -245,13 +241,11 @@ def _indices(header: list[str] | None, columns: tuple[str, ...], source) -> list
 _CHUNK_ROWS = 4096
 
 
-def _parse_rows(reader, parse, bad_row) -> list:
-    """Columns of a csv reader's non-blank rows, parsed a chunk at a time.
+def _parse_sensor_rows(reader, idx: list[int], raw: bool, bad_row) -> list:
+    """Columns of a csv reader's non-blank sensor rows, parsed a chunk at a time.
 
-    ``parse(rows)`` returns the rows' columns (subj and drive lists, then
-    arrays) or raises an error of ``_BAD_VALUE``. In a chunk that fails,
-    each row that fails alone goes to ``bad_row(row, line, exc)`` and the
-    rest are parsed.
+    The columns are as ``_sensor_columns`` returns them, without its bad
+    rows; each of those goes to ``bad_row(row, line)`` in file order.
     """
     parts, rows, lines = [], [], []
     for row in chain(reader, [None]):
@@ -259,20 +253,21 @@ def _parse_rows(reader, parse, bad_row) -> list:
             rows.append(row)
             lines.append(reader.line_num)
         if row is None or len(rows) == _CHUNK_ROWS:
-            try:
-                parts.append(parse(rows))
-            except _BAD_VALUE:
-                good = []
-                for bad, line in zip(rows, lines):
-                    try:
-                        parse([bad])
-                        good.append(bad)
-                    except _BAD_VALUE as exc:
-                        bad_row(bad, line, exc)
-                parts.append(parse(good))
+            *columns, bad = _sensor_columns(rows, idx, raw)
+            if bad.any():
+                for k in np.flatnonzero(bad).tolist():
+                    bad_row(rows[k], lines[k])
+                columns = _select(columns, ~bad)
+            parts.append(columns)
             rows, lines = [], []
     lists = [list(chain.from_iterable(p[k] for p in parts)) for k in (0, 1)]
     return lists + [np.concatenate([p[k] for p in parts]) for k in range(2, len(parts[0]))]
+
+
+def _select(columns: list, ok: np.ndarray) -> list:
+    """The rows where ``ok`` of sensor columns: subj and drive lists, then arrays."""
+    keep = ok.tolist()
+    return [list(compress(c, keep)) for c in columns[:2]] + [c[ok] for c in columns[2:]]
 
 
 def _parse_files(parse, files: list, jobs: int) -> list:
@@ -287,13 +282,14 @@ _CANONICAL_TIME = np.array(list(map(ord, "0000-00-00T00:00:00.000Z")), dtype=np.
 _DIGIT = _CANONICAL_TIME == ord("0")
 
 
-def _times_us(texts: tuple[str, ...]) -> np.ndarray:
+def _times_us(texts: tuple[str, ...], bad: np.ndarray) -> np.ndarray:
     """Epoch microseconds of ISO timestamps, as parse_time_utc reads them.
 
     A column wholly in the clean tables' form, YYYY-MM-DDTHH:MM:SS.mmmZ from
     year 1, parses as one datetime64 array, whose parser rejects an invalid
     month, day, hour, minute or second as fromisoformat does. Any other
-    column goes through parse_time_utc one time at a time.
+    column goes through parse_time_utc one time at a time, and a time it
+    rejects marks its row ``bad``.
     """
     text = np.array(texts, dtype=str)
     if text.dtype == np.dtype("<U24"):
@@ -308,7 +304,22 @@ def _times_us(texts: tuple[str, ...]) -> np.ndarray:
                 return ms.astype("datetime64[us]").view(np.int64)
             except ValueError:
                 pass
-    return np.array([(parse_time_utc(s) - EPOCH) // _US for s in texts], dtype=np.int64)
+    return np.array(_each(lambda s: to_us(parse_time_utc(s)), texts, bad), dtype=np.int64)
+
+
+def _each(fn, texts: tuple[str, ...], bad: np.ndarray) -> list:
+    """``fn`` of each text; a text it fails on marks its row ``bad`` and gives 0."""
+    try:
+        return list(map(fn, texts))
+    except _BAD_VALUE:
+        out = []
+        for k, text in enumerate(texts):
+            try:
+                out.append(fn(text))
+            except _BAD_VALUE:
+                bad[k] = True
+                out.append(0)
+        return out
 
 
 def _on_earth(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -316,23 +327,27 @@ def _on_earth(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
 
 
 def _sensor_columns(rows: list[list[str]], idx: list[int], raw: bool) -> list:
-    """subj, drive, epoch-us time and the float columns of sensor CSV rows.
+    """subj, drive, epoch-us time and the float columns of sensor CSV rows,
+    then a mask of the bad rows, whose values are placeholders.
 
-    ``idx`` locates subj, drive and time, then the float columns. A raw
-    subj is stripped and must not be empty; a clean row must hold a
-    position on earth. Raises an error of ``_BAD_VALUE`` at a short row or
-    a bad value.
+    ``idx`` locates subj, drive and time, then the float columns. A row is
+    bad if it is short or holds a value that does not parse; a raw row if
+    its stripped subj is empty; a clean row if its position is off earth.
     """
-    cols = list(zip(*rows)) or [()] * (max(idx) + 1)
+    width = max(idx) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row if len(row) >= width else [""] * width for row in rows]
+    bad = np.zeros(len(rows), dtype=bool)
+    cols = list(zip(*rows)) or [()] * width
     subj = [s.strip() for s in cols[idx[0]]] if raw else list(cols[idx[0]])
-    drive = list(map(int, cols[idx[1]]))
-    t = _times_us(cols[idx[2]])
-    floats = [np.fromiter(map(float, cols[i]), float, len(rows)) for i in idx[3:]]
+    drive = _each(int, cols[idx[1]], bad)
+    t = _times_us(cols[idx[2]], bad)
+    floats = [np.array(_each(float, cols[i], bad), dtype=float) for i in idx[3:]]
     if raw and not all(subj):
-        raise ValueError("empty subj")
-    if not raw and not _on_earth(floats[0], floats[1]).all():
-        raise ValueError("position out of range")
-    return [subj, drive, t, *floats]
+        bad |= np.array([not s for s in subj], dtype=bool)
+    if not raw:
+        bad |= ~_on_earth(floats[0], floats[1])
+    return [subj, drive, t, *floats, bad]
 
 
 def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int]]:
@@ -346,12 +361,8 @@ def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int]]:
         reader = csv.reader(handle)
         header = next(reader, None)
         has_cum = SENSOR_CUM_COLUMN in (header or ())
-        idx = _indices(header, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,) * has_cum, source)
-        columns = _parse_rows(
-            reader,
-            lambda rows: _sensor_columns(rows, idx, raw=True),
-            lambda row, line, exc: bad.append(line),
-        )
+        idx = header_indices(header, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,) * has_cum, source)
+        columns = _parse_sensor_rows(reader, idx, True, lambda row, line: bad.append(line))
     if not has_cum:
         columns.append(np.full(len(columns[2]), np.nan))
     lat, lon, heading, speed, cum = columns[3:]
@@ -361,32 +372,37 @@ def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int]]:
         & (0.0 <= speed) & np.isfinite(speed)
         & (np.isfinite(cum) | (not has_cum))
     )
-    keep = ok.tolist()
-    columns = [list(compress(c, keep)) for c in columns[:2]] + [c[ok] for c in columns[2:]]
-    return columns, has_cum, {"unparseable": len(bad), "out_of_range": keep.count(False)}
+    columns = _select(columns, ok)
+    return columns, has_cum, {"unparseable": len(bad), "out_of_range": len(ok) - len(columns[2])}
 
 
-def _odometer(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """One drive's running sum of haversine steps, in feet, from 0.
+def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable) -> None:
+    """Set ``cum`` over each (start, stop) span to the running sum, from 0, of
+    the haversine steps between its positions, in feet.
 
     Bit-identical to adding ``geo.haversine_distance_ft`` step by step: the
     arithmetic is the same IEEE operations in the same order, np.cumsum adds
-    in sequence, and sin, cos and asin are math's own (numpy's SIMD asin
-    can differ in the last bit).
+    in sequence, and sin, cos, asin and squaring are math's own (numpy's
+    SIMD asin can differ in the last bit, and numpy squares by multiplying
+    where Python's ``** 2`` calls the C library's pow).
     """
 
     def each(fn, x):
         return np.fromiter(map(fn, x.tolist()), float, len(x))
 
-    phi = np.radians(lat)
-    dphi = np.radians(np.diff(lat))
-    dlam = np.radians(np.diff(lon))
-    h = (
-        each(math.sin, dphi / 2.0) ** 2
-        + each(math.cos, phi[:-1]) * each(math.cos, phi[1:]) * each(math.sin, dlam / 2.0) ** 2
-    )
-    steps = 2.0 * EARTH_RADIUS_FT * each(math.asin, np.minimum(1.0, np.sqrt(h)))
-    return np.cumsum(np.concatenate(([0.0], steps)))
+    def sin2(x):
+        return math.sin(x) ** 2
+
+    for start, stop in spans:
+        lat_, lon_ = lat[start:stop], lon[start:stop]
+        phi = np.radians(lat_)
+        dphi = np.radians(np.diff(lat_))
+        dlam = np.radians(np.diff(lon_))
+        h = each(sin2, dphi / 2.0) + each(math.cos, phi[:-1]) * each(math.cos, phi[1:]) * each(
+            sin2, dlam / 2.0
+        )
+        steps = 2.0 * EARTH_RADIUS_FT * each(math.asin, np.minimum(1.0, np.sqrt(h)))
+        cum[start:stop] = np.cumsum(np.concatenate(([0.0], steps)))
 
 
 def compute_cum_dist(table: SensorTable) -> SensorTable:
@@ -396,8 +412,7 @@ def compute_cum_dist(table: SensorTable) -> SensorTable:
     distance from its predecessor.
     """
     cum = np.empty(len(table))
-    for _, start, stop in table.spans():
-        cum[start:stop] = _odometer(table.lat[start:stop], table.lon[start:stop])
+    _odometer(cum, table.lat, table.lon, zip(table.offsets, table.offsets[1:]))
     cum.flags.writeable = False
     return replace(table, cum=cum)
 
@@ -445,15 +460,14 @@ def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int
         a[first] for a in (codes, t, lat, lon, heading, speed, cum)
     )
 
-    keep = np.ones(len(t), dtype=bool)
     bounds = np.searchsorted(codes, np.arange(len(keys) + 1)).tolist()
-    for code, start, stop in zip(range(len(keys)), bounds, bounds[1:]):
-        if recompute[code]:
-            cum[start:stop] = _odometer(lat[start:stop], lon[start:stop])
-        else:
-            # A row that runs the odometer below any earlier row is dropped.
-            run = cum[start:stop]
-            keep[start + 1 : stop] = run[1:] >= np.maximum.accumulate(run)[:-1]
+    spans = list(zip(bounds, bounds[1:]))
+    _odometer(cum, lat, lon, compress(spans, recompute))
+    keep = np.ones(len(t), dtype=bool)
+    for start, stop in compress(spans, ~recompute):
+        # A row that runs the odometer below any earlier row is dropped.
+        run = cum[start:stop]
+        keep[start + 1 : stop] = run[1:] >= np.maximum.accumulate(run)[:-1]
     drops["cum_dist_regression"] = len(keep) - int(keep.sum())
     columns = (a[keep] for a in (t, lat, lon, heading, speed, cum))
     return SensorTable._grouped(keys, codes[keep], *columns), drops
@@ -463,7 +477,7 @@ def _parse_detection_file(source) -> tuple[list[tuple], dict[str, int]]:
     drops = {"unparseable": 0, "out_of_range": 0, "unknown_class": 0}
     with resolve_uri(source, "r") as handle:
         reader = csv.reader(handle)
-        i_subj, i_drive, i_t, i_class, i_conf = _indices(
+        i_subj, i_drive, i_t, i_class, i_conf = header_indices(
             next(reader, None), DETECTION_COLUMNS, source
         )
         rows = []
@@ -600,13 +614,13 @@ def read_clean_sensor(source: str | Path | IO) -> SensorTable:
     naming its line.
     """
 
-    def bad_row(row, line, exc):
-        raise DataError(f"bad row in clean sensor table at line {line}: {row!r}") from exc
+    def bad_row(row, line):
+        raise DataError(f"bad row in clean sensor table at line {line}: {row!r}")
 
     with resolve_uri(source, "r") as handle:
         reader = csv.reader(handle)
-        idx = _indices(next(reader, None), SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,), source)
-        columns = _parse_rows(reader, lambda rows: _sensor_columns(rows, idx, raw=False), bad_row)
+        idx = header_indices(next(reader, None), SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,), source)
+        columns = _parse_sensor_rows(reader, idx, False, bad_row)
     return SensorTable.from_columns(*columns)
 
 
@@ -619,7 +633,7 @@ def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
     """
     with resolve_uri(source, "r") as handle:
         reader = csv.reader(handle)
-        subj, drive, t, lat, lon, object_class, confidence = _indices(
+        subj, drive, t, lat, lon, object_class, confidence = header_indices(
             next(reader, None), CLEAN_DETECTION_COLUMNS, source
         )
         out = []

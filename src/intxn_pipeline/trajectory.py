@@ -28,7 +28,7 @@ from .geo import (
     initial_bearing_deg,
     point_in_polygon,
 )
-from .ingest import SensorTable, format_time_utc, from_us, parse_time_utc, to_us
+from .ingest import SensorTable, format_time_utc, from_us, header_indices, parse_time_utc, to_us
 from .review import ApproachLeg, ReviewedIntersection
 from .storage import resolve_uri
 
@@ -113,22 +113,20 @@ def _leg_hits(
     sensor: SensorTable,
     reviewed: list[ReviewedIntersection],
     heading_tol_deg: float,
-) -> tuple[dict[int, LegHits], dict[int, GeoPoint]]:
+) -> dict[int, LegHits]:
     """Points inside each approach polygon and heading the entering way, by drive.
 
     All points sit in one study-wide ``CellGrid``. Each leg gathers the
     points in the cells its bounding box meets, applies the box and the
     heading gate as array operations, and runs ``point_in_polygon`` only on
     the survivors. Keys are drive positions in ``sensor.keys``; hits follow
-    the order of ``reviewed`` and its approaches. Also returns the position
-    of every point tested, by row.
+    the order of ``reviewed`` and its approaches.
     """
     lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
     starts = sensor.offsets
     grid = CellGrid(lats, lons, LEG_CELL_FT)
 
     hits: dict[int, LegHits] = {}
-    points: dict[int, GeoPoint] = {}
     for intxn in reviewed:
         for leg in intxn.approaches:
             if leg.entering_bearing is None:
@@ -140,19 +138,18 @@ def _leg_hits(
             )
             gated = idx[keep]
             rows = zip(gated.tolist(), lats[gated].tolist(), lons[gated].tolist())
-            points.update((i, GeoPoint(lat, lon)) for i, lat, lon in rows if i not in points)
-            inside = [i for i in gated.tolist() if point_in_polygon(points[i], leg.polygon)]
+            inside = [i for i, y, x in rows if point_in_polygon(GeoPoint(y, x), leg.polygon)]
             for d, members in groupby(inside, key=lambda i: bisect_right(starts, i) - 1):
                 hits.setdefault(d, []).append((intxn, leg, [i - starts[d] for i in members]))
-    return hits, points
+    return hits
 
 
 def _extract_for_drive(
-    rows: SensorTable, hits: LegHits, params: WindowParams, positions: dict[int, GeoPoint]
+    rows: SensorTable, hits: LegHits, params: WindowParams
 ) -> tuple[list[TrajectoryCandidate], int, int]:
-    """Trajectories of one drive; ``positions`` holds its hit points' positions by row."""
     times = rows.seconds().tolist()
     cums = rows.cum.tolist()
+    lats, lons = rows.lat.tolist(), rows.lon.tolist()
     ((subj, drive),) = rows.keys
 
     # (intxn_id, ref_time, leg_id, ref_drive_index) per approach visit
@@ -161,7 +158,10 @@ def _extract_for_drive(
         for episode in _split_episodes(surviving, times, params.pass_gap_s):
             ref_i = min(
                 episode,
-                key=lambda i: (haversine_distance_ft(positions[i], intxn.pos), times[i]),
+                key=lambda i: (
+                    haversine_distance_ft(GeoPoint(lats[i], lons[i]), intxn.pos),
+                    times[i],
+                ),
             )
             picks.append((intxn.intxn_id, times[ref_i], leg.leg_id, ref_i))
 
@@ -212,16 +212,13 @@ def extract_trajectories(
     are kept and tallied as ``truncated``.
     """
     params = params or WindowParams()
-    hits, points = _leg_hits(sensor, reviewed, params.heading_tol_deg)
+    hits = _leg_hits(sensor, reviewed, params.heading_tol_deg)
 
     trajs: list[TrajectoryCandidate] = []
     skip_report = {"duplicate_pass": 0, "truncated": 0}
     for d in sorted(hits):
-        start, stop = sensor.offsets[d], sensor.offsets[d + 1]
-        positions = {i: points[start + i] for _, _, members in hits[d] for i in members}
-        drive_trajs, duplicates, truncated = _extract_for_drive(
-            sensor[start:stop], hits[d], params, positions
-        )
+        rows = sensor[sensor.offsets[d] : sensor.offsets[d + 1]]
+        drive_trajs, duplicates, truncated = _extract_for_drive(rows, hits[d], params)
         trajs.extend(drive_trajs)
         skip_report["duplicate_pass"] += duplicates
         skip_report["truncated"] += truncated
@@ -273,17 +270,11 @@ def load_trajectories_csv(
     the same contiguous point run the extractor produced.
     """
     spans = {key: (start, stop) for key, start, stop in sensor.spans()}
+    t_us = sensor.t_us.tolist()
     with resolve_uri(source, "r") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None) or []
-        missing = [c for c in TRAJECTORY_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"trajectory table missing columns: {', '.join(missing)}")
-        # A repeated column name reads its last occurrence, as DictReader did.
-        col = {name: i for i, name in enumerate(header)}
-        i_id, i_subj, i_drive, i_intxn, i_leg, i_ref, i_start, i_end = (
-            col[c] for c in TRAJECTORY_COLUMNS[:8]
-        )
+        idx = header_indices(next(reader, None), TRAJECTORY_COLUMNS, source)
+        i_id, i_subj, i_drive, i_intxn, i_leg, i_ref, i_start, i_end = idx[:8]
         out = []
         for row in reader:
             if not row:
@@ -292,18 +283,19 @@ def load_trajectories_csv(
                 traj_id, key = row[i_id], (row[i_subj], int(row[i_drive]))
                 intxn_id, leg_id = int(row[i_intxn]), int(row[i_leg])
                 start, end, ref = (parse_time_utc(row[i]) for i in (i_start, i_end, i_ref))
-            except (IndexError, ValueError) as exc:
+            except (IndexError, OverflowError, ValueError) as exc:
                 raise DataError(f"bad trajectory row at line {reader.line_num}: {row!r}") from exc
             if key not in spans:
                 raise DataError(f"no sensor data for trajectory {traj_id}")
+            # The window's rows are [left, right) of the drive's [first, stop).
             first, stop = spans[key]
-            t = sensor.t_us[first:stop]
-            left = int(t.searchsorted(to_us(start), "left"))
-            right = int(t.searchsorted(to_us(end), "right")) - 1
-            if left > right:
+            left = bisect_left(t_us, to_us(start), first, stop)
+            right = bisect_right(t_us, to_us(end), first, stop)
+            if left == right:
                 raise DataError(f"empty window for trajectory {traj_id}")
-            ref_index = int(t[left : right + 1].searchsorted(to_us(ref), "left"))
-            if ref_index > right - left or t[left + ref_index] != to_us(ref):
+            ref_us = to_us(ref)
+            at = bisect_left(t_us, ref_us, left, right)
+            if at == right or t_us[at] != ref_us:
                 raise DataError(f"reference time not in window for trajectory {traj_id}")
             out.append(
                 TrajectoryCandidate(
@@ -312,8 +304,8 @@ def load_trajectories_csv(
                     drive=key[1],
                     intxn_id=intxn_id,
                     leg_id=leg_id,
-                    points=sensor[first + left : first + right + 1],
-                    ref_index=ref_index,
+                    points=sensor[left:right],
+                    ref_index=at - left,
                     ref_time_utc=ref,
                     start_time_utc=start,
                     end_time_utc=end,

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intxn_pipeline import ingest
 from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import (
     SENSOR_COLUMNS,
@@ -218,6 +219,16 @@ def test_clean_sensor_matches_record_based_original(files):
     assert out.getvalue() == old_write_sensor_csv(records)
     assert drops == old_drops
     assert rows_in == len(table) + sum(drops.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_files(), st.integers(1, 4))
+def test_clean_sensor_is_the_same_parsed_a_few_rows_at_a_time(files, chunk_rows):
+    texts, _ = files
+    whole = clean_sensor([io.StringIO(t, newline="") for t in texts])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        assert clean_sensor([io.StringIO(t, newline="") for t in texts]) == whole
 
 
 def test_cumless_rows_that_lose_the_dedupe_still_recompute_the_drive():

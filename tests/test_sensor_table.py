@@ -12,8 +12,9 @@ as ``parse_time_utc`` parses each time.
 import io
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intxn_pipeline import cli, ingest
@@ -78,6 +79,16 @@ def test_bad_row_raises_data_error_naming_the_row(row):
     with pytest.raises(DataError, match="line 3") as info:
         read_clean_sensor(table(GOOD, row))
     assert repr(row.split(",")) in str(info.value)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, ingest._CHUNK_ROWS])
+def test_first_bad_row_is_named_in_any_chunk(monkeypatch, chunk_rows):
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+    short = "A,1,2019-05-01T12:00:01.000Z,41.0"
+    lat_91 = "A,1,2019-05-01T12:00:02.000Z,91.0,-96.0,90.0,50.0,0.0"
+    bad_time = "A,1,2019-05-01T12:00:03.000Q,41.0,-96.0,90.0,50.0,0.0"
+    with pytest.raises(DataError, match="line 4"):
+        read_clean_sensor(table(GOOD, "", lat_91, short, bad_time))
 
 
 def test_missing_column_raises_header_mismatch():
@@ -269,6 +280,8 @@ _positions = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)) | st.tu
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_positions, min_size=1, max_size=30))
+# numpy's x**2 multiplies; Python's calls pow, which differs here in the last bit.
+@example([(41.00026136551726, 2.0), (-54.013463532373166, 0.0)])
 def test_odometer_is_bitwise_the_scalar_haversine_sum(track):
     t0 = datetime(2019, 5, 1, 12, tzinfo=timezone.utc)
     records = [
@@ -294,21 +307,20 @@ _time_columns = st.lists(
 )
 
 
-def _us_one_by_one(texts):
+def _us_or_bad(text):
     try:
-        return [(parse_time_utc(s) - ingest.EPOCH) // timedelta(microseconds=1) for s in texts]
-    except Exception as exc:  # both paths must fail alike
-        return type(exc)
+        return (parse_time_utc(text) - ingest.EPOCH) // timedelta(microseconds=1)
+    except ingest._BAD_VALUE:  # the column path must reject it too
+        return "bad"
 
 
 @settings(max_examples=400, deadline=None)
 @given(_time_columns)
 def test_time_column_parses_as_parse_time_utc_does(texts):
-    try:
-        got = ingest._times_us(tuple(texts)).tolist()
-    except Exception as exc:
-        got = type(exc)
-    assert got == _us_one_by_one(texts)
+    bad = np.zeros(len(texts), dtype=bool)
+    us = ingest._times_us(tuple(texts), bad).tolist()
+    got = ["bad" if b else u for u, b in zip(us, bad.tolist())]
+    assert got == [_us_or_bad(text) for text in texts]
 
 
 @pytest.mark.parametrize(
@@ -317,8 +329,9 @@ def test_time_column_parses_as_parse_time_utc_does(texts):
 )
 def test_impossible_canonical_times_are_rejected(text):
     good = "2019-05-01T12:00:00.000Z"
-    with pytest.raises(ValueError):
-        ingest._times_us((good, text))
+    bad = np.zeros(2, dtype=bool)
+    ingest._times_us((good, text), bad)
+    assert bad.tolist() == [False, True]
     with pytest.raises(ValueError):
         parse_time_utc(text)
 

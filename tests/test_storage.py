@@ -6,6 +6,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import intxn_pipeline
@@ -114,6 +115,28 @@ def test_writer_failing_partway_leaves_no_file(tmp_path):
     target = tmp_path / "x.csv"
     with pytest.raises(AttributeError):
         ingest.write_sensor_csv([good, replace(good, t_utc=None)], target)
+    assert list(tmp_path.iterdir()) == []  # neither x.csv nor a .tmp sibling
+
+
+def test_sensor_writer_failing_after_rows_leaves_no_file(tmp_path):
+    seen = []
+
+    class Unwritable:
+        """A subj that fails to render, after the rows before it reached the file."""
+
+        def __str__(self):
+            seen.extend(path.stat().st_size for path in tmp_path.iterdir())
+            raise RuntimeError("unwritable subj")
+
+    n = 2000  # rows of the first drive: far more than one write buffer
+    t_us = 1_556_719_402_000_000 + 100_000 * np.arange(n + 1)
+    floats = [np.full(n + 1, v) for v in (41.25, -96.0, 90.0, 50.0)]
+    table = ingest.SensorTable(
+        [("S1", 1), (Unwritable(), 2)], [0, n, n + 1], t_us, *floats, np.arange(n + 1.0)
+    )
+    with pytest.raises(RuntimeError, match="unwritable subj"):
+        ingest.write_sensor_csv(table, tmp_path / "x.csv")
+    assert len(seen) == 1 and seen[0] > 0  # only the .tmp sibling, holding rows
     assert list(tmp_path.iterdir()) == []  # neither x.csv nor a .tmp sibling
 
 

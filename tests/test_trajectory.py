@@ -268,3 +268,19 @@ def test_trajectories_csv_bad_row_raises_data_error(field, value, message):
     cells[field] = value
     with pytest.raises(DataError, match=message):
         load_trajectories_csv(io.StringIO(header + "\n" + ",".join(cells.values()) + "\n"), sensor)
+
+
+@pytest.mark.parametrize("column", ["traj_id", "n_points"])
+def test_trajectories_csv_missing_column_raises_header_mismatch(column):
+    from intxn_pipeline.errors import HeaderMismatchError
+
+    sensor = northbound_drive()
+    trajs, _ = _extract(sensor, [northbound_intersection()])
+    out = io.StringIO()
+    write_trajectories_csv(trajs, out)
+    header, row = out.getvalue().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    del cells[column]
+    text = ",".join(cells) + "\n" + ",".join(cells.values()) + "\n"
+    with pytest.raises(HeaderMismatchError, match=column):
+        load_trajectories_csv(io.StringIO(text), SensorTable.from_records(sensor))
