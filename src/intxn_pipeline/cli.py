@@ -21,35 +21,38 @@ import io
 import json
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 from . import clips as clips_mod
 from . import discovery, ingest, review, synth, trajectory
-from .config import PipelineConfig, load_config
+from .config import DEFAULT_INPUTS, PipelineConfig, load_config
 from .errors import DataError, MissingPrerequisiteError, PipelineError
 from .storage import resolve_uri
-
-STAGES = (
-    "clean",
-    "lrs-intxns",
-    "subj-intxns",
-    "export-kml",
-    "import-review",
-    "traj",
-    "clips",
-    "template",
-    "synth",
-    "all",
-)
 
 # Stage order for `all`, with the review pause between export-kml and
 # import-review.
 PRE_REVIEW_STAGES = ("clean", "lrs-intxns", "subj-intxns", "export-kml")
 POST_REVIEW_STAGES = ("import-review", "traj", "clips", "template")
 
+# A stage body's summary line and its (output, report fields) pairs.
+StageResult = tuple[str, list[tuple[Path, dict]]]
 
-def _write_report(output: Path, report: dict) -> None:
-    _write_json(Path(str(output) + ".report.json"), report)
+# Every stage by name, in CLI order: its prerequisites and its body. A
+# prerequisite is (path key, what, producing stage); one with a producer is
+# that stage's output, one without is a study input. The runner checks each
+# and passes its path to the body, in declaration order.
+_STAGES: dict[str, tuple[tuple[tuple[str, str, str | None], ...], Callable]] = {}
+
+
+def _stage(name: str, *prerequisites: tuple[str, str, str | None]):
+    """Register the decorated stage body under ``name``."""
+
+    def register(body: Callable[..., StageResult]) -> Callable[..., StageResult]:
+        _STAGES[name] = (prerequisites, body)
+        return body
+
+    return register
 
 
 def _write_json(output: Path, doc) -> None:
@@ -89,7 +92,7 @@ def _clean_sensor(path: Path) -> ingest.SensorTable:
     return _sensor_table[1]
 
 
-def _expand_files(cfg: PipelineConfig, key: str) -> list[str]:
+def _expand_files(cfg: PipelineConfig, key: str, what: str) -> list[str]:
     files: list[str] = []
     patterns = cfg.input_globs(key)
     for pattern in patterns:
@@ -100,82 +103,87 @@ def _expand_files(cfg: PipelineConfig, key: str) -> list[str]:
     if not files:
         raise MissingPrerequisiteError(f"no files match {key} patterns: {', '.join(patterns)}")
     for f in files:
-        _require(Path(f), f"{key} input")
+        _require(Path(f), what)
     return files
 
 
-def stage_clean(cfg: PipelineConfig) -> str:
+def _prerequisite(cfg: PipelineConfig, key: str, what: str, produced_by: str | None):
+    if produced_by:
+        path = cfg.output_path(key)
+    elif isinstance(DEFAULT_INPUTS[key], list):  # a file set: the body gets its file list
+        return _expand_files(cfg, key, what)
+    else:
+        path = cfg.input_path(key)
+    _require(path, what, produced_by)
+    return path
+
+
+def _run_stage(name: str, cfg: PipelineConfig) -> str:
+    """Check, run, time and report one stage; prints and returns its summary.
+
+    The clock stops once the body has written all of the stage's outputs,
+    so every report of one stage carries the same ``wall_time_s``.
+    """
+    prerequisites, body = _STAGES[name]
     t0 = time.perf_counter()
-    sensor_files = _expand_files(cfg, "sensor_files")
-    cv_files = _expand_files(cfg, "cv_files")
+    summary, reports = body(cfg, *[_prerequisite(cfg, *p) for p in prerequisites])
+    wall = time.perf_counter() - t0
+    for output, fields in reports:
+        _write_json(
+            Path(str(output) + ".report.json"), {"stage": name, **fields, "wall_time_s": wall}
+        )
+    print(summary)
+    return summary
+
+
+@_stage(
+    "clean",
+    ("sensor_files", "sensor_files input", None),
+    ("cv_files", "cv_files input", None),
+)
+def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str]) -> StageResult:
     sensor, sensor_drops = ingest.clean_sensor(sensor_files, jobs=cfg.jobs)
     detections, cv_drops = ingest.clean_cv(
         cv_files, sensor, join_tol_s=cfg.params["join_tol_s"], jobs=cfg.jobs
     )
 
-    sensor_out = cfg.output_path("clean_sensor")
-    ingest.write_sensor_csv(sensor, sensor_out)
-    _write_json(Path(str(sensor_out) + ".drops.json"), sensor_drops)
-    cv_out = cfg.output_path("clean_cv")
-    ingest.write_detections_csv(detections, cv_out)
-    _write_json(Path(str(cv_out) + ".drops.json"), cv_drops)
-    wall = time.perf_counter() - t0
-
-    _write_report(
-        sensor_out,
-        {
-            "stage": "clean",
-            "rows_in": len(sensor) + sum(sensor_drops.values()),
-            "rows_out": len(sensor),
-            "drops": sensor_drops,
-            "inputs": sensor_files,
-            "wall_time_s": wall,
-        },
-    )
-    _write_report(
-        cv_out,
-        {
-            "stage": "clean",
-            "rows_in": len(detections) + sum(cv_drops.values()),
-            "rows_out": len(detections),
-            "drops": cv_drops,
-            "inputs": cv_files,
-            "wall_time_s": wall,
-        },
-    )
-    return (
+    reports = []
+    for key, write, rows, drops, inputs in (
+        ("clean_sensor", ingest.write_sensor_csv, sensor, sensor_drops, sensor_files),
+        ("clean_cv", ingest.write_detections_csv, detections, cv_drops, cv_files),
+    ):
+        out = cfg.output_path(key)
+        write(rows, out)
+        _write_json(Path(str(out) + ".drops.json"), drops)
+        report = {"rows_in": len(rows) + sum(drops.values()), "rows_out": len(rows)}
+        reports.append((out, {**report, "drops": drops, "inputs": inputs}))
+    summary = (
         f"clean: {len(sensor)} sensor rows ({sum(sensor_drops.values())} dropped), "
         f"{len(detections)} detections ({sum(cv_drops.values())} dropped)"
     )
+    return summary, reports
 
 
-def stage_lrs_intxns(cfg: PipelineConfig) -> str:
-    t0 = time.perf_counter()
-    network_path = cfg.input_path("network")
-    _require(network_path, "road network GeoJSON")
+@_stage("lrs-intxns", ("network", "road network GeoJSON", None))
+def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
     network = discovery.load_network_geojson(network_path)
     candidates = discovery.extract_lrs_candidates(network, tol_ft=cfg.params["tol_ft"])
     out = cfg.output_path("lrs_candidates")
     discovery.save_geojson(discovery.candidates_to_geojson(candidates), out)
-    _write_report(
-        out,
-        {
-            "stage": "lrs-intxns",
-            "polylines": len(network.polylines),
-            "vertices": sum(len(pts) for _, pts in network.polylines),
-            "candidates": len(candidates),
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return f"lrs-intxns: {len(candidates)} intersection candidates"
+    report = {
+        "polylines": len(network.polylines),
+        "vertices": sum(len(pts) for _, pts in network.polylines),
+        "candidates": len(candidates),
+    }
+    return f"lrs-intxns: {len(candidates)} intersection candidates", [(out, report)]
 
 
-def stage_subj_intxns(cfg: PipelineConfig) -> str:
-    t0 = time.perf_counter()
-    cv_path = cfg.output_path("clean_cv")
-    cand_path = cfg.output_path("lrs_candidates")
-    _require(cv_path, "clean detection table", produced_by="clean")
-    _require(cand_path, "intersection candidate list", produced_by="lrs-intxns")
+@_stage(
+    "subj-intxns",
+    ("clean_cv", "clean detection table", "clean"),
+    ("lrs_candidates", "intersection candidate list", "lrs-intxns"),
+)
+def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> StageResult:
     detections = ingest.read_clean_detections(cv_path)
     candidates = discovery.candidates_from_geojson(discovery.load_geojson(cand_path))
     if not candidates:
@@ -192,52 +200,37 @@ def stage_subj_intxns(cfg: PipelineConfig) -> str:
     )
     out = cfg.output_path("visited_candidates")
     discovery.save_geojson(discovery.visited_to_geojson(visited), out)
-    _write_report(
-        out,
-        {
-            "stage": "subj-intxns",
-            "detections": len(detections),
-            "last_in_runs": len(last),
-            "clusters": len(clusters),
-            "visited": len(visited),
-            "unmatched": [
-                {
-                    "cluster_id": u.cluster_id,
-                    "nearest_intxn_id": u.nearest_intxn_id,
-                    "dist_ft": u.dist_ft,
-                }
-                for u in unmatched
-            ],
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return f"subj-intxns: {len(visited)} visited candidates, {len(unmatched)} unmatched clusters"
+    report = {
+        "detections": len(detections),
+        "last_in_runs": len(last),
+        "clusters": len(clusters),
+        "visited": len(visited),
+        "unmatched": [
+            {
+                "cluster_id": u.cluster_id,
+                "nearest_intxn_id": u.nearest_intxn_id,
+                "dist_ft": u.dist_ft,
+            }
+            for u in unmatched
+        ],
+    }
+    summary = f"subj-intxns: {len(visited)} visited candidates, {len(unmatched)} unmatched clusters"
+    return summary, [(out, report)]
 
 
-def stage_export_kml(cfg: PipelineConfig) -> str:
-    t0 = time.perf_counter()
-    visited_path = cfg.output_path("visited_candidates")
-    _require(visited_path, "visited candidate list", produced_by="subj-intxns")
+@_stage("export-kml", ("visited_candidates", "visited candidate list", "subj-intxns"))
+def stage_export_kml(cfg: PipelineConfig, visited_path: Path) -> StageResult:
     visited = discovery.visited_from_geojson(discovery.load_geojson(visited_path))
     if not visited:
         raise DataError(f"no visited candidates to export: {visited_path}")
     out = cfg.output_path("candidates_kml")
     review.export_candidates_kml(visited, out)
-    _write_report(
-        out,
-        {
-            "stage": "export-kml",
-            "candidates": len(visited),
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return f"export-kml: {len(visited)} candidates written to {out}"
+    summary = f"export-kml: {len(visited)} candidates written to {out}"
+    return summary, [(out, {"candidates": len(visited)})]
 
 
-def stage_import_review(cfg: PipelineConfig) -> str:
-    t0 = time.perf_counter()
-    kml_path = cfg.input_path("reviewed_kml")
-    _require(kml_path, "human-reviewed KML")
+@_stage("import-review", ("reviewed_kml", "human-reviewed KML", None))
+def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
     reviewed, rejects = review.import_reviewed_kml(
         kml_path,
         polygon_match_ft=cfg.params["polygon_match_ft"],
@@ -245,27 +238,21 @@ def stage_import_review(cfg: PipelineConfig) -> str:
     )
     out = cfg.output_path("reviewed_json")
     review.save_reviewed_json(reviewed, out)
-    _write_report(
-        out,
-        {
-            "stage": "import-review",
-            "intersections": len(reviewed),
-            "approaches": sum(len(r.approaches) for r in reviewed),
-            "rejects": [
-                {"kind": r.kind, "name": r.name, "reason": r.reason} for r in rejects
-            ],
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return f"import-review: {len(reviewed)} true intersections, {len(rejects)} rejects"
+    report = {
+        "intersections": len(reviewed),
+        "approaches": sum(len(r.approaches) for r in reviewed),
+        "rejects": [{"kind": r.kind, "name": r.name, "reason": r.reason} for r in rejects],
+    }
+    summary = f"import-review: {len(reviewed)} true intersections, {len(rejects)} rejects"
+    return summary, [(out, report)]
 
 
-def stage_traj(cfg: PipelineConfig) -> str:
-    t0 = time.perf_counter()
-    reviewed_path = cfg.output_path("reviewed_json")
-    sensor_path = cfg.output_path("clean_sensor")
-    _require(reviewed_path, "reviewed intersections", produced_by="import-review")
-    _require(sensor_path, "clean sensor table", produced_by="clean")
+@_stage(
+    "traj",
+    ("reviewed_json", "reviewed intersections", "import-review"),
+    ("clean_sensor", "clean sensor table", "clean"),
+)
+def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> StageResult:
     reviewed = trajectory.assign_bearings(review.load_reviewed_json(reviewed_path))
     sensor = _clean_sensor(sensor_path)
     params = trajectory.WindowParams(
@@ -277,26 +264,19 @@ def stage_traj(cfg: PipelineConfig) -> str:
     trajs, skip_report = trajectory.extract_trajectories(sensor, reviewed, params)
     out = cfg.output_path("trajectories")
     trajectory.write_trajectories_csv(trajs, out)
-    _write_report(
-        out,
-        {
-            "stage": "traj",
-            "trajectories": len(trajs),
-            "skips": skip_report,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return f"traj: {len(trajs)} entering trajectories, skips {skip_report}"
+    summary = f"traj: {len(trajs)} entering trajectories, skips {skip_report}"
+    return summary, [(out, {"trajectories": len(trajs), "skips": skip_report})]
 
 
-def stage_clips(cfg: PipelineConfig) -> str:
-    t0 = time.perf_counter()
-    traj_path = cfg.output_path("trajectories")
-    sensor_path = cfg.output_path("clean_sensor")
-    videos_path = cfg.input_path("videos")
-    _require(traj_path, "trajectory table", produced_by="traj")
-    _require(sensor_path, "clean sensor table", produced_by="clean")
-    _require(videos_path, "video metadata CSV")
+@_stage(
+    "clips",
+    ("trajectories", "trajectory table", "traj"),
+    ("clean_sensor", "clean sensor table", "clean"),
+    ("videos", "video metadata CSV", None),
+)
+def stage_clips(
+    cfg: PipelineConfig, traj_path: Path, sensor_path: Path, videos_path: Path
+) -> StageResult:
     sensor = _clean_sensor(sensor_path)
     trajs = trajectory.load_trajectories_csv(traj_path, sensor)
     videos = clips_mod.read_videos_csv(videos_path)
@@ -308,30 +288,20 @@ def stage_clips(cfg: PipelineConfig) -> str:
     out = cfg.output_path("cutlist")
     script_out = cfg.output_path("cutlist_script")
     clips_mod.emit_cutlist(specs, out, script_out, processor=cfg.processor)
-    _write_report(
-        out,
-        {
-            "stage": "clips",
-            "trajectories": len(trajs),
-            "clips": len(specs),
-            "unclippable": report["unclippable"],
-            "warnings": report["warnings"],
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return f"clips: {len(specs)} clip specs, {len(report['unclippable'])} unclippable"
+    summary = f"clips: {len(specs)} clip specs, {len(report['unclippable'])} unclippable"
+    return summary, [(out, {"trajectories": len(trajs), "clips": len(specs), **report})]
 
 
-def stage_template(cfg: PipelineConfig) -> str:
-    t0 = time.perf_counter()
-    traj_path = cfg.output_path("trajectories")
-    sensor_path = cfg.output_path("clean_sensor")
-    cutlist_path = cfg.output_path("cutlist")
-    demo_path = cfg.input_path("demographics")
-    _require(traj_path, "trajectory table", produced_by="traj")
-    _require(sensor_path, "clean sensor table", produced_by="clean")
-    _require(cutlist_path, "cut-list JSON", produced_by="clips")
-    _require(demo_path, "demographics CSV")
+@_stage(
+    "template",
+    ("trajectories", "trajectory table", "traj"),
+    ("clean_sensor", "clean sensor table", "clean"),
+    ("cutlist", "cut-list JSON", "clips"),
+    ("demographics", "demographics CSV", None),
+)
+def stage_template(
+    cfg: PipelineConfig, traj_path: Path, sensor_path: Path, cutlist_path: Path, demo_path: Path
+) -> StageResult:
     sensor = _clean_sensor(sensor_path)
     trajs = trajectory.load_trajectories_csv(traj_path, sensor)
     specs = clips_mod.parse_cutlist(cutlist_path)
@@ -347,66 +317,37 @@ def stage_template(cfg: PipelineConfig) -> str:
     review.write_review_csv(rows, list(cfg.custom_fields), out)
     manifest_out = cfg.output_path("validation_manifest")
     review.write_validation_manifest(manifest, manifest_out)
-    _write_report(
-        out,
-        {
-            "stage": "template",
-            "rows": len(rows),
-            "custom_fields": list(cfg.custom_fields),
-            "warnings": warnings,
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return f"template: {len(rows)} review rows"
+    report = {"rows": len(rows), "custom_fields": list(cfg.custom_fields), "warnings": warnings}
+    return f"template: {len(rows)} review rows", [(out, report)]
 
 
-def stage_synth(cfg: PipelineConfig) -> str:
-    t0 = time.perf_counter()
+@_stage("synth")
+def stage_synth(cfg: PipelineConfig) -> StageResult:
     scenario = synth.generate(cfg.synth, cfg.workspace)
-    gt_path = scenario.paths["ground_truth"]
-    _write_report(
-        gt_path,
-        {
-            "stage": "synth",
-            "junctions": len(scenario.ground_truth.junctions),
-            "candidates": len(scenario.ground_truth.candidates),
-            "visited": len(scenario.ground_truth.visited_ids),
-            "trajectories": len(scenario.ground_truth.trajectories),
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return (
+    truth = scenario.ground_truth
+    report = {
+        "junctions": len(truth.junctions),
+        "candidates": len(truth.candidates),
+        "visited": len(truth.visited_ids),
+        "trajectories": len(truth.trajectories),
+    }
+    summary = (
         f"synth: wrote scenario to {cfg.workspace} "
-        f"({len(scenario.ground_truth.candidates)} candidates, "
-        f"{len(scenario.ground_truth.trajectories)} expected trajectories)"
+        f"({len(truth.candidates)} candidates, "
+        f"{len(truth.trajectories)} expected trajectories)"
     )
+    return summary, [(scenario.paths["ground_truth"], report)]
 
 
-_STAGE_FUNCS = {
-    "clean": stage_clean,
-    "lrs-intxns": stage_lrs_intxns,
-    "subj-intxns": stage_subj_intxns,
-    "export-kml": stage_export_kml,
-    "import-review": stage_import_review,
-    "traj": stage_traj,
-    "clips": stage_clips,
-    "template": stage_template,
-    "synth": stage_synth,
-}
+STAGES = (*_STAGES, "all")
 
 
 def run(stage: str, cfg: PipelineConfig) -> list[str]:
     """Run one stage (or `all`); returns the printed summary lines."""
     if stage != "all":
-        summary = _STAGE_FUNCS[stage](cfg)
-        print(summary)
-        return [summary]
+        return [_run_stage(stage, cfg)]
 
-    lines = []
-    for name in PRE_REVIEW_STAGES:
-        summary = _STAGE_FUNCS[name](cfg)
-        print(summary)
-        lines.append(summary)
+    lines = [_run_stage(name, cfg) for name in PRE_REVIEW_STAGES]
     kml_path = cfg.input_path("reviewed_kml")
     if not kml_path.exists():
         pause = (
@@ -415,13 +356,8 @@ def run(stage: str, cfg: PipelineConfig) -> list[str]:
             "`intxn-pipeline all`."
         )
         print(pause)
-        lines.append(pause)
-        return lines
-    for name in POST_REVIEW_STAGES:
-        summary = _STAGE_FUNCS[name](cfg)
-        print(summary)
-        lines.append(summary)
-    return lines
+        return lines + [pause]
+    return lines + [_run_stage(name, cfg) for name in POST_REVIEW_STAGES]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -432,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("stage", choices=STAGES, help="pipeline stage to run")
     parser.add_argument("--config", required=True, help="path to the JSON config file")
-    parser.add_argument("--jobs", type=int, default=None, help="worker cap for parallel stages")
+    parser.add_argument("--jobs", type=int, default=None, help="reader-thread cap for clean only")
     parser.add_argument(
         "--param",
         action="append",

@@ -628,7 +628,9 @@ def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
     """Load a clean detection table; raises DataError on any anomaly.
 
     Blank lines are skipped. A row that lacks a column, or holds a value
-    that does not parse or a position out of range, raises DataError
+    that does not parse, a position out of range, or what ``clean_cv``
+    never writes (an empty subj, an object class outside
+    ``OBJECT_CLASSES``, a confidence outside [0, 1]), raises DataError
     naming its line.
     """
     with resolve_uri(source, "r") as handle:
@@ -641,16 +643,21 @@ def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
             if not row:
                 continue
             try:
-                out.append(
-                    DetectionRecord(
-                        row[subj],
-                        int(row[drive]),
-                        parse_time_utc(row[t]),
-                        GeoPoint(float(row[lat]), float(row[lon])),
-                        row[object_class],
-                        float(row[confidence]),
-                    )
+                record = DetectionRecord(
+                    row[subj],
+                    int(row[drive]),
+                    parse_time_utc(row[t]),
+                    GeoPoint(float(row[lat]), float(row[lon])),
+                    row[object_class],
+                    float(row[confidence]),
                 )
+                if (
+                    not record.subj
+                    or record.object_class not in OBJECT_CLASSES
+                    or not 0.0 <= record.confidence <= 1.0
+                ):
+                    raise ValueError("a value clean_cv never writes")
+                out.append(record)
             except _BAD_VALUE as exc:
                 raise DataError(
                     f"bad row in clean detection table at line {reader.line_num}: {row!r}"

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import intxn_pipeline
-from intxn_pipeline import ingest
+from intxn_pipeline import cli, ingest
 from intxn_pipeline.cli import main
 from intxn_pipeline.config import load_config
 from intxn_pipeline.errors import ConfigError, StorageNotFoundError, UnsupportedSchemeError
@@ -110,12 +112,63 @@ def test_stages_run_in_order(workspace, capsys):
     assert (ws / "out" / "clean_sensor.csv.drops.json").exists()
 
 
-def test_missing_prerequisite_names_file(workspace, capsys):
-    ws, config = workspace
-    assert _run(config, "traj") == 1
+# Every stage's declared prerequisites: (stage, path key, file, producing
+# stage); a prerequisite without a producer is a study input.
+PREREQUISITES = [
+    ("clean", "sensor_files", "sensor/*.csv", None),
+    ("clean", "cv_files", "cv/*.csv", None),
+    ("lrs-intxns", "network", "network.geojson", None),
+    ("subj-intxns", "clean_cv", "out/clean_cv.csv", "clean"),
+    ("subj-intxns", "lrs_candidates", "out/lrs_candidates.geojson", "lrs-intxns"),
+    ("export-kml", "visited_candidates", "out/visited_candidates.geojson", "subj-intxns"),
+    ("import-review", "reviewed_kml", "reviewed.kml", None),
+    ("traj", "reviewed_json", "out/reviewed.json", "import-review"),
+    ("traj", "clean_sensor", "out/clean_sensor.csv", "clean"),
+    ("clips", "trajectories", "out/trajectories.csv", "traj"),
+    ("clips", "clean_sensor", "out/clean_sensor.csv", "clean"),
+    ("clips", "videos", "videos.csv", None),
+    ("template", "trajectories", "out/trajectories.csv", "traj"),
+    ("template", "clean_sensor", "out/clean_sensor.csv", "clean"),
+    ("template", "cutlist", "out/cutlist.json", "clips"),
+    ("template", "demographics", "demographics.csv", None),
+]
+
+
+@pytest.fixture(scope="module")
+def finished_study(tmp_path_factory):
+    """A default synthetic study run through every stage once."""
+    ws = tmp_path_factory.mktemp("study")
+    (ws / "pipeline.json").write_text("{}")
+    assert _run(ws / "pipeline.json", "synth") == 0
+    assert _run(ws / "pipeline.json", "all") == 0
+    return ws
+
+
+@pytest.mark.parametrize(
+    "stage, key, missing, produced_by",
+    PREREQUISITES,
+    ids=[f"{stage}-{key}" for stage, key, _, _ in PREREQUISITES],
+)
+def test_missing_prerequisite_names_file(
+    finished_study, tmp_path, capsys, stage, key, missing, produced_by
+):
+    declared = {
+        (name, k, producer) for name, (needs, _) in cli._STAGES.items() for k, _, producer in needs
+    }
+    assert declared == {(s, k, producer) for s, k, _, producer in PREREQUISITES}
+    ws = shutil.copytree(finished_study, tmp_path / "study")
+    removed = list(ws.glob(missing))
+    assert removed
+    for path in removed:
+        path.unlink()
+    capsys.readouterr()
+    assert _run(ws / "pipeline.json", stage) == 1
     err = capsys.readouterr().err
-    assert "reviewed.json" in err
-    assert "import-review" in err
+    assert str(ws / missing) in err
+    if produced_by:
+        assert f"(produced by `intxn-pipeline {produced_by}`)" in err
+    else:
+        assert "produced by" not in err
 
 
 def test_run_all_completes_with_reviewed_kml(workspace, capsys):
@@ -246,6 +299,29 @@ def test_stage_reports_reconcile(workspace):
         len(f["properties"]["supporting_cluster_ids"]) for f in visited["features"]
     )
     assert subj_report["clusters"] == supporting + len(subj_report["unmatched"])
+    # Every report names its stage first and ends with the stage's wall time
+    # (perfbench reads it), taken once over all of the stage's outputs.
+    stages = {
+        "ground_truth.json": "synth",
+        "out/clean_sensor.csv": "clean",
+        "out/clean_cv.csv": "clean",
+        "out/lrs_candidates.geojson": "lrs-intxns",
+        "out/visited_candidates.geojson": "subj-intxns",
+        "out/candidates.kml": "export-kml",
+        "out/reviewed.json": "import-review",
+        "out/trajectories.csv": "traj",
+        "out/cutlist.json": "clips",
+        "out/review_template.csv": "template",
+    }
+    reports = {
+        str(path.relative_to(ws)).removesuffix(".report.json"): json.loads(path.read_text())
+        for path in ws.rglob("*.report.json")
+    }
+    assert sorted(reports) == sorted(stages)
+    for output, doc in reports.items():
+        keys = list(doc)
+        assert (keys[0], keys[-1], doc["stage"]) == ("stage", "wall_time_s", stages[output]), output
+    assert report["wall_time_s"] == cv_report["wall_time_s"]
 
 
 def test_clean_report_times_the_csv_writes(workspace, monkeypatch):
@@ -261,6 +337,31 @@ def test_clean_report_times_the_csv_writes(workspace, monkeypatch):
     for name in ("clean_sensor.csv", "clean_cv.csv"):
         report = json.loads((ws / "out" / f"{name}.report.json").read_text())
         assert report["wall_time_s"] >= 0.2, name
+
+
+def test_only_the_stage_runner_times_and_writes_reports():
+    # Stage bodies read, compute and write; a body that starts its own clock
+    # or writes its own .report.json would drift from the runner's.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (runner,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_run_stage"]
+    in_runner = {id(node) for node in ast.walk(runner)}
+    inside, outside = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            what = node.attr
+        elif isinstance(node, ast.alias):  # from time import perf_counter
+            what = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            what = node.value
+        else:
+            continue
+        if what == "perf_counter" or ".report.json" in what:
+            if id(node) in in_runner:
+                inside.add(what)
+            else:
+                outside.append(f"cli.py:{node.lineno}: {what}")
+    assert outside == []
+    assert inside == {"perf_counter", ".report.json"}
 
 
 @pytest.mark.parametrize("key", ["eps_ft", "min_pts"])

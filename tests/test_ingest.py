@@ -395,8 +395,23 @@ CLEAN_CV_ROW = "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign,0.9"
         "A,1,2019-05-01T12:00:10.000Z,91.0,-96.0,stop_sign,0.9",
         "A,1,2019-05-01T12:00:10.000Z,41.0,nan,stop_sign,0.9",
         "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign,x",
+        "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,bogus,0.9",
+        "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign,1.5",
+        "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign,nan",
+        ",1,2019-05-01T12:00:10.000Z,41.0,-96.0,stop_sign,0.9",
     ],
-    ids=["short-row", "drive-x", "bad-time", "lat-91", "lon-nan", "confidence-x"],
+    ids=[
+        "short-row",
+        "drive-x",
+        "bad-time",
+        "lat-91",
+        "lon-nan",
+        "confidence-x",
+        "unknown-class",
+        "confidence-1.5",
+        "confidence-nan",
+        "empty-subj",
+    ],
 )
 def test_read_clean_detections_bad_row_names_its_line(row):
     src = io.StringIO(f"{CLEAN_CV_HEADER}\n{CLEAN_CV_ROW}\n{row}\n")
