@@ -25,7 +25,7 @@ SPEC = ScenarioSpec(grid_rows=4, grid_cols=12, n_subjects=2, drives_per_subject=
 @pytest.fixture(scope="module")
 def scenario(tmp_path_factory):
     scenario = generate(SPEC, tmp_path_factory.mktemp("bench"))
-    sensor, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
+    sensor, _, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
     reviewed, _ = import_reviewed_kml(scenario.paths["reviewed_kml"])
     return scenario, sensor, assign_bearings(reviewed)
 

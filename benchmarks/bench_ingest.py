@@ -8,6 +8,9 @@ the ``fromisoformat`` fast path; the offset form takes the general path.
 The table benches clean, write, read, join and search a synth study of
 9,608 sensor rows held in memory, so no disk time is measured; the dirty
 clean bench gives the raw files one unparseable row in 100 or in 4,000.
+The detection benches run a study shaped like perfbench's
+crowded-junctions, many short drives through few junctions: 500 drives and
+3,000 detections, also in memory.
 """
 
 import io
@@ -15,12 +18,15 @@ from datetime import datetime, timezone
 
 import pytest
 
+from intxn_pipeline.discovery import last_in_runs
 from intxn_pipeline.ingest import (
     clean_cv,
     clean_sensor,
     format_time_utc,
     parse_time_utc,
+    read_clean_detections,
     read_clean_sensor,
+    write_detections_csv,
     write_sensor_csv,
 )
 from intxn_pipeline.review import import_reviewed_kml
@@ -28,6 +34,7 @@ from intxn_pipeline.synth import ScenarioSpec, generate
 from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
 
 SPEC = ScenarioSpec(grid_rows=3, grid_cols=6, n_subjects=2, drives_per_subject=4, sample_hz=10.0)
+CROWDED = ScenarioSpec(grid_rows=3, grid_cols=4, n_subjects=20, drives_per_subject=25, sample_hz=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +57,7 @@ def streams(texts):
 
 @pytest.fixture(scope="module")
 def sensor(raw_texts):
-    records, _ = clean_sensor(streams(raw_texts["sensor_files"]))
+    records, _, _ = clean_sensor(streams(raw_texts["sensor_files"]))
     return records
 
 
@@ -75,7 +82,7 @@ def test_format_time_utc(benchmark):
 
 
 def test_clean_sensor(benchmark, raw_texts, sensor):
-    records, drops = benchmark(lambda: clean_sensor(streams(raw_texts["sensor_files"])))
+    records, drops, _ = benchmark(lambda: clean_sensor(streams(raw_texts["sensor_files"])))
     assert records == sensor and not any(drops.values())
 
 
@@ -93,12 +100,12 @@ def spoil(text, every):
 def test_clean_sensor_dirty(benchmark, raw_texts, every):
     """Raw files with one unparseable row in ``every``: the bad-row path."""
     texts = [spoil(text, every) for text in raw_texts["sensor_files"]]
-    records, drops = benchmark(lambda: clean_sensor(streams(texts)))
+    records, drops, _ = benchmark(lambda: clean_sensor(streams(texts)))
     assert drops["unparseable"] == sum(len(text.splitlines()[1:]) // every for text in texts)
 
 
 def test_clean_cv_join(benchmark, raw_texts, sensor):
-    detections, drops = benchmark(lambda: clean_cv(streams(raw_texts["cv_files"]), sensor))
+    detections, drops, _ = benchmark(lambda: clean_cv(streams(raw_texts["cv_files"]), sensor))
     assert detections and not any(drops.values())
 
 
@@ -121,3 +128,50 @@ def test_write_sensor_csv(benchmark, sensor, sensor_text):
         return buf
 
     assert benchmark(write).getvalue() == sensor_text
+
+
+@pytest.fixture(scope="module")
+def crowded(tmp_path_factory):
+    """The raw detection files' text and the clean sensor table of the crowded study."""
+    scenario = generate(CROWDED, tmp_path_factory.mktemp("crowded"))
+    sensor = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])[0]
+    return [p.read_text(encoding="utf-8") for p in scenario.paths["cv_files"]], sensor
+
+
+@pytest.fixture(scope="module")
+def detections(crowded):
+    texts, sensor = crowded
+    return clean_cv(streams(texts), sensor)[0]
+
+
+@pytest.fixture(scope="module")
+def detection_text(detections):
+    buf = io.StringIO(newline="")
+    write_detections_csv(detections, buf)
+    return buf.getvalue()
+
+
+def test_clean_cv_crowded(benchmark, crowded, detections):
+    """Parse and join: the raw detection files to the clean sensor table."""
+    texts, sensor = crowded
+    joined = benchmark(lambda: clean_cv(streams(texts), sensor))
+    assert len(joined[0]) == len(detections) == 3000 and not any(joined[1].values())
+
+
+def test_write_detections_csv(benchmark, detections, detection_text):
+    def write():
+        buf = io.StringIO(newline="")
+        write_detections_csv(detections, buf)
+        return buf
+
+    assert benchmark(write).getvalue() == detection_text
+
+
+def test_read_clean_detections(benchmark, detections, detection_text):
+    loaded = benchmark(lambda: read_clean_detections(io.StringIO(detection_text, newline="")))
+    assert len(loaded) == len(detections)
+
+
+def test_last_in_runs(benchmark, detections):
+    kept = benchmark(last_in_runs, detections)
+    assert 0 < len(kept) < len(detections)

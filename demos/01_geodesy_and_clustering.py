@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 from intxn_pipeline import (
     DetectionRecord,
+    DetectionTable,
     GeoPoint,
     PolygonRing,
     angular_difference_deg,
@@ -76,7 +77,7 @@ for visit_start in (0.0, 60.0):
             )
         )
 print(f"raw detections      : {len(detections)}")
-survivors = last_in_runs(detections, max_gap_s=2.0)
+survivors = last_in_runs(DetectionTable.from_records(detections), max_gap_s=2.0)
 print(f"last-in-run kept    : {len(survivors)} (one per visit)")
 
 print()

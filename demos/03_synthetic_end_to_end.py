@@ -40,8 +40,8 @@ print(
 )
 
 print("\n== 1. clean ==")
-sensor, sensor_drops = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
-detections, cv_drops = clean_cv([str(p) for p in scenario.paths["cv_files"]], sensor)
+sensor, sensor_drops, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
+detections, cv_drops, _ = clean_cv([str(p) for p in scenario.paths["cv_files"]], sensor)
 print(f"sensor rows {len(sensor)} (drops {sum(sensor_drops.values())}), "
       f"detections {len(detections)} (drops {sum(cv_drops.values())})")
 

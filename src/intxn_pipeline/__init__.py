@@ -41,6 +41,7 @@ from .geo import (
 from .ingest import (
     CleanTables,
     DetectionRecord,
+    DetectionTable,
     SensorRecord,
     SensorTable,
     clean_cv,
@@ -70,6 +71,7 @@ __all__ = [
     "SensorRecord",
     "SensorTable",
     "DetectionRecord",
+    "DetectionTable",
     "CleanTables",
     "clean_sensor",
     "clean_cv",

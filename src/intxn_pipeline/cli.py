@@ -93,18 +93,18 @@ def _clean_sensor(path: Path) -> ingest.SensorTable:
 
 
 def _expand_files(cfg: PipelineConfig, key: str, what: str) -> list[str]:
-    files: list[str] = []
+    """The files the patterns of ``key`` name, each once, in first-seen order."""
+    files: dict[Path, str] = {}  # resolved path -> the name it was first found by
     patterns = cfg.input_globs(key)
     for pattern in patterns:
-        if any(ch in pattern for ch in "*?["):
-            files.extend(sorted(glob.glob(pattern)))
-        else:
-            files.append(pattern)
+        found = sorted(glob.glob(pattern)) if any(ch in pattern for ch in "*?[") else [pattern]
+        for f in found:
+            files.setdefault(Path(f).resolve(), f)
     if not files:
         raise MissingPrerequisiteError(f"no files match {key} patterns: {', '.join(patterns)}")
-    for f in files:
+    for f in files.values():
         _require(Path(f), what)
-    return files
+    return list(files.values())
 
 
 def _prerequisite(cfg: PipelineConfig, key: str, what: str, produced_by: str | None):
@@ -142,21 +142,21 @@ def _run_stage(name: str, cfg: PipelineConfig) -> str:
     ("cv_files", "cv_files input", None),
 )
 def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str]) -> StageResult:
-    sensor, sensor_drops = ingest.clean_sensor(sensor_files, jobs=cfg.jobs)
-    detections, cv_drops = ingest.clean_cv(
+    sensor, sensor_drops, sensor_in = ingest.clean_sensor(sensor_files, jobs=cfg.jobs)
+    detections, cv_drops, cv_in = ingest.clean_cv(
         cv_files, sensor, join_tol_s=cfg.params["join_tol_s"], jobs=cfg.jobs
     )
 
     reports = []
-    for key, write, rows, drops, inputs in (
-        ("clean_sensor", ingest.write_sensor_csv, sensor, sensor_drops, sensor_files),
-        ("clean_cv", ingest.write_detections_csv, detections, cv_drops, cv_files),
+    for key, write, rows, drops, rows_in, inputs in (
+        ("clean_sensor", ingest.write_sensor_csv, sensor, sensor_drops, sensor_in, sensor_files),
+        ("clean_cv", ingest.write_detections_csv, detections, cv_drops, cv_in, cv_files),
     ):
         out = cfg.output_path(key)
         write(rows, out)
         _write_json(Path(str(out) + ".drops.json"), drops)
-        report = {"rows_in": len(rows) + sum(drops.values()), "rows_out": len(rows)}
-        reports.append((out, {**report, "drops": drops, "inputs": inputs}))
+        report = {"rows_in": rows_in, "rows_out": len(rows), "drops": drops, "inputs": inputs}
+        reports.append((out, report))
     summary = (
         f"clean: {len(sensor)} sensor rows ({sum(sensor_drops.values())} dropped), "
         f"{len(detections)} detections ({sum(cv_drops.values())} dropped)"

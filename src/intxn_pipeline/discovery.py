@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .geo import EARTH_RADIUS_FT, CellGrid, GeoPoint, centroid
-from .ingest import DetectionRecord
+from .ingest import CLASS_NAMES, DetectionTable, to_seconds
 from .storage import resolve_uri
 
 DEFAULT_COINCIDENCE_TOL_FT = 1.0
@@ -45,7 +45,7 @@ class IntersectionCandidate:
 @dataclass
 class DetectionCluster:
     cluster_id: int
-    members: list[DetectionRecord]
+    members: DetectionTable
     center: GeoPoint
 
 
@@ -112,8 +112,8 @@ def extract_lrs_candidates(
 
 
 def last_in_runs(
-    detections: list[DetectionRecord], max_gap_s: float = DEFAULT_RUN_GAP_S
-) -> list[DetectionRecord]:
+    detections: DetectionTable, max_gap_s: float = DEFAULT_RUN_GAP_S
+) -> DetectionTable:
     """Keep only the last detection of each consecutive-detection run.
 
     Traffic control devices start getting detected well before the vehicle
@@ -121,22 +121,15 @@ def last_in_runs(
     per (subj, drive, object_class), split where the inter-detection gap
     exceeds ``max_gap_s``.
     """
-    by_stream: dict[tuple[str, int, str], list[DetectionRecord]] = {}
-    for det in detections:
-        by_stream.setdefault((det.subj, det.drive, det.object_class), []).append(det)
-
-    kept: list[DetectionRecord] = []
-    for key in sorted(by_stream):
-        stream = sorted(by_stream[key], key=DetectionRecord.sort_key)
-        for i, det in enumerate(stream):
-            if i + 1 == len(stream):
-                kept.append(det)
-            else:
-                gap = (stream[i + 1].t_utc - det.t_utc).total_seconds()
-                if gap > max_gap_s:
-                    kept.append(det)
-    kept.sort(key=DetectionRecord.sort_key)
-    return kept
+    d, codes = detections, detections.codes()
+    # Each (subj, drive, class) stream in time order, ties as in the table.
+    order = np.lexsort((d.confidence, d.t_us, d.class_code, codes))
+    stream = (codes * len(CLASS_NAMES) + d.class_code)[order]
+    last = np.ones(len(d), dtype=bool)
+    last[:-1] = (stream[1:] != stream[:-1]) | (to_seconds(np.diff(d.t_us[order])) > max_gap_s)
+    keep = np.empty(len(d), dtype=bool)
+    keep[order] = last
+    return d.take(keep)
 
 
 def dbscan_labels(
@@ -158,11 +151,16 @@ def dbscan_labels(
     the cells within reach. Cells within reach join in a union-find over
     cells when some pair of their core points is within eps.
     """
-    n = len(points)
-    if n == 0:
-        return []
     lats = np.array([p.lat_deg for p in points], dtype=float)
     lons = np.array([p.lon_deg for p in points], dtype=float)
+    return _dbscan(lats, lons, eps_ft, min_pts).tolist()
+
+
+def _dbscan(lats: np.ndarray, lons: np.ndarray, eps_ft: float, min_pts: int) -> np.ndarray:
+    """``dbscan_labels`` of the points at (lats, lons)."""
+    n = len(lats)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
     grid = CellGrid(lats, lons, eps_ft / 2.0, narrow=True)
     cells = list(grid.cells.values())
 
@@ -231,7 +229,7 @@ def dbscan_labels(
         adopted = labels[found[core[found]]]
         if adopted.size:
             labels[i] = adopted.min()
-    return labels.tolist()
+    return labels
 
 
 # Cross-cell distance tests run on blocks of at most this many points a
@@ -252,7 +250,7 @@ def _within_any(lats, lons, a: np.ndarray, b: np.ndarray, eps_ft: float) -> np.n
 
 
 def cluster_detections(
-    detections: list[DetectionRecord],
+    detections: DetectionTable,
     eps_ft: float = DEFAULT_EPS_FT,
     min_pts: int = DEFAULT_MIN_PTS,
 ) -> list[DetectionCluster]:
@@ -262,23 +260,22 @@ def cluster_detections(
     lon) of each cluster's minimal member so output is stable under input
     permutation.
     """
-    labels = dbscan_labels([d.pos for d in detections], eps_ft, min_pts)
-    groups: dict[int, list[DetectionRecord]] = {}
-    for det, lab in zip(detections, labels):
-        if lab >= 0:
-            groups.setdefault(lab, []).append(det)
-
+    lat, lon = detections.lat, detections.lon
+    labels = _dbscan(lat, lon, eps_ft, min_pts)
+    found = np.flatnonzero(labels >= 0)
+    found = found[np.argsort(labels[found], kind="stable")]
     built = []
-    for members in groups.values():
-        members = sorted(members, key=DetectionRecord.sort_key)
-        positions = sorted(
-            (m.pos for m in members), key=lambda p: (p.lat_deg, p.lon_deg)
-        )
-        built.append((positions[0], members, centroid(positions)))
-    built.sort(key=lambda t: ((t[0].lat_deg, t[0].lon_deg), t[1][0].sort_key()))
+    for rows in np.split(found, np.flatnonzero(np.diff(labels[found])) + 1) if found.size else []:
+        # The centroid adds up the members in (lat, lon) order, as
+        # geo.centroid adds up the positions it is given.
+        lats, lons = (c[rows[np.lexsort((lon[rows], lat[rows]))]].tolist() for c in (lat, lon))
+        center = GeoPoint(sum(lats) / len(rows), sum(lons) / len(rows))
+        # Rows ascend in sort-key order, so rows[0] is the minimal member.
+        built.append(((lats[0], lons[0], int(rows[0])), rows, center))
+    built.sort(key=lambda t: t[0])
     return [
-        DetectionCluster(i + 1, members, center)
-        for i, (_, members, center) in enumerate(built)
+        DetectionCluster(i + 1, detections.take(rows), center)
+        for i, (_, rows, center) in enumerate(built)
     ]
 
 

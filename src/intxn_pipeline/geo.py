@@ -57,6 +57,12 @@ class PolygonRing:
         if _ring_self_intersects(self.vertices):
             raise ValueError("polygon ring is self-intersecting")
 
+    def edge_lengths(self) -> list[float]:
+        """Planar length, in degrees, of each edge: vertex i to vertex i + 1."""
+        v = self.vertices
+        pairs = zip(v, v[1:] + v[:1])
+        return [math.hypot(b.lon_deg - a.lon_deg, b.lat_deg - a.lat_deg) for a, b in pairs]
+
     def bounds(self, pad_deg: float = 0.0) -> tuple[float, float, float, float]:
         """(min_lat, min_lon, max_lat, max_lon) of the ring, widened by ``pad_deg``.
 
@@ -234,6 +240,32 @@ def point_in_polygon(pt: GeoPoint, ring: PolygonRing) -> bool:
                 inside = not inside
         j = i
     return inside
+
+
+def points_in_polygon(ring: PolygonRing, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
+    """``point_in_polygon`` of each point at (lats, lons), as array operations.
+
+    Each edge runs the scalar test's IEEE expressions over all the points,
+    with its length from ``math.hypot``, so the answers are the scalar ones,
+    on edges and vertices too. The ring must have no zero-length edge (see
+    ``PolygonRing.edge_lengths``), whose on-edge test is a distance.
+    """
+    xs, ys = [v.lon_deg for v in ring.vertices], [v.lat_deg for v in ring.vertices]
+    # Edge k runs from vertex k (a) to vertex k + 1 (b), one row per edge.
+    ax, ay, bx, by = (np.array(c)[:, None] for c in (xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]))
+    seg_len = np.array(ring.edge_lengths())[:, None]
+    tol = ON_EDGE_TOL_DEG
+    cross = (bx - ax) * (lats - ay) - (by - ay) * (lons - ax)
+    on_edge = (
+        (np.abs(cross) / seg_len <= tol)
+        & (np.minimum(ax, bx) - tol <= lons) & (lons <= np.maximum(ax, bx) + tol)
+        & (np.minimum(ay, by) - tol <= lats) & (lats <= np.maximum(ay, by) + tol)
+    )
+    # The crossing number takes each edge from b (vertex i) to a (vertex j).
+    with np.errstate(divide="ignore", invalid="ignore"):  # edges with yi == yj never count
+        x_cross = (ax - bx) * (lats - by) / (ay - by) + bx
+    crosses = ((by > lats) != (ay > lats)) & (lons < x_cross)
+    return on_edge.any(axis=0) | np.logical_xor.reduce(crosses, axis=0)
 
 
 def point_to_segment_ft(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:

@@ -5,9 +5,10 @@ participant. This module merges them into two study-wide tables with a
 canonical (subj, drive, time) order, drops malformed rows instead of
 failing, and accounts for every dropped row in a drop report.
 
-The sensor table is a ``SensorTable``: numpy columns in the Arrow columnar
-layout (https://arrow.apache.org/docs/format/Columnar.html), so cleaning,
-writing, reading and the later stages work on arrays, not on per-row objects.
+Both tables, ``SensorTable`` and ``DetectionTable``, are numpy columns in the
+Arrow columnar layout (https://arrow.apache.org/docs/format/Columnar.html),
+so cleaning, writing, reading and the later stages work on arrays, not on
+per-row objects.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress
+from functools import partial
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, ClassVar, Iterable
 
 import numpy as np
 
@@ -113,10 +115,6 @@ class DetectionRecord:
         return (self.subj, self.drive, self.t_utc, self.object_class, self.confidence)
 
 
-# The row columns of a SensorTable, in SensorRecord field order.
-ROW_COLUMNS = ("t_us", "lat", "lon", "heading", "speed", "cum")
-
-
 def _drive_codes(subj: list, drive: list) -> tuple[list[tuple[str, int]], np.ndarray]:
     """The sorted distinct (subj, drive) keys and each row's index among them."""
     pairs = list(zip(subj, drive))
@@ -125,47 +123,58 @@ def _drive_codes(subj: list, drive: list) -> tuple[list[tuple[str, int]], np.nda
     return keys, np.fromiter(map(code.__getitem__, pairs), np.int64, len(pairs))
 
 
+def to_seconds(us: np.ndarray) -> np.ndarray:
+    """Seconds of microsecond counts, each as ``timedelta.total_seconds()`` gives it."""
+    # int64 to float64 is exact below 2**53 us (years 1685 to 2255).
+    if len(us) and max(-int(us.min()), int(us.max())) >= 2**53:
+        return np.array([n / 1_000_000 for n in us.tolist()])
+    return us / 1_000_000
+
+
 @dataclass(eq=False)
-class SensorTable:
-    """Sensor rows as read-only numpy columns, sorted by (subj, drive, time).
+class _Table:
+    """Rows as read-only numpy columns, sorted by (subj, drive), then ``SORT``.
 
     Drive key ``keys[d]`` (ascending, each once) owns rows
     ``offsets[d]:offsets[d + 1]``. Keys stay Python objects, so a subj keeps
-    its exact text and a drive any int. Time is int64 epoch microseconds,
-    the rest float64. ``table[i]`` builds row i as a SensorRecord, and a
-    contiguous slice is a view. Stages share one table, so the columns of a
-    table built here or viewed from one are read-only.
+    its exact text and a drive any int. ``COLUMNS`` names the row columns,
+    in record field order, with their dtypes; time is ``t_us``, int64 epoch
+    microseconds. ``table[i]`` builds row i as a record, and a contiguous
+    slice is a view. Stages share one table, so the columns of a table
+    built here or viewed from one are read-only.
     """
+
+    COLUMNS: ClassVar[dict[str, type]]
+    SORT: ClassVar[tuple[str, ...]]
 
     keys: list[tuple[str, int]]
     offsets: list[int]
-    t_us: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    heading: np.ndarray
-    speed: np.ndarray
-    cum: np.ndarray
 
     @classmethod
-    def from_columns(cls, subj, drive, t_us, lat, lon, heading, speed, cum) -> SensorTable:
+    def from_columns(cls, subj, drive, *columns):
         """A table of rows given column by column in any order; ties keep their order."""
         keys, codes = _drive_codes(subj, drive)
-        t_us = np.asarray(t_us, dtype=np.int64)
-        order = np.lexsort((t_us, codes))
-        floats = (np.asarray(c, dtype=float)[order] for c in (lat, lon, heading, speed, cum))
-        return cls._grouped(keys, codes[order], t_us[order], *floats)
+        return cls._sorted(keys, codes, *columns)
 
     @classmethod
-    def from_records(cls, records: Iterable[SensorRecord]) -> SensorTable:
+    def from_records(cls, records: Iterable):
         rows = [
-            (r.subj, r.drive, to_us(r.t_utc), r.pos.lat_deg, r.pos.lon_deg)
-            + (r.heading_deg, r.speed_fps, r.cum_dist_ft)
+            (r.subj, r.drive, to_us(r.t_utc), r.pos.lat_deg, r.pos.lon_deg, *cls._fields(r))
             for r in records
         ]
-        return cls.from_columns(*(zip(*rows) if rows else [()] * 8))
+        return cls.from_columns(*(zip(*rows) if rows else [()] * (2 + len(cls.COLUMNS))))
 
     @classmethod
-    def _grouped(cls, keys: list, codes: np.ndarray, *columns: np.ndarray) -> SensorTable:
+    def _sorted(cls, keys: list, codes: np.ndarray, *columns):
+        """A table of rows in any order, each given its index into ``keys``;
+        ties keep their order."""
+        columns = [np.asarray(c, dtype=t) for c, t in zip(columns, cls.COLUMNS.values())]
+        named = dict(zip(cls.COLUMNS, columns))
+        order = np.lexsort([named[n] for n in reversed(cls.SORT)] + [codes])
+        return cls._grouped(keys, codes[order], *(c[order] for c in columns))
+
+    @classmethod
+    def _grouped(cls, keys: list, codes: np.ndarray, *columns: np.ndarray):
         """A table of rows sorted by ``codes``, each row's index into ``keys``.
 
         Every key must own at least one row.
@@ -176,45 +185,108 @@ class SensorTable:
         return cls(keys, offsets, *columns)
 
     def __len__(self) -> int:
-        return len(self.t_us)
+        return self.offsets[-1]
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, n) for n in self.COLUMNS]
 
     def spans(self) -> Iterable[tuple[tuple[str, int], int, int]]:
         """(key, start, stop) of each drive's rows."""
         return zip(self.keys, self.offsets, self.offsets[1:])
 
+    def codes(self) -> np.ndarray:
+        """Each row's index into ``keys``."""
+        return np.repeat(np.arange(len(self.keys)), np.diff(self.offsets))
+
     def seconds(self) -> np.ndarray:
         """Epoch seconds of each row, equal to ``datetime.timestamp()``."""
-        # int64 to float64 is exact below 2**53 us (years 1685 to 2255).
-        if len(self) and max(-int(self.t_us.min()), int(self.t_us.max())) >= 2**53:
-            return np.array([us / 1_000_000 for us in self.t_us.tolist()])
-        return self.t_us / 1_000_000
+        return to_seconds(self.t_us)
+
+    def take(self, rows: np.ndarray):
+        """The table of the rows at ascending indices, or where a mask is true."""
+        used, codes = np.unique(self.codes()[rows], return_inverse=True)
+        keys = [self.keys[k] for k in used.tolist()]
+        return self._grouped(keys, codes, *(c[rows] for c in self.columns()))
 
     def __getitem__(self, i):
         if not isinstance(i, slice):
             i = range(len(self))[i]  # raises IndexError out of range
             d = bisect_right(self.offsets, i) - 1
-            t, lat, lon, heading, speed, cum = (getattr(self, n)[i].item() for n in ROW_COLUMNS)
-            return SensorRecord(*self.keys[d], from_us(t), GeoPoint(lat, lon), heading, speed, cum)
+            t, lat, lon, *rest = (c[i].item() for c in self.columns())
+            return self._record(*self.keys[d], from_us(t), GeoPoint(lat, lon), *rest)
         start, stop, step = i.indices(len(self))
         if step != 1:
-            raise ValueError("SensorTable slices must be contiguous")
+            raise ValueError(f"{type(self).__name__} slices must be contiguous")
         if stop <= start:
-            return SensorTable([], [0], *(getattr(self, n)[:0] for n in ROW_COLUMNS))
+            return type(self)([], [0], *(c[:0] for c in self.columns()))
         first = bisect_right(self.offsets, start) - 1
         last = bisect_left(self.offsets, stop)
         inner = [b - start for b in self.offsets[first + 1 : last]]
         rows = slice(start, stop)
-        return SensorTable(
-            self.keys[first:last], [0, *inner, stop - start], self.t_us[rows], self.lat[rows],
-            self.lon[rows], self.heading[rows], self.speed[rows], self.cum[rows],
+        return type(self)(
+            self.keys[first:last], [0, *inner, stop - start], *(c[rows] for c in self.columns())
         )
 
     def __eq__(self, other):
-        if not isinstance(other, SensorTable):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.keys, self.offsets) == (other.keys, other.offsets) and all(
-            np.array_equal(getattr(self, n), getattr(other, n)) for n in ROW_COLUMNS
+            np.array_equal(a, b) for a, b in zip(self.columns(), other.columns())
         )
+
+
+@dataclass(eq=False)
+class SensorTable(_Table):
+    """Sensor rows, sorted by (subj, drive, time); ``table[i]`` is a SensorRecord."""
+
+    COLUMNS = {
+        "t_us": np.int64, "lat": float, "lon": float, "heading": float, "speed": float, "cum": float
+    }
+    SORT = ("t_us",)
+
+    t_us: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    heading: np.ndarray
+    speed: np.ndarray
+    cum: np.ndarray
+
+    _record = SensorRecord
+
+    @staticmethod
+    def _fields(r: SensorRecord) -> tuple:
+        return r.heading_deg, r.speed_fps, r.cum_dist_ft
+
+
+# Object classes in name order: a class code sorts as its name does.
+CLASS_NAMES = tuple(sorted(OBJECT_CLASSES))
+_CLASS_CODE = {name: k for k, name in enumerate(CLASS_NAMES)}
+
+
+@dataclass(eq=False)
+class DetectionTable(_Table):
+    """Detection rows in ``DetectionRecord.sort_key`` order; ``table[i]`` is a
+    DetectionRecord. ``class_code`` indexes ``CLASS_NAMES``.
+    """
+
+    COLUMNS = {
+        "t_us": np.int64, "lat": float, "lon": float, "class_code": np.int64, "confidence": float
+    }
+    SORT = ("t_us", "class_code", "confidence")
+
+    t_us: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    class_code: np.ndarray
+    confidence: np.ndarray
+
+    @staticmethod
+    def _record(subj, drive, t, pos, code, confidence) -> DetectionRecord:
+        return DetectionRecord(subj, drive, t, pos, CLASS_NAMES[code], confidence)
+
+    @staticmethod
+    def _fields(r: DetectionRecord) -> tuple:
+        return _CLASS_CODE[r.object_class], r.confidence
 
 
 @dataclass
@@ -222,7 +294,7 @@ class CleanTables:
     """The two study-wide clean tables plus per-table drop accounting."""
 
     sensor: SensorTable
-    detections: list[DetectionRecord]
+    detections: DetectionTable
     drop_report: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
@@ -241,31 +313,35 @@ def header_indices(header: list[str] | None, columns: tuple[str, ...], source) -
 _CHUNK_ROWS = 4096
 
 
-def _parse_sensor_rows(reader, idx: list[int], raw: bool, bad_row) -> list:
-    """Columns of a csv reader's non-blank sensor rows, parsed a chunk at a time.
+def _parse_rows(reader, columns_of, bad_row) -> tuple[list, int]:
+    """Columns of a csv reader's non-blank rows, parsed a chunk at a time, and
+    how many rows were read.
 
-    The columns are as ``_sensor_columns`` returns them, without its bad
-    rows; each of those goes to ``bad_row(row, line)`` in file order.
+    ``columns_of(rows)`` gives the subj and drive lists, the array columns
+    and a mask of the bad rows. The columns come back without the bad rows;
+    each of those goes to ``bad_row(row, line)`` in file order.
     """
-    parts, rows, lines = [], [], []
+    parts, rows, lines, read = [], [], [], 0
     for row in chain(reader, [None]):
         if row:
             rows.append(row)
             lines.append(reader.line_num)
         if row is None or len(rows) == _CHUNK_ROWS:
-            *columns, bad = _sensor_columns(rows, idx, raw)
+            *columns, bad = columns_of(rows)
             if bad.any():
                 for k in np.flatnonzero(bad).tolist():
                     bad_row(rows[k], lines[k])
                 columns = _select(columns, ~bad)
             parts.append(columns)
+            read += len(rows)
             rows, lines = [], []
     lists = [list(chain.from_iterable(p[k] for p in parts)) for k in (0, 1)]
-    return lists + [np.concatenate([p[k] for p in parts]) for k in range(2, len(parts[0]))]
+    arrays = [np.concatenate([p[k] for p in parts]) for k in range(2, len(parts[0]))]
+    return lists + arrays, read
 
 
 def _select(columns: list, ok: np.ndarray) -> list:
-    """The rows where ``ok`` of sensor columns: subj and drive lists, then arrays."""
+    """The rows where ``ok`` of table columns: subj and drive lists, then arrays."""
     keep = ok.tolist()
     return [list(compress(c, keep)) for c in columns[:2]] + [c[ok] for c in columns[2:]]
 
@@ -326,6 +402,20 @@ def _on_earth(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
 
 
+def _key_columns(rows: list[list[str]], idx: list[int], raw: bool, bad: np.ndarray) -> list:
+    """subj, drive and epoch-us time of CSV rows, then the texts of their
+    other columns at ``idx``. A short row reads as empty texts, and a raw
+    subj is stripped; a drive or time that does not parse marks its row.
+    """
+    width = max(idx) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row if len(row) >= width else [""] * width for row in rows]
+    cols = list(zip(*rows)) or [()] * width
+    subj, drive, t, *rest = (cols[i] for i in idx)
+    subj = list(map(str.strip, subj) if raw else subj)
+    return [subj, _each(int, drive, bad), _times_us(t, bad), *rest]
+
+
 def _sensor_columns(rows: list[list[str]], idx: list[int], raw: bool) -> list:
     """subj, drive, epoch-us time and the float columns of sensor CSV rows,
     then a mask of the bad rows, whose values are placeholders.
@@ -334,15 +424,9 @@ def _sensor_columns(rows: list[list[str]], idx: list[int], raw: bool) -> list:
     bad if it is short or holds a value that does not parse; a raw row if
     its stripped subj is empty; a clean row if its position is off earth.
     """
-    width = max(idx) + 1
-    if min(map(len, rows), default=width) < width:
-        rows = [row if len(row) >= width else [""] * width for row in rows]
     bad = np.zeros(len(rows), dtype=bool)
-    cols = list(zip(*rows)) or [()] * width
-    subj = [s.strip() for s in cols[idx[0]]] if raw else list(cols[idx[0]])
-    drive = _each(int, cols[idx[1]], bad)
-    t = _times_us(cols[idx[2]], bad)
-    floats = [np.array(_each(float, cols[i], bad), dtype=float) for i in idx[3:]]
+    subj, drive, t, *texts = _key_columns(rows, idx, raw, bad)
+    floats = [np.array(_each(float, c, bad), dtype=float) for c in texts]
     if raw and not all(subj):
         bad |= np.array([not s for s in subj], dtype=bool)
     if not raw:
@@ -350,8 +434,30 @@ def _sensor_columns(rows: list[list[str]], idx: list[int], raw: bool) -> list:
     return [subj, drive, t, *floats, bad]
 
 
-def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int]]:
-    """One sensor CSV's in-range rows as columns, and its drop counts.
+def _detection_columns(rows: list[list[str]], idx: list[int], raw: bool) -> list:
+    """subj, drive, epoch-us time, lat and lon (clean rows only), class code
+    and confidence of detection CSV rows, then a mask of the bad rows.
+
+    A class outside ``OBJECT_CLASSES`` gets code -1. A row is bad if it is
+    short, holds a value that does not parse or has an empty subj; a raw
+    row's subj and class are stripped. A clean row is also bad if it holds
+    what ``clean_cv`` never writes: an unknown class, a confidence outside
+    [0, 1] or a position off earth.
+    """
+    bad = np.zeros(len(rows), dtype=bool)
+    subj, drive, t, *coords, names, conf = _key_columns(rows, idx, raw, bad)
+    *coords, conf = (np.array(_each(float, c, bad), dtype=float) for c in (*coords, conf))
+    names = map(str.strip, names) if raw else names
+    code = np.fromiter(map(_CLASS_CODE.get, names, repeat(-1)), np.int64, len(rows))
+    if not all(subj):
+        bad |= np.array([not s for s in subj], dtype=bool)
+    if not raw:
+        bad |= ~_on_earth(*coords) | (code < 0) | ~((0.0 <= conf) & (conf <= 1.0))
+    return [subj, drive, t, *coords, code, conf, bad]
+
+
+def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int], int]:
+    """One sensor CSV's in-range rows as columns, and its drop counts and rows read.
 
     The columns are subj, drive, time, lat, lon, heading, speed and cum
     (NaN when the file has no odometer column).
@@ -362,7 +468,8 @@ def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int]]:
         header = next(reader, None)
         has_cum = SENSOR_CUM_COLUMN in (header or ())
         idx = header_indices(header, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,) * has_cum, source)
-        columns = _parse_sensor_rows(reader, idx, True, lambda row, line: bad.append(line))
+        columns_of = partial(_sensor_columns, idx=idx, raw=True)
+        columns, read = _parse_rows(reader, columns_of, lambda row, line: bad.append(line))
     if not has_cum:
         columns.append(np.full(len(columns[2]), np.nan))
     lat, lon, heading, speed, cum = columns[3:]
@@ -373,7 +480,8 @@ def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int]]:
         & (np.isfinite(cum) | (not has_cum))
     )
     columns = _select(columns, ok)
-    return columns, has_cum, {"unparseable": len(bad), "out_of_range": len(ok) - len(columns[2])}
+    drops = {"unparseable": len(bad), "out_of_range": len(ok) - len(columns[2])}
+    return columns, has_cum, drops, read
 
 
 def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable) -> None:
@@ -417,8 +525,9 @@ def compute_cum_dist(table: SensorTable) -> SensorTable:
     return replace(table, cum=cum)
 
 
-def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int]]:
-    """Merge sensor CSVs into one canonical table plus a drop report.
+def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int], int]:
+    """Merge sensor CSVs into one canonical table, a drop report and the
+    number of non-blank data rows read.
 
     Malformed or out-of-range rows are dropped and counted, rows that share
     (subj, drive, time to the millisecond) collapse to one survivor, and the
@@ -428,19 +537,20 @@ def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int
     """
     drops = {"unparseable": 0, "out_of_range": 0, "duplicate": 0, "cum_dist_regression": 0}
     parsed = _parse_files(_parse_sensor_file, files, jobs)
-    for _, _, file_drops in parsed:
+    for _, _, file_drops, _ in parsed:
         for k, v in file_drops.items():
             drops[k] += v
+    rows_in = sum(read for *_, read in parsed)
     if not parsed:
-        return SensorTable.from_columns(*[[]] * 8), drops
+        return SensorTable.from_columns(*[[]] * 8), drops, rows_in
 
-    subj = [s for columns, _, _ in parsed for s in columns[0]]
-    drive = [d for columns, _, _ in parsed for d in columns[1]]
+    subj = [s for columns, *_ in parsed for s in columns[0]]
+    drive = [d for columns, *_ in parsed for d in columns[1]]
     t, lat, lon, heading, speed, cum = (
-        np.concatenate([columns[k] for columns, _, _ in parsed]) for k in range(2, 8)
+        np.concatenate([columns[k] for columns, *_ in parsed]) for k in range(2, 8)
     )
-    sizes = [len(columns[2]) for columns, _, _ in parsed]
-    cumless = np.repeat([not has_cum for _, has_cum, _ in parsed], sizes)
+    sizes = [len(columns[2]) for columns, *_ in parsed]
+    cumless = np.repeat([not has_cum for _, has_cum, *_ in parsed], sizes)
     keys, codes = _drive_codes(subj, drive)
     # Drives seen in any file without the odometer column get it recomputed.
     recompute = np.zeros(len(keys), dtype=bool)
@@ -470,39 +580,28 @@ def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int
         keep[start + 1 : stop] = run[1:] >= np.maximum.accumulate(run)[:-1]
     drops["cum_dist_regression"] = len(keep) - int(keep.sum())
     columns = (a[keep] for a in (t, lat, lon, heading, speed, cum))
-    return SensorTable._grouped(keys, codes[keep], *columns), drops
+    return SensorTable._grouped(keys, codes[keep], *columns), drops, rows_in
 
 
-def _parse_detection_file(source) -> tuple[list[tuple], dict[str, int]]:
-    drops = {"unparseable": 0, "out_of_range": 0, "unknown_class": 0}
+def _parse_detection_file(source) -> tuple[list, dict[str, int], int]:
+    """One detection CSV's valid rows as columns (subj, drive, time, class
+    code, confidence), and its drop counts and rows read.
+    """
+    bad = []
     with resolve_uri(source, "r") as handle:
         reader = csv.reader(handle)
-        i_subj, i_drive, i_t, i_class, i_conf = header_indices(
-            next(reader, None), DETECTION_COLUMNS, source
-        )
-        rows = []
-        for raw in reader:
-            if not raw:
-                continue
-            try:
-                subj = raw[i_subj].strip()
-                drive = int(raw[i_drive])
-                t = parse_time_utc(raw[i_t])
-                object_class = raw[i_class].strip()
-                confidence = float(raw[i_conf])
-                if not subj:
-                    raise ValueError("empty subj")
-            except _BAD_VALUE:
-                drops["unparseable"] += 1
-                continue
-            if object_class not in OBJECT_CLASSES:
-                drops["unknown_class"] += 1
-                continue
-            if not 0.0 <= confidence <= 1.0:
-                drops["out_of_range"] += 1
-                continue
-            rows.append((subj, drive, t, object_class, confidence))
-        return rows, drops
+        idx = header_indices(next(reader, None), DETECTION_COLUMNS, source)
+        columns_of = partial(_detection_columns, idx=idx, raw=True)
+        columns, read = _parse_rows(reader, columns_of, lambda row, line: bad.append(line))
+    code, conf = columns[3:]
+    known = code >= 0
+    ok = known & (0.0 <= conf) & (conf <= 1.0)
+    drops = {
+        "unparseable": len(bad),
+        "out_of_range": int((known & ~ok).sum()),
+        "unknown_class": int((~known).sum()),
+    }
+    return _select(columns, ok), drops, read
 
 
 def clean_cv(
@@ -510,48 +609,52 @@ def clean_cv(
     sensor: SensorTable,
     join_tol_s: float = DEFAULT_JOIN_TOL_S,
     jobs: int = 1,
-) -> tuple[list[DetectionRecord], dict[str, int]]:
+) -> tuple[DetectionTable, dict[str, int], int]:
     """Position-join detection CSVs to an already-cleaned sensor table.
 
     Each detection inherits the position of the nearest-in-time sensor
     sample of its (subj, drive); ties break toward the earlier sample.
     Detections farther than ``join_tol_s`` from every sample are dropped.
+    Returns the joined table, a drop report and the number of non-blank
+    data rows read.
     """
     drops = {"unparseable": 0, "out_of_range": 0, "unknown_class": 0, "no_sensor_match": 0}
-    spans = {key: (start, stop) for key, start, stop in sensor.spans()}
-    by_drive: dict[tuple[int, int], list[tuple]] = {}
-    for file_rows, file_drops in _parse_files(_parse_detection_file, files, jobs):
+    parsed = _parse_files(_parse_detection_file, files, jobs)
+    for _, file_drops, _ in parsed:
         for k, v in file_drops.items():
             drops[k] += v
-        for row in file_rows:
-            span = spans.get((row[0], row[1]))
-            if span is None:
-                drops["no_sensor_match"] += 1
-            else:
-                by_drive.setdefault(span, []).append(row)
+    rows_in = sum(read for *_, read in parsed)
+    if not parsed:
+        return DetectionTable.from_columns(*[[]] * 7), drops, rows_in
 
-    seconds = sensor.seconds()
-    joined: list[DetectionRecord] = []
-    for (start, stop), rows in by_drive.items():
-        times = seconds[start:stop]
-        ts = np.array([row[2].timestamp() for row in rows])
-        i = np.searchsorted(times, ts)
-        before = np.where(i > 0, np.abs(times[np.maximum(i - 1, 0)] - ts), np.inf)
-        after = np.where(i < len(times), np.abs(times[np.minimum(i, len(times) - 1)] - ts), np.inf)
-        # The earlier sample wins exact ties.
-        nearest = start + np.where(after < before, i, i - 1)
-        matched = np.minimum(before, after) <= join_tol_s
-        drops["no_sensor_match"] += len(rows) - int(matched.sum())
-        lats = sensor.lat[nearest].tolist()
-        lons = sensor.lon[nearest].tolist()
-        for row, lat, lon, ok in zip(rows, lats, lons, matched.tolist()):
-            if ok:
-                subj, drive, t, object_class, confidence = row
-                joined.append(
-                    DetectionRecord(subj, drive, t, GeoPoint(lat, lon), object_class, confidence)
-                )
-    joined.sort(key=DetectionRecord.sort_key)
-    return joined, drops
+    where = {key: d for d, key in enumerate(sensor.keys)}
+    pairs = [zip(columns[0], columns[1]) for columns, *_ in parsed]
+    drive = np.fromiter(map(where.get, chain(*pairs), repeat(-1)), np.int64)
+    t, code, conf = (np.concatenate([columns[k] for columns, *_ in parsed]) for k in (2, 3, 4))
+    seen = drive >= 0
+    drive, t, code, conf = drive[seen], t[seen], code[seen], conf[seen]
+
+    # One search for all detections over (drive, seconds) keys: complex
+    # numbers sort by (real, imag), and the sensor rows ascend in both.
+    seconds, ts = sensor.seconds(), to_seconds(t)
+    keys = sensor.codes().astype(complex)
+    keys.imag = seconds
+    i = np.searchsorted(keys, drive + 1j * ts)
+    bounds = np.array(sensor.offsets)
+    last = max(len(seconds) - 1, 0)
+    before = np.where(i > bounds[drive], np.abs(seconds[np.maximum(i - 1, 0)] - ts), np.inf)
+    after = np.where(i < bounds[drive + 1], np.abs(seconds[np.minimum(i, last)] - ts), np.inf)
+    # The earlier sample wins exact ties.
+    nearest = np.where(after < before, i, i - 1)
+    matched = np.minimum(before, after) <= join_tol_s
+    drops["no_sensor_match"] += len(seen) - int(matched.sum())
+
+    used, codes = np.unique(drive[matched], return_inverse=True)
+    nearest = nearest[matched]
+    return DetectionTable._sorted(
+        [sensor.keys[d] for d in used.tolist()], codes, t[matched],
+        sensor.lat[nearest], sensor.lon[nearest], code[matched], conf[matched],
+    ), drops, rows_in
 
 
 def clean_tables(
@@ -561,49 +664,82 @@ def clean_tables(
     jobs: int = 1,
 ) -> CleanTables:
     """Run both cleaning passes and bundle the results."""
-    sensor, sensor_drops = clean_sensor(sensor_files, jobs=jobs)
-    detections, cv_drops = clean_cv(cv_files, sensor, join_tol_s=join_tol_s, jobs=jobs)
+    sensor, sensor_drops, _ = clean_sensor(sensor_files, jobs=jobs)
+    detections, cv_drops, _ = clean_cv(cv_files, sensor, join_tol_s=join_tol_s, jobs=jobs)
     return CleanTables(sensor, detections, {"sensor": sensor_drops, "detections": cv_drops})
 
 
-def write_sensor_csv(table: SensorTable, dest: str | Path | IO) -> None:
+def _time_texts(t_us: np.ndarray) -> list[str]:
+    """Epoch-us times as format_time_utc renders them: datetime64 also
+    truncates to the millisecond and pads the year to four digits.
+    """
+    times = np.datetime_as_string(t_us.astype("datetime64[us]"), unit="ms").tolist()
+    return [text + "Z" for text in times]
+
+
+# Rows rendered before each write: a few drives' worth at most.
+_WRITE_ROWS = 1000
+
+
+def _write_table(table: _Table, header: tuple[str, ...], dest, cells) -> None:
+    """Write ``header``, then each row: its key, then the texts that
+    ``cells(start, stop)`` gives, column by column, for rows start to stop.
+    """
+    key = io.StringIO()
+    render = csv.writer(key, lineterminator="")
     with resolve_uri(dest, "w") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,))
-        # datetime64 renders as format_time_utc does: truncated to the
-        # millisecond, the year padded to four digits.
-        times = np.datetime_as_string(table.t_us.astype("datetime64[us]"), unit="ms").tolist()
-        times = [text + "Z" for text in times]
-        for (subj, drive), start, stop in table.spans():
-            # csv renders (and if need be quotes) the key once per drive. Times
-            # and float reprs never need quoting, so joining them with commas
-            # is what csv.writer would write.
-            key = io.StringIO()
-            csv.writer(key, lineterminator="").writerow((subj, drive, ""))
-            prefix = key.getvalue()
-            floats = (map(repr, getattr(table, n)[start:stop].tolist()) for n in ROW_COLUMNS[1:])
-            rows = zip(times[start:stop], *floats)
-            handle.write("".join([prefix + ",".join(row) + "\n" for row in rows]))
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        start, prefixes = 0, []
+        for (subj, drive), first, stop in table.spans():
+            # csv renders (and if need be quotes) the key once per drive.
+            key.seek(0)
+            key.truncate()
+            render.writerow((subj, drive))
+            prefixes += [key.getvalue()] * (stop - first)
+            if stop - start >= _WRITE_ROWS or stop == len(table):
+                # Times, names and float reprs never need quoting, so joining
+                # them with commas is what csv.writer would write.
+                rows = zip(prefixes, *cells(start, stop))
+                handle.write("".join([",".join(row) + "\n" for row in rows]))
+                start, prefixes = stop, []
+
+
+def write_sensor_csv(table: SensorTable, dest: str | Path | IO) -> None:
+    times = _time_texts(table.t_us)
+
+    def cells(start, stop):
+        floats = (c[start:stop].tolist() for c in table.columns()[1:])
+        return [times[start:stop], *(map(repr, f) for f in floats)]
+
+    _write_table(table, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,), dest, cells)
 
 
 CLEAN_DETECTION_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "object_class", "confidence")
 
 
-def write_detections_csv(records: list[DetectionRecord], dest: str | Path | IO) -> None:
-    with resolve_uri(dest, "w") as handle:
-        w = csv.writer(handle, lineterminator="\n")
-        w.writerow(CLEAN_DETECTION_COLUMNS)
-        for r in records:
-            w.writerow(
-                [
-                    r.subj,
-                    r.drive,
-                    format_time_utc(r.t_utc),
-                    repr(r.pos.lat_deg),
-                    repr(r.pos.lon_deg),
-                    r.object_class,
-                    repr(r.confidence),
-                ]
-            )
+def write_detections_csv(table: DetectionTable, dest: str | Path | IO) -> None:
+    times = _time_texts(table.t_us)
+    names = [CLASS_NAMES[code] for code in table.class_code.tolist()]
+
+    def cells(start, stop):
+        floats = (c[start:stop].tolist() for c in (table.lat, table.lon, table.confidence))
+        lat, lon, conf = (map(repr, f) for f in floats)
+        return [times[start:stop], lat, lon, names[start:stop], conf]
+
+    _write_table(table, CLEAN_DETECTION_COLUMNS, dest, cells)
+
+
+def _read_table(source, cls: type, columns: tuple[str, ...], columns_of, what: str):
+    """A clean table; raises DataError naming the line of the first bad row."""
+
+    def bad_row(row, line):
+        raise DataError(f"bad row in clean {what} table at line {line}: {row!r}")
+
+    with resolve_uri(source, "r") as handle:
+        reader = csv.reader(handle)
+        idx = header_indices(next(reader, None), columns, source)
+        parsed, _ = _parse_rows(reader, partial(columns_of, idx=idx, raw=False), bad_row)
+    return cls.from_columns(*parsed)
 
 
 def read_clean_sensor(source: str | Path | IO) -> SensorTable:
@@ -613,18 +749,11 @@ def read_clean_sensor(source: str | Path | IO) -> SensorTable:
     that does not parse or a position out of range, raises DataError
     naming its line.
     """
-
-    def bad_row(row, line):
-        raise DataError(f"bad row in clean sensor table at line {line}: {row!r}")
-
-    with resolve_uri(source, "r") as handle:
-        reader = csv.reader(handle)
-        idx = header_indices(next(reader, None), SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,), source)
-        columns = _parse_sensor_rows(reader, idx, False, bad_row)
-    return SensorTable.from_columns(*columns)
+    columns = SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)
+    return _read_table(source, SensorTable, columns, _sensor_columns, "sensor")
 
 
-def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
+def read_clean_detections(source: str | Path | IO) -> DetectionTable:
     """Load a clean detection table; raises DataError on any anomaly.
 
     Blank lines are skipped. A row that lacks a column, or holds a value
@@ -633,33 +762,5 @@ def read_clean_detections(source: str | Path | IO) -> list[DetectionRecord]:
     ``OBJECT_CLASSES``, a confidence outside [0, 1]), raises DataError
     naming its line.
     """
-    with resolve_uri(source, "r") as handle:
-        reader = csv.reader(handle)
-        subj, drive, t, lat, lon, object_class, confidence = header_indices(
-            next(reader, None), CLEAN_DETECTION_COLUMNS, source
-        )
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                record = DetectionRecord(
-                    row[subj],
-                    int(row[drive]),
-                    parse_time_utc(row[t]),
-                    GeoPoint(float(row[lat]), float(row[lon])),
-                    row[object_class],
-                    float(row[confidence]),
-                )
-                if (
-                    not record.subj
-                    or record.object_class not in OBJECT_CLASSES
-                    or not 0.0 <= record.confidence <= 1.0
-                ):
-                    raise ValueError("a value clean_cv never writes")
-                out.append(record)
-            except _BAD_VALUE as exc:
-                raise DataError(
-                    f"bad row in clean detection table at line {reader.line_num}: {row!r}"
-                ) from exc
-        return out
+    columns = CLEAN_DETECTION_COLUMNS
+    return _read_table(source, DetectionTable, columns, _detection_columns, "detection")

@@ -27,6 +27,7 @@ from .geo import (
     in_box,
     initial_bearing_deg,
     point_in_polygon,
+    points_in_polygon,
 )
 from .ingest import SensorTable, format_time_utc, from_us, header_indices, parse_time_utc, to_us
 from .review import ApproachLeg, ReviewedIntersection
@@ -118,9 +119,9 @@ def _leg_hits(
 
     All points sit in one study-wide ``CellGrid``. Each leg gathers the
     points in the cells its bounding box meets, applies the box and the
-    heading gate as array operations, and runs ``point_in_polygon`` only on
-    the survivors. Keys are drive positions in ``sensor.keys``; hits follow
-    the order of ``reviewed`` and its approaches.
+    heading gate as array operations, and tests the survivors against the
+    polygon with ``points_in_polygon``. Keys are drive positions in
+    ``sensor.keys``; hits follow the order of ``reviewed`` and its approaches.
     """
     lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
     starts = sensor.offsets
@@ -137,8 +138,11 @@ def _leg_hits(
                 angular_difference_deg(headings[idx], leg.entering_bearing) <= heading_tol_deg
             )
             gated = idx[keep]
-            rows = zip(gated.tolist(), lats[gated].tolist(), lons[gated].tolist())
-            inside = [i for i, y, x in rows if point_in_polygon(GeoPoint(y, x), leg.polygon)]
+            if all(leg.polygon.edge_lengths()):
+                inside = gated[points_in_polygon(leg.polygon, lats[gated], lons[gated])].tolist()
+            else:  # a zero-length edge takes the scalar test
+                rows = zip(gated.tolist(), lats[gated].tolist(), lons[gated].tolist())
+                inside = [i for i, y, x in rows if point_in_polygon(GeoPoint(y, x), leg.polygon)]
             for d, members in groupby(inside, key=lambda i: bisect_right(starts, i) - 1):
                 hits.setdefault(d, []).append((intxn, leg, [i - starts[d] for i in members]))
     return hits

@@ -59,8 +59,8 @@ def scenario(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def clean(scenario):
-    sensor, sensor_drops = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
-    detections, cv_drops = clean_cv([str(p) for p in scenario.paths["cv_files"]], sensor)
+    sensor, sensor_drops, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
+    detections, cv_drops, _ = clean_cv([str(p) for p in scenario.paths["cv_files"]], sensor)
     assert sum(sensor_drops.values()) == 0 and sum(cv_drops.values()) == 0
     return sensor, detections
 

@@ -212,13 +212,13 @@ def raw_files(draw):
 @given(raw_files())
 def test_clean_sensor_matches_record_based_original(files):
     texts, rows_in = files
-    table, drops = clean_sensor([io.StringIO(t, newline="") for t in texts])
+    table, drops, read = clean_sensor([io.StringIO(t, newline="") for t in texts])
     records, old_drops = old_clean_sensor([io.StringIO(t, newline="") for t in texts])
     out = io.StringIO(newline="")
     write_sensor_csv(table, out)
     assert out.getvalue() == old_write_sensor_csv(records)
     assert drops == old_drops
-    assert rows_in == len(table) + sum(drops.values())
+    assert rows_in == read == len(table) + sum(drops.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,7 +240,7 @@ def test_cumless_rows_that_lose_the_dedupe_still_recompute_the_drive():
     second = "A,1,2019-05-01T12:00:01.000Z,41.0001,-96.0,90.0,50.0"
     with_cum = io.StringIO(f"{header},cum_dist_ft\n{first},5.0\n{second},500.0\n")
     without = io.StringIO(f"{header}\n{first}\n")
-    table, drops = clean_sensor([with_cum, without])
+    table, drops, _ = clean_sensor([with_cum, without])
     assert drops["duplicate"] == 1
     assert table.cum[0] == 0.0
     assert table.cum[1] == pytest.approx(36.5, abs=0.1)

@@ -5,10 +5,14 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from test_clean_differential import raw_files
+from test_detection_differential import raw_detection_files
 
 import intxn_pipeline
 from intxn_pipeline import cli, ingest
@@ -322,6 +326,49 @@ def test_stage_reports_reconcile(workspace):
         keys = list(doc)
         assert (keys[0], keys[-1], doc["stage"]) == ("stage", "wall_time_s", stages[output]), output
     assert report["wall_time_s"] == cv_report["wall_time_s"]
+
+
+def test_file_matched_by_two_patterns_is_read_once(workspace, tmp_path_factory):
+    ws, config = workspace
+    assert _run(config, "clean") == 0
+    once = {name: (ws / "out" / name).read_bytes() for name in ("clean_sensor.csv", "clean_cv.csv")}
+    cv_files = sorted(p.name for p in (ws / "cv").iterdir())
+    config.write_text(
+        json.dumps(
+            {
+                "inputs": {
+                    "sensor_files": ["sensor/*.csv", "./sensor/../sensor/*.csv"],
+                    "cv_files": ["cv/*.csv", f"cv/{cv_files[0]}"],
+                }
+            }
+        )
+    )
+    assert _run(config, "clean") == 0
+    for name, data in once.items():
+        assert (ws / "out" / name).read_bytes() == data
+        report = json.loads((ws / "out" / f"{name}.report.json").read_text())
+        assert not any(report["drops"].values())
+    report = json.loads((ws / "out" / "clean_cv.csv.report.json").read_text())
+    assert [Path(f).name for f in report["inputs"]] == cv_files
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_files(), raw_detection_files())
+def test_clean_reports_count_the_rows_read(sensor, detections):
+    sensor_texts, sensor_rows = sensor
+    cv_texts, cv_rows = detections
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp)
+        for kind, texts in (("sensor", sensor_texts), ("cv", cv_texts)):
+            (ws / kind).mkdir()
+            for k, text in enumerate(texts):
+                (ws / kind / f"S{k}.csv").write_text(text, newline="")
+        (ws / "pipeline.json").write_text("{}")
+        assert _run(ws / "pipeline.json", "clean") == 0
+        for name, rows_in in (("clean_sensor.csv", sensor_rows), ("clean_cv.csv", cv_rows)):
+            report = json.loads((ws / "out" / f"{name}.report.json").read_text())
+            assert report["rows_in"] == rows_in
+            assert report["rows_in"] == report["rows_out"] + sum(report["drops"].values())
 
 
 def test_clean_report_times_the_csv_writes(workspace, monkeypatch):

@@ -18,8 +18,8 @@ from intxn_pipeline.discovery import (
     match_clusters,
     save_geojson,
 )
-from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
-from intxn_pipeline.ingest import DetectionRecord
+from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, centroid, haversine_distance_ft
+from intxn_pipeline.ingest import DetectionRecord, DetectionTable
 
 T0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
 LAT0, LON0 = 41.0, -96.0
@@ -90,7 +90,7 @@ def test_candidates_invariant_to_tolerance():
 
 def test_last_in_runs_gap_rule():
     stream = [det(pt(east_ft=10 * s), seconds=s) for s in (0, 1, 2, 10, 11)]
-    kept = last_in_runs(stream, max_gap_s=2.0)
+    kept = last_in_runs(DetectionTable.from_records(stream), max_gap_s=2.0)
     assert [d.t_utc for d in kept] == [
         T0 + timedelta(seconds=2),
         T0 + timedelta(seconds=11),
@@ -99,11 +99,11 @@ def test_last_in_runs_gap_rule():
 
 def test_last_in_runs_single_detection():
     stream = [det(pt())]
-    assert last_in_runs(stream) == stream
+    assert list(last_in_runs(DetectionTable.from_records(stream))) == stream
 
 
 def test_last_in_runs_empty():
-    assert last_in_runs([]) == []
+    assert list(last_in_runs(DetectionTable.from_records([]))) == []
 
 
 def test_last_in_runs_separates_streams():
@@ -112,29 +112,50 @@ def test_last_in_runs_separates_streams():
         det(pt(), seconds=1, subj="B"),
         det(pt(), seconds=1, subj="A"),
     ]
-    kept = last_in_runs(stream, max_gap_s=2.0)
+    kept = last_in_runs(DetectionTable.from_records(stream), max_gap_s=2.0)
     assert len(kept) == 2  # one per subject
 
 
 def test_dbscan_pair_within_eps():
-    clusters = cluster_detections([det(pt(), 0), det(pt(east_ft=50), 1)], eps_ft=100)
+    clusters = cluster_detections(
+        DetectionTable.from_records([det(pt(), 0), det(pt(east_ft=50), 1)]), eps_ft=100
+    )
     assert len(clusters) == 1
     assert len(clusters[0].members) == 2
 
 
 def test_dbscan_isolated_point_is_noise():
     clusters = cluster_detections(
-        [det(pt(), 0), det(pt(east_ft=50), 1), det(pt(east_ft=1050), 2)], eps_ft=100
+        DetectionTable.from_records(
+            [det(pt(), 0), det(pt(east_ft=50), 1), det(pt(east_ft=1050), 2)]
+        ),
+        eps_ft=100,
     )
     assert len(clusters) == 1
     assert len(clusters[0].members) == 2
+
+
+def test_cluster_center_adds_members_in_lat_lon_order():
+    # Float addition is not associative: these four positions sum to other
+    # last bits in time order or in (lon, lat) order than in (lat, lon)
+    # order, which is the order geo.centroid is given.
+    positions = [
+        GeoPoint(41.000084072, -95.999956736),
+        GeoPoint(41.000074618, -95.99993104),
+        GeoPoint(41.000090715, -95.99998421),
+        GeoPoint(41.000080386, -95.999982185),
+    ]
+    dets = [det(p, seconds=i) for i, p in enumerate(positions)]
+    (cluster,) = cluster_detections(DetectionTable.from_records(dets), eps_ft=100)
+    assert cluster.center == centroid(sorted(positions, key=lambda p: (p.lat_deg, p.lon_deg)))
+    assert cluster.center != centroid(sorted(positions, key=lambda p: (p.lon_deg, p.lat_deg)))
 
 
 def test_dbscan_chain_is_one_cluster():
     # Chain of 6 points spaced 80 ft: the 100-ft eps-graph is connected,
     # so brute-force components say one cluster of 6.
     chain = [det(pt(east_ft=80 * i), i) for i in range(6)]
-    clusters = cluster_detections(chain, eps_ft=100)
+    clusters = cluster_detections(DetectionTable.from_records(chain), eps_ft=100)
     assert len(clusters) == 1
     assert len(clusters[0].members) == 6
 
@@ -241,11 +262,11 @@ def test_match_clusters_partition_property():
 def test_cluster_outputs_deterministic_under_permutation():
     rng = random.Random(17)
     detections = [det(_p, i) for i, _p in enumerate(_random_points(rng, 60, 400.0))]
-    baseline = cluster_detections(detections)
+    baseline = cluster_detections(DetectionTable.from_records(detections))
     for seed in range(3):
         shuffled = detections[:]
         random.Random(seed).shuffle(shuffled)
-        result = cluster_detections(shuffled)
+        result = cluster_detections(DetectionTable.from_records(shuffled))
         assert [
             (c.cluster_id, [m.sort_key() for m in c.members], c.center)
             for c in result

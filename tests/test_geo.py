@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from intxn_pipeline.geo import (
     EARTH_RADIUS_FT,
@@ -13,6 +16,7 @@ from intxn_pipeline.geo import (
     haversine_distance_ft,
     initial_bearing_deg,
     point_in_polygon,
+    points_in_polygon,
     polyline_midpoint,
 )
 
@@ -162,6 +166,66 @@ def test_point_in_polygon_matches_winding_oracle():
             continue  # boundary points are ambiguous for the oracle
         assert point_in_polygon(pt, ring) == _winding_inside(pt, verts)
         checked += 1
+
+
+@st.composite
+def rings_and_points(draw):
+    """A small simple ring near 41N 96W and points on, next to and around it.
+
+    Radii and angles come from small pools, so horizontal and vertical
+    edges, collinear vertices and points exactly on vertices and edges
+    occur often. Every such point also appears one ulp off in each axis, and
+    at and beyond the on-edge tolerance.
+    """
+    k = draw(st.integers(3, 7))
+    steps = draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
+    angles = np.cumsum(steps) * (2 * math.pi / sum(steps))
+    radii = draw(st.lists(st.sampled_from([1e-3, 2e-3, 1.5e-3]), min_size=k, max_size=k))
+    verts = tuple(
+        GeoPoint(41.0 + round(r * math.sin(a), 6), -96.0 + round(r * math.cos(a), 6))
+        for r, a in zip(radii, angles)
+    )
+    try:
+        ring = PolygonRing(verts)
+    except ValueError:
+        assume(False)
+    assume(all(ring.edge_lengths()))
+    base = []
+    for i, a in enumerate(verts):
+        b = verts[(i + 1) % k]
+        base.append((a.lat_deg, a.lon_deg))
+        for t in (0.5, draw(st.floats(0.0, 1.0))):
+            base.append((a.lat_deg + t * (b.lat_deg - a.lat_deg), a.lon_deg + t * (b.lon_deg - a.lon_deg)))
+    base += draw(
+        st.lists(st.tuples(st.floats(40.997, 41.003), st.floats(-96.003, -95.997)), max_size=10)
+    )
+    points = []
+    for lat, lon in base:
+        points += [(lat, lon), (lat, lon + 1e-9), (lat - 1e-9, lon), (lat, lon - 2e-9)]
+        for way in (-math.inf, math.inf):
+            points += [(math.nextafter(lat, way), lon), (lat, math.nextafter(lon, way))]
+    return ring, points
+
+
+# A square at the origin, where 1e-9 offsets are exact: points at exactly the
+# on-edge tolerance from an edge, and one ulp beyond it.
+EXACT = (
+    PolygonRing(
+        (GeoPoint(0.0, 0.0), GeoPoint(1e-3, 0.0), GeoPoint(1e-3, 1e-3), GeoPoint(0.0, 1e-3))
+    ),
+    [(5e-4, -1e-9), (5e-4, math.nextafter(-1e-9, -1.0)), (-1e-9, 5e-4), (5e-4, 1e-3 + 1e-9)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rings_and_points())
+@example(EXACT)
+def test_points_in_polygon_is_the_scalar_test(case):
+    ring, points = case
+    lats = np.array([p[0] for p in points])
+    lons = np.array([p[1] for p in points])
+    expected = [point_in_polygon(GeoPoint(lat, lon), ring) for lat, lon in points]
+    assert points_in_polygon(ring, lats, lons).tolist() == expected
 
 
 def test_centroid_singleton():

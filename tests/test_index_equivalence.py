@@ -239,7 +239,7 @@ def test_jittered_synth_matches_brute_force(tmp_path, seed):
     scenario = generate(spec, tmp_path)
     reviewed, rejects = assert_same_assembly(scenario.paths["reviewed_kml"].read_text())
     assert reviewed and not rejects
-    sensor, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
+    sensor, _, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
     trajs = assert_same_trajectories(sensor, assign_bearings(reviewed), WindowParams())
     assert trajs  # jitter leaves most passes inside the 40 ft wide approaches
 

@@ -1,8 +1,12 @@
+import csv
 import io
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intxn_pipeline.errors import DataError, HeaderMismatchError, StorageNotFoundError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
@@ -44,7 +48,7 @@ def test_clean_sensor_well_formed():
             "A,1,2019-05-01T12:00:02.000Z,41.0,-95.9998,90.0,50.0",
         ]
     )
-    records, drops = clean_sensor([src])
+    records, drops, _ = clean_sensor([src])
     assert len(records) == 3
     assert sum(drops.values()) == 0
     # Odometer column was absent, so it is recomputed from positions.
@@ -61,14 +65,14 @@ def test_clean_sensor_drops_out_of_range():
             "A,1,2019-05-01T12:00:03.000Z,41.0,-96.0,90.0,-1.0",
         ]
     )
-    records, drops = clean_sensor([src])
+    records, drops, _ = clean_sensor([src])
     assert len(records) == 1
     assert drops["out_of_range"] == 3
 
 
 def test_clean_sensor_drops_unparseable():
     src = sensor_csv(["A,notanumber,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0"])
-    records, drops = clean_sensor([src])
+    records, drops, _ = clean_sensor([src])
     assert not records
     assert drops["unparseable"] == 1
 
@@ -76,7 +80,7 @@ def test_clean_sensor_drops_unparseable():
 def test_clean_sensor_merges_and_sorts_two_files():
     f_b = sensor_csv(["B,1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0"])
     f_a = sensor_csv(["A,2,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0"])
-    records, _ = clean_sensor([f_b, f_a])
+    records, _, _ = clean_sensor([f_b, f_a])
     assert [(r.subj, r.drive) for r in records] == [("A", 2), ("B", 1)]
 
 
@@ -87,7 +91,7 @@ def test_clean_sensor_collapses_duplicates():
             "A,1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0",
         ]
     )
-    records, drops = clean_sensor([src])
+    records, drops, _ = clean_sensor([src])
     assert len(records) == 1
     assert drops["duplicate"] == 1
 
@@ -102,7 +106,7 @@ def test_clean_sensor_collapses_rows_within_one_millisecond():
             "A,1,2019-05-01T12:00:22.5010Z,41.0,-96.0,90.0,50.0",
         ]
     )
-    records, drops = clean_sensor([src])
+    records, drops, _ = clean_sensor([src])
     assert drops["duplicate"] == 1
     out = io.StringIO()
     write_sensor_csv(records, out)
@@ -132,7 +136,7 @@ def test_clean_sensor_trusts_supplied_cum_dist():
         ],
         header=SENSOR_HEADER + ",cum_dist_ft",
     )
-    records, drops = clean_sensor([src])
+    records, drops, _ = clean_sensor([src])
     assert [r.cum_dist_ft for r in records] == [0.0, 50.0, 100.0]
     assert drops["cum_dist_regression"] == 1
 
@@ -145,7 +149,7 @@ def test_clean_sensor_output_invariant_to_file_order():
     }
 
     def run(order):
-        records, _ = clean_sensor([sensor_csv(rows[k]) for k in order])
+        records, _, _ = clean_sensor([sensor_csv(rows[k]) for k in order])
         out = io.StringIO()
         write_sensor_csv(records, out)
         return out.getvalue()
@@ -228,12 +232,12 @@ def _sensor_for_join():
             "A,1,2019-05-01T12:00:10.500Z,41.1,-96.0,90.0,50.0",
         ]
     )
-    records, _ = clean_sensor([src])
+    records, _, _ = clean_sensor([src])
     return records
 
 
 def test_clean_cv_joins_nearest_in_time():
-    detections, drops = clean_cv(
+    detections, drops, _ = clean_cv(
         [cv_csv(["A,1,2019-05-01T12:00:10.200Z,stop_sign,0.9"])], _sensor_for_join()
     )
     assert len(detections) == 1
@@ -242,7 +246,7 @@ def test_clean_cv_joins_nearest_in_time():
 
 
 def test_clean_cv_drops_far_detection():
-    detections, drops = clean_cv(
+    detections, drops, _ = clean_cv(
         [cv_csv(["A,1,2019-05-01T12:00:14.000Z,stop_sign,0.9"])], _sensor_for_join()
     )
     assert not detections
@@ -250,14 +254,14 @@ def test_clean_cv_drops_far_detection():
 
 
 def test_clean_cv_tie_breaks_to_earlier_sample():
-    detections, _ = clean_cv(
+    detections, _, _ = clean_cv(
         [cv_csv(["A,1,2019-05-01T12:00:10.250Z,stop_sign,0.9"])], _sensor_for_join()
     )
     assert detections[0].pos.lat_deg == 41.0
 
 
 def test_clean_cv_drops_unknown_class_and_bad_confidence():
-    detections, drops = clean_cv(
+    detections, drops, _ = clean_cv(
         [
             cv_csv(
                 [
@@ -291,14 +295,14 @@ def test_clean_cv_all_outputs_within_tolerance():
     rows = [
         f"A,1,2019-05-01T12:00:{rng.uniform(5, 15):06.3f}Z,stop_sign,0.9" for _ in range(50)
     ]
-    detections, _ = clean_cv([cv_csv(rows)], sensor)
+    detections, _, _ = clean_cv([cv_csv(rows)], sensor)
     times = [r.t_utc for r in sensor]
     for det in detections:
         assert min(abs((det.t_utc - t).total_seconds()) for t in times) <= 0.5
 
 
 def test_clean_sensor_drops_row_whose_time_precedes_year_one_in_utc():
-    records, drops = clean_sensor(
+    records, drops, _ = clean_sensor(
         [
             sensor_csv(
                 [
@@ -314,7 +318,7 @@ def test_clean_sensor_drops_row_whose_time_precedes_year_one_in_utc():
 
 def test_clean_sensor_drops_row_without_time():
     # A short row leaves time_utc as None, which must count as unparseable.
-    records, drops = clean_sensor(
+    records, drops, _ = clean_sensor(
         [sensor_csv(["A,1", "A,1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0"])]
     )
     assert len(records) == 1
@@ -322,7 +326,7 @@ def test_clean_sensor_drops_row_without_time():
 
 
 def test_clean_cv_drops_row_without_time():
-    detections, drops = clean_cv(
+    detections, drops, _ = clean_cv(
         [cv_csv(["A,1", "A,1,2019-05-01T12:00:10.000Z,stop_sign,0.9"])], _sensor_for_join()
     )
     assert len(detections) == 1
@@ -341,7 +345,7 @@ def test_clean_sensor_drops_non_finite_speed_and_odometer(speed, cum):
         ],
         header=SENSOR_HEADER + ",cum_dist_ft",
     )
-    records, drops = clean_sensor([src])
+    records, drops, _ = clean_sensor([src])
     assert len(records) == 1
     assert drops == {"unparseable": 0, "out_of_range": 1, "duplicate": 0, "cum_dist_regression": 0}
 
@@ -366,7 +370,7 @@ GOOD_CV = "A,1,2019-05-01T12:00:10.000Z,stop_sign,0.9"
     ],
 )
 def test_clean_cv_counts_each_bad_row(row, reason):
-    detections, drops = clean_cv([cv_csv(["", GOOD_CV, "", row])], _sensor_for_join())
+    detections, drops, _ = clean_cv([cv_csv(["", GOOD_CV, "", row])], _sensor_for_join())
     assert len(detections) == 1
     assert drops == {k: int(k == reason) for k in drops}
 
@@ -432,4 +436,75 @@ def test_read_clean_detections_skips_blank_lines_and_finds_columns_by_name():
         "A", 1, GeoPoint(41.0, -96.0), "stop_sign", 0.9
     )
     shuffled = "confidence,object_class,lon,lat,time_utc,drive,subj,extra\n0.9,stop_sign,-96.0,41.0,2019-05-01T12:00:10.000Z,1,A,x\n"
-    assert read_clean_detections(io.StringIO(shuffled)) == [det]
+    assert list(read_clean_detections(io.StringIO(shuffled))) == [det]
+
+
+# Fields for the reader property tests: valid values of every column, edge
+# values, and arbitrary text (quotes, commas, newlines and NULs included).
+ANY_FIELD = st.one_of(
+    st.sampled_from(
+        ["A", " A ", "1", "x", "2019-05-01T12:00:10.000Z", "2019-05-01T14:00:10.2+02:00",
+         "0001-01-01T00:30:00+01:00", "41.0", "-96.0", "91", "nan", "inf", "-0.0",
+         "stop_sign", "signal_state", " stop_sign ", "0.9", "1.5", ""]
+    ),
+    st.text(max_size=6),
+)
+
+
+def _csv_text(header, rows):
+    out = io.StringIO(newline="")
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+def _data_rows(text):
+    """(line, row) of each non-blank data row, as the readers see them."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    return [(reader.line_num, row) for row in reader if row]
+
+
+@st.composite
+def raw_detection_row(draw):
+    """A good raw row with at most one field replaced, or arbitrary fields."""
+    row = GOOD_CV.split(",")
+    if draw(st.booleans()):
+        return draw(st.lists(ANY_FIELD, max_size=7))
+    if draw(st.booleans()):
+        row[draw(st.integers(0, len(row) - 1))] = draw(ANY_FIELD)
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(raw_detection_row(), max_size=8))
+def test_arbitrary_raw_detection_rows_are_kept_or_counted(rows):
+    text = _csv_text(CV_HEADER.split(","), rows)
+    table, drops, read = clean_cv([io.StringIO(text, newline="")], _sensor_for_join())
+    assert read == len(_data_rows(text)) == len(table) + sum(drops.values())
+
+
+@st.composite
+def clean_detection_row(draw):
+    """A good clean row with at most one field replaced, or arbitrary fields."""
+    row = CLEAN_CV_ROW.split(",")
+    if draw(st.booleans()):
+        return draw(st.lists(ANY_FIELD, max_size=8))
+    if draw(st.booleans()):
+        row[draw(st.integers(0, len(row) - 1))] = draw(ANY_FIELD)
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(clean_detection_row(), max_size=6))
+def test_arbitrary_clean_detection_rows_load_or_name_their_line(rows):
+    text = _csv_text(CLEAN_CV_HEADER.split(","), rows)
+    data = _data_rows(text)
+    try:
+        table = read_clean_detections(io.StringIO(text, newline=""))
+    except DataError as exc:
+        line = int(re.search(r"at line (\d+): ", str(exc)).group(1))
+        assert str(exc).endswith(repr(dict(data)[line]))
+    else:
+        assert len(table) == len(data)

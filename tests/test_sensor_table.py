@@ -351,3 +351,16 @@ def test_clean_sensor_opens_the_table_once_per_call(tmp_path, monkeypatch):
     assert [s for s in opened if s == path] == [path]
     assert cli._clean_sensor(path) is first  # cached
     assert [s for s in opened if s == path] == [path, path]
+
+
+# Microsecond counts from year 1 to 9999 relative to the epoch, beyond
+# 2**53 too, where int64 to float64 rounds.
+EPOCH_US = st.integers(-62_135_596_800_000_000, 253_402_300_799_999_999)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(EPOCH_US, st.integers(-10**7, 10**7)), max_size=20))
+@example([250_000, 1_556_712_000_500_001, 2**53 + 1])
+def test_seconds_are_total_seconds(us):
+    expected = [timedelta(microseconds=n).total_seconds() for n in us]
+    assert ingest.to_seconds(np.array(us, dtype=np.int64)).tolist() == expected

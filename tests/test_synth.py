@@ -49,10 +49,10 @@ def test_same_seed_byte_identical(tmp_path):
 
 def test_generated_tables_clean_without_drops(tmp_path):
     scenario = generate(ScenarioSpec(), tmp_path)
-    sensor, sensor_drops = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
+    sensor, sensor_drops, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
     assert sum(sensor_drops.values()) == 0
     assert len(sensor) == 4 * 81  # 4 drives x 81 samples
-    detections, cv_drops = clean_cv(
+    detections, cv_drops, _ = clean_cv(
         [str(p) for p in scenario.paths["cv_files"]], sensor
     )
     assert sum(cv_drops.values()) == 0

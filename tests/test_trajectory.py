@@ -101,6 +101,19 @@ def _extract(sensor, intxns, **kwargs):
     return extract_trajectories(SensorTable.from_records(sensor), reviewed, **kwargs)
 
 
+@pytest.mark.filterwarnings("error")  # the array test would divide by the zero length
+def test_polygon_with_a_repeated_vertex_takes_the_scalar_test():
+    # A ring may repeat a vertex only as a degenerate triangle: here the
+    # drive's own centre line, whose points are all on an edge.
+    intxn = northbound_intersection()
+    south, junction = pt(north_ft=200.0), pt(north_ft=500.0)
+    intxn.approaches[0].polygon = PolygonRing((south, south, junction))
+    assert 0.0 in intxn.approaches[0].polygon.edge_lengths()
+    trajs, _ = _extract(northbound_drive(), [intxn])
+    assert trajs == _extract(northbound_drive(), [northbound_intersection()])[0]
+    assert len(trajs) == 1
+
+
 def test_constant_speed_window_oracle():
     # 50 ft/s straight through: the window must span [ref-300, ref+200],
     # which at 1 Hz is 11 samples and exactly 10 s.
