@@ -87,7 +87,7 @@ def _clean_sensor(path: Path) -> ingest.SensorTable:
         _sensor_table = None  # free the old table before parsing the new one
         stream = io.BytesIO(data)
         stream.name = str(path)  # errors name the file, not the stream
-        text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
         _sensor_table = (key, ingest.read_clean_sensor(text))
     return _sensor_table[1]
 

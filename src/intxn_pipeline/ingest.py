@@ -9,6 +9,10 @@ Both tables, ``SensorTable`` and ``DetectionTable``, are numpy columns in the
 Arrow columnar layout (https://arrow.apache.org/docs/format/Columnar.html),
 so cleaning, writing, reading and the later stages work on arrays, not on
 per-row objects.
+
+Each table class declares its CSV layout (header, raw columns and each
+column's kind) once, so one parser reads raw and clean files of both
+tables and one writer writes both.
 """
 
 from __future__ import annotations
@@ -34,7 +38,11 @@ from .storage import resolve_uri
 SENSOR_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "heading_deg", "speed_fps")
 SENSOR_CUM_COLUMN = "cum_dist_ft"
 DETECTION_COLUMNS = ("subj", "drive", "time_utc", "object_class", "confidence")
+CLEAN_DETECTION_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "object_class", "confidence")
 OBJECT_CLASSES = ("stop_sign", "signal_state")
+# Object classes in name order: a class code sorts as its name does.
+CLASS_NAMES = tuple(sorted(OBJECT_CLASSES))
+_CLASS_CODE = {name: k for k, name in enumerate(CLASS_NAMES)}
 
 # Detections are joined to the nearest-in-time sensor sample of the same
 # (subj, drive); beyond this gap they are dropped.
@@ -131,6 +139,93 @@ def to_seconds(us: np.ndarray) -> np.ndarray:
     return us / 1_000_000
 
 
+def _each(fn, texts: tuple[str, ...], bad: np.ndarray) -> list:
+    """``fn`` of each text; a text it fails on marks its row ``bad`` and gives 0."""
+    try:
+        return list(map(fn, texts))
+    except _BAD_VALUE:
+        out = []
+        for k, text in enumerate(texts):
+            try:
+                out.append(fn(text))
+            except _BAD_VALUE:
+                bad[k] = True
+                out.append(0)
+        return out
+
+
+# The clean tables' time form; zeros stand for digits.
+_CANONICAL_TIME = np.array(list(map(ord, "0000-00-00T00:00:00.000Z")), dtype=np.uint32)
+_DIGIT = _CANONICAL_TIME == ord("0")
+
+
+def _times_us(texts: tuple[str, ...], bad: np.ndarray) -> np.ndarray:
+    """Epoch microseconds of ISO timestamps, as parse_time_utc reads them.
+
+    A column wholly in the clean tables' form, YYYY-MM-DDTHH:MM:SS.mmmZ from
+    year 1, parses as one datetime64 array, whose parser rejects an invalid
+    month, day, hour, minute or second as fromisoformat does. Any other
+    column goes through parse_time_utc one time at a time, and a time it
+    rejects marks its row ``bad``.
+    """
+    text = np.array(texts, dtype=str)
+    if text.dtype == np.dtype("<U24"):
+        codes = text.view(np.uint32).reshape(len(text), 24)
+        if (
+            (codes[:, ~_DIGIT] == _CANONICAL_TIME[~_DIGIT]).all()
+            and (codes[:, _DIGIT] - ord("0") < 10).all()
+            and (codes[:, :4] != ord("0")).any(axis=1).all()
+        ):
+            try:
+                ms = text.astype("<U23").astype("datetime64[ms]")  # "<U23" drops the Z
+                return ms.astype("datetime64[us]").view(np.int64)
+            except ValueError:
+                pass
+    return np.array(_each(lambda s: to_us(parse_time_utc(s)), texts, bad), dtype=np.int64)
+
+
+def _time_texts(t_us: np.ndarray) -> list[str]:
+    """Epoch-us times as format_time_utc renders them: datetime64 also
+    truncates to the millisecond and pads the year to four digits.
+    """
+    times = np.datetime_as_string(t_us.astype("datetime64[us]"), unit="ms").tolist()
+    return [text + "Z" for text in times]
+
+
+# Column kinds, each (dtype, parse, render): parse turns a CSV column's
+# texts into a column, marking ``bad`` the rows whose value does not parse,
+# and render turns a slice of the column back into texts. The writer
+# renders subj and drive as the row key. A class outside CLASS_NAMES parses
+# as -1. A raw file's _STRIPPED columns are stripped before they parse.
+_TEXT = (None, lambda texts, bad: texts, None)
+_INT = (None, partial(_each, int), None)
+_TIME = (np.int64, _times_us, _time_texts)
+_FLOAT = (
+    float,
+    lambda texts, bad: np.array(_each(float, texts, bad), dtype=float),
+    lambda column: map(repr, column.tolist()),
+)
+_CLASS = (
+    np.int64,
+    lambda names, bad: np.fromiter(map(_CLASS_CODE.get, names, repeat(-1)), np.int64, len(names)),
+    lambda codes: map(CLASS_NAMES.__getitem__, codes.tolist()),
+)
+_STRIPPED = ("subj", "object_class")
+
+# Range checks, in the order they run: per CSV column, which rows of its
+# parsed column pass, and the drop reason of a row it is the first to fail.
+_CHECKS = {
+    "subj": (lambda subj: np.fromiter(map(bool, subj), bool, len(subj)), "unparseable"),
+    "object_class": (lambda code: code >= 0, "unknown_class"),
+    "lat": (lambda lat: (-90.0 <= lat) & (lat <= 90.0), "out_of_range"),
+    "lon": (lambda lon: (-180.0 <= lon) & (lon <= 180.0), "out_of_range"),
+    "heading_deg": (lambda heading: (0.0 <= heading) & (heading < 360.0), "out_of_range"),
+    "speed_fps": (lambda speed: (0.0 <= speed) & np.isfinite(speed), "out_of_range"),
+    SENSOR_CUM_COLUMN: (np.isfinite, "out_of_range"),
+    "confidence": (lambda conf: (0.0 <= conf) & (conf <= 1.0), "out_of_range"),
+}
+
+
 @dataclass(eq=False)
 class _Table:
     """Rows as read-only numpy columns, sorted by (subj, drive), then ``SORT``.
@@ -138,14 +233,23 @@ class _Table:
     Drive key ``keys[d]`` (ascending, each once) owns rows
     ``offsets[d]:offsets[d + 1]``. Keys stay Python objects, so a subj keeps
     its exact text and a drive any int. ``COLUMNS`` names the row columns,
-    in record field order, with their dtypes; time is ``t_us``, int64 epoch
+    in record field order, with their kinds; time is ``t_us``, int64 epoch
     microseconds. ``table[i]`` builds row i as a record, and a contiguous
     slice is a view. Stages share one table, so the columns of a table
     built here or viewed from one are read-only.
     """
 
-    COLUMNS: ClassVar[dict[str, type]]
+    COLUMNS: ClassVar[dict[str, tuple]]
     SORT: ClassVar[tuple[str, ...]]
+    # The CSV layout. A clean file holds HEADER: subj, drive, then a column
+    # per row column, of that column's kind. A raw file must hold RAW and
+    # may hold OPTIONAL (NaN where it does not); its rows must pass the
+    # check of each column it holds. A clean file's rows must pass the
+    # checks of the CLEAN_CHECKED columns.
+    HEADER: ClassVar[tuple[str, ...]]
+    RAW: ClassVar[tuple[str, ...]]
+    OPTIONAL: ClassVar[tuple[str, ...]] = ()
+    CLEAN_CHECKED: ClassVar[tuple[str, ...]]
 
     keys: list[tuple[str, int]]
     offsets: list[int]
@@ -168,7 +272,7 @@ class _Table:
     def _sorted(cls, keys: list, codes: np.ndarray, *columns):
         """A table of rows in any order, each given its index into ``keys``;
         ties keep their order."""
-        columns = [np.asarray(c, dtype=t) for c, t in zip(columns, cls.COLUMNS.values())]
+        columns = [np.asarray(c, dtype=k[0]) for c, k in zip(columns, cls.COLUMNS.values())]
         named = dict(zip(cls.COLUMNS, columns))
         order = np.lexsort([named[n] for n in reversed(cls.SORT)] + [codes])
         return cls._grouped(keys, codes[order], *(c[order] for c in columns))
@@ -240,9 +344,15 @@ class SensorTable(_Table):
     """Sensor rows, sorted by (subj, drive, time); ``table[i]`` is a SensorRecord."""
 
     COLUMNS = {
-        "t_us": np.int64, "lat": float, "lon": float, "heading": float, "speed": float, "cum": float
+        "t_us": _TIME, "lat": _FLOAT, "lon": _FLOAT, "heading": _FLOAT, "speed": _FLOAT,
+        "cum": _FLOAT,
     }
     SORT = ("t_us",)
+    HEADER = SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)
+    RAW = SENSOR_COLUMNS
+    OPTIONAL = (SENSOR_CUM_COLUMN,)
+    # The clean reader checks positions only, and loads an empty subj.
+    CLEAN_CHECKED = ("lat", "lon")
 
     t_us: np.ndarray
     lat: np.ndarray
@@ -258,11 +368,6 @@ class SensorTable(_Table):
         return r.heading_deg, r.speed_fps, r.cum_dist_ft
 
 
-# Object classes in name order: a class code sorts as its name does.
-CLASS_NAMES = tuple(sorted(OBJECT_CLASSES))
-_CLASS_CODE = {name: k for k, name in enumerate(CLASS_NAMES)}
-
-
 @dataclass(eq=False)
 class DetectionTable(_Table):
     """Detection rows in ``DetectionRecord.sort_key`` order; ``table[i]`` is a
@@ -270,9 +375,13 @@ class DetectionTable(_Table):
     """
 
     COLUMNS = {
-        "t_us": np.int64, "lat": float, "lon": float, "class_code": np.int64, "confidence": float
+        "t_us": _TIME, "lat": _FLOAT, "lon": _FLOAT, "class_code": _CLASS, "confidence": _FLOAT
     }
     SORT = ("t_us", "class_code", "confidence")
+    HEADER = CLEAN_DETECTION_COLUMNS
+    RAW = DETECTION_COLUMNS
+    # A clean file holds only what clean_cv writes.
+    CLEAN_CHECKED = CLEAN_DETECTION_COLUMNS
 
     t_us: np.ndarray
     lat: np.ndarray
@@ -313,175 +422,99 @@ def header_indices(header: list[str] | None, columns: tuple[str, ...], source) -
 _CHUNK_ROWS = 4096
 
 
-def _parse_rows(reader, columns_of, bad_row) -> tuple[list, int]:
-    """Columns of a csv reader's non-blank rows, parsed a chunk at a time, and
-    how many rows were read.
+def _row_columns(fields: list[tuple], rows: list[list[str]], bad: np.ndarray) -> list:
+    """Columns of CSV rows, one per (index, parse, strip) field: the texts
+    at that index, stripped if ``strip``, through ``parse``. A short row
+    reads as empty texts; a value that does not parse marks its row ``bad``."""
+    width = max(i for i, *_ in fields) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row if len(row) >= width else [""] * width for row in rows]
+    cols = list(zip(*rows)) or [()] * width
+    texts = [tuple(map(str.strip, cols[i])) if strip else cols[i] for i, _, strip in fields]
+    return [parse(column, bad) for column, (_, parse, _) in zip(texts, fields)]
 
-    ``columns_of(rows)`` gives the subj and drive lists, the array columns
-    and a mask of the bad rows. The columns come back without the bad rows;
-    each of those goes to ``bad_row(row, line)`` in file order.
+
+def _parse_rows(reader, fields: list[tuple], checks: list[tuple], bad_row) -> tuple[list, int]:
+    """The ``_row_columns`` of a csv reader's non-blank rows, parsed a chunk
+    at a time, and how many rows were read.
+
+    ``checks`` are (column index, test, reason), in the order they run. A
+    row that does not parse or fails a test goes to ``bad_row(reason, line,
+    row)``, in file order, with "unparseable" or the reason of the first
+    test it fails, and is left out.
     """
+    reasons = ["unparseable", *(reason for *_, reason in checks)]
     parts, rows, lines, read = [], [], [], 0
     for row in chain(reader, [None]):
         if row:
             rows.append(row)
             lines.append(reader.line_num)
         if row is None or len(rows) == _CHUNK_ROWS:
-            *columns, bad = columns_of(rows)
-            if bad.any():
-                for k in np.flatnonzero(bad).tolist():
-                    bad_row(rows[k], lines[k])
-                columns = _select(columns, ~bad)
+            bad = np.zeros(len(rows), dtype=bool)
+            columns = _row_columns(fields, rows, bad)
+            fails = np.array([bad, *(~test(columns[k]) for k, test, _ in checks)])
+            failed = fails.any(axis=0)
+            if failed.any():
+                first = fails.argmax(axis=0).tolist()
+                for k in np.flatnonzero(failed).tolist():
+                    bad_row(reasons[first[k]], lines[k], rows[k])
+                keep = (~failed).tolist()
+                columns[:2] = [list(compress(c, keep)) for c in columns[:2]]
+                columns[2:] = [c[~failed] for c in columns[2:]]
             parts.append(columns)
             read += len(rows)
             rows, lines = [], []
+    return _concat(parts), read
+
+
+def _concat(parts: list[list]) -> list:
+    """Columns of several parts, one after another: subj, drive, arrays."""
     lists = [list(chain.from_iterable(p[k] for p in parts)) for k in (0, 1)]
-    arrays = [np.concatenate([p[k] for p in parts]) for k in range(2, len(parts[0]))]
-    return lists + arrays, read
+    return lists + [np.concatenate([p[k] for p in parts]) for k in range(2, len(parts[0]))]
 
 
-def _select(columns: list, ok: np.ndarray) -> list:
-    """The rows where ``ok`` of table columns: subj and drive lists, then arrays."""
-    keep = ok.tolist()
-    return [list(compress(c, keep)) for c in columns[:2]] + [c[ok] for c in columns[2:]]
+def _parse_csv(source, cls: type[_Table], raw: bool, bad_row) -> tuple[dict, int]:
+    """The columns of a raw or clean CSV of ``cls`` rows, by name, and how
+    many non-blank data rows it holds.
 
-
-def _parse_files(parse, files: list, jobs: int) -> list:
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(parse, files))
-    return [parse(f) for f in files]
-
-
-# The clean tables' time form; zeros stand for digits.
-_CANONICAL_TIME = np.array(list(map(ord, "0000-00-00T00:00:00.000Z")), dtype=np.uint32)
-_DIGIT = _CANONICAL_TIME == ord("0")
-
-
-def _times_us(texts: tuple[str, ...], bad: np.ndarray) -> np.ndarray:
-    """Epoch microseconds of ISO timestamps, as parse_time_utc reads them.
-
-    A column wholly in the clean tables' form, YYYY-MM-DDTHH:MM:SS.mmmZ from
-    year 1, parses as one datetime64 array, whose parser rejects an invalid
-    month, day, hour, minute or second as fromisoformat does. Any other
-    column goes through parse_time_utc one time at a time, and a time it
-    rejects marks its row ``bad``.
+    A clean file's columns are ``cls.HEADER``, with the ``CLEAN_CHECKED``
+    ones checked. A raw file's are ``cls.RAW`` and those of ``cls.OPTIONAL``
+    it holds, all checked, the ``_STRIPPED`` ones stripped. Each row that
+    does not parse or fails a check goes to ``bad_row(reason, line, row)``
+    and is left out.
     """
-    text = np.array(texts, dtype=str)
-    if text.dtype == np.dtype("<U24"):
-        codes = text.view(np.uint32).reshape(len(text), 24)
-        if (
-            (codes[:, ~_DIGIT] == _CANONICAL_TIME[~_DIGIT]).all()
-            and (codes[:, _DIGIT] - ord("0") < 10).all()
-            and (codes[:, :4] != ord("0")).any(axis=1).all()
-        ):
-            try:
-                ms = text.astype("<U23").astype("datetime64[ms]")  # "<U23" drops the Z
-                return ms.astype("datetime64[us]").view(np.int64)
-            except ValueError:
-                pass
-    return np.array(_each(lambda s: to_us(parse_time_utc(s)), texts, bad), dtype=np.int64)
-
-
-def _each(fn, texts: tuple[str, ...], bad: np.ndarray) -> list:
-    """``fn`` of each text; a text it fails on marks its row ``bad`` and gives 0."""
-    try:
-        return list(map(fn, texts))
-    except _BAD_VALUE:
-        out = []
-        for k, text in enumerate(texts):
-            try:
-                out.append(fn(text))
-            except _BAD_VALUE:
-                bad[k] = True
-                out.append(0)
-        return out
-
-
-def _on_earth(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    return (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
-
-
-def _key_columns(rows: list[list[str]], idx: list[int], raw: bool, bad: np.ndarray) -> list:
-    """subj, drive and epoch-us time of CSV rows, then the texts of their
-    other columns at ``idx``. A short row reads as empty texts, and a raw
-    subj is stripped; a drive or time that does not parse marks its row.
-    """
-    width = max(idx) + 1
-    if min(map(len, rows), default=width) < width:
-        rows = [row if len(row) >= width else [""] * width for row in rows]
-    cols = list(zip(*rows)) or [()] * width
-    subj, drive, t, *rest = (cols[i] for i in idx)
-    subj = list(map(str.strip, subj) if raw else subj)
-    return [subj, _each(int, drive, bad), _times_us(t, bad), *rest]
-
-
-def _sensor_columns(rows: list[list[str]], idx: list[int], raw: bool) -> list:
-    """subj, drive, epoch-us time and the float columns of sensor CSV rows,
-    then a mask of the bad rows, whose values are placeholders.
-
-    ``idx`` locates subj, drive and time, then the float columns. A row is
-    bad if it is short or holds a value that does not parse; a raw row if
-    its stripped subj is empty; a clean row if its position is off earth.
-    """
-    bad = np.zeros(len(rows), dtype=bool)
-    subj, drive, t, *texts = _key_columns(rows, idx, raw, bad)
-    floats = [np.array(_each(float, c, bad), dtype=float) for c in texts]
-    if raw and not all(subj):
-        bad |= np.array([not s for s in subj], dtype=bool)
-    if not raw:
-        bad |= ~_on_earth(floats[0], floats[1])
-    return [subj, drive, t, *floats, bad]
-
-
-def _detection_columns(rows: list[list[str]], idx: list[int], raw: bool) -> list:
-    """subj, drive, epoch-us time, lat and lon (clean rows only), class code
-    and confidence of detection CSV rows, then a mask of the bad rows.
-
-    A class outside ``OBJECT_CLASSES`` gets code -1. A row is bad if it is
-    short, holds a value that does not parse or has an empty subj; a raw
-    row's subj and class are stripped. A clean row is also bad if it holds
-    what ``clean_cv`` never writes: an unknown class, a confidence outside
-    [0, 1] or a position off earth.
-    """
-    bad = np.zeros(len(rows), dtype=bool)
-    subj, drive, t, *coords, names, conf = _key_columns(rows, idx, raw, bad)
-    *coords, conf = (np.array(_each(float, c, bad), dtype=float) for c in (*coords, conf))
-    names = map(str.strip, names) if raw else names
-    code = np.fromiter(map(_CLASS_CODE.get, names, repeat(-1)), np.int64, len(rows))
-    if not all(subj):
-        bad |= np.array([not s for s in subj], dtype=bool)
-    if not raw:
-        bad |= ~_on_earth(*coords) | (code < 0) | ~((0.0 <= conf) & (conf <= 1.0))
-    return [subj, drive, t, *coords, code, conf, bad]
-
-
-def _parse_sensor_file(source) -> tuple[list, bool, dict[str, int], int]:
-    """One sensor CSV's in-range rows as columns, and its drop counts and rows read.
-
-    The columns are subj, drive, time, lat, lon, heading, speed and cum
-    (NaN when the file has no odometer column).
-    """
-    bad = []
     with resolve_uri(source, "r") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        has_cum = SENSOR_CUM_COLUMN in (header or ())
-        idx = header_indices(header, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,) * has_cum, source)
-        columns_of = partial(_sensor_columns, idx=idx, raw=True)
-        columns, read = _parse_rows(reader, columns_of, lambda row, line: bad.append(line))
-    if not has_cum:
-        columns.append(np.full(len(columns[2]), np.nan))
-    lat, lon, heading, speed, cum = columns[3:]
-    ok = (
-        _on_earth(lat, lon)
-        & (0.0 <= heading) & (heading < 360.0)
-        & (0.0 <= speed) & np.isfinite(speed)
-        & (np.isfinite(cum) | (not has_cum))
-    )
-    columns = _select(columns, ok)
-    drops = {"unparseable": len(bad), "out_of_range": len(ok) - len(columns[2])}
-    return columns, has_cum, drops, read
+        optional = tuple(c for c in cls.OPTIONAL if c in (header or ()))
+        names = cls.RAW + optional if raw else cls.HEADER
+        idx = header_indices(header, names, source)
+        kinds = dict(zip(cls.HEADER, (_TEXT, _INT, *cls.COLUMNS.values())))
+        fields = [(i, kinds[n][1], raw and n in _STRIPPED) for i, n in zip(idx, names)]
+        checked = names if raw else cls.CLEAN_CHECKED
+        checks = [(names.index(c), *_CHECKS[c]) for c in _CHECKS if c in checked]
+        columns, read = _parse_rows(reader, fields, checks, bad_row)
+    return dict(zip(names, columns)), read
+
+
+def _parse_files(cls: type[_Table], files: list, jobs: int, drops: dict) -> tuple[list, int]:
+    """The rows of raw CSVs of ``cls``, file after file, as columns in ``RAW``
+    then ``OPTIONAL`` order, and how many were read; ``drops`` counts each
+    dropped row under its reason."""
+    reasons = []  # list.append is atomic, so the parse threads can share the list
+    parse = partial(_parse_csv, cls=cls, raw=True, bad_row=lambda why, *_: reasons.append(why))
+    if jobs > 1 and len(files) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            parsed = list(pool.map(parse, files))
+    else:
+        parsed = [parse(f) for f in files]
+    for reason in reasons:
+        drops[reason] += 1
+    layout = cls.RAW + cls.OPTIONAL  # an optional column a file lacks reads as NaN
+    parts = [
+        [named.get(c, np.full(len(named["subj"]), np.nan)) for c in layout] for named, _ in parsed
+    ]
+    return _concat(parts), sum(read for _, read in parsed)
 
 
 def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable) -> None:
@@ -536,28 +569,20 @@ def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int
     backwards are dropped.
     """
     drops = {"unparseable": 0, "out_of_range": 0, "duplicate": 0, "cum_dist_regression": 0}
-    parsed = _parse_files(_parse_sensor_file, files, jobs)
-    for _, _, file_drops, _ in parsed:
-        for k, v in file_drops.items():
-            drops[k] += v
-    rows_in = sum(read for *_, read in parsed)
-    if not parsed:
-        return SensorTable.from_columns(*[[]] * 8), drops, rows_in
+    if not files:
+        return SensorTable.from_columns(*[[]] * 8), drops, 0
 
-    subj = [s for columns, *_ in parsed for s in columns[0]]
-    drive = [d for columns, *_ in parsed for d in columns[1]]
-    t, lat, lon, heading, speed, cum = (
-        np.concatenate([columns[k] for columns, *_ in parsed]) for k in range(2, 8)
-    )
-    sizes = [len(columns[2]) for columns, *_ in parsed]
-    cumless = np.repeat([not has_cum for _, has_cum, *_ in parsed], sizes)
+    columns, rows_in = _parse_files(SensorTable, files, jobs, drops)
+    subj, drive, t, lat, lon, heading, speed, cum = columns
     keys, codes = _drive_codes(subj, drive)
-    # Drives seen in any file without the odometer column get it recomputed.
+    # Drives seen in any file without the odometer column, which reads as NaN
+    # (a non-finite odometer is out of range), get it recomputed.
     recompute = np.zeros(len(keys), dtype=bool)
-    recompute[codes[cumless]] = True
+    recompute[codes[np.isnan(cum)]] = True
 
-    # The full-row sort makes the dedupe winner independent of file order.
-    order = np.lexsort((np.where(cumless, 0.0, cum), cumless, speed, heading, lon, lat, t, codes))
+    # The full-row sort makes the dedupe winner independent of file order;
+    # a NaN odometer sorts last.
+    order = np.lexsort((cum, speed, heading, lon, lat, t, codes))
     codes, t, lat, lon, heading, speed, cum = (
         a[order] for a in (codes, t, lat, lon, heading, speed, cum)
     )
@@ -583,27 +608,6 @@ def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int
     return SensorTable._grouped(keys, codes[keep], *columns), drops, rows_in
 
 
-def _parse_detection_file(source) -> tuple[list, dict[str, int], int]:
-    """One detection CSV's valid rows as columns (subj, drive, time, class
-    code, confidence), and its drop counts and rows read.
-    """
-    bad = []
-    with resolve_uri(source, "r") as handle:
-        reader = csv.reader(handle)
-        idx = header_indices(next(reader, None), DETECTION_COLUMNS, source)
-        columns_of = partial(_detection_columns, idx=idx, raw=True)
-        columns, read = _parse_rows(reader, columns_of, lambda row, line: bad.append(line))
-    code, conf = columns[3:]
-    known = code >= 0
-    ok = known & (0.0 <= conf) & (conf <= 1.0)
-    drops = {
-        "unparseable": len(bad),
-        "out_of_range": int((known & ~ok).sum()),
-        "unknown_class": int((~known).sum()),
-    }
-    return _select(columns, ok), drops, read
-
-
 def clean_cv(
     files: list,
     sensor: SensorTable,
@@ -619,18 +623,12 @@ def clean_cv(
     data rows read.
     """
     drops = {"unparseable": 0, "out_of_range": 0, "unknown_class": 0, "no_sensor_match": 0}
-    parsed = _parse_files(_parse_detection_file, files, jobs)
-    for _, file_drops, _ in parsed:
-        for k, v in file_drops.items():
-            drops[k] += v
-    rows_in = sum(read for *_, read in parsed)
-    if not parsed:
-        return DetectionTable.from_columns(*[[]] * 7), drops, rows_in
+    if not files:
+        return DetectionTable.from_columns(*[[]] * 7), drops, 0
 
+    (subj, drive, t, code, conf), rows_in = _parse_files(DetectionTable, files, jobs, drops)
     where = {key: d for d, key in enumerate(sensor.keys)}
-    pairs = [zip(columns[0], columns[1]) for columns, *_ in parsed]
-    drive = np.fromiter(map(where.get, chain(*pairs), repeat(-1)), np.int64)
-    t, code, conf = (np.concatenate([columns[k] for columns, *_ in parsed]) for k in (2, 3, 4))
+    drive = np.fromiter(map(where.get, zip(subj, drive), repeat(-1)), np.int64, len(t))
     seen = drive >= 0
     drive, t, code, conf = drive[seen], t[seen], code[seen], conf[seen]
 
@@ -651,8 +649,10 @@ def clean_cv(
 
     used, codes = np.unique(drive[matched], return_inverse=True)
     nearest = nearest[matched]
+    # The clean table stores milliseconds: order the rows by what it holds,
+    # so that reading the file back gives them in the same order.
     return DetectionTable._sorted(
-        [sensor.keys[d] for d in used.tolist()], codes, t[matched],
+        [sensor.keys[d] for d in used.tolist()], codes, t[matched] // 1000 * 1000,
         sensor.lat[nearest], sensor.lon[nearest], code[matched], conf[matched],
     ), drops, rows_in
 
@@ -669,26 +669,19 @@ def clean_tables(
     return CleanTables(sensor, detections, {"sensor": sensor_drops, "detections": cv_drops})
 
 
-def _time_texts(t_us: np.ndarray) -> list[str]:
-    """Epoch-us times as format_time_utc renders them: datetime64 also
-    truncates to the millisecond and pads the year to four digits.
-    """
-    times = np.datetime_as_string(t_us.astype("datetime64[us]"), unit="ms").tolist()
-    return [text + "Z" for text in times]
-
-
 # Rows rendered before each write: a few drives' worth at most.
 _WRITE_ROWS = 1000
 
 
-def _write_table(table: _Table, header: tuple[str, ...], dest, cells) -> None:
-    """Write ``header``, then each row: its key, then the texts that
-    ``cells(start, stop)`` gives, column by column, for rows start to stop.
+def _write_table(table: _Table, dest) -> None:
+    """Write ``table.HEADER``, then each row: its key, then each of its
+    columns rendered by the column's kind.
     """
+    kinds = table.COLUMNS.values()
     key = io.StringIO()
     render = csv.writer(key, lineterminator="")
     with resolve_uri(dest, "w") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(header)
+        csv.writer(handle, lineterminator="\n").writerow(table.HEADER)
         start, prefixes = 0, []
         for (subj, drive), first, stop in table.spans():
             # csv renders (and if need be quotes) the key once per drive.
@@ -699,47 +692,26 @@ def _write_table(table: _Table, header: tuple[str, ...], dest, cells) -> None:
             if stop - start >= _WRITE_ROWS or stop == len(table):
                 # Times, names and float reprs never need quoting, so joining
                 # them with commas is what csv.writer would write.
-                rows = zip(prefixes, *cells(start, stop))
-                handle.write("".join([",".join(row) + "\n" for row in rows]))
+                cells = [kind[2](c[start:stop]) for kind, c in zip(kinds, table.columns())]
+                handle.write("".join([",".join(row) + "\n" for row in zip(prefixes, *cells)]))
                 start, prefixes = stop, []
 
 
 def write_sensor_csv(table: SensorTable, dest: str | Path | IO) -> None:
-    times = _time_texts(table.t_us)
-
-    def cells(start, stop):
-        floats = (c[start:stop].tolist() for c in table.columns()[1:])
-        return [times[start:stop], *(map(repr, f) for f in floats)]
-
-    _write_table(table, SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,), dest, cells)
-
-
-CLEAN_DETECTION_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "object_class", "confidence")
+    _write_table(table, dest)
 
 
 def write_detections_csv(table: DetectionTable, dest: str | Path | IO) -> None:
-    times = _time_texts(table.t_us)
-    names = [CLASS_NAMES[code] for code in table.class_code.tolist()]
-
-    def cells(start, stop):
-        floats = (c[start:stop].tolist() for c in (table.lat, table.lon, table.confidence))
-        lat, lon, conf = (map(repr, f) for f in floats)
-        return [times[start:stop], lat, lon, names[start:stop], conf]
-
-    _write_table(table, CLEAN_DETECTION_COLUMNS, dest, cells)
+    _write_table(table, dest)
 
 
-def _read_table(source, cls: type, columns: tuple[str, ...], columns_of, what: str):
+def _read_table(source, cls: type[_Table], what: str):
     """A clean table; raises DataError naming the line of the first bad row."""
 
-    def bad_row(row, line):
+    def bad_row(reason, line, row):
         raise DataError(f"bad row in clean {what} table at line {line}: {row!r}")
 
-    with resolve_uri(source, "r") as handle:
-        reader = csv.reader(handle)
-        idx = header_indices(next(reader, None), columns, source)
-        parsed, _ = _parse_rows(reader, partial(columns_of, idx=idx, raw=False), bad_row)
-    return cls.from_columns(*parsed)
+    return cls.from_columns(*_parse_csv(source, cls, False, bad_row)[0].values())
 
 
 def read_clean_sensor(source: str | Path | IO) -> SensorTable:
@@ -749,8 +721,7 @@ def read_clean_sensor(source: str | Path | IO) -> SensorTable:
     that does not parse or a position out of range, raises DataError
     naming its line.
     """
-    columns = SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)
-    return _read_table(source, SensorTable, columns, _sensor_columns, "sensor")
+    return _read_table(source, SensorTable, "sensor")
 
 
 def read_clean_detections(source: str | Path | IO) -> DetectionTable:
@@ -762,5 +733,4 @@ def read_clean_detections(source: str | Path | IO) -> DetectionTable:
     ``OBJECT_CLASSES``, a confidence outside [0, 1]), raises DataError
     naming its line.
     """
-    columns = CLEAN_DETECTION_COLUMNS
-    return _read_table(source, DetectionTable, columns, _detection_columns, "detection")
+    return _read_table(source, DetectionTable, "detection")

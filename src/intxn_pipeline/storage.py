@@ -41,9 +41,9 @@ def resolve_uri(source: str | Path | IO, mode: str = "rb") -> AbstractContextMan
     """Open ``source`` for use in a ``with`` statement.
 
     A stream passes through unchanged and is left open. A path or ``file:``
-    URI opened for reading is a utf-8 text file with ``newline=""`` (or a
-    binary file for a ``b`` mode); a missing file raises
-    StorageNotFoundError. A path opened for writing goes through
+    URI opened for reading is a utf-8 text file, less any byte-order mark,
+    with ``newline=""`` (or a binary file for a ``b`` mode); a missing file
+    raises StorageNotFoundError. A path opened for writing goes through
     ``atomic_write``. Unknown schemes raise UnsupportedSchemeError.
     """
     if hasattr(source, "read") or hasattr(source, "write"):
@@ -55,7 +55,7 @@ def resolve_uri(source: str | Path | IO, mode: str = "rb") -> AbstractContextMan
         raise StorageNotFoundError(f"not found: {source}")
     if "b" in mode:
         return open(path, mode)
-    return open(path, mode, encoding="utf-8", newline="")
+    return open(path, mode, encoding="utf-8-sig", newline="")
 
 
 @contextmanager

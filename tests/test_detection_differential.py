@@ -98,6 +98,7 @@ def old_clean_cv(files, sensor, join_tol_s):
         for row, lat, lon, ok in zip(rows, lats, lons, matched.tolist()):
             if ok:
                 subj, drive, t, object_class, confidence = row
+                t = t.replace(microsecond=t.microsecond // 1000 * 1000)  # the clean file's time
                 joined.append(DetectionRecord(subj, drive, t, GeoPoint(lat, lon), object_class, confidence))
     joined.sort(key=DetectionRecord.sort_key)
     return joined, drops
@@ -292,10 +293,7 @@ def test_detection_path_matches_record_based_original(files, max_gap_s, eps_ft, 
 
     loaded = read_clean_detections(io.StringIO(text, newline=""))
     old_loaded = old_read_clean_detections(io.StringIO(text, newline=""))
-    # The table holds rows in sort-key order, the old list in file order.
-    # They differ where the millisecond times of the file tie rows that the
-    # microsecond times ordered otherwise.
-    assert list(loaded) == sorted(old_loaded, key=DetectionRecord.sort_key)
+    assert list(loaded) == old_loaded
 
     last = last_in_runs(loaded, max_gap_s=max_gap_s)
     old_last = old_last_in_runs(old_loaded, max_gap_s)

@@ -1,13 +1,16 @@
+import ast
 import csv
 import io
 import random
 import re
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intxn_pipeline import ingest
 from intxn_pipeline.errors import DataError, HeaderMismatchError, StorageNotFoundError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import (
@@ -15,10 +18,13 @@ from intxn_pipeline.ingest import (
     SensorTable,
     clean_cv,
     clean_sensor,
+    clean_tables,
     compute_cum_dist,
     format_time_utc,
     parse_time_utc,
     read_clean_detections,
+    read_clean_sensor,
+    write_detections_csv,
     write_sensor_csv,
 )
 
@@ -366,6 +372,9 @@ GOOD_CV = "A,1,2019-05-01T12:00:10.000Z,stop_sign,0.9"
         (" ,1,2019-05-01T12:00:10.000Z,stop_sign,0.9", "unparseable"),
         ("A,1,2019-05-01T12:00:10.000Z,pedestrian,0.9", "unknown_class"),
         ("A,1,2019-05-01T12:00:10.000Z,stop_sign,1.5", "out_of_range"),
+        # A row failing several checks counts under the first.
+        (" ,1,2019-05-01T12:00:10.000Z,pedestrian,1.5", "unparseable"),
+        ("A,1,2019-05-01T12:00:10.000Z,pedestrian,1.5", "unknown_class"),
         ("B,1,2019-05-01T12:00:10.000Z,stop_sign,0.9", "no_sensor_match"),
     ],
 )
@@ -384,6 +393,38 @@ def test_clean_cv_missing_column_raises_header_mismatch():
 def test_clean_cv_finds_columns_by_name():
     src = io.StringIO("confidence,object_class,time_utc,drive,subj\n0.9,stop_sign,2019-05-01T12:00:10.000Z,1,A\n")
     assert clean_cv([src], _sensor_for_join()) == clean_cv([cv_csv([GOOD_CV])], _sensor_for_join())
+
+
+def test_clean_detections_are_in_the_order_their_file_reads_back():
+    # One millisecond of the file holds both rows, so confidence orders them.
+    rows = [
+        "A,1,2019-05-01T12:00:10.200002Z,stop_sign,0.9",
+        "A,1,2019-05-01T12:00:10.200003Z,stop_sign,0.5",
+    ]
+    table, _, _ = clean_cv([cv_csv(rows)], _sensor_for_join())
+    out = io.StringIO(newline="")
+    write_detections_csv(table, out)
+    loaded = read_clean_detections(io.StringIO(out.getvalue(), newline=""))
+    assert loaded == table
+    again = io.StringIO(newline="")
+    write_detections_csv(loaded, again)
+    assert again.getvalue() == out.getvalue()
+
+
+def test_inputs_with_a_byte_order_mark_clean_alike(tmp_path):
+    sensor_rows = ["A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,90.0,50.0"]
+    cleaned = []
+    for bom in ("", "\ufeff"):
+        sensor, cv = tmp_path / f"sensor{len(bom)}.csv", tmp_path / f"cv{len(bom)}.csv"
+        sensor.write_text(bom + sensor_csv(sensor_rows).getvalue(), encoding="utf-8")
+        cv.write_text(bom + cv_csv([GOOD_CV]).getvalue(), encoding="utf-8")
+        tables = clean_tables([sensor], [cv])
+        out = io.StringIO(newline="")
+        write_sensor_csv(tables.sensor, out)
+        write_detections_csv(tables.detections, out)
+        cleaned.append((out.getvalue(), tables.drop_report))
+    assert cleaned[0] == cleaned[1]
+    assert len(cleaned[0][0].splitlines()) == 4  # two headers, two rows
 
 
 CLEAN_CV_HEADER = "subj,drive,time_utc,lat,lon,object_class,confidence"
@@ -467,44 +508,83 @@ def _data_rows(text):
 
 
 @st.composite
-def raw_detection_row(draw):
-    """A good raw row with at most one field replaced, or arbitrary fields."""
-    row = GOOD_CV.split(",")
-    if draw(st.booleans()):
-        return draw(st.lists(ANY_FIELD, max_size=7))
-    if draw(st.booleans()):
-        row[draw(st.integers(0, len(row) - 1))] = draw(ANY_FIELD)
-    return row
+def case_and_rows(draw, cases, spare, max_rows):
+    """One of ``cases`` (header, good row, ...) and rows for it, each the
+    good row with at most one field replaced, or arbitrary fields, up to
+    ``spare`` more than the good row has."""
+    case = draw(st.sampled_from(cases))
+    good = case[1].split(",")
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        row = list(good)
+        if draw(st.booleans()):
+            row = draw(st.lists(ANY_FIELD, max_size=len(good) + spare))
+        elif draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(ANY_FIELD)
+        rows.append(row)
+    return case, rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(raw_detection_row(), max_size=8))
-def test_arbitrary_raw_detection_rows_are_kept_or_counted(rows):
-    text = _csv_text(CV_HEADER.split(","), rows)
-    table, drops, read = clean_cv([io.StringIO(text, newline="")], _sensor_for_join())
+GOOD_SENSOR = "A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,90.0,50.0"
+CUM_HEADER = SENSOR_HEADER + ",cum_dist_ft"
+
+# (header, good row, cleaner) of raw detection files and of raw sensor
+# files without and with the odometer.
+RAW_CASES = [
+    (CV_HEADER, GOOD_CV, lambda src: clean_cv([src], _sensor_for_join())),
+    (SENSOR_HEADER, GOOD_SENSOR, lambda src: clean_sensor([src])),
+    (CUM_HEADER, GOOD_SENSOR + ",0.0", lambda src: clean_sensor([src])),
+]
+
+
+@settings(max_examples=900, deadline=None)
+@given(case_and_rows(RAW_CASES, spare=2, max_rows=8))
+def test_arbitrary_raw_detection_rows_are_kept_or_counted(case_rows):
+    (header, _, clean), rows = case_rows
+    text = _csv_text(header.split(","), rows)
+    table, drops, read = clean(io.StringIO(text, newline=""))
     assert read == len(_data_rows(text)) == len(table) + sum(drops.values())
 
 
-@st.composite
-def clean_detection_row(draw):
-    """A good clean row with at most one field replaced, or arbitrary fields."""
-    row = CLEAN_CV_ROW.split(",")
-    if draw(st.booleans()):
-        return draw(st.lists(ANY_FIELD, max_size=8))
-    if draw(st.booleans()):
-        row[draw(st.integers(0, len(row) - 1))] = draw(ANY_FIELD)
-    return row
+# (header, good row, reader) of the clean detection and sensor tables.
+CLEAN_CASES = [
+    (CLEAN_CV_HEADER, CLEAN_CV_ROW, read_clean_detections),
+    (CUM_HEADER, GOOD_SENSOR + ",0.0", read_clean_sensor),
+]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(clean_detection_row(), max_size=6))
-def test_arbitrary_clean_detection_rows_load_or_name_their_line(rows):
-    text = _csv_text(CLEAN_CV_HEADER.split(","), rows)
+@settings(max_examples=600, deadline=None)
+@given(case_and_rows(CLEAN_CASES, spare=1, max_rows=6))
+def test_arbitrary_clean_detection_rows_load_or_name_their_line(case_rows):
+    (header, _, read_clean), rows = case_rows
+    text = _csv_text(header.split(","), rows)
     data = _data_rows(text)
     try:
-        table = read_clean_detections(io.StringIO(text, newline=""))
+        table = read_clean(io.StringIO(text, newline=""))
     except DataError as exc:
         line = int(re.search(r"at line (\d+): ", str(exc)).group(1))
         assert str(exc).endswith(repr(dict(data)[line]))
     else:
         assert len(table) == len(data)
+
+
+def _ingest_functions_naming(*names) -> set[str]:
+    """The top-level functions and methods of ingest that name any of
+    ``names``, such as "csv.reader", or ".write" for any write method."""
+    found = set()
+    for node in ast.parse(Path(ingest.__file__).read_text(encoding="utf-8")).body:
+        for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+            for sub in ast.walk(fn) if isinstance(fn, ast.FunctionDef) else ():
+                if isinstance(sub, ast.Attribute) and "." + sub.attr in names:
+                    found.add(fn.name)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and ast.unparse(sub) in names:
+                    found.add(fn.name)
+    return found
+
+
+def test_one_function_parses_and_one_renders_the_table_csvs():
+    # Both tables' CSVs go through one parser and one writer; a per-table
+    # copy of either is a regression.
+    assert len(_ingest_functions_naming("csv.reader")) == 1
+    renders = _ingest_functions_naming("csv.writer", ".write", "repr", "_time_texts")
+    assert len(renders) == 1, renders

@@ -353,6 +353,13 @@ def test_clean_sensor_opens_the_table_once_per_call(tmp_path, monkeypatch):
     assert [s for s in opened if s == path] == [path, path]
 
 
+def test_cached_clean_sensor_table_skips_a_byte_order_mark(tmp_path, monkeypatch):
+    path = tmp_path / "clean_sensor.csv"
+    path.write_text("\ufeff" + HEADER + "\n" + GOOD + "\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_sensor_table", None)
+    assert cli._clean_sensor(path) == read_clean_sensor(table(GOOD))
+
+
 # Microsecond counts from year 1 to 9999 relative to the epoch, beyond
 # 2**53 too, where int64 to float64 rounds.
 EPOCH_US = st.integers(-62_135_596_800_000_000, 253_402_300_799_999_999)
