@@ -7,7 +7,8 @@ The canonical timestamp (``...Z``) is what the clean tables hold and takes
 the ``fromisoformat`` fast path; the offset form takes the general path.
 The table benches clean, write, read, join and search a synth study of
 9,608 sensor rows held in memory, so no disk time is measured; the dirty
-clean bench gives the raw files one unparseable row in 100 or in 4,000.
+clean benches give the raw files one unparseable row in 100 or in 4,000,
+or only as their last row, and the quoted bench quotes every subject.
 The detection benches run a study shaped like perfbench's
 crowded-junctions, many short drives through few junctions: 500 drives and
 3,000 detections, also in memory.
@@ -102,6 +103,27 @@ def test_clean_sensor_dirty(benchmark, raw_texts, every):
     texts = [spoil(text, every) for text in raw_texts["sensor_files"]]
     records, drops, _ = benchmark(lambda: clean_sensor(streams(texts)))
     assert drops["unparseable"] == sum(len(text.splitlines()[1:]) // every for text in texts)
+
+
+def test_clean_sensor_last_row_bad(benchmark, raw_texts):
+    """Raw files whose one unparseable row is their last: a whole chunk of
+    each file parses twice."""
+    texts = [spoil(text, len(text.splitlines()) - 1) for text in raw_texts["sensor_files"]]
+    records, drops, _ = benchmark(lambda: clean_sensor(streams(texts)))
+    assert drops["unparseable"] == len(texts)
+
+
+def quote_subjects(text):
+    """``text`` with every data row's subject in quotes."""
+    header, *rows = text.splitlines()
+    return "\n".join([header, *('"' + row.replace(",", '",', 1) for row in rows), ""])
+
+
+def test_clean_sensor_quoted(benchmark, raw_texts, sensor):
+    """Raw files with quoted subjects, as some CSV writers quote every text."""
+    texts = [quote_subjects(text) for text in raw_texts["sensor_files"]]
+    records, drops, _ = benchmark(lambda: clean_sensor(streams(texts)))
+    assert records == sensor and not any(drops.values())
 
 
 def test_clean_cv_join(benchmark, raw_texts, sensor):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .geo import GeoPoint
+from .storage import resolve_uri
 from .synth import ScenarioSpec
 
 PARAM_DEFAULTS: dict[str, float | int] = {
@@ -115,7 +116,8 @@ def load_config(
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        with resolve_uri(path, "r") as handle:
+            doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -13,6 +13,15 @@ per-row objects.
 Each table class declares its CSV layout (header, raw columns and each
 column's kind) once, so one parser reads raw and clean files of both
 tables and one writer writes both.
+
+The parser reads a file a chunk of lines at a time. numpy's C tokenizer,
+``np.loadtxt``, reads each chunk into typed columns, and a clean-form
+time column parses from its digits. A chunk goes through the csv.reader
+row path instead when it holds a quote, a NUL or only blank lines, when
+loadtxt rejects it (a short row, a value that is not a float, an embedded
+line break), or when one of its rows does not parse or fails a check. The
+row path counts, drops and names bad rows by their line, so only such a
+chunk costs two parses, and either path gives the same columns.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import IO, ClassVar, Iterable
 
@@ -156,31 +165,59 @@ def _each(fn, texts: tuple[str, ...], bad: np.ndarray) -> list:
 
 # The clean tables' time form; zeros stand for digits.
 _CANONICAL_TIME = np.array(list(map(ord, "0000-00-00T00:00:00.000Z")), dtype=np.uint32)
-_DIGIT = _CANONICAL_TIME == ord("0")
+# How far a character of a canonical time may lie above the form's: 9 at a
+# digit, 0 at a separator.
+_TIME_SPAN = np.where(_CANONICAL_TIME == ord("0"), 9, 0).astype(np.uint32)
+# The digit spans of year, month, day, hour, minute, second and millisecond.
+_TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 23))
+# Per two-digit month, its days in a common year and the days of the year
+# before it; 0 for the months 0 and 13 to 99.
+_MONTH_DAYS = np.zeros(100, dtype=np.int64)
+_MONTH_DAYS[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_DAYS_BEFORE_MONTH = np.zeros(100, dtype=np.int64)
+_DAYS_BEFORE_MONTH[2:13] = np.cumsum(_MONTH_DAYS[1:12])
+_EPOCH_ORDINAL = EPOCH.toordinal()
 
 
-def _times_us(texts: tuple[str, ...], bad: np.ndarray) -> np.ndarray:
+def _canonical_us(text: np.ndarray) -> np.ndarray | None:
+    """Epoch microseconds of a "<U24" column wholly in the clean tables'
+    form, YYYY-MM-DDTHH:MM:SS.mmmZ, computed from its digits; None if a time
+    is not in that form or names a time that fromisoformat rejects: year 0,
+    a month outside 1-12, a day outside its month, hour 24 and up, minute or
+    second 60 and up.
+    """
+    digits = text.view(np.uint32).reshape(len(text), 24) - _CANONICAL_TIME
+    if not (digits <= _TIME_SPAN).all():
+        return None
+    year, month, day, hour, minute, second, ms = (  # int64: uint32 digits @ int64 places
+        digits[:, start:stop] @ 10 ** np.arange(stop - start - 1, -1, -1)
+        for start, stop in _TIME_FIELDS
+    )
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not (
+        (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
+        & (hour < 24) & (minute < 60) & (second < 60)
+    ).all():
+        return None
+    # The proleptic Gregorian ordinal of the date, as date.toordinal gives it.
+    y = year - 1
+    ordinal = y * 365 + y // 4 - y // 100 + y // 400
+    ordinal += _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
+    seconds = ((ordinal - _EPOCH_ORDINAL) * 24 + hour) * 3600 + minute * 60 + second
+    return seconds * 1_000_000 + ms * 1000
+
+
+def _times_us(texts: tuple[str, ...] | np.ndarray, bad: np.ndarray) -> np.ndarray:
     """Epoch microseconds of ISO timestamps, as parse_time_utc reads them.
 
-    A column wholly in the clean tables' form, YYYY-MM-DDTHH:MM:SS.mmmZ from
-    year 1, parses as one datetime64 array, whose parser rejects an invalid
-    month, day, hour, minute or second as fromisoformat does. Any other
-    column goes through parse_time_utc one time at a time, and a time it
-    rejects marks its row ``bad``.
+    A column of exact texts wholly in the clean tables' form parses by
+    ``_canonical_us``. Any other column goes through parse_time_utc one time
+    at a time, and a time it rejects marks its row ``bad``.
     """
-    text = np.array(texts, dtype=str)
-    if text.dtype == np.dtype("<U24"):
-        codes = text.view(np.uint32).reshape(len(text), 24)
-        if (
-            (codes[:, ~_DIGIT] == _CANONICAL_TIME[~_DIGIT]).all()
-            and (codes[:, _DIGIT] - ord("0") < 10).all()
-            and (codes[:, :4] != ord("0")).any(axis=1).all()
-        ):
-            try:
-                ms = text.astype("<U23").astype("datetime64[ms]")  # "<U23" drops the Z
-                return ms.astype("datetime64[us]").view(np.int64)
-            except ValueError:
-                pass
+    text = np.asarray(texts, dtype=str)
+    us = _canonical_us(text) if text.dtype == np.dtype("<U24") else None
+    if us is not None:
+        return us
     return np.array(_each(lambda s: to_us(parse_time_utc(s)), texts, bad), dtype=np.int64)
 
 
@@ -192,23 +229,33 @@ def _time_texts(t_us: np.ndarray) -> list[str]:
     return [text + "Z" for text in times]
 
 
-# Column kinds, each (dtype, parse, render): parse turns a CSV column's
-# texts into a column, marking ``bad`` the rows whose value does not parse,
-# and render turns a slice of the column back into texts. The writer
-# renders subj and drive as the row key. A class outside CLASS_NAMES parses
-# as -1. A raw file's _STRIPPED columns are stripped before they parse.
-_TEXT = (None, lambda texts, bad: texts, None)
-_INT = (None, partial(_each, int), None)
-_TIME = (np.int64, _times_us, _time_texts)
+# Column kinds, each (dtype, parse, render, read): parse turns a CSV
+# column's texts into a column, marking ``bad`` the rows whose value does
+# not parse, and render turns a slice of the column back into texts. The
+# writer renders subj and drive as the row key. A class outside CLASS_NAMES
+# parses as -1. A raw file's _STRIPPED columns are stripped before they
+# parse. ``read`` is the dtype np.loadtxt reads the texts as: a kind read as
+# its own dtype needs no parse, and "<U25" holds one character more than a
+# canonical time, so a longer text shows rather than being cut to look
+# canonical. No kind is read as an integer: numpy 2.4.6 crashes (SIGSEGV)
+# after repeated int64 conversion errors on non-BMP text, as 50,000 calls of
+# np.loadtxt(io.StringIO("\U00105da6¼\n"), delimiter=",", dtype=np.int64,
+# comments=None), each raising ValueError, did in 4 of 6 runs; and int()
+# keeps drives beyond int64.
+_TEXT = (None, lambda texts, bad: texts, None, object)
+_INT = (None, partial(_each, int), None, object)
+_TIME = (np.int64, _times_us, _time_texts, "<U25")
 _FLOAT = (
     float,
     lambda texts, bad: np.array(_each(float, texts, bad), dtype=float),
     lambda column: map(repr, column.tolist()),
+    float,
 )
 _CLASS = (
     np.int64,
     lambda names, bad: np.fromiter(map(_CLASS_CODE.get, names, repeat(-1)), np.int64, len(names)),
     lambda codes: map(CLASS_NAMES.__getitem__, codes.tolist()),
+    object,
 )
 _STRIPPED = ("subj", "object_class")
 
@@ -417,54 +464,100 @@ def header_indices(header: list[str] | None, columns: tuple[str, ...], source) -
     return [where[c] for c in columns]
 
 
-# Rows held at once while parsing: few enough that the cyclic GC does not
-# walk a whole file's row lists again and again.
-_CHUNK_ROWS = 4096
+# Data lines parsed at once. A chunk with a bad row is parsed twice, by
+# loadtxt up to that row and then by the row path, so fewer lines make a
+# bad row cheaper; more make the per-chunk numpy calls cheaper. With 2,048
+# a raw sensor file of 4,800 rows whose row 4,000 is bad cleans faster
+# than by the csv.reader path alone; with 4,096 it cleans slower.
+_CHUNK_ROWS = 2048
 
 
 def _row_columns(fields: list[tuple], rows: list[list[str]], bad: np.ndarray) -> list:
-    """Columns of CSV rows, one per (index, parse, strip) field: the texts
-    at that index, stripped if ``strip``, through ``parse``. A short row
-    reads as empty texts; a value that does not parse marks its row ``bad``."""
+    """Columns of CSV rows, one per (index, kind, strip) field: the texts
+    at that index, stripped if ``strip``, through the kind's parse. A short
+    row reads as empty texts; a value that does not parse marks its row
+    ``bad``."""
     width = max(i for i, *_ in fields) + 1
     if min(map(len, rows), default=width) < width:
         rows = [row if len(row) >= width else [""] * width for row in rows]
     cols = list(zip(*rows)) or [()] * width
     texts = [tuple(map(str.strip, cols[i])) if strip else cols[i] for i, _, strip in fields]
-    return [parse(column, bad) for column, (_, parse, _) in zip(texts, fields)]
+    return [kind[1](column, bad) for column, (_, kind, _) in zip(texts, fields)]
 
 
-def _parse_rows(reader, fields: list[tuple], checks: list[tuple], bad_row) -> tuple[list, int]:
-    """The ``_row_columns`` of a csv reader's non-blank rows, parsed a chunk
-    at a time, and how many rows were read.
+def _failures(columns: list, bad: np.ndarray, checks: list[tuple]) -> np.ndarray:
+    """Per row, whether it does not parse, then whether it fails each check."""
+    return np.array([bad, *(~test(columns[k]) for k, test, _ in checks)])
+
+
+def _parse_chunk(chunk: list[str], fields: list[tuple], checks: list[tuple]) -> list | None:
+    """The ``_row_columns`` of CSV data lines, tokenised by np.loadtxt; None
+    if loadtxt rejects them, or if a row does not parse or fails a check.
+
+    Lines holding a quote are left to the row path, so no quoted field,
+    which may run over lines, is cut at a chunk's end. So are lines holding
+    a NUL, which a str field drops from a text's end (Python 3.10's
+    fromisoformat rejects "...Z\\0", 3.11's accepts it), and blank lines
+    only, of which loadtxt warns.
+    """
+    text = "".join(chunk)
+    if '"' in text or "\0" in text or not text.strip("\r\n"):
+        return None
+    dtype = np.dtype([(f"f{k}", kind[3]) for k, (_, kind, _) in enumerate(fields)])
+    try:
+        table = np.loadtxt(
+            chunk, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            usecols=[i for i, *_ in fields], ndmin=1,
+        )
+    except ValueError:
+        return None
+    bad = np.zeros(len(table), dtype=bool)
+    columns = []
+    for name, (_, kind, strip) in zip(dtype.names, fields):
+        column = table[name].copy()  # a field's view would keep the whole table
+        if kind[3] != kind[0]:
+            if column.dtype.kind == "U":
+                # loadtxt cuts a text to the field's width: a text that
+                # fills it may be cut, and the rest fit one character less.
+                width = column.dtype.itemsize // 4
+                if (np.char.str_len(column) == width).any():
+                    return None
+                column = column.astype(f"<U{width - 1}")
+            column = kind[1](tuple(map(str.strip, column)) if strip else column, bad)
+        columns.append(column)
+    return None if _failures(columns, bad, checks).any() else columns
+
+
+def _parse_rows(reader, stop: int, first: int, fields: list[tuple], checks: list[tuple], bad_row):
+    """The ``_row_columns`` of the non-blank rows a csv reader gives until
+    it has read ``stop`` lines, and how many rows it gave; its line k is
+    the file's line ``first + k``.
 
     ``checks`` are (column index, test, reason), in the order they run. A
     row that does not parse or fails a test goes to ``bad_row(reason, line,
     row)``, in file order, with "unparseable" or the reason of the first
     test it fails, and is left out.
     """
-    reasons = ["unparseable", *(reason for *_, reason in checks)]
-    parts, rows, lines, read = [], [], [], 0
-    for row in chain(reader, [None]):
+    rows, lines = [], []
+    for row in reader:
         if row:
             rows.append(row)
-            lines.append(reader.line_num)
-        if row is None or len(rows) == _CHUNK_ROWS:
-            bad = np.zeros(len(rows), dtype=bool)
-            columns = _row_columns(fields, rows, bad)
-            fails = np.array([bad, *(~test(columns[k]) for k, test, _ in checks)])
-            failed = fails.any(axis=0)
-            if failed.any():
-                first = fails.argmax(axis=0).tolist()
-                for k in np.flatnonzero(failed).tolist():
-                    bad_row(reasons[first[k]], lines[k], rows[k])
-                keep = (~failed).tolist()
-                columns[:2] = [list(compress(c, keep)) for c in columns[:2]]
-                columns[2:] = [c[~failed] for c in columns[2:]]
-            parts.append(columns)
-            read += len(rows)
-            rows, lines = [], []
-    return _concat(parts), read
+            lines.append(first + reader.line_num)
+        if reader.line_num >= stop:
+            break
+    bad = np.zeros(len(rows), dtype=bool)
+    columns = _row_columns(fields, rows, bad)
+    fails = _failures(columns, bad, checks)
+    failed = fails.any(axis=0)
+    if failed.any():
+        reasons = ["unparseable", *(reason for *_, reason in checks)]
+        which = fails.argmax(axis=0).tolist()
+        for k in np.flatnonzero(failed).tolist():
+            bad_row(reasons[which[k]], lines[k], rows[k])
+        keep = (~failed).tolist()
+        columns[:2] = [list(compress(c, keep)) for c in columns[:2]]
+        columns[2:] = [c[~failed] for c in columns[2:]]
+    return columns, len(rows)
 
 
 def _concat(parts: list[list]) -> list:
@@ -482,19 +575,36 @@ def _parse_csv(source, cls: type[_Table], raw: bool, bad_row) -> tuple[dict, int
     it holds, all checked, the ``_STRIPPED`` ones stripped. Each row that
     does not parse or fails a check goes to ``bad_row(reason, line, row)``
     and is left out.
+
+    The data lines parse ``_CHUNK_ROWS`` at a time by ``_parse_chunk``. A
+    chunk it rejects goes through csv.reader and ``_parse_rows``, which
+    reads on past the chunk's last line to end a quoted field.
     """
     with resolve_uri(source, "r") as handle:
-        reader = csv.reader(handle)
+        lines = iter(handle)
+        reader = csv.reader(lines)
         header = next(reader, None)
         optional = tuple(c for c in cls.OPTIONAL if c in (header or ()))
         names = cls.RAW + optional if raw else cls.HEADER
         idx = header_indices(header, names, source)
         kinds = dict(zip(cls.HEADER, (_TEXT, _INT, *cls.COLUMNS.values())))
-        fields = [(i, kinds[n][1], raw and n in _STRIPPED) for i, n in zip(idx, names)]
+        fields = [(i, kinds[n], raw and n in _STRIPPED) for i, n in zip(idx, names)]
         checked = names if raw else cls.CLEAN_CHECKED
         checks = [(names.index(c), *_CHECKS[c]) for c in _CHECKS if c in checked]
-        columns, read = _parse_rows(reader, fields, checks, bad_row)
-    return dict(zip(names, columns)), read
+        # The columns of no rows, so that a file without data rows has columns.
+        parts, read, line = [_row_columns(fields, [], np.zeros(0, dtype=bool))], 0, reader.line_num
+        while chunk := list(islice(lines, _CHUNK_ROWS)):
+            columns = _parse_chunk(chunk, fields, checks)
+            if columns is None:
+                reader = csv.reader(chain(chunk, lines))
+                columns, rows = _parse_rows(reader, len(chunk), line, fields, checks, bad_row)
+                line += reader.line_num
+            else:
+                rows = len(columns[0])
+                line += len(chunk)
+            parts.append(columns)
+            read += rows
+    return dict(zip(names, _concat(parts))), read
 
 
 def _parse_files(cls: type[_Table], files: list, jobs: int, drops: dict) -> tuple[list, int]:

@@ -430,6 +430,16 @@ def test_config_section_must_be_object(tmp_path, key, value):
         load_config(config)
 
 
+def test_config_with_a_byte_order_mark_loads_as_without(tmp_path):
+    config = tmp_path / "pipeline.json"
+    doc = b'{"params": {"eps_ft": 50.0}, "jobs": 2}'
+    config.write_bytes(doc)
+    plain = load_config(config)
+    config.write_bytes(b"\xef\xbb\xbf" + doc)
+    assert load_config(config) == plain
+    assert (plain.params["eps_ft"], plain.jobs) == (50.0, 2)
+
+
 def test_bad_config_section_is_user_error(tmp_path, capsys):
     config = tmp_path / "pipeline.json"
     config.write_text('{"synth": 3}')

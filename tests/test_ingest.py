@@ -6,8 +6,9 @@ import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intxn_pipeline import ingest
@@ -568,6 +569,123 @@ def test_arbitrary_clean_detection_rows_load_or_name_their_line(case_rows):
         assert len(table) == len(data)
 
 
+# Field texts of the chunk-path differential test, per column: valid values
+# in several spellings, and then anomalies of any column.
+VALID_FIELDS = {
+    "subj": st.sampled_from(["A", "B", "S01", " A ", '"A,1"', '"A""B"', '"A\nB"', '"A\r\nB"']),
+    "drive": st.sampled_from(["1", "2", "12", " 3"]),
+    "time_utc": st.datetimes(
+        min_value=datetime(1, 1, 2),
+        max_value=datetime(9999, 12, 30),
+        timezones=st.just(timezone.utc),
+    ).map(format_time_utc)
+    | st.sampled_from(
+        ["2019-05-01T12:00:10Z", "2019-05-01T14:00:10.2+02:00", " 2019-05-01T12:00:10.000Z"]
+    ),
+    "lat": st.floats(-90, 90).map(repr),
+    "lon": st.floats(-180, 180).map(repr),
+    "heading_deg": st.floats(0, 359.9).map(repr),
+    "speed_fps": st.floats(0, 100).map(repr) | st.sampled_from(["5", " 5.5 ", "+1e1", "5."]),
+    "cum_dist_ft": st.floats(0, 1e6).map(repr),
+    "object_class": st.sampled_from([*ingest.OBJECT_CLASSES, " stop_sign "]),
+    "confidence": st.floats(0, 1).map(repr),
+    "extra": st.sampled_from(["x", ""]),
+}
+ODD_FIELDS = st.sampled_from(
+    ["", " ", "x", "nan", "-nan", "inf", "-0.0", "91", "-181", "1.5", "360", "-1", "1_0", "0x10",
+     "\uff11", "1e999", 'A"B', "2019-05-01T12:00:10.000Z\0", "2019-05-01T12:00:10.000Z0",
+     "2019-02-29T12:00:10.000Z", "0000-05-01T12:00:10.000Z", "pedestrian", "A\0"]
+) | st.text(max_size=4)
+# Whole lines other than rows: blank, whitespace-only and short.
+ODD_LINES = st.sampled_from(["", " ", "\t", "A,1", "A"])
+
+# (table, raw, header) of each file the differential test draws.
+CHUNK_CASES = [
+    (ingest.SensorTable, True, SENSOR_HEADER),
+    (ingest.SensorTable, True, CUM_HEADER),
+    (ingest.SensorTable, False, CUM_HEADER),
+    (ingest.DetectionTable, True, CV_HEADER),
+    (ingest.DetectionTable, False, CLEAN_CV_HEADER),
+    (ingest.DetectionTable, False, "confidence,object_class,lon,lat,time_utc,drive,subj,extra"),
+]
+
+
+@st.composite
+def chunked_files(draw):
+    """A case of CHUNK_CASES and its file's text: mostly valid rows, some
+    with an odd field, odd lines among them, each line ending in \\n, \\r\\n
+    or \\r."""
+    cls, raw, header = draw(st.sampled_from(CHUNK_CASES))
+    columns = header.split(",")
+    lines = [header]
+    for _ in range(draw(st.integers(0, 16))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["odd field", "odd line"]))
+        if kind == "odd line":
+            lines.append(draw(ODD_LINES))
+            continue
+        row = [draw(VALID_FIELDS[c]) for c in columns]
+        if kind == "odd field":
+            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_FIELDS)
+        lines.append(",".join(row))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    return cls, raw, "".join(map(str.__add__, lines, ends))
+
+
+def _parsed(cls, raw, text):
+    """What _parse_csv gives for a file: its columns, as bytes so that a
+    float's sign and NaN bits count, its row count and its bad rows."""
+    calls = []
+    columns, read = ingest._parse_csv(
+        io.StringIO(text, newline=""), cls, raw, lambda *call: calls.append(call)
+    )
+    return {
+        name: list(c) if isinstance(c, list) else (c.dtype, c.tobytes())
+        for name, c in columns.items()
+    }, read, calls
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk_rows", [1, 2, 7])
+@settings(max_examples=300, deadline=None)
+@given(chunked_files())
+# A NUL after a canonical time, which a str field would drop.
+@example(case=(ingest.SensorTable, True, SENSOR_HEADER + "\n" + GOOD_SENSOR.replace("Z", "Z\0")))
+# A subject quoted over two lines, then a bad row: its line number counts both.
+@example(
+    case=(ingest.DetectionTable, False, f'{CLEAN_CV_HEADER}\n"A\nB"{CLEAN_CV_ROW[1:]}\n,{CLEAN_CV_ROW}')
+)
+def test_chunk_path_parses_as_the_row_path(chunk_rows, case):
+    cls, raw, text = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_parse_chunk", lambda *args: None)
+        rows = _parsed(cls, raw, text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        assert _parsed(cls, raw, text) == rows
+
+
+def test_loadtxt_reads_no_integer_field(monkeypatch):
+    # numpy's loadtxt can crash on repeated integer conversion errors; see
+    # the column kinds in ingest.
+    dtypes, real = [], np.loadtxt
+
+    def loadtxt(*args, dtype, **kwargs):
+        dtypes.extend(dtype[name] for name in dtype.names)
+        return real(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    rows = ["A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,90.0,50.0,0.0"]
+    sensor, _, _ = clean_sensor([sensor_csv(rows, header=CUM_HEADER)])
+    detections, _, _ = clean_cv([cv_csv([GOOD_CV])], _sensor_for_join())
+    out = io.StringIO(newline="")
+    write_sensor_csv(sensor, out)
+    read_clean_sensor(io.StringIO(out.getvalue(), newline=""))
+    out = io.StringIO(newline="")
+    write_detections_csv(detections, out)
+    read_clean_detections(io.StringIO(out.getvalue(), newline=""))
+    assert {d.kind for d in dtypes} == {"f", "U", "O"}
+
+
 def _ingest_functions_naming(*names) -> set[str]:
     """The top-level functions and methods of ingest that name any of
     ``names``, such as "csv.reader", or ".write" for any write method."""
@@ -586,5 +704,6 @@ def test_one_function_parses_and_one_renders_the_table_csvs():
     # Both tables' CSVs go through one parser and one writer; a per-table
     # copy of either is a regression.
     assert len(_ingest_functions_naming("csv.reader")) == 1
+    assert len(_ingest_functions_naming("np.loadtxt")) == 1
     renders = _ingest_functions_naming("csv.writer", ".write", "repr", "_time_texts")
     assert len(renders) == 1, renders

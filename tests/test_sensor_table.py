@@ -323,9 +323,41 @@ def test_time_column_parses_as_parse_time_utc_does(texts):
     assert got == [_us_or_bad(text) for text in texts]
 
 
+# Texts of the clean tables' time form with every field drawn over all its
+# digits: mostly impossible dates and times, some edge cases, some valid.
+_canonical_shaped = st.builds(
+    "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}.{:03d}Z".format,
+    st.integers(0, 9999) | st.sampled_from([0, 1, 1900, 2000, 2019, 2020, 2100, 9999]),
+    st.integers(0, 99) | st.integers(0, 13),
+    st.integers(0, 99) | st.integers(0, 32),
+    st.integers(0, 99) | st.integers(0, 24),
+    st.integers(0, 99) | st.integers(0, 60),
+    st.integers(0, 99) | st.integers(0, 60),
+    st.integers(0, 999),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_canonical_shaped)
+@example("2000-02-29T23:59:59.999Z")
+@example("2020-02-29T00:00:00.000Z")
+@example("2019-03-01T00:00:00.000Z")
+@example("0001-01-01T00:00:00.000Z")
+@example("9999-12-31T23:59:59.999Z")
+@example("1969-12-31T23:59:59.999Z")
+def test_canonical_times_parse_from_their_digits_as_parse_time_utc_does(text):
+    us = ingest._canonical_us(np.array([text]))
+    assert (["bad"] if us is None else us.tolist()) == [_us_or_bad(text)]
+
+
 @pytest.mark.parametrize(
     "text",
-    ["2019-02-29T00:00:00.000Z", "0000-01-01T00:00:00.000Z", "2019-05-01T24:00:00.000Z", "2019-05-01T12:00:60.000Z"],
+    [
+        "2019-02-29T00:00:00.000Z", "1900-02-29T00:00:00.000Z", "2100-02-29T00:00:00.000Z",
+        "2019-04-31T00:00:00.000Z", "2019-00-10T00:00:00.000Z", "2019-13-10T00:00:00.000Z",
+        "2019-05-00T00:00:00.000Z", "0000-01-01T00:00:00.000Z", "2019-05-01T24:00:00.000Z",
+        "2019-05-01T12:60:00.000Z", "2019-05-01T12:00:60.000Z",
+    ],
 )
 def test_impossible_canonical_times_are_rejected(text):
     good = "2019-05-01T12:00:00.000Z"
