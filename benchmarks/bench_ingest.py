@@ -6,7 +6,11 @@ keeps it out of the default test collection.
 The canonical timestamp (``...Z``) is what the clean tables hold and takes
 the ``fromisoformat`` fast path; the offset form takes the general path.
 The table benches clean, write, read, join and search a synth study of
-9,608 sensor rows held in memory, so no disk time is measured; the dirty
+9,608 sensor rows held in memory, so no disk time is measured, except by
+the hashed write bench: it writes the table to a file through
+``storage.atomic_write``, which hashes the bytes as it writes them, so
+against the in-memory write it adds the sha256, the temp file and the
+rename. The dirty
 clean benches give the raw files one unparseable row in 100 or in 4,000,
 or only as their last row, and the quoted bench quotes every subject.
 The detection benches run a study shaped like perfbench's
@@ -14,11 +18,13 @@ crowded-junctions, many short drives through few junctions: 500 drives and
 3,000 detections, also in memory.
 """
 
+import hashlib
 import io
 from datetime import datetime, timezone
 
 import pytest
 
+from intxn_pipeline import storage
 from intxn_pipeline.discovery import last_in_runs
 from intxn_pipeline.ingest import (
     clean_cv,
@@ -150,6 +156,14 @@ def test_write_sensor_csv(benchmark, sensor, sensor_text):
         return buf
 
     assert benchmark(write).getvalue() == sensor_text
+
+
+def test_write_sensor_csv_hashed(benchmark, sensor, sensor_text, tmp_path):
+    path = tmp_path / "clean_sensor.csv"
+    benchmark(write_sensor_csv, sensor, path)
+    data = sensor_text.encode("utf-8")
+    assert path.read_bytes() == data
+    assert storage.written[path] == hashlib.sha256(data).hexdigest()
 
 
 @pytest.fixture(scope="module")

@@ -9,19 +9,17 @@ detections.
 import math
 from datetime import datetime, timedelta, timezone
 
-from intxn_pipeline import (
-    DetectionRecord,
-    DetectionTable,
+from intxn_pipeline.discovery import cluster_detections, last_in_runs
+from intxn_pipeline.geo import (
+    FT_PER_DEG,
     GeoPoint,
     PolygonRing,
     angular_difference_deg,
-    cluster_detections,
     haversine_distance_ft,
     initial_bearing_deg,
-    last_in_runs,
     point_in_polygon,
 )
-from intxn_pipeline.geo import FT_PER_DEG
+from intxn_pipeline.ingest import DetectionRecord, DetectionTable
 
 T0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
 CORNER = GeoPoint(41.25, -96.0)

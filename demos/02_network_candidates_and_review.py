@@ -10,8 +10,8 @@ import math
 import tempfile
 from pathlib import Path
 
-from intxn_pipeline import GeoPoint, RoadNetwork, extract_lrs_candidates
-from intxn_pipeline.geo import FT_PER_DEG
+from intxn_pipeline.discovery import RoadNetwork, extract_lrs_candidates
+from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.review import export_candidates_kml, import_reviewed_kml, parse_kml_features
 
 LAT0, LON0 = 41.25, -96.0

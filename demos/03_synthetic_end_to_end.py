@@ -11,23 +11,18 @@ compare against.
 import tempfile
 from pathlib import Path
 
-from intxn_pipeline import (
-    ScenarioSpec,
-    assign_bearings,
-    build_clip_specs,
-    build_review_template,
-    clean_cv,
-    clean_sensor,
+from intxn_pipeline.clips import build_clip_specs, read_videos_csv
+from intxn_pipeline.discovery import (
     cluster_detections,
     extract_lrs_candidates,
-    extract_trajectories,
-    generate,
     last_in_runs,
+    load_network_geojson,
     match_clusters,
 )
-from intxn_pipeline.discovery import load_network_geojson
-from intxn_pipeline.review import import_reviewed_kml, read_demographics
-from intxn_pipeline.clips import read_videos_csv
+from intxn_pipeline.ingest import clean_cv, clean_sensor
+from intxn_pipeline.review import build_review_template, import_reviewed_kml, read_demographics
+from intxn_pipeline.synth import ScenarioSpec, generate
+from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
 
 workdir = Path(tempfile.mkdtemp(prefix="intxn-demo-"))
 print(f"workspace: {workdir}")

@@ -9,6 +9,12 @@ data lands; outputs are written atomically and a JSON report lands beside
 each output. ``all`` runs the whole chain and pauses before
 ``import-review`` when the human-reviewed KML does not exist yet.
 
+One process that runs several stages (``all``, or one ``main`` call per
+stage) parses none of the clean tables, trajectories and cut-list that it
+wrote or parsed before: each is kept with the sha256 of its file's bytes,
+and a stage that reads one hashes the file and parses it only when the
+digest differs, so a changed file is always parsed again.
+
 Exit codes: 0 success, 1 user error, 2 data error.
 """
 
@@ -16,19 +22,18 @@ from __future__ import annotations
 
 import argparse
 import glob
-import hashlib
-import io
 import json
 import sys
 import time
 from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 from . import clips as clips_mod
 from . import discovery, ingest, review, synth, trajectory
 from .config import DEFAULT_INPUTS, PipelineConfig, load_config
 from .errors import DataError, MissingPrerequisiteError, PipelineError
-from .storage import resolve_uri
+from .storage import Store, resolve_uri
 
 # Stage order for `all`, with the review pause between export-kml and
 # import-review.
@@ -67,29 +72,17 @@ def _require(path: Path, what: str, produced_by: str | None = None) -> None:
         raise MissingPrerequisiteError(f"missing {what}: {path}{hint}")
 
 
-# The last clean sensor table parsed in this process, keyed by the sha256
-# of the bytes it was parsed from. traj, clips and template share the one
-# table (`all` runs them in one process); its columns are read-only.
-_sensor_table: tuple[str, ingest.SensorTable] | None = None
+# The stage outputs this process wrote or parsed last: the clean tables,
+# the trajectories and the cut-list. The trajectories' digest adds the clean
+# sensor table's, from which their reader cuts their windows.
+_store = Store()
 
 
-def _clean_sensor(path: Path) -> ingest.SensorTable:
-    """The clean sensor table at ``path``, parsed at most once per content.
-
-    The file is read once, and the bytes hashed are the bytes parsed, so a
-    file replaced meanwhile cannot be cached under another content's digest.
-    """
-    global _sensor_table
-    with resolve_uri(path, "rb") as handle:
-        data = handle.read()
-    key = hashlib.sha256(data).hexdigest()
-    if _sensor_table is None or _sensor_table[0] != key:
-        _sensor_table = None  # free the old table before parsing the new one
-        stream = io.BytesIO(data)
-        stream.name = str(path)  # errors name the file, not the stream
-        text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
-        _sensor_table = (key, ingest.read_clean_sensor(text))
-    return _sensor_table[1]
+def _trajectories(traj_path: Path, sensor_path: Path) -> list:
+    """The trajectories at ``traj_path``, cut from the table at ``sensor_path``."""
+    sensor = _store.load("clean_sensor", sensor_path, ingest.read_clean_sensor)
+    read = partial(trajectory.load_trajectories_csv, sensor=sensor)
+    return _store.load("trajectories", traj_path, read, _store["clean_sensor"][0])
 
 
 def _expand_files(cfg: PipelineConfig, key: str, what: str) -> list[str]:
@@ -153,7 +146,7 @@ def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str
         ("clean_cv", ingest.write_detections_csv, detections, cv_drops, cv_in, cv_files),
     ):
         out = cfg.output_path(key)
-        write(rows, out)
+        _store.put(key, out, write(rows, out))
         _write_json(Path(str(out) + ".drops.json"), drops)
         report = {"rows_in": rows_in, "rows_out": len(rows), "drops": drops, "inputs": inputs}
         reports.append((out, report))
@@ -184,7 +177,7 @@ def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
     ("lrs_candidates", "intersection candidate list", "lrs-intxns"),
 )
 def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> StageResult:
-    detections = ingest.read_clean_detections(cv_path)
+    detections = _store.load("clean_cv", cv_path, ingest.read_clean_detections)
     candidates = discovery.candidates_from_geojson(discovery.load_geojson(cand_path))
     if not candidates:
         raise DataError(f"candidate list is empty: {cand_path}")
@@ -254,7 +247,7 @@ def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
 )
 def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> StageResult:
     reviewed = trajectory.assign_bearings(review.load_reviewed_json(reviewed_path))
-    sensor = _clean_sensor(sensor_path)
+    sensor = _store.load("clean_sensor", sensor_path, ingest.read_clean_sensor)
     params = trajectory.WindowParams(
         upstream_ft=cfg.params["upstream_ft"],
         downstream_ft=cfg.params["downstream_ft"],
@@ -264,6 +257,7 @@ def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> S
     trajs, skip_report = trajectory.extract_trajectories(sensor, reviewed, params)
     out = cfg.output_path("trajectories")
     trajectory.write_trajectories_csv(trajs, out)
+    _store.put("trajectories", out, trajs, _store["clean_sensor"][0])
     summary = f"traj: {len(trajs)} entering trajectories, skips {skip_report}"
     return summary, [(out, {"trajectories": len(trajs), "skips": skip_report})]
 
@@ -277,8 +271,7 @@ def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> S
 def stage_clips(
     cfg: PipelineConfig, traj_path: Path, sensor_path: Path, videos_path: Path
 ) -> StageResult:
-    sensor = _clean_sensor(sensor_path)
-    trajs = trajectory.load_trajectories_csv(traj_path, sensor)
+    trajs = _trajectories(traj_path, sensor_path)
     videos = clips_mod.read_videos_csv(videos_path)
     overlay = clips_mod.OverlayParams(
         on_upstream_ft=cfg.params["overlay_on_upstream_ft"],
@@ -287,7 +280,8 @@ def stage_clips(
     specs, report = clips_mod.build_clip_specs(trajs, videos, overlay)
     out = cfg.output_path("cutlist")
     script_out = cfg.output_path("cutlist_script")
-    clips_mod.emit_cutlist(specs, out, script_out, processor=cfg.processor)
+    written = clips_mod.emit_cutlist(specs, out, script_out, processor=cfg.processor)
+    _store.put("cutlist", out, written)
     summary = f"clips: {len(specs)} clip specs, {len(report['unclippable'])} unclippable"
     return summary, [(out, {"trajectories": len(trajs), "clips": len(specs), **report})]
 
@@ -302,9 +296,8 @@ def stage_clips(
 def stage_template(
     cfg: PipelineConfig, traj_path: Path, sensor_path: Path, cutlist_path: Path, demo_path: Path
 ) -> StageResult:
-    sensor = _clean_sensor(sensor_path)
-    trajs = trajectory.load_trajectories_csv(traj_path, sensor)
-    specs = clips_mod.parse_cutlist(cutlist_path)
+    trajs = _trajectories(traj_path, sensor_path)
+    specs = _store.load("cutlist", cutlist_path, clips_mod.parse_cutlist)
     participants = review.read_demographics(demo_path)
     rows, manifest, warnings = review.build_review_template(
         trajs,

@@ -58,7 +58,7 @@ class OverlayParams:
             raise ValueError("overlay distances must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClipSpec:
     traj_id: str
     source_uri: str
@@ -73,6 +73,13 @@ class ClipSpec:
             raise ValueError(f"clip {self.traj_id}: bad offset/duration")
         if not 0 <= self.overlay_on_s <= self.overlay_off_s <= self.duration_s + 1e-9:
             raise ValueError(f"clip {self.traj_id}: overlay interval outside clip")
+
+
+def _written(seconds: float) -> float:
+    """A time as the cut-list holds it, to the millisecond. A span between
+    two datetimes has at most 15 significant digits at that precision, so
+    the rounded time prints to the same three decimals."""
+    return float(f"{seconds:.3f}")
 
 
 def read_videos_csv(source: str | Path | IO) -> list[VideoFile]:
@@ -168,6 +175,7 @@ def build_clip_specs(
     ``warnings`` to (traj_id, warning) entries. When a trajectory straddles
     two files the clip covers the overlap of the trajectory with the file
     holding the reference time, and overlay times are clamped into it.
+    Times are rounded to the millisecond, as the cut-list holds them.
     """
     overlay = overlay or OverlayParams()
     by_drive: dict[tuple[str, int], list[VideoFile]] = {}
@@ -188,7 +196,7 @@ def build_clip_specs(
         clip_start = max(traj.start_time_utc, video.start_time_utc)
         clip_end = min(traj.end_time_utc, video.end_time_utc)
         duration = (clip_end - clip_start).total_seconds()
-        if duration <= 0:
+        if _written(duration) <= 0:  # the cut-list could not hold it
             report["unclippable"].append({"traj_id": traj.traj_id, "reason": "empty_overlap"})
             continue
         ref_cum = traj.ref_cum_dist_ft
@@ -200,10 +208,10 @@ def build_clip_specs(
             ClipSpec(
                 traj_id=traj.traj_id,
                 source_uri=video.uri,
-                in_offset_s=(clip_start - video.start_time_utc).total_seconds(),
-                duration_s=duration,
-                overlay_on_s=on_s,
-                overlay_off_s=off_s,
+                in_offset_s=_written((clip_start - video.start_time_utc).total_seconds()),
+                duration_s=_written(duration),
+                overlay_on_s=_written(on_s),
+                overlay_off_s=_written(off_s),
                 output_name=f"{traj.traj_id}.mp4",
             )
         )
@@ -248,7 +256,9 @@ def emit_cutlist(
     clips can be rendered later, elsewhere, or not at all (dry runs).
     Numbers are serialized with exactly three decimals. Given paths, the
     script is written inside the cut-list's ``with``, so a failure while
-    writing either leaves neither file behind.
+    writing either leaves neither file behind. Returns the specs in
+    traj_id order, which for specs of ``build_clip_specs`` is what
+    ``parse_cutlist`` reads back.
     """
     ordered = sorted(specs, key=lambda s: s.traj_id)
     names = [s.output_name for s in ordered]
@@ -260,28 +270,32 @@ def emit_cutlist(
         body = "[]\n"
     with resolve_uri(json_dest, "w") as handle:
         handle.write(body)
-        if script_dest is None:
-            return
-        script = "".join(clip_command(s, processor) + "\n" for s in ordered)
-        with resolve_uri(script_dest, "w") as script_handle:
-            script_handle.write(script)
+        if script_dest is not None:
+            script = "".join(clip_command(s, processor) + "\n" for s in ordered)
+            with resolve_uri(script_dest, "w") as script_handle:
+                script_handle.write(script)
+    return ordered
 
 
 def parse_cutlist(source: str | Path | IO) -> list[ClipSpec]:
+    """Read a cut-list; raises DataError on invalid JSON or a bad entry."""
     with resolve_uri(source, "r") as handle:
         try:
             entries = json.load(handle)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid cut-list JSON: {exc}") from exc
-    return [
-        ClipSpec(
-            e["traj_id"],
-            e["source_uri"],
-            float(e["in_offset_s"]),
-            float(e["duration_s"]),
-            float(e["overlay_on_s"]),
-            float(e["overlay_off_s"]),
-            e["output_name"],
-        )
-        for e in entries
-    ]
+    try:
+        return [
+            ClipSpec(
+                e["traj_id"],
+                e["source_uri"],
+                float(e["in_offset_s"]),
+                float(e["duration_s"]),
+                float(e["overlay_on_s"]),
+                float(e["overlay_off_s"]),
+                e["output_name"],
+            )
+            for e in entries
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad cut-list entry: {exc!r}") from exc

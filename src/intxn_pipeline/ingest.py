@@ -31,7 +31,7 @@ import io
 import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import chain, compress, islice, repeat
@@ -66,6 +66,10 @@ _BAD_VALUE = (IndexError, OverflowError, ValueError)
 
 def parse_time_utc(text: str) -> datetime:
     """Parse an ISO-8601 timestamp (Z or explicit offset) to aware UTC."""
+    # Python 3.11's fromisoformat stops reading an offset at a NUL, so it
+    # would accept "...Z\0junk".
+    if "\0" in text:
+        raise ValueError(f"NUL in time {text!r}")
     # Fast path: from Python 3.11, fromisoformat alone parses the canonical
     # "...Z" form of the clean tables. Python 3.10, padding, lowercase "z",
     # other offsets and naive times take the general path below.
@@ -445,15 +449,6 @@ class DetectionTable(_Table):
         return _CLASS_CODE[r.object_class], r.confidence
 
 
-@dataclass
-class CleanTables:
-    """The two study-wide clean tables plus per-table drop accounting."""
-
-    sensor: SensorTable
-    detections: DetectionTable
-    drop_report: dict[str, dict[str, int]] = field(default_factory=dict)
-
-
 def header_indices(header: list[str] | None, columns: tuple[str, ...], source) -> list[int]:
     """Where each of ``columns`` sits in ``header``; raises HeaderMismatchError."""
     missing = [c for c in columns if c not in (header or ())]
@@ -656,18 +651,6 @@ def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable
         cum[start:stop] = np.cumsum(np.concatenate(([0.0], steps)))
 
 
-def compute_cum_dist(table: SensorTable) -> SensorTable:
-    """The table with every drive's odometer recomputed from its positions.
-
-    The first row of a drive gets 0; each later row adds the haversine
-    distance from its predecessor.
-    """
-    cum = np.empty(len(table))
-    _odometer(cum, table.lat, table.lon, zip(table.offsets, table.offsets[1:]))
-    cum.flags.writeable = False
-    return replace(table, cum=cum)
-
-
 def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int], int]:
     """Merge sensor CSVs into one canonical table, a drop report and the
     number of non-blank data rows read.
@@ -767,29 +750,20 @@ def clean_cv(
     ), drops, rows_in
 
 
-def clean_tables(
-    sensor_files: list,
-    cv_files: list,
-    join_tol_s: float = DEFAULT_JOIN_TOL_S,
-    jobs: int = 1,
-) -> CleanTables:
-    """Run both cleaning passes and bundle the results."""
-    sensor, sensor_drops, _ = clean_sensor(sensor_files, jobs=jobs)
-    detections, cv_drops, _ = clean_cv(cv_files, sensor, join_tol_s=join_tol_s, jobs=jobs)
-    return CleanTables(sensor, detections, {"sensor": sensor_drops, "detections": cv_drops})
-
-
 # Rows rendered before each write: a few drives' worth at most.
 _WRITE_ROWS = 1000
 
 
-def _write_table(table: _Table, dest) -> None:
+def _write_table(table: _Table, dest) -> _Table:
     """Write ``table.HEADER``, then each row: its key, then each of its
-    columns rendered by the column's kind.
+    columns rendered by the column's kind. Returns the table as the file
+    holds it, its times cut to the millisecond.
     """
     kinds = table.COLUMNS.values()
     key = io.StringIO()
-    render = csv.writer(key, lineterminator="")
+    # csv quotes a field holding a character of the line terminator, so a
+    # key with a line break in it is quoted.
+    render = csv.writer(key, lineterminator="\r\n")
     with resolve_uri(dest, "w") as handle:
         csv.writer(handle, lineterminator="\n").writerow(table.HEADER)
         start, prefixes = 0, []
@@ -798,21 +772,28 @@ def _write_table(table: _Table, dest) -> None:
             key.seek(0)
             key.truncate()
             render.writerow((subj, drive))
-            prefixes += [key.getvalue()] * (stop - first)
+            prefixes += [key.getvalue()[:-2]] * (stop - first)
             if stop - start >= _WRITE_ROWS or stop == len(table):
                 # Times, names and float reprs never need quoting, so joining
                 # them with commas is what csv.writer would write.
                 cells = [kind[2](c[start:stop]) for kind, c in zip(kinds, table.columns())]
                 handle.write("".join([",".join(row) + "\n" for row in zip(prefixes, *cells)]))
                 start, prefixes = stop, []
+    t_us = table.t_us // 1000 * 1000
+    t_us.flags.writeable = False
+    return replace(table, t_us=t_us)
 
 
-def write_sensor_csv(table: SensorTable, dest: str | Path | IO) -> None:
-    _write_table(table, dest)
+def write_sensor_csv(table: SensorTable, dest: str | Path | IO) -> SensorTable:
+    """Write a clean sensor table; returns what ``read_clean_sensor`` reads back."""
+    return _write_table(table, dest)
 
 
-def write_detections_csv(table: DetectionTable, dest: str | Path | IO) -> None:
-    _write_table(table, dest)
+def write_detections_csv(table: DetectionTable, dest: str | Path | IO) -> DetectionTable:
+    """Write a clean detection table; returns the table as the file holds it,
+    which is what ``read_clean_detections`` reads back when the rows were in
+    order by the millisecond already, as ``clean_cv`` orders them."""
+    return _write_table(table, dest)
 
 
 def _read_table(source, cls: type[_Table], what: str):

@@ -10,6 +10,7 @@ window, and the window is cut from the whole drive by cumulative distance:
 from __future__ import annotations
 
 import csv
+import types
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
@@ -54,7 +55,7 @@ class WindowParams:
             raise ValueError("heading_tol_deg must be in (0, 90)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryCandidate:
     """One (participant, drive, intersection) entering pass."""
 
@@ -246,7 +247,10 @@ TRAJECTORY_COLUMNS = (
 
 def write_trajectories_csv(trajs: list[TrajectoryCandidate], dest: str | Path | IO) -> None:
     with resolve_uri(dest, "w") as handle:
-        w = csv.writer(handle, lineterminator="\n")
+        # csv quotes a field holding a character of the line terminator, so
+        # a subject with a line break in it is quoted; lines end in "\n".
+        lines = types.SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
+        w = csv.writer(lines, lineterminator="\r\n")
         w.writerow(TRAJECTORY_COLUMNS)
         for t in trajs:
             w.writerow(

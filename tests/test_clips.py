@@ -1,4 +1,5 @@
 import io
+import json
 from datetime import timedelta
 
 import pytest
@@ -17,7 +18,7 @@ from intxn_pipeline.clips import (
     parse_cutlist,
     read_videos_csv,
 )
-from intxn_pipeline.errors import NoCoveringVideoError
+from intxn_pipeline.errors import DataError, NoCoveringVideoError
 from intxn_pipeline.ingest import SensorRecord, SensorTable
 from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
 
@@ -128,6 +129,14 @@ def test_clip_specs_unclippable_reported():
     assert report["unclippable"] == [{"traj_id": "A_1_4", "reason": "no_covering_video"}]
 
 
+def test_clip_shorter_than_the_cut_list_holds_is_unclippable():
+    # 0.3 ms of video at the reference time: the cut-list's three decimals
+    # would write its duration as 0.000, which parse_cutlist rejects.
+    specs, report = build_clip_specs(_trajs(), [video(9.9997, 10.0)])
+    assert specs == []
+    assert report["unclippable"] == [{"traj_id": "A_1_4", "reason": "empty_overlap"}]
+
+
 def test_clip_fits_in_source_invariant():
     trajs = _trajs()
     vid = video()
@@ -158,6 +167,33 @@ def test_emit_cutlist_roundtrip_lossless(tmp_path):
     ]
     # Three-decimal fixed serialization.
     assert '"in_offset_s": 4.000' in json_path.read_text()
+
+
+GOOD_ENTRY = {
+    "traj_id": "A_1_4", "source_uri": "a.mp4", "in_offset_s": 4.0, "duration_s": 10.0,
+    "overlay_on_s": 3.0, "overlay_off_s": 7.0, "output_name": "A_1_4.mp4",
+}
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"traj_id": "A_1_4"},
+        7,
+        [{k: v for k, v in GOOD_ENTRY.items() if k != "duration_s"}],
+        [{**GOOD_ENTRY, "duration_s": "ten"}],
+        [{**GOOD_ENTRY, "duration_s": None}],
+        [{**GOOD_ENTRY, "overlay_on_s": 1e6}],
+        ["A_1_4"],
+    ],
+    ids=["object", "number", "missing-key", "bad-number", "null", "overlay-outside", "not-object"],
+)
+def test_bad_cutlist_entry_raises_data_error(tmp_path, entries):
+    # A hand-edited cut-list must fail as data, not with a traceback.
+    path = tmp_path / "cutlist.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(DataError):
+        parse_cutlist(path)
 
 
 def test_emit_cutlist_empty(tmp_path):

@@ -19,8 +19,6 @@ from intxn_pipeline.ingest import (
     SensorTable,
     clean_cv,
     clean_sensor,
-    clean_tables,
-    compute_cum_dist,
     format_time_utc,
     parse_time_utc,
     read_clean_detections,
@@ -182,8 +180,23 @@ def _meridian_records(n, spacing_ft=50.0, subj="A", drive=1):
     ]
 
 
+def _without_odometer(records):
+    """clean_sensor of a file holding ``records`` without the odometer column,
+    which is recomputed from their positions."""
+    rows = [
+        ",".join(
+            (r.subj, str(r.drive), format_time_utc(r.t_utc), repr(r.pos.lat_deg),
+             repr(r.pos.lon_deg), repr(r.heading_deg), repr(r.speed_fps))
+        )
+        for r in records
+    ]
+    table, drops, _ = clean_sensor([sensor_csv(rows)])
+    assert sum(drops.values()) == 0
+    return table
+
+
 def test_compute_cum_dist_single_record():
-    recs = compute_cum_dist(SensorTable.from_records(_meridian_records(1)))
+    recs = _without_odometer(_meridian_records(1))
     assert [r.cum_dist_ft for r in recs] == [0.0]
 
 
@@ -191,13 +204,11 @@ def test_compute_cum_dist_two_records_100ft_apart():
     t0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
     a = GeoPoint(41.0, -96.0)
     b = GeoPoint(41.0 + 100.0 / FT_PER_DEG, -96.0)
-    recs = compute_cum_dist(
-        SensorTable.from_records(
-            [
-                SensorRecord("A", 1, t0, a, 0.0, 50.0, 0.0),
-                SensorRecord("A", 1, t0 + timedelta(seconds=2), b, 0.0, 50.0, 0.0),
-            ]
-        )
+    recs = _without_odometer(
+        [
+            SensorRecord("A", 1, t0, a, 0.0, 50.0, 0.0),
+            SensorRecord("A", 1, t0 + timedelta(seconds=2), b, 0.0, 50.0, 0.0),
+        ]
     )
     assert recs[0].cum_dist_ft == 0.0
     assert recs[1].cum_dist_ft == pytest.approx(100.0, abs=1e-6)
@@ -206,10 +217,8 @@ def test_compute_cum_dist_two_records_100ft_apart():
 def test_compute_cum_dist_stationary():
     t0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
     p = GeoPoint(41.0, -96.0)
-    recs = compute_cum_dist(
-        SensorTable.from_records(
-            [SensorRecord("A", 1, t0 + timedelta(seconds=i), p, 0.0, 0.0, 0.0) for i in range(5)]
-        )
+    recs = _without_odometer(
+        [SensorRecord("A", 1, t0 + timedelta(seconds=i), p, 0.0, 0.0, 0.0) for i in range(5)]
     )
     assert [r.cum_dist_ft for r in recs] == [0.0] * 5
 
@@ -223,7 +232,7 @@ def test_compute_cum_dist_nondecreasing_and_sums():
         lat += rng.uniform(-1e-4, 1e-4)
         lon += rng.uniform(-1e-4, 1e-4)
         raw.append(SensorRecord("A", 1, t0 + timedelta(seconds=i), GeoPoint(lat, lon), 0.0, 1.0, 0.0))
-    recs = compute_cum_dist(SensorTable.from_records(raw))
+    recs = _without_odometer(raw)
     cums = [r.cum_dist_ft for r in recs]
     assert all(c1 <= c2 for c1, c2 in zip(cums, cums[1:]))
     total = sum(
@@ -285,15 +294,15 @@ def test_clean_cv_drops_unknown_class_and_bad_confidence():
 
 
 def test_clean_tables_bundles_both_passes():
-    from intxn_pipeline.ingest import clean_tables
-
-    tables = clean_tables(
-        [sensor_csv(["A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,90.0,50.0"])],
-        [cv_csv(["A,1,2019-05-01T12:00:10.100Z,stop_sign,0.9"])],
+    sensor, sensor_drops, _ = clean_sensor(
+        [sensor_csv(["A,1,2019-05-01T12:00:10.000Z,41.0,-96.0,90.0,50.0"])]
     )
-    assert len(tables.sensor) == 1
-    assert len(tables.detections) == 1
-    assert set(tables.drop_report) == {"sensor", "detections"}
+    detections, cv_drops, _ = clean_cv(
+        [cv_csv(["A,1,2019-05-01T12:00:10.100Z,stop_sign,0.9"])], sensor
+    )
+    assert len(sensor) == 1
+    assert len(detections) == 1
+    assert sum(sensor_drops.values()) == sum(cv_drops.values()) == 0
 
 
 def test_clean_cv_all_outputs_within_tolerance():
@@ -330,6 +339,24 @@ def test_clean_sensor_drops_row_without_time():
     )
     assert len(records) == 1
     assert drops["unparseable"] == 1
+
+
+def test_clean_sensor_drops_time_with_junk_after_a_nul():
+    # Python 3.11's fromisoformat reads "...Z\0junk" as "...Z".
+    records, drops, _ = clean_sensor(
+        [
+            sensor_csv(
+                [
+                    "A,1,2019-05-01T12:00:10.000Z\0junk,41.0,-96.0,90.0,50.0",
+                    "A,1,2019-05-01T12:00:11.000Z,41.0,-96.0,90.0,50.0",
+                ]
+            )
+        ]
+    )
+    assert len(records) == 1
+    assert drops["unparseable"] == 1
+    with pytest.raises(ValueError):
+        parse_time_utc("2019-05-01T12:00:10.000Z\0junk")
 
 
 def test_clean_cv_drops_row_without_time():
@@ -419,11 +446,12 @@ def test_inputs_with_a_byte_order_mark_clean_alike(tmp_path):
         sensor, cv = tmp_path / f"sensor{len(bom)}.csv", tmp_path / f"cv{len(bom)}.csv"
         sensor.write_text(bom + sensor_csv(sensor_rows).getvalue(), encoding="utf-8")
         cv.write_text(bom + cv_csv([GOOD_CV]).getvalue(), encoding="utf-8")
-        tables = clean_tables([sensor], [cv])
+        table, sensor_drops, _ = clean_sensor([sensor])
+        detections, cv_drops, _ = clean_cv([cv], table)
         out = io.StringIO(newline="")
-        write_sensor_csv(tables.sensor, out)
-        write_detections_csv(tables.detections, out)
-        cleaned.append((out.getvalue(), tables.drop_report))
+        write_sensor_csv(table, out)
+        write_detections_csv(detections, out)
+        cleaned.append((out.getvalue(), sensor_drops, cv_drops))
     assert cleaned[0] == cleaned[1]
     assert len(cleaned[0][0].splitlines()) == 4  # two headers, two rows
 
@@ -487,7 +515,8 @@ ANY_FIELD = st.one_of(
     st.sampled_from(
         ["A", " A ", "1", "x", "2019-05-01T12:00:10.000Z", "2019-05-01T14:00:10.2+02:00",
          "0001-01-01T00:30:00+01:00", "41.0", "-96.0", "91", "nan", "inf", "-0.0",
-         "stop_sign", "signal_state", " stop_sign ", "0.9", "1.5", ""]
+         "stop_sign", "signal_state", " stop_sign ", "0.9", "1.5", "",
+         "2019-05-01T12:00:10.000Z\0junk"]
     ),
     st.text(max_size=6),
 )
@@ -594,7 +623,8 @@ VALID_FIELDS = {
 ODD_FIELDS = st.sampled_from(
     ["", " ", "x", "nan", "-nan", "inf", "-0.0", "91", "-181", "1.5", "360", "-1", "1_0", "0x10",
      "\uff11", "1e999", 'A"B', "2019-05-01T12:00:10.000Z\0", "2019-05-01T12:00:10.000Z0",
-     "2019-02-29T12:00:10.000Z", "0000-05-01T12:00:10.000Z", "pedestrian", "A\0"]
+     "2019-02-29T12:00:10.000Z", "0000-05-01T12:00:10.000Z", "pedestrian", "A\0",
+     "2019-05-01T12:00:10.000Z\0junk"]
 ) | st.text(max_size=4)
 # Whole lines other than rows: blank, whitespace-only and short.
 ODD_LINES = st.sampled_from(["", " ", "\t", "A,1", "A"])

@@ -2,8 +2,8 @@
 
 ``read_clean_sensor`` must raise on every malformed row, skip blank lines,
 parse every timestamp form the old ``DictReader`` path parsed, and round-trip
-``write_sensor_csv``. The CLI parses the table once per content within one
-process and hands the same table to traj, clips and template. The columnar
+``write_sensor_csv``. The CLI's store parses the table once per content
+within one process and hands it to traj, clips and template. The columnar
 ``SensorTable`` behaves as the sorted list of its records, computes the
 odometer bit for bit as the scalar haversine sum, and parses a time column
 as ``parse_time_utc`` parses each time.
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intxn_pipeline import cli, ingest
+from intxn_pipeline import cli, ingest, storage
 from intxn_pipeline.errors import DataError, HeaderMismatchError
 from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import (
@@ -189,12 +189,12 @@ def test_write_then_read_round_trips(records):
 
 @pytest.fixture()
 def reviewed_workspace(tmp_path, monkeypatch):
-    """A synth study run through import-review, with no table cached yet."""
-    monkeypatch.setattr(cli, "_sensor_table", None)
+    """A synth study run through import-review, with nothing stored yet."""
     config = tmp_path / "pipeline.json"
     config.write_text("{}")
     for stage in ("synth", "clean", "lrs-intxns", "subj-intxns", "export-kml", "import-review"):
         assert cli.main([stage, "--config", str(config)]) == 0, stage
+    monkeypatch.setattr(cli, "_store", storage.Store())
     return tmp_path, config
 
 
@@ -213,8 +213,8 @@ def test_post_review_stages_parse_the_table_once(reviewed_workspace, monkeypatch
     # One parse, of the bytes read from the file, in a stream named for it.
     path = ws / "out" / "clean_sensor.csv"
     assert [(c.name, c.buffer.getvalue()) for c in calls] == [(str(path), path.read_bytes())]
-    # The shared table is still what the file holds.
-    assert cli._sensor_table[1] == read(ws / "out" / "clean_sensor.csv")
+    # The stored table is still what the file holds.
+    assert cli._store["clean_sensor"][1] == read(ws / "out" / "clean_sensor.csv")
 
 
 def test_rewritten_table_is_parsed_again(reviewed_workspace, capsys):
@@ -230,7 +230,7 @@ def test_rewritten_table_is_parsed_again(reviewed_workspace, capsys):
     capsys.readouterr()
     assert cli.main(["clips", "--config", str(config)]) == 2
     assert "no sensor data for trajectory" in capsys.readouterr().err
-    assert list(cli._sensor_table[1]) == kept
+    assert list(cli._store["clean_sensor"][1]) == kept
 
 
 # --- The columnar table ------------------------------------------------------
@@ -292,7 +292,14 @@ def test_odometer_is_bitwise_the_scalar_haversine_sum(track):
     for a, b in zip(records, records[1:]):
         cum += haversine_distance_ft(a.pos, b.pos)
         expected.append(cum)
-    assert ingest.compute_cum_dist(SensorTable.from_records(records)).cum.tolist() == expected
+    # A raw file without the odometer column has it recomputed.
+    raw = "subj,drive,time_utc,lat,lon,heading_deg,speed_fps\n" + "".join(
+        f"A,1,{format_time_utc(r.t_utc)},{r.pos.lat_deg!r},{r.pos.lon_deg!r},0.0,0.0\n"
+        for r in records
+    )
+    sensor, drops, _ = ingest.clean_sensor([io.StringIO(raw)])
+    assert sum(drops.values()) == 0
+    assert sensor.cum.tolist() == expected
 
 
 _time_columns = st.lists(
@@ -371,25 +378,27 @@ def test_impossible_canonical_times_are_rejected(text):
 def test_clean_sensor_opens_the_table_once_per_call(tmp_path, monkeypatch):
     path = tmp_path / "clean_sensor.csv"
     path.write_text(HEADER + "\n" + GOOD + "\n")
-    monkeypatch.setattr(cli, "_sensor_table", None)
+    store = storage.Store()
     opened = []
-    for module in (cli, ingest):
+    for module in (storage, ingest):
         def counting(source, mode="rb", _open=module.resolve_uri):
             opened.append(source)
             return _open(source, mode)
 
         monkeypatch.setattr(module, "resolve_uri", counting)
-    first = cli._clean_sensor(path)  # parsed
+    first = store.load("clean_sensor", path, ingest.read_clean_sensor)  # parsed
+    held = store["clean_sensor"]
     assert [s for s in opened if s == path] == [path]
-    assert cli._clean_sensor(path) is first  # cached
+    assert store.load("clean_sensor", path, ingest.read_clean_sensor) == first
+    assert store["clean_sensor"] is held  # not parsed again
     assert [s for s in opened if s == path] == [path, path]
 
 
-def test_cached_clean_sensor_table_skips_a_byte_order_mark(tmp_path, monkeypatch):
+def test_cached_clean_sensor_table_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "clean_sensor.csv"
     path.write_text("\ufeff" + HEADER + "\n" + GOOD + "\n", encoding="utf-8")
-    monkeypatch.setattr(cli, "_sensor_table", None)
-    assert cli._clean_sensor(path) == read_clean_sensor(table(GOOD))
+    loaded = storage.Store().load("clean_sensor", path, ingest.read_clean_sensor)
+    assert loaded == read_clean_sensor(table(GOOD))
 
 
 # Microsecond counts from year 1 to 9999 relative to the epoch, beyond
