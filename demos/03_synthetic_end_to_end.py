@@ -79,7 +79,10 @@ participants = read_demographics(scenario.paths["demographics"])
 rows, manifest, warnings = build_review_template(
     trajs, specs, participants, custom_fields={"stop_type": ["full", "rolling", "none"]}
 )
-print(f"review rows {len(rows)}, validation manifest {manifest}, warnings {warnings}")
+print(f"review rows {len(trajs)}, validation manifest {manifest}, warnings {warnings}")
 overlay_by_id = {s.traj_id: s.overlay_on_s for s in specs}
-aligned = all(row["jump_to_ref"] == overlay_by_id[row["stop_traj_id"]] for row in rows)
+aligned = all(
+    jump == overlay_by_id[traj_id]
+    for traj_id, jump in zip(rows["stop_traj_id"], rows["jump_to_ref"])
+)
 print(f"jump_to_ref equals overlay-on for every row: {aligned}")

@@ -299,7 +299,7 @@ def stage_template(
     trajs = _trajectories(traj_path, sensor_path)
     specs = _store.load("cutlist", cutlist_path, clips_mod.parse_cutlist)
     participants = review.read_demographics(demo_path)
-    rows, manifest, warnings = review.build_review_template(
+    columns, manifest, warnings = review.build_review_template(
         trajs,
         specs,
         participants,
@@ -307,11 +307,11 @@ def stage_template(
         video_base_url=cfg.video_base_url,
     )
     out = cfg.output_path("review_template")
-    review.write_review_csv(rows, list(cfg.custom_fields), out)
+    review.write_review_csv(columns, list(cfg.custom_fields), out)
     manifest_out = cfg.output_path("validation_manifest")
     review.write_validation_manifest(manifest, manifest_out)
-    report = {"rows": len(rows), "custom_fields": list(cfg.custom_fields), "warnings": warnings}
-    return f"template: {len(rows)} review rows", [(out, report)]
+    report = {"rows": len(trajs), "custom_fields": list(cfg.custom_fields), "warnings": warnings}
+    return f"template: {len(trajs)} review rows", [(out, report)]
 
 
 @_stage("synth")

@@ -7,6 +7,13 @@ reviewer to the upcoming intersection (on 150 ft before the stop bar, off
 50 ft after it, by default). Rendering itself is delegated: this module
 only emits a JSON cut-list and a command script, so no media tooling is
 needed at test time.
+
+``build_clip_specs`` takes the trajectory table as it is and works on its
+columns: it matches every trajectory to its video, and finds every clip's
+span and overlay times, with array operations in integer microseconds.
+Overlay times round as ``datetime.fromtimestamp`` rounds, and every time is
+cut to the millisecond as the cut-list prints it, so the specs are exactly
+those of matching, interpolating and rounding one trajectory at a time.
 """
 
 from __future__ import annotations
@@ -14,16 +21,17 @@ from __future__ import annotations
 import csv
 import json
 import shlex
-from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from .errors import DataError, NoCoveringVideoError
-from .ingest import SensorTable, from_us, parse_time_utc
+from .ingest import SensorTable, from_us, parse_time_utc, to_seconds, to_us
 from .storage import resolve_uri
-from .trajectory import TrajectoryCandidate
+from .trajectory import TrajectoryCandidate, TrajectoryTable
 
 VIDEO_COLUMNS = ("uri", "subj", "drive", "start_time_utc", "end_time_utc", "fps")
 
@@ -82,6 +90,28 @@ def _written(seconds: float) -> float:
     return float(f"{seconds:.3f}")
 
 
+def _written_us(us: np.ndarray) -> np.ndarray:
+    """``_written`` of each span of ``us`` microseconds, given as
+    ``timedelta.total_seconds()`` gives it.
+
+    Such a float is within half its spacing of us / 10**6, so it rounds as
+    us does to the nearest millisecond unless us lies about that close to a
+    half: those few take ``_written`` itself.
+    """
+    seconds = to_seconds(us)
+    out = (us + 500) // 1000 / 1000
+    near = np.abs(us % 1000 - 500) <= np.abs(np.spacing(seconds)) * 1e6
+    out[near] = [_written(s) for s in seconds[near].tolist()]
+    return out
+
+
+def _fromtimestamp_us(seconds: np.ndarray) -> np.ndarray:
+    """Epoch microseconds of epoch seconds, rounded as datetime.fromtimestamp
+    rounds them: the fraction's microseconds to the nearest, ties to even."""
+    fraction, whole = np.modf(seconds)
+    return whole.astype(np.int64) * 1_000_000 + np.rint(fraction * 1e6).astype(np.int64)
+
+
 def read_videos_csv(source: str | Path | IO) -> list[VideoFile]:
     with resolve_uri(source, "r") as handle:
         reader = csv.DictReader(handle)
@@ -102,34 +132,25 @@ def read_videos_csv(source: str | Path | IO) -> list[VideoFile]:
                         float(row["fps"]),
                     )
                 )
-            except (TypeError, ValueError) as exc:
+            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+                # A short row holds None in its missing fields.
                 raise DataError(f"bad video metadata row: {row!r}") from exc
         return out
 
 
-def match_video(
-    traj: TrajectoryCandidate, videos: list[VideoFile]
-) -> tuple[VideoFile, str | None]:
-    """Pick the video whose time span covers the trajectory.
-
-    ``videos`` must already be filtered to the trajectory's (subj, drive).
-    If no file contains the whole span but one contains the reference time,
-    that file is returned with a ``spans_files`` warning. Raises
-    NoCoveringVideoError when not even the reference time is covered.
-    """
-    containing = [
-        v
-        for v in videos
-        if v.start_time_utc <= traj.start_time_utc and traj.end_time_utc <= v.end_time_utc
-    ]
-    if containing:
-        return min(containing, key=lambda v: (v.start_time_utc, v.uri)), None
-    at_ref = [
-        v for v in videos if v.start_time_utc <= traj.ref_time_utc <= v.end_time_utc
-    ]
-    if at_ref:
-        return min(at_ref, key=lambda v: (v.start_time_utc, v.uri)), "spans_files"
-    raise NoCoveringVideoError(f"no video covers trajectory {traj.traj_id}")
+def _crossing_us(points: SensorTable, at: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Epoch microseconds at which the odometer reaches each target, given
+    ``at``, the first row of ``points`` whose cum is not below it; the row
+    before ``at`` must lie below it, unless ``at`` lands on it exactly."""
+    us = points.t_us[at]
+    between = np.flatnonzero(points.cum[at] != targets)
+    i = at[between]
+    c0, c1 = points.cum[i - 1], points.cum[i]
+    # Exactly datetime.timestamp(): a correctly rounded int division.
+    t0, t1 = to_seconds(points.t_us[i - 1]), to_seconds(points.t_us[i])
+    frac = (targets[between] - c0) / (c1 - c0)
+    us[between] = _fromtimestamp_us(t0 + frac * (t1 - t0))
+    return us
 
 
 def distance_crossing_time(points: SensorTable, target_cum_dist_ft: float) -> datetime:
@@ -139,82 +160,133 @@ def distance_crossing_time(points: SensorTable, target_cum_dist_ft: float) -> da
     target landing on a sample returns that sample's timestamp, and a target
     inside a zero-motion stretch resolves to the stretch's earliest time.
     """
-    cums = points.cum.tolist()
-    if not cums or not cums[0] <= target_cum_dist_ft <= cums[-1]:
+    cums = points.cum
+    if not len(cums) or not cums[0] <= target_cum_dist_ft <= cums[-1]:
         raise ValueError(f"target {target_cum_dist_ft} outside window cumulative range")
-    i = bisect_left(cums, target_cum_dist_ft)
-    if cums[i] == target_cum_dist_ft:
-        return from_us(points.t_us[i])
-    c0, c1 = cums[i - 1], cums[i]
-    # Exactly datetime.timestamp(): a correctly rounded int division.
-    t0 = int(points.t_us[i - 1]) / 1_000_000
-    t1 = int(points.t_us[i]) / 1_000_000
-    frac = (target_cum_dist_ft - c0) / (c1 - c0)
-    return datetime.fromtimestamp(t0 + frac * (t1 - t0), tz=timezone.utc)
+    targets = np.array([target_cum_dist_ft], dtype=float)
+    return from_us(_crossing_us(points, np.searchsorted(cums, targets), targets)[0])
 
 
-def _overlay_time(
-    traj: TrajectoryCandidate, target: float, clip_start: datetime, clip_end: datetime
-) -> datetime:
-    cums = traj.points.cum
-    if target < cums[0]:
-        return clip_start
-    if target > cums[-1]:
-        return clip_end
-    return distance_crossing_time(traj.points, target)
+def _overlay_us(trajs: TrajectoryTable, rows: np.ndarray, targets, clip_start, clip_end):
+    """Per trajectory of ``rows``, when its odometer reaches its target: the
+    clip's start before its window, the clip's end after it."""
+    sensor = trajs.sensor
+    start, stop = trajs.start[rows], trajs.stop[rows]
+    us = np.where(targets < sensor.cum[start], clip_start, clip_end)
+    inside = np.flatnonzero((sensor.cum[start] <= targets) & (targets <= sensor.cum[stop - 1]))
+    drive = np.searchsorted(sensor.offsets, start[inside], "right") - 1
+    at = np.maximum(sensor.search(sensor.cum, drive, targets[inside]), start[inside])
+    us[inside] = _crossing_us(sensor, at, targets[inside])
+    return us
+
+
+def _match_videos(trajs: TrajectoryTable, videos: list[VideoFile]) -> tuple:
+    """Per trajectory, the first video of its drive, by (start time, uri),
+    that holds its whole span, else the first that holds its reference time.
+
+    Returns the videos of the table's drives in (drive, start time, uri)
+    order with their start and end times in epoch microseconds, and per
+    trajectory the position of its video among them, or -1 for none, and
+    whether that video holds only the reference time.
+    """
+    where = {key: d for d, key in enumerate(trajs.keys)}
+    ours = sorted(
+        (where[v.subj, v.drive], to_us(v.start_time_utc), v.uri, k)
+        for k, v in enumerate(videos)
+        if (v.subj, v.drive) in where
+    )
+    files = [videos[k] for *_, k in ours]
+    drive = np.array([d for d, *_ in ours], dtype=np.int64)
+    v_start = np.array([us for _, us, *_ in ours], dtype=np.int64)
+    v_end = np.array([to_us(v.end_time_utc) for v in files], dtype=np.int64)
+
+    # Each trajectory paired with each video of its drive, in that order.
+    bounds = np.searchsorted(drive, np.arange(len(trajs.keys) + 1))
+    codes = trajs.codes()
+    first, counts = bounds[codes], np.diff(bounds)[codes]
+    pair = np.repeat(np.arange(len(trajs)), counts)
+    video = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    t_us = trajs.sensor.t_us
+    t_start, t_end, t_ref = (t_us[rows][pair] for rows in (trajs.start, trajs.stop - 1, trajs.ref))
+
+    def first_video(covers: np.ndarray) -> np.ndarray:
+        out = np.full(len(trajs), -1)
+        hit = np.flatnonzero(covers)
+        rows, at = np.unique(pair[hit], return_index=True)
+        out[rows] = video[hit[at]]
+        return out
+
+    lo, hi = v_start[video], v_end[video]
+    whole = first_video((lo <= t_start) & (t_end <= hi))
+    at_ref = first_video((lo <= t_ref) & (t_ref <= hi))
+    pick = np.where(whole >= 0, whole, at_ref)
+    return files, v_start, v_end, pick, (whole < 0) & (at_ref >= 0)
+
+
+def match_video(
+    traj: TrajectoryCandidate, videos: list[VideoFile]
+) -> tuple[VideoFile, str | None]:
+    """The video ``build_clip_specs`` picks for one trajectory, and its warning.
+
+    ``videos`` must already be filtered to the trajectory's (subj, drive).
+    Raises NoCoveringVideoError when no video covers the reference time.
+    """
+    table = TrajectoryTable.from_columns(
+        [traj.subj], [traj.drive], [traj.intxn_id], [traj.leg_id], [traj.ref_index], [0],
+        [len(traj.points)], sensor=traj.points,
+    )
+    files, _, _, (pick,), (spans,) = _match_videos(table, videos)
+    if pick < 0:
+        raise NoCoveringVideoError(f"no video covers trajectory {traj.traj_id}")
+    return files[pick], "spans_files" if spans else None
 
 
 def build_clip_specs(
-    trajs: list[TrajectoryCandidate],
+    trajs: TrajectoryTable,
     videos: list[VideoFile],
     overlay: OverlayParams | None = None,
 ) -> tuple[list[ClipSpec], dict[str, list]]:
     """Build one ClipSpec per clippable trajectory plus a problem report.
 
-    The report maps ``unclippable`` to (traj_id, reason) entries and
-    ``warnings`` to (traj_id, warning) entries. When a trajectory straddles
-    two files the clip covers the overlap of the trajectory with the file
-    holding the reference time, and overlay times are clamped into it.
-    Times are rounded to the millisecond, as the cut-list holds them.
+    Each trajectory gets the video ``match_video`` picks for it. The report
+    maps ``unclippable`` to (traj_id, reason) entries and ``warnings`` to
+    (traj_id, warning) entries. When a trajectory straddles two files the
+    clip covers the overlap of the trajectory with the file holding the
+    reference time, and overlay times are clamped into it. Times are
+    rounded to the millisecond, as the cut-list holds them.
     """
     overlay = overlay or OverlayParams()
-    by_drive: dict[tuple[str, int], list[VideoFile]] = {}
-    for v in videos:
-        by_drive.setdefault((v.subj, v.drive), []).append(v)
+    files, v_start, v_end, pick, spans = _match_videos(trajs, videos)
+    ids = trajs.traj_ids()
+    t_us, cum = trajs.sensor.t_us, trajs.sensor.cum
+    rows = np.flatnonzero(pick >= 0)
+    video = pick[rows]
+    v_start = v_start[video]
+    clip_start = np.maximum(t_us[trajs.start[rows]], v_start)
+    clip_end = np.minimum(t_us[trajs.stop[rows] - 1], v_end[video])
+    duration = clip_end - clip_start
+    ref_cum = cum[trajs.ref[rows]]
+    t_on = _overlay_us(trajs, rows, ref_cum - overlay.on_upstream_ft, clip_start, clip_end)
+    t_off = _overlay_us(trajs, rows, ref_cum + overlay.off_downstream_ft, clip_start, clip_end)
+    on = np.minimum(np.maximum(t_on - clip_start, 0), duration)
+    off = np.minimum(np.maximum(t_off - clip_start, on), duration)
+    # The cut-list's times, each cut to the millisecond.
+    written = [_written_us(us) for us in (clip_start - v_start, duration, on, off)]
+    kept = written[1] > 0  # else the cut-list could not hold the clip
 
-    specs: list[ClipSpec] = []
-    report: dict[str, list] = {"unclippable": [], "warnings": []}
-    for traj in sorted(trajs, key=lambda t: (t.subj, t.drive, t.intxn_id)):
-        candidates = by_drive.get((traj.subj, traj.drive), [])
-        try:
-            video, warning = match_video(traj, candidates)
-        except NoCoveringVideoError:
-            report["unclippable"].append({"traj_id": traj.traj_id, "reason": "no_covering_video"})
-            continue
-        if warning:
-            report["warnings"].append({"traj_id": traj.traj_id, "warning": warning})
-        clip_start = max(traj.start_time_utc, video.start_time_utc)
-        clip_end = min(traj.end_time_utc, video.end_time_utc)
-        duration = (clip_end - clip_start).total_seconds()
-        if _written(duration) <= 0:  # the cut-list could not hold it
-            report["unclippable"].append({"traj_id": traj.traj_id, "reason": "empty_overlap"})
-            continue
-        ref_cum = traj.ref_cum_dist_ft
-        t_on = _overlay_time(traj, ref_cum - overlay.on_upstream_ft, clip_start, clip_end)
-        t_off = _overlay_time(traj, ref_cum + overlay.off_downstream_ft, clip_start, clip_end)
-        on_s = min(max((t_on - clip_start).total_seconds(), 0.0), duration)
-        off_s = min(max((t_off - clip_start).total_seconds(), on_s), duration)
-        specs.append(
-            ClipSpec(
-                traj_id=traj.traj_id,
-                source_uri=video.uri,
-                in_offset_s=_written((clip_start - video.start_time_utc).total_seconds()),
-                duration_s=_written(duration),
-                overlay_on_s=_written(on_s),
-                overlay_off_s=_written(off_s),
-                output_name=f"{traj.traj_id}.mp4",
-            )
+    reasons = dict.fromkeys(np.flatnonzero(pick < 0).tolist(), "no_covering_video")
+    reasons.update(dict.fromkeys(rows[~kept].tolist(), "empty_overlap"))
+    warned = np.flatnonzero(spans).tolist()
+    report: dict[str, list] = {
+        "unclippable": [{"traj_id": ids[k], "reason": reasons[k]} for k in sorted(reasons)],
+        "warnings": [{"traj_id": ids[k], "warning": "spans_files"} for k in warned],
+    }
+    specs = [
+        ClipSpec(ids[k], files[v].uri, *times, f"{ids[k]}.mp4")
+        for k, v, *times in zip(
+            rows[kept].tolist(), video[kept].tolist(), *(w[kept].tolist() for w in written)
         )
+    ]
     return specs, report
 
 
@@ -297,5 +369,5 @@ def parse_cutlist(source: str | Path | IO) -> list[ClipSpec]:
             )
             for e in entries
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"bad cut-list entry: {exc!r}") from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -158,6 +158,29 @@ def haversine_distance_ft(a: GeoPoint, b: GeoPoint) -> float:
     dlam = math.radians(b.lon_deg - a.lon_deg)
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_FT * math.asin(min(1.0, math.sqrt(h)))
+
+
+def haversine_distances_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """``haversine_distance_ft`` of each pair of points a = (lat1, lon1) and
+    b = (lat2, lon2), given as equal-length arrays, bit for bit.
+
+    The arithmetic is the same IEEE operations in the same order. sin, cos,
+    asin and squaring are math's own: numpy's SIMD asin can differ in the
+    last bit, and numpy squares by multiplying where Python's ``** 2`` calls
+    the C library's pow.
+    """
+
+    def each(fn, x):
+        return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+    def sin2(x):  # pow(s, 2.0) is what s ** 2 computes
+        return np.fromiter(map(pow, map(math.sin, x.tolist()), repeat(2.0)), float, len(x))
+
+    dphi = np.radians(lat2 - lat1)
+    dlam = np.radians(lon2 - lon1)
+    cos_cos = each(math.cos, np.radians(lat1)) * each(math.cos, np.radians(lat2))
+    h = sin2(dphi / 2.0) + cos_cos * sin2(dlam / 2.0)
+    return 2.0 * EARTH_RADIUS_FT * each(math.asin, np.minimum(1.0, np.sqrt(h)))
 
 
 def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import chain, compress, islice, repeat
@@ -41,7 +40,7 @@ from typing import IO, ClassVar, Iterable
 import numpy as np
 
 from .errors import DataError, HeaderMismatchError
-from .geo import EARTH_RADIUS_FT, GeoPoint
+from .geo import GeoPoint, haversine_distances_ft
 from .storage import resolve_uri
 
 SENSOR_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "heading_deg", "speed_fps")
@@ -152,6 +151,14 @@ def to_seconds(us: np.ndarray) -> np.ndarray:
     return us / 1_000_000
 
 
+def _int64(text: str) -> int:
+    """``int(text)``; raises OverflowError outside the int64 range."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise OverflowError(f"{text!r} is outside the int64 range")
+    return value
+
+
 def _each(fn, texts: tuple[str, ...], bad: np.ndarray) -> list:
     """``fn`` of each text; a text it fails on marks its row ``bad`` and gives 0."""
     try:
@@ -237,17 +244,24 @@ def _time_texts(t_us: np.ndarray) -> list[str]:
 # column's texts into a column, marking ``bad`` the rows whose value does
 # not parse, and render turns a slice of the column back into texts. The
 # writer renders subj and drive as the row key. A class outside CLASS_NAMES
-# parses as -1. A raw file's _STRIPPED columns are stripped before they
-# parse. ``read`` is the dtype np.loadtxt reads the texts as: a kind read as
-# its own dtype needs no parse, and "<U25" holds one character more than a
-# canonical time, so a longer text shows rather than being cut to look
-# canonical. No kind is read as an integer: numpy 2.4.6 crashes (SIGSEGV)
-# after repeated int64 conversion errors on non-BMP text, as 50,000 calls of
+# parses as -1, and an _INT64 value outside int64 does not parse. A raw
+# file's _STRIPPED columns are stripped before they parse. ``read`` is the
+# dtype np.loadtxt reads the texts as: a kind read as its own dtype needs no
+# parse, and "<U25" holds one character more than a canonical time, so a
+# longer text shows rather than being cut to look canonical. No kind is
+# read as an integer: numpy 2.4.6 crashes (SIGSEGV) after repeated int64
+# conversion errors on non-BMP text, as 50,000 calls of
 # np.loadtxt(io.StringIO("\U00105da6¼\n"), delimiter=",", dtype=np.int64,
 # comments=None), each raising ValueError, did in 4 of 6 runs; and int()
 # keeps drives beyond int64.
 _TEXT = (None, lambda texts, bad: texts, None, object)
 _INT = (None, partial(_each, int), None, object)
+_INT64 = (
+    np.int64,
+    lambda texts, bad: np.array(_each(_int64, texts, bad), dtype=np.int64),
+    None,
+    object,
+)
 _TIME = (np.int64, _times_us, _time_texts, "<U25")
 _FLOAT = (
     float,
@@ -306,10 +320,11 @@ class _Table:
     offsets: list[int]
 
     @classmethod
-    def from_columns(cls, subj, drive, *columns):
-        """A table of rows given column by column in any order; ties keep their order."""
+    def from_columns(cls, subj, drive, *columns, **extra):
+        """A table of rows given column by column in any order; ties keep
+        their order. ``extra`` are the fields of the class other than columns."""
         keys, codes = _drive_codes(subj, drive)
-        return cls._sorted(keys, codes, *columns)
+        return cls._sorted(keys, codes, *columns, **extra)
 
     @classmethod
     def from_records(cls, records: Iterable):
@@ -320,16 +335,16 @@ class _Table:
         return cls.from_columns(*(zip(*rows) if rows else [()] * (2 + len(cls.COLUMNS))))
 
     @classmethod
-    def _sorted(cls, keys: list, codes: np.ndarray, *columns):
+    def _sorted(cls, keys: list, codes: np.ndarray, *columns, **extra):
         """A table of rows in any order, each given its index into ``keys``;
         ties keep their order."""
         columns = [np.asarray(c, dtype=k[0]) for c, k in zip(columns, cls.COLUMNS.values())]
         named = dict(zip(cls.COLUMNS, columns))
         order = np.lexsort([named[n] for n in reversed(cls.SORT)] + [codes])
-        return cls._grouped(keys, codes[order], *(c[order] for c in columns))
+        return cls._grouped(keys, codes[order], *(c[order] for c in columns), **extra)
 
     @classmethod
-    def _grouped(cls, keys: list, codes: np.ndarray, *columns: np.ndarray):
+    def _grouped(cls, keys: list, codes: np.ndarray, *columns: np.ndarray, **extra):
         """A table of rows sorted by ``codes``, each row's index into ``keys``.
 
         Every key must own at least one row.
@@ -337,7 +352,13 @@ class _Table:
         for column in columns:
             column.flags.writeable = False
         offsets = [0, *np.cumsum(np.bincount(codes, minlength=len(keys))).tolist()]
-        return cls(keys, offsets, *columns)
+        return cls(keys, offsets, *columns, **extra)
+
+    @classmethod
+    def kinds(cls) -> dict[str, tuple | None]:
+        """The kind of each CSV column by name; None for one the file must
+        hold but the reader skips."""
+        return dict(zip(cls.HEADER, (_TEXT, _INT, *cls.COLUMNS.values())))
 
     def __len__(self) -> int:
         return self.offsets[-1]
@@ -352,6 +373,25 @@ class _Table:
     def codes(self) -> np.ndarray:
         """Each row's index into ``keys``."""
         return np.repeat(np.arange(len(self.keys)), np.diff(self.offsets))
+
+    def row_keys(self) -> list[tuple[str, int]]:
+        """Each row's key."""
+        return list(map(self.keys.__getitem__, self.codes().tolist()))
+
+    def search(self, column: np.ndarray, drives: np.ndarray, values: np.ndarray, side="left"):
+        """Where each value would go among the rows of its drive, by
+        ``column``, which must ascend within each drive: np.searchsorted in
+        ``column[offsets[d]:offsets[d + 1]]``, plus ``offsets[d]``.
+
+        One search serves every drive: complex numbers sort by (real, imag),
+        and the (drive, column) pairs ascend in both. Values compare as
+        float64, so int64 ones compare exactly below 2**53.
+        """
+        keys = self.codes().astype(complex)
+        keys.imag = column
+        pairs = np.array(drives, dtype=complex)
+        pairs.imag = values
+        return np.searchsorted(keys, pairs, side)
 
     def seconds(self) -> np.ndarray:
         """Epoch seconds of each row, equal to ``datetime.timestamp()``."""
@@ -372,21 +412,20 @@ class _Table:
         start, stop, step = i.indices(len(self))
         if step != 1:
             raise ValueError(f"{type(self).__name__} slices must be contiguous")
+        rows = {n: c[start:stop] for n, c in zip(self.COLUMNS, self.columns())}
         if stop <= start:
-            return type(self)([], [0], *(c[:0] for c in self.columns()))
+            return replace(self, keys=[], offsets=[0], **rows)
         first = bisect_right(self.offsets, start) - 1
         last = bisect_left(self.offsets, stop)
         inner = [b - start for b in self.offsets[first + 1 : last]]
-        rows = slice(start, stop)
-        return type(self)(
-            self.keys[first:last], [0, *inner, stop - start], *(c[rows] for c in self.columns())
-        )
+        return replace(self, keys=self.keys[first:last], offsets=[0, *inner, stop - start], **rows)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.keys, self.offsets) == (other.keys, other.offsets) and all(
-            np.array_equal(a, b) for a, b in zip(self.columns(), other.columns())
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         )
 
 
@@ -556,20 +595,23 @@ def _parse_rows(reader, stop: int, first: int, fields: list[tuple], checks: list
 
 
 def _concat(parts: list[list]) -> list:
-    """Columns of several parts, one after another: subj, drive, arrays."""
-    lists = [list(chain.from_iterable(p[k] for p in parts)) for k in (0, 1)]
-    return lists + [np.concatenate([p[k] for p in parts]) for k in range(2, len(parts[0]))]
+    """Columns of several parts, one after another: an array where the
+    first part's column is one, else a list."""
+    return [
+        np.concatenate(cols) if isinstance(cols[0], np.ndarray) else list(chain.from_iterable(cols))
+        for cols in zip(*parts)
+    ]
 
 
 def _parse_csv(source, cls: type[_Table], raw: bool, bad_row) -> tuple[dict, int]:
     """The columns of a raw or clean CSV of ``cls`` rows, by name, and how
     many non-blank data rows it holds.
 
-    A clean file's columns are ``cls.HEADER``, with the ``CLEAN_CHECKED``
-    ones checked. A raw file's are ``cls.RAW`` and those of ``cls.OPTIONAL``
-    it holds, all checked, the ``_STRIPPED`` ones stripped. Each row that
-    does not parse or fails a check goes to ``bad_row(reason, line, row)``
-    and is left out.
+    A clean file's columns are ``cls.HEADER``, less those of no kind, with
+    the ``CLEAN_CHECKED`` ones checked. A raw file's are ``cls.RAW`` and
+    those of ``cls.OPTIONAL`` it holds, all checked, the ``_STRIPPED`` ones
+    stripped. Each row that does not parse or fails a check goes to
+    ``bad_row(reason, line, row)`` and is left out.
 
     The data lines parse ``_CHUNK_ROWS`` at a time by ``_parse_chunk``. A
     chunk it rejects goes through csv.reader and ``_parse_rows``, which
@@ -582,8 +624,10 @@ def _parse_csv(source, cls: type[_Table], raw: bool, bad_row) -> tuple[dict, int
         optional = tuple(c for c in cls.OPTIONAL if c in (header or ()))
         names = cls.RAW + optional if raw else cls.HEADER
         idx = header_indices(header, names, source)
-        kinds = dict(zip(cls.HEADER, (_TEXT, _INT, *cls.COLUMNS.values())))
-        fields = [(i, kinds[n], raw and n in _STRIPPED) for i, n in zip(idx, names)]
+        kinds = cls.kinds()
+        used = [(i, n) for i, n in zip(idx, names) if kinds[n]]
+        names = [n for _, n in used]
+        fields = [(i, kinds[n], raw and n in _STRIPPED) for i, n in used]
         checked = names if raw else cls.CLEAN_CHECKED
         checks = [(names.index(c), *_CHECKS[c]) for c in _CHECKS if c in checked]
         # The columns of no rows, so that a file without data rows has columns.
@@ -627,27 +671,11 @@ def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable
     the haversine steps between its positions, in feet.
 
     Bit-identical to adding ``geo.haversine_distance_ft`` step by step: the
-    arithmetic is the same IEEE operations in the same order, np.cumsum adds
-    in sequence, and sin, cos, asin and squaring are math's own (numpy's
-    SIMD asin can differ in the last bit, and numpy squares by multiplying
-    where Python's ``** 2`` calls the C library's pow).
+    steps are ``geo.haversine_distances_ft``, and np.cumsum adds in sequence.
     """
-
-    def each(fn, x):
-        return np.fromiter(map(fn, x.tolist()), float, len(x))
-
-    def sin2(x):
-        return math.sin(x) ** 2
-
     for start, stop in spans:
         lat_, lon_ = lat[start:stop], lon[start:stop]
-        phi = np.radians(lat_)
-        dphi = np.radians(np.diff(lat_))
-        dlam = np.radians(np.diff(lon_))
-        h = each(sin2, dphi / 2.0) + each(math.cos, phi[:-1]) * each(math.cos, phi[1:]) * each(
-            sin2, dlam / 2.0
-        )
-        steps = 2.0 * EARTH_RADIUS_FT * each(math.asin, np.minimum(1.0, np.sqrt(h)))
+        steps = haversine_distances_ft(lat_[:-1], lon_[:-1], lat_[1:], lon_[1:])
         cum[start:stop] = np.cumsum(np.concatenate(([0.0], steps)))
 
 
@@ -725,12 +753,8 @@ def clean_cv(
     seen = drive >= 0
     drive, t, code, conf = drive[seen], t[seen], code[seen], conf[seen]
 
-    # One search for all detections over (drive, seconds) keys: complex
-    # numbers sort by (real, imag), and the sensor rows ascend in both.
     seconds, ts = sensor.seconds(), to_seconds(t)
-    keys = sensor.codes().astype(complex)
-    keys.imag = seconds
-    i = np.searchsorted(keys, drive + 1j * ts)
+    i = sensor.search(seconds, drive, ts)
     bounds = np.array(sensor.offsets)
     last = max(len(seconds) - 1, 0)
     before = np.where(i > bounds[drive], np.abs(seconds[np.maximum(i - 1, 0)] - ts), np.inf)

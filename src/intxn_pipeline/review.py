@@ -16,7 +16,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
@@ -32,8 +32,11 @@ from .geo import (
     point_to_segment_ft,
     polyline_midpoint,
 )
-from .ingest import format_time_utc
-from .storage import resolve_uri
+from .ingest import _time_texts
+from .storage import csv_writer, resolve_uri
+
+if TYPE_CHECKING:
+    from .trajectory import TrajectoryTable
 
 KML_NS = "http://www.opengis.net/kml/2.2"
 
@@ -436,75 +439,74 @@ def read_demographics(source: str | Path | IO) -> dict[str, tuple[str, str]]:
         missing = [c for c in ("subj", "age", "gender") if c not in have]
         if missing:
             raise DataError(f"demographics table missing columns: {', '.join(missing)}")
-        return {
-            row["subj"].strip(): (row["age"].strip(), row["gender"].strip())
-            for row in reader
-        }
+        out = {}
+        for row in reader:
+            subj, age, gender = row["subj"], row["age"], row["gender"]
+            if None in (subj, age, gender):  # DictReader's value for a field a row lacks
+                raise DataError(f"short demographics row at line {reader.line_num}: {row!r}")
+            out[subj.strip()] = (age.strip(), gender.strip())
+        return out
 
 
 def build_review_template(
-    trajs: list,
+    trajs: TrajectoryTable,
     clips: list,
     participants: dict[str, tuple[str, str]],
     custom_fields: dict[str, list[str]] | None = None,
     video_base_url: str = "",
-) -> tuple[list[dict], dict[str, list[str]], dict[str, int]]:
-    """One review row per trajectory, plus the data-validation manifest.
+) -> tuple[dict[str, list], dict[str, list[str]], dict[str, int]]:
+    """One review row per row of the trajectory table, as columns, plus the
+    data-validation manifest.
 
-    Returns (rows, manifest, warnings). Rows carry the standard columns in
-    their fixed order followed by the custom columns, initially blank. The
-    manifest maps each custom column to its allowed values so a data-entry
-    front end can validate input. A trajectory without a clip is an error;
-    a participant without demographics only costs a warning count.
+    Returns (columns, manifest, warnings). ``columns`` maps the standard
+    columns, in their fixed order, then the custom columns, initially blank,
+    to their values, row by row. The manifest maps each custom column to its
+    allowed values so a data-entry front end can validate input. A
+    trajectory without a clip is an error; a participant without
+    demographics only costs a warning count.
     """
     custom_fields = custom_fields or {}
     by_traj = {c.traj_id: c for c in clips}
-    warnings = {"missing_demographics": 0}
-    rows = []
-    for traj in sorted(trajs, key=lambda t: (t.subj, t.drive, t.intxn_id)):
-        clip = by_traj.get(traj.traj_id)
+    ids = trajs.traj_ids()
+    matched = list(map(by_traj.get, ids))
+    for traj_id, clip in zip(ids, matched):
         if clip is None:
-            raise DataError(f"no clip for trajectory {traj.traj_id}")
-        demo = participants.get(traj.subj)
-        if demo is None:
-            warnings["missing_demographics"] += 1
-            age, gender = "", ""
-        else:
-            age, gender = demo
-        row = {
-            "stop_traj_id": traj.traj_id,
-            "subj": traj.subj,
-            "drive": traj.drive,
-            "intxn_id": traj.intxn_id,
-            "ref_time_utc": format_time_utc(traj.ref_time_utc),
-            "primary_sub_age": age,
-            "primary_subj_gender": gender,
-            "jump_to_ref": clip.overlay_on_s,
-            "video_url": video_base_url + clip.output_name,
-        }
-        for name in custom_fields:
-            row[name] = ""
-        rows.append(row)
+            raise DataError(f"no clip for trajectory {traj_id}")
+    keys = trajs.row_keys()
+    demographics = [participants.get(subj) for subj, _ in keys]
+    known = [demo or ("", "") for demo in demographics]
+    columns = dict(zip(REVIEW_COLUMNS, (
+        ids,
+        [subj for subj, _ in keys],
+        [drive for _, drive in keys],
+        trajs.intxn_id.tolist(),
+        _time_texts(trajs.sensor.t_us[trajs.ref]),
+        [age for age, _ in known],
+        [gender for _, gender in known],
+        [clip.overlay_on_s for clip in matched],
+        [video_base_url + clip.output_name for clip in matched],
+    )))
+    columns.update((name, [""] * len(ids)) for name in custom_fields)
     manifest = {name: list(values) for name, values in custom_fields.items()}
-    return rows, manifest, warnings
+    return columns, manifest, {"missing_demographics": demographics.count(None)}
 
 
 def write_review_csv(
-    rows: list[dict], custom_names: list[str], dest: str | Path | IO
+    columns: dict[str, list], custom_names: list[str], dest: str | Path | IO
 ) -> None:
-    """Write review rows with the fixed column order, then custom columns."""
+    """Write the review columns in the fixed order, then the custom columns;
+    a column missing from ``columns`` is blank."""
     header = list(REVIEW_COLUMNS) + list(custom_names)
+    blank = [""] * len(next(iter(columns.values()), ()))
+    cells = [columns.get(col, blank) for col in header]
+    cells = [
+        [f"{float(v):.3f}" for v in cell] if col == "jump_to_ref" else cell
+        for col, cell in zip(header, cells)
+    ]
     with resolve_uri(dest, "w") as handle:
-        w = csv.writer(handle, lineterminator="\n")
+        w = csv_writer(handle)
         w.writerow(header)
-        for row in rows:
-            out = []
-            for col in header:
-                value = row.get(col, "")
-                if col == "jump_to_ref":
-                    value = f"{float(value):.3f}"
-                out.append(value)
-            w.writerow(out)
+        w.writerows(zip(*cells))
 
 
 def write_validation_manifest(manifest: dict[str, list[str]], dest: str | Path | IO) -> None:

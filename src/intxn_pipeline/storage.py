@@ -4,15 +4,18 @@ Batch runs accumulate over months, so every path opened for writing goes
 through a temp-file-plus-rename and a crash never leaves a partial file
 behind. The bytes are hashed as they are written, so a stage knows the
 digest of each file it wrote without reading it back. Only ``file:`` and
-bare paths are supported.
+bare paths are supported. The CSV files that are not clean tables are
+written through ``csv_writer``.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import os
 import tempfile
+import types
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 from pathlib import Path
 from typing import IO, Callable, Iterator
@@ -106,6 +109,18 @@ def atomic_write(uri: str | Path, mode: str = "w") -> Iterator[IO]:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def csv_writer(handle: IO):
+    """A csv.writer to ``handle`` whose rows end in "\\n".
+
+    csv quotes a field holding a character of the line terminator, so the
+    writer ends rows in "\\r\\n", which quotes a field holding a lone
+    "\\r" as well as one holding a line break, and each row is written with
+    "\\n" in place of its "\\r\\n".
+    """
+    lines = types.SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
+    return csv.writer(lines, lineterminator="\r\n")
 
 
 class Store(dict):

@@ -28,7 +28,7 @@ from .discovery import IntersectionCandidate, RoadNetwork, save_geojson
 from .geo import FT_PER_DEG, GeoPoint
 from .ingest import SensorTable, format_time_utc, to_us, write_sensor_csv
 from .review import KML_NS, TRUE_FOLDER
-from .storage import resolve_uri
+from .storage import csv_writer, resolve_uri
 
 BASE_TIME = datetime(2019, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -435,6 +435,8 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
         path = out / "cv" / f"{subj}.csv"
         cv_paths.append(path)
         with resolve_uri(path, "w") as handle:
+            # Subjects are _subj_name's, which hold no line-break characters,
+            # so the largest sidecar skips csv_writer's per-row rewrite.
             w = csv.writer(handle, lineterminator="\n")
             w.writerow(("subj", "drive", "time_utc", "object_class", "confidence"))
             for subj_v, drive, t, object_class, confidence in detection_rows[subj]:
@@ -444,13 +446,13 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
     paths["cv_files"] = cv_paths
 
     with resolve_uri(paths["videos"], "w") as handle:
-        w = csv.writer(handle, lineterminator="\n")
+        w = csv_writer(handle)
         w.writerow(VIDEO_COLUMNS)
         for uri, subj, drive, start, end, fps in video_rows:
             w.writerow([uri, subj, drive, format_time_utc(start), format_time_utc(end), _fmt(fps)])
 
     with resolve_uri(paths["demographics"], "w") as handle:
-        w = csv.writer(handle, lineterminator="\n")
+        w = csv_writer(handle)
         w.writerow(("subj", "age", "gender"))
         for subj_idx in range(spec.n_subjects):
             w.writerow([_subj_name(subj_idx), 30 + 2 * subj_idx, ("F", "M")[subj_idx % 2]])

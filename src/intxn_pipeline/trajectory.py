@@ -5,18 +5,28 @@ inside the approach polygon are filtered to those heading with the entering
 traffic, the surviving point closest to the intersection anchors the
 window, and the window is cut from the whole drive by cumulative distance:
 300 ft upstream to 200 ft downstream by default.
+
+The trajectories are one ``TrajectoryTable``, keyed by (subj, drive) like
+the sensor and detection tables. A row is one (drive, intersection) pass:
+its intersection, its approach leg, and three rows of the study's sensor
+table, the reference point and the first and one-past-last rows of the
+window. Times, the reference odometer and the point count follow from the
+sensor columns. Extraction picks all references with array operations,
+``trajectories.csv`` is written from and read into columns, and the clip
+and review-template stages take the table as it is; ``table[i]`` builds one
+``TrajectoryCandidate``.
 """
 
 from __future__ import annotations
 
-import csv
-import types
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from pathlib import Path
 from typing import IO
+
+import numpy as np
 
 from .errors import DataError
 from .geo import (
@@ -24,15 +34,25 @@ from .geo import (
     CellGrid,
     GeoPoint,
     angular_difference_deg,
-    haversine_distance_ft,
+    haversine_distances_ft,
     in_box,
     initial_bearing_deg,
     point_in_polygon,
     points_in_polygon,
 )
-from .ingest import SensorTable, format_time_utc, from_us, header_indices, parse_time_utc, to_us
+from .ingest import (
+    _INT,
+    _INT64,
+    _TEXT,
+    _TIME,
+    SensorTable,
+    _parse_csv,
+    _Table,
+    _time_texts,
+    from_us,
+)
 from .review import ApproachLeg, ReviewedIntersection
-from .storage import resolve_uri
+from .storage import csv_writer, resolve_uri
 
 
 @dataclass
@@ -75,6 +95,69 @@ class TrajectoryCandidate:
         return float(self.points.cum[self.ref_index])
 
 
+TRAJECTORY_COLUMNS = (
+    "traj_id",
+    "subj",
+    "drive",
+    "intxn_id",
+    "leg_id",
+    "ref_time_utc",
+    "start_time_utc",
+    "end_time_utc",
+    "ref_cum_dist_ft",
+    "n_points",
+)
+
+# A row of the sensor table; held by the trajectory table, never in a file.
+_ROW = (np.int64, None, None, None)
+
+
+@dataclass(eq=False)
+class TrajectoryTable(_Table):
+    """Entering passes sorted by (subj, drive, intxn_id); ``table[i]`` is a
+    TrajectoryCandidate with traj_id ``<subj>_<drive>_<intxn_id>``.
+
+    ``ref``, ``start`` and ``stop`` are rows of ``sensor`` in the pass's
+    drive: its reference point, and its window ``start:stop``.
+    """
+
+    COLUMNS = {"intxn_id": _INT64, "leg_id": _INT64, "ref": _ROW, "start": _ROW, "stop": _ROW}
+    SORT = ("intxn_id",)
+    HEADER = TRAJECTORY_COLUMNS
+    CLEAN_CHECKED = ()
+
+    intxn_id: np.ndarray
+    leg_id: np.ndarray
+    ref: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    sensor: SensorTable
+
+    @classmethod
+    def kinds(cls) -> dict[str, tuple | None]:
+        # The reader cuts each window by its times, which fix the other two.
+        times = dict.fromkeys(("ref_time_utc", "start_time_utc", "end_time_utc"), _TIME)
+        return {
+            "traj_id": _TEXT, "subj": _TEXT, "drive": _INT, "intxn_id": _INT64, "leg_id": _INT64,
+            **times, "ref_cum_dist_ft": None, "n_points": None,
+        }
+
+    def traj_ids(self) -> list[str]:
+        return [f"{s}_{d}_{i}" for (s, d), i in zip(self.row_keys(), self.intxn_id.tolist())]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return super().__getitem__(i)
+        i = range(len(self))[i]  # raises IndexError out of range
+        subj, drive = self.keys[bisect_right(self.offsets, i) - 1]
+        intxn_id, leg_id, ref, start, stop = (int(c[i]) for c in self.columns())
+        t_us = self.sensor.t_us
+        return TrajectoryCandidate(
+            f"{subj}_{drive}_{intxn_id}", subj, drive, intxn_id, leg_id, self.sensor[start:stop],
+            ref - start, from_us(t_us[ref]), from_us(t_us[start]), from_us(t_us[stop - 1]),
+        )
+
+
 def assign_bearings(reviewed: list[ReviewedIntersection]) -> list[ReviewedIntersection]:
     """Fill each approach's entering bearing from its direction line.
 
@@ -91,15 +174,6 @@ def assign_bearings(reviewed: list[ReviewedIntersection]) -> list[ReviewedInters
                 )
             leg.entering_bearing = initial_bearing_deg(first, last)
     return reviewed
-
-
-def _split_episodes(indices: list[int], times: list[float], gap_s: float) -> list[list[int]]:
-    episodes = [[indices[0]]]
-    for prev, cur in zip(indices, indices[1:]):
-        if times[cur] - times[prev] > gap_s:
-            episodes.append([])
-        episodes[-1].append(cur)
-    return episodes
 
 
 # Cell size of the point index, about one approach leg long, so a leg's
@@ -149,174 +223,144 @@ def _leg_hits(
     return hits
 
 
-def _extract_for_drive(
-    rows: SensorTable, hits: LegHits, params: WindowParams
-) -> tuple[list[TrajectoryCandidate], int, int]:
-    times = rows.seconds().tolist()
-    cums = rows.cum.tolist()
-    lats, lons = rows.lat.tolist(), rows.lon.tolist()
-    ((subj, drive),) = rows.keys
-
-    # (intxn_id, ref_time, leg_id, ref_drive_index) per approach visit
-    picks: list[tuple[int, float, int, int]] = []
-    for intxn, leg, surviving in hits:
-        for episode in _split_episodes(surviving, times, params.pass_gap_s):
-            ref_i = min(
-                episode,
-                key=lambda i: (
-                    haversine_distance_ft(GeoPoint(lats[i], lons[i]), intxn.pos),
-                    times[i],
-                ),
-            )
-            picks.append((intxn.intxn_id, times[ref_i], leg.leg_id, ref_i))
-
-    by_intxn: dict[int, list[tuple[int, float, int, int]]] = {}
-    for pick in picks:
-        by_intxn.setdefault(pick[0], []).append(pick)
-
-    out: list[TrajectoryCandidate] = []
-    duplicates = 0
-    truncated = 0
-    for intxn_id in sorted(by_intxn):
-        visits = sorted(by_intxn[intxn_id], key=lambda p: (p[1], p[2], p[3]))
-        duplicates += len(visits) - 1
-        _, _, leg_id, ref_i = visits[0]
-        lo = cums[ref_i] - params.upstream_ft
-        hi = cums[ref_i] + params.downstream_ft
-        left = bisect_left(cums, lo)
-        right = bisect_right(cums, hi) - 1
-        if cums[0] > lo or cums[-1] < hi:
-            truncated += 1
-        out.append(
-            TrajectoryCandidate(
-                traj_id=f"{subj}_{drive}_{intxn_id}",
-                subj=subj,
-                drive=drive,
-                intxn_id=intxn_id,
-                leg_id=leg_id,
-                points=rows[left : right + 1],
-                ref_index=ref_i - left,
-                ref_time_utc=from_us(rows.t_us[ref_i]),
-                start_time_utc=from_us(rows.t_us[left]),
-                end_time_utc=from_us(rows.t_us[right]),
-            )
-        )
-    return out, duplicates, truncated
-
-
 def extract_trajectories(
     sensor: SensorTable,
     reviewed: list[ReviewedIntersection],
     params: WindowParams | None = None,
-) -> tuple[list[TrajectoryCandidate], dict[str, int]]:
+) -> tuple[TrajectoryTable, dict[str, int]]:
     """Extract one entering trajectory per (subj, drive, intersection).
 
-    Repeat visits (multiple approaches, or repeat passes within one drive)
-    keep the earliest reference time and are tallied in the skip report as
-    ``duplicate_pass``. Windows cut short by the start or end of the drive
-    are kept and tallied as ``truncated``.
+    Each approach leg's hits in one drive split into visits where more than
+    ``pass_gap_s`` passes between two of them. A visit's reference is its
+    point closest to the intersection, the earliest of equals. Repeat visits
+    (multiple approaches, or repeat passes within one drive) keep the
+    earliest reference time, then the lowest leg and row, and are tallied in
+    the skip report as ``duplicate_pass``. Windows cut short by the start or
+    end of the drive are kept and tallied as ``truncated``.
     """
     params = params or WindowParams()
     hits = _leg_hits(sensor, reviewed, params.heading_tol_deg)
+    entries = [(d, intxn, leg, rows) for d in sorted(hits) for intxn, leg, rows in hits[d]]
+    entry = np.repeat(np.arange(len(entries)), [len(rows) for *_, rows in entries])
 
-    trajs: list[TrajectoryCandidate] = []
-    skip_report = {"duplicate_pass": 0, "truncated": 0}
-    for d in sorted(hits):
-        rows = sensor[sensor.offsets[d] : sensor.offsets[d + 1]]
-        drive_trajs, duplicates, truncated = _extract_for_drive(rows, hits[d], params)
-        trajs.extend(drive_trajs)
-        skip_report["duplicate_pass"] += duplicates
-        skip_report["truncated"] += truncated
-    trajs.sort(key=lambda t: (t.subj, t.drive, t.intxn_id))
-    return trajs, skip_report
+    def per_hit(values, dtype):
+        return np.array(values, dtype=dtype)[entry]
+
+    intxns = [intxn for _, intxn, _, _ in entries]
+    try:
+        ids = per_hit([intxn.intxn_id for intxn in intxns], np.int64)
+        legs = per_hit([leg.leg_id for _, _, leg, _ in entries], np.int64)
+    except OverflowError as exc:
+        raise DataError("intersection and leg ids must lie in the int64 range") from exc
+    drive = per_hit([d for d, *_ in entries], np.int64)
+    bounds = np.array(sensor.offsets)
+    local = np.fromiter(chain.from_iterable(rows for *_, rows in entries), np.int64, len(entry))
+    row = bounds[drive] + local
+    t = sensor.seconds()[row]
+
+    # Visits: runs of one entry's hits without a gap over pass_gap_s.
+    split = np.ones(len(row), dtype=bool)
+    split[1:] = (entry[1:] != entry[:-1]) | (t[1:] - t[:-1] > params.pass_gap_s)
+    visit = np.cumsum(split) - 1
+    dist = haversine_distances_ft(
+        sensor.lat[row], sensor.lon[row],
+        per_hit([intxn.pos.lat_deg for intxn in intxns], float),
+        per_hit([intxn.pos.lon_deg for intxn in intxns], float),
+    )
+    refs = np.lexsort((row, t, dist, visit))[np.flatnonzero(split)]
+
+    # Per (drive, intersection), the earliest visit.
+    drive, ids, t, legs, ref = drive[refs], ids[refs], t[refs], legs[refs], row[refs]
+    order = np.lexsort((ref, legs, t, ids, drive))
+    drives, intxn_ids = drive[order], ids[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (drives[1:] != drives[:-1]) | (intxn_ids[1:] != intxn_ids[:-1])
+    pick = order[first]
+    drive, ref = drive[pick], ref[pick]
+
+    cum = sensor.cum
+    lo = cum[ref] - params.upstream_ft
+    hi = cum[ref] + params.downstream_ft
+    truncated = (cum[bounds[drive]] > lo) | (cum[bounds[drive + 1] - 1] < hi)
+    used, codes = np.unique(drive, return_inverse=True)
+    table = TrajectoryTable._grouped(
+        [sensor.keys[d] for d in used.tolist()], codes, ids[pick], legs[pick], ref,
+        sensor.search(cum, drive, lo), sensor.search(cum, drive, hi, "right"), sensor=sensor,
+    )
+    return table, {"duplicate_pass": len(refs) - len(pick), "truncated": int(truncated.sum())}
 
 
-TRAJECTORY_COLUMNS = (
-    "traj_id",
-    "subj",
-    "drive",
-    "intxn_id",
-    "leg_id",
-    "ref_time_utc",
-    "start_time_utc",
-    "end_time_utc",
-    "ref_cum_dist_ft",
-    "n_points",
-)
-
-
-def write_trajectories_csv(trajs: list[TrajectoryCandidate], dest: str | Path | IO) -> None:
+def write_trajectories_csv(trajs: TrajectoryTable, dest: str | Path | IO) -> None:
+    t_us = trajs.sensor.t_us
+    columns = (
+        trajs.intxn_id.tolist(),
+        trajs.leg_id.tolist(),
+        *(_time_texts(t_us[rows]) for rows in (trajs.ref, trajs.start, trajs.stop - 1)),
+        map(repr, trajs.sensor.cum[trajs.ref].tolist()),
+        (trajs.stop - trajs.start).tolist(),
+    )
     with resolve_uri(dest, "w") as handle:
-        # csv quotes a field holding a character of the line terminator, so
-        # a subject with a line break in it is quoted; lines end in "\n".
-        lines = types.SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
-        w = csv.writer(lines, lineterminator="\r\n")
+        w = csv_writer(handle)
         w.writerow(TRAJECTORY_COLUMNS)
-        for t in trajs:
-            w.writerow(
-                [
-                    t.traj_id,
-                    t.subj,
-                    t.drive,
-                    t.intxn_id,
-                    t.leg_id,
-                    format_time_utc(t.ref_time_utc),
-                    format_time_utc(t.start_time_utc),
-                    format_time_utc(t.end_time_utc),
-                    repr(t.ref_cum_dist_ft),
-                    len(t.points),
-                ]
-            )
+        w.writerows(
+            (traj_id, *key, *rest)
+            for traj_id, key, *rest in zip(trajs.traj_ids(), trajs.row_keys(), *columns)
+        )
 
 
-def load_trajectories_csv(
-    source: str | Path | IO, sensor: SensorTable
-) -> list[TrajectoryCandidate]:
+def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> TrajectoryTable:
     """Rebuild trajectory windows from the summary CSV plus the sensor table.
 
     The window is the time span [start, end] of the drive, which delimits
-    the same contiguous point run the extractor produced.
+    the same contiguous point run the extractor produced. Raises DataError
+    for the first row, in file order, that does not parse, or whose drive
+    is not in ``sensor``, whose window holds no row, whose reference time
+    is not a time in its window, or whose traj_id is not
+    ``<subj>_<drive>_<intxn_id>``.
     """
-    spans = {key: (start, stop) for key, start, stop in sensor.spans()}
-    t_us = sensor.t_us.tolist()
-    with resolve_uri(source, "r") as handle:
-        reader = csv.reader(handle)
-        idx = header_indices(next(reader, None), TRAJECTORY_COLUMNS, source)
-        i_id, i_subj, i_drive, i_intxn, i_leg, i_ref, i_start, i_end = idx[:8]
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                traj_id, key = row[i_id], (row[i_subj], int(row[i_drive]))
-                intxn_id, leg_id = int(row[i_intxn]), int(row[i_leg])
-                start, end, ref = (parse_time_utc(row[i]) for i in (i_start, i_end, i_ref))
-            except (IndexError, OverflowError, ValueError) as exc:
-                raise DataError(f"bad trajectory row at line {reader.line_num}: {row!r}") from exc
-            if key not in spans:
-                raise DataError(f"no sensor data for trajectory {traj_id}")
-            # The window's rows are [left, right) of the drive's [first, stop).
-            first, stop = spans[key]
-            left = bisect_left(t_us, to_us(start), first, stop)
-            right = bisect_right(t_us, to_us(end), first, stop)
-            if left == right:
-                raise DataError(f"empty window for trajectory {traj_id}")
-            ref_us = to_us(ref)
-            at = bisect_left(t_us, ref_us, left, right)
-            if at == right or t_us[at] != ref_us:
-                raise DataError(f"reference time not in window for trajectory {traj_id}")
-            out.append(
-                TrajectoryCandidate(
-                    traj_id=traj_id,
-                    subj=key[0],
-                    drive=key[1],
-                    intxn_id=intxn_id,
-                    leg_id=leg_id,
-                    points=sensor[left:right],
-                    ref_index=at - left,
-                    ref_time_utc=ref,
-                    start_time_utc=start,
-                    end_time_utc=end,
-                )
-            )
-        return sorted(out, key=lambda t: (t.subj, t.drive, t.intxn_id))
+
+    def bad_row(reason, line, row):
+        raise DataError(f"bad trajectory row at line {line}: {row!r}")
+
+    named = _parse_csv(source, TrajectoryTable, False, bad_row)[0]
+    subj, drive, intxn_id = named["subj"], named["drive"], named["intxn_id"]
+    where = {key: d for d, key in enumerate(sensor.keys)}
+    codes = np.fromiter(map(where.get, zip(subj, drive), repeat(-1)), np.int64, len(subj))
+    problem = np.where(codes < 0, 1, 0)
+
+    # Times search as offsets from their drive's first time: a float holds
+    # those exactly over any drive shorter than 285 years (2**53 us).
+    found = np.flatnonzero(codes >= 0)
+    d = codes[found]
+    bounds = np.array(sensor.offsets)
+    t_us = sensor.t_us
+    since = t_us - np.repeat(t_us[bounds[:-1]], np.diff(bounds))
+    first_us = t_us[bounds[d]]
+
+    def search(name, side="left"):
+        return sensor.search(since, d, named[name][found] - first_us, side)
+
+    left, right = search("start_time_utc"), search("end_time_utc", "right")
+    at = np.clip(search("ref_time_utc"), left, right)
+    ref_us = named["ref_time_utc"][found]
+    problem[found] = np.select(
+        [left >= right, (at == right) | (t_us[np.minimum(at, len(t_us) - 1)] != ref_us)], [2, 3]
+    )
+    ids = named["traj_id"]
+    expected = [f"{s}_{v}_{i}" for s, v, i in zip(subj, drive, intxn_id.tolist())]
+    renamed = np.array([a != b for a, b in zip(ids, expected)], dtype=bool)
+    problem[(problem == 0) & renamed] = 4
+    bad = np.flatnonzero(problem)
+    if len(bad):
+        k = int(bad[0])
+        raise DataError(
+            (
+                f"no sensor data for trajectory {ids[k]}",
+                f"empty window for trajectory {ids[k]}",
+                f"reference time not in window for trajectory {ids[k]}",
+                f"trajectory id {ids[k]!r} is not {expected[k]!r}",
+            )[problem[k] - 1]
+        )
+    return TrajectoryTable.from_columns(
+        subj, drive, intxn_id, named["leg_id"], at, left, right, sensor=sensor
+    )

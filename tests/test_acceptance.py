@@ -194,7 +194,7 @@ def test_criterion_4_trajectory_windows(scenario, clean, trajectories):
         reversed_trajs, _ = extract_trajectories(
             SensorTable.from_records(reversed_sensor), assign_bearings(reviewed)
         )
-        assert reversed_trajs == []
+        assert list(reversed_trajs) == []
 
 
 def test_criterion_5_clip_timing_oracle(scenario, trajectories):
@@ -210,8 +210,8 @@ def test_criterion_5_clip_timing_oracle(scenario, trajectories):
         participants = read_demographics(scenario.paths["demographics"])
         rows, _, _ = build_review_template(trajectories, specs, participants)
         overlay_by_id = {s.traj_id: s.overlay_on_s for s in specs}
-        for row in rows:
-            assert row["jump_to_ref"] == overlay_by_id[row["stop_traj_id"]]
+        for traj_id, jump_to_ref in zip(rows["stop_traj_id"], rows["jump_to_ref"]):
+            assert jump_to_ref == overlay_by_id[traj_id]
 
 
 def test_criterion_6_round_trip_fidelity(scenario, clean, tmp_path, trajectories):

@@ -3,10 +3,13 @@ import json
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_trajectory import T0, northbound_drive, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
+    VIDEO_COLUMNS,
     ClipSpec,
     OverlayParams,
     VideoFile,
@@ -20,6 +23,7 @@ from intxn_pipeline.clips import (
 )
 from intxn_pipeline.errors import DataError, NoCoveringVideoError
 from intxn_pipeline.ingest import SensorRecord, SensorTable
+from intxn_pipeline.review import read_demographics
 from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
 
 
@@ -185,8 +189,12 @@ GOOD_ENTRY = {
         [{**GOOD_ENTRY, "duration_s": None}],
         [{**GOOD_ENTRY, "overlay_on_s": 1e6}],
         ["A_1_4"],
+        [{**GOOD_ENTRY, "duration_s": 10**400}],
     ],
-    ids=["object", "number", "missing-key", "bad-number", "null", "overlay-outside", "not-object"],
+    ids=[
+        "object", "number", "missing-key", "bad-number", "null", "overlay-outside", "not-object",
+        "beyond-float",
+    ],
 )
 def test_bad_cutlist_entry_raises_data_error(tmp_path, entries):
     # A hand-edited cut-list must fail as data, not with a traceback.
@@ -263,3 +271,54 @@ def test_clipspec_invariants():
         ClipSpec("x", "u", 0.0, 10.0, 5.0, 2.0, "x.mp4")
     with pytest.raises(ValueError):
         ClipSpec("x", "u", 0.0, 10.0, 5.0, 12.0, "x.mp4")
+
+
+def test_short_video_row_raises_data_error():
+    with pytest.raises(DataError, match="v.mp4"):
+        read_videos_csv(io.StringIO(",".join(VIDEO_COLUMNS) + "\nv.mp4\n", newline=""))
+
+
+# Field values that parse, values that do not, and CSV syntax.
+FIELDS = st.sampled_from([
+    "", " ", "v.mp4", "A", "1", "-1", "x", "30", "nan", "1e999", "9" * 30, '"', "a,b", '"q"',
+    "2019-05-01T12:00:00.000Z", "2019-05-01T12:10:00Z", "0001-01-01T00:00:00+01:00",
+    "9999-12-31T23:59:59-01:00", "2019-05-01T12:00:00.000Z\0",
+]) | st.text(max_size=4)
+CSV_TEXT = st.lists(st.lists(FIELDS, max_size=8).map(",".join), max_size=5).map("\n".join)
+CUT_KEYS = st.sampled_from(list(GOOD_ENTRY))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(list(GOOD_ENTRY.values())) | st.just(10**400),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(CUT_KEYS | st.text(max_size=3), inner, max_size=8),
+    max_leaves=12,
+)
+ENTRIES = st.lists(
+    st.dictionaries(CUT_KEYS, JSON_VALUES, max_size=7).map(lambda e: {**GOOD_ENTRY, **e}),
+    max_size=3,
+)
+HEADERS = {"videos": ",".join(VIDEO_COLUMNS) + "\n", "demographics": "subj,age,gender\n"}
+READERS = {"videos": read_videos_csv, "demographics": read_demographics}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_csv_sidecar_reader_gives_rows_or_a_data_error(name, data):
+    header = HEADERS[name] if data.draw(st.booleans()) else ""
+    text = header + data.draw(CSV_TEXT | st.text(max_size=40))
+    try:
+        READERS[name](io.StringIO(text, newline=""))
+    except DataError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    ENTRIES.map(json.dumps), JSON_VALUES.map(json.dumps), st.text(max_size=40),
+))
+def test_parse_cutlist_gives_specs_or_a_data_error(text):
+    try:
+        parse_cutlist(io.StringIO(text, newline=""))
+    except DataError:
+        pass

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from intxn_pipeline.discovery import IntersectionCandidate
 from intxn_pipeline.errors import DataError, KmlParseError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
+from intxn_pipeline.ingest import SensorRecord, SensorTable
 from intxn_pipeline.review import (
     REVIEW_COLUMNS,
     build_review_template,
@@ -20,6 +22,7 @@ from intxn_pipeline.review import (
     reviewed_to_json,
     write_review_csv,
 )
+from intxn_pipeline.trajectory import TrajectoryTable
 
 LAT0, LON0 = 41.0, -96.0
 COS0 = math.cos(math.radians(LAT0))
@@ -270,14 +273,12 @@ def test_reviewed_json_roundtrip(tmp_path):
     assert restored[0].approaches[0].entering_line == reviewed[0].approaches[0].entering_line
 
 
-def _traj(traj_id="A_1_4", subj="A", drive=1, intxn_id=4):
-    return SimpleNamespace(
-        traj_id=traj_id,
-        subj=subj,
-        drive=drive,
-        intxn_id=intxn_id,
-        ref_time_utc=datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc),
-    )
+def _trajs(n=1):
+    """A trajectory table holding trajectory A_1_4, referenced at 12:00:30, n times."""
+    t = datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc)
+    record = SensorRecord("A", 1, t, GeoPoint(LAT0, LON0), 0.0, 0.0, 0.0)
+    sensor = SensorTable.from_records([record])
+    return TrajectoryTable.from_columns(*([v] * n for v in ("A", 1, 4, 1, 0, 0, 1)), sensor=sensor)
 
 
 def _clip(traj_id="A_1_4", overlay_on_s=3.0):
@@ -288,26 +289,26 @@ def _clip(traj_id="A_1_4", overlay_on_s=3.0):
 
 def test_template_copies_overlay_on_as_jump_to_ref():
     rows, _, warnings = build_review_template(
-        [_traj()], [_clip(overlay_on_s=3.0)], {"A": ("52", "F")}
+        _trajs(), [_clip(overlay_on_s=3.0)], {"A": ("52", "F")}
     )
-    assert rows[0]["jump_to_ref"] == 3.0
-    assert rows[0]["primary_sub_age"] == "52"
+    assert rows["jump_to_ref"][0] == 3.0
+    assert rows["primary_sub_age"][0] == "52"
     assert warnings["missing_demographics"] == 0
 
 
 def test_template_custom_field_manifest():
     rows, manifest, _ = build_review_template(
-        [_traj()],
+        _trajs(),
         [_clip()],
         {"A": ("52", "F")},
         custom_fields={"stop_type": ["full", "rolling", "none"]},
     )
     assert manifest == {"stop_type": ["full", "rolling", "none"]}
-    assert rows[0]["stop_type"] == ""
+    assert rows["stop_type"][0] == ""
 
 
 def test_template_zero_trajectories():
-    rows, manifest, _ = build_review_template([], [], {})
+    rows, manifest, _ = build_review_template(_trajs(0), [], {})
     out = io.StringIO()
     write_review_csv(rows, [], out)
     assert out.getvalue() == ",".join(REVIEW_COLUMNS) + "\n"
@@ -315,20 +316,20 @@ def test_template_zero_trajectories():
 
 
 def test_template_missing_demographics_warns():
-    rows, _, warnings = build_review_template([_traj()], [_clip()], {})
-    assert rows[0]["primary_sub_age"] == ""
-    assert rows[0]["primary_subj_gender"] == ""
+    rows, _, warnings = build_review_template(_trajs(), [_clip()], {})
+    assert rows["primary_sub_age"][0] == ""
+    assert rows["primary_subj_gender"][0] == ""
     assert warnings["missing_demographics"] == 1
 
 
 def test_template_missing_clip_raises():
     with pytest.raises(DataError):
-        build_review_template([_traj()], [], {})
+        build_review_template(_trajs(), [], {})
 
 
 def test_template_csv_column_order_and_formatting():
     rows, _, _ = build_review_template(
-        [_traj()],
+        _trajs(),
         [_clip()],
         {"A": ("52", "F")},
         custom_fields={"stop_type": ["full"], "lead_vehicle": ["yes", "no"]},
@@ -346,3 +347,20 @@ def test_read_demographics(tmp_path):
     path = tmp_path / "demo.csv"
     path.write_text("subj,age,gender\nA,52,F\nB,47,M\n")
     assert read_demographics(path) == {"A": ("52", "F"), "B": ("47", "M")}
+
+
+def test_review_csv_reads_back_a_subject_with_a_carriage_return():
+    t = datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc)
+    record = SensorRecord("A\rB", 1, t, GeoPoint(LAT0, LON0), 0.0, 0.0, 0.0)
+    sensor = SensorTable.from_records([record])
+    trajs = TrajectoryTable.from_columns(["A\rB"], [1], [4], [1], [0], [0], [1], sensor=sensor)
+    columns, _, _ = build_review_template(trajs, [_clip("A\rB_1_4")], {})
+    out = io.StringIO(newline="")
+    write_review_csv(columns, [], out)
+    header, row = csv.reader(io.StringIO(out.getvalue(), newline=""))
+    assert row[:3] == ["A\rB_1_4", "A\rB", "1"]
+
+
+def test_short_demographics_row_raises_data_error():
+    with pytest.raises(DataError, match="line 2"):
+        read_demographics(io.StringIO("subj,age,gender\nA\n", newline=""))

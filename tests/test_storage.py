@@ -1,6 +1,7 @@
 """The single I/O path: every reader and writer opens through ``storage.resolve_uri``."""
 
 import ast
+import csv
 import io
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import intxn_pipeline
-from intxn_pipeline import clips, discovery, ingest, review, trajectory
+from intxn_pipeline import clips, discovery, ingest, review, storage, trajectory
 from intxn_pipeline.cli import main
 from intxn_pipeline.geo import GeoPoint
 
@@ -71,7 +74,7 @@ STREAM_CASES = {
     ),
     "review.load_reviewed_json": ("out/reviewed.json", lambda s, ws: review.load_reviewed_json(s)),
     "review.read_demographics": ("demographics.csv", lambda s, ws: review.read_demographics(s)),
-    "review.write_review_csv": (None, lambda s, ws: review.write_review_csv([], [], s)),
+    "review.write_review_csv": (None, lambda s, ws: review.write_review_csv({}, [], s)),
     "review.write_validation_manifest": (
         None,
         lambda s, ws: review.write_validation_manifest({"speeding": ["yes", "no"]}, s),
@@ -166,3 +169,20 @@ def test_only_storage_opens_files():
     # Every reader and writer goes through storage.resolve_uri; a second
     # opener or a hand-rolled "close it if we opened it" flag is a regression.
     assert _io_outside_storage() == []
+
+
+# Fields holding line breaks, lone carriage returns, quotes and commas.
+FIELDS = st.lists(
+    st.sampled_from(["\r", "\n", "\r\n", '"', ",", " ", "a"]) | st.text(max_size=4), max_size=4
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(FIELDS, min_size=1, max_size=4), max_size=5))
+def test_csv_writer_rows_read_back(rows):
+    # A field holding a lone carriage return is quoted like one holding a
+    # line break, so every row reads back whole; rows end in "\n".
+    out = io.StringIO(newline="")
+    storage.csv_writer(out).writerows(rows)
+    assert list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == rows
+    assert not out.getvalue() or out.getvalue().endswith("\n")

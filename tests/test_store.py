@@ -30,8 +30,8 @@ import intxn_pipeline
 from intxn_pipeline import cli, clips, ingest, storage, trajectory
 from intxn_pipeline.clips import ClipSpec
 from intxn_pipeline.geo import GeoPoint
-from intxn_pipeline.ingest import SensorRecord, SensorTable, from_us
-from intxn_pipeline.trajectory import TrajectoryCandidate
+from intxn_pipeline.ingest import SensorRecord, SensorTable
+from intxn_pipeline.trajectory import TrajectoryTable
 
 # Subjects as a raw file may spell them: quotes, commas and line breaks
 # among letters, spaces and any other character.
@@ -118,19 +118,13 @@ def windows(draw):
             for k, ms in enumerate(sorted(times))
         ]
     sensor = SensorTable.from_records(records)
-    trajs = []
+    rows = []
     for key, first, stop in sensor.spans():
         for intxn_id in draw(st.lists(st.integers(-5, 2**40), max_size=3, unique=True)):
             left, ref, right = sorted(draw(st.integers(first, stop - 1)) for _ in range(3))
-            trajs.append(
-                TrajectoryCandidate(
-                    f"{key[0]}_{key[1]}_{intxn_id}", *key, intxn_id, draw(st.integers(0, 9)),
-                    sensor[left : right + 1], ref - left, from_us(sensor.t_us[ref]),
-                    from_us(sensor.t_us[left]), from_us(sensor.t_us[right]),
-                )
-            )
-    trajs.sort(key=lambda t: (t.subj, t.drive, t.intxn_id))
-    return sensor, trajs
+            rows.append((*key, intxn_id, draw(st.integers(0, 9)), ref, left, right + 1))
+    columns = zip(*rows) if rows else [[]] * 7
+    return sensor, TrajectoryTable.from_columns(*columns, sensor=sensor)
 
 
 @settings(max_examples=150, deadline=None)

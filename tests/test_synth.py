@@ -2,8 +2,11 @@ from collections import Counter
 
 import pytest
 
+from intxn_pipeline import synth
+from intxn_pipeline.clips import read_videos_csv
 from intxn_pipeline.geo import GeoPoint
 from intxn_pipeline.ingest import clean_cv, clean_sensor
+from intxn_pipeline.review import read_demographics
 from intxn_pipeline.synth import ScenarioSpec, generate
 
 
@@ -97,3 +100,14 @@ def test_origin_override(tmp_path):
     spec = ScenarioSpec(origin=GeoPoint(35.0, -101.0))
     scenario = generate(spec, tmp_path)
     assert scenario.ground_truth.junctions[0][0] == GeoPoint(35.0, -101.0)
+
+
+def test_video_and_demographics_files_read_back_any_subject(tmp_path, monkeypatch):
+    # Subjects holding a carriage return, a line break, a comma and a quote
+    # must survive the sidecar writers.
+    names = {}
+    monkeypatch.setattr(synth, "_subj_name", lambda k: names.setdefault(k, f'S{k}\r,"x\ny'))
+    scenario = generate(ScenarioSpec(), tmp_path)
+    videos = read_videos_csv(scenario.paths["videos"])
+    assert {v.subj for v in videos} == set(names.values())
+    assert set(read_demographics(scenario.paths["demographics"])) == set(names.values())

@@ -157,7 +157,7 @@ def test_ref_point_minimizes_distance_in_polygon():
 def test_exiting_traffic_filtered_out():
     sensor = northbound_drive(heading=180.0)
     trajs, _ = _extract(sensor, [northbound_intersection()])
-    assert trajs == []
+    assert list(trajs) == []
 
 
 def test_heading_flip_property():
@@ -175,14 +175,14 @@ def test_heading_flip_property():
         for r in sensor
     ]
     trajs, _ = _extract(flipped, [northbound_intersection()])
-    assert trajs == []
+    assert list(trajs) == []
 
 
 def test_drive_missing_polygon_yields_nothing():
     trajs, skips = _extract(
         northbound_drive(), [northbound_intersection(junction_north_ft=50000.0)]
     )
-    assert trajs == []
+    assert list(trajs) == []
     assert skips == {"duplicate_pass": 0, "truncated": 0}
 
 
@@ -267,6 +267,8 @@ def test_trajectories_csv_roundtrip():
         ("start_time_utc", "noon", "bad trajectory row at line 2"),
         ("drive", "7", "no sensor data for trajectory A_1_4"),
         ("ref_time_utc", "2019-05-01T12:00:10.500Z", "reference time not in window"),
+        ("end_time_utc", "2019-05-01T12:00:02.000Z", "empty window for trajectory A_1_4"),
+        ("traj_id", "A_1_5", "trajectory id 'A_1_5' is not 'A_1_4'"),
     ],
 )
 def test_trajectories_csv_bad_row_raises_data_error(field, value, message):
