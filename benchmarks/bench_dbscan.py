@@ -17,17 +17,14 @@ import numpy as np
 import pytest
 
 from intxn_pipeline.discovery import dbscan_labels
-from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
+from intxn_pipeline.geo import FT_PER_DEG
 
 LAT0, LON0 = 41.0, -96.0
 COS0 = math.cos(math.radians(LAT0))
 
 
 def _scene(north_ft, east_ft):
-    return [
-        GeoPoint(LAT0 + n / FT_PER_DEG, LON0 + e / (FT_PER_DEG * COS0))
-        for n, e in zip(north_ft.tolist(), east_ft.tolist())
-    ]
+    return LAT0 + north_ft / FT_PER_DEG, LON0 + east_ft / (FT_PER_DEG * COS0)
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +42,10 @@ def spread():
 
 
 def test_dbscan_crowded(benchmark, crowded):
-    labels = benchmark(dbscan_labels, crowded, 100.0, 2)
-    assert sorted(set(labels)) == [0, 1, 2]
+    labels = benchmark(dbscan_labels, *crowded, 100.0, 2)
+    assert sorted(set(labels.tolist())) == [0, 1, 2]
 
 
 def test_dbscan_spread(benchmark, spread):
-    labels = benchmark(dbscan_labels, spread, 100.0, 2)
-    assert len(labels) == len(spread)
+    labels = benchmark(dbscan_labels, *spread, 100.0, 2)
+    assert len(labels) == len(spread[0])

@@ -2,7 +2,9 @@
 
 Usage::
 
-    intxn-pipeline <stage> --config <path> [--jobs N] [--param key=value ...]
+    intxn-pipeline <stage> --config <path> [--param key=value ...]
+
+Every stage runs in one thread; ``--jobs N`` is accepted and ignored.
 
 Stages run independently so a growing study can rerun any of them as new
 data lands; outputs are written atomically and a JSON report lands beside
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import sys
 import time
 from collections.abc import Callable
@@ -33,7 +34,7 @@ from . import clips as clips_mod
 from . import discovery, ingest, review, synth, trajectory
 from .config import DEFAULT_INPUTS, PipelineConfig, load_config
 from .errors import DataError, MissingPrerequisiteError, PipelineError
-from .storage import Store, resolve_uri
+from .storage import Store, write_json
 
 # Stage order for `all`, with the review pause between export-kml and
 # import-review.
@@ -58,12 +59,6 @@ def _stage(name: str, *prerequisites: tuple[str, str, str | None]):
         return body
 
     return register
-
-
-def _write_json(output: Path, doc) -> None:
-    with resolve_uri(output, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
 
 
 def _require(path: Path, what: str, produced_by: str | None = None) -> None:
@@ -122,8 +117,8 @@ def _run_stage(name: str, cfg: PipelineConfig) -> str:
     summary, reports = body(cfg, *[_prerequisite(cfg, *p) for p in prerequisites])
     wall = time.perf_counter() - t0
     for output, fields in reports:
-        _write_json(
-            Path(str(output) + ".report.json"), {"stage": name, **fields, "wall_time_s": wall}
+        write_json(
+            {"stage": name, **fields, "wall_time_s": wall}, Path(str(output) + ".report.json")
         )
     print(summary)
     return summary
@@ -135,9 +130,9 @@ def _run_stage(name: str, cfg: PipelineConfig) -> str:
     ("cv_files", "cv_files input", None),
 )
 def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str]) -> StageResult:
-    sensor, sensor_drops, sensor_in = ingest.clean_sensor(sensor_files, jobs=cfg.jobs)
+    sensor, sensor_drops, sensor_in = ingest.clean_sensor(sensor_files)
     detections, cv_drops, cv_in = ingest.clean_cv(
-        cv_files, sensor, join_tol_s=cfg.params["join_tol_s"], jobs=cfg.jobs
+        cv_files, sensor, join_tol_s=cfg.params["join_tol_s"]
     )
 
     reports = []
@@ -147,7 +142,7 @@ def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str
     ):
         out = cfg.output_path(key)
         _store.put(key, out, write(rows, out))
-        _write_json(Path(str(out) + ".drops.json"), drops)
+        write_json(drops, Path(str(out) + ".drops.json"))
         report = {"rows_in": rows_in, "rows_out": len(rows), "drops": drops, "inputs": inputs}
         reports.append((out, report))
     summary = (
@@ -162,7 +157,7 @@ def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
     network = discovery.load_network_geojson(network_path)
     candidates = discovery.extract_lrs_candidates(network, tol_ft=cfg.params["tol_ft"])
     out = cfg.output_path("lrs_candidates")
-    discovery.save_geojson(discovery.candidates_to_geojson(candidates), out)
+    write_json(discovery.candidates_to_geojson(candidates), out)
     report = {
         "polylines": len(network.polylines),
         "vertices": sum(len(pts) for _, pts in network.polylines),
@@ -192,7 +187,7 @@ def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> St
         max_match_ft=cfg.params["max_match_ft"],
     )
     out = cfg.output_path("visited_candidates")
-    discovery.save_geojson(discovery.visited_to_geojson(visited), out)
+    write_json(discovery.visited_to_geojson(visited), out)
     report = {
         "detections": len(detections),
         "last_in_runs": len(last),
@@ -309,7 +304,7 @@ def stage_template(
     out = cfg.output_path("review_template")
     review.write_review_csv(columns, list(cfg.custom_fields), out)
     manifest_out = cfg.output_path("validation_manifest")
-    review.write_validation_manifest(manifest, manifest_out)
+    write_json(manifest, manifest_out)
     report = {"rows": len(trajs), "custom_fields": list(cfg.custom_fields), "warnings": warnings}
     return f"template: {len(trajs)} review rows", [(out, report)]
 
@@ -361,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("stage", choices=STAGES, help="pipeline stage to run")
     parser.add_argument("--config", required=True, help="path to the JSON config file")
-    parser.add_argument("--jobs", type=int, default=None, help="reader-thread cap for clean only")
+    parser.add_argument("--jobs", type=int, default=None, help="accepted and ignored")
     parser.add_argument(
         "--param",
         action="append",
@@ -375,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; that code means "data error" here.
         return 0 if exc.code == 0 else 1
     try:
-        cfg = load_config(args.config, overrides=args.param, jobs=args.jobs)
+        cfg = load_config(args.config, overrides=args.param)
         run(args.stage, cfg)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,7 +71,6 @@ class PipelineConfig:
     custom_fields: dict[str, list[str]] = field(default_factory=dict)
     video_base_url: str = ""
     synth: ScenarioSpec = field(default_factory=ScenarioSpec)
-    jobs: int = 1
 
     def input_path(self, key: str) -> Path:
         value = self.inputs[key]
@@ -106,11 +105,7 @@ def _coerce_param(key: str, raw: object) -> float | int:
     return value
 
 
-def load_config(
-    path: str | Path,
-    overrides: list[str] | None = None,
-    jobs: int | None = None,
-) -> PipelineConfig:
+def load_config(path: str | Path, overrides: list[str] | None = None) -> PipelineConfig:
     """Load a JSON config; ``--param key=value`` overrides beat file values."""
     path = Path(path)
     if not path.exists():
@@ -132,7 +127,6 @@ def load_config(
         "custom_fields",
         "video_base_url",
         "synth",
-        "jobs",
     }
     unknown = sorted(set(doc) - known_keys)
     if unknown:
@@ -189,10 +183,6 @@ def load_config(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth spec: {exc}") from exc
 
-    effective_jobs = jobs if jobs is not None else doc.get("jobs", 1)
-    if type(effective_jobs) is not int or effective_jobs < 1:
-        raise ConfigError(f"jobs must be an integer of at least 1, got {effective_jobs!r}")
-
     return PipelineConfig(
         workspace=workspace,
         inputs=inputs,
@@ -202,5 +192,4 @@ def load_config(
         custom_fields={k: list(v) for k, v in custom_fields.items()},
         video_base_url=str(doc.get("video_base_url", "")),
         synth=synth,
-        jobs=effective_jobs,
     )

@@ -97,7 +97,8 @@ def extract_lrs_candidates(
         return []
 
     groups: dict[int, list[GeoPoint]] = {}
-    for v, lab in zip(verts, dbscan_labels(verts, tol_ft, min_pts=1)):
+    lats, lons = np.array([(v.lat_deg, v.lon_deg) for v in verts], dtype=float).T
+    for v, lab in zip(verts, dbscan_labels(lats, lons, tol_ft, 1).tolist()):
         groups.setdefault(lab, []).append(v)
 
     found = []
@@ -132,10 +133,9 @@ def last_in_runs(
     return d.take(keep)
 
 
-def dbscan_labels(
-    points: list[GeoPoint], eps_ft: float = DEFAULT_EPS_FT, min_pts: int = DEFAULT_MIN_PTS
-) -> list[int]:
-    """Classic DBSCAN over a haversine metric; -1 marks noise.
+def dbscan_labels(lats: np.ndarray, lons: np.ndarray, eps_ft: float, min_pts: int) -> np.ndarray:
+    """Classic DBSCAN of the points at (lats, lons) over a haversine metric;
+    -1 marks noise.
 
     A point is core when its eps-neighborhood (itself included) holds at
     least ``min_pts`` points. With min_pts = 2 the clusters are exactly the
@@ -151,13 +151,6 @@ def dbscan_labels(
     the cells within reach. Cells within reach join in a union-find over
     cells when some pair of their core points is within eps.
     """
-    lats = np.array([p.lat_deg for p in points], dtype=float)
-    lons = np.array([p.lon_deg for p in points], dtype=float)
-    return _dbscan(lats, lons, eps_ft, min_pts).tolist()
-
-
-def _dbscan(lats: np.ndarray, lons: np.ndarray, eps_ft: float, min_pts: int) -> np.ndarray:
-    """``dbscan_labels`` of the points at (lats, lons)."""
     n = len(lats)
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -261,7 +254,7 @@ def cluster_detections(
     permutation.
     """
     lat, lon = detections.lat, detections.lon
-    labels = _dbscan(lat, lon, eps_ft, min_pts)
+    labels = dbscan_labels(lat, lon, eps_ft, min_pts)
     found = np.flatnonzero(labels >= 0)
     found = found[np.argsort(labels[found], kind="stable")]
     built = []
@@ -415,12 +408,6 @@ def visited_from_geojson(doc: dict) -> list[VisitedCandidate]:
             )
         )
     return sorted(out, key=lambda v: v.intxn_id)
-
-
-def save_geojson(doc: dict, dest: str | Path | IO) -> None:
-    with resolve_uri(dest, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
 
 
 def load_geojson(source: str | Path | IO) -> dict:

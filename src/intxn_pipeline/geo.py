@@ -269,9 +269,8 @@ def points_in_polygon(ring: PolygonRing, lats: np.ndarray, lons: np.ndarray) -> 
     """``point_in_polygon`` of each point at (lats, lons), as array operations.
 
     Each edge runs the scalar test's IEEE expressions over all the points,
-    with its length from ``math.hypot``, so the answers are the scalar ones,
-    on edges and vertices too. The ring must have no zero-length edge (see
-    ``PolygonRing.edge_lengths``), whose on-edge test is a distance.
+    with its length and a zero-length edge's distances from ``math.hypot``,
+    so the answers are the scalar ones, on edges and vertices too.
     """
     xs, ys = [v.lon_deg for v in ring.vertices], [v.lat_deg for v in ring.vertices]
     # Edge k runs from vertex k (a) to vertex k + 1 (b), one row per edge.
@@ -279,14 +278,19 @@ def points_in_polygon(ring: PolygonRing, lats: np.ndarray, lons: np.ndarray) -> 
     seg_len = np.array(ring.edge_lengths())[:, None]
     tol = ON_EDGE_TOL_DEG
     cross = (bx - ax) * (lats - ay) - (by - ay) * (lons - ax)
-    on_edge = (
-        (np.abs(cross) / seg_len <= tol)
-        & (np.minimum(ax, bx) - tol <= lons) & (lons <= np.maximum(ax, bx) + tol)
-        & (np.minimum(ay, by) - tol <= lats) & (lats <= np.maximum(ay, by) + tol)
-    )
-    # The crossing number takes each edge from b (vertex i) to a (vertex j).
-    with np.errstate(divide="ignore", invalid="ignore"):  # edges with yi == yj never count
+    # Divisions by 0: a level edge (yi == yj) never crosses, and a
+    # zero-length edge's on-edge test is a distance, set below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        on_edge = (
+            (np.abs(cross) / seg_len <= tol)
+            & (np.minimum(ax, bx) - tol <= lons) & (lons <= np.maximum(ax, bx) + tol)
+            & (np.minimum(ay, by) - tol <= lats) & (lats <= np.maximum(ay, by) + tol)
+        )
+        # The crossing number takes each edge from b (vertex i) to a (vertex j).
         x_cross = (ax - bx) * (lats - by) / (ay - by) + bx
+    for k in np.flatnonzero(seg_len[:, 0] == 0.0).tolist():
+        dist = map(math.hypot, (lons - xs[k]).tolist(), (lats - ys[k]).tolist())
+        on_edge[k] = np.fromiter(dist, float, len(lats)) <= tol
     crosses = ((by > lats) != (ay > lats)) & (lons < x_cross)
     return on_edge.any(axis=0) | np.logical_xor.reduce(crosses, axis=0)
 

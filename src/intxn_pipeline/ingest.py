@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -646,19 +645,15 @@ def _parse_csv(source, cls: type[_Table], raw: bool, bad_row) -> tuple[dict, int
     return dict(zip(names, _concat(parts))), read
 
 
-def _parse_files(cls: type[_Table], files: list, jobs: int, drops: dict) -> tuple[list, int]:
+def _parse_files(cls: type[_Table], files: list, drops: dict) -> tuple[list, int]:
     """The rows of raw CSVs of ``cls``, file after file, as columns in ``RAW``
     then ``OPTIONAL`` order, and how many were read; ``drops`` counts each
     dropped row under its reason."""
-    reasons = []  # list.append is atomic, so the parse threads can share the list
-    parse = partial(_parse_csv, cls=cls, raw=True, bad_row=lambda why, *_: reasons.append(why))
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(parse, files))
-    else:
-        parsed = [parse(f) for f in files]
-    for reason in reasons:
+
+    def bad_row(reason, line, row):
         drops[reason] += 1
+
+    parsed = [_parse_csv(f, cls, True, bad_row) for f in files]
     layout = cls.RAW + cls.OPTIONAL  # an optional column a file lacks reads as NaN
     parts = [
         [named.get(c, np.full(len(named["subj"]), np.nan)) for c in layout] for named, _ in parsed
@@ -679,7 +674,7 @@ def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable
         cum[start:stop] = np.cumsum(np.concatenate(([0.0], steps)))
 
 
-def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int], int]:
+def clean_sensor(files: list) -> tuple[SensorTable, dict[str, int], int]:
     """Merge sensor CSVs into one canonical table, a drop report and the
     number of non-blank data rows read.
 
@@ -693,7 +688,7 @@ def clean_sensor(files: list, jobs: int = 1) -> tuple[SensorTable, dict[str, int
     if not files:
         return SensorTable.from_columns(*[[]] * 8), drops, 0
 
-    columns, rows_in = _parse_files(SensorTable, files, jobs, drops)
+    columns, rows_in = _parse_files(SensorTable, files, drops)
     subj, drive, t, lat, lon, heading, speed, cum = columns
     keys, codes = _drive_codes(subj, drive)
     # Drives seen in any file without the odometer column, which reads as NaN
@@ -733,7 +728,6 @@ def clean_cv(
     files: list,
     sensor: SensorTable,
     join_tol_s: float = DEFAULT_JOIN_TOL_S,
-    jobs: int = 1,
 ) -> tuple[DetectionTable, dict[str, int], int]:
     """Position-join detection CSVs to an already-cleaned sensor table.
 
@@ -747,7 +741,7 @@ def clean_cv(
     if not files:
         return DetectionTable.from_columns(*[[]] * 7), drops, 0
 
-    (subj, drive, t, code, conf), rows_in = _parse_files(DetectionTable, files, jobs, drops)
+    (subj, drive, t, code, conf), rows_in = _parse_files(DetectionTable, files, drops)
     where = {key: d for d, key in enumerate(sensor.keys)}
     drive = np.fromiter(map(where.get, zip(subj, drive), repeat(-1)), np.int64, len(t))
     seen = drive >= 0

@@ -33,7 +33,7 @@ from .geo import (
     polyline_midpoint,
 )
 from .ingest import _time_texts
-from .storage import csv_writer, resolve_uri
+from .storage import csv_writer, resolve_uri, write_json
 
 if TYPE_CHECKING:
     from .trajectory import TrajectoryTable
@@ -101,8 +101,12 @@ def export_candidates_kml(candidates: list, dest: str | Path | IO) -> None:
         ET.SubElement(point, "coordinates").text = (
             f"{_fmt_coord(cand.pos.lon_deg)},{_fmt_coord(cand.pos.lat_deg)},0"
         )
-    tree = ET.ElementTree(kml)
-    ET.indent(tree)
+    write_kml(kml, dest)
+
+
+def write_kml(kml: ET.Element, dest: str | Path | IO) -> None:
+    """Write the document rooted at ``kml`` indented, after an XML declaration."""
+    ET.indent(kml)
     payload = ET.tostring(kml, encoding="unicode")
     with resolve_uri(dest, "w") as handle:
         handle.write('<?xml version="1.0" encoding="UTF-8"?>\n')
@@ -402,9 +406,7 @@ def reviewed_from_json(doc: dict) -> list[ReviewedIntersection]:
 
 
 def save_reviewed_json(reviewed: list[ReviewedIntersection], dest: str | Path | IO) -> None:
-    with resolve_uri(dest, "w") as handle:
-        json.dump(reviewed_to_json(reviewed), handle, indent=2)
-        handle.write("\n")
+    write_json(reviewed_to_json(reviewed), dest)
 
 
 def load_reviewed_json(source: str | Path | IO) -> list[ReviewedIntersection]:
@@ -507,9 +509,3 @@ def write_review_csv(
         w = csv_writer(handle)
         w.writerow(header)
         w.writerows(zip(*cells))
-
-
-def write_validation_manifest(manifest: dict[str, list[str]], dest: str | Path | IO) -> None:
-    with resolve_uri(dest, "w") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")

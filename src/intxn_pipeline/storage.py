@@ -5,7 +5,7 @@ through a temp-file-plus-rename and a crash never leaves a partial file
 behind. The bytes are hashed as they are written, so a stage knows the
 digest of each file it wrote without reading it back. Only ``file:`` and
 bare paths are supported. The CSV files that are not clean tables are
-written through ``csv_writer``.
+written through ``csv_writer``, and every JSON file through ``write_json``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import os
 import tempfile
 import types
@@ -121,6 +122,13 @@ def csv_writer(handle: IO):
     """
     lines = types.SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
     return csv.writer(lines, lineterminator="\r\n")
+
+
+def write_json(doc, dest: str | Path | IO) -> None:
+    """Write ``doc`` as JSON indented by two spaces, ending in a newline."""
+    with resolve_uri(dest, "w") as handle:
+        json.dump(doc, handle, indent=2)
+        handle.write("\n")
 
 
 class Store(dict):

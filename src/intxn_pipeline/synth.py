@@ -15,7 +15,6 @@ Ground-truth windows and timings assume the pipeline's default parameters
 from __future__ import annotations
 
 import csv
-import json
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -24,11 +23,11 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .clips import VIDEO_COLUMNS
-from .discovery import IntersectionCandidate, RoadNetwork, save_geojson
+from .discovery import IntersectionCandidate, RoadNetwork
 from .geo import FT_PER_DEG, GeoPoint
 from .ingest import SensorTable, format_time_utc, to_us, write_sensor_csv
-from .review import KML_NS, TRUE_FOLDER
-from .storage import csv_writer, resolve_uri
+from .review import KML_NS, TRUE_FOLDER, write_kml
+from .storage import csv_writer, resolve_uri, write_json
 
 BASE_TIME = datetime(2019, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -113,10 +112,6 @@ class SynthScenario:
     paths: dict[str, Path] = field(default_factory=dict)
 
 
-def _fmt(value: float) -> str:
-    return repr(value)
-
-
 class _Grid:
     """Junction lattice; lat/lon are derived identically for grid and drives."""
 
@@ -195,7 +190,7 @@ def _controlled_cols(spec: ScenarioSpec) -> list[int]:
 
 def _kml_coord(p: GeoPoint) -> str:
     # Full float precision so reimported geometry matches the grid exactly.
-    return f"{_fmt(p.lon_deg)},{_fmt(p.lat_deg)},0"
+    return f"{p.lon_deg!r},{p.lat_deg!r},0"
 
 
 def _write_reviewed_kml(
@@ -245,12 +240,7 @@ def _write_reviewed_kml(
             [_kml_coord(GeoPoint(pos.lat_deg, pos.lon_deg - dlon)), _kml_coord(pos)]
         )
 
-    tree = ET.ElementTree(kml)
-    ET.indent(tree)
-    with resolve_uri(path, "w") as handle:
-        handle.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-        handle.write(ET.tostring(kml, encoding="unicode"))
-        handle.write("\n")
+    write_kml(kml, path)
 
 
 def _ground_truth_json(gt: GroundTruth) -> dict:
@@ -421,7 +411,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
     }
     out.mkdir(parents=True, exist_ok=True)
 
-    save_geojson(_network_geojson(network), paths["network"])
+    write_json(_network_geojson(network), paths["network"])
 
     sensor_paths = []
     for subj in sorted(sensor_by_subj):
@@ -441,7 +431,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
             w.writerow(("subj", "drive", "time_utc", "object_class", "confidence"))
             for subj_v, drive, t, object_class, confidence in detection_rows[subj]:
                 w.writerow(
-                    [subj_v, drive, format_time_utc(t), object_class, _fmt(confidence)]
+                    [subj_v, drive, format_time_utc(t), object_class, repr(confidence)]
                 )
     paths["cv_files"] = cv_paths
 
@@ -449,7 +439,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
         w = csv_writer(handle)
         w.writerow(VIDEO_COLUMNS)
         for uri, subj, drive, start, end, fps in video_rows:
-            w.writerow([uri, subj, drive, format_time_utc(start), format_time_utc(end), _fmt(fps)])
+            w.writerow([uri, subj, drive, format_time_utc(start), format_time_utc(end), repr(fps)])
 
     with resolve_uri(paths["demographics"], "w") as handle:
         w = csv_writer(handle)
@@ -459,8 +449,6 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
 
     _write_reviewed_kml(paths["reviewed_kml"], grid, controlled)
 
-    with resolve_uri(paths["ground_truth"], "w") as handle:
-        json.dump(_ground_truth_json(ground_truth), handle, indent=2)
-        handle.write("\n")
+    write_json(_ground_truth_json(ground_truth), paths["ground_truth"])
 
     return SynthScenario(spec, network, ground_truth, paths)

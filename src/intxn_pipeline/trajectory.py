@@ -6,6 +6,10 @@ traffic, the surviving point closest to the intersection anchors the
 window, and the window is cut from the whole drive by cumulative distance:
 300 ft upstream to 200 ft downstream by default.
 
+``_leg_hits`` gives each approach leg's ascending sensor-table rows inside
+its polygon and heading the entering way, over the whole study at once;
+extraction finds each row's drive in the table's offsets.
+
 The trajectories are one ``TrajectoryTable``, keyed by (subj, drive) like
 the sensor and detection tables. A row is one (drive, intersection) pass:
 its intersection, its approach leg, and three rows of the study's sensor
@@ -22,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import chain, groupby, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -32,12 +36,10 @@ from .errors import DataError
 from .geo import (
     ON_EDGE_TOL_DEG,
     CellGrid,
-    GeoPoint,
     angular_difference_deg,
     haversine_distances_ft,
     in_box,
     initial_bearing_deg,
-    point_in_polygon,
     points_in_polygon,
 )
 from .ingest import (
@@ -180,29 +182,25 @@ def assign_bearings(reviewed: list[ReviewedIntersection]) -> list[ReviewedInters
 # bounding box meets only a handful of cells.
 LEG_CELL_FT = 300.0
 
-# Per approach leg: its intersection, the leg, and the ascending drive
-# indices of the points inside the polygon heading the entering way.
-LegHits = list[tuple[ReviewedIntersection, ApproachLeg, list[int]]]
-
 
 def _leg_hits(
     sensor: SensorTable,
     reviewed: list[ReviewedIntersection],
     heading_tol_deg: float,
-) -> dict[int, LegHits]:
-    """Points inside each approach polygon and heading the entering way, by drive.
+) -> list[tuple[ReviewedIntersection, ApproachLeg, np.ndarray]]:
+    """Per approach leg with hits, in the order of ``reviewed`` and its
+    approaches: its intersection, the leg, and the ascending rows of
+    ``sensor`` inside the polygon heading the entering way.
 
     All points sit in one study-wide ``CellGrid``. Each leg gathers the
     points in the cells its bounding box meets, applies the box and the
     heading gate as array operations, and tests the survivors against the
-    polygon with ``points_in_polygon``. Keys are drive positions in
-    ``sensor.keys``; hits follow the order of ``reviewed`` and its approaches.
+    polygon with ``points_in_polygon``.
     """
     lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
-    starts = sensor.offsets
     grid = CellGrid(lats, lons, LEG_CELL_FT)
 
-    hits: dict[int, LegHits] = {}
+    hits = []
     for intxn in reviewed:
         for leg in intxn.approaches:
             if leg.entering_bearing is None:
@@ -213,13 +211,9 @@ def _leg_hits(
                 angular_difference_deg(headings[idx], leg.entering_bearing) <= heading_tol_deg
             )
             gated = idx[keep]
-            if all(leg.polygon.edge_lengths()):
-                inside = gated[points_in_polygon(leg.polygon, lats[gated], lons[gated])].tolist()
-            else:  # a zero-length edge takes the scalar test
-                rows = zip(gated.tolist(), lats[gated].tolist(), lons[gated].tolist())
-                inside = [i for i, y, x in rows if point_in_polygon(GeoPoint(y, x), leg.polygon)]
-            for d, members in groupby(inside, key=lambda i: bisect_right(starts, i) - 1):
-                hits.setdefault(d, []).append((intxn, leg, [i - starts[d] for i in members]))
+            inside = points_in_polygon(leg.polygon, lats[gated], lons[gated])
+            if inside.any():
+                hits.append((intxn, leg, gated[inside]))
     return hits
 
 
@@ -240,27 +234,26 @@ def extract_trajectories(
     """
     params = params or WindowParams()
     hits = _leg_hits(sensor, reviewed, params.heading_tol_deg)
-    entries = [(d, intxn, leg, rows) for d in sorted(hits) for intxn, leg, rows in hits[d]]
-    entry = np.repeat(np.arange(len(entries)), [len(rows) for *_, rows in entries])
+    entry = np.repeat(np.arange(len(hits)), [len(rows) for *_, rows in hits])
 
     def per_hit(values, dtype):
         return np.array(values, dtype=dtype)[entry]
 
-    intxns = [intxn for _, intxn, _, _ in entries]
+    intxns = [intxn for intxn, _, _ in hits]
     try:
         ids = per_hit([intxn.intxn_id for intxn in intxns], np.int64)
-        legs = per_hit([leg.leg_id for _, _, leg, _ in entries], np.int64)
+        legs = per_hit([leg.leg_id for _, leg, _ in hits], np.int64)
     except OverflowError as exc:
         raise DataError("intersection and leg ids must lie in the int64 range") from exc
-    drive = per_hit([d for d, *_ in entries], np.int64)
+    row = np.concatenate([np.empty(0, np.int64), *(rows for *_, rows in hits)])
     bounds = np.array(sensor.offsets)
-    local = np.fromiter(chain.from_iterable(rows for *_, rows in entries), np.int64, len(entry))
-    row = bounds[drive] + local
+    drive = np.searchsorted(bounds, row, "right") - 1
     t = sensor.seconds()[row]
 
-    # Visits: runs of one entry's hits without a gap over pass_gap_s.
+    # Visits: runs of one leg's hits in one drive without a gap over pass_gap_s.
     split = np.ones(len(row), dtype=bool)
-    split[1:] = (entry[1:] != entry[:-1]) | (t[1:] - t[:-1] > params.pass_gap_s)
+    split[1:] = (entry[1:] != entry[:-1]) | (drive[1:] != drive[:-1])
+    split[1:] |= t[1:] - t[:-1] > params.pass_gap_s
     visit = np.cumsum(split) - 1
     dist = haversine_distances_ft(
         sensor.lat[row], sensor.lon[row],

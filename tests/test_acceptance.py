@@ -136,17 +136,15 @@ def test_criterion_2_dbscan_oracle_equivalence():
                 )
                 for _ in range(200)
             ]
-            labels = dbscan_labels(points, eps_ft=100.0, min_pts=2)
+            lats = np.array([p.lat_deg for p in points])
+            lons = np.array([p.lon_deg for p in points])
+            labels = dbscan_labels(lats, lons, eps_ft=100.0, min_pts=2).tolist()
             groups = {}
             for i, lab in enumerate(labels):
                 if lab >= 0:
                     groups.setdefault(lab, set()).add(i)
             ours = {frozenset(g) for g in groups.values()}
-            oracle = _oracle_components(
-                np.array([p.lat_deg for p in points]),
-                np.array([p.lon_deg for p in points]),
-                100.0,
-            )
+            oracle = _oracle_components(lats, lons, 100.0)
             assert ours == oracle, f"mismatch at seed {seed}"
         assert time.perf_counter() - t0 < 10.0
 
@@ -286,7 +284,7 @@ def test_criterion_7_determinism(tmp_path):
         assert main(["all", "--config", str(ws1 / "pipeline.json")]) == 0
         assert _data_outputs(ws1) == baseline
 
-        # Worker count must not affect output bytes.
+        # --jobs is accepted and ignored.
         assert main(["all", "--config", str(ws1 / "pipeline.json"), "--jobs", "4"]) == 0
         assert _data_outputs(ws1) == baseline
 

@@ -216,7 +216,7 @@ def test_jobs_flag_gives_identical_outputs(workspace):
     ws, config = workspace
     assert _run(config, "all") == 0
     baseline = _data_outputs(ws)
-    assert _run(config, "all", "--jobs", "4") == 0
+    assert _run(config, "all", "--jobs", "4") == 0  # accepted and ignored
     assert _data_outputs(ws) == baseline
 
 
@@ -273,7 +273,7 @@ def test_non_finite_param_is_user_error(workspace, capsys):
     assert err.startswith("error:") and "eps_ft" in err
 
 
-@pytest.mark.parametrize("jobs", ['"x"', "null", "1.5", "true", "0", "-2"])
+@pytest.mark.parametrize("jobs", ['"x"', "null", "1.5", "true", "0", "-2", "1", "2"])
 def test_bad_config_jobs_rejected(tmp_path, jobs):
     config = tmp_path / "pipeline.json"
     config.write_text(f'{{"jobs": {jobs}}}')
@@ -432,12 +432,12 @@ def test_config_section_must_be_object(tmp_path, key, value):
 
 def test_config_with_a_byte_order_mark_loads_as_without(tmp_path):
     config = tmp_path / "pipeline.json"
-    doc = b'{"params": {"eps_ft": 50.0}, "jobs": 2}'
+    doc = b'{"params": {"eps_ft": 50.0}, "processor": "avconv"}'
     config.write_bytes(doc)
     plain = load_config(config)
     config.write_bytes(b"\xef\xbb\xbf" + doc)
     assert load_config(config) == plain
-    assert (plain.params["eps_ft"], plain.jobs) == (50.0, 2)
+    assert (plain.params["eps_ft"], plain.processor) == (50.0, "avconv")
 
 
 def test_bad_config_section_is_user_error(tmp_path, capsys):

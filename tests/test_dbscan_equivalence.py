@@ -66,6 +66,13 @@ def queue_dbscan(points, eps_ft, min_pts):
     return [lab if lab is not None else -1 for lab in labels]
 
 
+def _labels(points, eps_ft, min_pts):
+    """``dbscan_labels`` of ``points`` as a list, to compare with ``queue_dbscan``."""
+    lats = np.array([p.lat_deg for p in points])
+    lons = np.array([p.lon_deg for p in points])
+    return dbscan_labels(lats, lons, eps_ft, min_pts).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Scenes
 
@@ -154,7 +161,7 @@ def dbscan_scene(draw):
 @given(dbscan_scene(), st.sampled_from([1, 2, 3, 5]))
 def test_grid_dbscan_equals_queue_dbscan(scene, min_pts):
     points, eps_ft = scene
-    assert dbscan_labels(points, eps_ft, min_pts) == queue_dbscan(points, eps_ft, min_pts)
+    assert _labels(points, eps_ft, min_pts) == queue_dbscan(points, eps_ft, min_pts)
 
 
 def test_crowded_cells_equal_queue_dbscan():
@@ -167,7 +174,7 @@ def test_crowded_cells_equal_queue_dbscan():
     points = [junctions[k] for k in rng.integers(0, 3, 300)]
     points += [_offset(junctions[0], rng.uniform(-20, 20), rng.uniform(60, 90)) for _ in range(20)]
     for min_pts in (1, 2, 3, 5, 200):
-        assert dbscan_labels(points, 100.0, min_pts) == queue_dbscan(points, 100.0, min_pts)
+        assert _labels(points, 100.0, min_pts) == queue_dbscan(points, 100.0, min_pts)
 
 
 def test_crowded_cells_merge_through_their_last_points():
@@ -182,10 +189,10 @@ def test_crowded_cells_merge_through_their_last_points():
         return GeoPoint(41.0, (c + cells) * grid.dlon)
 
     points = [at(0.02)] * 300 + [at(2.98)] * 300 + [at(0.9), at(2.1)]
-    assert dbscan_labels(points, eps_ft, 2) == queue_dbscan(points, eps_ft, 2) == [0] * 602
+    assert _labels(points, eps_ft, 2) == queue_dbscan(points, eps_ft, 2) == [0] * 602
 
 
 @pytest.mark.parametrize("eps_ft", [0.0, -1.0, math.nan])
 def test_eps_must_be_positive(eps_ft):
     with pytest.raises(ValueError):
-        dbscan_labels([GeoPoint(41.0, -96.0)] * 3, eps_ft, 2)
+        dbscan_labels(np.full(3, 41.0), np.full(3, -96.0), eps_ft, 2)

@@ -168,7 +168,9 @@ def old_last_in_runs(detections, max_gap_s):
 
 
 def old_cluster_detections(detections, eps_ft, min_pts):
-    labels = dbscan_labels([d.pos for d in detections], eps_ft, min_pts)
+    lats = np.array([d.pos.lat_deg for d in detections], dtype=float)
+    lons = np.array([d.pos.lon_deg for d in detections], dtype=float)
+    labels = dbscan_labels(lats, lons, eps_ft, min_pts).tolist()
     groups = {}
     for det, lab in zip(detections, labels):
         if lab >= 0:

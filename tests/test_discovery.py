@@ -3,6 +3,7 @@ import math
 import random
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from intxn_pipeline.discovery import (
@@ -16,10 +17,10 @@ from intxn_pipeline.discovery import (
     last_in_runs,
     load_network_geojson,
     match_clusters,
-    save_geojson,
 )
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, centroid, haversine_distance_ft
 from intxn_pipeline.ingest import DetectionRecord, DetectionTable
+from intxn_pipeline.storage import write_json
 
 T0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
 LAT0, LON0 = 41.0, -96.0
@@ -183,6 +184,11 @@ def _brute_force_components(points, eps_ft):
     return set(components)
 
 
+def _arrays(points):
+    """The (lats, lons) arrays of ``points``."""
+    return np.array([p.lat_deg for p in points]), np.array([p.lon_deg for p in points])
+
+
 def _random_points(rng, n, extent_ft=2000.0):
     return [
         pt(north_ft=rng.uniform(0, extent_ft), east_ft=rng.uniform(0, extent_ft))
@@ -195,7 +201,7 @@ def test_dbscan_border_adoption_with_min_pts_3():
     # reached later in the expansion covers it. Scan order: the isolated
     # end point first, then the far core, forcing adoption via expansion.
     positions = [pt(east_ft=e) for e in (0.0, 270.0, 90.0, 180.0, 360.0)]
-    labels = dbscan_labels(positions, eps_ft=100.0, min_pts=3)
+    labels = dbscan_labels(*_arrays(positions), eps_ft=100.0, min_pts=3).tolist()
     assert labels.count(-1) == 0
     assert len(set(labels)) == 1  # one cluster holding all five points
 
@@ -204,7 +210,7 @@ def test_dbscan_matches_component_oracle():
     for seed in range(10):
         rng = random.Random(seed)
         points = _random_points(rng, 200)
-        labels = dbscan_labels(points, eps_ft=100.0, min_pts=2)
+        labels = dbscan_labels(*_arrays(points), eps_ft=100.0, min_pts=2).tolist()
         groups = {}
         for i, lab in enumerate(labels):
             if lab >= 0:
@@ -282,7 +288,7 @@ def test_candidates_geojson_roundtrip():
         IntersectionCandidate(2, pt(north_ft=1000), 4),
     ]
     buffer = io.StringIO()
-    save_geojson(candidates_to_geojson(candidates), buffer)
+    write_json(candidates_to_geojson(candidates), buffer)
     buffer.seek(0)
     import json
 

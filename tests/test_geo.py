@@ -189,22 +189,29 @@ def rings_and_points(draw):
         ring = PolygonRing(verts)
     except ValueError:
         assume(False)
-    assume(all(ring.edge_lengths()))
-    base = []
-    for i, a in enumerate(verts):
-        b = verts[(i + 1) % k]
-        base.append((a.lat_deg, a.lon_deg))
-        for t in (0.5, draw(st.floats(0.0, 1.0))):
-            base.append((a.lat_deg + t * (b.lat_deg - a.lat_deg), a.lon_deg + t * (b.lon_deg - a.lon_deg)))
-    base += draw(
+    ts = [(0.5, draw(st.floats(0.0, 1.0))) for _ in verts]
+    base = draw(
         st.lists(st.tuples(st.floats(40.997, 41.003), st.floats(-96.003, -95.997)), max_size=10)
     )
+    return ring, _around(verts, ts, base)
+
+
+def _around(verts, ts, base):
+    """Each vertex, the points at fractions ``ts[i]`` along edge i, and those
+    of ``base``, each also one ulp off in each axis and at and beyond the
+    on-edge tolerance."""
+    base = list(base)
+    for i, a in enumerate(verts):
+        b = verts[(i + 1) % len(verts)]
+        base.append((a.lat_deg, a.lon_deg))
+        for t in ts[i]:
+            base.append((a.lat_deg + t * (b.lat_deg - a.lat_deg), a.lon_deg + t * (b.lon_deg - a.lon_deg)))
     points = []
     for lat, lon in base:
         points += [(lat, lon), (lat, lon + 1e-9), (lat - 1e-9, lon), (lat, lon - 2e-9)]
         for way in (-math.inf, math.inf):
             points += [(math.nextafter(lat, way), lon), (lat, math.nextafter(lon, way))]
-    return ring, points
+    return points
 
 
 # A square at the origin, where 1e-9 offsets are exact: points at exactly the
@@ -217,9 +224,24 @@ EXACT = (
 )
 
 
+# A degenerate triangle (a, a, b), whose edge a -> a has zero length: its
+# on-edge test is the scalar distance rule. Points on the diagonal behind a
+# lie inside, at and beyond that distance.
+_A, _B = GeoPoint(41.0, -96.0), GeoPoint(41.001, -95.999)
+DEGENERATE = (
+    PolygonRing((_A, _A, _B)),
+    _around(
+        (_A, _A, _B),
+        [(0.5,), (0.25, 0.5, 1.0), (0.5,)],
+        [(41.0 - d, -96.0 - d) for d in (7e-10, 7.07e-10, 7.0710678e-10, 7.1e-10, 1e-9)],
+    ),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rings_and_points())
 @example(EXACT)
+@example(DEGENERATE)
 def test_points_in_polygon_is_the_scalar_test(case):
     ring, points = case
     lats = np.array([p[0] for p in points])

@@ -54,7 +54,6 @@ STREAM_CASES = {
         "network.geojson",
         lambda s, ws: discovery.load_network_geojson(s),
     ),
-    "discovery.save_geojson": (None, lambda s, ws: discovery.save_geojson({"features": []}, s)),
     "review.export_candidates_kml": (
         None,
         lambda s, ws: review.export_candidates_kml(
@@ -75,10 +74,7 @@ STREAM_CASES = {
     "review.load_reviewed_json": ("out/reviewed.json", lambda s, ws: review.load_reviewed_json(s)),
     "review.read_demographics": ("demographics.csv", lambda s, ws: review.read_demographics(s)),
     "review.write_review_csv": (None, lambda s, ws: review.write_review_csv({}, [], s)),
-    "review.write_validation_manifest": (
-        None,
-        lambda s, ws: review.write_validation_manifest({"speeding": ["yes", "no"]}, s),
-    ),
+    "storage.write_json": (None, lambda s, ws: storage.write_json({"features": []}, s)),
     "trajectory.write_trajectories_csv": (
         None,
         lambda s, ws: trajectory.write_trajectories_csv(

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, PolygonRing, haversine_distance_ft
 from intxn_pipeline.ingest import SensorRecord, SensorTable
 from intxn_pipeline.review import ApproachLeg, ReviewedIntersection
@@ -101,7 +102,7 @@ def _extract(sensor, intxns, **kwargs):
     return extract_trajectories(SensorTable.from_records(sensor), reviewed, **kwargs)
 
 
-@pytest.mark.filterwarnings("error")  # the array test would divide by the zero length
+@pytest.mark.filterwarnings("error")  # dividing by the zero length must not warn
 def test_polygon_with_a_repeated_vertex_takes_the_scalar_test():
     # A ring may repeat a vertex only as a degenerate triangle: here the
     # drive's own centre line, whose points are all on an edge.
@@ -112,6 +113,14 @@ def test_polygon_with_a_repeated_vertex_takes_the_scalar_test():
     trajs, _ = _extract(northbound_drive(), [intxn])
     assert trajs == _extract(northbound_drive(), [northbound_intersection()])[0]
     assert len(trajs) == 1
+
+
+def test_an_id_beyond_int64_fails_only_on_a_leg_with_hits():
+    far = northbound_intersection(intxn_id=2**63, junction_north_ft=50_000.0)
+    trajs, _ = _extract(northbound_drive(), [northbound_intersection(), far])
+    assert len(trajs) == 1
+    with pytest.raises(DataError, match="int64 range"):
+        _extract(northbound_drive(), [northbound_intersection(intxn_id=2**63)])
 
 
 def test_constant_speed_window_oracle():
@@ -272,8 +281,6 @@ def test_trajectories_csv_roundtrip():
     ],
 )
 def test_trajectories_csv_bad_row_raises_data_error(field, value, message):
-    from intxn_pipeline.errors import DataError
-
     sensor = SensorTable.from_records(northbound_drive())
     trajs, _ = _extract(northbound_drive(), [northbound_intersection()])
     out = io.StringIO()

@@ -18,6 +18,7 @@ report, ``cutlist.json`` and ``cutlist.sh``, and review template.
 import io
 from bisect import bisect_left, bisect_right
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -101,7 +102,11 @@ def old_extract_for_drive(rows, hits, params):
 
 
 def old_extract_trajectories(sensor, reviewed, params):
-    hits = _leg_hits(sensor, reviewed, params.heading_tol_deg)
+    # Each leg's study rows, regrouped per drive as drive-local rows.
+    hits, starts = {}, sensor.offsets
+    for intxn, leg, rows in _leg_hits(sensor, reviewed, params.heading_tol_deg):
+        for d, members in groupby(rows.tolist(), key=lambda i: bisect_right(starts, i) - 1):
+            hits.setdefault(d, []).append((intxn, leg, [i - starts[d] for i in members]))
     trajs, skips = [], {"duplicate_pass": 0, "truncated": 0}
     for d in sorted(hits):
         rows = sensor[sensor.offsets[d] : sensor.offsets[d + 1]]
