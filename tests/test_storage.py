@@ -3,6 +3,7 @@
 import ast
 import csv
 import io
+import json
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -75,6 +76,20 @@ STREAM_CASES = {
     "review.read_demographics": ("demographics.csv", lambda s, ws: review.read_demographics(s)),
     "review.write_review_csv": (None, lambda s, ws: review.write_review_csv({}, [], s)),
     "storage.write_json": (None, lambda s, ws: storage.write_json({"features": []}, s)),
+    # The stages' own JSON documents, which their modules once wrote with their
+    # own writers (the case names are kept); both now go through storage.write_json.
+    "discovery.save_geojson": (
+        None,
+        lambda s, ws: storage.write_json(
+            discovery.load_geojson(ws / "out" / "lrs_candidates.geojson"), s
+        ),
+    ),
+    "review.write_validation_manifest": (
+        None,
+        lambda s, ws: storage.write_json(
+            json.loads((ws / "out" / "review_template.validation.json").read_text()), s
+        ),
+    ),
     "trajectory.write_trajectories_csv": (
         None,
         lambda s, ws: trajectory.write_trajectories_csv(
