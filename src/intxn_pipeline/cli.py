@@ -34,7 +34,7 @@ from . import clips as clips_mod
 from . import discovery, ingest, review, synth, trajectory
 from .config import DEFAULT_INPUTS, PipelineConfig, load_config
 from .errors import DataError, MissingPrerequisiteError, PipelineError
-from .storage import Store, write_json
+from .storage import Store, read_json, write_json
 
 # Stage order for `all`, with the review pause between export-kml and
 # import-review.
@@ -173,7 +173,7 @@ def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
 )
 def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> StageResult:
     detections = _store.load("clean_cv", cv_path, ingest.read_clean_detections)
-    candidates = discovery.candidates_from_geojson(discovery.load_geojson(cand_path))
+    candidates = read_json(cand_path, discovery.candidates_from_geojson, "candidate GeoJSON")
     if not candidates:
         raise DataError(f"candidate list is empty: {cand_path}")
 
@@ -208,7 +208,7 @@ def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> St
 
 @_stage("export-kml", ("visited_candidates", "visited candidate list", "subj-intxns"))
 def stage_export_kml(cfg: PipelineConfig, visited_path: Path) -> StageResult:
-    visited = discovery.visited_from_geojson(discovery.load_geojson(visited_path))
+    visited = read_json(visited_path, discovery.visited_from_geojson, "visited candidate GeoJSON")
     if not visited:
         raise DataError(f"no visited candidates to export: {visited_path}")
     out = cfg.output_path("candidates_kml")

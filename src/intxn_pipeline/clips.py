@@ -8,9 +8,11 @@ reviewer to the upcoming intersection (on 150 ft before the stop bar, off
 only emits a JSON cut-list and a command script, so no media tooling is
 needed at test time.
 
-``build_clip_specs`` takes the trajectory table as it is and works on its
-columns: it matches every trajectory to its video, and finds every clip's
-span and overlay times, with array operations in integer microseconds.
+The video sidecar is a ``VideoTable``, the fourth ``ingest._Table``, read by
+the tables' parser. ``build_clip_specs`` takes it and the trajectory table
+as they are and works on their columns: it matches every trajectory to its
+video, and finds every clip's span and overlay times, with array
+operations in integer microseconds.
 Overlay times round as ``datetime.fromtimestamp`` rounds, and every time is
 cut to the millisecond as the cut-list prints it, so the specs are exactly
 those of matching, interpolating and rounding one trajectory at a time.
@@ -18,20 +20,19 @@ those of matching, interpolating and rounding one trajectory at a time.
 
 from __future__ import annotations
 
-import csv
 import json
 import shlex
 from dataclasses import dataclass
-from datetime import datetime
+from itertools import repeat
 from pathlib import Path
 from typing import IO
 
 import numpy as np
 
-from .errors import DataError, NoCoveringVideoError
-from .ingest import SensorTable, from_us, parse_time_utc, to_seconds, to_us
-from .storage import resolve_uri
-from .trajectory import TrajectoryCandidate, TrajectoryTable
+from .errors import DataError
+from .ingest import _FLOAT, _INT, _TEXT, _TIME, SensorTable, _parse_csv, _Table, to_seconds
+from .storage import read_json, resolve_uri
+from .trajectory import TrajectoryTable
 
 VIDEO_COLUMNS = ("uri", "subj", "drive", "start_time_utc", "end_time_utc", "fps")
 
@@ -40,20 +41,23 @@ VIDEO_COLUMNS = ("uri", "subj", "drive", "start_time_utc", "end_time_utc", "fps"
 OVERLAY_BOX_EXPR = "x=0.45*iw:y=0.3*ih-0.05*iw:w=0.1*iw:h=0.1*iw:color=red:t=fill"
 
 
-@dataclass
-class VideoFile:
-    uri: str
-    subj: str
-    drive: int
-    start_time_utc: datetime
-    end_time_utc: datetime
-    fps: float
+@dataclass(eq=False)
+class VideoTable(_Table):
+    """Dashcam files per (subj, drive), sorted by (start time, uri): each
+    starts at ``t_us`` and ends at ``end_us``, in epoch microseconds."""
 
-    def __post_init__(self) -> None:
-        if self.end_time_utc <= self.start_time_utc:
-            raise ValueError(f"video {self.uri}: end time not after start time")
-        if self.fps <= 0:
-            raise ValueError(f"video {self.uri}: fps must be positive")
+    COLUMNS = {"t_us": _TIME, "end_us": _TIME, "fps": _FLOAT, "uri": _TEXT}
+    SORT = ("t_us", "uri")
+    RAW = VIDEO_COLUMNS
+
+    t_us: np.ndarray
+    end_us: np.ndarray
+    fps: np.ndarray
+    uri: np.ndarray
+
+    @classmethod
+    def kinds(cls) -> dict[str, tuple]:
+        return dict(zip(VIDEO_COLUMNS, (_TEXT, _TEXT, _INT, _TIME, _TIME, _FLOAT)))
 
 
 @dataclass
@@ -112,30 +116,18 @@ def _fromtimestamp_us(seconds: np.ndarray) -> np.ndarray:
     return whole.astype(np.int64) * 1_000_000 + np.rint(fraction * 1e6).astype(np.int64)
 
 
-def read_videos_csv(source: str | Path | IO) -> list[VideoFile]:
-    with resolve_uri(source, "r") as handle:
-        reader = csv.DictReader(handle)
-        have = set(reader.fieldnames or ())
-        missing = [c for c in VIDEO_COLUMNS if c not in have]
-        if missing:
-            raise DataError(f"video table missing columns: {', '.join(missing)}")
-        out = []
-        for row in reader:
-            try:
-                out.append(
-                    VideoFile(
-                        row["uri"].strip(),
-                        row["subj"].strip(),
-                        int(row["drive"]),
-                        parse_time_utc(row["start_time_utc"]),
-                        parse_time_utc(row["end_time_utc"]),
-                        float(row["fps"]),
-                    )
-                )
-            except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-                # A short row holds None in its missing fields.
-                raise DataError(f"bad video metadata row: {row!r}") from exc
-        return out
+def read_videos_csv(source: str | Path | IO) -> VideoTable:
+    """Load the video table; raises DataError naming the line of the first
+    bad row, or the first video that does not end after it starts."""
+
+    def bad_row(reason, line, row):
+        raise DataError(f"bad video row at line {line}: {row!r}")
+
+    uri, subj, drive, start, end, fps = _parse_csv(source, VideoTable, True, bad_row)[0].values()
+    late = np.flatnonzero(end <= start)
+    if len(late):
+        raise DataError(f"video {uri[late[0]]}: end time not after start time")
+    return VideoTable.from_columns(subj, drive, start, end, fps, uri)
 
 
 def _crossing_us(points: SensorTable, at: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -153,20 +145,6 @@ def _crossing_us(points: SensorTable, at: np.ndarray, targets: np.ndarray) -> np
     return us
 
 
-def distance_crossing_time(points: SensorTable, target_cum_dist_ft: float) -> datetime:
-    """Time at which the drive's odometer first reaches a target value.
-
-    Piecewise-linear interpolation of time against cumulative distance; a
-    target landing on a sample returns that sample's timestamp, and a target
-    inside a zero-motion stretch resolves to the stretch's earliest time.
-    """
-    cums = points.cum
-    if not len(cums) or not cums[0] <= target_cum_dist_ft <= cums[-1]:
-        raise ValueError(f"target {target_cum_dist_ft} outside window cumulative range")
-    targets = np.array([target_cum_dist_ft], dtype=float)
-    return from_us(_crossing_us(points, np.searchsorted(cums, targets), targets)[0])
-
-
 def _overlay_us(trajs: TrajectoryTable, rows: np.ndarray, targets, clip_start, clip_end):
     """Per trajectory of ``rows``, when its odometer reaches its target: the
     clip's start before its window, the clip's end after it."""
@@ -180,30 +158,22 @@ def _overlay_us(trajs: TrajectoryTable, rows: np.ndarray, targets, clip_start, c
     return us
 
 
-def _match_videos(trajs: TrajectoryTable, videos: list[VideoFile]) -> tuple:
-    """Per trajectory, the first video of its drive, by (start time, uri),
-    that holds its whole span, else the first that holds its reference time.
-
-    Returns the videos of the table's drives in (drive, start time, uri)
-    order with their start and end times in epoch microseconds, and per
-    trajectory the position of its video among them, or -1 for none, and
-    whether that video holds only the reference time.
+def _match_videos(trajs: TrajectoryTable, videos: VideoTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per trajectory, the row of ``videos`` of the first video of its
+    drive, by (start time, uri), that holds its whole span, else of the
+    first that holds its reference time, or -1 for none; and whether that
+    video holds only the reference time.
     """
-    where = {key: d for d, key in enumerate(trajs.keys)}
-    ours = sorted(
-        (where[v.subj, v.drive], to_us(v.start_time_utc), v.uri, k)
-        for k, v in enumerate(videos)
-        if (v.subj, v.drive) in where
-    )
-    files = [videos[k] for *_, k in ours]
-    drive = np.array([d for d, *_ in ours], dtype=np.int64)
-    v_start = np.array([us for _, us, *_ in ours], dtype=np.int64)
-    v_end = np.array([to_us(v.end_time_utc) for v in files], dtype=np.int64)
+    # Per trajectory, the first row and the count of its drive's videos; a
+    # drive without videos is k = -1, which takes the zeros appended.
+    where = {key: k for k, key in enumerate(videos.keys)}
+    k = np.fromiter(map(where.get, trajs.keys, repeat(-1)), np.int64, len(trajs.keys))
+    bounds = np.array(videos.offsets)
+    codes = trajs.codes()
+    first = np.append(bounds[:-1], 0)[k][codes]
+    counts = np.append(np.diff(bounds), 0)[k][codes]
 
     # Each trajectory paired with each video of its drive, in that order.
-    bounds = np.searchsorted(drive, np.arange(len(trajs.keys) + 1))
-    codes = trajs.codes()
-    first, counts = bounds[codes], np.diff(bounds)[codes]
     pair = np.repeat(np.arange(len(trajs)), counts)
     video = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
     t_us = trajs.sensor.t_us
@@ -216,54 +186,36 @@ def _match_videos(trajs: TrajectoryTable, videos: list[VideoFile]) -> tuple:
         out[rows] = video[hit[at]]
         return out
 
-    lo, hi = v_start[video], v_end[video]
+    lo, hi = videos.t_us[video], videos.end_us[video]
     whole = first_video((lo <= t_start) & (t_end <= hi))
     at_ref = first_video((lo <= t_ref) & (t_ref <= hi))
-    pick = np.where(whole >= 0, whole, at_ref)
-    return files, v_start, v_end, pick, (whole < 0) & (at_ref >= 0)
-
-
-def match_video(
-    traj: TrajectoryCandidate, videos: list[VideoFile]
-) -> tuple[VideoFile, str | None]:
-    """The video ``build_clip_specs`` picks for one trajectory, and its warning.
-
-    ``videos`` must already be filtered to the trajectory's (subj, drive).
-    Raises NoCoveringVideoError when no video covers the reference time.
-    """
-    table = TrajectoryTable.from_columns(
-        [traj.subj], [traj.drive], [traj.intxn_id], [traj.leg_id], [traj.ref_index], [0],
-        [len(traj.points)], sensor=traj.points,
-    )
-    files, _, _, (pick,), (spans,) = _match_videos(table, videos)
-    if pick < 0:
-        raise NoCoveringVideoError(f"no video covers trajectory {traj.traj_id}")
-    return files[pick], "spans_files" if spans else None
+    return np.where(whole >= 0, whole, at_ref), (whole < 0) & (at_ref >= 0)
 
 
 def build_clip_specs(
     trajs: TrajectoryTable,
-    videos: list[VideoFile],
+    videos: VideoTable,
     overlay: OverlayParams | None = None,
 ) -> tuple[list[ClipSpec], dict[str, list]]:
     """Build one ClipSpec per clippable trajectory plus a problem report.
 
-    Each trajectory gets the video ``match_video`` picks for it. The report
+    Each trajectory gets the video ``_match_videos`` picks for it. The report
     maps ``unclippable`` to (traj_id, reason) entries and ``warnings`` to
     (traj_id, warning) entries. When a trajectory straddles two files the
     clip covers the overlap of the trajectory with the file holding the
-    reference time, and overlay times are clamped into it. Times are
+    reference time, and overlay times are clamped into it. An overlay time
+    inside a stretch without motion is the stretch's earliest. Times are
     rounded to the millisecond, as the cut-list holds them.
     """
     overlay = overlay or OverlayParams()
-    files, v_start, v_end, pick, spans = _match_videos(trajs, videos)
+    pick, spans = _match_videos(trajs, videos)
     ids = trajs.traj_ids()
     t_us, cum = trajs.sensor.t_us, trajs.sensor.cum
     rows = np.flatnonzero(pick >= 0)
     video = pick[rows]
-    v_start = v_start[video]
+    v_start = videos.t_us[video]
     clip_start = np.maximum(t_us[trajs.start[rows]], v_start)
-    clip_end = np.minimum(t_us[trajs.stop[rows] - 1], v_end[video])
+    clip_end = np.minimum(t_us[trajs.stop[rows] - 1], videos.end_us[video])
     duration = clip_end - clip_start
     ref_cum = cum[trajs.ref[rows]]
     t_on = _overlay_us(trajs, rows, ref_cum - overlay.on_upstream_ft, clip_start, clip_end)
@@ -281,11 +233,10 @@ def build_clip_specs(
         "unclippable": [{"traj_id": ids[k], "reason": reasons[k]} for k in sorted(reasons)],
         "warnings": [{"traj_id": ids[k], "warning": "spans_files"} for k in warned],
     }
+    uris = videos.uri[video[kept]].tolist()
     specs = [
-        ClipSpec(ids[k], files[v].uri, *times, f"{ids[k]}.mp4")
-        for k, v, *times in zip(
-            rows[kept].tolist(), video[kept].tolist(), *(w[kept].tolist() for w in written)
-        )
+        ClipSpec(ids[k], uri, *times, f"{ids[k]}.mp4")
+        for k, uri, *times in zip(rows[kept].tolist(), uris, *(w[kept].tolist() for w in written))
     ]
     return specs, report
 
@@ -349,25 +300,14 @@ def emit_cutlist(
     return ordered
 
 
+def _clip_specs(entries: list) -> list[ClipSpec]:
+    times = ("in_offset_s", "duration_s", "overlay_on_s", "overlay_off_s")
+    return [
+        ClipSpec(e["traj_id"], e["source_uri"], *(float(e[k]) for k in times), e["output_name"])
+        for e in entries
+    ]
+
+
 def parse_cutlist(source: str | Path | IO) -> list[ClipSpec]:
     """Read a cut-list; raises DataError on invalid JSON or a bad entry."""
-    with resolve_uri(source, "r") as handle:
-        try:
-            entries = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid cut-list JSON: {exc}") from exc
-    try:
-        return [
-            ClipSpec(
-                e["traj_id"],
-                e["source_uri"],
-                float(e["in_offset_s"]),
-                float(e["duration_s"]),
-                float(e["overlay_on_s"]),
-                float(e["overlay_off_s"]),
-                e["output_name"],
-            )
-            for e in entries
-        ]
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise DataError(f"bad cut-list entry: {exc!r}") from exc
+    return read_json(source, _clip_specs, "cut-list JSON")

@@ -8,7 +8,6 @@ network candidate to mark participant-visited intersections.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import DataError
 from .geo import EARTH_RADIUS_FT, CellGrid, GeoPoint, centroid
 from .ingest import CLASS_NAMES, DetectionTable, to_seconds
-from .storage import resolve_uri
+from .storage import read_json
 
 DEFAULT_COINCIDENCE_TOL_FT = 1.0
 DEFAULT_RUN_GAP_S = 2.0
@@ -319,8 +318,12 @@ def match_clusters(
 # GeoJSON interchange
 
 def load_network_geojson(source: str | Path | IO) -> RoadNetwork:
-    """Read a WGS84 FeatureCollection of LineString/MultiLineString features."""
-    doc = load_geojson(source)
+    """Read a WGS84 FeatureCollection of LineString/MultiLineString features;
+    raises DataError on a document that is not one."""
+    return read_json(source, _network_from_geojson, "road network GeoJSON")
+
+
+def _network_from_geojson(doc: dict) -> RoadNetwork:
     if doc.get("type") != "FeatureCollection":
         raise DataError("road network must be a GeoJSON FeatureCollection")
 
@@ -364,16 +367,18 @@ def candidates_to_geojson(candidates: list[IntersectionCandidate]) -> dict:
     }
 
 
-def candidates_from_geojson(doc: dict) -> list[IntersectionCandidate]:
-    out = []
+def _point_features(doc: dict):
+    """(position, properties) of each feature ``_point_feature`` wrote."""
     for feature in doc.get("features", []):
         coords = feature["geometry"]["coordinates"]
-        props = feature["properties"]
-        out.append(
-            IntersectionCandidate(
-                int(props["intxn_id"]), GeoPoint(coords[1], coords[0]), int(props["degree"])
-            )
-        )
+        yield GeoPoint(coords[1], coords[0]), feature["properties"]
+
+
+def candidates_from_geojson(doc: dict) -> list[IntersectionCandidate]:
+    out = [
+        IntersectionCandidate(int(props["intxn_id"]), pos, int(props["degree"]))
+        for pos, props in _point_features(doc)
+    ]
     return sorted(out, key=lambda c: c.intxn_id)
 
 
@@ -395,24 +400,13 @@ def visited_to_geojson(visited: list[VisitedCandidate]) -> dict:
 
 
 def visited_from_geojson(doc: dict) -> list[VisitedCandidate]:
-    out = []
-    for feature in doc.get("features", []):
-        coords = feature["geometry"]["coordinates"]
-        props = feature["properties"]
-        out.append(
-            VisitedCandidate(
-                int(props["intxn_id"]),
-                GeoPoint(coords[1], coords[0]),
-                [int(x) for x in props["supporting_cluster_ids"]],
-                float(props["match_dist_ft"]),
-            )
+    out = [
+        VisitedCandidate(
+            int(props["intxn_id"]),
+            pos,
+            [int(x) for x in props["supporting_cluster_ids"]],
+            float(props["match_dist_ft"]),
         )
+        for pos, props in _point_features(doc)
+    ]
     return sorted(out, key=lambda v: v.intxn_id)
-
-
-def load_geojson(source: str | Path | IO) -> dict:
-    with resolve_uri(source, "r") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid GeoJSON: {exc}") from exc

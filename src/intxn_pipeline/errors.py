@@ -47,7 +47,3 @@ class HeaderMismatchError(DataError):
 
 class KmlParseError(DataError):
     pass
-
-
-class NoCoveringVideoError(DataError):
-    pass

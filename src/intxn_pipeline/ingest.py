@@ -12,7 +12,8 @@ per-row objects.
 
 Each table class declares its CSV layout (header, raw columns and each
 column's kind) once, so one parser reads raw and clean files of both
-tables and one writer writes both.
+tables and one writer writes both. The same parser reads the trajectory
+table and, in the raw layout, the video and demographics sidecars.
 
 The parser reads a file a chunk of lines at a time. numpy's C tokenizer,
 ``np.loadtxt``, reads each chunk into typed columns, and a clean-form
@@ -274,7 +275,7 @@ _CLASS = (
     lambda codes: map(CLASS_NAMES.__getitem__, codes.tolist()),
     object,
 )
-_STRIPPED = ("subj", "object_class")
+_STRIPPED = ("subj", "object_class", "uri", "age", "gender")
 
 # Range checks, in the order they run: per CSV column, which rows of its
 # parsed column pass, and the drop reason of a row it is the first to fail.
@@ -287,6 +288,7 @@ _CHECKS = {
     "speed_fps": (lambda speed: (0.0 <= speed) & np.isfinite(speed), "out_of_range"),
     SENSOR_CUM_COLUMN: (np.isfinite, "out_of_range"),
     "confidence": (lambda conf: (0.0 <= conf) & (conf <= 1.0), "out_of_range"),
+    "fps": (lambda fps: fps > 0.0, "out_of_range"),
 }
 
 
@@ -609,7 +611,8 @@ def _parse_csv(source, cls: type[_Table], raw: bool, bad_row) -> tuple[dict, int
     A clean file's columns are ``cls.HEADER``, less those of no kind, with
     the ``CLEAN_CHECKED`` ones checked. A raw file's are ``cls.RAW`` and
     those of ``cls.OPTIONAL`` it holds, all checked, the ``_STRIPPED`` ones
-    stripped. Each row that does not parse or fails a check goes to
+    stripped; of ``cls`` the raw layout reads only those two and
+    ``kinds()``. Each row that does not parse or fails a check goes to
     ``bad_row(reason, line, row)`` and is left out.
 
     The data lines parse ``_CHUNK_ROWS`` at a time by ``_parse_chunk``. A

@@ -3,15 +3,15 @@
 Candidates go out as KML for inspection in an earth viewer; the reviewer
 keeps true intersections (folder ``true``, or simply deletes false ones),
 draws one polygon per controlled approach leg and one line per entering
-direction, and the result comes back in here. The annotation side produces
-a review-template CSV plus a JSON manifest of allowed values per custom
+direction, and the result comes back in here and goes on as JSON, read
+back through ``storage.read_json``. The annotation side reads the
+demographics sidecar with ``ingest``'s CSV parser and produces a
+review-template CSV plus a JSON manifest of allowed values per custom
 column, standing in for a spreadsheet with cell validation.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -32,8 +32,8 @@ from .geo import (
     point_to_segment_ft,
     polyline_midpoint,
 )
-from .ingest import _time_texts
-from .storage import csv_writer, resolve_uri, write_json
+from .ingest import _TEXT, _parse_csv, _time_texts
+from .storage import csv_writer, read_json, resolve_uri, write_json
 
 if TYPE_CHECKING:
     from .trajectory import TrajectoryTable
@@ -313,7 +313,8 @@ def import_reviewed_kml(
     # contain the midpoint or be its nearest edge.
     boxes = np.array([leg["ring"].bounds() for leg in pending], dtype=float).reshape(-1, 4).T
     for line in feats.lines:
-        if len(line.coordinates) < 2:
+        # A line whose ends coincide gives no entering bearing.
+        if len(line.coordinates) < 2 or line.coordinates[0] == line.coordinates[-1]:
             rejects.append(RejectEntry("line", line.name, "invalid_line"))
             continue
         mid = polyline_midpoint(line.coordinates)
@@ -410,11 +411,7 @@ def save_reviewed_json(reviewed: list[ReviewedIntersection], dest: str | Path | 
 
 
 def load_reviewed_json(source: str | Path | IO) -> list[ReviewedIntersection]:
-    with resolve_uri(source, "r") as handle:
-        try:
-            return reviewed_from_json(json.load(handle))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise DataError(f"invalid reviewed-intersection JSON: {exc}") from exc
+    return read_json(source, reviewed_from_json, "reviewed-intersection JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +430,27 @@ REVIEW_COLUMNS = (
 )
 
 
+class _Demographics:
+    """The demographics CSV as ``ingest._parse_csv`` reads a raw file: three
+    text columns, each stripped, and a non-empty subj."""
+
+    RAW = ("subj", "age", "gender")
+    OPTIONAL = ()
+
+    @classmethod
+    def kinds(cls) -> dict[str, tuple]:
+        return dict.fromkeys(cls.RAW, _TEXT)
+
+
 def read_demographics(source: str | Path | IO) -> dict[str, tuple[str, str]]:
-    """Load the subj,age,gender table as a subj -> (age, gender) map."""
-    with resolve_uri(source, "r") as handle:
-        reader = csv.DictReader(handle)
-        have = set(reader.fieldnames or ())
-        missing = [c for c in ("subj", "age", "gender") if c not in have]
-        if missing:
-            raise DataError(f"demographics table missing columns: {', '.join(missing)}")
-        out = {}
-        for row in reader:
-            subj, age, gender = row["subj"], row["age"], row["gender"]
-            if None in (subj, age, gender):  # DictReader's value for a field a row lacks
-                raise DataError(f"short demographics row at line {reader.line_num}: {row!r}")
-            out[subj.strip()] = (age.strip(), gender.strip())
-        return out
+    """Load the subj,age,gender table as a subj -> (age, gender) map; raises
+    DataError naming the line of the first row without a subj or a column."""
+
+    def bad_row(reason, line, row):
+        raise DataError(f"bad demographics row at line {line}: {row!r}")
+
+    subj, age, gender = _parse_csv(source, _Demographics, True, bad_row)[0].values()
+    return dict(zip(subj, zip(age, gender)))
 
 
 def build_review_template(

@@ -5,7 +5,9 @@ through a temp-file-plus-rename and a crash never leaves a partial file
 behind. The bytes are hashed as they are written, so a stage knows the
 digest of each file it wrote without reading it back. Only ``file:`` and
 bare paths are supported. The CSV files that are not clean tables are
-written through ``csv_writer``, and every JSON file through ``write_json``.
+written through ``csv_writer``. Every JSON file is written through
+``write_json``, and every JSON input but the config is read through
+``read_json``, so a malformed document is one kind of ``DataError``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import IO, Callable, Iterator
 from urllib.parse import urlparse
 from urllib.request import url2pathname
 
-from .errors import StorageNotFoundError, UnsupportedSchemeError
+from .errors import DataError, StorageNotFoundError, UnsupportedSchemeError
 
 # The process umask, read once: os.umask can only be read by setting it,
 # which would race with other threads creating files.
@@ -129,6 +131,22 @@ def write_json(doc, dest: str | Path | IO) -> None:
     with resolve_uri(dest, "w") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
+
+
+# What a document of the wrong shape makes a build raise: a missing key or
+# index, a value of the wrong type or out of range. Bad JSON is a ValueError.
+_BAD_DOCUMENT = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def read_json(source: str | Path | IO, build: Callable, what: str):
+    """``build`` of the JSON document at ``source``, the counterpart of
+    ``write_json``; raises DataError ("invalid <what>: ...") naming the
+    exception when the text is not JSON or ``build`` fails on the document."""
+    with resolve_uri(source, "r") as handle:
+        try:
+            return build(json.load(handle))
+        except _BAD_DOCUMENT as exc:
+            raise DataError(f"invalid {what}: {type(exc).__name__}: {exc}") from exc
 
 
 class Store(dict):

@@ -165,16 +165,16 @@ def assign_bearings(reviewed: list[ReviewedIntersection]) -> list[ReviewedInters
 
     The bearing is the forward azimuth from the line's first vertex to its
     last; intermediate vertices are ignored since the endpoints define the
-    reviewer's intent. Raises ValueError for a degenerate line.
+    reviewer's intent. Raises DataError for a line without two distinct ends.
     """
     for intxn in reviewed:
         for leg in intxn.approaches:
-            first, last = leg.entering_line[0], leg.entering_line[-1]
-            if first == last:
-                raise ValueError(
+            line = leg.entering_line
+            if not line or line[0] == line[-1]:
+                raise DataError(
                     f"degenerate entering line on intersection {intxn.intxn_id} leg {leg.leg_id}"
                 )
-            leg.entering_bearing = initial_bearing_deg(first, last)
+            leg.entering_bearing = initial_bearing_deg(line[0], line[-1])
     return reviewed
 
 

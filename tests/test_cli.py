@@ -288,6 +288,61 @@ def test_data_error_exit_code(workspace, capsys):
     assert "GeoJSON" in capsys.readouterr().err
 
 
+_DELETE = object()
+
+# A hand-edited JSON input: the stages that make it, its file, the path to
+# the value edited (the whole document for an empty path), the new value or
+# _DELETE, and the stage that reads it.
+MALFORMED_JSON = {
+    "candidate-without-properties": (
+        ("clean", "lrs-intxns"), "out/lrs_candidates.geojson",
+        ("features", 0, "properties"), _DELETE, "subj-intxns",
+    ),
+    "visited-null-cluster-ids": (
+        ("clean", "lrs-intxns", "subj-intxns"), "out/visited_candidates.geojson",
+        ("features", 0, "properties", "supporting_cluster_ids"), None, "export-kml",
+    ),
+    "reviewed-two-vertex-polygon": (
+        ("clean", "import-review"), "out/reviewed.json",
+        ("intersections", 0, "approaches", 0, "polygon"), [[41.0, -96.0], [41.001, -96.0]],
+        "traj",
+    ),
+    "network-longitude-500": (
+        (), "network.geojson",
+        ("features", 0, "geometry", "coordinates", 0), [500.0, 41.0], "lrs-intxns",
+    ),
+    "network-one-number-vertex": (
+        (), "network.geojson",
+        ("features", 0, "geometry", "coordinates", 0), [-96.0], "lrs-intxns",
+    ),
+    "network-list": ((), "network.geojson", (), [], "lrs-intxns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_input_is_a_data_error(workspace, capsys, case):
+    ws, config = workspace
+    before, name, path, value, stage = MALFORMED_JSON[case]
+    for earlier in before:
+        assert _run(config, earlier) == 0
+    doc = json.loads((ws / name).read_text())
+    if path:
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    else:
+        doc = value
+    (ws / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run(config, stage) == 2
+    assert capsys.readouterr().err.startswith("error: invalid ")
+
+
 def test_stage_reports_reconcile(workspace):
     ws, config = workspace
     assert _run(config, "all") == 0

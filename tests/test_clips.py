@@ -12,19 +12,19 @@ from intxn_pipeline.clips import (
     VIDEO_COLUMNS,
     ClipSpec,
     OverlayParams,
-    VideoFile,
+    VideoTable,
     build_clip_specs,
     clip_command,
-    distance_crossing_time,
     emit_cutlist,
-    match_video,
     parse_cutlist,
     read_videos_csv,
 )
-from intxn_pipeline.errors import DataError, NoCoveringVideoError
-from intxn_pipeline.ingest import SensorRecord, SensorTable
+from intxn_pipeline.errors import DataError, HeaderMismatchError
+from intxn_pipeline.ingest import SensorRecord, SensorTable, to_us
 from intxn_pipeline.review import read_demographics
-from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
+from intxn_pipeline.trajectory import TrajectoryTable, assign_bearings, extract_trajectories
+
+A_MP4 = "file:///videos/a.mp4"
 
 
 def _trajs(sensor=None, intxns=None):
@@ -34,50 +34,57 @@ def _trajs(sensor=None, intxns=None):
     return trajs
 
 
-def video(start_s=0.0, end_s=600.0, uri="file:///videos/a.mp4", subj="A", drive=1):
-    return VideoFile(
-        uri,
-        subj,
-        drive,
-        T0 + timedelta(seconds=start_s),
-        T0 + timedelta(seconds=end_s),
-        30.0,
-    )
+def videos(*spans):
+    """Drive (A, 1)'s video table, a video per (start_s, end_s, uri) in
+    seconds after T0; by default one video over the whole drive."""
+    spans = spans or [(0.0, 600.0, A_MP4)]
+    start, end, uri = zip(*spans)
+    times = [[to_us(T0 + timedelta(seconds=s)) for s in side] for side in (start, end)]
+    n = len(spans)
+    return VideoTable.from_columns(["A"] * n, [1] * n, *times, [30.0] * n, uri)
 
 
 def test_match_video_containment():
-    traj = _trajs()[0]  # spans T0+4 .. T0+14
-    picked, warning = match_video(traj, [video()])
-    assert picked.uri == "file:///videos/a.mp4"
-    assert warning is None
+    specs, report = build_clip_specs(_trajs(), videos())  # spans T0+4 .. T0+14
+    assert [s.source_uri for s in specs] == [A_MP4]
+    assert report == {"unclippable": [], "warnings": []}
 
 
 def test_match_video_straddling_files_picks_ref_file():
-    traj = _trajs()[0]  # ref at T0+10
-    early = video(0.0, 8.0, uri="file:///videos/part1.mp4")
-    late = video(8.0, 600.0, uri="file:///videos/part2.mp4")
-    picked, warning = match_video(traj, [early, late])
-    assert picked.uri == "file:///videos/part2.mp4"
-    assert warning == "spans_files"
+    # Neither file holds T0+4 .. T0+14; the second holds the ref at T0+10.
+    split = videos((0.0, 8.0, "file:///videos/part1.mp4"), (8.0, 600.0, "file:///videos/part2.mp4"))
+    specs, report = build_clip_specs(_trajs(), split)
+    assert specs[0].source_uri == "file:///videos/part2.mp4"
+    assert (specs[0].in_offset_s, specs[0].duration_s) == (0.0, 6.0)  # T0+8 .. T0+14
+    assert report["warnings"] == [{"traj_id": "A_1_4", "warning": "spans_files"}]
 
 
 def test_match_video_no_coverage_raises():
-    traj = _trajs()[0]
-    with pytest.raises(NoCoveringVideoError):
-        match_video(traj, [video(100.0, 200.0)])
+    # Drive (A, 1)'s only video ends at T0+9, before the ref at T0+10; the
+    # video spanning the whole window belongs to drive (A, 2).
+    window = [to_us(T0 + timedelta(seconds=s)) for s in (0.0, 9.0, 0.0, 600.0)]
+    vids = VideoTable.from_columns(
+        ["A", "A"], [1, 2], window[0::2], window[1::2], [30.0, 30.0], [A_MP4, "file:///videos/b.mp4"]
+    )
+    specs, report = build_clip_specs(_trajs(), vids)
+    assert specs == []
+    assert report == {
+        "unclippable": [{"traj_id": "A_1_4", "reason": "no_covering_video"}],
+        "warnings": [],
+    }
 
 
 def test_crossing_time_constant_speed():
-    traj = _trajs()[0]  # window starts 300 ft before the ref point
-    target = traj.ref_cum_dist_ft - 150.0
-    t = distance_crossing_time(traj.points, target)
-    assert (t - traj.start_time_utc).total_seconds() == pytest.approx(3.0)
+    # 50 ft/s from T0+4: the ref (cum 500) at 6 s, cum 375 at 3.5 s, cum 575 at 7.5 s.
+    overlay = OverlayParams(on_upstream_ft=125.0, off_downstream_ft=75.0)
+    specs, _ = build_clip_specs(_trajs(), videos(), overlay)
+    assert (specs[0].overlay_on_s, specs[0].overlay_off_s) == (3.5, 7.5)
 
 
 def test_crossing_time_at_knot_returns_sample_time():
-    traj = _trajs()[0]
-    sample = traj.points[4]
-    assert distance_crossing_time(traj.points, sample.cum_dist_ft) == sample.t_utc
+    # Cum 350 is the sample at T0+7, 3 s into the clip.
+    specs, _ = build_clip_specs(_trajs(), videos())
+    assert specs[0].overlay_on_s == 3.0
 
 
 def test_crossing_time_flat_segment_resolves_earliest():
@@ -86,20 +93,17 @@ def test_crossing_time_flat_segment_resolves_earliest():
         SensorRecord("A", 1, T0 + timedelta(seconds=s), base, 0.0, 0.0, cum)
         for s, cum in ((0, 0.0), (1, 100.0), (2, 100.0), (3, 100.0), (4, 200.0))
     ]
-    t = distance_crossing_time(SensorTable.from_records(points), 100.0)
-    assert t == T0 + timedelta(seconds=1)
-
-
-def test_crossing_time_out_of_range():
-    traj = _trajs()[0]
-    with pytest.raises(ValueError):
-        distance_crossing_time(traj.points, traj.points[-1].cum_dist_ft + 1.0)
+    sensor = SensorTable.from_records(points)
+    trajs = TrajectoryTable.from_columns(["A"], [1], [4], [1], [2], [0], [5], sensor=sensor)
+    overlay = OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
+    specs, _ = build_clip_specs(trajs, videos(), overlay)
+    assert (specs[0].overlay_on_s, specs[0].overlay_off_s) == (1.0, 1.0)
 
 
 def test_clip_specs_constant_speed_oracle():
     # Closed form at 50 ft/s: overlay on (300-150)/50 = 3 s into the clip,
     # off (300+50)/50 = 7 s, duration 500/50 = 10 s.
-    specs, report = build_clip_specs(_trajs(), [video()])
+    specs, report = build_clip_specs(_trajs(), videos())
     assert not report["unclippable"] and not report["warnings"]
     spec = specs[0]
     assert spec.in_offset_s == pytest.approx(4.0)
@@ -113,7 +117,7 @@ def test_clip_specs_truncated_window_clamps_overlay_on():
     # Junction 100 ft into the drive: only 100 ft of upstream history, so
     # the 150-ft overlay target precedes the clip and clamps to 0.
     trajs = _trajs(intxns=[northbound_intersection(junction_north_ft=100.0, length_ft=100.0)])
-    specs, _ = build_clip_specs(trajs, [video()])
+    specs, _ = build_clip_specs(trajs, videos())
     assert specs[0].overlay_on_s == 0.0
     assert specs[0].overlay_off_s == pytest.approx(3.0)  # (100+50)/50
 
@@ -121,14 +125,14 @@ def test_clip_specs_truncated_window_clamps_overlay_on():
 def test_clip_specs_degenerate_overlay_distances():
     trajs = _trajs()
     specs, _ = build_clip_specs(
-        trajs, [video()], OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
+        trajs, videos(), OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
     )
     spec = specs[0]
     assert spec.overlay_on_s == spec.overlay_off_s == pytest.approx(6.0)  # ref at 300/50
 
 
 def test_clip_specs_unclippable_reported():
-    specs, report = build_clip_specs(_trajs(), [video(100.0, 200.0)])
+    specs, report = build_clip_specs(_trajs(), videos((100.0, 200.0, A_MP4)))
     assert specs == []
     assert report["unclippable"] == [{"traj_id": "A_1_4", "reason": "no_covering_video"}]
 
@@ -136,23 +140,23 @@ def test_clip_specs_unclippable_reported():
 def test_clip_shorter_than_the_cut_list_holds_is_unclippable():
     # 0.3 ms of video at the reference time: the cut-list's three decimals
     # would write its duration as 0.000, which parse_cutlist rejects.
-    specs, report = build_clip_specs(_trajs(), [video(9.9997, 10.0)])
+    specs, report = build_clip_specs(_trajs(), videos((9.9997, 10.0, A_MP4)))
     assert specs == []
     assert report["unclippable"] == [{"traj_id": "A_1_4", "reason": "empty_overlap"}]
 
 
 def test_clip_fits_in_source_invariant():
     trajs = _trajs()
-    vid = video()
-    specs, _ = build_clip_specs(trajs, [vid])
+    vid = videos()
+    specs, _ = build_clip_specs(trajs, vid)
     for spec in specs:
         assert spec.in_offset_s >= 0.0
-        video_duration = (vid.end_time_utc - vid.start_time_utc).total_seconds()
+        video_duration = (vid.end_us[0] - vid.t_us[0]) / 1e6
         assert spec.in_offset_s + spec.duration_s <= video_duration + 1e-9
 
 
 def test_emit_cutlist_roundtrip_lossless(tmp_path):
-    specs, _ = build_clip_specs(_trajs(), [video()])
+    specs, _ = build_clip_specs(_trajs(), videos())
     json_path = tmp_path / "cutlist.json"
     script_path = tmp_path / "cutlist.sh"
     emit_cutlist(specs, json_path, script_path)
@@ -218,7 +222,7 @@ def test_emit_cutlist_two_specs_same_source(tmp_path):
         northbound_intersection(intxn_id=2, junction_north_ft=500.0),
         northbound_intersection(intxn_id=9, junction_north_ft=1500.0),
     ]
-    specs, _ = build_clip_specs(_trajs(sensor, intxns), [video()])
+    specs, _ = build_clip_specs(_trajs(sensor, intxns), videos())
     json_path = tmp_path / "cutlist.json"
     script_path = tmp_path / "cutlist.sh"
     emit_cutlist(specs, json_path, script_path)
@@ -229,7 +233,7 @@ def test_emit_cutlist_two_specs_same_source(tmp_path):
 
 
 def test_emit_cutlist_deterministic_bytes(tmp_path):
-    specs, _ = build_clip_specs(_trajs(), [video()])
+    specs, _ = build_clip_specs(_trajs(), videos())
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     emit_cutlist(specs, p1)
     emit_cutlist(list(reversed(specs)), p2)
@@ -250,18 +254,47 @@ def test_read_videos_csv_and_validation(tmp_path):
         "uri,subj,drive,start_time_utc,end_time_utc,fps\n"
         "file:///v.mp4,A,1,2019-05-01T12:00:00.000Z,2019-05-01T12:10:00.000Z,30.0\n"
     )
-    videos = read_videos_csv(path)
-    assert videos[0].subj == "A"
-    assert videos[0].fps == 30.0
+    table = read_videos_csv(path)
+    assert table.keys == [("A", 1)]
+    assert table.fps.tolist() == [30.0]
+    assert table.uri.tolist() == ["file:///v.mp4"]
     bad = tmp_path / "bad.csv"
     bad.write_text(
         "uri,subj,drive,start_time_utc,end_time_utc,fps\n"
         "file:///v.mp4,A,1,2019-05-01T12:10:00.000Z,2019-05-01T12:00:00.000Z,30.0\n"
     )
-    from intxn_pipeline.errors import DataError
-
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="end time not after start time"):
         read_videos_csv(bad)
+
+
+def test_video_rows_are_sorted_by_start_then_uri():
+    text = ",".join(VIDEO_COLUMNS) + "\n" + "".join(
+        f"{uri},B,1,2019-05-01T12:0{start}:00Z,2019-05-01T12:09:00Z,30\n"
+        for uri, start in (("c.mp4", 1), ("b.mp4", 0), ("a.mp4", 1), (" a0.mp4 ", 1))
+    ) + "a.mp4,A,1,2019-05-01T12:00:00Z,2019-05-01T12:09:00Z,30\n"
+    table = read_videos_csv(io.StringIO(text, newline=""))
+    assert table.keys == [("A", 1), ("B", 1)]
+    assert table.uri.tolist() == ["a.mp4", "b.mp4", "a.mp4", "a0.mp4", "c.mp4"]
+
+
+TIMES = "2019-05-01T12:00:00Z,2019-05-01T12:10:00Z"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [f"v.mp4, ,1,{TIMES},30", f"v.mp4,A,1,{TIMES},nan", f"v.mp4,A,1,{TIMES},0"],
+    ids=["empty-subj", "nan-fps", "zero-fps"],
+)
+def test_bad_video_row_raises_data_error_naming_its_line(row):
+    text = ",".join(VIDEO_COLUMNS) + "\n\n" + row + "\n"
+    with pytest.raises(DataError, match="line 3"):
+        read_videos_csv(io.StringIO(text, newline=""))
+
+
+def test_video_table_without_a_column_raises_header_mismatch():
+    header = ",".join(VIDEO_COLUMNS[:-1]) + "\n"
+    with pytest.raises(HeaderMismatchError, match="fps"):
+        read_videos_csv(io.StringIO(header, newline=""))
 
 
 def test_clipspec_invariants():

@@ -189,6 +189,25 @@ def test_import_unassignable_line_rejected(tmp_path):
     ]
 
 
+def test_import_zero_length_line_rejected(tmp_path):
+    # Both ends at one point give no entering bearing, so the line is invalid
+    # and its polygon is left without one.
+    body = (
+        f'<Folder><name>true</name>{point_mark("1", pt())}</Folder>'
+        + polygon_mark("p", pt())
+        + line_mark("l-zero", pt(), length_ft=0.0)
+    )
+    path = tmp_path / "reviewed.kml"
+    path.write_text(kml_doc(body))
+    reviewed, rejects = import_reviewed_kml(path)
+    assert not reviewed
+    assert [(r.kind, r.name, r.reason) for r in rejects] == [
+        ("line", "l-zero", "invalid_line"),
+        ("polygon", "p", "no_entering_line"),
+        ("intersection", "1", "no_polygons"),
+    ]
+
+
 def test_import_intersection_without_polygons_rejected(tmp_path):
     body = f'<Folder><name>true</name>{point_mark("9", pt())}</Folder>'
     path = tmp_path / "reviewed.kml"
@@ -364,3 +383,8 @@ def test_review_csv_reads_back_a_subject_with_a_carriage_return():
 def test_short_demographics_row_raises_data_error():
     with pytest.raises(DataError, match="line 2"):
         read_demographics(io.StringIO("subj,age,gender\nA\n", newline=""))
+
+
+def test_demographics_row_without_a_subj_raises_data_error():
+    with pytest.raises(DataError, match="line 3"):
+        read_demographics(io.StringIO("subj,age,gender\nA,52,F\n ,47,M\n", newline=""))

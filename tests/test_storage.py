@@ -1,9 +1,11 @@
 """The single I/O path: every reader and writer opens through ``storage.resolve_uri``."""
 
 import ast
+import copy
 import csv
 import io
 import json
+import re
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 import intxn_pipeline
 from intxn_pipeline import clips, discovery, ingest, review, storage, trajectory
 from intxn_pipeline.cli import main
-from intxn_pipeline.geo import GeoPoint
+from intxn_pipeline.errors import DataError
+from intxn_pipeline.geo import GeoPoint, PolygonRing
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +53,6 @@ STREAM_CASES = {
             ingest.read_clean_detections(ws / "out" / "clean_cv.csv"), s
         ),
     ),
-    "discovery.load_geojson": ("out/lrs_candidates.geojson", lambda s, ws: discovery.load_geojson(s)),
     "discovery.load_network_geojson": (
         "network.geojson",
         lambda s, ws: discovery.load_network_geojson(s),
@@ -58,8 +60,8 @@ STREAM_CASES = {
     "review.export_candidates_kml": (
         None,
         lambda s, ws: review.export_candidates_kml(
-            discovery.visited_from_geojson(
-                discovery.load_geojson(ws / "out" / "visited_candidates.geojson")
+            storage.read_json(
+                ws / "out" / "visited_candidates.geojson", discovery.visited_from_geojson, "visited"
             ),
             s,
         ),
@@ -76,12 +78,16 @@ STREAM_CASES = {
     "review.read_demographics": ("demographics.csv", lambda s, ws: review.read_demographics(s)),
     "review.write_review_csv": (None, lambda s, ws: review.write_review_csv({}, [], s)),
     "storage.write_json": (None, lambda s, ws: storage.write_json({"features": []}, s)),
+    "storage.read_json": (
+        "out/lrs_candidates.geojson",
+        lambda s, ws: storage.read_json(s, discovery.candidates_from_geojson, "candidates"),
+    ),
     # The stages' own JSON documents, which their modules once wrote with their
     # own writers (the case names are kept); both now go through storage.write_json.
     "discovery.save_geojson": (
         None,
         lambda s, ws: storage.write_json(
-            discovery.load_geojson(ws / "out" / "lrs_candidates.geojson"), s
+            json.loads((ws / "out" / "lrs_candidates.geojson").read_text()), s
         ),
     ),
     "review.write_validation_manifest": (
@@ -182,6 +188,38 @@ def test_only_storage_opens_files():
     assert _io_outside_storage() == []
 
 
+def _uses_by_function(names: set[str]) -> set[tuple[str, str, str]]:
+    """(module, innermost enclosing function, name) of each use in src of a
+    ``module.attr`` name in ``names``."""
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = f"{node.value.id}.{node.attr}"
+            if name in names:
+                found.add((module, scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(intxn_pipeline.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return found
+
+
+def test_one_reader_per_input_format():
+    # Every CSV input goes through ingest's declared-schema parser, and every
+    # JSON input through storage.read_json; the config keeps its own load so
+    # that its errors stay ConfigErrors.
+    csv_uses = _uses_by_function({"csv.reader", "csv.DictReader"})
+    assert csv_uses == {("ingest", "_parse_csv", "csv.reader")}
+    json_uses = _uses_by_function({"json.load", "json.loads"})
+    assert json_uses == {
+        ("storage", "read_json", "json.load"), ("config", "load_config", "json.load")
+    }
+
+
 # Fields holding line breaks, lone carriage returns, quotes and commas.
 FIELDS = st.lists(
     st.sampled_from(["\r", "\n", "\r\n", '"', ",", " ", "a"]) | st.text(max_size=4), max_size=4
@@ -197,3 +235,78 @@ def test_csv_writer_rows_read_back(rows):
     storage.csv_writer(out).writerows(rows)
     assert list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == rows
     assert not out.getvalue() or out.getvalue().endswith("\n")
+
+
+# The documents the JSON readers take, one valid one of each, and keys and
+# values of their shape, so that drawn documents reach deep into the readers.
+LINE = [[-96.0, 41.0], [-96.0, 41.01]]
+VALID_DOCS = {
+    "network": {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "id": "r", "geometry": {"type": "LineString", "coordinates": LINE}},
+            {"geometry": {"type": "MultiLineString", "coordinates": [LINE]}, "properties": {}},
+        ],
+    },
+    "candidates": discovery.candidates_to_geojson(
+        [discovery.IntersectionCandidate(1, GeoPoint(41.0, -96.0), 3)]
+    ),
+    "visited": discovery.visited_to_geojson(
+        [discovery.VisitedCandidate(1, GeoPoint(41.0, -96.0), [1, 2], 12.5)]
+    ),
+    "reviewed": review.reviewed_to_json([
+        review.ReviewedIntersection(4, GeoPoint(41.0, -96.0), "stop", [review.ApproachLeg(
+            1,
+            PolygonRing((GeoPoint(41.0, -96.0), GeoPoint(41.0, -96.001), GeoPoint(41.001, -96.0))),
+            [GeoPoint(40.999, -96.0), GeoPoint(41.0, -96.0)],
+        )])
+    ]),
+}
+JSON_READERS = {
+    "network": discovery.load_network_geojson,
+    "candidates": lambda s: storage.read_json(s, discovery.candidates_from_geojson, "candidates"),
+    "visited": lambda s: storage.read_json(s, discovery.visited_from_geojson, "visited"),
+    "reviewed": review.load_reviewed_json,
+}
+JSON_KEYS = st.sampled_from(sorted({
+    key for doc in VALID_DOCS.values() for key in re.findall(r'"(\w+)":', json.dumps(doc))
+})) | st.text(max_size=3)
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(10**400)
+    | st.sampled_from(["FeatureCollection", "LineString", "MultiLineString"]) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with the value at a drawn path replaced by a drawn document, or deleted."""
+    doc = copy.deepcopy(doc)
+    node, parent, key = doc, None, None
+    for _ in range(draw(st.integers(0, 8))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = node[key]
+    if parent is None:
+        return draw(JSON_DOCS)
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_DOCS)
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(JSON_READERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_json_reader_gives_objects_or_a_data_error(name, data):
+    text = data.draw(
+        mutated(VALID_DOCS[name]).map(json.dumps) | JSON_DOCS.map(json.dumps) | st.text(max_size=20)
+    )
+    try:
+        JSON_READERS[name](io.StringIO(text))
+    except DataError:
+        pass

@@ -109,5 +109,5 @@ def test_video_and_demographics_files_read_back_any_subject(tmp_path, monkeypatc
     monkeypatch.setattr(synth, "_subj_name", lambda k: names.setdefault(k, f'S{k}\r,"x\ny'))
     scenario = generate(ScenarioSpec(), tmp_path)
     videos = read_videos_csv(scenario.paths["videos"])
-    assert {v.subj for v in videos} == set(names.values())
+    assert {subj for subj, _ in videos.keys} == set(names.values())
     assert set(read_demographics(scenario.paths["demographics"])) == set(names.values())

@@ -93,7 +93,7 @@ def test_assign_bearings_degenerate_line_rejected():
         PolygonRing((GeoPoint(0, 0), GeoPoint(0, 0.001), GeoPoint(0.001, 0.001))),
         [GeoPoint(0, 0), GeoPoint(0, 0)],
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="degenerate entering line on intersection 1 leg 1"):
         assign_bearings([ReviewedIntersection(1, GeoPoint(0, 0), "stop", [leg])])
 
 

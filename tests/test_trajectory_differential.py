@@ -17,6 +17,7 @@ report, ``cutlist.json`` and ``cutlist.sh``, and review template.
 
 import io
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
 
@@ -30,14 +31,14 @@ from test_trajectory import T0, northbound_intersection, pt
 from intxn_pipeline.clips import (
     ClipSpec,
     OverlayParams,
-    VideoFile,
+    VideoTable,
     _fromtimestamp_us,
     _written,
     _written_us,
     build_clip_specs,
     emit_cutlist,
 )
-from intxn_pipeline.errors import DataError, NoCoveringVideoError
+from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import SensorRecord, SensorTable, format_time_utc, from_us, to_us
 from intxn_pipeline.review import REVIEW_COLUMNS, build_review_template, write_review_csv
@@ -153,6 +154,31 @@ def old_overlay_time(traj, target, clip_start, clip_end):
     return old_distance_crossing_time(traj.points, target)
 
 
+@dataclass
+class OldVideo:
+    """A row of the video table, as the original reader gave it."""
+
+    uri: str
+    subj: str
+    drive: int
+    start_time_utc: datetime
+    end_time_utc: datetime
+    fps: float
+
+
+class OldNoCoveringVideo(Exception):
+    pass
+
+
+def video_table(videos):
+    """The new side's table of the oracle's videos."""
+    return VideoTable.from_columns(
+        [v.subj for v in videos], [v.drive for v in videos],
+        [to_us(v.start_time_utc) for v in videos], [to_us(v.end_time_utc) for v in videos],
+        [v.fps for v in videos], [v.uri for v in videos],
+    )
+
+
 def old_match_video(traj, videos):
     containing = [
         v for v in videos
@@ -163,7 +189,7 @@ def old_match_video(traj, videos):
     at_ref = [v for v in videos if v.start_time_utc <= traj.ref_time_utc <= v.end_time_utc]
     if at_ref:
         return min(at_ref, key=lambda v: (v.start_time_utc, v.uri)), "spans_files"
-    raise NoCoveringVideoError(f"no video covers trajectory {traj.traj_id}")
+    raise OldNoCoveringVideo(f"no video covers trajectory {traj.traj_id}")
 
 
 def old_build_clip_specs(trajs, videos, overlay):
@@ -174,7 +200,7 @@ def old_build_clip_specs(trajs, videos, overlay):
     for traj in sorted(trajs, key=lambda t: (t.subj, t.drive, t.intxn_id)):
         try:
             video, warning = old_match_video(traj, by_drive.get((traj.subj, traj.drive), []))
-        except NoCoveringVideoError:
+        except OldNoCoveringVideo:
             report["unclippable"].append({"traj_id": traj.traj_id, "reason": "no_covering_video"})
             continue
         if warning:
@@ -284,7 +310,7 @@ def videos_for(draw, records):
         a, b = sorted((edge(), edge()))
         if a < b:
             uri = draw(st.sampled_from(["v1.mp4", "v2.mp4", "dir/v 3.mp4"]))
-            out.append(VideoFile(uri, records[0].subj, records[0].drive, a, b, 30.0))
+            out.append(OldVideo(uri, records[0].subj, records[0].drive, a, b, 30.0))
     return out
 
 
@@ -324,7 +350,7 @@ def test_columnar_trajectories_match_the_original(study):
     assert text.getvalue() == old_write_trajectories_csv(old_trajs)
     assert load_trajectories_csv(io.StringIO(text.getvalue(), newline=""), sensor) == trajs
 
-    specs, report = build_clip_specs(trajs, videos, overlay)
+    specs, report = build_clip_specs(trajs, video_table(videos), overlay)
     assert (specs, report) == old_build_clip_specs(old_trajs, videos, overlay)
     new, old = (
         [io.StringIO(newline=""), io.StringIO(newline="")] for _ in range(2)
