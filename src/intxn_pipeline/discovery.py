@@ -374,12 +374,21 @@ def _point_features(doc: dict):
         yield GeoPoint(coords[1], coords[0]), feature["properties"]
 
 
+def _by_id(items: list) -> list:
+    """``items`` sorted by intxn_id; raises ValueError on a repeated id."""
+    out = sorted(items, key=lambda c: c.intxn_id)
+    for a, b in zip(out, out[1:]):
+        if a.intxn_id == b.intxn_id:
+            raise ValueError(f"repeated intxn_id {a.intxn_id}")
+    return out
+
+
 def candidates_from_geojson(doc: dict) -> list[IntersectionCandidate]:
     out = [
         IntersectionCandidate(int(props["intxn_id"]), pos, int(props["degree"]))
         for pos, props in _point_features(doc)
     ]
-    return sorted(out, key=lambda c: c.intxn_id)
+    return _by_id(out)
 
 
 def visited_to_geojson(visited: list[VisitedCandidate]) -> dict:
@@ -409,4 +418,4 @@ def visited_from_geojson(doc: dict) -> list[VisitedCandidate]:
         )
         for pos, props in _point_features(doc)
     ]
-    return sorted(out, key=lambda v: v.intxn_id)
+    return _by_id(out)

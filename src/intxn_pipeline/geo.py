@@ -33,6 +33,9 @@ class GeoPoint:
     lon_deg: float
 
     def __post_init__(self) -> None:
+        # A bool compares as 0 or 1, so JSON's true would pass the ranges.
+        if isinstance(self.lat_deg, bool) or isinstance(self.lon_deg, bool):
+            raise ValueError(f"coordinate is a bool: {self.lat_deg!r}, {self.lon_deg!r}")
         if not -90.0 <= self.lat_deg <= 90.0:
             raise ValueError(f"latitude out of range: {self.lat_deg!r}")
         if not -180.0 <= self.lon_deg <= 180.0:

@@ -129,8 +129,8 @@ def csv_writer(handle: IO):
 def write_json(doc, dest: str | Path | IO) -> None:
     """Write ``doc`` as JSON indented by two spaces, ending in a newline."""
     with resolve_uri(dest, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+        # One write: json.dump writes each of a document's tokens apart.
+        handle.write(json.dumps(doc, indent=2) + "\n")
 
 
 # What a document of the wrong shape makes a build raise: a missing key or

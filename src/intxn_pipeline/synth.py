@@ -6,7 +6,9 @@ the 150 ft preceding each controlled junction, video/demographics sidecars,
 and a pre-reviewed KML standing in for the human review step. Because the
 drives are straight and constant-speed, every expected candidate, visit,
 window, and overlay timing has a closed form, which generate() returns as
-ground truth alongside the written files.
+ground truth alongside the written files. For the same reason all drives
+share one set of sample offsets in time, distance and longitude, so each
+drive is sampled as arrays and each time column is rendered in one call.
 
 Ground-truth windows and timings assume the pipeline's default parameters
 (300 ft upstream, 200 ft downstream, overlay on/off at 150/50 ft).
@@ -14,7 +16,6 @@ Ground-truth windows and timings assume the pipeline's default parameters
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 import xml.etree.ElementTree as ET
@@ -22,10 +23,12 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .clips import VIDEO_COLUMNS
 from .discovery import IntersectionCandidate, RoadNetwork
 from .geo import FT_PER_DEG, GeoPoint
-from .ingest import SensorTable, format_time_utc, to_us, write_sensor_csv
+from .ingest import _US, DETECTION_COLUMNS, EPOCH, SensorTable, _time_texts, to_us, write_sensor_csv
 from .review import KML_NS, TRUE_FOLDER, write_kml
 from .storage import csv_writer, resolve_uri, write_json
 
@@ -188,6 +191,14 @@ def _controlled_cols(spec: ScenarioSpec) -> list[int]:
     return list(range(1, spec.grid_cols))
 
 
+def _sample_offsets_us(spec: ScenarioSpec) -> np.ndarray:
+    """Microseconds from the start of a drive to each of its samples: sample
+    k is ``timedelta(seconds=k / sample_hz)`` in, to the microsecond."""
+    total_ft = 2 * spec.lead_ft + (spec.grid_cols - 1) * spec.block_ft
+    n_samples = round(total_ft / spec.sample_spacing_ft) + 1
+    return np.array([timedelta(seconds=k / spec.sample_hz) // _US for k in range(n_samples)])
+
+
 def _kml_coord(p: GeoPoint) -> str:
     # Full float precision so reimported geometry matches the grid exactly.
     return f"{p.lon_deg!r},{p.lat_deg!r},0"
@@ -243,7 +254,18 @@ def _write_reviewed_kml(
     write_kml(kml, path)
 
 
+def _time_column(times: list[datetime]) -> list[str]:
+    """format_time_utc of each aware time, rendered as one array."""
+    us = (np.array(times, dtype=object) - EPOCH).astype("timedelta64[us]")
+    return _time_texts(us.view(np.int64))
+
+
 def _ground_truth_json(gt: GroundTruth) -> dict:
+    trajs = [t for _, t in sorted(gt.trajectories.items())]
+    times = zip(*(
+        _time_column([getattr(t, name) for t in trajs])
+        for name in ("ref_time_utc", "start_time_utc", "end_time_utc")
+    ))
     return {
         "junctions": [
             {"lat": p.lat_deg, "lon": p.lon_deg, "degree": d} for p, d in gt.junctions
@@ -258,19 +280,19 @@ def _ground_truth_json(gt: GroundTruth) -> dict:
             for (subj, drive), count in sorted(gt.traj_counts.items())
         ],
         "trajectories": {
-            traj_id: {
+            t.traj_id: {
                 "subj": t.subj,
                 "drive": t.drive,
                 "intxn_id": t.intxn_id,
-                "ref_time_utc": format_time_utc(t.ref_time_utc),
-                "start_time_utc": format_time_utc(t.start_time_utc),
-                "end_time_utc": format_time_utc(t.end_time_utc),
+                "ref_time_utc": ref,
+                "start_time_utc": start,
+                "end_time_utc": end,
                 "n_points": t.n_points,
                 "duration_s": t.duration_s,
                 "overlay_on_s": t.overlay_on_s,
                 "overlay_off_s": t.overlay_off_s,
             }
-            for traj_id, t in sorted(gt.trajectories.items())
+            for t, (ref, start, end) in zip(trajs, times)
         },
     }
 
@@ -307,92 +329,99 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
         pos = grid.junction(row, col)
         return id_by_pos[(pos.lat_deg, pos.lon_deg)]
 
-    driven_rows = sorted({_driven_row(spec, d) for d in range(1, spec.drives_per_subject + 1)})
+    drives = range(1, spec.drives_per_subject + 1)
+    driven_rows = sorted({_driven_row(spec, d) for d in drives})
     controlled = sorted(
         (junction_id(row, col), row, col)
         for row in driven_rows
         for col in _controlled_cols(spec)
     )
 
-    total_ft = 2 * spec.lead_ft + (spec.grid_cols - 1) * spec.block_ft
-    n_samples = round(total_ft / spacing) + 1
+    # Every drive is straight, eastbound and constant-speed, so sample k of
+    # any drive lies off_us[k] after its start, cum[k] along it, at lon[k].
+    off_us = _sample_offsets_us(spec)
+    n_samples = len(off_us)
+    cum = np.arange(n_samples) * spacing
+    lon = grid.lon_at(cum - spec.lead_ft)
 
-    sensor_by_subj: dict[str, list[tuple]] = {}
-    detection_rows: dict[str, list[tuple]] = {}
+    # Per controlled column: the samples that see its detections, and the
+    # ref/start/end offsets of its window, the same on every row.
+    legs = {}
+    for col in _controlled_cols(spec):
+        j_cum = spec.lead_ft + col * spec.block_ft
+        k_lo = math.ceil((j_cum - DETECT_FT) / spacing - 1e-9)
+        k_hi = math.floor(j_cum / spacing + 1e-9)
+        start_cum, end_cum = j_cum - 300.0, j_cum + 200.0
+        n_points = math.floor(end_cum / spacing + 1e-9) - math.ceil(start_cum / spacing - 1e-9) + 1
+        times = [timedelta(seconds=c / spec.speed_fps) for c in (j_cum, start_cum, end_cum)]
+        legs[col] = (np.arange(max(0, k_lo), min(n_samples - 1, k_hi) + 1), times, n_points)
+
+    paths = {
+        "network": out / "network.geojson",
+        "videos": out / "videos.csv",
+        "demographics": out / "demographics.csv",
+        "reviewed_kml": out / "reviewed.kml",
+        "ground_truth": out / "ground_truth.json",
+        "sensor_files": [],
+        "cv_files": [],
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    write_json(_network_geojson(network), paths["network"])
+
     video_rows: list[tuple] = []
     traj_counts: dict[tuple[str, int], int] = {}
     trajectories: dict[str, ExpectedTrajectory] = {}
 
     for subj_idx in range(spec.n_subjects):
         subj = _subj_name(subj_idx)
-        sensor_by_subj[subj] = []
-        detection_rows[subj] = []
-        for drive in range(1, spec.drives_per_subject + 1):
+        columns, det_drives, det_us = [], [], []
+        for drive in drives:
             row = _driven_row(spec, drive)
             t0 = _drive_start(spec, subj_idx, drive)
-            lat = grid.lat_at(row * spec.block_ft)
-            for k in range(n_samples):
-                cum = k * spacing
-                pos_lat, pos_lon = lat, grid.lon_at(cum - spec.lead_ft)
-                if spec.jitter_ft > 0:
-                    pos_lat += rng.gauss(0.0, spec.jitter_ft) / FT_PER_DEG
-                    pos_lon += rng.gauss(0.0, spec.jitter_ft) / (FT_PER_DEG * grid.cos0)
-                t_us = to_us(t0 + timedelta(seconds=k / spec.sample_hz))
-                sensor_by_subj[subj].append(
-                    (subj, drive, t_us, pos_lat, pos_lon, 90.0, spec.speed_fps, cum)
-                )
-            video_rows.append(
-                (
-                    f"file:///videos/{subj}_drive{drive}.mp4",
-                    subj,
-                    drive,
-                    t0,
-                    t0 + timedelta(seconds=(n_samples - 1) / spec.sample_hz),
-                    30.0,
-                )
-            )
+            t0_us = to_us(t0)
+            d_lat, d_lon = np.full(n_samples, grid.lat_at(row * spec.block_ft)), lon
+            if spec.jitter_ft > 0:
+                noise = np.array([rng.gauss(0.0, spec.jitter_ft) for _ in range(2 * n_samples)])
+                d_lat = d_lat + noise[0::2] / FT_PER_DEG
+                d_lon = lon + noise[1::2] / (FT_PER_DEG * grid.cos0)
+            columns.append((t0_us + off_us, d_lat, d_lon))
+            video_rows.append((f"file:///videos/{subj}_drive{drive}.mp4", subj, drive, t0_us))
 
-            count = 0
-            for intxn_id, c_row, col in controlled:
-                if c_row != row:
-                    continue
-                count += 1
-                j_cum = spec.lead_ft + col * spec.block_ft
-                k_lo = math.ceil((j_cum - DETECT_FT) / spacing - 1e-9)
-                k_hi = math.floor(j_cum / spacing + 1e-9)
-                for k in range(max(0, k_lo), min(n_samples - 1, k_hi) + 1):
-                    detection_rows[subj].append(
-                        (
-                            subj,
-                            drive,
-                            t0 + timedelta(seconds=k / spec.sample_hz),
-                            "stop_sign",
-                            0.9,
-                        )
-                    )
-                ref_time = t0 + timedelta(seconds=j_cum / spec.speed_fps)
-                start_cum = j_cum - 300.0
-                end_cum = j_cum + 200.0
-                n_points = (
-                    math.floor(end_cum / spacing + 1e-9)
-                    - math.ceil(start_cum / spacing - 1e-9)
-                    + 1
-                )
+            on_row = [(intxn_id, col) for intxn_id, c_row, col in controlled if c_row == row]
+            for intxn_id, col in on_row:
+                ks, (ref, start, end), n_points = legs[col]
+                det_drives += [drive] * len(ks)
+                det_us.append(t0_us + off_us[ks])
                 traj_id = f"{subj}_{drive}_{intxn_id}"
                 trajectories[traj_id] = ExpectedTrajectory(
-                    traj_id=traj_id,
-                    subj=subj,
-                    drive=drive,
-                    intxn_id=intxn_id,
-                    ref_time_utc=ref_time,
-                    start_time_utc=t0 + timedelta(seconds=start_cum / spec.speed_fps),
-                    end_time_utc=t0 + timedelta(seconds=end_cum / spec.speed_fps),
-                    n_points=n_points,
-                    duration_s=500.0 / spec.speed_fps,
-                    overlay_on_s=150.0 / spec.speed_fps,
-                    overlay_off_s=350.0 / spec.speed_fps,
+                    traj_id, subj, drive, intxn_id, t0 + ref, t0 + start, t0 + end, n_points,
+                    500.0 / spec.speed_fps, 150.0 / spec.speed_fps, 350.0 / spec.speed_fps,
                 )
-            traj_counts[(subj, drive)] = count
+            traj_counts[(subj, drive)] = len(on_row)
+
+        # Rows are already in (drive, time) order.
+        t_us, lats, lons = (np.concatenate(c) for c in zip(*columns))
+        sensor = SensorTable._grouped(
+            [(subj, drive) for drive in drives],
+            np.repeat(np.arange(len(drives)), n_samples),
+            t_us, lats, lons,
+            np.full(len(t_us), 90.0),
+            np.full(len(t_us), spec.speed_fps, dtype=float),
+            np.tile(cum, len(drives)),
+        )
+        paths["sensor_files"].append(out / "sensor" / f"{subj}.csv")
+        write_sensor_csv(sensor, paths["sensor_files"][-1])
+        # No field needs csv quoting: subjects are _subj_name's, times canonical.
+        lines = [
+            f"{subj},{drive},{t},stop_sign,0.9\n"
+            for drive, t in zip(det_drives, _time_texts(np.concatenate(det_us)))
+        ]
+        paths["cv_files"].append(out / "cv" / f"{subj}.csv")
+        with resolve_uri(paths["cv_files"][-1], "w") as handle:
+            handle.write(",".join(DETECTION_COLUMNS) + "\n" + "".join(lines))
+    # In name order, which is not subject order from S100 on.
+    paths["sensor_files"].sort()
+    paths["cv_files"].sort()
 
     ground_truth = GroundTruth(
         junctions=junctions,
@@ -402,44 +431,13 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
         trajectories=trajectories,
     )
 
-    paths = {
-        "network": out / "network.geojson",
-        "videos": out / "videos.csv",
-        "demographics": out / "demographics.csv",
-        "reviewed_kml": out / "reviewed.kml",
-        "ground_truth": out / "ground_truth.json",
-    }
-    out.mkdir(parents=True, exist_ok=True)
-
-    write_json(_network_geojson(network), paths["network"])
-
-    sensor_paths = []
-    for subj in sorted(sensor_by_subj):
-        path = out / "sensor" / f"{subj}.csv"
-        sensor_paths.append(path)
-        write_sensor_csv(SensorTable.from_columns(*zip(*sensor_by_subj[subj])), path)
-    paths["sensor_files"] = sensor_paths
-
-    cv_paths = []
-    for subj in sorted(detection_rows):
-        path = out / "cv" / f"{subj}.csv"
-        cv_paths.append(path)
-        with resolve_uri(path, "w") as handle:
-            # Subjects are _subj_name's, which hold no line-break characters,
-            # so the largest sidecar skips csv_writer's per-row rewrite.
-            w = csv.writer(handle, lineterminator="\n")
-            w.writerow(("subj", "drive", "time_utc", "object_class", "confidence"))
-            for subj_v, drive, t, object_class, confidence in detection_rows[subj]:
-                w.writerow(
-                    [subj_v, drive, format_time_utc(t), object_class, repr(confidence)]
-                )
-    paths["cv_files"] = cv_paths
-
+    starts = np.array([t0_us for *_, t0_us in video_rows], dtype=np.int64)
     with resolve_uri(paths["videos"], "w") as handle:
         w = csv_writer(handle)
         w.writerow(VIDEO_COLUMNS)
-        for uri, subj, drive, start, end, fps in video_rows:
-            w.writerow([uri, subj, drive, format_time_utc(start), format_time_utc(end), repr(fps)])
+        texts = zip(_time_texts(starts), _time_texts(starts + off_us[-1]))
+        for (uri, subj, drive, _), (start, end) in zip(video_rows, texts):
+            w.writerow([uri, subj, drive, start, end, "30.0"])
 
     with resolve_uri(paths["demographics"], "w") as handle:
         w = csv_writer(handle)

@@ -315,6 +315,9 @@ MALFORMED_JSON = {
         (), "network.geojson",
         ("features", 0, "geometry", "coordinates", 0), [-96.0], "lrs-intxns",
     ),
+    "reviewed-bool-latitude": (
+        ("clean", "import-review"), "out/reviewed.json", ("intersections", 0, "lat"), True, "traj",
+    ),
     "network-list": ((), "network.geojson", (), [], "lrs-intxns"),
 }
 
@@ -341,6 +344,28 @@ def test_malformed_json_input_is_a_data_error(workspace, capsys, case):
     capsys.readouterr()
     assert _run(config, stage) == 2
     assert capsys.readouterr().err.startswith("error: invalid ")
+
+
+@pytest.mark.parametrize(
+    "before, name, stage",
+    [
+        (("clean", "lrs-intxns"), "out/lrs_candidates.geojson", "subj-intxns"),
+        (("clean", "lrs-intxns", "subj-intxns"), "out/visited_candidates.geojson", "export-kml"),
+    ],
+)
+def test_repeated_intxn_id_is_a_data_error(workspace, capsys, before, name, stage):
+    ws, config = workspace
+    for earlier in before:
+        assert _run(config, earlier) == 0
+    doc = json.loads((ws / name).read_text())
+    first, second = (f["properties"] for f in doc["features"][:2])
+    second["intxn_id"] = first["intxn_id"]
+    (ws / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert _run(config, stage) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid ")
+    assert f"repeated intxn_id {first['intxn_id']}" in err
 
 
 def test_stage_reports_reconcile(workspace):

@@ -18,6 +18,7 @@ from intxn_pipeline.discovery import (
     load_network_geojson,
     match_clusters,
 )
+from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, centroid, haversine_distance_ft
 from intxn_pipeline.ingest import DetectionRecord, DetectionTable
 from intxn_pipeline.storage import write_json
@@ -325,3 +326,12 @@ def test_load_network_geojson(tmp_path):
     network = load_network_geojson(path)
     assert [line_id for line_id, _ in network.polylines] == ["road-1", "road-2:0"]
     assert network.polylines[0][1][0] == GeoPoint(41.0, -96.0)
+
+
+def test_load_network_geojson_rejects_bool_coordinate(tmp_path):
+    line = {"type": "LineString", "coordinates": [[-96.0, True], [-96.0, 41.01]]}
+    doc = {"type": "FeatureCollection", "features": [{"type": "Feature", "geometry": line}]}
+    path = tmp_path / "network.geojson"
+    write_json(doc, path)
+    with pytest.raises(DataError, match="^invalid road network GeoJSON: ValueError: .*bool"):
+        load_network_geojson(path)

@@ -282,6 +282,12 @@ def test_geopoint_validates_ranges():
         GeoPoint(0, 181)
 
 
+@pytest.mark.parametrize("lat, lon", [(True, 0), (0, False), (False, 0.0)])
+def test_geopoint_rejects_bool_coordinates(lat, lon):
+    with pytest.raises(ValueError, match="bool"):
+        GeoPoint(lat, lon)
+
+
 def test_polygon_ring_validation():
     with pytest.raises(ValueError):
         PolygonRing((GeoPoint(0, 0), GeoPoint(0, 1)))
