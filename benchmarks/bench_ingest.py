@@ -10,9 +10,11 @@ The table benches clean, write, read, join and search a synth study of
 the hashed write bench: it writes the table to a file through
 ``storage.atomic_write``, which hashes the bytes as it writes them, so
 against the in-memory write it adds the sha256, the temp file and the
-rename. The dirty
-clean benches give the raw files one unparseable row in 100 or in 4,000,
-or only as their last row, and the quoted bench quotes every subject.
+rename. The distinct write bench draws every float of that table at
+random, so that no value repeats and none is rendered for more than one
+row: the writer's worst case. The dirty clean benches give the raw files
+one unparseable row in 100 or in 4,000, or only as their last row, and
+the quoted bench quotes every subject.
 The detection benches run a study shaped like perfbench's
 crowded-junctions, many short drives through few junctions: 500 drives and
 3,000 detections, also in memory.
@@ -20,16 +22,21 @@ crowded-junctions, many short drives through few junctions: 500 drives and
 
 import hashlib
 import io
+from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from intxn_pipeline import storage
 from intxn_pipeline.discovery import last_in_runs
 from intxn_pipeline.ingest import (
+    SENSOR_COLUMNS,
+    SENSOR_CUM_COLUMN,
     clean_cv,
     clean_sensor,
     format_time_utc,
+    from_us,
     parse_time_utc,
     read_clean_detections,
     read_clean_sensor,
@@ -156,6 +163,33 @@ def test_write_sensor_csv(benchmark, sensor, sensor_text):
         return buf
 
     assert benchmark(write).getvalue() == sensor_text
+
+
+@pytest.fixture(scope="module")
+def distinct_sensor(sensor):
+    """The study's table with every float drawn at random, so that no value
+    repeats within a write: the worst case for rendering each value once."""
+    rng = np.random.default_rng(0)
+    n = len(sensor)
+    return replace(
+        sensor, lat=rng.uniform(-90, 90, n), lon=rng.uniform(-180, 180, n),
+        heading=rng.uniform(0, 360, n), speed=rng.uniform(0, 100, n),
+        cum=np.cumsum(rng.uniform(0, 10, n)),
+    )
+
+
+def test_write_sensor_csv_distinct(benchmark, distinct_sensor):
+    def write():
+        buf = io.StringIO(newline="")
+        write_sensor_csv(distinct_sensor, buf)
+        return buf
+
+    t = distinct_sensor
+    rows = zip(t.row_keys(), t.t_us.tolist(), *(c.tolist() for c in t.columns()[1:]))
+    expected = [SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)] + [
+        (*key, format_time_utc(from_us(us)), *map(repr, floats)) for key, us, *floats in rows
+    ]
+    assert benchmark(write).getvalue() == "".join(",".join(map(str, r)) + "\n" for r in expected)
 
 
 def test_write_sensor_csv_hashed(benchmark, sensor, sensor_text, tmp_path):

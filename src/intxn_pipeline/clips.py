@@ -39,6 +39,8 @@ VIDEO_COLUMNS = ("uri", "subj", "drive", "start_time_utc", "end_time_utc", "fps"
 # Red square centered at 50% of frame width / 30% of frame height, sized
 # to 10% of frame width.
 OVERLAY_BOX_EXPR = "x=0.45*iw:y=0.3*ih-0.05*iw:w=0.1*iw:h=0.1*iw:color=red:t=fill"
+# Quoted once: a 3-decimal overlay time holds nothing shlex.quote escapes.
+_DRAWBOX = shlex.quote(f"drawbox={OVERLAY_BOX_EXPR}:enable='between(t,{{:.3f}},{{:.3f}})'")
 
 
 @dataclass(eq=False)
@@ -255,15 +257,12 @@ def _clip_json_line(spec: ClipSpec) -> str:
     )
 
 
-def clip_command(spec: ClipSpec, processor: str = "ffmpeg", box_expr: str = OVERLAY_BOX_EXPR) -> str:
+def clip_command(spec: ClipSpec, processor: str = "ffmpeg") -> str:
     """One external-processor invocation cutting and overlaying one clip."""
-    drawbox = (
-        f"drawbox={box_expr}:enable='between(t,{spec.overlay_on_s:.3f},{spec.overlay_off_s:.3f})'"
-    )
+    drawbox = _DRAWBOX.format(spec.overlay_on_s, spec.overlay_off_s)
     return (
         f"{processor} -y -ss {spec.in_offset_s:.3f} -t {spec.duration_s:.3f} "
-        f"-i {shlex.quote(spec.source_uri)} -vf {shlex.quote(drawbox)} "
-        f"{shlex.quote(spec.output_name)}"
+        f"-i {shlex.quote(spec.source_uri)} -vf {drawbox} {shlex.quote(spec.output_name)}"
     )
 
 

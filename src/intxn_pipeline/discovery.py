@@ -16,7 +16,7 @@ from typing import IO
 import numpy as np
 
 from .errors import DataError
-from .geo import EARTH_RADIUS_FT, CellGrid, GeoPoint, centroid
+from .geo import EARTH_RADIUS_FT, FT_PER_DEG, CellGrid, GeoPoint, centroid
 from .ingest import CLASS_NAMES, DetectionTable, to_seconds
 from .storage import read_json
 
@@ -86,8 +86,11 @@ def extract_lrs_candidates(
     All vertices are pooled and grouped by transitive closure of the
     within-``tol_ft`` neighbor relation (DBSCAN with min_pts = 1); each
     group of size three or more becomes a candidate at the group centroid,
-    with the group size as its degree. IDs are assigned in (lat, lon) order
-    of the candidate positions so output is deterministic.
+    with the group size as its degree. IDs are assigned in row order:
+    latitudes that lie within ``tol_ft`` of the next lower one chain into
+    one band, bands go south to north and each goes west to east, so
+    centroids of one street that differ in their last bits keep the order
+    of the street's junctions.
     """
     verts: list[GeoPoint] = []
     for _, points in network.polylines:
@@ -106,9 +109,11 @@ def extract_lrs_candidates(
             members = sorted(members, key=lambda p: (p.lat_deg, p.lon_deg))
             found.append((centroid(members), len(members)))
     found.sort(key=lambda t: (t[0].lat_deg, t[0].lon_deg))
-    return [
-        IntersectionCandidate(i + 1, pos, degree) for i, (pos, degree) in enumerate(found)
-    ]
+    # A band starts where the latitude rises by more than tol_ft.
+    lat = np.array([pos.lat_deg for pos, _ in found])
+    bands = np.cumsum(np.diff(lat, prepend=-np.inf) * FT_PER_DEG > tol_ft).tolist()
+    ordered = sorted(zip(bands, found), key=lambda b: (b[0], b[1][0].lon_deg))
+    return [IntersectionCandidate(i + 1, pos, deg) for i, (_, (pos, deg)) in enumerate(ordered)]
 
 
 def last_in_runs(

@@ -23,6 +23,13 @@ loadtxt rejects it (a short row, a value that is not a float, an embedded
 line break), or when one of its rows does not parse or fails a check. The
 row path counts, drops and names bad rows by their line, so only such a
 chunk costs two parses, and either path gives the same columns.
+
+Sensor streams repeat values: a stopped vehicle reports one position,
+and devices quantise heading and speed. So, as in Arrow's dictionary
+encoding, each distinct value is parsed or rendered once, not once per
+row: a text column's texts once per chunk, the drive keys from integer
+codes per column, a write chunk's float ``repr`` once per bit pattern
+and its time texts from digits, the date once per minute.
 """
 
 from __future__ import annotations
@@ -135,12 +142,29 @@ class DetectionRecord:
         return (self.subj, self.drive, self.t_utc, self.object_class, self.confidence)
 
 
-def _drive_codes(subj: list, drive: list) -> tuple[list[tuple[str, int]], np.ndarray]:
-    """The sorted distinct (subj, drive) keys and each row's index among them."""
-    pairs = list(zip(subj, drive))
-    keys = sorted(set(pairs))
-    code = {key: k for k, key in enumerate(keys)}
-    return keys, np.fromiter(map(code.__getitem__, pairs), np.int64, len(pairs))
+def _sorted_codes(values) -> tuple[list, np.ndarray]:
+    """The sorted distinct values of texts or ints and each one's index
+    among them, looked up once per run of equal values."""
+    column = np.asarray(values, dtype=object)
+    head = np.ones(len(column), dtype=bool)
+    head[1:] = column[1:] != column[:-1]
+    heads = column[head].tolist()
+    distinct = sorted(dict.fromkeys(heads))
+    index = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(index.__getitem__, heads), np.int64, len(heads))
+    return distinct, codes[np.cumsum(head) - 1]
+
+
+def _drive_codes(subj, drive) -> tuple[list[tuple[str, int]], np.ndarray]:
+    """The sorted distinct (subj, drive) keys and each row's index among them.
+
+    Subjects and drives each get sorted codes, so a key's combined code
+    sorts as the key does.
+    """
+    subjs, s = _sorted_codes(subj)
+    drives, d = _sorted_codes(drive)
+    pairs, codes = np.unique(s * len(drives) + d, return_inverse=True)
+    return [(subjs[p // len(drives)], drives[p % len(drives)]) for p in pairs.tolist()], codes
 
 
 def to_seconds(us: np.ndarray) -> np.ndarray:
@@ -157,6 +181,20 @@ def _int64(text: str) -> int:
     if not -(2**63) <= value < 2**63:
         raise OverflowError(f"{text!r} is outside the int64 range")
     return value
+
+
+def _per_text(parse, texts, strip: bool, bad: np.ndarray):
+    """``parse(texts, bad)`` run once per distinct text, stripped first if
+    ``strip``: a text that does not parse marks every row holding it ``bad``."""
+    if not len(texts):
+        return parse(texts, bad)
+    distinct, inverse = _sorted_codes(texts)
+    failed = np.zeros(len(distinct), dtype=bool)
+    values = parse(tuple(map(str.strip, distinct)) if strip else tuple(distinct), failed)
+    bad |= failed[inverse]
+    if isinstance(values, np.ndarray):
+        return values[inverse]
+    return np.array(values, dtype=object)[inverse].tolist()
 
 
 def _each(fn, texts: tuple[str, ...], bad: np.ndarray) -> list:
@@ -188,6 +226,8 @@ _MONTH_DAYS[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _DAYS_BEFORE_MONTH = np.zeros(100, dtype=np.int64)
 _DAYS_BEFORE_MONTH[2:13] = np.cumsum(_MONTH_DAYS[1:12])
 _EPOCH_ORDINAL = EPOCH.toordinal()
+# The digit characters of each number below 10,000, four to a row.
+_DIGITS = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint32)
 
 
 def _canonical_us(text: np.ndarray) -> np.ndarray | None:
@@ -233,11 +273,42 @@ def _times_us(texts: tuple[str, ...] | np.ndarray, bad: np.ndarray) -> np.ndarra
 
 
 def _time_texts(t_us: np.ndarray) -> list[str]:
-    """Epoch-us times as format_time_utc renders them: datetime64 also
-    truncates to the millisecond and pads the year to four digits.
+    """Epoch-us times as format_time_utc renders them, cut to the
+    millisecond: the inverse of ``_canonical_us``, built from digits. The
+    date, hour and minute are built once per distinct minute.
     """
-    times = np.datetime_as_string(t_us.astype("datetime64[us]"), unit="ms").tolist()
-    return [text + "Z" for text in times]
+    minutes, ms = np.divmod(np.asarray(t_us, dtype=np.int64) // 1000, 60_000)
+    distinct, inverse = np.unique(minutes, return_inverse=True)
+    days, minute = np.divmod(distinct, 1440)
+    # The civil date of a day count, from March-based 400-year eras (Hinnant,
+    # "chrono-Compatible Low-Level Date Algorithms").
+    era, doe = np.divmod(days + 719_468, 146_097)
+    yoe = (doe - doe // 1460 + doe // 36_524 - doe // 146_096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    year, day = era * 400 + yoe + (month <= 2), doy - (153 * mp + 2) // 5 + 1
+    text = np.tile(_CANONICAL_TIME, (len(distinct), 1))
+    for (start, stop), value in zip(_TIME_FIELDS, (year, month, day, minute // 60, minute % 60)):
+        text[:, start:stop] = _DIGITS[value, 4 - (stop - start) :]
+    text = text[inverse]
+    text[:, 17:19] = _DIGITS[ms // 1000, 2:]
+    text[:, 20:23] = _DIGITS[ms % 1000, 1:]
+    return text.view("<U24").ravel().tolist()
+
+
+def _per_value(fn, column: np.ndarray) -> list:
+    """``fn`` of each float of ``column``, called once per distinct value.
+
+    Values are told apart by their bits, so 0.0 and -0.0, or NaNs of other
+    payloads, each keep their own ``fn``.
+    """
+    bits = column.view(np.int64)
+    ordered = np.sort(bits)
+    if (ordered[1:] != ordered[:-1]).all():  # nothing repeats: no table to build
+        return list(map(fn, column.tolist()))
+    values, inverse = np.unique(bits, return_inverse=True)
+    return np.array(list(map(fn, values.view(float).tolist())), dtype=object)[inverse].tolist()
 
 
 # Column kinds, each (dtype, parse, render, read): parse turns a CSV
@@ -266,7 +337,7 @@ _TIME = (np.int64, _times_us, _time_texts, "<U25")
 _FLOAT = (
     float,
     lambda texts, bad: np.array(_each(float, texts, bad), dtype=float),
-    lambda column: map(repr, column.tolist()),
+    partial(_per_value, repr),
     float,
 )
 _CLASS = (
@@ -516,8 +587,10 @@ def _row_columns(fields: list[tuple], rows: list[list[str]], bad: np.ndarray) ->
     if min(map(len, rows), default=width) < width:
         rows = [row if len(row) >= width else [""] * width for row in rows]
     cols = list(zip(*rows)) or [()] * width
-    texts = [tuple(map(str.strip, cols[i])) if strip else cols[i] for i, _, strip in fields]
-    return [kind[1](column, bad) for column, (_, kind, _) in zip(texts, fields)]
+    return [
+        _per_text(kind[1], cols[i], strip, bad) if kind[3] is object else kind[1](cols[i], bad)
+        for i, kind, strip in fields
+    ]
 
 
 def _failures(columns: list, bad: np.ndarray, checks: list[tuple]) -> np.ndarray:
@@ -550,15 +623,15 @@ def _parse_chunk(chunk: list[str], fields: list[tuple], checks: list[tuple]) -> 
     columns = []
     for name, (_, kind, strip) in zip(dtype.names, fields):
         column = table[name].copy()  # a field's view would keep the whole table
-        if kind[3] != kind[0]:
-            if column.dtype.kind == "U":
-                # loadtxt cuts a text to the field's width: a text that
-                # fills it may be cut, and the rest fit one character less.
-                width = column.dtype.itemsize // 4
-                if (np.char.str_len(column) == width).any():
-                    return None
-                column = column.astype(f"<U{width - 1}")
-            column = kind[1](tuple(map(str.strip, column)) if strip else column, bad)
+        if kind[3] is object:
+            column = _per_text(kind[1], column, strip, bad)
+        elif kind[3] != kind[0]:
+            # loadtxt cuts a text to the field's width: a text that fills it
+            # may be cut, and the rest fit one character less.
+            width = column.dtype.itemsize // 4
+            if (np.char.str_len(column) == width).any():
+                return None
+            column = kind[1](column.astype(f"<U{width - 1}"), bad)
         columns.append(column)
     return None if _failures(columns, bad, checks).any() else columns
 

@@ -49,6 +49,7 @@ from .ingest import (
     _TIME,
     SensorTable,
     _parse_csv,
+    _per_value,
     _Table,
     _time_texts,
     from_us,
@@ -289,7 +290,7 @@ def write_trajectories_csv(trajs: TrajectoryTable, dest: str | Path | IO) -> Non
         trajs.intxn_id.tolist(),
         trajs.leg_id.tolist(),
         *(_time_texts(t_us[rows]) for rows in (trajs.ref, trajs.start, trajs.stop - 1)),
-        map(repr, trajs.sensor.cum[trajs.ref].tolist()),
+        _per_value(repr, trajs.sensor.cum[trajs.ref]),
         (trajs.stop - trajs.start).tolist(),
     )
     with resolve_uri(dest, "w") as handle:

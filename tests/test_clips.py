@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 from datetime import timedelta
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from test_trajectory import T0, northbound_drive, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
+    OVERLAY_BOX_EXPR,
     VIDEO_COLUMNS,
     ClipSpec,
     OverlayParams,
@@ -246,6 +248,30 @@ def test_clip_command_contains_overlay_window():
     assert cmd.startswith("ffmpeg -y -ss 4.000 -t 10.000 ")
     assert "between(t,3.000,7.000)" in cmd
     assert "drawbox" in cmd and "color=red" in cmd
+
+
+def test_cutlist_script_quotes_each_clip_as_a_whole(tmp_path):
+    # The drawbox filter is quoted once per process; each line must still
+    # equal quoting the clip's whole filter, whatever the URI and name hold.
+    specs = [
+        ClipSpec("A_1_4", "file:///my videos/it's.mp4", 4.0, 10.0, 3.25, 7.0005, "A B_1_4.mp4"),
+        ClipSpec("A_2_4", "file:///v.mp4", 0.5, 1e9, 0.0, 1e9, "$(x)'; `y`.mp4"),
+        ClipSpec("A_3_4", 'file:///"q"\\n.mp4', 0.0, 2.0, 1e-4, 2.0, "\n\t.mp4"),
+    ]
+    script_path = tmp_path / "cutlist.sh"
+    emit_cutlist(specs, tmp_path / "cutlist.json", script_path)
+    expected = []
+    for s in specs:
+        on_off = f"{s.overlay_on_s:.3f},{s.overlay_off_s:.3f}"
+        drawbox = f"drawbox={OVERLAY_BOX_EXPR}:enable='between(t,{on_off})'"
+        expected.append(
+            f"ffmpeg -y -ss {s.in_offset_s:.3f} -t {s.duration_s:.3f} -i {shlex.quote(s.source_uri)}"
+            f" -vf {shlex.quote(drawbox)} {shlex.quote(s.output_name)}\n"
+        )
+    assert script_path.read_text(encoding="utf-8") == "".join(expected)
+    for s in specs:
+        args = shlex.split(clip_command(s))
+        assert (args[7], args[-1]) == (s.source_uri, s.output_name)
 
 
 def test_read_videos_csv_and_validation(tmp_path):

@@ -22,6 +22,7 @@ from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, centroid, haversine_distance_ft
 from intxn_pipeline.ingest import DetectionRecord, DetectionTable
 from intxn_pipeline.storage import write_json
+from intxn_pipeline.synth import ScenarioSpec, generate
 
 T0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
 LAT0, LON0 = 41.0, -96.0
@@ -88,6 +89,22 @@ def test_candidates_invariant_to_tolerance():
     baseline = extract_lrs_candidates(network, tol_ft=1.0)
     for tol in (0.1, 5.0, 50.0):
         assert extract_lrs_candidates(network, tol_ft=tol) == baseline
+
+
+def test_candidate_ids_follow_grid_rows_whose_centroids_differ_in_last_bits(tmp_path):
+    # At this origin the centroids of one grid row differ in their last
+    # bits, so a plain (lat, lon) order interleaves the rows' junctions.
+    spec = ScenarioSpec(
+        grid_rows=12, grid_cols=40, n_subjects=1, drives_per_subject=1,
+        origin=GeoPoint(47.61, -122.33),
+    )
+    scenario = generate(spec, tmp_path)
+    candidates = extract_lrs_candidates(load_network_geojson(scenario.paths["network"]))
+    expected = scenario.ground_truth.candidates
+    assert len(candidates) == len(expected) == 476
+    assert [c.intxn_id for c in candidates] == [c.intxn_id for c in expected]
+    for got, want in zip(candidates, expected):
+        assert haversine_distance_ft(got.pos, want.pos) <= 1.0
 
 
 def test_last_in_runs_gap_rule():

@@ -1,6 +1,7 @@
 import ast
 import csv
 import io
+import math
 import random
 import re
 from datetime import datetime, timedelta, timezone
@@ -692,6 +693,84 @@ def test_chunk_path_parses_as_the_row_path(chunk_rows, case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
         assert _parsed(cls, raw, text) == rows
+
+
+# Every float64 bit pattern, mostly through st.floats(), and NaNs of other
+# signs and payloads, infinities and subnormals by their bits.
+def _bits(*values):
+    return [int(np.float64(x).view(np.int64)) for x in values]
+
+
+FLOAT_BITS = st.floats().map(lambda x: _bits(x)[0]) | st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(FLOAT_BITS, max_size=30), st.integers(0, 30))
+@example(_bits(0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324), 9)
+@example([0x7FF8000000000000, 0x7FF0000000000001, -1, -(2**63), 0], 5)
+def test_float_render_is_repr_of_each_value(bits, repeats):
+    # Repeats of the leading values share one rendering each.
+    column = np.array(bits + bits[:repeats], dtype=np.int64).view(np.float64)
+    assert ingest._per_value(repr, column) == list(map(repr, column.tolist()))
+
+
+def _tuple_drive_codes(subj, drive):
+    """Keys and codes as a sorted set of (subj, drive) tuples gives them."""
+    pairs = list(zip(subj, drive))
+    keys = sorted(set(pairs))
+    return keys, [keys.index(pair) for pair in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["", "A", " A", "A ", "B", "a"]),
+            st.integers(-3, 12) | st.sampled_from([2**63, 2**70, -(2**64)]),
+        ),
+        max_size=30,
+    )
+)
+def test_drive_codes_are_the_sorted_distinct_keys(pairs):
+    subj, drive = [p[0] for p in pairs], [p[1] for p in pairs]
+    keys, codes = ingest._drive_codes(subj, drive)
+    assert (keys, codes.tolist()) == _tuple_drive_codes(subj, drive)
+
+
+T0 = datetime(2019, 5, 1, 12, tzinfo=timezone.utc)
+# Drive and subject texts, several of which give one key, and some that do
+# not parse.
+KEY_SUBJ = st.sampled_from(["A", " A", "A ", "B", "", " "])
+KEY_DRIVE = st.sampled_from(["1", "01", " 1", "1 ", "+1", "1_0", "10", "x", "", "99999999999999999999"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(KEY_SUBJ, KEY_DRIVE, st.booleans()), max_size=40))
+@example([("A", "1", False), ("A", "01", False), ("A", " 1", False), ("A", "1_0", False)])
+@example([(" A", "x", False), ("A", "x", True), ("A ", "1", False), ("A", "1", False)])
+def test_drive_keys_parse_as_each_rows_texts_would(rows):
+    # Reference: each row's subj stripped and its drive through int(); a
+    # text that does not parse, or an empty subj, drops every row holding it.
+    # A quoted subject sends the file's chunk down the csv.reader path.
+    lines, kept = [], []
+    for k, (subj, drive, quoted) in enumerate(rows):
+        time = format_time_utc(T0 + timedelta(seconds=k))
+        text = f'"{subj}"' if quoted else subj
+        lines.append(f"{text},{drive},{time},41.0,-96.0,90.0,50.0")
+        try:
+            key = (subj.strip(), int(drive))
+        except ValueError:
+            continue
+        if key[0]:
+            kept.append(key)
+    table, drops, read = clean_sensor([sensor_csv(lines)])
+    keys = sorted(set(kept))
+    assert table.keys == keys
+    assert np.diff(table.offsets).tolist() == [kept.count(key) for key in keys]
+    assert drops["unparseable"] == len(rows) - len(kept) and read == len(rows)
+    out = io.StringIO(newline="")
+    write_sensor_csv(table, out)
+    assert read_clean_sensor(io.StringIO(out.getvalue(), newline="")).keys == keys
 
 
 def test_loadtxt_reads_no_integer_field(monkeypatch):

@@ -412,3 +412,14 @@ EPOCH_US = st.integers(-62_135_596_800_000_000, 253_402_300_799_999_999)
 def test_seconds_are_total_seconds(us):
     expected = [timedelta(microseconds=n).total_seconds() for n in us]
     assert ingest.to_seconds(np.array(us, dtype=np.int64)).tolist() == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(EPOCH_US, st.integers(-10**7, 10**7)), max_size=20))
+# Years 1 and 9999, sub-millisecond times either side of the epoch, and
+# leap days of a 400-year and of a 100-year cycle.
+@example([-62_135_596_800_000_000, 253_402_300_799_999_999, -1, -999, 999, 1_000])
+@example([951_782_400_000_000, 4_107_542_399_999_999, 4_107_542_400_000_000])
+def test_time_texts_are_format_time_utc(us):
+    expected = [ingest.format_time_utc(ingest.from_us(n)) for n in us]
+    assert ingest._time_texts(np.array(us, dtype=np.int64)) == expected
