@@ -24,12 +24,13 @@ line break), or when one of its rows does not parse or fails a check. The
 row path counts, drops and names bad rows by their line, so only such a
 chunk costs two parses, and either path gives the same columns.
 
-Sensor streams repeat values: a stopped vehicle reports one position,
-and devices quantise heading and speed. So, as in Arrow's dictionary
-encoding, each distinct value is parsed or rendered once, not once per
-row: a text column's texts once per chunk, the drive keys from integer
-codes per column, a write chunk's float ``repr`` once per bit pattern
-and its time texts from digits, the date once per minute.
+As in Arrow's dictionary encoding, each distinct value is parsed or
+rendered once, not once per row: a text column's texts once per chunk,
+the drive keys from integer codes per column, a write chunk's float
+``repr`` once per bit pattern, and a time's date, hour and minute once
+per distinct minute. This pays where values repeat, as subj, drive and
+the minute always do, and as the floats do in synthetic drives; a float
+column with no repeats renders about as fast as one ``repr`` per row.
 """
 
 from __future__ import annotations
@@ -274,23 +275,15 @@ def _times_us(texts: tuple[str, ...] | np.ndarray, bad: np.ndarray) -> np.ndarra
 
 def _time_texts(t_us: np.ndarray) -> list[str]:
     """Epoch-us times as format_time_utc renders them, cut to the
-    millisecond: the inverse of ``_canonical_us``, built from digits. The
-    date, hour and minute are built once per distinct minute.
+    millisecond: the inverse of ``_canonical_us``. The date, hour and
+    minute are rendered once per distinct minute, the seconds and
+    milliseconds from digits.
     """
     minutes, ms = np.divmod(np.asarray(t_us, dtype=np.int64) // 1000, 60_000)
     distinct, inverse = np.unique(minutes, return_inverse=True)
-    days, minute = np.divmod(distinct, 1440)
-    # The civil date of a day count, from March-based 400-year eras (Hinnant,
-    # "chrono-Compatible Low-Level Date Algorithms").
-    era, doe = np.divmod(days + 719_468, 146_097)
-    yoe = (doe - doe // 1460 + doe // 36_524 - doe // 146_096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    month = np.where(mp < 10, mp + 3, mp - 9)
-    year, day = era * 400 + yoe + (month <= 2), doy - (153 * mp + 2) // 5 + 1
     text = np.tile(_CANONICAL_TIME, (len(distinct), 1))
-    for (start, stop), value in zip(_TIME_FIELDS, (year, month, day, minute // 60, minute % 60)):
-        text[:, start:stop] = _DIGITS[value, 4 - (stop - start) :]
+    minute_texts = np.datetime_as_string(distinct.astype("datetime64[m]"), unit="m")
+    text[:, :16] = minute_texts.astype("<U16").view(np.uint32).reshape(-1, 16)
     text = text[inverse]
     text[:, 17:19] = _DIGITS[ms // 1000, 2:]
     text[:, 20:23] = _DIGITS[ms % 1000, 1:]
@@ -301,11 +294,12 @@ def _per_value(fn, column: np.ndarray) -> list:
     """``fn`` of each float of ``column``, called once per distinct value.
 
     Values are told apart by their bits, so 0.0 and -0.0, or NaNs of other
-    payloads, each keep their own ``fn``.
+    payloads, each keep their own ``fn``. A column with no repeats skips
+    the table: building it costs more than the ``fn`` calls it saves.
     """
     bits = column.view(np.int64)
     ordered = np.sort(bits)
-    if (ordered[1:] != ordered[:-1]).all():  # nothing repeats: no table to build
+    if (ordered[1:] != ordered[:-1]).all():
         return list(map(fn, column.tolist()))
     values, inverse = np.unique(bits, return_inverse=True)
     return np.array(list(map(fn, values.view(float).tolist())), dtype=object)[inverse].tolist()
