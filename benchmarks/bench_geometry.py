@@ -20,14 +20,28 @@ from intxn_pipeline.synth import ScenarioSpec, generate
 from intxn_pipeline.trajectory import LEG_CELL_FT, assign_bearings, extract_trajectories
 
 SPEC = ScenarioSpec(grid_rows=4, grid_cols=12, n_subjects=2, drives_per_subject=4)
+# The shape of perfbench's wide-grid workload: 390 reviewed legs, where a
+# per-leg set-up cost shows.
+WIDE_SPEC = ScenarioSpec(
+    grid_rows=12, grid_cols=40, n_subjects=4, drives_per_subject=10, sample_hz=1.0
+)
+
+
+def _scenario(spec, tmp_path_factory):
+    scenario = generate(spec, tmp_path_factory.mktemp("bench"))
+    sensor, _, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
+    reviewed, _ = import_reviewed_kml(scenario.paths["reviewed_kml"])
+    return scenario, sensor, assign_bearings(reviewed)
 
 
 @pytest.fixture(scope="module")
 def scenario(tmp_path_factory):
-    scenario = generate(SPEC, tmp_path_factory.mktemp("bench"))
-    sensor, _, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
-    reviewed, _ = import_reviewed_kml(scenario.paths["reviewed_kml"])
-    return scenario, sensor, assign_bearings(reviewed)
+    return _scenario(SPEC, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def wide_scenario(tmp_path_factory):
+    return _scenario(WIDE_SPEC, tmp_path_factory)
 
 
 def test_point_in_polygon(benchmark, scenario):
@@ -70,6 +84,14 @@ def test_import_reviewed_kml(benchmark, scenario):
     scn, _, reviewed = scenario
     result, rejects = benchmark(import_reviewed_kml, scn.paths["reviewed_kml"])
     assert len(result) == len(reviewed) and not rejects
+
+
+def test_extract_trajectories_wide(benchmark, wide_scenario):
+    test_extract_trajectories(benchmark, wide_scenario)
+
+
+def test_import_reviewed_kml_wide(benchmark, wide_scenario):
+    test_import_reviewed_kml(benchmark, wide_scenario)
 
 
 def test_cell_grid_build(benchmark):

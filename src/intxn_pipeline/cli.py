@@ -12,10 +12,11 @@ each output. ``all`` runs the whole chain and pauses before
 ``import-review`` when the human-reviewed KML does not exist yet.
 
 One process that runs several stages (``all``, or one ``main`` call per
-stage) parses none of the clean tables, trajectories and cut-list that it
-wrote or parsed before: each is kept with the sha256 of its file's bytes,
-and a stage that reads one hashes the file and parses it only when the
-digest differs, so a changed file is always parsed again.
+stage) parses none of the clean tables, reviewed intersections,
+trajectories and cut-list that it wrote or parsed before: each is kept
+with the sha256 of its file's bytes, and a stage that reads one hashes the
+file and parses it only when the digest differs, so a changed file is
+always parsed again.
 
 Exit codes: 0 success, 1 user error, 2 data error.
 """
@@ -68,8 +69,9 @@ def _require(path: Path, what: str, produced_by: str | None = None) -> None:
 
 
 # The stage outputs this process wrote or parsed last: the clean tables,
-# the trajectories and the cut-list. The trajectories' digest adds the clean
-# sensor table's, from which their reader cuts their windows.
+# the reviewed intersections, the trajectories and the cut-list. The
+# trajectories' digest adds the clean sensor table's, from which their
+# reader cuts their windows.
 _store = Store()
 
 
@@ -226,6 +228,7 @@ def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
     )
     out = cfg.output_path("reviewed_json")
     review.save_reviewed_json(reviewed, out)
+    _store.put("reviewed", out, reviewed)
     report = {
         "intersections": len(reviewed),
         "approaches": sum(len(r.approaches) for r in reviewed),
@@ -241,7 +244,7 @@ def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
     ("clean_sensor", "clean sensor table", "clean"),
 )
 def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> StageResult:
-    reviewed = trajectory.assign_bearings(review.load_reviewed_json(reviewed_path))
+    reviewed = _store.load("reviewed", reviewed_path, review.load_reviewed_json)
     sensor = _store.load("clean_sensor", sensor_path, ingest.read_clean_sensor)
     params = trajectory.WindowParams(
         upstream_ft=cfg.params["upstream_ft"],

@@ -20,10 +20,10 @@ those of matching, interpolating and rounding one trajectory at a time.
 
 from __future__ import annotations
 
-import json
 import shlex
 from dataclasses import dataclass
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO
 
@@ -244,15 +244,16 @@ def build_clip_specs(
 
 
 def _clip_json_line(spec: ClipSpec) -> str:
+    # What json.dumps gives for a str with its default arguments, sans set-up.
     return (
         "  {"
-        f'"traj_id": {json.dumps(spec.traj_id)}, '
-        f'"source_uri": {json.dumps(spec.source_uri)}, '
+        f'"traj_id": {encode_basestring_ascii(spec.traj_id)}, '
+        f'"source_uri": {encode_basestring_ascii(spec.source_uri)}, '
         f'"in_offset_s": {spec.in_offset_s:.3f}, '
         f'"duration_s": {spec.duration_s:.3f}, '
         f'"overlay_on_s": {spec.overlay_on_s:.3f}, '
         f'"overlay_off_s": {spec.overlay_off_s:.3f}, '
-        f'"output_name": {json.dumps(spec.output_name)}'
+        f'"output_name": {encode_basestring_ascii(spec.output_name)}'
         "}"
     )
 

@@ -268,34 +268,76 @@ def point_in_polygon(pt: GeoPoint, ring: PolygonRing) -> bool:
     return inside
 
 
-def points_in_polygon(ring: PolygonRing, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-    """``point_in_polygon`` of each point at (lats, lons), as array operations.
-
-    Each edge runs the scalar test's IEEE expressions over all the points,
-    with its length and a zero-length edge's distances from ``math.hypot``,
-    so the answers are the scalar ones, on edges and vertices too.
+class RingTable:
+    """Polygon rings stacked for ``points_in_polygon``: ring r's vertices are
+    ``first[r]:first[r + 1]``, and edge k runs from vertex k (a) to the next
+    vertex of its ring (b). Each edge's ``math.hypot`` length and each ring's
+    bounds padded by ``ON_EDGE_TOL_DEG`` are computed once.
     """
-    xs, ys = [v.lon_deg for v in ring.vertices], [v.lat_deg for v in ring.vertices]
-    # Edge k runs from vertex k (a) to vertex k + 1 (b), one row per edge.
-    ax, ay, bx, by = (np.array(c)[:, None] for c in (xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]))
-    seg_len = np.array(ring.edge_lengths())[:, None]
-    tol = ON_EDGE_TOL_DEG
+
+    def __init__(self, rings: list[PolygonRing]):
+        self.first = np.cumsum([0] + [len(ring.vertices) for ring in rings])
+        verts = [(v.lon_deg, v.lat_deg) for ring in rings for v in ring.vertices]
+        self.ax, self.ay = np.array(verts, dtype=float).reshape(-1, 2).T.copy()
+        succ = np.arange(1, len(verts) + 1)
+        succ[self.first[1:] - 1] = self.first[:-1]
+        self.bx, self.by = self.ax[succ], self.ay[succ]
+        dx, dy = (self.bx - self.ax).tolist(), (self.by - self.ay).tolist()
+        self.length = np.array(list(map(math.hypot, dx, dy)), dtype=float)
+        heads, tol = self.first[:-1], ON_EDGE_TOL_DEG
+        lows = [np.minimum.reduceat(c, heads) - tol for c in (self.ay, self.ax)]
+        highs = [np.maximum.reduceat(c, heads) + tol for c in (self.ay, self.ax)]
+        self.bounds = list(zip(*(c.tolist() for c in lows + highs)))
+
+
+# Points tested at once, so that the (point, edge) temporaries stay near a
+# megabyte however many points ``points_in_polygon`` is given.
+POLYGON_TEST_BLOCK = 2048
+
+
+def points_in_polygon(rings: RingTable, ring, lats, lons) -> np.ndarray:
+    """``point_in_polygon`` of each point at (lats[i], lons[i]) in ring
+    ``ring[i]`` of ``rings``, as array operations over every (point, edge)
+    pair.
+
+    Each pair runs the scalar test's IEEE expressions, with the edge's
+    length and a zero-length edge's distances from ``math.hypot``, so the
+    answers are the scalar ones, on edges and vertices too. The on-edge
+    test runs only for the points the crossing number puts outside.
+    """
+    size = POLYGON_TEST_BLOCK
+    if len(ring) > size:
+        parts = (slice(lo, lo + size) for lo in range(0, len(ring), size))
+        return np.concatenate([points_in_polygon(rings, ring[p], lats[p], lons[p]) for p in parts])
+    start = rings.first[ring]
+    count = rings.first[ring + 1] - start
+    heads = np.cumsum(count) - count  # each point's first (point, edge) row
+    lats, lons = np.repeat(lats, count), np.repeat(lons, count)
+    edge = np.arange(len(lats)) + np.repeat(start - heads, count)
+    ax, ay, bx, by = (c[edge] for c in (rings.ax, rings.ay, rings.bx, rings.by))
+    # The crossing number takes each edge from b (vertex i) to a (vertex j);
+    # a level edge (yi == yj) never crosses, so its division by 0 is moot.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = (ax - bx) * (lats - by) / (ay - by) + bx
+    crosses = ((by > lats) != (ay > lats)) & (lons < x_cross)
+    inside = np.add.reduceat(crosses.view(np.uint8), heads) % 2 == 1
+    out = ~inside
+    rows = np.flatnonzero(np.repeat(out, count))
+    lats, lons, ax, ay, bx, by = (c[rows] for c in (lats, lons, ax, ay, bx, by))
+    seg_len, tol = rings.length[edge[rows]], ON_EDGE_TOL_DEG
     cross = (bx - ax) * (lats - ay) - (by - ay) * (lons - ax)
-    # Divisions by 0: a level edge (yi == yj) never crosses, and a
-    # zero-length edge's on-edge test is a distance, set below.
+    # A zero-length edge's on-edge test is a distance, set below.
     with np.errstate(divide="ignore", invalid="ignore"):
         on_edge = (
             (np.abs(cross) / seg_len <= tol)
             & (np.minimum(ax, bx) - tol <= lons) & (lons <= np.maximum(ax, bx) + tol)
             & (np.minimum(ay, by) - tol <= lats) & (lats <= np.maximum(ay, by) + tol)
         )
-        # The crossing number takes each edge from b (vertex i) to a (vertex j).
-        x_cross = (ax - bx) * (lats - by) / (ay - by) + bx
-    for k in np.flatnonzero(seg_len[:, 0] == 0.0).tolist():
-        dist = map(math.hypot, (lons - xs[k]).tolist(), (lats - ys[k]).tolist())
-        on_edge[k] = np.fromiter(dist, float, len(lats)) <= tol
-    crosses = ((by > lats) != (ay > lats)) & (lons < x_cross)
-    return on_edge.any(axis=0) | np.logical_xor.reduce(crosses, axis=0)
+    zero = np.flatnonzero(seg_len == 0.0)
+    dist = map(math.hypot, (lons[zero] - ax[zero]).tolist(), (lats[zero] - ay[zero]).tolist())
+    on_edge[zero] = np.fromiter(dist, float, len(zero)) <= tol
+    inside[out] = np.logical_or.reduceat(on_edge, np.cumsum(count[out]) - count[out])
+    return inside
 
 
 def point_to_segment_ft(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:

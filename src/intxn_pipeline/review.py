@@ -26,10 +26,11 @@ from .geo import (
     CellGrid,
     GeoPoint,
     PolygonRing,
+    RingTable,
     centroid,
     haversine_distance_ft,
-    point_in_polygon,
     point_to_segment_ft,
+    points_in_polygon,
     polyline_midpoint,
 )
 from .ingest import _TEXT, _parse_csv, _time_texts
@@ -125,21 +126,16 @@ def _child_text(elem: ET.Element, name: str) -> str | None:
     return None
 
 
-def _find_descendants(elem: ET.Element, name: str) -> list[ET.Element]:
-    return [e for e in elem.iter() if _local(e.tag) == name]
-
-
 def _parse_coordinates(text: str, context: str) -> list[GeoPoint]:
     points = []
     for token in text.split():
         parts = token.split(",")
         if len(parts) < 2:
             raise KmlParseError(f"bad coordinate tuple {token!r} in {context}")
-        try:
-            lon, lat = float(parts[0]), float(parts[1])
+        try:  # GeoPoint rejects a latitude or longitude out of range, or NaN
+            points.append(GeoPoint(float(parts[1]), float(parts[0])))
         except ValueError as exc:
             raise KmlParseError(f"bad coordinate tuple {token!r} in {context}") from exc
-        points.append(GeoPoint(lat, lon))
     return points
 
 
@@ -184,15 +180,17 @@ def parse_kml_features(source: str | Path | IO) -> KmlFeatures:
 
     def _read_placemark(elem: ET.Element, folders: tuple[str, ...]) -> None:
         name = _child_text(elem, "name") or ""
+        # The placemark's descendants by local tag, in document order.
+        found: dict[str, list[ET.Element]] = {}
+        for e in elem.iter():
+            found.setdefault(_local(e.tag), []).append(e)
         extended = {}
-        for data in _find_descendants(elem, "Data"):
+        for data in found.get("Data", ()):
             key = data.get("name")
             if key is not None:
                 extended[key] = _child_text(data, "value") or ""
         context = f"placemark {name!r}"
-        points = _find_descendants(elem, "Point")
-        lines = _find_descendants(elem, "LineString")
-        polygons = _find_descendants(elem, "Polygon")
+        points, lines, polygons = (found.get(tag) for tag in ("Point", "LineString", "Polygon"))
         if points:
             coords = _parse_coordinates(_coords_text(points[0], context), context)
             if len(coords) != 1:
@@ -202,7 +200,7 @@ def parse_kml_features(source: str | Path | IO) -> KmlFeatures:
             coords = _parse_coordinates(_coords_text(lines[0], context), context)
             feats.lines.append(KmlPlacemark(name, folders, "line", coords, extended))
         elif polygons:
-            rings = _find_descendants(polygons[0], "LinearRing")
+            rings = [e for e in polygons[0].iter() if _local(e.tag) == "LinearRing"]
             if not rings:
                 raise KmlParseError(f"{context}: Polygon without a LinearRing")
             coords = _parse_coordinates(_coords_text(rings[0], context), context)
@@ -310,26 +308,43 @@ def import_reviewed_kml(
     # Line midpoint -> polygon. A polygon's bounding box gives a lower bound
     # on its edge distance, in the same local frame as point_to_segment_ft,
     # so only polygons whose box lies within the edge gate (plus margin) can
-    # contain the midpoint or be its nearest edge.
-    boxes = np.array([leg["ring"].bounds() for leg in pending], dtype=float).reshape(-1, 4).T
+    # contain the midpoint or be its nearest edge. One points_in_polygon
+    # call tests every (midpoint, nearby polygon) pair.
+    rings = [leg["ring"] for leg in pending]
+    table = RingTable(rings)
+    boxes = np.array(table.bounds, dtype=float).reshape(-1, 4).T
+    found = []  # (line, midpoint or None, nearby polygons)
     for line in feats.lines:
         # A line whose ends coincide gives no entering bearing.
         if len(line.coordinates) < 2 or line.coordinates[0] == line.coordinates[-1]:
-            rejects.append(RejectEntry("line", line.name, "invalid_line"))
+            found.append((line, None, np.empty(0, np.int64)))
             continue
         mid = polyline_midpoint(line.coordinates)
         lat_gap = np.maximum(np.maximum(boxes[0] - mid.lat_deg, mid.lat_deg - boxes[2]), 0.0)
         lon_gap = np.maximum(np.maximum(boxes[1] - mid.lon_deg, mid.lon_deg - boxes[3]), 0.0)
         lon_ft_per_deg = FT_PER_DEG * math.cos(math.radians(mid.lat_deg))
         gap_ft = np.maximum(lat_gap * FT_PER_DEG, lon_gap * lon_ft_per_deg)
-        near = np.flatnonzero(gap_ft <= max(line_edge_match_ft, 0.0) + INDEX_MARGIN_FT).tolist()
-        edge_ft = {i: _ring_edge_distance_ft(mid, pending[i]["ring"]) for i in near}
-        containing = [i for i in near if point_in_polygon(mid, pending[i]["ring"])]
-        if containing:
-            idx = min(containing, key=lambda i: (edge_ft[i], i))
-        else:
-            nearest = min(((d, i) for i, d in edge_ft.items()), default=None)
-            if nearest is None or nearest[0] > line_edge_match_ft:
+        near = np.flatnonzero(gap_ft <= max(line_edge_match_ft, 0.0) + INDEX_MARGIN_FT)
+        found.append((line, mid, near))
+    counts = [len(near) for *_, near in found]
+    at = [(0.0, 0.0) if mid is None else (mid.lat_deg, mid.lon_deg) for _, mid, _ in found]
+    at = np.repeat(np.array(at, dtype=float).reshape(-1, 2), counts, axis=0)
+    pairs = np.concatenate([np.empty(0, np.int64), *(near for *_, near in found)])
+    inside = points_in_polygon(table, pairs, at[:, 0], at[:, 1])
+    cuts = np.cumsum([0] + counts).tolist()
+    for (line, mid, near), lo, hi in zip(found, cuts, cuts[1:]):
+        if mid is None:
+            rejects.append(RejectEntry("line", line.name, "invalid_line"))
+            continue
+        containing = near[inside[lo:hi]].tolist()
+        if len(containing) == 1:
+            idx = containing[0]
+        else:  # the nearest edge among the containing polygons, or else all nearby
+            nearest = min(
+                ((_ring_edge_distance_ft(mid, rings[i]), i) for i in containing or near.tolist()),
+                default=None,
+            )
+            if nearest is None or (not containing and nearest[0] > line_edge_match_ft):
                 rejects.append(RejectEntry("line", line.name, "unassigned_line"))
                 continue
             idx = nearest[1]

@@ -7,8 +7,10 @@ window, and the window is cut from the whole drive by cumulative distance:
 300 ft upstream to 200 ft downstream by default.
 
 ``_leg_hits`` gives each approach leg's ascending sensor-table rows inside
-its polygon and heading the entering way, over the whole study at once;
-extraction finds each row's drive in the table's offsets.
+its polygon and heading the way of its entering line, over the whole study
+at once: a per-leg cell, box and heading gate, then one polygon test of
+every gated (point, leg) pair against a ``RingTable`` of all the legs.
+Extraction finds each row's drive in the table's offsets.
 
 The trajectories are one ``TrajectoryTable``, keyed by (subj, drive) like
 the sensor and detection tables. A row is one (drive, intersection) pass:
@@ -34,8 +36,8 @@ import numpy as np
 
 from .errors import DataError
 from .geo import (
-    ON_EDGE_TOL_DEG,
     CellGrid,
+    RingTable,
     angular_difference_deg,
     haversine_distances_ft,
     in_box,
@@ -161,6 +163,15 @@ class TrajectoryTable(_Table):
         )
 
 
+def _entering_bearing(intxn: ReviewedIntersection, leg: ApproachLeg) -> float:
+    line = leg.entering_line
+    if not line or line[0] == line[-1]:
+        raise DataError(
+            f"degenerate entering line on intersection {intxn.intxn_id} leg {leg.leg_id}"
+        )
+    return initial_bearing_deg(line[0], line[-1])
+
+
 def assign_bearings(reviewed: list[ReviewedIntersection]) -> list[ReviewedIntersection]:
     """Fill each approach's entering bearing from its direction line.
 
@@ -170,12 +181,7 @@ def assign_bearings(reviewed: list[ReviewedIntersection]) -> list[ReviewedInters
     """
     for intxn in reviewed:
         for leg in intxn.approaches:
-            line = leg.entering_line
-            if not line or line[0] == line[-1]:
-                raise DataError(
-                    f"degenerate entering line on intersection {intxn.intxn_id} leg {leg.leg_id}"
-                )
-            leg.entering_bearing = initial_bearing_deg(line[0], line[-1])
+            leg.entering_bearing = _entering_bearing(intxn, leg)
     return reviewed
 
 
@@ -194,28 +200,29 @@ def _leg_hits(
     ``sensor`` inside the polygon heading the entering way.
 
     All points sit in one study-wide ``CellGrid``. Each leg gathers the
-    points in the cells its bounding box meets, applies the box and the
-    heading gate as array operations, and tests the survivors against the
-    polygon with ``points_in_polygon``.
+    points in the cells its bounding box meets and applies the box and the
+    heading gate, from the ``assign_bearings`` bearing of its line (so a
+    degenerate line is a DataError), as array operations; one
+    ``points_in_polygon`` then tests every (point, leg) pair that passed.
     """
+    legs = [(intxn, leg) for intxn in reviewed for leg in intxn.approaches]
+    bearings = [_entering_bearing(intxn, leg) for intxn, leg in legs]
+    rings = RingTable([leg.polygon for _, leg in legs])
     lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
     grid = CellGrid(lats, lons, LEG_CELL_FT)
 
-    hits = []
-    for intxn in reviewed:
-        for leg in intxn.approaches:
-            if leg.entering_bearing is None:
-                raise ValueError("entering bearings must be assigned before extraction")
-            box = leg.polygon.bounds(ON_EDGE_TOL_DEG)
-            idx = grid.overlapping(box)
-            keep = in_box(box, lats[idx], lons[idx]) & (
-                angular_difference_deg(headings[idx], leg.entering_bearing) <= heading_tol_deg
-            )
-            gated = idx[keep]
-            inside = points_in_polygon(leg.polygon, lats[gated], lons[gated])
-            if inside.any():
-                hits.append((intxn, leg, gated[inside]))
-    return hits
+    gated = []
+    for box, bearing in zip(rings.bounds, bearings):
+        idx = grid.overlapping(box)
+        keep = in_box(box, lats[idx], lons[idx]) & (
+            angular_difference_deg(headings[idx], bearing) <= heading_tol_deg
+        )
+        gated.append(idx[keep])
+    ring = np.repeat(np.arange(len(legs)), [len(rows) for rows in gated])
+    rows = np.concatenate([np.empty(0, np.int64), *gated])
+    inside = points_in_polygon(rings, ring, lats[rows], lons[rows])
+    rows, cuts = rows[inside], np.searchsorted(ring[inside], range(len(legs) + 1)).tolist()
+    return [(*legs[k], rows[lo:hi]) for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
 
 
 def extract_trajectories(

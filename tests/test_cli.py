@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from test_clean_differential import raw_files
 from test_detection_differential import raw_detection_files
+from test_review import coord, line_mark, point_mark, polygon_mark, pt_offset
 
 import intxn_pipeline
 from intxn_pipeline import cli, ingest
 from intxn_pipeline.cli import main
 from intxn_pipeline.config import load_config
 from intxn_pipeline.errors import ConfigError, StorageNotFoundError, UnsupportedSchemeError
+from intxn_pipeline.geo import GeoPoint
+from intxn_pipeline.review import TRUE_FOLDER, parse_kml_features
 from intxn_pipeline.storage import atomic_write, local_path, resolve_uri
 
 
@@ -288,6 +291,22 @@ def test_data_error_exit_code(workspace, capsys):
     assert "GeoJSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lon, lat", [(None, "141.25"), (None, "nan"), ("-196.5", None)])
+def test_out_of_range_reviewed_coordinate_is_a_data_error(workspace, capsys, lon, lat):
+    ws, config = workspace
+    kml = ws / "reviewed.kml"
+    text = kml.read_text()  # the first coordinates are the first true point's
+    start = text.index("<coordinates>") + len("<coordinates>")
+    end = text.index("</coordinates>", start)
+    old_lon, old_lat, alt = text[start:end].split(",")
+    token = f"{lon or old_lon},{lat or old_lat},{alt}"
+    kml.write_text(text[:start] + token + text[end:])
+    assert _run(config, "import-review") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad coordinate tuple {token!r} in placemark ")
+    assert not (ws / "out" / "reviewed.json").exists()
+
+
 _DELETE = object()
 
 # A hand-edited JSON input: the stages that make it, its file, the path to
@@ -406,6 +425,60 @@ def test_stage_reports_reconcile(workspace):
         keys = list(doc)
         assert (keys[0], keys[-1], doc["stage"]) == ("stage", "wall_time_s", stages[output]), output
     assert report["wall_time_s"] == cv_report["wall_time_s"]
+
+
+# Each reject reason, by kind, in the order import-review reports them.
+EVERY_REJECT = {
+    "intersection": ["non_integer_name", "duplicate_id", "invalid_control", "no_polygons"],
+    "polygon": ["invalid_polygon", "unassigned_polygon", "no_entering_line"],
+    "line": ["invalid_line", "unassigned_line", "extra_line"],
+}
+
+
+def _with_every_reject(kml: Path) -> None:
+    """Add to synth's reviewed KML one placemark for each reject reason."""
+    text = kml.read_text()
+    first = parse_kml_features(kml).points[0]
+    junction = first.coordinates[0]
+    a, b = GeoPoint(32.0, -92.0), GeoPoint(32.001, -92.0)
+    true_marks = (
+        point_mark("x", GeoPoint(33.0, -93.0))  # non_integer_name
+        + point_mark(first.name, GeoPoint(33.1, -93.0))  # duplicate_id
+        + point_mark("9001", GeoPoint(33.2, -93.0), "yield")  # invalid_control
+        + point_mark("9002", GeoPoint(33.3, -93.0))  # no_polygons
+    )
+    other_marks = (
+        "<Placemark><name>p-two</name><Polygon><outerBoundaryIs><LinearRing><coordinates>"
+        f"{coord(a)} {coord(b)} {coord(a)}</coordinates></LinearRing></outerBoundaryIs>"
+        "</Polygon></Placemark>"  # invalid_polygon
+        + polygon_mark("p-far", GeoPoint(30.0, -90.0))  # unassigned_polygon
+        + polygon_mark("p-east", pt_offset(junction, 0.0, 300.0))  # no_entering_line
+        + line_mark("l-zero", GeoPoint(31.5, -91.5), length_ft=0.0)  # invalid_line
+        + line_mark("l-far", GeoPoint(31.0, -91.0))  # unassigned_line
+        + line_mark("l-extra", junction)  # extra_line: in synth's approach polygon
+    )
+    text = text.replace("</Folder>", true_marks + "</Folder>", 1)
+    kml.write_text(text.replace("</Document>", other_marks + "</Document>"))
+
+
+@pytest.mark.parametrize("doctored", [False, True])
+def test_import_review_report_reconciles(workspace, doctored):
+    # Every true point, polygon and line of the KML ends up in an
+    # intersection, an approach or a reject.
+    ws, config = workspace
+    if doctored:
+        _with_every_reject(ws / "reviewed.kml")
+    feats = parse_kml_features(ws / "reviewed.kml")
+    assert _run(config, "import-review") == 0
+    report = json.loads((ws / "out" / "reviewed.json.report.json").read_text())
+    rejects = {kind: [] for kind in ("intersection", "polygon", "line")}
+    for reject in report["rejects"]:
+        rejects[reject["kind"]].append(reject["reason"])
+    true_points = [p for p in feats.points if TRUE_FOLDER in p.folders]
+    assert len(true_points) == report["intersections"] + len(rejects["intersection"])
+    assert len(feats.polygons) == report["approaches"] + len(rejects["polygon"])
+    assert len(feats.lines) == report["approaches"] + len(rejects["line"])
+    assert rejects == (EVERY_REJECT if doctored else {kind: [] for kind in EVERY_REJECT})
 
 
 def test_file_matched_by_two_patterns_is_read_once(workspace, tmp_path_factory):

@@ -1,16 +1,20 @@
 import math
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from intxn_pipeline import geo
 from intxn_pipeline.geo import (
     EARTH_RADIUS_FT,
     FT_PER_DEG,
+    ON_EDGE_TOL_DEG,
     GeoPoint,
     PolygonRing,
+    RingTable,
     angular_difference_deg,
     centroid,
     haversine_distance_ft,
@@ -239,15 +243,32 @@ DEGENERATE = (
 
 
 @settings(max_examples=300, deadline=None)
-@given(rings_and_points())
-@example(EXACT)
-@example(DEGENERATE)
-def test_points_in_polygon_is_the_scalar_test(case):
-    ring, points = case
-    lats = np.array([p[0] for p in points])
-    lons = np.array([p[1] for p in points])
-    expected = [point_in_polygon(GeoPoint(lat, lon), ring) for lat, lon in points]
-    assert points_in_polygon(ring, lats, lons).tolist() == expected
+@given(st.lists(rings_and_points(), min_size=1, max_size=4), st.randoms())
+@example([EXACT], random.Random(0))
+@example([DEGENERATE], random.Random(0))
+@example([EXACT, DEGENERATE, EXACT], random.Random(1))
+def test_points_in_polygon_is_the_scalar_test(cases, rng):
+    # One table holds every ring; each ring's points pair with it and with
+    # the next ring, in a shuffled order.
+    rings = [ring for ring, _ in cases]
+    pairs = [
+        (r, point)
+        for i, (_, points) in enumerate(cases)
+        for r in sorted({i, (i + 1) % len(cases)})
+        for point in points
+    ]
+    rng.shuffle(pairs)
+    which = np.array([r for r, _ in pairs])
+    lats = np.array([lat for _, (lat, _) in pairs])
+    lons = np.array([lon for _, (_, lon) in pairs])
+    expected = [point_in_polygon(GeoPoint(lat, lon), rings[r]) for r, (lat, lon) in pairs]
+    table = RingTable(rings)
+    assert points_in_polygon(table, which, lats, lons).tolist() == expected
+    with patch.object(geo, "POLYGON_TEST_BLOCK", 7):  # blocks split the pairs
+        assert points_in_polygon(table, which, lats, lons).tolist() == expected
+    assert points_in_polygon(table, which[:0], lats[:0], lons[:0]).tolist() == []
+    assert table.bounds == [ring.bounds(ON_EDGE_TOL_DEG) for ring in rings]
+    assert table.length.tolist() == [d for ring in rings for d in ring.edge_lengths()]
 
 
 def test_centroid_singleton():

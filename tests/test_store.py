@@ -1,8 +1,8 @@
 """The store of stage outputs: what a stage writes is what its reader returns.
 
-``clean``, ``traj`` and ``clips`` put the objects they wrote into
-``cli._store``, keyed by the sha256 of the bytes ``atomic_write`` wrote, and
-later stages of the same process take them from it instead of parsing the
+``clean``, ``import-review``, ``traj`` and ``clips`` put the objects they
+wrote into ``cli._store``, keyed by the sha256 of the bytes ``atomic_write``
+wrote, and later stages of the same process take them from it instead of parsing the
 files again. Each stored object must equal what its reader returns from the
 file; a file changed between two stages must be parsed again; and running
 the stages as separate processes must give the same workspace as running
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intxn_pipeline
-from intxn_pipeline import cli, clips, ingest, storage, trajectory
+from intxn_pipeline import cli, clips, ingest, review, storage, trajectory
 from intxn_pipeline.clips import ClipSpec
 from intxn_pipeline.geo import GeoPoint
 from intxn_pipeline.ingest import SensorRecord, SensorTable
@@ -182,6 +182,7 @@ READERS = {
         out / "trajectories.csv", ingest.read_clean_sensor(out / "clean_sensor.csv")
     ),
     "cutlist": lambda out: clips.parse_cutlist(out / "cutlist.json"),
+    "reviewed": lambda out: review.load_reviewed_json(out / "reviewed.json"),
 }
 
 
@@ -213,6 +214,7 @@ def test_all_stores_what_every_file_reads_back(study, monkeypatch):
         monkeypatch.setattr(ingest, name, lambda *a, name=name: parses.append(name))
     monkeypatch.setattr(trajectory, "load_trajectories_csv", lambda *a, **k: parses.append("traj"))
     monkeypatch.setattr(clips, "parse_cutlist", lambda *a: parses.append("cutlist"))
+    monkeypatch.setattr(review, "load_reviewed_json", lambda *a: parses.append("reviewed"))
     _run(config, "subj-intxns", "traj", "clips", "template")
     assert parses == []
 
