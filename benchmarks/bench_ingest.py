@@ -185,7 +185,7 @@ def test_write_sensor_csv_distinct(benchmark, distinct_sensor):
         return buf
 
     t = distinct_sensor
-    rows = zip(t.row_keys(), t.t_us.tolist(), *(c.tolist() for c in t.columns()[1:]))
+    rows = zip(zip(*t.key_texts()), t.t_us.tolist(), *(c.tolist() for c in t.columns()[1:]))
     expected = [SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)] + [
         (*key, format_time_utc(from_us(us)), *map(repr, floats)) for key, us, *floats in rows
     ]

@@ -8,17 +8,24 @@ times each past three controlled junctions, sampled at 0.5 Hz, which gives
 3,750 trajectories of about six points each. The sensor table is the one
 the traj stage gets, as the clean file holds it. Each bench times one
 layer's call in memory, seven rounds: extraction, writing the trajectory
-CSV, building the clip specs, writing the cut-list and its script, and
-building the review template.
+CSV (also with a comma in every subject, so that every subj and traj_id
+is quoted), building the clip specs, writing the cut-list and its script,
+and building and writing the review template.
 """
 
 import io
+from dataclasses import replace
 
 import pytest
 
 from intxn_pipeline.clips import build_clip_specs, emit_cutlist, read_videos_csv
 from intxn_pipeline.ingest import clean_sensor, write_sensor_csv
-from intxn_pipeline.review import build_review_template, import_reviewed_kml, read_demographics
+from intxn_pipeline.review import (
+    build_review_template,
+    import_reviewed_kml,
+    read_demographics,
+    write_review_csv,
+)
 from intxn_pipeline.synth import ScenarioSpec, generate
 from intxn_pipeline.trajectory import (
     assign_bearings,
@@ -71,6 +78,20 @@ def test_write_trajectories_csv(benchmark, trajs):
     assert benchmark.pedantic(write, rounds=ROUNDS).getvalue().count("\n") == len(trajs) + 1
 
 
+def test_write_trajectories_csv_quoted(benchmark, trajs):
+    # The worst case for the writer's quoting: every subj column and traj_id
+    # column of every chunk needs quotes.
+    quoted = replace(trajs, keys=[(f"{subj},x", drive) for subj, drive in trajs.keys])
+
+    def write():
+        buf = io.StringIO(newline="")
+        write_trajectories_csv(quoted, buf)
+        return buf
+
+    text = benchmark.pedantic(write, rounds=ROUNDS).getvalue()
+    assert text.count("\n") == len(trajs) + 1 and text.count('"') == 4 * len(trajs)
+
+
 def test_build_clip_specs(benchmark, study, trajs):
     specs, report = benchmark.pedantic(build_clip_specs, (trajs, study["videos"]), rounds=ROUNDS)
     assert len(specs) == len(trajs) and not report["unclippable"]
@@ -88,3 +109,14 @@ def test_build_review_template(benchmark, study, trajs, specs):
         build_review_template, (trajs, specs, study["participants"]), rounds=ROUNDS
     )
     assert len(rows["stop_traj_id"]) == len(trajs) and not warnings["missing_demographics"]
+
+
+def test_write_review_csv(benchmark, study, trajs, specs):
+    columns, _, _ = build_review_template(trajs, specs, study["participants"])
+
+    def write():
+        buf = io.StringIO(newline="")
+        write_review_csv(columns, [], buf)
+        return buf
+
+    assert benchmark.pedantic(write, rounds=ROUNDS).getvalue().count("\n") == len(trajs) + 1

@@ -221,8 +221,9 @@ def stage_export_kml(cfg: PipelineConfig, visited_path: Path) -> StageResult:
 
 @_stage("import-review", ("reviewed_kml", "human-reviewed KML", None))
 def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
+    feats = review.parse_kml_features(kml_path)
     reviewed, rejects = review.import_reviewed_kml(
-        kml_path,
+        feats,
         polygon_match_ft=cfg.params["polygon_match_ft"],
         line_edge_match_ft=cfg.params["line_edge_match_ft"],
     )
@@ -230,6 +231,9 @@ def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
     review.save_reviewed_json(reviewed, out)
     _store.put("reviewed", out, reviewed)
     report = {
+        "placemarks": dict(
+            points=len(feats.true_points()), polygons=len(feats.polygons), lines=len(feats.lines)
+        ),
         "intersections": len(reviewed),
         "approaches": sum(len(r.approaches) for r in reviewed),
         "rejects": [{"kind": r.kind, "name": r.name, "reason": r.reason} for r in rejects],
@@ -257,7 +261,8 @@ def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> S
     trajectory.write_trajectories_csv(trajs, out)
     _store.put("trajectories", out, trajs, _store["clean_sensor"][0])
     summary = f"traj: {len(trajs)} entering trajectories, skips {skip_report}"
-    return summary, [(out, {"trajectories": len(trajs), "skips": skip_report})]
+    visits = len(trajs) + skip_report["duplicate_pass"]
+    return summary, [(out, {"visits": visits, "trajectories": len(trajs), "skips": skip_report})]
 
 
 @_stage(

@@ -21,17 +21,19 @@ those of matching, interpolating and rounding one trajectory at a time.
 from __future__ import annotations
 
 import shlex
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 
 from .errors import DataError
 from .ingest import _FLOAT, _INT, _TEXT, _TIME, SensorTable, _parse_csv, _Table, to_seconds
-from .storage import read_json, resolve_uri
+from .storage import WRITE_ROWS, interleave, read_json, resolve_uri
 from .trajectory import TrajectoryTable
 
 VIDEO_COLUMNS = ("uri", "subj", "drive", "start_time_utc", "end_time_utc", "fps")
@@ -72,8 +74,7 @@ class OverlayParams:
             raise ValueError("overlay distances must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ClipSpec:
+class _ClipFields(NamedTuple):
     traj_id: str
     source_uri: str
     in_offset_s: float
@@ -82,11 +83,21 @@ class ClipSpec:
     overlay_off_s: float
     output_name: str
 
-    def __post_init__(self) -> None:
-        if self.in_offset_s < 0 or self.duration_s <= 0:
-            raise ValueError(f"clip {self.traj_id}: bad offset/duration")
-        if not 0 <= self.overlay_on_s <= self.overlay_off_s <= self.duration_s + 1e-9:
-            raise ValueError(f"clip {self.traj_id}: overlay interval outside clip")
+
+class ClipSpec(_ClipFields):
+    """One clip to cut: an immutable tuple of its fields."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, traj_id, source_uri, in_offset_s, duration_s, overlay_on_s, overlay_off_s, output_name
+    ):
+        if in_offset_s < 0 or duration_s <= 0:
+            raise ValueError(f"clip {traj_id}: bad offset/duration")
+        if not 0 <= overlay_on_s <= overlay_off_s <= duration_s + 1e-9:
+            raise ValueError(f"clip {traj_id}: overlay interval outside clip")
+        fields = traj_id, source_uri, in_offset_s, duration_s, overlay_on_s, overlay_off_s
+        return tuple.__new__(cls, fields + (output_name,))
 
 
 def _written(seconds: float) -> float:
@@ -243,30 +254,6 @@ def build_clip_specs(
     return specs, report
 
 
-def _clip_json_line(spec: ClipSpec) -> str:
-    # What json.dumps gives for a str with its default arguments, sans set-up.
-    return (
-        "  {"
-        f'"traj_id": {encode_basestring_ascii(spec.traj_id)}, '
-        f'"source_uri": {encode_basestring_ascii(spec.source_uri)}, '
-        f'"in_offset_s": {spec.in_offset_s:.3f}, '
-        f'"duration_s": {spec.duration_s:.3f}, '
-        f'"overlay_on_s": {spec.overlay_on_s:.3f}, '
-        f'"overlay_off_s": {spec.overlay_off_s:.3f}, '
-        f'"output_name": {encode_basestring_ascii(spec.output_name)}'
-        "}"
-    )
-
-
-def clip_command(spec: ClipSpec, processor: str = "ffmpeg") -> str:
-    """One external-processor invocation cutting and overlaying one clip."""
-    drawbox = _DRAWBOX.format(spec.overlay_on_s, spec.overlay_off_s)
-    return (
-        f"{processor} -y -ss {spec.in_offset_s:.3f} -t {spec.duration_s:.3f} "
-        f"-i {shlex.quote(spec.source_uri)} -vf {drawbox} {shlex.quote(spec.output_name)}"
-    )
-
-
 def emit_cutlist(
     specs: list[ClipSpec],
     json_dest: str | Path | IO,
@@ -277,26 +264,38 @@ def emit_cutlist(
 
     The script is advisory: nothing in the pipeline runs the processor, so
     clips can be rendered later, elsewhere, or not at all (dry runs).
-    Numbers are serialized with exactly three decimals. Given paths, the
-    script is written inside the cut-list's ``with``, so a failure while
-    writing either leaves neither file behind. Returns the specs in
-    traj_id order, which for specs of ``build_clip_specs`` is what
-    ``parse_cutlist`` reads back.
+    Numbers are serialized with exactly three decimals. Given paths, both
+    files are written inside one ``with``, so a failure while writing either
+    leaves neither file behind. Returns the specs in traj_id order, which
+    for specs of ``build_clip_specs`` is what ``parse_cutlist`` reads back.
+    Both are rendered a field and ``WRITE_ROWS`` specs at a time.
     """
-    ordered = sorted(specs, key=lambda s: s.traj_id)
+    ordered = sorted(specs, key=attrgetter("traj_id"))
     names = [s.output_name for s in ordered]
     if len(set(names)) != len(names):
         raise ValueError("duplicate output names in cut-list")
-    if ordered:
-        body = "[\n" + ",\n".join(_clip_json_line(s) for s in ordered) + "\n]\n"
-    else:
-        body = "[]\n"
-    with resolve_uri(json_dest, "w") as handle:
-        handle.write(body)
-        if script_dest is not None:
-            script = "".join(clip_command(s, processor) + "\n" for s in ordered)
-            with resolve_uri(script_dest, "w") as script_handle:
-                script_handle.write(script)
+    script_cm = nullcontext() if script_dest is None else resolve_uri(script_dest, "w")
+    as_json = encode_basestring_ascii
+    with resolve_uri(json_dest, "w") as handle, script_cm as script:
+        handle.write("[\n" if ordered else "[]\n")
+        for start in range(0, len(ordered), WRITE_ROWS):
+            ids, uris, *times, outputs = zip(*ordered[start : start + WRITE_ROWS])
+            at, length, on, off = ([*map(format, column, repeat(".3f"))] for column in times)
+            cells = interleave(len(ids), [
+                '  {"traj_id": ', map(as_json, ids), ', "source_uri": ', map(as_json, uris),
+                ', "in_offset_s": ', at, ', "duration_s": ', length, ', "overlay_on_s": ', on,
+                ', "overlay_off_s": ', off, ', "output_name": ', map(as_json, outputs), "},\n",
+            ])
+            if start + WRITE_ROWS >= len(ordered):
+                cells[-1] = "}\n]\n"
+            handle.write("".join(cells))
+            if script is not None:
+                quoted = {uri: shlex.quote(uri) for uri in set(uris)}
+                script.write("".join(interleave(len(ids), [
+                    f"{processor} -y -ss ", at, " -t ", length, " -i ", map(quoted.get, uris),
+                    " -vf ", map(_DRAWBOX.format, times[2], times[3]),
+                    " ", map(shlex.quote, outputs), "\n",
+                ])))
     return ordered
 
 

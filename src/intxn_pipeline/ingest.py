@@ -36,20 +36,19 @@ column with no repeats renders about as fast as one ``repr`` per row.
 from __future__ import annotations
 
 import csv
-import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import IO, ClassVar, Iterable
+from typing import IO, Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DataError, HeaderMismatchError
 from .geo import GeoPoint, haversine_distances_ft
-from .storage import resolve_uri
+from .storage import WRITE_ROWS, resolve_uri, write_csv
 
 SENSOR_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "heading_deg", "speed_fps")
 SENSOR_CUM_COLUMN = "cum_dist_ft"
@@ -337,7 +336,7 @@ _FLOAT = (
 _CLASS = (
     np.int64,
     lambda names, bad: np.fromiter(map(_CLASS_CODE.get, names, repeat(-1)), np.int64, len(names)),
-    lambda codes: map(CLASS_NAMES.__getitem__, codes.tolist()),
+    lambda codes: list(map(CLASS_NAMES.__getitem__, codes.tolist())),
     object,
 )
 _STRIPPED = ("subj", "object_class", "uri", "age", "gender")
@@ -432,17 +431,24 @@ class _Table:
     def columns(self) -> list[np.ndarray]:
         return [getattr(self, n) for n in self.COLUMNS]
 
-    def spans(self) -> Iterable[tuple[tuple[str, int], int, int]]:
-        """(key, start, stop) of each drive's rows."""
-        return zip(self.keys, self.offsets, self.offsets[1:])
-
     def codes(self) -> np.ndarray:
         """Each row's index into ``keys``."""
         return np.repeat(np.arange(len(self.keys)), np.diff(self.offsets))
 
-    def row_keys(self) -> list[tuple[str, int]]:
-        """Each row's key."""
-        return list(map(self.keys.__getitem__, self.codes().tolist()))
+    def key_texts(self) -> list[list[str]]:
+        """Each row's subj and drive as texts, rendered once per drive."""
+        counts = np.diff(self.offsets).tolist()
+        keys = zip(*self.keys) if self.keys else ((), ())
+        return [[*chain.from_iterable(map(repeat, map(str, c), counts))] for c in keys]
+
+    def chunks(self, render: Callable) -> Iterator:
+        """``render`` of each run of whole drives of ``WRITE_ROWS`` rows or more
+        (the last may be shorter): a value repeated by drive renders once a run."""
+        start = 0
+        for stop in self.offsets[1:]:
+            if stop - start >= WRITE_ROWS or stop == len(self):
+                yield render(self[start:stop])
+                start = stop
 
     def search(self, column: np.ndarray, drives: np.ndarray, values: np.ndarray, side="left"):
         """Where each value would go among the rows of its drive, by
@@ -838,35 +844,17 @@ def clean_cv(
     ), drops, rows_in
 
 
-# Rows rendered before each write: a few drives' worth at most.
-_WRITE_ROWS = 1000
-
-
 def _write_table(table: _Table, dest) -> _Table:
     """Write ``table.HEADER``, then each row: its key, then each of its
     columns rendered by the column's kind. Returns the table as the file
     holds it, its times cut to the millisecond.
     """
     kinds = table.COLUMNS.values()
-    key = io.StringIO()
-    # csv quotes a field holding a character of the line terminator, so a
-    # key with a line break in it is quoted.
-    render = csv.writer(key, lineterminator="\r\n")
-    with resolve_uri(dest, "w") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(table.HEADER)
-        start, prefixes = 0, []
-        for (subj, drive), first, stop in table.spans():
-            # csv renders (and if need be quotes) the key once per drive.
-            key.seek(0)
-            key.truncate()
-            render.writerow((subj, drive))
-            prefixes += [key.getvalue()[:-2]] * (stop - first)
-            if stop - start >= _WRITE_ROWS or stop == len(table):
-                # Times, names and float reprs never need quoting, so joining
-                # them with commas is what csv.writer would write.
-                cells = [kind[2](c[start:stop]) for kind, c in zip(kinds, table.columns())]
-                handle.write("".join([",".join(row) + "\n" for row in zip(prefixes, *cells)]))
-                start, prefixes = stop, []
+
+    def render(part: _Table) -> list:
+        return [*part.key_texts(), *(kind[2](c) for kind, c in zip(kinds, part.columns()))]
+
+    write_csv(dest, table.HEADER, table.chunks(render))
     t_us = table.t_us // 1000 * 1000
     t_us.flags.writeable = False
     return replace(table, t_us=t_us)

@@ -34,7 +34,7 @@ from .geo import (
     polyline_midpoint,
 )
 from .ingest import _TEXT, _parse_csv, _time_texts
-from .storage import csv_writer, read_json, resolve_uri, write_json
+from .storage import WRITE_ROWS, read_json, resolve_uri, write_csv, write_json
 
 if TYPE_CHECKING:
     from .trajectory import TrajectoryTable
@@ -155,6 +155,12 @@ class KmlFeatures:
     polygons: list[KmlPlacemark] = field(default_factory=list)
     folder_names: set[str] = field(default_factory=set)
 
+    def true_points(self) -> list[KmlPlacemark]:
+        """The points under a folder named ``true``, or all when no folder is."""
+        if TRUE_FOLDER in self.folder_names:
+            return [p for p in self.points if TRUE_FOLDER in p.folders]
+        return list(self.points)
+
 
 def parse_kml_features(source: str | Path | IO) -> KmlFeatures:
     """Extract Point/LineString/Polygon placemarks with their folder context."""
@@ -229,11 +235,11 @@ def _ring_edge_distance_ft(pt: GeoPoint, ring: PolygonRing) -> float:
 
 
 def import_reviewed_kml(
-    source: str | Path | IO,
+    source: str | Path | IO | KmlFeatures,
     polygon_match_ft: float = POLYGON_MATCH_FT,
     line_edge_match_ft: float = LINE_EDGE_MATCH_FT,
 ) -> tuple[list[ReviewedIntersection], list[RejectEntry]]:
-    """Assemble reviewed intersections from a human-edited KML.
+    """Assemble reviewed intersections from a human-edited KML or its ``KmlFeatures``.
 
     Point placemarks under a folder named ``true`` (or all point placemarks
     when no such folder exists) become true intersections. Each polygon is
@@ -244,16 +250,10 @@ def import_reviewed_kml(
     without a direction line, and intersections without approaches all land
     in the rejects report rather than raising.
     """
-    feats = parse_kml_features(source)
+    feats = source if isinstance(source, KmlFeatures) else parse_kml_features(source)
     rejects: list[RejectEntry] = []
-
-    if TRUE_FOLDER in feats.folder_names:
-        true_points = [p for p in feats.points if TRUE_FOLDER in p.folders]
-    else:
-        true_points = list(feats.points)
-
     intersections: dict[int, ReviewedIntersection] = {}
-    for p in true_points:
+    for p in feats.true_points():
         try:
             intxn_id = int(p.name)
         except ValueError:
@@ -492,13 +492,13 @@ def build_review_template(
     for traj_id, clip in zip(ids, matched):
         if clip is None:
             raise DataError(f"no clip for trajectory {traj_id}")
-    keys = trajs.row_keys()
-    demographics = [participants.get(subj) for subj, _ in keys]
+    subj, drive = trajs.key_texts()
+    demographics = list(map(participants.get, subj))
     known = [demo or ("", "") for demo in demographics]
     columns = dict(zip(REVIEW_COLUMNS, (
         ids,
-        [subj for subj, _ in keys],
-        [drive for _, drive in keys],
+        subj,
+        drive,
         trajs.intxn_id.tolist(),
         _time_texts(trajs.sensor.t_us[trajs.ref]),
         [age for age, _ in known],
@@ -519,11 +519,12 @@ def write_review_csv(
     header = list(REVIEW_COLUMNS) + list(custom_names)
     blank = [""] * len(next(iter(columns.values()), ()))
     cells = [columns.get(col, blank) for col in header]
-    cells = [
-        [f"{float(v):.3f}" for v in cell] if col == "jump_to_ref" else cell
-        for col, cell in zip(header, cells)
-    ]
-    with resolve_uri(dest, "w") as handle:
-        w = csv_writer(handle)
-        w.writerow(header)
-        w.writerows(zip(*cells))
+
+    def render(start: int) -> list:
+        rows = slice(start, start + WRITE_ROWS)
+        return [
+            [f"{float(v):.3f}" for v in c[rows]] if col == "jump_to_ref" else [*map(str, c[rows])]
+            for col, c in zip(header, cells)
+        ]
+
+    write_csv(dest, header, map(render, range(0, len(blank), WRITE_ROWS)))

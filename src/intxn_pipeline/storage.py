@@ -4,26 +4,28 @@ Batch runs accumulate over months, so every path opened for writing goes
 through a temp-file-plus-rename and a crash never leaves a partial file
 behind. The bytes are hashed as they are written, so a stage knows the
 digest of each file it wrote without reading it back. Only ``file:`` and
-bare paths are supported. The CSV files that are not clean tables are
-written through ``csv_writer``. Every JSON file is written through
-``write_json``, and every JSON input but the config is read through
-``read_json``, so a malformed document is one kind of ``DataError``.
+bare paths are supported. Every CSV file is written through
+``write_csv``, a column and a thousand rows at a time. Every JSON file is
+written through ``write_json``, and every JSON input but the config is read
+through ``read_json``, so a malformed document is one kind of ``DataError``.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 import os
+import re
 import tempfile
-import types
 from contextlib import AbstractContextManager, contextmanager, nullcontext
+from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 from urllib.parse import urlparse
 from urllib.request import url2pathname
+
+import numpy as np
 
 from .errors import DataError, StorageNotFoundError, UnsupportedSchemeError
 
@@ -114,23 +116,77 @@ def atomic_write(uri: str | Path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def csv_writer(handle: IO):
-    """A csv.writer to ``handle`` whose rows end in "\\n".
+# Rows rendered before each write: a few drives' worth at most.
+WRITE_ROWS = 1000
 
-    csv quotes a field holding a character of the line terminator, so the
-    writer ends rows in "\\r\\n", which quotes a field holding a lone
-    "\\r" as well as one holding a line break, and each row is written with
-    "\\n" in place of its "\\r\\n".
-    """
-    lines = types.SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
-    return csv.writer(lines, lineterminator="\r\n")
+# What csv.writer quotes: its delimiter, quote or "\r\n" line terminator's characters.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _quoted(column: list[str]) -> list[str]:
+    """``column``, each of its texts that needs quotes quoted, its quotes doubled."""
+    text = "".join(column)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v for v in column]
+    return column
+
+
+def interleave(n: int, pieces: list) -> list[str]:
+    """The texts of ``n`` rows, each made of ``pieces`` in turn: a str is in
+    every row, any other piece is a column of one text per row."""
+    cells = [piece if isinstance(piece, str) else "" for piece in pieces] * n
+    for j, piece in enumerate(pieces):
+        if not isinstance(piece, str):
+            cells[j :: len(pieces)] = piece
+    return cells
+
+
+def write_csv(dest: str | Path | IO, header, chunks: Iterable[list]) -> None:
+    """Write ``header`` and the rows of ``chunks``, each a list of two or more
+    columns of texts, as csv.writer writes them with rows ending in "\n"."""
+    with resolve_uri(dest, "w") as handle:
+        for columns in chain([[[name] for name in header]], chunks):
+            pieces = [piece for column in map(_quoted, columns) for piece in (column, ",")]
+            pieces[-1] = "\n"
+            handle.write("".join(interleave(len(columns[0]), pieces)))
+
+
+# Each byte's role in compact JSON: 1 quote, 2 opener, 3 closer, 4 comma, 0 other.
+_ROLES = bytes(dict(zip(b'"[{]},', (1, 2, 2, 3, 3, 4))).get(c, 0) for c in range(256))
+
+
+def _indented(compact: str) -> str | None:
+    """``compact``, JSON as ``json.dumps(doc, separators=(",", ": "))`` writes
+    it, as ``json.dumps(doc, indent=2)`` does; None for a scalar or past 127
+    levels. A break follows each comma and opener outside strings (after an
+    even count of unescaped quotes) and precedes each closer, but for "[]"
+    and "{}"; each goes in as the non-ASCII byte 0x80 + depth, then replaced."""
+    hidden = compact.replace("\\\\", "  ").replace('\\"', "  ").encode()
+    roles = np.frombuffer(hidden.translate(_ROLES), np.uint8)
+    at = np.flatnonzero(roles)
+    role = roles[at]
+    outside = (role > 1) & (np.cumsum(role == 1) % 2 == 0)
+    at, role = at[outside], role[outside]
+    depth = np.cumsum((role == 2).astype(np.int64) - (role == 3))
+    if not len(depth) or depth.max() > 127:
+        return None
+    # An opener and the closer right after it hold an empty container.
+    empty = np.append((role[:-1] == 2) & (role[1:] == 3) & (np.diff(at) == 1), False)
+    breaks = np.flatnonzero(~(empty | np.roll(empty, 1)))
+    where = at[breaks] + (role[breaks] != 3)
+    text = bytes(np.insert(np.frombuffer(compact.encode(), np.uint8), where, 0x80 + depth[breaks]))
+    for level in range(depth.max() + 1):
+        text = text.replace(bytes([0x80 + level]), b"\n" + b"  " * level)
+    return text.decode()
 
 
 def write_json(doc, dest: str | Path | IO) -> None:
     """Write ``doc`` as JSON indented by two spaces, ending in a newline."""
+    # indent=2 runs the pure-Python encoder; past 2 kB, the C one and numpy are faster.
+    compact = json.dumps(doc, separators=(",", ": "))
+    text = len(compact) > 2048 and _indented(compact) or json.dumps(doc, indent=2)
     with resolve_uri(dest, "w") as handle:
-        # One write: json.dump writes each of a document's tokens apart.
-        handle.write(json.dumps(doc, indent=2) + "\n")
+        handle.write(text + "\n")
 
 
 # What a document of the wrong shape makes a build raise: a missing key or

@@ -30,7 +30,7 @@ from .discovery import IntersectionCandidate, RoadNetwork
 from .geo import FT_PER_DEG, GeoPoint
 from .ingest import _US, DETECTION_COLUMNS, EPOCH, SensorTable, _time_texts, to_us, write_sensor_csv
 from .review import KML_NS, TRUE_FOLDER, write_kml
-from .storage import csv_writer, resolve_uri, write_json
+from .storage import write_csv, write_json
 
 BASE_TIME = datetime(2019, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -411,14 +411,11 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
         )
         paths["sensor_files"].append(out / "sensor" / f"{subj}.csv")
         write_sensor_csv(sensor, paths["sensor_files"][-1])
-        # No field needs csv quoting: subjects are _subj_name's, times canonical.
-        lines = [
-            f"{subj},{drive},{t},stop_sign,0.9\n"
-            for drive, t in zip(det_drives, _time_texts(np.concatenate(det_us)))
-        ]
+        n = len(det_drives)
+        times = _time_texts(np.concatenate(det_us))
+        detections = [[subj] * n, [*map(str, det_drives)], times, ["stop_sign"] * n, ["0.9"] * n]
         paths["cv_files"].append(out / "cv" / f"{subj}.csv")
-        with resolve_uri(paths["cv_files"][-1], "w") as handle:
-            handle.write(",".join(DETECTION_COLUMNS) + "\n" + "".join(lines))
+        write_csv(paths["cv_files"][-1], DETECTION_COLUMNS, [detections])
     # In name order, which is not subject order from S100 on.
     paths["sensor_files"].sort()
     paths["cv_files"].sort()
@@ -431,19 +428,15 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
         trajectories=trajectories,
     )
 
-    starts = np.array([t0_us for *_, t0_us in video_rows], dtype=np.int64)
-    with resolve_uri(paths["videos"], "w") as handle:
-        w = csv_writer(handle)
-        w.writerow(VIDEO_COLUMNS)
-        texts = zip(_time_texts(starts), _time_texts(starts + off_us[-1]))
-        for (uri, subj, drive, _), (start, end) in zip(video_rows, texts):
-            w.writerow([uri, subj, drive, start, end, "30.0"])
-
-    with resolve_uri(paths["demographics"], "w") as handle:
-        w = csv_writer(handle)
-        w.writerow(("subj", "age", "gender"))
-        for subj_idx in range(spec.n_subjects):
-            w.writerow([_subj_name(subj_idx), 30 + 2 * subj_idx, ("F", "M")[subj_idx % 2]])
+    uri, subj, drive, t0_us = zip(*video_rows)
+    t0_us = np.array(t0_us, dtype=np.int64)
+    times = _time_texts(t0_us), _time_texts(t0_us + off_us[-1])
+    videos = [uri, subj, [*map(str, drive)], *times, ["30.0"] * len(uri)]
+    write_csv(paths["videos"], VIDEO_COLUMNS, [videos])
+    subjects = range(spec.n_subjects)
+    ages = [str(30 + 2 * k) for k in subjects]
+    demographics = [[*map(_subj_name, subjects)], ages, ["FM"[k % 2] for k in subjects]]
+    write_csv(paths["demographics"], ("subj", "age", "gender"), [demographics])
 
     _write_reviewed_kml(paths["reviewed_kml"], grid, controlled)
 

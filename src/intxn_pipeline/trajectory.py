@@ -57,7 +57,7 @@ from .ingest import (
     from_us,
 )
 from .review import ApproachLeg, ReviewedIntersection
-from .storage import csv_writer, resolve_uri
+from .storage import write_csv
 
 
 @dataclass
@@ -148,7 +148,7 @@ class TrajectoryTable(_Table):
         }
 
     def traj_ids(self) -> list[str]:
-        return [f"{s}_{d}_{i}" for (s, d), i in zip(self.row_keys(), self.intxn_id.tolist())]
+        return [f"{s}_{d}_{i}" for s, d, i in zip(*self.key_texts(), self.intxn_id.tolist())]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -292,21 +292,19 @@ def extract_trajectories(
 
 
 def write_trajectories_csv(trajs: TrajectoryTable, dest: str | Path | IO) -> None:
-    t_us = trajs.sensor.t_us
-    columns = (
-        trajs.intxn_id.tolist(),
-        trajs.leg_id.tolist(),
-        *(_time_texts(t_us[rows]) for rows in (trajs.ref, trajs.start, trajs.stop - 1)),
-        _per_value(repr, trajs.sensor.cum[trajs.ref]),
-        (trajs.stop - trajs.start).tolist(),
-    )
-    with resolve_uri(dest, "w") as handle:
-        w = csv_writer(handle)
-        w.writerow(TRAJECTORY_COLUMNS)
-        w.writerows(
-            (traj_id, *key, *rest)
-            for traj_id, key, *rest in zip(trajs.traj_ids(), trajs.row_keys(), *columns)
-        )
+    t_us, cum = trajs.sensor.t_us, trajs.sensor.cum
+
+    def render(part: TrajectoryTable) -> list:
+        return [
+            part.traj_ids(),
+            *part.key_texts(),
+            *(list(map(str, ids.tolist())) for ids in (part.intxn_id, part.leg_id)),
+            *(_time_texts(t_us[rows]) for rows in (part.ref, part.start, part.stop - 1)),
+            _per_value(repr, cum[part.ref]),
+            list(map(str, (part.stop - part.start).tolist())),
+        ]
+
+    write_csv(dest, TRAJECTORY_COLUMNS, trajs.chunks(render))
 
 
 def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> TrajectoryTable:

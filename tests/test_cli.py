@@ -402,6 +402,19 @@ def test_stage_reports_reconcile(workspace):
         len(f["properties"]["supporting_cluster_ids"]) for f in visited["features"]
     )
     assert subj_report["clusters"] == supporting + len(subj_report["unmatched"])
+    # Every visit ends as a trajectory or a repeat pass, every trajectory as a
+    # clip or an unclippable one, and every placemark import-review read as
+    # an intersection, an approach or a reject.
+    traj_report = json.loads((ws / "out" / "trajectories.csv.report.json").read_text())
+    assert traj_report["visits"] == (
+        traj_report["trajectories"] + traj_report["skips"]["duplicate_pass"]
+    )
+    clips_report = json.loads((ws / "out" / "cutlist.json.report.json").read_text())
+    assert clips_report["trajectories"] == clips_report["clips"] + len(clips_report["unclippable"])
+    assert clips_report["trajectories"] == traj_report["trajectories"]
+    _assert_placemarks_reconcile(
+        json.loads((ws / "out" / "reviewed.json.report.json").read_text())
+    )
     # Every report names its stage first and ends with the stage's wall time
     # (perfbench reads it), taken once over all of the stage's outputs.
     stages = {
@@ -461,6 +474,17 @@ def _with_every_reject(kml: Path) -> None:
     kml.write_text(text.replace("</Document>", other_marks + "</Document>"))
 
 
+def _assert_placemarks_reconcile(report: dict) -> None:
+    """Each kind of placemark read is its accepted count plus its rejects."""
+    rejects = {kind: 0 for kind in ("intersection", "polygon", "line")}
+    for reject in report["rejects"]:
+        rejects[reject["kind"]] += 1
+    read = report["placemarks"]
+    assert read["points"] == report["intersections"] + rejects["intersection"]
+    assert read["polygons"] == report["approaches"] + rejects["polygon"]
+    assert read["lines"] == report["approaches"] + rejects["line"]
+
+
 @pytest.mark.parametrize("doctored", [False, True])
 def test_import_review_report_reconciles(workspace, doctored):
     # Every true point, polygon and line of the KML ends up in an
@@ -479,6 +503,10 @@ def test_import_review_report_reconciles(workspace, doctored):
     assert len(feats.polygons) == report["approaches"] + len(rejects["polygon"])
     assert len(feats.lines) == report["approaches"] + len(rejects["line"])
     assert rejects == (EVERY_REJECT if doctored else {kind: [] for kind in EVERY_REJECT})
+    assert report["placemarks"] == {
+        "points": len(true_points), "polygons": len(feats.polygons), "lines": len(feats.lines)
+    }
+    _assert_placemarks_reconcile(report)
 
 
 def test_file_matched_by_two_patterns_is_read_once(workspace, tmp_path_factory):

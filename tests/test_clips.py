@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import old_emit_cutlist
 from test_trajectory import T0, northbound_drive, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
@@ -16,7 +17,6 @@ from intxn_pipeline.clips import (
     OverlayParams,
     VideoTable,
     build_clip_specs,
-    clip_command,
     emit_cutlist,
     parse_cutlist,
     read_videos_csv,
@@ -242,9 +242,16 @@ def test_emit_cutlist_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _emitted(specs, processor="ffmpeg") -> tuple[str, str]:
+    """The cut-list's and the script's texts for ``specs``."""
+    out = [io.StringIO(newline=""), io.StringIO(newline="")]
+    emit_cutlist(specs, *out, processor=processor)
+    return out[0].getvalue(), out[1].getvalue()
+
+
 def test_clip_command_contains_overlay_window():
     spec = ClipSpec("A_1_4", "file:///v.mp4", 4.0, 10.0, 3.0, 7.0, "A_1_4.mp4")
-    cmd = clip_command(spec, processor="ffmpeg")
+    cmd = _emitted([spec], processor="ffmpeg")[1]
     assert cmd.startswith("ffmpeg -y -ss 4.000 -t 10.000 ")
     assert "between(t,3.000,7.000)" in cmd
     assert "drawbox" in cmd and "color=red" in cmd
@@ -269,9 +276,42 @@ def test_cutlist_script_quotes_each_clip_as_a_whole(tmp_path):
             f" -vf {shlex.quote(drawbox)} {shlex.quote(s.output_name)}\n"
         )
     assert script_path.read_text(encoding="utf-8") == "".join(expected)
-    for s in specs:
-        args = shlex.split(clip_command(s))
+    for s, line in zip(specs, expected):  # the script's commands, one per clip
+        args = shlex.split(line)
         assert (args[7], args[-1]) == (s.source_uri, s.output_name)
+
+
+# Texts that JSON escapes, the shell quotes, or both, and non-ASCII.
+CLIP_TEXTS = st.text(alphabet=st.sampled_from(list("a_ '\"\\$`;\n\t,é€🎥")), max_size=6)
+
+
+@st.composite
+def cutlist_specs(draw):
+    """Clip specs with unique traj_ids and output names, a few URIs shared."""
+    uris = draw(st.lists(CLIP_TEXTS, min_size=1, max_size=3))
+    specs = []
+    for k, traj_id in enumerate(draw(st.lists(CLIP_TEXTS, max_size=6, unique=True))):
+        duration = draw(st.floats(1e-3, 1e9) | st.sampled_from([7.0005, 1e9, 2.0]))
+        on, off = sorted(draw(st.floats(0.0, duration)) for _ in range(2))
+        offset = draw(st.floats(0.0, 1e9))
+        uri = draw(st.sampled_from(uris))
+        specs.append(ClipSpec(traj_id, uri, offset, duration, on, off, f"{traj_id}_{k}.mp4"))
+    return specs
+
+
+@settings(max_examples=200, deadline=None)
+@given(cutlist_specs(), st.sampled_from(["ffmpeg", "my ffmpeg"]))
+def test_cutlist_is_the_clip_at_a_time_text(specs, processor):
+    assert _emitted(specs, processor) == old_emit_cutlist(specs, processor)
+
+
+def test_cutlist_chunks_join_as_one():
+    # 2,500 specs are three chunks of rendering; the files are one text.
+    specs = [
+        ClipSpec(f"S{k:04d}_1_4", f"file:///v{k % 7}'s.mp4", k / 3, 1 + k / 7, 0.0, 1.0, f"{k}.mp4")
+        for k in range(2500)
+    ]
+    assert _emitted(specs[::-1]) == old_emit_cutlist(specs)
 
 
 def test_read_videos_csv_and_validation(tmp_path):
@@ -330,6 +370,12 @@ def test_clipspec_invariants():
         ClipSpec("x", "u", 0.0, 10.0, 5.0, 2.0, "x.mp4")
     with pytest.raises(ValueError):
         ClipSpec("x", "u", 0.0, 10.0, 5.0, 12.0, "x.mp4")
+    with pytest.raises(ValueError):
+        ClipSpec(**{**GOOD_ENTRY, "duration_s": 0.0})
+    spec = ClipSpec(**GOOD_ENTRY)
+    assert spec == ClipSpec(*GOOD_ENTRY.values()) and spec.duration_s == 10.0
+    with pytest.raises(AttributeError):
+        spec.duration_s = 1.0
 
 
 def test_short_video_row_raises_data_error():

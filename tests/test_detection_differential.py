@@ -70,7 +70,7 @@ def old_parse_detection_file(source):
 
 def old_clean_cv(files, sensor, join_tol_s):
     drops = {"unparseable": 0, "out_of_range": 0, "unknown_class": 0, "no_sensor_match": 0}
-    spans = {key: (start, stop) for key, start, stop in sensor.spans()}
+    spans = dict(zip(sensor.keys, zip(sensor.offsets, sensor.offsets[1:])))
     by_drive = {}
     for file_rows, file_drops in map(old_parse_detection_file, files):
         for k, v in file_drops.items():

@@ -814,5 +814,5 @@ def test_one_function_parses_and_one_renders_the_table_csvs():
     # copy of either is a regression.
     assert len(_ingest_functions_naming("csv.reader")) == 1
     assert len(_ingest_functions_naming("np.loadtxt")) == 1
-    renders = _ingest_functions_naming("csv.writer", ".write", "repr", "_time_texts")
+    renders = _ingest_functions_naming("csv.writer", ".write", "write_csv", "repr", "_time_texts")
     assert len(renders) == 1, renders

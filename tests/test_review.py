@@ -4,8 +4,11 @@ import json
 import math
 from datetime import datetime, timezone
 from types import SimpleNamespace
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intxn_pipeline.discovery import IntersectionCandidate
 from intxn_pipeline.errors import DataError, KmlParseError
@@ -388,3 +391,87 @@ def test_short_demographics_row_raises_data_error():
 def test_demographics_row_without_a_subj_raises_data_error():
     with pytest.raises(DataError, match="line 3"):
         read_demographics(io.StringIO("subj,age,gender\nA,52,F\n ,47,M\n", newline=""))
+
+
+# Coordinate tuples near two junctions, so that drawn geometry often
+# assembles, and tuples that are garbage, NaN, out of range or short.
+KML_TOKENS = st.one_of(
+    st.builds(
+        lambda base, north, east: coord(pt_offset(base, north, east)),
+        st.sampled_from([pt(), pt(north_ft=2000.0)]),
+        st.sampled_from([-20.0, 0.0, 20.0]),
+        st.sampled_from([-300.0, -150.0, 0.0, 300.0]),
+    ),
+    st.sampled_from([
+        "x", "1,", ",", "nan,nan", "-96,nan,0", "inf,41", "-196.5,41", "-96,91", "1e999,0",
+        "-96,41,0,7", "-96,41", "0x1,0", "", "-96,41,0\n-96,41.001,0",
+        "-96,90", "-96.001,90", "-96,-90", "180,0", "-180,89.99999", "180,89.99999",
+    ]),
+    st.text(alphabet="0123456789.,-enaif", max_size=8),
+)
+KML_NAMES = st.sampled_from(["1", "2", "7", "007", " 3 ", "x", "", "1_0", "１"]) | st.text(max_size=2)
+
+
+JUNCTIONS = st.sampled_from([pt(), pt(north_ft=2000.0), GeoPoint(89.9, 170.0)])
+OFFSETS = st.sampled_from([0.0, 0.0, 0.0, 10.0, 600.0])
+
+
+@st.composite
+def kml_placemarks(draw):
+    """A point, polygon or line placemark near a junction, all three, or now
+    and then one whose geometry is missing or whose coordinates are drawn
+    tokens."""
+    name = escape(draw(KML_NAMES))
+    control = draw(st.sampled_from([None, "stop", "signal", "yield", "<"]))
+    at = pt_offset(draw(JUNCTIONS), draw(OFFSETS), draw(OFFSETS))
+    kind = draw(st.sampled_from(["point", "polygon", "line", "approach"] * 2 + ["drawn"]))
+    if kind == "approach":
+        return point_mark(name, at) + polygon_mark("p", at) + line_mark("l", at)
+    if kind == "point":
+        return point_mark(name, at, control and escape(control))
+    if kind == "polygon":
+        return polygon_mark(name, at, draw(st.sampled_from([300.0, 0.0])))
+    if kind == "line":
+        return line_mark(name, at, draw(st.sampled_from([300.0, 150.0, 0.0])))
+    coords = escape(" ".join(draw(st.lists(KML_TOKENS, max_size=6))))
+    coordinates = f"<coordinates>{coords}</coordinates>" if draw(st.booleans()) else ""
+    geometry = draw(st.sampled_from(["Point", "LineString", "Polygon", "none"]))
+    if geometry == "Polygon":
+        ring = f"<LinearRing>{coordinates}</LinearRing>" if draw(st.booleans()) else ""
+        body = f"<Polygon><outerBoundaryIs>{ring}</outerBoundaryIs></Polygon>"
+    else:
+        body = "" if geometry == "none" else f"<{geometry}>{coordinates}</{geometry}>"
+    return f"<Placemark><name>{name}</name>{body}</Placemark>"
+
+
+KML_TREES = st.recursive(
+    kml_placemarks(),
+    lambda inner: st.builds(
+        lambda name, children: f"<Folder><name>{escape(name)}</name>{''.join(children)}</Folder>",
+        st.sampled_from(["true", "candidates", "True", "", "x"]),
+        st.lists(inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(KML_TREES, max_size=4))
+def test_reviewed_kml_gives_intersections_or_a_data_error(trees):
+    # Whatever the folders and coordinates hold, the import gives
+    # intersections and rejects that account for every placemark it read,
+    # or a DataError; never another exception.
+    text = kml_doc("".join(trees))
+    try:
+        feats = parse_kml_features(io.StringIO(text))
+        reviewed, rejects = import_reviewed_kml(feats)
+    except DataError:
+        with pytest.raises(DataError):
+            import_reviewed_kml(io.StringIO(text))
+        return
+    assert import_reviewed_kml(io.StringIO(text)) == (reviewed, rejects)
+    kinds = [r.kind for r in rejects]
+    approaches = sum(len(r.approaches) for r in reviewed)
+    assert len(feats.true_points()) == len(reviewed) + kinds.count("intersection")
+    assert len(feats.polygons) == approaches + kinds.count("polygon")
+    assert len(feats.lines) == approaches + kinds.count("line")

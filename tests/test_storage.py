@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intxn_pipeline
+import oracles
 from intxn_pipeline import clips, discovery, ingest, review, storage, trajectory
 from intxn_pipeline.cli import main
 from intxn_pipeline.errors import DataError
@@ -220,21 +221,90 @@ def test_one_reader_per_input_format():
     }
 
 
-# Fields holding line breaks, lone carriage returns, quotes and commas.
+# Fields holding line breaks, lone carriage returns, quotes and commas,
+# empty fields and non-ASCII ones.
 FIELDS = st.lists(
-    st.sampled_from(["\r", "\n", "\r\n", '"', ",", " ", "a"]) | st.text(max_size=4), max_size=4
+    st.sampled_from(["\r", "\n", "\r\n", '"', ",", " ", "a", "", "é", "🚦"])
+    | st.text(max_size=4),
+    max_size=4,
 ).map("".join)
 
 
+@st.composite
+def tables(draw):
+    """A header and rows of two to five fields each."""
+    width = draw(st.integers(2, 5))
+    row = st.lists(FIELDS, min_size=width, max_size=width)
+    return draw(row), draw(st.lists(row, max_size=7))
+
+
+def _write_csv(header, rows, chunk=storage.WRITE_ROWS) -> str:
+    """What write_csv writes for ``rows``, given ``chunk`` rows at a time."""
+    out = io.StringIO(newline="")
+    columns = [list(c) for c in zip(*rows)]
+    starts = range(0, len(rows), chunk)
+    storage.write_csv(out, header, ([c[s : s + chunk] for c in columns] for s in starts))
+    return out.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(FIELDS, min_size=1, max_size=4), max_size=5))
-def test_csv_writer_rows_read_back(rows):
+@given(tables())
+def test_csv_writer_rows_read_back(table):
     # A field holding a lone carriage return is quoted like one holding a
     # line break, so every row reads back whole; rows end in "\n".
+    header, rows = table
+    text = _write_csv(header, rows)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [header, *rows]
+    assert text.endswith("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.integers(1, 4))
+def test_write_csv_is_the_csv_module_text(table, chunk):
+    # Quoting is decided a column and a chunk at a time; the bytes must be
+    # csv.writer's, row by row, whatever the chunk size.
+    header, rows = table
     out = io.StringIO(newline="")
-    storage.csv_writer(out).writerows(rows)
-    assert list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == rows
-    assert not out.getvalue() or out.getvalue().endswith("\n")
+    oracles.csv_writer(out).writerows([header, *rows])
+    assert _write_csv(header, rows, chunk) == out.getvalue()
+
+
+# JSON documents with strings of what the indenter must see through, and
+# the values json.dumps writes in its own way.
+INDENT_STRINGS = st.text(alphabet=st.sampled_from(list('"\\,[]{}: aé\u2028🚦')), max_size=6)
+INDENT_DOCS = st.recursive(
+    st.none() | st.booleans() | INDENT_STRINGS
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 10**30, -(2**70)])
+    | st.floats() | st.integers(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(INDENT_STRINGS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(INDENT_DOCS)
+def test_write_json_is_indented_json_dumps(doc):
+    # write_json indents only texts past 2 kB itself, so the indenter is
+    # also checked on its own; it gives None only for a scalar.
+    expected = json.dumps(doc, indent=2)
+    indented = storage._indented(json.dumps(doc, separators=(",", ": ")))
+    assert indented == expected or (indented is None and not isinstance(doc, (list, dict)))
+    out = io.StringIO(newline="")
+    storage.write_json(doc, out)
+    assert out.getvalue() == expected + "\n"
+
+
+@pytest.mark.parametrize("depth", [126, 127, 200])
+def test_write_json_nested_past_the_break_bytes(depth):
+    # A document nested deeper than a break byte can hold is still written.
+    doc = ["x" * 3000]
+    for _ in range(depth):
+        doc = [doc, {"k": "v"}]
+    out = io.StringIO(newline="")
+    storage.write_json(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+    indented = storage._indented(json.dumps(doc, separators=(",", ": ")))
+    assert indented == (out.getvalue()[:-1] if depth + 1 <= 127 else None)
 
 
 # The documents the JSON readers take, one valid one of each, and keys and

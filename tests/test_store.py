@@ -119,7 +119,7 @@ def windows(draw):
         ]
     sensor = SensorTable.from_records(records)
     rows = []
-    for key, first, stop in sensor.spans():
+    for key, first, stop in zip(sensor.keys, sensor.offsets, sensor.offsets[1:]):
         for intxn_id in draw(st.lists(st.integers(-5, 2**40), max_size=3, unique=True)):
             left, ref, right = sorted(draw(st.integers(first, stop - 1)) for _ in range(3))
             rows.append((*key, intxn_id, draw(st.integers(0, 9)), ref, left, right + 1))

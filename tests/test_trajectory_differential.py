@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import csv_writer, old_emit_cutlist
 from test_trajectory import T0, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
@@ -42,7 +43,6 @@ from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import SensorRecord, SensorTable, format_time_utc, from_us, to_us
 from intxn_pipeline.review import REVIEW_COLUMNS, build_review_template, write_review_csv
-from intxn_pipeline.storage import csv_writer
 from intxn_pipeline.trajectory import (
     TrajectoryCandidate,
     WindowParams,
@@ -352,12 +352,10 @@ def test_columnar_trajectories_match_the_original(study):
 
     specs, report = build_clip_specs(trajs, video_table(videos), overlay)
     assert (specs, report) == old_build_clip_specs(old_trajs, videos, overlay)
-    new, old = (
-        [io.StringIO(newline=""), io.StringIO(newline="")] for _ in range(2)
-    )
+    new = [io.StringIO(newline=""), io.StringIO(newline="")]
     emit_cutlist(specs, *new)
-    emit_cutlist(old_build_clip_specs(old_trajs, videos, overlay)[0], *old)
-    assert [f.getvalue() for f in new] == [f.getvalue() for f in old]
+    old = old_emit_cutlist(old_build_clip_specs(old_trajs, videos, overlay)[0])
+    assert tuple(f.getvalue() for f in new) == old
 
     participants = {"A": ("52", "F"), "a,b": ("47", "M")}
     custom = {"stop_type": ["full", "rolling"], "subj": []}
