@@ -10,6 +10,7 @@ import pytest
 from intxn_pipeline.geo import (
     ON_EDGE_TOL_DEG,
     CellGrid,
+    GeoPoint,
     angular_difference_deg,
     in_box,
     point_in_polygon,
@@ -17,7 +18,7 @@ from intxn_pipeline.geo import (
 from intxn_pipeline.ingest import clean_sensor
 from intxn_pipeline.review import import_reviewed_kml
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import LEG_CELL_FT, assign_bearings, extract_trajectories
+from intxn_pipeline.trajectory import LEG_CELL_FT, _entering_bearing, extract_trajectories
 
 SPEC = ScenarioSpec(grid_rows=4, grid_cols=12, n_subjects=2, drives_per_subject=4)
 # The shape of perfbench's wide-grid workload: 390 reviewed legs, where a
@@ -31,7 +32,7 @@ def _scenario(spec, tmp_path_factory):
     scenario = generate(spec, tmp_path_factory.mktemp("bench"))
     sensor, _, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
     reviewed, _ = import_reviewed_kml(scenario.paths["reviewed_kml"])
-    return scenario, sensor, assign_bearings(reviewed)
+    return scenario, sensor, reviewed
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def wide_scenario(tmp_path_factory):
 def test_point_in_polygon(benchmark, scenario):
     _, sensor, reviewed = scenario
     ring = reviewed[0].approaches[0].polygon
-    points = [r.pos for r in sensor[:500]]
+    points = list(map(GeoPoint, sensor.lat[:500].tolist(), sensor.lon[:500].tolist()))
     benchmark(lambda: [point_in_polygon(p, ring) for p in points])
 
 
@@ -55,19 +56,17 @@ def test_indexed_leg_lookup(benchmark, scenario):
     # The candidate search of the trajectory stage: cells, box and heading
     # gate for every leg, without the exact polygon test.
     _, sensor, reviewed = scenario
-    lats = np.array([r.pos.lat_deg for r in sensor])
-    lons = np.array([r.pos.lon_deg for r in sensor])
-    headings = np.array([r.heading_deg for r in sensor])
+    lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
     grid = CellGrid(lats, lons, LEG_CELL_FT)
-    legs = [leg for intxn in reviewed for leg in intxn.approaches]
+    legs = [(leg, _entering_bearing(intxn, leg)) for intxn in reviewed for leg in intxn.approaches]
 
     def lookup():
         found = 0
-        for leg in legs:
+        for leg, bearing in legs:
             box = leg.polygon.bounds(ON_EDGE_TOL_DEG)
             idx = grid.overlapping(box)
             keep = in_box(box, lats[idx], lons[idx])
-            keep &= angular_difference_deg(headings[idx], leg.entering_bearing) <= 45.0
+            keep &= angular_difference_deg(headings[idx], bearing) <= 45.0
             found += int(keep.sum())
         return found
 

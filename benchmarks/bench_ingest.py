@@ -23,7 +23,7 @@ crowded-junctions, many short drives through few junctions: 500 drives and
 import hashlib
 import io
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -33,10 +33,10 @@ from intxn_pipeline.discovery import last_in_runs
 from intxn_pipeline.ingest import (
     SENSOR_COLUMNS,
     SENSOR_CUM_COLUMN,
+    EPOCH,
     clean_cv,
     clean_sensor,
     format_time_utc,
-    from_us,
     parse_time_utc,
     read_clean_detections,
     read_clean_sensor,
@@ -45,7 +45,7 @@ from intxn_pipeline.ingest import (
 )
 from intxn_pipeline.review import import_reviewed_kml
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
+from intxn_pipeline.trajectory import extract_trajectories
 
 SPEC = ScenarioSpec(grid_rows=3, grid_cols=6, n_subjects=2, drives_per_subject=4, sample_hz=10.0)
 CROWDED = ScenarioSpec(grid_rows=3, grid_cols=4, n_subjects=20, drives_per_subject=25, sample_hz=0.5)
@@ -146,7 +146,6 @@ def test_clean_cv_join(benchmark, raw_texts, sensor):
 
 def test_extract_trajectories(benchmark, scenario, sensor):
     reviewed, _ = import_reviewed_kml(scenario.paths["reviewed_kml"])
-    reviewed = assign_bearings(reviewed)
     trajs, _ = benchmark(extract_trajectories, sensor, reviewed)
     assert len(trajs) == len(scenario.ground_truth.trajectories)
 
@@ -187,7 +186,8 @@ def test_write_sensor_csv_distinct(benchmark, distinct_sensor):
     t = distinct_sensor
     rows = zip(zip(*t.key_texts()), t.t_us.tolist(), *(c.tolist() for c in t.columns()[1:]))
     expected = [SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)] + [
-        (*key, format_time_utc(from_us(us)), *map(repr, floats)) for key, us, *floats in rows
+        (*key, format_time_utc(EPOCH + timedelta(microseconds=us)), *map(repr, floats))
+        for key, us, *floats in rows
     ]
     assert benchmark(write).getvalue() == "".join(",".join(map(str, r)) + "\n" for r in expected)
 

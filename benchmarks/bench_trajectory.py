@@ -27,11 +27,7 @@ from intxn_pipeline.review import (
     write_review_csv,
 )
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import (
-    assign_bearings,
-    extract_trajectories,
-    write_trajectories_csv,
-)
+from intxn_pipeline.trajectory import extract_trajectories, write_trajectories_csv
 
 CROWDED = ScenarioSpec(grid_rows=3, grid_cols=4, n_subjects=50, drives_per_subject=25, sample_hz=0.5)
 ROUNDS = 7
@@ -42,7 +38,7 @@ def study(tmp_path_factory):
     scenario = generate(CROWDED, tmp_path_factory.mktemp("crowded"))
     sensor = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])[0]
     sensor = write_sensor_csv(sensor, io.StringIO(newline=""))
-    reviewed = assign_bearings(import_reviewed_kml(scenario.paths["reviewed_kml"])[0])
+    reviewed = import_reviewed_kml(scenario.paths["reviewed_kml"])[0]
     return {
         "expected": len(scenario.ground_truth.trajectories),
         "sensor": sensor,

@@ -19,7 +19,7 @@ from intxn_pipeline.geo import (
     initial_bearing_deg,
     point_in_polygon,
 )
-from intxn_pipeline.ingest import DetectionRecord, DetectionTable
+from intxn_pipeline.ingest import CLASS_NAMES, DetectionTable, to_us
 
 T0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
 CORNER = GeoPoint(41.25, -96.0)
@@ -60,22 +60,20 @@ print()
 print("== Last-in-run filtering ==")
 # A stop sign gets detected every second starting 150 ft out, twice in one
 # drive (two visits 60 s apart). Only the final sighting of each run - the
-# one nearest the sign - should survive.
-detections = []
-for visit_start in (0.0, 60.0):
-    for i in range(4):
-        detections.append(
-            DetectionRecord(
-                "S01",
-                1,
-                T0 + timedelta(seconds=visit_start + i),
-                offset(0, -150 + 50 * i),
-                "stop_sign",
-                0.9,
-            )
-        )
+# one nearest the sign - should survive. A table is built column by column.
+sightings = [(start + i, offset(0, -150 + 50 * i)) for start in (0.0, 60.0) for i in range(4)]
+n = len(sightings)
+detections = DetectionTable.from_columns(
+    ["S01"] * n,
+    [1] * n,
+    [to_us(T0 + timedelta(seconds=s)) for s, _ in sightings],
+    [p.lat_deg for _, p in sightings],
+    [p.lon_deg for _, p in sightings],
+    [CLASS_NAMES.index("stop_sign")] * n,
+    [0.9] * n,
+)
 print(f"raw detections      : {len(detections)}")
-survivors = last_in_runs(DetectionTable.from_records(detections), max_gap_s=2.0)
+survivors = last_in_runs(detections, max_gap_s=2.0)
 print(f"last-in-run kept    : {len(survivors)} (one per visit)")
 
 print()
@@ -86,6 +84,6 @@ clusters = cluster_detections(survivors, eps_ft=100.0, min_pts=2)
 for cluster in clusters:
     dist = haversine_distance_ft(cluster.center, CORNER)
     print(
-        f"cluster {cluster.cluster_id}: {len(cluster.members)} members, "
+        f"cluster {cluster.cluster_id}: {len(cluster.rows)} members, "
         f"center {dist:.1f} ft from the corner"
     )

@@ -22,7 +22,7 @@ from intxn_pipeline.discovery import (
 from intxn_pipeline.ingest import clean_cv, clean_sensor
 from intxn_pipeline.review import build_review_template, import_reviewed_kml, read_demographics
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
+from intxn_pipeline.trajectory import extract_trajectories
 
 workdir = Path(tempfile.mkdtemp(prefix="intxn-demo-"))
 print(f"workspace: {workdir}")
@@ -55,14 +55,15 @@ print(f"max match distance: {max(v.match_dist_ft for v in visited):.3f} ft")
 
 print("\n== 4. review import and trajectory windows ==")
 reviewed, rejects = import_reviewed_kml(scenario.paths["reviewed_kml"])
-trajs, skip_report = extract_trajectories(sensor, assign_bearings(reviewed))
+trajs, skip_report = extract_trajectories(sensor, reviewed)
 print(f"trajectories {len(trajs)}, expected {len(gt.trajectories)}, skips {skip_report}")
-sample = trajs[0]
-expected = gt.trajectories[sample.traj_id]
+# The first trajectory's window is rows start:stop of the sensor table.
+sample_id, start, stop = trajs.traj_ids()[0], int(trajs.start[0]), int(trajs.stop[0])
+expected = gt.trajectories[sample_id]
 print(
-    f"{sample.traj_id}: {len(sample.points)} points "
+    f"{sample_id}: {stop - start} points "
     f"(expected {expected.n_points}), window "
-    f"{(sample.end_time_utc - sample.start_time_utc).total_seconds():.1f} s "
+    f"{(sensor.t_us[stop - 1] - sensor.t_us[start]) / 1e6:.1f} s "
     f"(expected {expected.duration_s:.1f} s)"
 )
 

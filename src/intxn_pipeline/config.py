@@ -102,6 +102,8 @@ def _coerce_param(key: str, raw: object) -> float | int:
         value = int(value)
     if value <= 0:
         raise ConfigError(f"parameter {key!r} must be positive, got {value!r}")
+    if key == "heading_tol_deg" and value >= 90:
+        raise ConfigError(f"parameter {key!r} must be below 90, got {value!r}")
     return value
 
 

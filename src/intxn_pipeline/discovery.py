@@ -43,8 +43,11 @@ class IntersectionCandidate:
 
 @dataclass
 class DetectionCluster:
+    """A DBSCAN cluster: its members are the ascending ``rows`` of the
+    clustered detection table."""
+
     cluster_id: int
-    members: DetectionTable
+    rows: np.ndarray
     center: GeoPoint
 
 
@@ -270,10 +273,7 @@ def cluster_detections(
         # Rows ascend in sort-key order, so rows[0] is the minimal member.
         built.append(((lats[0], lons[0], int(rows[0])), rows, center))
     built.sort(key=lambda t: t[0])
-    return [
-        DetectionCluster(i + 1, detections.take(rows), center)
-        for i, (_, rows, center) in enumerate(built)
-    ]
+    return [DetectionCluster(i + 1, rows, center) for i, (_, rows, center) in enumerate(built)]
 
 
 def match_clusters(

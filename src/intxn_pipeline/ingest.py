@@ -6,9 +6,9 @@ canonical (subj, drive, time) order, drops malformed rows instead of
 failing, and accounts for every dropped row in a drop report.
 
 Both tables, ``SensorTable`` and ``DetectionTable``, are numpy columns in the
-Arrow columnar layout (https://arrow.apache.org/docs/format/Columnar.html),
-so cleaning, writing, reading and the later stages work on arrays, not on
-per-row objects.
+Arrow columnar layout (https://arrow.apache.org/docs/format/Columnar.html).
+They are the only form the rows take: cleaning, writing, reading and the
+later stages work on arrays, and no code builds a row back into an object.
 
 Each table class declares its CSV layout (header, raw columns and each
 column's kind) once, so one parser reads raw and clean files of both
@@ -47,7 +47,7 @@ from typing import IO, Callable, ClassVar, Iterable, Iterator
 import numpy as np
 
 from .errors import DataError, HeaderMismatchError
-from .geo import GeoPoint, haversine_distances_ft
+from .geo import haversine_distances_ft
 from .storage import WRITE_ROWS, resolve_uri, write_csv
 
 SENSOR_COLUMNS = ("subj", "drive", "time_utc", "lat", "lon", "heading_deg", "speed_fps")
@@ -104,42 +104,6 @@ def format_time_utc(dt: datetime) -> str:
 def to_us(dt: datetime) -> int:
     """Epoch microseconds of an aware datetime, exactly."""
     return (dt - EPOCH) // _US
-
-
-def from_us(us: int) -> datetime:
-    """The aware UTC datetime of an epoch-microsecond time."""
-    return EPOCH + timedelta(microseconds=int(us))
-
-
-@dataclass
-class SensorRecord:
-    """One timestamped GPS/heading/speed sample of one participant drive."""
-
-    subj: str
-    drive: int
-    t_utc: datetime
-    pos: GeoPoint
-    heading_deg: float
-    speed_fps: float
-    cum_dist_ft: float
-
-    def sort_key(self):
-        return (self.subj, self.drive, self.t_utc)
-
-
-@dataclass
-class DetectionRecord:
-    """One traffic-control-device detection, position-joined to the sensor stream."""
-
-    subj: str
-    drive: int
-    t_utc: datetime
-    pos: GeoPoint
-    object_class: str
-    confidence: float
-
-    def sort_key(self):
-        return (self.subj, self.drive, self.t_utc, self.object_class, self.confidence)
 
 
 def _sorted_codes(values) -> tuple[list, np.ndarray]:
@@ -363,9 +327,9 @@ class _Table:
     Drive key ``keys[d]`` (ascending, each once) owns rows
     ``offsets[d]:offsets[d + 1]``. Keys stay Python objects, so a subj keeps
     its exact text and a drive any int. ``COLUMNS`` names the row columns,
-    in record field order, with their kinds; time is ``t_us``, int64 epoch
-    microseconds. ``table[i]`` builds row i as a record, and a contiguous
-    slice is a view. Stages share one table, so the columns of a table
+    in CSV order, with their kinds; time is ``t_us``, int64 epoch
+    microseconds. A contiguous slice ``table[i:j]`` is a view; there is no
+    per-row access. Stages share one table, so the columns of a table
     built here or viewed from one are read-only.
     """
 
@@ -390,14 +354,6 @@ class _Table:
         their order. ``extra`` are the fields of the class other than columns."""
         keys, codes = _drive_codes(subj, drive)
         return cls._sorted(keys, codes, *columns, **extra)
-
-    @classmethod
-    def from_records(cls, records: Iterable):
-        rows = [
-            (r.subj, r.drive, to_us(r.t_utc), r.pos.lat_deg, r.pos.lon_deg, *cls._fields(r))
-            for r in records
-        ]
-        return cls.from_columns(*(zip(*rows) if rows else [()] * (2 + len(cls.COLUMNS))))
 
     @classmethod
     def _sorted(cls, keys: list, codes: np.ndarray, *columns, **extra):
@@ -475,12 +431,9 @@ class _Table:
         keys = [self.keys[k] for k in used.tolist()]
         return self._grouped(keys, codes, *(c[rows] for c in self.columns()))
 
-    def __getitem__(self, i):
+    def __getitem__(self, i: slice):
         if not isinstance(i, slice):
-            i = range(len(self))[i]  # raises IndexError out of range
-            d = bisect_right(self.offsets, i) - 1
-            t, lat, lon, *rest = (c[i].item() for c in self.columns())
-            return self._record(*self.keys[d], from_us(t), GeoPoint(lat, lon), *rest)
+            raise TypeError(f"{type(self).__name__} indices must be contiguous slices")
         start, stop, step = i.indices(len(self))
         if step != 1:
             raise ValueError(f"{type(self).__name__} slices must be contiguous")
@@ -503,7 +456,7 @@ class _Table:
 
 @dataclass(eq=False)
 class SensorTable(_Table):
-    """Sensor rows, sorted by (subj, drive, time); ``table[i]`` is a SensorRecord."""
+    """Sensor rows, sorted by (subj, drive, time)."""
 
     COLUMNS = {
         "t_us": _TIME, "lat": _FLOAT, "lon": _FLOAT, "heading": _FLOAT, "speed": _FLOAT,
@@ -523,17 +476,11 @@ class SensorTable(_Table):
     speed: np.ndarray
     cum: np.ndarray
 
-    _record = SensorRecord
-
-    @staticmethod
-    def _fields(r: SensorRecord) -> tuple:
-        return r.heading_deg, r.speed_fps, r.cum_dist_ft
-
 
 @dataclass(eq=False)
 class DetectionTable(_Table):
-    """Detection rows in ``DetectionRecord.sort_key`` order; ``table[i]`` is a
-    DetectionRecord. ``class_code`` indexes ``CLASS_NAMES``.
+    """Detection rows, sorted by (subj, drive, time, class, confidence).
+    ``class_code`` indexes ``CLASS_NAMES``, so a code sorts as its name does.
     """
 
     COLUMNS = {
@@ -550,14 +497,6 @@ class DetectionTable(_Table):
     lon: np.ndarray
     class_code: np.ndarray
     confidence: np.ndarray
-
-    @staticmethod
-    def _record(subj, drive, t, pos, code, confidence) -> DetectionRecord:
-        return DetectionRecord(subj, drive, t, pos, CLASS_NAMES[code], confidence)
-
-    @staticmethod
-    def _fields(r: DetectionRecord) -> tuple:
-        return _CLASS_CODE[r.object_class], r.confidence
 
 
 def header_indices(header: list[str] | None, columns: tuple[str, ...], source) -> list[int]:

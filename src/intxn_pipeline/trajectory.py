@@ -19,15 +19,12 @@ table, the reference point and the first and one-past-last rows of the
 window. Times, the reference odometer and the point count follow from the
 sensor columns. Extraction picks all references with array operations,
 ``trajectories.csv`` is written from and read into columns, and the clip
-and review-template stages take the table as it is; ``table[i]`` builds one
-``TrajectoryCandidate``.
+and review-template stages take the table as it is.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime
 from itertools import repeat
 from pathlib import Path
 from typing import IO
@@ -54,7 +51,6 @@ from .ingest import (
     _per_value,
     _Table,
     _time_texts,
-    from_us,
 )
 from .review import ApproachLeg, ReviewedIntersection
 from .storage import write_csv
@@ -80,26 +76,6 @@ class WindowParams:
             raise ValueError("heading_tol_deg must be in (0, 90)")
 
 
-@dataclass(frozen=True)
-class TrajectoryCandidate:
-    """One (participant, drive, intersection) entering pass."""
-
-    traj_id: str
-    subj: str
-    drive: int
-    intxn_id: int
-    leg_id: int
-    points: SensorTable
-    ref_index: int
-    ref_time_utc: datetime
-    start_time_utc: datetime
-    end_time_utc: datetime
-
-    @property
-    def ref_cum_dist_ft(self) -> float:
-        return float(self.points.cum[self.ref_index])
-
-
 TRAJECTORY_COLUMNS = (
     "traj_id",
     "subj",
@@ -119,8 +95,8 @@ _ROW = (np.int64, None, None, None)
 
 @dataclass(eq=False)
 class TrajectoryTable(_Table):
-    """Entering passes sorted by (subj, drive, intxn_id); ``table[i]`` is a
-    TrajectoryCandidate with traj_id ``<subj>_<drive>_<intxn_id>``.
+    """Entering passes sorted by (subj, drive, intxn_id), each named by its
+    traj_id ``<subj>_<drive>_<intxn_id>``.
 
     ``ref``, ``start`` and ``stop`` are rows of ``sensor`` in the pass's
     drive: its reference point, and its window ``start:stop``.
@@ -150,39 +126,18 @@ class TrajectoryTable(_Table):
     def traj_ids(self) -> list[str]:
         return [f"{s}_{d}_{i}" for s, d, i in zip(*self.key_texts(), self.intxn_id.tolist())]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return super().__getitem__(i)
-        i = range(len(self))[i]  # raises IndexError out of range
-        subj, drive = self.keys[bisect_right(self.offsets, i) - 1]
-        intxn_id, leg_id, ref, start, stop = (int(c[i]) for c in self.columns())
-        t_us = self.sensor.t_us
-        return TrajectoryCandidate(
-            f"{subj}_{drive}_{intxn_id}", subj, drive, intxn_id, leg_id, self.sensor[start:stop],
-            ref - start, from_us(t_us[ref]), from_us(t_us[start]), from_us(t_us[stop - 1]),
-        )
-
 
 def _entering_bearing(intxn: ReviewedIntersection, leg: ApproachLeg) -> float:
+    """The forward azimuth from the first vertex of the leg's entering line
+    to its last; intermediate vertices are ignored since the endpoints define
+    the reviewer's intent. Raises DataError for a line without two distinct
+    ends."""
     line = leg.entering_line
     if not line or line[0] == line[-1]:
         raise DataError(
             f"degenerate entering line on intersection {intxn.intxn_id} leg {leg.leg_id}"
         )
     return initial_bearing_deg(line[0], line[-1])
-
-
-def assign_bearings(reviewed: list[ReviewedIntersection]) -> list[ReviewedIntersection]:
-    """Fill each approach's entering bearing from its direction line.
-
-    The bearing is the forward azimuth from the line's first vertex to its
-    last; intermediate vertices are ignored since the endpoints define the
-    reviewer's intent. Raises DataError for a line without two distinct ends.
-    """
-    for intxn in reviewed:
-        for leg in intxn.approaches:
-            leg.entering_bearing = _entering_bearing(intxn, leg)
-    return reviewed
 
 
 # Cell size of the point index, about one approach leg long, so a leg's
@@ -201,7 +156,7 @@ def _leg_hits(
 
     All points sit in one study-wide ``CellGrid``. Each leg gathers the
     points in the cells its bounding box meets and applies the box and the
-    heading gate, from the ``assign_bearings`` bearing of its line (so a
+    heading gate, from the ``_entering_bearing`` of its line (so a
     degenerate line is a DataError), as array operations; one
     ``points_in_polygon`` then tests every (point, leg) pair that passed.
     """

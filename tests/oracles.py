@@ -1,18 +1,35 @@
-"""Row-at-a-time writers that the column-wise writers replaced, kept as oracles.
+"""Row-at-a-time helpers that tests compare the column-wise code with.
 
-``csv_writer`` is the csv.writer that the CSV files went through before
-``storage.write_csv``; ``old_emit_cutlist`` writes the cut-list and its
-script one f-string per clip, as ``clips.emit_cutlist`` did before it
-rendered them a field at a time. Tests compare the new writers' bytes with
-these.
+``row_tuples`` and ``table_of`` turn a table into row tuples and back, for
+oracles that work a row at a time. ``csv_writer`` is the csv.writer that
+the CSV files went through before ``storage.write_csv``;
+``old_emit_cutlist`` writes the cut-list and its script one f-string per
+clip, as ``clips.emit_cutlist`` did before it rendered them a field at a
+time. Tests compare the new writers' bytes with these.
 """
 
 import csv
 import shlex
 import types
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from intxn_pipeline.clips import OVERLAY_BOX_EXPR
+
+
+def row_tuples(table) -> list[tuple]:
+    """Each row of a table as a tuple: its subj, its drive, then its value
+    in each of ``table.COLUMNS``, in that order."""
+    keys = chain.from_iterable(map(repeat, table.keys, np.diff(table.offsets).tolist()))
+    values = zip(*(c.tolist() for c in table.columns()))
+    return [(*key, *row) for key, row in zip(keys, values)]
+
+
+def table_of(cls, rows, **extra):
+    """The table of ``cls`` holding ``rows``, tuples as ``row_tuples`` gives them."""
+    return cls.from_columns(*(list(zip(*rows)) or [()] * (2 + len(cls.COLUMNS))), **extra)
 
 
 def csv_writer(handle):

@@ -10,6 +10,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from intxn_pipeline.discovery import (
     match_clusters,
 )
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
-from intxn_pipeline.ingest import SensorRecord, SensorTable, clean_cv, clean_sensor
+from intxn_pipeline.ingest import clean_cv, clean_sensor
 from intxn_pipeline.review import (
     build_review_template,
     export_candidates_kml,
@@ -34,7 +35,7 @@ from intxn_pipeline.review import (
     read_demographics,
 )
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import assign_bearings, extract_trajectories
+from intxn_pipeline.trajectory import extract_trajectories
 
 _SUITE_START = time.perf_counter()
 
@@ -70,7 +71,7 @@ def trajectories(scenario, clean):
     sensor, _ = clean
     reviewed, rejects = import_reviewed_kml(scenario.paths["reviewed_kml"])
     assert not rejects
-    trajs, _ = extract_trajectories(sensor, assign_bearings(reviewed))
+    trajs, _ = extract_trajectories(sensor, reviewed)
     return trajs
 
 
@@ -169,30 +170,18 @@ def test_criterion_4_trajectory_windows(scenario, clean, trajectories):
         sensor, _ = clean
         gt = scenario.ground_truth
         assert len(trajectories) == len(gt.trajectories)
-        for traj in trajectories:
-            ref_cum = traj.ref_cum_dist_ft
-            for p in traj.points:
-                assert ref_cum - 300.0 <= p.cum_dist_ft <= ref_cum + 200.0
-            duration = (traj.end_time_utc - traj.start_time_utc).total_seconds()
+        cum, t_us = sensor.cum, sensor.t_us
+        rows = (c.tolist() for c in (trajectories.ref, trajectories.start, trajectories.stop))
+        for ref, start, stop in zip(*rows):
+            window = cum[start:stop]
+            assert ((cum[ref] - 300.0 <= window) & (window <= cum[ref] + 200.0)).all()
+            duration = (t_us[stop - 1] - t_us[start]) / 1_000_000
             assert abs(duration - 10.0) <= SAMPLE_PERIOD_S
         # Reversed-heading drives are exiting traffic: zero candidates.
         reviewed, _ = import_reviewed_kml(scenario.paths["reviewed_kml"])
-        reversed_sensor = [
-            SensorRecord(
-                r.subj,
-                r.drive,
-                r.t_utc,
-                r.pos,
-                (r.heading_deg + 180.0) % 360.0,
-                r.speed_fps,
-                r.cum_dist_ft,
-            )
-            for r in sensor
-        ]
-        reversed_trajs, _ = extract_trajectories(
-            SensorTable.from_records(reversed_sensor), assign_bearings(reviewed)
-        )
-        assert list(reversed_trajs) == []
+        reversed_sensor = replace(sensor, heading=(sensor.heading + 180.0) % 360.0)
+        reversed_trajs, _ = extract_trajectories(reversed_sensor, reviewed)
+        assert len(reversed_trajs) == 0
 
 
 def test_criterion_5_clip_timing_oracle(scenario, trajectories):

@@ -2,7 +2,8 @@
 
 ``old_clean_sensor`` below is the record-by-record implementation that the
 columnar one replaced (DictReader, one tuple sort, a dedupe loop, per-drive
-records), kept here as the oracle. It carries one deliberate change: a
+records), kept here as the oracle; a record is a tuple (subj, drive, t_utc,
+lat, lon, heading, speed, cum). It carries one deliberate change: a
 non-finite speed or odometer counts as ``out_of_range``, as the columnar
 code now does. Hypothesis builds raw files from small pools of field values
 so that duplicates within one millisecond, one drive in files with and
@@ -25,7 +26,6 @@ from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import (
     SENSOR_COLUMNS,
     SENSOR_CUM_COLUMN,
-    SensorRecord,
     clean_sensor,
     format_time_utc,
     parse_time_utc,
@@ -70,10 +70,11 @@ def old_parse_sensor_file(source):
 def old_compute_cum_dist(drive_records):
     out, cum, prev = [], 0.0, None
     for rec in drive_records:
+        pos = GeoPoint(rec[3], rec[4])
         if prev is not None:
-            cum += haversine_distance_ft(prev, rec.pos)
-        out.append(SensorRecord(rec.subj, rec.drive, rec.t_utc, rec.pos, rec.heading_deg, rec.speed_fps, cum))
-        prev = rec.pos
+            cum += haversine_distance_ft(prev, pos)
+        out.append((*rec[:7], cum))
+        prev = pos
     return out
 
 
@@ -102,20 +103,17 @@ def old_clean_sensor(files):
     for (subj, drive), group in groupby(deduped, key=lambda r: (r[0], r[1])):
         drive_rows = list(group)
         recompute = (subj, drive) in missing_cum or any(r[7] is None for r in drive_rows)
-        drive_recs = [
-            SensorRecord(r[0], r[1], r[2], GeoPoint(r[3], r[4]), r[5], r[6], r[7] or 0.0)
-            for r in drive_rows
-        ]
+        drive_recs = [(*r[:7], r[7] or 0.0) for r in drive_rows]
         if recompute:
             records.extend(old_compute_cum_dist(drive_recs))
         else:
             prev = None
             for rec in drive_recs:
-                if prev is not None and rec.cum_dist_ft < prev:
+                if prev is not None and rec[7] < prev:
                     drops["cum_dist_regression"] += 1
                     continue
                 records.append(rec)
-                prev = rec.cum_dist_ft
+                prev = rec[7]
     return records, drops
 
 
@@ -123,19 +121,8 @@ def old_write_sensor_csv(records):
     out = io.StringIO(newline="")
     w = csv.writer(out, lineterminator="\n")
     w.writerow(SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,))
-    for r in records:
-        w.writerow(
-            [
-                r.subj,
-                r.drive,
-                format_time_utc(r.t_utc),
-                repr(r.pos.lat_deg),
-                repr(r.pos.lon_deg),
-                repr(r.heading_deg),
-                repr(r.speed_fps),
-                repr(r.cum_dist_ft),
-            ]
-        )
+    for subj, drive, t, *floats in records:
+        w.writerow([subj, drive, format_time_utc(t), *map(repr, floats)])
     return out.getvalue()
 
 

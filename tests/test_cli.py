@@ -276,6 +276,19 @@ def test_non_finite_param_is_user_error(workspace, capsys):
     assert err.startswith("error:") and "eps_ft" in err
 
 
+@pytest.mark.parametrize("value", ["90", "95"])
+def test_heading_tol_of_90_or_more_is_user_error(tmp_path, capsys, value):
+    config = tmp_path / "pipeline.json"
+    config.write_text("{}")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "reviewed.json").write_text('{"intersections": []}')
+    (tmp_path / "out" / "clean_sensor.csv").write_text(",".join(ingest.SensorTable.HEADER) + "\n")
+    assert _run(config, "traj", "--param", "heading_tol_deg=45") == 0
+    assert _run(config, "traj", "--param", f"heading_tol_deg={value}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "heading_tol_deg" in err
+
+
 @pytest.mark.parametrize("jobs", ['"x"', "null", "1.5", "true", "0", "-2", "1", "2"])
 def test_bad_config_jobs_rejected(tmp_path, jobs):
     config = tmp_path / "pipeline.json"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import old_emit_cutlist
+from oracles import old_emit_cutlist, table_of
 from test_trajectory import T0, northbound_drive, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
@@ -22,9 +22,9 @@ from intxn_pipeline.clips import (
     read_videos_csv,
 )
 from intxn_pipeline.errors import DataError, HeaderMismatchError
-from intxn_pipeline.ingest import SensorRecord, SensorTable, to_us
+from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.review import read_demographics
-from intxn_pipeline.trajectory import TrajectoryTable, assign_bearings, extract_trajectories
+from intxn_pipeline.trajectory import TrajectoryTable, extract_trajectories
 
 A_MP4 = "file:///videos/a.mp4"
 
@@ -32,7 +32,7 @@ A_MP4 = "file:///videos/a.mp4"
 def _trajs(sensor=None, intxns=None):
     sensor = sensor if sensor is not None else northbound_drive()
     intxns = intxns if intxns is not None else [northbound_intersection()]
-    trajs, _ = extract_trajectories(SensorTable.from_records(sensor), assign_bearings(intxns))
+    trajs, _ = extract_trajectories(table_of(SensorTable, sensor), intxns)
     return trajs
 
 
@@ -92,10 +92,10 @@ def test_crossing_time_at_knot_returns_sample_time():
 def test_crossing_time_flat_segment_resolves_earliest():
     base = pt()
     points = [
-        SensorRecord("A", 1, T0 + timedelta(seconds=s), base, 0.0, 0.0, cum)
+        ("A", 1, to_us(T0 + timedelta(seconds=s)), base.lat_deg, base.lon_deg, 0.0, 0.0, cum)
         for s, cum in ((0, 0.0), (1, 100.0), (2, 100.0), (3, 100.0), (4, 200.0))
     ]
-    sensor = SensorTable.from_records(points)
+    sensor = table_of(SensorTable, points)
     trajs = TrajectoryTable.from_columns(["A"], [1], [4], [1], [2], [0], [5], sensor=sensor)
     overlay = OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
     specs, _ = build_clip_specs(trajs, videos(), overlay)

@@ -1,13 +1,14 @@
 """The columnar detection path against the record-based original.
 
 The ``old_*`` functions below are the record-by-record implementations that
-``DetectionTable`` replaced (a parsed tuple, a ``DetectionRecord`` and a
-``datetime`` per row), kept here as the oracle. Hypothesis builds raw
+``DetectionTable`` replaced (a parsed tuple, a record and a ``datetime`` per
+row), kept here as the oracle; a record is a tuple (subj, drive, t_utc, lat,
+lon, object_class, confidence). Hypothesis builds raw
 detection files from small pools of field values, so that time ties,
 class and confidence ties, UTC offsets, bad, short and blank rows, quoted
 subjects, unmatched drives and detections exactly ``join_tol_s`` (and one
 microsecond more or less) from a sensor sample all occur often. Both sides
-must write the same bytes, report the same drops and give the same records
+must write the same bytes, report the same drops and give the same rows
 from ``read_clean_detections``, ``last_in_runs`` and ``cluster_detections``.
 """
 
@@ -18,25 +19,38 @@ from datetime import timedelta, timezone
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import row_tuples
 
 from intxn_pipeline.discovery import cluster_detections, dbscan_labels, last_in_runs
 from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import GeoPoint, centroid
 from intxn_pipeline.ingest import (
     _BAD_VALUE,
+    CLASS_NAMES,
     CLEAN_DETECTION_COLUMNS,
     DETECTION_COLUMNS,
+    EPOCH,
     OBJECT_CLASSES,
-    DetectionRecord,
     SensorTable,
     clean_cv,
     format_time_utc,
-    from_us,
     header_indices,
     parse_time_utc,
     read_clean_detections,
+    to_us,
     write_detections_csv,
 )
+
+
+def sort_key(record):
+    """(subj, drive, t_utc, object_class, confidence): the tables' row order."""
+    return (*record[:3], *record[5:])
+
+
+def as_row(record):
+    """A record as ``row_tuples`` gives its row."""
+    subj, drive, t, lat, lon, object_class, confidence = record
+    return subj, drive, to_us(t), lat, lon, CLASS_NAMES.index(object_class), confidence
 
 
 def old_parse_detection_file(source):
@@ -99,8 +113,8 @@ def old_clean_cv(files, sensor, join_tol_s):
             if ok:
                 subj, drive, t, object_class, confidence = row
                 t = t.replace(microsecond=t.microsecond // 1000 * 1000)  # the clean file's time
-                joined.append(DetectionRecord(subj, drive, t, GeoPoint(lat, lon), object_class, confidence))
-    joined.sort(key=DetectionRecord.sort_key)
+                joined.append((subj, drive, t, lat, lon, object_class, confidence))
+    joined.sort(key=sort_key)
     return joined, drops
 
 
@@ -108,17 +122,9 @@ def old_write_detections_csv(records):
     out = io.StringIO(newline="")
     w = csv.writer(out, lineterminator="\n")
     w.writerow(CLEAN_DETECTION_COLUMNS)
-    for r in records:
+    for subj, drive, t, lat, lon, object_class, confidence in records:
         w.writerow(
-            [
-                r.subj,
-                r.drive,
-                format_time_utc(r.t_utc),
-                repr(r.pos.lat_deg),
-                repr(r.pos.lon_deg),
-                r.object_class,
-                repr(r.confidence),
-            ]
+            [subj, drive, format_time_utc(t), repr(lat), repr(lon), object_class, repr(confidence)]
         )
     return out.getvalue()
 
@@ -133,19 +139,17 @@ def old_read_clean_detections(source):
         if not row:
             continue
         try:
-            record = DetectionRecord(
+            pos = GeoPoint(float(row[lat]), float(row[lon]))
+            record = (
                 row[subj],
                 int(row[drive]),
                 parse_time_utc(row[t]),
-                GeoPoint(float(row[lat]), float(row[lon])),
+                pos.lat_deg,
+                pos.lon_deg,
                 row[object_class],
                 float(row[confidence]),
             )
-            if (
-                not record.subj
-                or record.object_class not in OBJECT_CLASSES
-                or not 0.0 <= record.confidence <= 1.0
-            ):
+            if not record[0] or record[5] not in OBJECT_CLASSES or not 0.0 <= record[6] <= 1.0:
                 raise ValueError("a value clean_cv never writes")
             out.append(record)
         except _BAD_VALUE as exc:
@@ -156,20 +160,20 @@ def old_read_clean_detections(source):
 def old_last_in_runs(detections, max_gap_s):
     by_stream = {}
     for det in detections:
-        by_stream.setdefault((det.subj, det.drive, det.object_class), []).append(det)
+        by_stream.setdefault((det[0], det[1], det[5]), []).append(det)
     kept = []
     for key in sorted(by_stream):
-        stream = sorted(by_stream[key], key=DetectionRecord.sort_key)
+        stream = sorted(by_stream[key], key=sort_key)
         for i, det in enumerate(stream):
-            if i + 1 == len(stream) or (stream[i + 1].t_utc - det.t_utc).total_seconds() > max_gap_s:
+            if i + 1 == len(stream) or (stream[i + 1][2] - det[2]).total_seconds() > max_gap_s:
                 kept.append(det)
-    kept.sort(key=DetectionRecord.sort_key)
+    kept.sort(key=sort_key)
     return kept
 
 
 def old_cluster_detections(detections, eps_ft, min_pts):
-    lats = np.array([d.pos.lat_deg for d in detections], dtype=float)
-    lons = np.array([d.pos.lon_deg for d in detections], dtype=float)
+    lats = np.array([d[3] for d in detections], dtype=float)
+    lons = np.array([d[4] for d in detections], dtype=float)
     labels = dbscan_labels(lats, lons, eps_ft, min_pts).tolist()
     groups = {}
     for det, lab in zip(detections, labels):
@@ -177,10 +181,10 @@ def old_cluster_detections(detections, eps_ft, min_pts):
             groups.setdefault(lab, []).append(det)
     built = []
     for members in groups.values():
-        members = sorted(members, key=DetectionRecord.sort_key)
-        positions = sorted((m.pos for m in members), key=lambda p: (p.lat_deg, p.lon_deg))
-        built.append((positions[0], members, centroid(positions)))
-    built.sort(key=lambda t: ((t[0].lat_deg, t[0].lon_deg), t[1][0].sort_key()))
+        members = sorted(members, key=sort_key)
+        positions = sorted((m[3], m[4]) for m in members)
+        built.append((positions[0], members, centroid([GeoPoint(*p) for p in positions])))
+    built.sort(key=lambda t: (t[0], sort_key(t[1][0])))
     return [(i + 1, members, center) for i, (_, members, center) in enumerate(built)]
 
 
@@ -218,7 +222,7 @@ def render_time(us, zone):
     columns can take the canonical fast path), or an unparseable text."""
     if zone is None:
         return "bad-time"
-    t = from_us(us).astimezone(timezone(zone))
+    t = (EPOCH + timedelta(microseconds=us)).astimezone(timezone(zone))
     spec = "microseconds" if us % 1000 else "milliseconds"
     return t.isoformat(timespec=spec).replace("+00:00", "Z")
 
@@ -295,12 +299,16 @@ def test_detection_path_matches_record_based_original(files, max_gap_s, eps_ft, 
 
     loaded = read_clean_detections(io.StringIO(text, newline=""))
     old_loaded = old_read_clean_detections(io.StringIO(text, newline=""))
-    assert list(loaded) == old_loaded
+    assert row_tuples(loaded) == list(map(as_row, old_loaded))
 
     last = last_in_runs(loaded, max_gap_s=max_gap_s)
     old_last = old_last_in_runs(old_loaded, max_gap_s)
-    assert list(last) == old_last
+    assert row_tuples(last) == list(map(as_row, old_last))
 
     clusters = cluster_detections(last, eps_ft=eps_ft, min_pts=min_pts)
     old_clusters = old_cluster_detections(old_last, eps_ft, min_pts)
-    assert [(c.cluster_id, list(c.members), c.center) for c in clusters] == old_clusters
+    assert all((np.diff(c.rows) > 0).all() for c in clusters)
+    assert [(c.cluster_id, row_tuples(last.take(c.rows)), c.center) for c in clusters] == [
+        (cluster_id, list(map(as_row, members)), center)
+        for cluster_id, members, center in old_clusters
+    ]

@@ -5,6 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from oracles import row_tuples, table_of
 
 from intxn_pipeline.discovery import (
     IntersectionCandidate,
@@ -20,7 +21,7 @@ from intxn_pipeline.discovery import (
 )
 from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, centroid, haversine_distance_ft
-from intxn_pipeline.ingest import DetectionRecord, DetectionTable
+from intxn_pipeline.ingest import CLASS_NAMES, DetectionTable, to_us
 from intxn_pipeline.storage import write_json
 from intxn_pipeline.synth import ScenarioSpec, generate
 
@@ -34,9 +35,18 @@ def pt(north_ft=0.0, east_ft=0.0):
 
 
 def det(position, seconds=0.0, subj="A", drive=1, object_class="stop_sign"):
-    return DetectionRecord(
-        subj, drive, T0 + timedelta(seconds=seconds), position, object_class, 0.9
-    )
+    """A detection row as ``row_tuples`` gives it."""
+    t = to_us(T0 + timedelta(seconds=seconds))
+    return subj, drive, t, position.lat_deg, position.lon_deg, CLASS_NAMES.index(object_class), 0.9
+
+
+def clusters_of(dets, **kwargs):
+    """``cluster_detections`` of a table of ``dets``: each cluster's id, its
+    members' rows, which must ascend, and its center."""
+    table = table_of(DetectionTable, dets)
+    clusters = cluster_detections(table, **kwargs)
+    assert all((np.diff(c.rows) > 0).all() for c in clusters)
+    return [(c.cluster_id, row_tuples(table.take(c.rows)), c.center) for c in clusters]
 
 
 def test_four_way_junction():
@@ -109,20 +119,20 @@ def test_candidate_ids_follow_grid_rows_whose_centroids_differ_in_last_bits(tmp_
 
 def test_last_in_runs_gap_rule():
     stream = [det(pt(east_ft=10 * s), seconds=s) for s in (0, 1, 2, 10, 11)]
-    kept = last_in_runs(DetectionTable.from_records(stream), max_gap_s=2.0)
-    assert [d.t_utc for d in kept] == [
-        T0 + timedelta(seconds=2),
-        T0 + timedelta(seconds=11),
+    kept = last_in_runs(table_of(DetectionTable, stream), max_gap_s=2.0)
+    assert kept.t_us.tolist() == [
+        to_us(T0 + timedelta(seconds=2)),
+        to_us(T0 + timedelta(seconds=11)),
     ]
 
 
 def test_last_in_runs_single_detection():
     stream = [det(pt())]
-    assert list(last_in_runs(DetectionTable.from_records(stream))) == stream
+    assert row_tuples(last_in_runs(table_of(DetectionTable, stream))) == stream
 
 
 def test_last_in_runs_empty():
-    assert list(last_in_runs(DetectionTable.from_records([]))) == []
+    assert row_tuples(last_in_runs(table_of(DetectionTable, []))) == []
 
 
 def test_last_in_runs_separates_streams():
@@ -131,27 +141,18 @@ def test_last_in_runs_separates_streams():
         det(pt(), seconds=1, subj="B"),
         det(pt(), seconds=1, subj="A"),
     ]
-    kept = last_in_runs(DetectionTable.from_records(stream), max_gap_s=2.0)
+    kept = last_in_runs(table_of(DetectionTable, stream), max_gap_s=2.0)
     assert len(kept) == 2  # one per subject
 
 
 def test_dbscan_pair_within_eps():
-    clusters = cluster_detections(
-        DetectionTable.from_records([det(pt(), 0), det(pt(east_ft=50), 1)]), eps_ft=100
-    )
-    assert len(clusters) == 1
-    assert len(clusters[0].members) == 2
+    dets = [det(pt(), 0), det(pt(east_ft=50), 1)]
+    assert [members for _, members, _ in clusters_of(dets, eps_ft=100)] == [dets]
 
 
 def test_dbscan_isolated_point_is_noise():
-    clusters = cluster_detections(
-        DetectionTable.from_records(
-            [det(pt(), 0), det(pt(east_ft=50), 1), det(pt(east_ft=1050), 2)]
-        ),
-        eps_ft=100,
-    )
-    assert len(clusters) == 1
-    assert len(clusters[0].members) == 2
+    dets = [det(pt(), 0), det(pt(east_ft=50), 1), det(pt(east_ft=1050), 2)]
+    assert [members for _, members, _ in clusters_of(dets, eps_ft=100)] == [dets[:2]]
 
 
 def test_cluster_center_adds_members_in_lat_lon_order():
@@ -165,7 +166,7 @@ def test_cluster_center_adds_members_in_lat_lon_order():
         GeoPoint(41.000080386, -95.999982185),
     ]
     dets = [det(p, seconds=i) for i, p in enumerate(positions)]
-    (cluster,) = cluster_detections(DetectionTable.from_records(dets), eps_ft=100)
+    (cluster,) = cluster_detections(table_of(DetectionTable, dets), eps_ft=100)
     assert cluster.center == centroid(sorted(positions, key=lambda p: (p.lat_deg, p.lon_deg)))
     assert cluster.center != centroid(sorted(positions, key=lambda p: (p.lon_deg, p.lat_deg)))
 
@@ -174,9 +175,7 @@ def test_dbscan_chain_is_one_cluster():
     # Chain of 6 points spaced 80 ft: the 100-ft eps-graph is connected,
     # so brute-force components say one cluster of 6.
     chain = [det(pt(east_ft=80 * i), i) for i in range(6)]
-    clusters = cluster_detections(DetectionTable.from_records(chain), eps_ft=100)
-    assert len(clusters) == 1
-    assert len(clusters[0].members) == 6
+    assert [members for _, members, _ in clusters_of(chain, eps_ft=100)] == [chain]
 
 
 def _brute_force_components(points, eps_ft):
@@ -286,18 +285,11 @@ def test_match_clusters_partition_property():
 def test_cluster_outputs_deterministic_under_permutation():
     rng = random.Random(17)
     detections = [det(_p, i) for i, _p in enumerate(_random_points(rng, 60, 400.0))]
-    baseline = cluster_detections(DetectionTable.from_records(detections))
+    baseline = clusters_of(detections)
     for seed in range(3):
         shuffled = detections[:]
         random.Random(seed).shuffle(shuffled)
-        result = cluster_detections(DetectionTable.from_records(shuffled))
-        assert [
-            (c.cluster_id, [m.sort_key() for m in c.members], c.center)
-            for c in result
-        ] == [
-            (c.cluster_id, [m.sort_key() for m in c.members], c.center)
-            for c in baseline
-        ]
+        assert clusters_of(shuffled) == baseline
 
 
 def test_candidates_geojson_roundtrip():

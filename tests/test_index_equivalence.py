@@ -11,11 +11,12 @@ polygon edges, heading-gate limits and distance-gate limits.
 import io
 import math
 from bisect import bisect_left, bisect_right
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import row_tuples, table_of
 
 from intxn_pipeline.geo import (
     FT_PER_DEG,
@@ -26,11 +27,12 @@ from intxn_pipeline.geo import (
     angular_difference_deg,
     centroid,
     haversine_distance_ft,
+    initial_bearing_deg,
     point_in_polygon,
     point_to_segment_ft,
     polyline_midpoint,
 )
-from intxn_pipeline.ingest import SensorRecord, SensorTable, clean_sensor
+from intxn_pipeline.ingest import SensorTable, clean_sensor, to_us
 from intxn_pipeline.review import (
     CONTROL_TYPES,
     LINE_EDGE_MATCH_FT,
@@ -47,7 +49,6 @@ from intxn_pipeline.synth import ScenarioSpec, generate
 from intxn_pipeline.trajectory import (
     LEG_CELL_FT,
     WindowParams,
-    assign_bearings,
     extract_trajectories,
 )
 
@@ -64,36 +65,46 @@ def _split_episodes(indices, times, gap_s):
     return episodes
 
 
+def entering_bearing(leg):
+    """The bearing from the leg's entering line's first vertex to its last."""
+    return initial_bearing_deg(leg.entering_line[0], leg.entering_line[-1])
+
+
 def brute_extract_trajectories(sensor, reviewed, params):
-    """Every sensor point against every approach leg, one drive at a time."""
+    """Every sensor point against every approach leg, one drive at a time.
+
+    ``sensor`` holds row tuples as ``oracles.row_tuples`` gives them. A
+    trajectory is (traj_id, leg_id, its reference's index in the window,
+    the reference's time, the window's rows)."""
     drives = {}
     for rec in sensor:
-        drives.setdefault((rec.subj, rec.drive), []).append(rec)
+        drives.setdefault(rec[:2], []).append(rec)
     trajs = []
     skips = {"duplicate_pass": 0, "truncated": 0}
     for key in sorted(drives):
-        recs = sorted(drives[key], key=SensorRecord.sort_key)
-        times = [r.t_utc.timestamp() for r in recs]
-        cums = [r.cum_dist_ft for r in recs]
+        recs = sorted(drives[key], key=lambda r: r[:3])
+        times = [r[2] / 1_000_000 for r in recs]
+        cums = [r[7] for r in recs]
+        positions = [GeoPoint(r[3], r[4]) for r in recs]
         picks = []
         for intxn in reviewed:
             for leg in intxn.approaches:
                 min_lat, min_lon, max_lat, max_lon = leg.polygon.bounds()
+                bearing = entering_bearing(leg)
                 surviving = [
                     i
                     for i, r in enumerate(recs)
-                    if min_lat - 1e-9 <= r.pos.lat_deg <= max_lat + 1e-9
-                    and min_lon - 1e-9 <= r.pos.lon_deg <= max_lon + 1e-9
-                    and angular_difference_deg(r.heading_deg, leg.entering_bearing)
-                    <= params.heading_tol_deg
-                    and point_in_polygon(r.pos, leg.polygon)
+                    if min_lat - 1e-9 <= r[3] <= max_lat + 1e-9
+                    and min_lon - 1e-9 <= r[4] <= max_lon + 1e-9
+                    and angular_difference_deg(r[5], bearing) <= params.heading_tol_deg
+                    and point_in_polygon(positions[i], leg.polygon)
                 ]
                 if not surviving:
                     continue
                 for episode in _split_episodes(surviving, times, params.pass_gap_s):
                     ref_i = min(
                         episode,
-                        key=lambda i: (haversine_distance_ft(recs[i].pos, intxn.pos), times[i]),
+                        key=lambda i: (haversine_distance_ft(positions[i], intxn.pos), times[i]),
                     )
                     picks.append((intxn.intxn_id, times[ref_i], leg.leg_id, ref_i))
         by_intxn = {}
@@ -111,7 +122,7 @@ def brute_extract_trajectories(sensor, reviewed, params):
                 skips["truncated"] += 1
             window = recs[left : right + 1]
             trajs.append(
-                (f"{key[0]}_{key[1]}_{intxn_id}", leg_id, ref_i - left, recs[ref_i].t_utc, window)
+                (f"{key[0]}_{key[1]}_{intxn_id}", leg_id, ref_i - left, recs[ref_i][2], window)
             )
     return sorted(trajs, key=lambda t: t[0]), skips
 
@@ -209,9 +220,14 @@ def brute_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
 
 
 def assert_same_trajectories(sensor, reviewed, params):
-    trajs, skips = extract_trajectories(SensorTable.from_records(sensor), reviewed, params)
-    expected, expected_skips = brute_extract_trajectories(sensor, reviewed, params)
-    got = [(t.traj_id, t.leg_id, t.ref_index, t.ref_time_utc, list(t.points)) for t in trajs]
+    trajs, skips = extract_trajectories(sensor, reviewed, params)
+    expected, expected_skips = brute_extract_trajectories(row_tuples(sensor), reviewed, params)
+    columns = (c.tolist() for c in (trajs.leg_id, trajs.ref, trajs.start, trajs.stop))
+    t_us = sensor.t_us.tolist()
+    got = [
+        (traj_id, leg_id, ref - start, t_us[ref], row_tuples(sensor[start:stop]))
+        for traj_id, leg_id, ref, start, stop in zip(trajs.traj_ids(), *columns)
+    ]
     assert got == expected
     assert skips == expected_skips
     return trajs
@@ -240,7 +256,7 @@ def test_jittered_synth_matches_brute_force(tmp_path, seed):
     reviewed, rejects = assert_same_assembly(scenario.paths["reviewed_kml"].read_text())
     assert reviewed and not rejects
     sensor, _, _ = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])
-    trajs = assert_same_trajectories(sensor, assign_bearings(reviewed), WindowParams())
+    trajs = assert_same_trajectories(sensor, reviewed, WindowParams())
     assert trajs  # jitter leaves most passes inside the 40 ft wide approaches
 
 
@@ -311,9 +327,8 @@ def trajectory_scene(draw):
     points += draw(
         st.lists(st.tuples(coordinate(DLAT, ROW0), coordinate(DLON, COL0)), max_size=20)
     )
-    assign_bearings(reviewed)
     tol = draw(st.sampled_from([45.0, 30.0, draw(st.floats(1.0, 89.0))]))
-    bearings = [leg.entering_bearing for intxn in reviewed for leg in intxn.approaches]
+    bearings = [entering_bearing(leg) for intxn in reviewed for leg in intxn.approaches]
 
     # Per-point choices come from one seeded generator: drawing each through
     # hypothesis costs more than the search under test.
@@ -321,16 +336,16 @@ def trajectory_scene(draw):
     rnd.shuffle(points)
     n_drives = draw(st.integers(1, 3))
     sensor = []
-    t, cum = T0, 0.0
+    t, cum = to_us(T0), 0.0
     for rank, (lat, lon) in enumerate(points):
         b = rnd.choice(bearings)
         heading = rnd.choice([b, b + tol, b - tol, b + 180.0, rnd.uniform(0.0, 360.0)])
-        t += timedelta(seconds=rnd.choice([1.0, 1.0, 45.0]))  # 45 s splits a repeat pass
+        t += rnd.choice([1, 1, 45]) * 1_000_000  # 45 s splits a repeat pass
         cum += rnd.uniform(0.0, 80.0)
         drive = 1 + rank * n_drives // len(points)
-        sensor.append(SensorRecord("A", drive, t, GeoPoint(lat, lon), heading % 360.0, 30.0, cum))
+        sensor.append(("A", drive, t, lat, lon, heading % 360.0, 30.0, cum))
     params = WindowParams(heading_tol_deg=tol, upstream_ft=draw(st.floats(1.0, 400.0)))
-    return sensor, reviewed, params
+    return table_of(SensorTable, sensor), reviewed, params
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])

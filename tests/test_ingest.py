@@ -11,19 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import row_tuples
 
 from intxn_pipeline import ingest
 from intxn_pipeline.errors import DataError, HeaderMismatchError, StorageNotFoundError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import (
-    SensorRecord,
-    SensorTable,
+    CLASS_NAMES,
     clean_cv,
     clean_sensor,
     format_time_utc,
     parse_time_utc,
     read_clean_detections,
     read_clean_sensor,
+    to_us,
     write_detections_csv,
     write_sensor_csv,
 )
@@ -58,8 +59,8 @@ def test_clean_sensor_well_formed():
     assert len(records) == 3
     assert sum(drops.values()) == 0
     # Odometer column was absent, so it is recomputed from positions.
-    assert records[0].cum_dist_ft == 0.0
-    assert records[1].cum_dist_ft > 0.0
+    assert records.cum[0] == 0.0
+    assert records.cum[1] > 0.0
 
 
 def test_clean_sensor_drops_out_of_range():
@@ -87,7 +88,7 @@ def test_clean_sensor_merges_and_sorts_two_files():
     f_b = sensor_csv(["B,1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0"])
     f_a = sensor_csv(["A,2,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0"])
     records, _, _ = clean_sensor([f_b, f_a])
-    assert [(r.subj, r.drive) for r in records] == [("A", 2), ("B", 1)]
+    assert [r[:2] for r in row_tuples(records)] == [("A", 2), ("B", 1)]
 
 
 def test_clean_sensor_collapses_duplicates():
@@ -143,7 +144,7 @@ def test_clean_sensor_trusts_supplied_cum_dist():
         header=SENSOR_HEADER + ",cum_dist_ft",
     )
     records, drops, _ = clean_sensor([src])
-    assert [r.cum_dist_ft for r in records] == [0.0, 50.0, 100.0]
+    assert records.cum.tolist() == [0.0, 50.0, 100.0]
     assert drops["cum_dist_regression"] == 1
 
 
@@ -165,80 +166,46 @@ def test_clean_sensor_output_invariant_to_file_order():
         assert run(order) == baseline
 
 
-def _meridian_records(n, spacing_ft=50.0, subj="A", drive=1):
+def _without_odometer(positions):
+    """The odometer that clean_sensor recomputes for one drive at
+    ``positions``, a second apart, from a file without the column."""
     t0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
-    return [
-        SensorRecord(
-            subj,
-            drive,
-            t0 + timedelta(seconds=i),
-            GeoPoint(41.0 + i * spacing_ft / FT_PER_DEG, -96.0),
-            0.0,
-            spacing_ft,
-            0.0,
-        )
-        for i in range(n)
-    ]
-
-
-def _without_odometer(records):
-    """clean_sensor of a file holding ``records`` without the odometer column,
-    which is recomputed from their positions."""
     rows = [
-        ",".join(
-            (r.subj, str(r.drive), format_time_utc(r.t_utc), repr(r.pos.lat_deg),
-             repr(r.pos.lon_deg), repr(r.heading_deg), repr(r.speed_fps))
-        )
-        for r in records
+        f"A,1,{format_time_utc(t0 + timedelta(seconds=k))},{p.lat_deg!r},{p.lon_deg!r},0.0,0.0"
+        for k, p in enumerate(positions)
     ]
     table, drops, _ = clean_sensor([sensor_csv(rows)])
     assert sum(drops.values()) == 0
-    return table
+    return table.cum.tolist()
 
 
 def test_compute_cum_dist_single_record():
-    recs = _without_odometer(_meridian_records(1))
-    assert [r.cum_dist_ft for r in recs] == [0.0]
+    assert _without_odometer([GeoPoint(41.0, -96.0)]) == [0.0]
 
 
 def test_compute_cum_dist_two_records_100ft_apart():
-    t0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
     a = GeoPoint(41.0, -96.0)
     b = GeoPoint(41.0 + 100.0 / FT_PER_DEG, -96.0)
-    recs = _without_odometer(
-        [
-            SensorRecord("A", 1, t0, a, 0.0, 50.0, 0.0),
-            SensorRecord("A", 1, t0 + timedelta(seconds=2), b, 0.0, 50.0, 0.0),
-        ]
-    )
-    assert recs[0].cum_dist_ft == 0.0
-    assert recs[1].cum_dist_ft == pytest.approx(100.0, abs=1e-6)
+    cums = _without_odometer([a, b])
+    assert cums[0] == 0.0
+    assert cums[1] == pytest.approx(100.0, abs=1e-6)
 
 
 def test_compute_cum_dist_stationary():
-    t0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
-    p = GeoPoint(41.0, -96.0)
-    recs = _without_odometer(
-        [SensorRecord("A", 1, t0 + timedelta(seconds=i), p, 0.0, 0.0, 0.0) for i in range(5)]
-    )
-    assert [r.cum_dist_ft for r in recs] == [0.0] * 5
+    assert _without_odometer([GeoPoint(41.0, -96.0)] * 5) == [0.0] * 5
 
 
 def test_compute_cum_dist_nondecreasing_and_sums():
     rng = random.Random(5)
-    t0 = datetime(2019, 5, 1, 12, 0, tzinfo=timezone.utc)
     raw = []
     lat, lon = 41.0, -96.0
     for i in range(100):
         lat += rng.uniform(-1e-4, 1e-4)
         lon += rng.uniform(-1e-4, 1e-4)
-        raw.append(SensorRecord("A", 1, t0 + timedelta(seconds=i), GeoPoint(lat, lon), 0.0, 1.0, 0.0))
-    recs = _without_odometer(raw)
-    cums = [r.cum_dist_ft for r in recs]
+        raw.append(GeoPoint(lat, lon))
+    cums = _without_odometer(raw)
     assert all(c1 <= c2 for c1, c2 in zip(cums, cums[1:]))
-    total = sum(
-        haversine_distance_ft(raw[i].pos, raw[i + 1].pos) for i in range(len(raw) - 1)
-    )
+    total = sum(haversine_distance_ft(raw[i], raw[i + 1]) for i in range(len(raw) - 1))
     assert cums[-1] == pytest.approx(total, abs=1e-9)
 
 
@@ -258,7 +225,7 @@ def test_clean_cv_joins_nearest_in_time():
         [cv_csv(["A,1,2019-05-01T12:00:10.200Z,stop_sign,0.9"])], _sensor_for_join()
     )
     assert len(detections) == 1
-    assert detections[0].pos.lat_deg == 41.0  # the 10.0s sample is nearer
+    assert detections.lat[0] == 41.0  # the 10.0s sample is nearer
     assert drops["no_sensor_match"] == 0
 
 
@@ -274,7 +241,7 @@ def test_clean_cv_tie_breaks_to_earlier_sample():
     detections, _, _ = clean_cv(
         [cv_csv(["A,1,2019-05-01T12:00:10.250Z,stop_sign,0.9"])], _sensor_for_join()
     )
-    assert detections[0].pos.lat_deg == 41.0
+    assert detections.lat[0] == 41.0
 
 
 def test_clean_cv_drops_unknown_class_and_bad_confidence():
@@ -313,9 +280,8 @@ def test_clean_cv_all_outputs_within_tolerance():
         f"A,1,2019-05-01T12:00:{rng.uniform(5, 15):06.3f}Z,stop_sign,0.9" for _ in range(50)
     ]
     detections, _, _ = clean_cv([cv_csv(rows)], sensor)
-    times = [r.t_utc for r in sensor]
-    for det in detections:
-        assert min(abs((det.t_utc - t).total_seconds()) for t in times) <= 0.5
+    for t in detections.t_us.tolist():
+        assert np.abs(sensor.t_us - t).min() <= 500_000
 
 
 def test_clean_sensor_drops_row_whose_time_precedes_year_one_in_utc():
@@ -502,12 +468,11 @@ def test_read_clean_detections_missing_columns_raise_header_mismatch(text):
 
 
 def test_read_clean_detections_skips_blank_lines_and_finds_columns_by_name():
-    (det,) = read_clean_detections(io.StringIO(f"{CLEAN_CV_HEADER}\n\n{CLEAN_CV_ROW}\n\n"))
-    assert (det.subj, det.drive, det.pos, det.object_class, det.confidence) == (
-        "A", 1, GeoPoint(41.0, -96.0), "stop_sign", 0.9
-    )
+    det = read_clean_detections(io.StringIO(f"{CLEAN_CV_HEADER}\n\n{CLEAN_CV_ROW}\n\n"))
+    t = to_us(datetime(2019, 5, 1, 12, 0, 10, tzinfo=timezone.utc))
+    assert row_tuples(det) == [("A", 1, t, 41.0, -96.0, CLASS_NAMES.index("stop_sign"), 0.9)]
     shuffled = "confidence,object_class,lon,lat,time_utc,drive,subj,extra\n0.9,stop_sign,-96.0,41.0,2019-05-01T12:00:10.000Z,1,A,x\n"
-    assert list(read_clean_detections(io.StringIO(shuffled))) == [det]
+    assert read_clean_detections(io.StringIO(shuffled)) == det
 
 
 # Fields for the reader property tests: valid values of every column, edge

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from intxn_pipeline.discovery import IntersectionCandidate
 from intxn_pipeline.errors import DataError, KmlParseError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
-from intxn_pipeline.ingest import SensorRecord, SensorTable
+from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.review import (
     REVIEW_COLUMNS,
     build_review_template,
@@ -297,9 +297,8 @@ def test_reviewed_json_roundtrip(tmp_path):
 
 def _trajs(n=1):
     """A trajectory table holding trajectory A_1_4, referenced at 12:00:30, n times."""
-    t = datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc)
-    record = SensorRecord("A", 1, t, GeoPoint(LAT0, LON0), 0.0, 0.0, 0.0)
-    sensor = SensorTable.from_records([record])
+    t = to_us(datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc))
+    sensor = SensorTable.from_columns(["A"], [1], [t], [LAT0], [LON0], [0.0], [0.0], [0.0])
     return TrajectoryTable.from_columns(*([v] * n for v in ("A", 1, 4, 1, 0, 0, 1)), sensor=sensor)
 
 
@@ -372,9 +371,8 @@ def test_read_demographics(tmp_path):
 
 
 def test_review_csv_reads_back_a_subject_with_a_carriage_return():
-    t = datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc)
-    record = SensorRecord("A\rB", 1, t, GeoPoint(LAT0, LON0), 0.0, 0.0, 0.0)
-    sensor = SensorTable.from_records([record])
+    t = to_us(datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc))
+    sensor = SensorTable.from_columns(["A\rB"], [1], [t], [LAT0], [LON0], [0.0], [0.0], [0.0])
     trajs = TrajectoryTable.from_columns(["A\rB"], [1], [4], [1], [0], [0], [1], sensor=sensor)
     columns, _, _ = build_review_template(trajs, [_clip("A\rB_1_4")], {})
     out = io.StringIO(newline="")

@@ -4,7 +4,7 @@
 parse every timestamp form the old ``DictReader`` path parsed, and round-trip
 ``write_sensor_csv``. The CLI's store parses the table once per content
 within one process and hands it to traj, clips and template. The columnar
-``SensorTable`` behaves as the sorted list of its records, computes the
+``SensorTable`` holds the sorted list of its row tuples, computes the
 odometer bit for bit as the scalar haversine sum, and parses a time column
 as ``parse_time_utc`` parses each time.
 """
@@ -16,16 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import row_tuples, table_of
 
 from intxn_pipeline import cli, ingest, storage
 from intxn_pipeline.errors import DataError, HeaderMismatchError
 from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
 from intxn_pipeline.ingest import (
-    SensorRecord,
     SensorTable,
     format_time_utc,
     parse_time_utc,
     read_clean_sensor,
+    to_us,
     write_sensor_csv,
 )
 
@@ -57,10 +58,8 @@ def outcome(parse, text):
 
 
 def test_good_table_reads():
-    (rec,) = read_clean_sensor(table(GOOD))
-    assert rec == SensorRecord(
-        "A", 1, datetime(2019, 5, 1, 12, tzinfo=timezone.utc), GeoPoint(41.0, -96.0), 90.0, 50.0, 0.0
-    )
+    t = to_us(datetime(2019, 5, 1, 12, tzinfo=timezone.utc))
+    assert row_tuples(read_clean_sensor(table(GOOD))) == [("A", 1, t, 41.0, -96.0, 90.0, 50.0, 0.0)]
 
 
 @pytest.mark.parametrize(
@@ -104,8 +103,8 @@ def test_empty_file_raises_header_mismatch():
 
 def test_blank_lines_are_skipped():
     second = GOOD.replace("12:00:00.000Z", "12:00:01.000Z")
-    records = read_clean_sensor(table("", GOOD, "", "", second, ""))
-    assert [r.t_utc.second for r in records] == [0, 1]
+    sensor = read_clean_sensor(table("", GOOD, "", "", second, ""))
+    assert (sensor.t_us // 10**6 % 60).tolist() == [0, 1]
 
 
 def test_columns_are_found_by_name():
@@ -155,29 +154,30 @@ def test_time_parse_matches_old_parser(text):
     assert outcome(parse_time_utc, text) == outcome(old_parse_time_utc, text)
 
 
-_records = st.builds(
-    SensorRecord,
-    subj=st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6),
-    drive=st.integers(-(10**12), 10**12),
-    t_utc=st.datetimes(timezones=st.just(timezone.utc)).map(
-        lambda dt: dt.replace(microsecond=dt.microsecond // 1000 * 1000)
-    ),
-    pos=st.builds(
-        GeoPoint,
-        st.floats(-90.0, 90.0),
-        st.floats(-180.0, 180.0),
-    ),
-    heading_deg=st.floats(allow_nan=False),
-    speed_fps=st.floats(allow_nan=False),
-    cum_dist_ft=st.floats(allow_nan=False),
+# Sensor rows as row_tuples gives them: subj, drive, t_us, lat, lon,
+# heading, speed, cum.
+_records = st.tuples(
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6),
+    st.integers(-(10**12), 10**12),
+    st.datetimes(timezones=st.just(timezone.utc)).map(lambda dt: to_us(dt) // 1000 * 1000),
+    st.floats(-90.0, 90.0),
+    st.floats(-180.0, 180.0),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False),
 )
+
+
+def _sorted(records):
+    """Sensor row tuples in the table's order: by (subj, drive, time), ties kept."""
+    return sorted(records, key=lambda r: r[:3])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_records, max_size=8))
 def test_write_then_read_round_trips(records):
-    table = SensorTable.from_records(records)
-    assert list(table) == sorted(records, key=SensorRecord.sort_key)
+    table = table_of(SensorTable, records)
+    assert row_tuples(table) == _sorted(records)
     buf = io.StringIO(newline="")
     write_sensor_csv(table, buf)
     buf.seek(0)
@@ -223,46 +223,43 @@ def test_rewritten_table_is_parsed_again(reviewed_workspace, capsys):
     # Drop the drive of the first trajectory; path, size class and name stay.
     first = (ws / "out" / "trajectories.csv").read_text().splitlines()[1].split(",")
     sensor_path = ws / "out" / "clean_sensor.csv"
-    records = read_clean_sensor(sensor_path)
-    kept = [r for r in records if (r.subj, str(r.drive)) != (first[1], first[2])]
+    records = row_tuples(read_clean_sensor(sensor_path))
+    kept = [r for r in records if (r[0], str(r[1])) != (first[1], first[2])]
     assert 0 < len(kept) < len(records)
-    write_sensor_csv(SensorTable.from_records(kept), sensor_path)
+    write_sensor_csv(table_of(SensorTable, kept), sensor_path)
     capsys.readouterr()
     assert cli.main(["clips", "--config", str(config)]) == 2
     assert "no sensor data for trajectory" in capsys.readouterr().err
-    assert list(cli._store["clean_sensor"][1]) == kept
+    assert row_tuples(cli._store["clean_sensor"][1]) == kept
 
 
 # --- The columnar table ------------------------------------------------------
 
-_drive_records = st.builds(
-    SensorRecord,
-    subj=st.sampled_from(["A", "B", "B\x00", 'q"']),
-    drive=st.sampled_from([1, 2, 2**70, -5]),
-    t_utc=st.datetimes(timezones=st.just(timezone.utc)),
-    pos=st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
-    heading_deg=st.floats(0.0, 359.0),
-    speed_fps=st.floats(0.0, 100.0),
-    cum_dist_ft=st.floats(0.0, 1e6),
+_drive_records = st.tuples(
+    st.sampled_from(["A", "B", "B\x00", 'q"']),
+    st.sampled_from([1, 2, 2**70, -5]),
+    st.datetimes(timezones=st.just(timezone.utc)).map(to_us),
+    st.floats(-90.0, 90.0),
+    st.floats(-180.0, 180.0),
+    st.floats(0.0, 359.0),
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 1e6),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_drive_records, max_size=10), st.integers(-12, 12), st.integers(-12, 12))
 def test_table_rows_slices_and_keys_behave_like_the_sorted_list(records, i, j):
-    table = SensorTable.from_records(records)
-    rows = sorted(records, key=SensorRecord.sort_key)
-    assert list(table) == rows and len(table) == len(rows)
-    assert table.keys == sorted({(r.subj, r.drive) for r in rows})
+    table = table_of(SensorTable, records)
+    rows = _sorted(records)
+    assert row_tuples(table) == rows and len(table) == len(rows)
+    assert table.keys == sorted({r[:2] for r in rows})
     part = table[i:j]
-    assert list(part) == rows[i:j]
-    assert part.keys == list(dict.fromkeys((r.subj, r.drive) for r in rows[i:j]))
-    assert part == SensorTable.from_records(rows[i:j])
-    if -len(rows) <= i < len(rows):
-        assert table[i] == rows[i]
-    else:
-        with pytest.raises(IndexError):
-            table[i]
+    assert row_tuples(part) == rows[i:j]
+    assert part.keys == list(dict.fromkeys(r[:2] for r in rows[i:j]))
+    assert part == table_of(SensorTable, rows[i:j])
+    with pytest.raises(TypeError):
+        table[i]
 
 
 def test_table_columns_are_read_only_and_compare_by_value():
@@ -270,7 +267,9 @@ def test_table_columns_are_read_only_and_compare_by_value():
     with pytest.raises(ValueError):
         sensor.cum[0] = 1.0
     assert sensor == read_clean_sensor(table(GOOD))
-    assert sensor != list(sensor)
+    assert sensor != row_tuples(sensor)
+    with pytest.raises(TypeError):
+        list(sensor)
 
 
 _positions = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)) | st.tuples(
@@ -284,18 +283,15 @@ _positions = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)) | st.tu
 @example([(41.00026136551726, 2.0), (-54.013463532373166, 0.0)])
 def test_odometer_is_bitwise_the_scalar_haversine_sum(track):
     t0 = datetime(2019, 5, 1, 12, tzinfo=timezone.utc)
-    records = [
-        SensorRecord("A", 1, t0 + timedelta(seconds=k), GeoPoint(lat, lon), 0.0, 0.0, 0.0)
-        for k, (lat, lon) in enumerate(track)
-    ]
+    positions = [GeoPoint(lat, lon) for lat, lon in track]
     expected, cum = [0.0], 0.0
-    for a, b in zip(records, records[1:]):
-        cum += haversine_distance_ft(a.pos, b.pos)
+    for a, b in zip(positions, positions[1:]):
+        cum += haversine_distance_ft(a, b)
         expected.append(cum)
     # A raw file without the odometer column has it recomputed.
     raw = "subj,drive,time_utc,lat,lon,heading_deg,speed_fps\n" + "".join(
-        f"A,1,{format_time_utc(r.t_utc)},{r.pos.lat_deg!r},{r.pos.lon_deg!r},0.0,0.0\n"
-        for r in records
+        f"A,1,{format_time_utc(t0 + timedelta(seconds=k))},{lat!r},{lon!r},0.0,0.0\n"
+        for k, (lat, lon) in enumerate(track)
     )
     sensor, drops, _ = ingest.clean_sensor([io.StringIO(raw)])
     assert sum(drops.values()) == 0
@@ -421,5 +417,5 @@ def test_seconds_are_total_seconds(us):
 @example([-62_135_596_800_000_000, 253_402_300_799_999_999, -1, -999, 999, 1_000])
 @example([951_782_400_000_000, 4_107_542_399_999_999, 4_107_542_400_000_000])
 def test_time_texts_are_format_time_utc(us):
-    expected = [ingest.format_time_utc(ingest.from_us(n)) for n in us]
+    expected = [ingest.format_time_utc(ingest.EPOCH + timedelta(microseconds=n)) for n in us]
     assert ingest._time_texts(np.array(us, dtype=np.int64)) == expected

@@ -6,7 +6,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -131,11 +130,13 @@ def test_caller_stream_is_left_open(pipeline_ws, name):
 
 
 def test_writer_failing_partway_leaves_no_file(tmp_path):
-    t = datetime(2019, 5, 1, 14, 3, 22, tzinfo=timezone.utc)
-    good = ingest.SensorRecord("S1", 1, t, GeoPoint(41.25, -96.0), 90.0, 50.0, 0.0)
+    t = ingest.to_us(datetime(2019, 5, 1, 14, 3, 22, tzinfo=timezone.utc))
+    # The second row's time is None, which does not render.
+    floats = [np.array([v, v]) for v in (41.25, -96.0, 90.0, 50.0, 0.0)]
+    table = ingest.SensorTable([("S1", 1)], [0, 2], np.array([t, None], dtype=object), *floats)
     target = tmp_path / "x.csv"
-    with pytest.raises(AttributeError):
-        ingest.write_sensor_csv([good, replace(good, t_utc=None)], target)
+    with pytest.raises(TypeError):
+        ingest.write_sensor_csv(table, target)
     assert list(tmp_path.iterdir()) == []  # neither x.csv nor a .tmp sibling
 
 

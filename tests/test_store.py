@@ -25,12 +25,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import table_of
 
 import intxn_pipeline
 from intxn_pipeline import cli, clips, ingest, review, storage, trajectory
 from intxn_pipeline.clips import ClipSpec
-from intxn_pipeline.geo import GeoPoint
-from intxn_pipeline.ingest import SensorRecord, SensorTable
+from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.trajectory import TrajectoryTable
 
 # Subjects as a raw file may spell them: quotes, commas and line breaks
@@ -113,11 +113,10 @@ def windows(draw):
     for subj, drive in draw(st.lists(st.tuples(SUBJECTS, DRIVES), max_size=3, unique=True)):
         times = draw(st.lists(st.integers(0, 10**7), min_size=1, max_size=8, unique=True))
         records += [
-            SensorRecord(subj, drive, T0 + timedelta(milliseconds=ms), GeoPoint(41.0, -96.0),
-                         0.0, 0.0, float(k))
+            (subj, drive, to_us(T0 + timedelta(milliseconds=ms)), 41.0, -96.0, 0.0, 0.0, float(k))
             for k, ms in enumerate(sorted(times))
         ]
-    sensor = SensorTable.from_records(records)
+    sensor = table_of(SensorTable, records)
     rows = []
     for key, first, stop in zip(sensor.keys, sensor.offsets, sensor.offsets[1:]):
         for intxn_id in draw(st.lists(st.integers(-5, 2**40), max_size=3, unique=True)):
@@ -261,7 +260,7 @@ def test_a_rewritten_sensor_table_invalidates_the_stored_trajectories(study):
     _run(config, "clips")
     after = cli._store["trajectories"][1]
     assert after == READERS["trajectories"](ws / "out") != before
-    assert after[0].ref_cum_dist_ft == 2 * before[0].ref_cum_dist_ft
+    assert after.sensor.cum[after.ref[0]] == 2 * before.sensor.cum[before.ref[0]]
     assert (ws / "out" / "cutlist.json").read_bytes() != cutlist
 
 

@@ -3,15 +3,15 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from oracles import table_of
 
 from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, PolygonRing, haversine_distance_ft
-from intxn_pipeline.ingest import SensorRecord, SensorTable
+from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.review import ApproachLeg, ReviewedIntersection
 from intxn_pipeline.trajectory import (
-    TrajectoryCandidate,
     WindowParams,
-    assign_bearings,
+    _entering_bearing,
     extract_trajectories,
     load_trajectories_csv,
     write_trajectories_csv,
@@ -27,19 +27,14 @@ def pt(north_ft=0.0, east_ft=0.0):
 
 
 def northbound_drive(n=21, spacing_ft=50.0, heading=0.0, subj="A", drive=1, t0=T0):
-    """Constant 50 ft/s meridian drive sampled at 1 Hz; cum = 50k exactly."""
-    return [
-        SensorRecord(
-            subj,
-            drive,
-            t0 + timedelta(seconds=k),
-            pt(north_ft=k * spacing_ft),
-            heading,
-            spacing_ft,
-            k * spacing_ft,
-        )
-        for k in range(n)
-    ]
+    """Constant 50 ft/s meridian drive sampled at 1 Hz; cum = 50k exactly.
+    Sensor rows as ``oracles.row_tuples`` gives them."""
+    rows = []
+    for k in range(n):
+        pos = pt(north_ft=k * spacing_ft)
+        t = to_us(t0 + timedelta(seconds=k))
+        rows.append((subj, drive, t, pos.lat_deg, pos.lon_deg, heading, spacing_ft, k * spacing_ft))
+    return rows
 
 
 def northbound_intersection(intxn_id=4, junction_north_ft=500.0, length_ft=300.0):
@@ -59,47 +54,44 @@ def northbound_intersection(intxn_id=4, junction_north_ft=500.0, length_ft=300.0
     return ReviewedIntersection(intxn_id, junction, "stop", [ApproachLeg(1, ring, line)])
 
 
-def test_assign_bearings_due_north():
+def test_entering_bearing_due_north():
     intxn = northbound_intersection()
-    assign_bearings([intxn])
-    assert intxn.approaches[0].entering_bearing == pytest.approx(0.0, abs=1e-6)
+    assert _entering_bearing(intxn, intxn.approaches[0]) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_assign_bearings_due_east():
+def test_entering_bearing_due_east():
     leg = ApproachLeg(
         1,
         PolygonRing((GeoPoint(0, 0), GeoPoint(0, 0.001), GeoPoint(0.001, 0.001))),
         [GeoPoint(0, 0), GeoPoint(0, 0.001)],
     )
     intxn = ReviewedIntersection(1, GeoPoint(0, 0.001), "stop", [leg])
-    assign_bearings([intxn])
-    assert leg.entering_bearing == pytest.approx(90.0, abs=1e-6)
+    assert _entering_bearing(intxn, leg) == pytest.approx(90.0, abs=1e-6)
 
 
-def test_assign_bearings_dogleg_uses_endpoints():
+def test_entering_bearing_dogleg_uses_endpoints():
     leg = ApproachLeg(
         1,
         PolygonRing((GeoPoint(0, 0), GeoPoint(0, 0.001), GeoPoint(0.001, 0.001))),
         [GeoPoint(0, 0), GeoPoint(0.0005, 0.0001), GeoPoint(0.001, 0.0)],
     )
     intxn = ReviewedIntersection(1, GeoPoint(0.001, 0), "stop", [leg])
-    assign_bearings([intxn])
-    assert leg.entering_bearing == pytest.approx(0.0, abs=1e-6)  # first -> last is due north
+    # first -> last is due north
+    assert _entering_bearing(intxn, leg) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_assign_bearings_degenerate_line_rejected():
+def test_degenerate_entering_line_rejected():
     leg = ApproachLeg(
         1,
         PolygonRing((GeoPoint(0, 0), GeoPoint(0, 0.001), GeoPoint(0.001, 0.001))),
         [GeoPoint(0, 0), GeoPoint(0, 0)],
     )
     with pytest.raises(DataError, match="degenerate entering line on intersection 1 leg 1"):
-        assign_bearings([ReviewedIntersection(1, GeoPoint(0, 0), "stop", [leg])])
+        _extract([], [ReviewedIntersection(1, GeoPoint(0, 0), "stop", [leg])])
 
 
 def _extract(sensor, intxns, **kwargs):
-    reviewed = assign_bearings(intxns)
-    return extract_trajectories(SensorTable.from_records(sensor), reviewed, **kwargs)
+    return extract_trajectories(table_of(SensorTable, sensor), intxns, **kwargs)
 
 
 @pytest.mark.filterwarnings("error")  # dividing by the zero length must not warn
@@ -128,70 +120,57 @@ def test_constant_speed_window_oracle():
     # which at 1 Hz is 11 samples and exactly 10 s.
     trajs, skips = _extract(northbound_drive(), [northbound_intersection()])
     assert len(trajs) == 1
-    traj = trajs[0]
-    assert traj.traj_id == "A_1_4"
-    assert len(traj.points) == 11
-    assert (traj.end_time_utc - traj.start_time_utc).total_seconds() == pytest.approx(10.0)
-    ref_cum = traj.ref_cum_dist_ft
+    assert trajs.traj_ids() == ["A_1_4"]
+    (start,), (stop,) = trajs.start.tolist(), trajs.stop.tolist()
+    assert stop - start == 11
+    t_us, cum = trajs.sensor.t_us, trajs.sensor.cum
+    assert t_us[stop - 1] - t_us[start] == 10_000_000
+    ref_cum = cum[trajs.ref[0]]
     assert ref_cum == 500.0
-    for p in traj.points:
-        assert ref_cum - 300.0 <= p.cum_dist_ft <= ref_cum + 200.0
+    assert ((ref_cum - 300.0 <= cum[start:stop]) & (cum[start:stop] <= ref_cum + 200.0)).all()
     assert skips == {"duplicate_pass": 0, "truncated": 0}
 
 
 def test_window_completeness():
     sensor = northbound_drive()
     trajs, _ = _extract(sensor, [northbound_intersection()])
-    traj = trajs[0]
-    ref_cum = traj.ref_cum_dist_ft
-    in_range = [
-        r for r in sensor if ref_cum - 300.0 <= r.cum_dist_ft <= ref_cum + 200.0
-    ]
-    assert [p.t_utc for p in traj.points] == [r.t_utc for r in in_range]
+    ref_cum = trajs.sensor.cum[trajs.ref[0]]
+    in_range = [r for r in sensor if ref_cum - 300.0 <= r[7] <= ref_cum + 200.0]
+    window = trajs.sensor.t_us[trajs.start[0] : trajs.stop[0]]
+    assert window.tolist() == [r[2] for r in in_range]
 
 
 def test_ref_point_minimizes_distance_in_polygon():
     trajs, _ = _extract(northbound_drive(), [northbound_intersection()])
-    traj = trajs[0]
     intxn_pos = pt(north_ft=500)
-    ref = traj.points[traj.ref_index]
+    ref = trajs.ref[0]
     best = min(
-        haversine_distance_ft(r.pos, intxn_pos)
+        haversine_distance_ft(GeoPoint(r[3], r[4]), intxn_pos)
         for r in northbound_drive()
-        if 200.0 <= r.cum_dist_ft <= 500.0
+        if 200.0 <= r[7] <= 500.0
     )
-    assert haversine_distance_ft(ref.pos, intxn_pos) == pytest.approx(best, abs=1e-9)
+    ref_pos = GeoPoint(trajs.sensor.lat[ref], trajs.sensor.lon[ref])
+    assert haversine_distance_ft(ref_pos, intxn_pos) == pytest.approx(best, abs=1e-9)
 
 
 def test_exiting_traffic_filtered_out():
     sensor = northbound_drive(heading=180.0)
     trajs, _ = _extract(sensor, [northbound_intersection()])
-    assert list(trajs) == []
+    assert len(trajs) == 0
 
 
 def test_heading_flip_property():
     sensor = northbound_drive()
-    flipped = [
-        SensorRecord(
-            r.subj,
-            r.drive,
-            r.t_utc,
-            r.pos,
-            (r.heading_deg + 180.0) % 360.0,
-            r.speed_fps,
-            r.cum_dist_ft,
-        )
-        for r in sensor
-    ]
+    flipped = [(*r[:5], (r[5] + 180.0) % 360.0, *r[6:]) for r in sensor]
     trajs, _ = _extract(flipped, [northbound_intersection()])
-    assert list(trajs) == []
+    assert len(trajs) == 0
 
 
 def test_drive_missing_polygon_yields_nothing():
     trajs, skips = _extract(
         northbound_drive(), [northbound_intersection(junction_north_ft=50000.0)]
     )
-    assert list(trajs) == []
+    assert len(trajs) == 0
     assert skips == {"duplicate_pass": 0, "truncated": 0}
 
 
@@ -201,29 +180,17 @@ def test_duplicate_approaches_keep_earliest_ref():
     second.leg_id = 2
     intxn.approaches.append(second)
     trajs, skips = _extract(northbound_drive(), [intxn])
-    assert len(trajs) == 1
-    assert trajs[0].leg_id == 1
+    assert trajs.leg_id.tolist() == [1]
     assert skips["duplicate_pass"] == 1
 
 
 def test_repeat_pass_in_one_drive_counted():
     first = northbound_drive(n=21)
     # Same street again a minute later in the same drive; cum keeps growing.
-    second = [
-        SensorRecord(
-            "A",
-            1,
-            r.t_utc + timedelta(seconds=120),
-            r.pos,
-            r.heading_deg,
-            r.speed_fps,
-            r.cum_dist_ft + 2000.0,
-        )
-        for r in northbound_drive(n=21)
-    ]
+    second = [(*r[:2], r[2] + 120_000_000, *r[3:7], r[7] + 2000.0) for r in first]
     trajs, skips = _extract(first + second, [northbound_intersection()])
     assert len(trajs) == 1
-    assert trajs[0].ref_time_utc == first[10].t_utc  # earliest pass wins
+    assert trajs.sensor.t_us[trajs.ref[0]] == first[10][2]  # earliest pass wins
     assert skips["duplicate_pass"] == 1
 
 
@@ -232,7 +199,7 @@ def test_truncated_window_kept_and_flagged():
         northbound_drive(), [northbound_intersection(junction_north_ft=100.0, length_ft=100.0)]
     )
     assert len(trajs) == 1
-    assert trajs[0].points[0].cum_dist_ft == 0.0  # clipped at drive start
+    assert trajs.sensor.cum[trajs.start[0]] == 0.0  # clipped at drive start
     assert skips["truncated"] == 1
 
 
@@ -243,8 +210,8 @@ def test_output_sorted_and_unique():
         northbound_intersection(intxn_id=2, junction_north_ft=500.0),
     ]
     trajs, _ = _extract(sensor, intxns)
-    assert [t.traj_id for t in trajs] == ["A_1_2", "A_1_9"]
-    assert len({t.traj_id for t in trajs}) == len(trajs)
+    assert trajs.traj_ids() == ["A_1_2", "A_1_9"]
+    assert len(set(trajs.traj_ids())) == len(trajs)
 
 
 def test_window_params_validation():
@@ -260,13 +227,9 @@ def test_trajectories_csv_roundtrip():
     out = io.StringIO()
     write_trajectories_csv(trajs, out)
     out.seek(0)
-    restored = load_trajectories_csv(out, SensorTable.from_records(sensor))
+    restored = load_trajectories_csv(out, table_of(SensorTable, sensor))
     assert len(restored) == 1
-    a, b = trajs[0], restored[0]
-    assert (a.traj_id, a.intxn_id, a.leg_id) == (b.traj_id, b.intxn_id, b.leg_id)
-    assert [p.t_utc for p in a.points] == [p.t_utc for p in b.points]
-    assert a.ref_index == b.ref_index
-    assert isinstance(b, TrajectoryCandidate)
+    assert restored == trajs
 
 
 @pytest.mark.parametrize(
@@ -281,7 +244,7 @@ def test_trajectories_csv_roundtrip():
     ],
 )
 def test_trajectories_csv_bad_row_raises_data_error(field, value, message):
-    sensor = SensorTable.from_records(northbound_drive())
+    sensor = table_of(SensorTable, northbound_drive())
     trajs, _ = _extract(northbound_drive(), [northbound_intersection()])
     out = io.StringIO()
     write_trajectories_csv(trajs, out)
@@ -305,4 +268,4 @@ def test_trajectories_csv_missing_column_raises_header_mismatch(column):
     del cells[column]
     text = ",".join(cells) + "\n" + ",".join(cells.values()) + "\n"
     with pytest.raises(HeaderMismatchError, match=column):
-        load_trajectories_csv(io.StringIO(text), SensorTable.from_records(sensor))
+        load_trajectories_csv(io.StringIO(text), table_of(SensorTable, sensor))

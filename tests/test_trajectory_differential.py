@@ -1,7 +1,7 @@
 """The columnar trajectory path against the object-by-object original.
 
 The ``old_*`` functions below are the implementations that
-``TrajectoryTable`` replaced (a ``TrajectoryCandidate`` per trajectory,
+``TrajectoryTable`` replaced (an ``OldTrajectory`` per trajectory,
 scalar distances, bisects and ``datetime`` arithmetic per window, a dict
 per review row), kept here as the oracle. Hypothesis builds small studies
 of northbound drives past junctions on one meridian, drawing from small
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_writer, old_emit_cutlist
+from oracles import csv_writer, old_emit_cutlist, table_of
 from test_trajectory import T0, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
@@ -41,17 +41,53 @@ from intxn_pipeline.clips import (
 )
 from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
-from intxn_pipeline.ingest import SensorRecord, SensorTable, format_time_utc, from_us, to_us
+from intxn_pipeline.ingest import EPOCH, SensorTable, format_time_utc, to_us
 from intxn_pipeline.review import REVIEW_COLUMNS, build_review_template, write_review_csv
 from intxn_pipeline.trajectory import (
-    TrajectoryCandidate,
+    TrajectoryTable,
     WindowParams,
     _leg_hits,
-    assign_bearings,
     extract_trajectories,
     load_trajectories_csv,
     write_trajectories_csv,
 )
+
+
+def from_us(us) -> datetime:
+    return EPOCH + timedelta(microseconds=int(us))
+
+
+@dataclass(frozen=True)
+class OldTrajectory:
+    """One (participant, drive, intersection) entering pass, as the original
+    extractor gave it; its window ``points`` starts at row ``first`` of the
+    sensor table."""
+
+    traj_id: str
+    subj: str
+    drive: int
+    intxn_id: int
+    leg_id: int
+    points: SensorTable
+    ref_index: int
+    ref_time_utc: datetime
+    start_time_utc: datetime
+    end_time_utc: datetime
+    first: int
+
+    @property
+    def ref_cum_dist_ft(self) -> float:
+        return float(self.points.cum[self.ref_index])
+
+
+def old_table(trajs, sensor):
+    """The ``TrajectoryTable`` of the oracle's trajectories."""
+    rows = [
+        (t.subj, t.drive, t.intxn_id, t.leg_id, t.first + t.ref_index, t.first,
+         t.first + len(t.points))
+        for t in trajs
+    ]
+    return table_of(TrajectoryTable, rows, sensor=sensor)
 
 
 def old_split_episodes(indices, times, gap_s):
@@ -63,7 +99,7 @@ def old_split_episodes(indices, times, gap_s):
     return episodes
 
 
-def old_extract_for_drive(rows, hits, params):
+def old_extract_for_drive(rows, first, hits, params):
     times = rows.seconds().tolist()
     cums = rows.cum.tolist()
     lats, lons = rows.lat.tolist(), rows.lon.tolist()
@@ -93,10 +129,10 @@ def old_extract_for_drive(rows, hits, params):
         if cums[0] > lo or cums[-1] < hi:
             truncated += 1
         out.append(
-            TrajectoryCandidate(
+            OldTrajectory(
                 f"{subj}_{drive}_{intxn_id}", subj, drive, intxn_id, leg_id,
                 rows[left : right + 1], ref_i - left, from_us(rows.t_us[ref_i]),
-                from_us(rows.t_us[left]), from_us(rows.t_us[right]),
+                from_us(rows.t_us[left]), from_us(rows.t_us[right]), first + left,
             )
         )
     return out, duplicates, truncated
@@ -110,8 +146,9 @@ def old_extract_trajectories(sensor, reviewed, params):
             hits.setdefault(d, []).append((intxn, leg, [i - starts[d] for i in members]))
     trajs, skips = [], {"duplicate_pass": 0, "truncated": 0}
     for d in sorted(hits):
-        rows = sensor[sensor.offsets[d] : sensor.offsets[d + 1]]
-        drive_trajs, duplicates, truncated = old_extract_for_drive(rows, hits[d], params)
+        first = sensor.offsets[d]
+        rows = sensor[first : sensor.offsets[d + 1]]
+        drive_trajs, duplicates, truncated = old_extract_for_drive(rows, first, hits[d], params)
         trajs.extend(drive_trajs)
         skips["duplicate_pass"] += duplicates
         skips["truncated"] += truncated
@@ -279,13 +316,11 @@ HEADINGS = st.sampled_from([0.0, 0.0, 0.0, 30.0, 180.0])
 
 @st.composite
 def drive_records(draw, subj, drive):
-    north, t, cum, records = draw(st.sampled_from([0.0, 100.0, 350.0])), 0, 0.0, []
+    """Sensor rows of one drive, as ``oracles.row_tuples`` gives them."""
+    north, t, cum, records = draw(st.sampled_from([0.0, 100.0, 350.0])), to_us(T0), 0.0, []
     for _ in range(draw(st.integers(1, 40))):
-        east = draw(EAST)
-        records.append(
-            SensorRecord(subj, drive, T0 + timedelta(microseconds=t), pt(north, east),
-                         draw(HEADINGS), 50.0, cum)
-        )
+        pos = pt(north, draw(EAST))
+        records.append((subj, drive, t, pos.lat_deg, pos.lon_deg, draw(HEADINGS), 50.0, cum))
         step = draw(STEPS)
         north += step
         cum += abs(step) if step > 0 else 0.0  # a jump south moves no odometer
@@ -298,7 +333,7 @@ def videos_for(draw, records):
     """Videos of one drive: spans between sample times and a little
     around them, so some cover a window, some split it, some miss it, and
     some hold a fraction of a millisecond."""
-    times = sorted({r.t_utc for r in records})
+    times = sorted({from_us(r[2]) for r in records})
     ends = [times[0] - timedelta(seconds=10), times[-1] + timedelta(seconds=10)]
 
     def edge():
@@ -310,7 +345,7 @@ def videos_for(draw, records):
         a, b = sorted((edge(), edge()))
         if a < b:
             uri = draw(st.sampled_from(["v1.mp4", "v2.mp4", "dir/v 3.mp4"]))
-            out.append(OldVideo(uri, records[0].subj, records[0].drive, a, b, 30.0))
+            out.append(OldVideo(uri, *records[0][:2], a, b, 30.0))
     return out
 
 
@@ -333,7 +368,7 @@ def studies(draw):
         on_upstream_ft=draw(st.sampled_from([150.0, 0.0, 400.0])),
         off_downstream_ft=draw(st.sampled_from([50.0, 0.0])),
     )
-    return SensorTable.from_records(records), assign_bearings(reviewed), videos, params, overlay
+    return table_of(SensorTable, records), reviewed, videos, params, overlay
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,7 +377,7 @@ def test_columnar_trajectories_match_the_original(study):
     sensor, reviewed, videos, params, overlay = study
     trajs, skips = extract_trajectories(sensor, reviewed, params)
     old_trajs, old_skips = old_extract_trajectories(sensor, reviewed, params)
-    assert list(trajs) == old_trajs
+    assert trajs == old_table(old_trajs, sensor)
     assert skips == old_skips
 
     text = io.StringIO(newline="")
