@@ -1,22 +1,25 @@
-"""Micro-benchmarks of the geometry layer: polygon tests and the indexed joins.
+"""Micro-benchmarks of the geometry layer: polygon tests, the indexed joins
+and the reviewed-KML round trip (parse, assemble, write JSON).
 
 Run with ``python -m pytest benchmarks/bench_geometry.py``. The file name
 keeps it out of the default test collection.
 """
 
+import io
+
 import numpy as np
 import pytest
 
 from intxn_pipeline.geo import (
-    ON_EDGE_TOL_DEG,
     CellGrid,
     GeoPoint,
+    RingTable,
     angular_difference_deg,
     in_box,
     point_in_polygon,
 )
 from intxn_pipeline.ingest import clean_sensor
-from intxn_pipeline.review import import_reviewed_kml
+from intxn_pipeline.review import import_reviewed_kml, parse_kml_features, save_reviewed_json
 from intxn_pipeline.synth import ScenarioSpec, generate
 from intxn_pipeline.trajectory import LEG_CELL_FT, _entering_bearing, extract_trajectories
 
@@ -54,19 +57,19 @@ def test_point_in_polygon(benchmark, scenario):
 
 def test_indexed_leg_lookup(benchmark, scenario):
     # The candidate search of the trajectory stage: cells, box and heading
-    # gate for every leg, without the exact polygon test.
+    # gate for every (cell candidate, leg) pair, without the exact polygon test.
     _, sensor, reviewed = scenario
     lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
     grid = CellGrid(lats, lons, LEG_CELL_FT)
-    legs = [(leg, _entering_bearing(intxn, leg)) for intxn in reviewed for leg in intxn.approaches]
+    legs = [(intxn, leg) for intxn in reviewed for leg in intxn.approaches]
+    bearings = np.array([_entering_bearing(intxn, leg) for intxn, leg in legs])
+    boxes = np.array(RingTable([leg.polygon for _, leg in legs]).bounds).T
 
     def lookup():
         found = 0
-        for leg, bearing in legs:
-            box = leg.polygon.bounds(ON_EDGE_TOL_DEG)
-            idx = grid.overlapping(box)
-            keep = in_box(box, lats[idx], lons[idx])
-            keep &= angular_difference_deg(headings[idx], bearing) <= 45.0
+        for leg, idx in grid.overlap_pairs(boxes):
+            keep = in_box(boxes[:, leg], lats[idx], lons[idx])
+            keep &= angular_difference_deg(headings[idx], bearings[leg]) <= 45.0
             found += int(keep.sum())
         return found
 
@@ -91,6 +94,17 @@ def test_extract_trajectories_wide(benchmark, wide_scenario):
 
 def test_import_reviewed_kml_wide(benchmark, wide_scenario):
     test_import_reviewed_kml(benchmark, wide_scenario)
+
+
+def test_parse_kml_features_wide(benchmark, wide_scenario):
+    scn, _, reviewed = wide_scenario
+    feats = benchmark(parse_kml_features, scn.paths["reviewed_kml"])
+    assert len(feats.polygons) == sum(len(r.approaches) for r in reviewed)
+
+
+def test_save_reviewed_json_wide(benchmark, wide_scenario):
+    _, _, reviewed = wide_scenario
+    benchmark(lambda: save_reviewed_json(reviewed, io.StringIO()))
 
 
 def test_cell_grid_build(benchmark):

@@ -50,7 +50,7 @@ print(kml_path.read_text()[:400], "...")
 
 print("== Reviewer round trip ==")
 feats = parse_kml_features(kml_path)
-print(f"reimported placemarks: {[p.name for p in feats.points]}")
+print(f"reimported placemarks: {feats.points.names}")
 
 # A reviewed file: the reviewer kept candidate 1, marked its eastbound
 # approach with a polygon, and drew the entering-direction line.

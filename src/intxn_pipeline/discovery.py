@@ -162,7 +162,8 @@ def dbscan_labels(lats: np.ndarray, lons: np.ndarray, eps_ft: float, min_pts: in
     if n == 0:
         return np.empty(0, dtype=np.int64)
     grid = CellGrid(lats, lons, eps_ft / 2.0, narrow=True)
-    cells = list(grid.cells.values())
+    bounds = grid.starts.tolist()
+    cells = [grid.order[s:e] for s, e in zip(bounds, bounds[1:])]
 
     # A pair within eps is at most 2 cell heights apart, so at most 3 rows
     # (one for rounding in the cell index), and at most `reach` columns:
@@ -173,7 +174,7 @@ def dbscan_labels(lats: np.ndarray, lons: np.ndarray, eps_ft: float, min_pts: in
     reach = math.ceil(2.0 * math.degrees(math.asin(x)) / grid.dlon + 0.5) if x < 1.0 else math.inf
     # Complex numbers sort by (real, imag), so keys ascend as the cells do,
     # and each row within reach is one run [lo, hi) of cell indices.
-    keys = np.array([complex(*key) for key in grid.cells])
+    keys = grid.keys
     runs = [
         (np.searchsorted(keys, keys + dr - complex(0, reach)).tolist(),
          np.searchsorted(keys, keys + dr + complex(0, reach), side="right").tolist())

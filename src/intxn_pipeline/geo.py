@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -94,8 +95,9 @@ class CellGrid:
     wide at all those latitudes (sized from the largest cos(lat)), so two
     points in one cell are less than ``cell_ft * sqrt(2)`` apart, up to a
     relative ~(cell_ft / R)^2. Longitude is planar: the ±180° seam is not
-    joined. ``cells`` maps each occupied (row, col) to its ascending point
-    indices, in (row, col) order.
+    joined. The occupied cells' (row, col) ascend in ``keys``, as complex
+    numbers, and cell k's points are ``order[starts[k]:starts[k + 1]]``,
+    ascending.
     """
 
     def __init__(self, lats, lons, cell_ft: float, cover_lats=(), narrow: bool = False):
@@ -109,45 +111,80 @@ class CellGrid:
         cos_ref = float(pick(np.cos(np.radians(cover)))) if cover.size else 1.0
         self.dlat = cell_ft / FT_PER_DEG
         self.dlon = cell_ft / (FT_PER_DEG * (cos_ref if narrow else max(1e-6, cos_ref)))
-        rows = np.floor(lats / self.dlat).astype(np.int64)
-        cols = np.floor(lons / self.dlon).astype(np.int64)
-        order = np.lexsort((cols, rows))  # stable, so indices ascend within a cell
-        rows, cols = rows[order], cols[order]
-        first = np.ones(len(order), dtype=bool)
+        rows, cols = self._cell_of(lats, lons)
+        self.order = np.lexsort((cols, rows))  # stable, so indices ascend within a cell
+        rows, cols = rows[self.order], cols[self.order]
+        first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(first).tolist()
-        keys = zip(rows[starts].tolist(), cols[starts].tolist())
-        self.cells = {
-            key: order[s:e] for key, s, e in zip(keys, starts, starts[1:] + [len(order)])
-        }
+        self.starts = np.append(np.flatnonzero(first), len(rows))
+        self.keys = rows[first] + 1j * cols[first]
 
-    def cell_of(self, lat: float, lon: float) -> tuple[int, int]:
-        return math.floor(lat / self.dlat), math.floor(lon / self.dlon)
+    def _cell_of(self, lats, lons) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's cell row and column, as whole floats (finite ones
+        make exact complex keys)."""
+        return np.floor(np.asarray(lats) / self.dlat), np.floor(np.asarray(lons) / self.dlon)
 
-    def _members(self, cells) -> np.ndarray:
-        parts = [m for m in map(self.cells.get, cells) if m is not None]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
+    def _pairs(self, r0, c0, r1, c1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(query, point) index pairs, each point in a cell of rows r0[q]..r1[q]
+        and columns c0[q]..c1[q], in blocks of about ``PAIR_BLOCK`` pairs,
+        queries ascending.
+
+        Each (query, row) meets one run of cells: complex keys sort by (row,
+        col), so two searches find it, and its points are one slice of
+        ``order``.
+        """
+        if not len(self.keys):
+            return
+        rows = self.keys.real
+        r0, r1 = np.maximum(r0, rows[0]), np.minimum(r1, rows[-1])
+        count = np.maximum(r1 - r0 + 1, 0).astype(np.int64)
+        query = np.repeat(np.arange(len(count)), count)
+        row = np.arange(len(query)) - np.repeat(np.cumsum(count) - count, count) + r0[query]
+        lo = self.starts[np.searchsorted(self.keys, row + 1j * c0[query])]
+        hi = self.starts[np.searchsorted(self.keys, row + 1j * c1[query], "right")]
+        ends = np.cumsum(hi - lo)
+        cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1:].sum(), PAIR_BLOCK)).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(ends)]):
+            if a == b:
+                continue
+            size = hi[a:b] - lo[a:b]
+            at = np.arange(size.sum()) + np.repeat(lo[a:b] - np.cumsum(size) + size, size)
+            yield np.repeat(query[a:b], size), self.order[at]
+
+    def block_pairs(self, lats, lons) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The pairs of each query point (lats[q], lons[q]) with the points in
+        the 3x3 cell block around it, as ``_pairs`` gives them."""
+        r, c = self._cell_of(lats, lons)
+        return self._pairs(r - 1, c - 1, r + 1, c + 1)
+
+    def overlap_pairs(self, boxes) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The pairs of each box (min_lats[q], min_lons[q], max_lats[q],
+        max_lons[q]) with the points in the cells that meet it, as ``_pairs``
+        gives them. A superset of the points inside each box: cell indices are
+        monotone in lat and lon, so no float rounding can move an inside point
+        out."""
+        r0, c0 = self._cell_of(boxes[0], boxes[1])
+        r1, c1 = self._cell_of(boxes[2], boxes[3])
+        return self._pairs(r0, c0, r1, c1)
 
     def block(self, lat: float, lon: float) -> np.ndarray:
         """Ascending indices of the points in the 3x3 cell block around (lat, lon)."""
-        r, c = self.cell_of(lat, lon)
-        return self._members((r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1))
+        return np.sort(joined(self.block_pairs([lat], [lon]))[1])
 
     def overlapping(self, box: tuple[float, float, float, float]) -> np.ndarray:
-        """Ascending indices of the points in cells that meet ``box``.
+        """Ascending indices of the points in cells that meet ``box``."""
+        return np.sort(joined(self.overlap_pairs([[side] for side in box]))[1])
 
-        A superset of the points inside the box: cell indices are monotone in
-        lat and lon, so no float rounding can move an inside point out.
-        """
-        r0, c0 = self.cell_of(box[0], box[1])
-        r1, c1 = self.cell_of(box[2], box[3])
-        if (r1 - r0 + 1) * (c1 - c0 + 1) > len(self.cells):
-            cells = [k for k in self.cells if r0 <= k[0] <= r1 and c0 <= k[1] <= c1]
-        else:
-            cells = product(range(r0, r1 + 1), range(c0, c1 + 1))
-        return self._members(cells)
+
+def joined(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The (query, point) pairs of a ``CellGrid`` lookup's blocks, all at once."""
+    empty = np.empty(0, np.int64)
+    return tuple(map(np.concatenate, zip((empty, empty), *blocks)))
+
+
+# (query, point) pairs a ``CellGrid`` lookup hands over at once, so that the
+# caller's per-pair temporaries stay near a megabyte.
+PAIR_BLOCK = 16384
 
 
 def haversine_distance_ft(a: GeoPoint, b: GeoPoint) -> float:
@@ -184,6 +221,50 @@ def haversine_distances_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
     cos_cos = each(math.cos, np.radians(lat1)) * each(math.cos, np.radians(lat2))
     h = sin2(dphi / 2.0) + cos_cos * sin2(dlam / 2.0)
     return 2.0 * EARTH_RADIUS_FT * each(math.asin, np.minimum(1.0, np.sqrt(h)))
+
+
+# ``haversine_estimates_ft`` is within this share of the exact distance plus
+# HAVERSINE_ESTIMATE_ABS_FT, wherever it gives a number. 2**-40 is 4,096
+# units in the last place: numpy's sin, cos, sqrt and arcsin and the C
+# library's agree to a few units, and the terms of h are never negative, so
+# h and its square root keep those relative errors; asin's slope amplifies
+# them at most 1.84-fold for sqrt(h) <= 0.9. The absolute part covers
+# underflow in h, whose effect is below 1e-140 ft.
+HAVERSINE_ESTIMATE_REL = 2.0**-40
+HAVERSINE_ESTIMATE_ABS_FT = 1e-9
+
+
+def haversine_estimates_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """``haversine_distances_ft`` computed in numpy alone, within the bound
+    above; NaN where sqrt(h) > 0.9 (central angles over ~128°), where asin's
+    slope makes no bound short enough to be useful."""
+    dphi = np.radians(lat2 - lat1)
+    dlam = np.radians(lon2 - lon1)
+    cos_cos = np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
+    x = np.sqrt(np.sin(dphi / 2.0) ** 2 + cos_cos * np.sin(dlam / 2.0) ** 2)
+    return np.where(x <= 0.9, 2.0 * EARTH_RADIUS_FT * np.arcsin(np.minimum(x, 0.9)), np.nan)
+
+
+def nearest_distances_ft(lat1, lon1, lat2, lon2, first) -> np.ndarray:
+    """``haversine_distances_ft`` of each pair that can be the nearest of its
+    group, +inf for the others; the groups are the runs ``first[k]:first[k + 1]``.
+
+    Filter and refine (Shewchuk, "Adaptive precision floating-point
+    arithmetic and fast robust geometric predicates", 1997): a pair is
+    refined unless its estimate exceeds, by more than the error bound, the
+    smallest estimate of its group, so every pair whose exact distance
+    equals the group's smallest is refined and ties keep their order.
+    """
+    est = haversine_estimates_ft(lat1, lon1, lat2, lon2)
+    counts = np.diff(first)
+    low = np.fmin.reduceat(est, first[:-1][counts > 0]) if len(est) else est
+    # |est - d| <= rel * d + abs, so a pair whose estimate passes this cannot
+    # be nearer than the group's nearest estimate; NaN refines.
+    cutoff = (low + 2.0 * HAVERSINE_ESTIMATE_ABS_FT) * (1.0 + 4.0 * HAVERSINE_ESTIMATE_REL)
+    refine = np.flatnonzero(~(est > np.repeat(cutoff, counts[counts > 0])))
+    dist = np.full(len(est), np.inf)
+    dist[refine] = haversine_distances_ft(lat1[refine], lon1[refine], lat2[refine], lon2[refine])
+    return dist
 
 
 def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
@@ -223,6 +304,56 @@ def centroid(points: list[GeoPoint]) -> GeoPoint:
         sum(p.lat_deg for p in points) / n,
         sum(p.lon_deg for p in points) / n,
     )
+
+
+def _run_sums(values: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each run ``values[..., first[k]:first[k + 1]]`` added left to right
+    from 0.0, as Python's ``sum`` adds floats (up to 3.11): the sum before
+    each value, and each run's total."""
+    counts = np.diff(first)
+    before = np.empty(values.shape)
+    total = np.zeros(values.shape[:-1] + counts.shape)
+    for k in range(int(counts.max(initial=0))):
+        runs = np.flatnonzero(counts > k)
+        at = first[runs] + k
+        before[..., at] = total[..., runs]
+        total[..., runs] += values[..., at]
+    return before, total
+
+
+def centroids(lats, lons, first) -> np.ndarray:
+    """``centroid`` of each run of vertices ``first[k]:first[k + 1]``, none
+    empty, as (lats, lons) rows, with the same sums."""
+    return _run_sums(np.stack([lats, lons]), first)[1] / np.diff(first)
+
+
+def polyline_midpoints(lats, lons, first) -> tuple[np.ndarray, np.ndarray]:
+    """The point at half the length along each polyline of vertices
+    ``first[k]:first[k + 1]``, two or more, as (lats, lons) arrays.
+
+    The length is the sum of the segments' ``haversine_distances_ft``; the
+    midpoint falls in the first segment whose far end reaches half of it,
+    at the vertex when that segment has no length, or at the start when
+    the whole line has none, or at the end when rounding reaches no end.
+    """
+    seg = np.delete(np.arange(len(lats)), first[1:] - 1)  # each segment's first vertex
+    length = haversine_distances_ft(lats[seg], lons[seg], lats[seg + 1], lons[seg + 1])
+    seg_first = first - np.arange(len(first))
+    walked, total = _run_sums(length, seg_first)
+    half = total / 2.0
+    line = np.repeat(np.arange(len(half)), np.diff(seg_first))
+    reach = np.flatnonzero(walked + length >= half[line])
+    i = reach[np.diff(line[reach], prepend=-1) > 0]  # each line's first segment to reach half
+    lines = line[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(length[i] > 0.0, (half[lines] - walked[i]) / length[i], 0.0)
+    v = seg[i]
+    lat, lon = lats[first[1:] - 1], lons[first[1:] - 1]
+    lat[lines] = lats[v] + f * (lats[v + 1] - lats[v])
+    lon[lines] = lons[v] + f * (lons[v + 1] - lons[v])
+    still = np.flatnonzero(half == 0.0)
+    lat[still], lon[still] = lats[first[still]], lons[first[still]]
+    return lat, lon
 
 
 def _on_segment(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
@@ -357,28 +488,6 @@ def point_to_segment_ft(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
         return math.hypot(ax, ay)
     t = max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_sq))
     return math.hypot(ax + t * dx, ay + t * dy)
-
-
-def polyline_midpoint(points: list[GeoPoint]) -> GeoPoint:
-    """Point at half the cumulative length along a polyline."""
-    if len(points) < 2:
-        raise ValueError("polyline needs at least 2 vertices")
-    seg_lengths = [
-        haversine_distance_ft(points[i], points[i + 1]) for i in range(len(points) - 1)
-    ]
-    half = sum(seg_lengths) / 2.0
-    if half == 0.0:
-        return points[0]
-    walked = 0.0
-    for i, seg in enumerate(seg_lengths):
-        if walked + seg >= half:
-            f = (half - walked) / seg if seg > 0.0 else 0.0
-            return GeoPoint(
-                points[i].lat_deg + f * (points[i + 1].lat_deg - points[i].lat_deg),
-                points[i].lon_deg + f * (points[i + 1].lon_deg - points[i].lon_deg),
-            )
-        walked += seg
-    return points[-1]
 
 
 def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:

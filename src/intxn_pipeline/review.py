@@ -4,17 +4,23 @@ Candidates go out as KML for inspection in an earth viewer; the reviewer
 keeps true intersections (folder ``true``, or simply deletes false ones),
 draws one polygon per controlled approach leg and one line per entering
 direction, and the result comes back in here and goes on as JSON, read
-back through ``storage.read_json``. The annotation side reads the
-demographics sidecar with ``ingest``'s CSV parser and produces a
-review-template CSV plus a JSON manifest of allowed values per custom
-column, standing in for a spreadsheet with cell validation.
+back through ``storage.read_json``. The reviewed KML is read into columns,
+one per geometry (``Placemarks``), with every coordinate text read at
+once, and the geometry is assembled with array passes over all placemarks
+and cell-grid joins, the scalar tests running only where they decide.
+The annotation side reads the demographics sidecar with ``ingest``'s CSV
+parser and produces a review-template CSV plus a JSON manifest of allowed
+values per custom column, standing in for a spreadsheet with cell
+validation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
@@ -27,11 +33,12 @@ from .geo import (
     GeoPoint,
     PolygonRing,
     RingTable,
-    centroid,
-    haversine_distance_ft,
+    centroids,
+    haversine_distances_ft,
+    joined,
     point_to_segment_ft,
     points_in_polygon,
-    polyline_midpoint,
+    polyline_midpoints,
 )
 from .ingest import _TEXT, _parse_csv, _time_texts
 from .storage import WRITE_ROWS, read_json, resolve_uri, write_csv, write_json
@@ -115,6 +122,7 @@ def write_kml(kml: ET.Element, dest: str | Path | IO) -> None:
         handle.write("\n")
 
 
+@functools.lru_cache(maxsize=256)
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -126,65 +134,93 @@ def _child_text(elem: ET.Element, name: str) -> str | None:
     return None
 
 
-def _parse_coordinates(text: str, context: str) -> list[GeoPoint]:
-    points = []
-    for token in text.split():
-        parts = token.split(",")
-        if len(parts) < 2:
-            raise KmlParseError(f"bad coordinate tuple {token!r} in {context}")
-        try:  # GeoPoint rejects a latitude or longitude out of range, or NaN
-            points.append(GeoPoint(float(parts[1]), float(parts[0])))
-        except ValueError as exc:
-            raise KmlParseError(f"bad coordinate tuple {token!r} in {context}") from exc
-    return points
+@dataclass(eq=False)
+class Placemarks:
+    """The placemarks of one geometry, in document order, as columns:
+    placemark k is named ``names[k]``, sits in the folders ``folders[k]``
+    (outermost first), carries the ExtendedData ``extended[k]``, and has the
+    vertices ``lat[first[k]:first[k + 1]]``, ``lon[...]`` (a polygon's ring
+    open: KML closes rings explicitly, our rings are open)."""
+
+    names: list[str]
+    folders: list[tuple[str, ...]]
+    extended: list[dict[str, str]]
+    lat: np.ndarray
+    lon: np.ndarray
+    first: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def coordinates(self, k: int) -> list[GeoPoint]:
+        a, b = self.first[k : k + 2].tolist()
+        return list(map(GeoPoint, self.lat[a:b].tolist(), self.lon[a:b].tolist()))
 
 
-@dataclass
-class KmlPlacemark:
-    name: str
-    folders: tuple[str, ...]
-    geometry: str  # point | line | polygon
-    coordinates: list[GeoPoint]
-    extended: dict[str, str]
+_GEOMETRIES = ("Point", "LineString", "Polygon")
 
 
-@dataclass
+@dataclass(eq=False)
 class KmlFeatures:
-    points: list[KmlPlacemark] = field(default_factory=list)
-    lines: list[KmlPlacemark] = field(default_factory=list)
-    polygons: list[KmlPlacemark] = field(default_factory=list)
+    points: Placemarks
+    lines: Placemarks
+    polygons: Placemarks
     folder_names: set[str] = field(default_factory=set)
 
-    def true_points(self) -> list[KmlPlacemark]:
-        """The points under a folder named ``true``, or all when no folder is."""
+    def true_points(self) -> np.ndarray:
+        """Ascending indices of the points under a folder named ``true``, or
+        of all points when no folder is."""
+        folders = self.points.folders
         if TRUE_FOLDER in self.folder_names:
-            return [p for p in self.points if TRUE_FOLDER in p.folders]
-        return list(self.points)
+            return np.flatnonzero([TRUE_FOLDER in path for path in folders])
+        return np.arange(len(folders))
+
+
+def _floats(texts: list[str]) -> np.ndarray:
+    """``float`` of each text, NaN where it raises."""
+    try:
+        return np.array(list(map(float, texts)), dtype=float)
+    except ValueError:  # only a bad document gets here
+        def read(text):
+            try:
+                return float(text)
+            except ValueError:
+                return math.nan
+
+        return np.array(list(map(read, texts)), dtype=float)
 
 
 def parse_kml_features(source: str | Path | IO) -> KmlFeatures:
-    """Extract Point/LineString/Polygon placemarks with their folder context."""
+    """Extract Point/LineString/Polygon placemarks with their folder context.
+
+    The walk collects each placemark's coordinate text; then all the texts
+    are read at once: every whitespace-separated tuple gives lon and lat,
+    each as ``float`` reads it. A tuple without both, or with either out of
+    range or NaN, is a KmlParseError naming the first bad placemark in
+    document order, as is a Point without exactly one tuple.
+    """
     with resolve_uri(source, "r") as handle:
         try:
             tree = ET.parse(handle)
         except ET.ParseError as exc:
             raise KmlParseError(f"malformed KML: {exc}") from exc
 
-    feats = KmlFeatures()
+    folder_names: set[str] = set()
+    marks: list[tuple] = []  # (geometry, name, folders, extended, coordinate text)
 
     def walk(elem: ET.Element, folders: tuple[str, ...]) -> None:
         for child in elem:
             tag = _local(child.tag)
             if tag == "Folder":
                 name = _child_text(child, "name") or ""
-                feats.folder_names.add(name)
+                folder_names.add(name)
                 walk(child, folders + (name,))
             elif tag in ("Document", "kml"):
                 walk(child, folders)
             elif tag == "Placemark":
-                _read_placemark(child, folders)
+                read_placemark(child, folders)
 
-    def _read_placemark(elem: ET.Element, folders: tuple[str, ...]) -> None:
+    def read_placemark(elem: ET.Element, folders: tuple[str, ...]) -> None:
         name = _child_text(elem, "name") or ""
         # The placemark's descendants by local tag, in document order.
         found: dict[str, list[ET.Element]] = {}
@@ -196,34 +232,63 @@ def parse_kml_features(source: str | Path | IO) -> KmlFeatures:
             if key is not None:
                 extended[key] = _child_text(data, "value") or ""
         context = f"placemark {name!r}"
-        points, lines, polygons = (found.get(tag) for tag in ("Point", "LineString", "Polygon"))
-        if points:
-            coords = _parse_coordinates(_coords_text(points[0], context), context)
-            if len(coords) != 1:
-                raise KmlParseError(f"{context}: Point must have exactly one coordinate")
-            feats.points.append(KmlPlacemark(name, folders, "point", coords, extended))
-        elif lines:
-            coords = _parse_coordinates(_coords_text(lines[0], context), context)
-            feats.lines.append(KmlPlacemark(name, folders, "line", coords, extended))
-        elif polygons:
-            rings = [e for e in polygons[0].iter() if _local(e.tag) == "LinearRing"]
-            if not rings:
-                raise KmlParseError(f"{context}: Polygon without a LinearRing")
-            coords = _parse_coordinates(_coords_text(rings[0], context), context)
-            # KML closes rings explicitly; our rings are open.
-            if len(coords) > 1 and coords[0] == coords[-1]:
-                coords = coords[:-1]
-            feats.polygons.append(KmlPlacemark(name, folders, "polygon", coords, extended))
+        for kind, tag in enumerate(_GEOMETRIES):
+            if tag in found:
+                geom = found[tag][0]
+                if tag == "Polygon":
+                    rings = [e for e in geom.iter() if _local(e.tag) == "LinearRing"]
+                    if not rings:
+                        raise KmlParseError(f"{context}: Polygon without a LinearRing")
+                    geom = rings[0]
+                text = _child_text(geom, "coordinates")
+                if text is None:
+                    raise KmlParseError(f"{context}: geometry without coordinates")
+                marks.append((kind, name, folders, extended, text))
+                return
         # Placemarks without a recognized geometry are ignored.
 
-    def _coords_text(geom: ET.Element, context: str) -> str:
-        text = _child_text(geom, "coordinates")
-        if text is None:
-            raise KmlParseError(f"{context}: geometry without coordinates")
-        return text
+    try:
+        walk(tree.getroot(), ())
+        halt = None
+    except KmlParseError as exc:  # raised after any bad coordinates before it
+        halt = exc
+    kind, names, folders, extended, texts = (list(c) for c in zip(*marks)) if marks else ([],) * 5
+    tuples = list(map(str.split, texts))
+    counts = np.array(list(map(len, tuples)), dtype=np.int64)
+    tokens = list(chain.from_iterable(tuples))
+    lon = _floats([token.partition(",")[0] for token in tokens])
+    lat = _floats([token.partition(",")[2].partition(",")[0] for token in tokens])
+    bad = np.flatnonzero(~((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)))
+    mark = np.repeat(np.arange(len(counts)), counts)
+    kind = np.array(kind, dtype=np.int64)
+    wrong = np.flatnonzero((kind == 0) & (counts != 1))
+    if len(bad) and (not len(wrong) or mark[bad[0]] <= wrong[0]):
+        context = f"placemark {names[mark[bad[0]]]!r}"
+        raise KmlParseError(f"bad coordinate tuple {tokens[bad[0]]!r} in {context}")
+    if len(wrong):
+        raise KmlParseError(f"placemark {names[wrong[0]]!r}: Point must have exactly one coordinate")
+    if halt is not None:
+        raise halt
 
-    walk(tree.getroot(), ())
-    return feats
+    # A ring that repeats its first vertex at the end drops the repeat.
+    tails = np.cumsum(counts) - 1
+    closed = np.flatnonzero((kind == 2) & (counts > 1))
+    closed = closed[(lat[tails[closed] - counts[closed] + 1] == lat[tails[closed]]) & (
+        lon[tails[closed] - counts[closed] + 1] == lon[tails[closed]])]
+    keep = np.ones(len(tokens), dtype=bool)
+    keep[tails[closed]] = False
+    row_kind = np.repeat(kind, counts)
+    counts[closed] -= 1
+
+    def columns(k: int) -> Placemarks:
+        pick = np.flatnonzero(kind == k).tolist()
+        rows = keep & (row_kind == k)
+        return Placemarks(
+            [names[i] for i in pick], [folders[i] for i in pick], [extended[i] for i in pick],
+            lat[rows], lon[rows], np.cumsum([0, *counts[pick]]),
+        )
+
+    return KmlFeatures(*map(columns, range(3)), folder_names)
 
 
 def _ring_edge_distance_ft(pt: GeoPoint, ring: PolygonRing) -> float:
@@ -249,117 +314,128 @@ def import_reviewed_kml(
     ``line_edge_match_ft``. Geometry that cannot be assigned, approaches
     without a direction line, and intersections without approaches all land
     in the rejects report rather than raising.
+
+    Centroids, midpoints, the intersections near each centroid and the
+    polygons near each midpoint are array passes over all polygons and
+    lines; the scalar edge distance runs only for a line whose midpoint
+    lies in no polygon or in more than one.
     """
     feats = source if isinstance(source, KmlFeatures) else parse_kml_features(source)
+    points, polygons, lines = feats.points, feats.polygons, feats.lines
     rejects: list[RejectEntry] = []
     intersections: dict[int, ReviewedIntersection] = {}
-    for p in feats.true_points():
+    for k in feats.true_points().tolist():
+        name = points.names[k]
         try:
-            intxn_id = int(p.name)
+            intxn_id = int(name)
         except ValueError:
-            rejects.append(RejectEntry("intersection", p.name, "non_integer_name"))
+            rejects.append(RejectEntry("intersection", name, "non_integer_name"))
             continue
         if intxn_id in intersections:
-            rejects.append(RejectEntry("intersection", p.name, "duplicate_id"))
+            rejects.append(RejectEntry("intersection", name, "duplicate_id"))
             continue
-        control = p.extended.get("control", "stop")
+        control = points.extended[k].get("control", "stop")
         if control not in CONTROL_TYPES:
-            rejects.append(RejectEntry("intersection", p.name, "invalid_control"))
+            rejects.append(RejectEntry("intersection", name, "invalid_control"))
             continue
-        intersections[intxn_id] = ReviewedIntersection(intxn_id, p.coordinates[0], control)
+        pos = GeoPoint(float(points.lat[k]), float(points.lon[k]))
+        intersections[intxn_id] = ReviewedIntersection(intxn_id, pos, control)
 
     # Polygon -> nearest intersection. Candidates come from the 3x3 cell
     # block around the centroid; cells a margin wider than the gate hold
-    # every intersection the gate can accept, and the scalar distance with
+    # every intersection the gate can accept, and the exact distance with
     # the (dist, id) tie-break decides among them.
     rings: list[PolygonRing | None] = []
-    for poly in feats.polygons:
+    lat, lon, first = polygons.lat.tolist(), polygons.lon.tolist(), polygons.first.tolist()
+    for a, b in zip(first, first[1:]):
         try:
-            rings.append(PolygonRing(tuple(poly.coordinates)))
+            rings.append(PolygonRing(tuple(map(GeoPoint, lat[a:b], lon[a:b]))))
         except ValueError:
             rings.append(None)
-    centers = [None if ring is None else centroid(list(ring.vertices)) for ring in rings]
-    ids = sorted(intersections)
-    grid = CellGrid(
-        [intersections[i].pos.lat_deg for i in ids],
-        [intersections[i].pos.lon_deg for i in ids],
-        max(polygon_match_ft, 0.0) + INDEX_MARGIN_FT,
-        cover_lats=[c.lat_deg for c in centers if c is not None],
+    valid = np.array([ring is not None for ring in rings], dtype=bool)
+    rows = np.repeat(valid, np.diff(polygons.first))
+    center_lat, center_lon = centroids(
+        polygons.lat[rows], polygons.lon[rows], np.cumsum([0, *np.diff(polygons.first)[valid]])
     )
+    ids = sorted(intersections)
+    at = np.array([(intersections[i].pos.lat_deg, intersections[i].pos.lon_deg) for i in ids])
+    at = at.reshape(-1, 2).T
+    grid = CellGrid(at[0], at[1], max(polygon_match_ft, 0.0) + INDEX_MARGIN_FT, cover_lats=center_lat)
+    center, near = joined(grid.block_pairs(center_lat, center_lon))  # near: index into ids
+    dist = haversine_distances_ft(center_lat[center], center_lon[center], at[0][near], at[1][near])
+    best = np.lexsort((near, dist, center))
+    best = best[np.diff(center[best], prepend=-1) > 0]  # each polygon's first
+    owner = np.full(len(center_lat), -1)
+    owner[center[best]] = np.where(dist[best] > polygon_match_ft, -1, near[best])
 
-    # (intxn_id, ring, polygon name, entering line or None)
-    pending: list[dict] = []
-    for poly, ring, center in zip(feats.polygons, rings, centers):
+    pending: list[list] = []  # [intxn_id, polygon, entering line or None]
+    owners = iter(owner.tolist())
+    for k, ring in enumerate(rings):
         if ring is None:
-            rejects.append(RejectEntry("polygon", poly.name, "invalid_polygon"))
-            continue
-        best = min(
-            (
-                (haversine_distance_ft(center, intersections[ids[k]].pos), ids[k])
-                for k in grid.block(center.lat_deg, center.lon_deg).tolist()
-            ),
-            default=None,
-        )
-        if best is None or best[0] > polygon_match_ft:
-            rejects.append(RejectEntry("polygon", poly.name, "unassigned_polygon"))
-            continue
-        pending.append({"intxn_id": best[1], "ring": ring, "name": poly.name, "line": None})
+            rejects.append(RejectEntry("polygon", polygons.names[k], "invalid_polygon"))
+        elif (i := next(owners)) < 0:
+            rejects.append(RejectEntry("polygon", polygons.names[k], "unassigned_polygon"))
+        else:
+            pending.append([ids[i], k, None])
 
     # Line midpoint -> polygon. A polygon's bounding box gives a lower bound
     # on its edge distance, in the same local frame as point_to_segment_ft,
     # so only polygons whose box lies within the edge gate (plus margin) can
-    # contain the midpoint or be its nearest edge. One points_in_polygon
-    # call tests every (midpoint, nearby polygon) pair.
-    rings = [leg["ring"] for leg in pending]
-    table = RingTable(rings)
+    # contain the midpoint or be its nearest edge. A grid of the midpoints
+    # pairs each polygon with the midpoints in cells that meet its box so
+    # widened (a superset: any other polygon is beyond the gate), and one
+    # points_in_polygon call tests every pair.
+    table = RingTable([rings[k] for _, k, _ in pending])
     boxes = np.array(table.bounds, dtype=float).reshape(-1, 4).T
-    found = []  # (line, midpoint or None, nearby polygons)
-    for line in feats.lines:
-        # A line whose ends coincide gives no entering bearing.
-        if len(line.coordinates) < 2 or line.coordinates[0] == line.coordinates[-1]:
-            found.append((line, None, np.empty(0, np.int64)))
-            continue
-        mid = polyline_midpoint(line.coordinates)
-        lat_gap = np.maximum(np.maximum(boxes[0] - mid.lat_deg, mid.lat_deg - boxes[2]), 0.0)
-        lon_gap = np.maximum(np.maximum(boxes[1] - mid.lon_deg, mid.lon_deg - boxes[3]), 0.0)
-        lon_ft_per_deg = FT_PER_DEG * math.cos(math.radians(mid.lat_deg))
-        gap_ft = np.maximum(lat_gap * FT_PER_DEG, lon_gap * lon_ft_per_deg)
-        near = np.flatnonzero(gap_ft <= max(line_edge_match_ft, 0.0) + INDEX_MARGIN_FT)
-        found.append((line, mid, near))
-    counts = [len(near) for *_, near in found]
-    at = [(0.0, 0.0) if mid is None else (mid.lat_deg, mid.lon_deg) for _, mid, _ in found]
-    at = np.repeat(np.array(at, dtype=float).reshape(-1, 2), counts, axis=0)
-    pairs = np.concatenate([np.empty(0, np.int64), *(near for *_, near in found)])
-    inside = points_in_polygon(table, pairs, at[:, 0], at[:, 1])
-    cuts = np.cumsum([0] + counts).tolist()
-    for (line, mid, near), lo, hi in zip(found, cuts, cuts[1:]):
-        if mid is None:
-            rejects.append(RejectEntry("line", line.name, "invalid_line"))
-            continue
-        containing = near[inside[lo:hi]].tolist()
-        if len(containing) == 1:
-            idx = containing[0]
-        else:  # the nearest edge among the containing polygons, or else all nearby
-            nearest = min(
-                ((_ring_edge_distance_ft(mid, rings[i]), i) for i in containing or near.tolist()),
-                default=None,
-            )
-            if nearest is None or (not containing and nearest[0] > line_edge_match_ft):
-                rejects.append(RejectEntry("line", line.name, "unassigned_line"))
-                continue
-            idx = nearest[1]
-        if pending[idx]["line"] is not None:
-            rejects.append(RejectEntry("line", line.name, "extra_line"))
-            continue
-        pending[idx]["line"] = line.coordinates
+    counts = np.diff(lines.first)
+    # A line whose ends coincide gives no entering bearing.
+    valid = counts >= 2
+    ends = lines.first[:-1][valid], lines.first[1:][valid] - 1
+    valid[valid] = (lines.lat[ends[0]] != lines.lat[ends[1]]) | (lines.lon[ends[0]] != lines.lon[ends[1]])
+    rows = np.repeat(valid, counts)
+    mid_lat, mid_lon = polyline_midpoints(
+        lines.lat[rows], lines.lon[rows], np.cumsum([0, *counts[valid]])
+    )
+    cut = max(line_edge_match_ft, 0.0) + INDEX_MARGIN_FT
+    pad, cos_min = min(cut / FT_PER_DEG, 180.0), float(np.cos(np.radians(mid_lat)).min(initial=1.0))
+    pad_lon = 360.0 if cos_min * 360.0 <= pad else pad / cos_min
+    padded = boxes + np.array([[-pad], [-pad_lon], [pad], [pad_lon]])
+    poly, line = joined(CellGrid(mid_lat, mid_lon, cut).overlap_pairs(padded))
+    line, poly = np.divmod(np.sort(line * len(pending) + poly), max(len(pending), 1))
+    inside = points_in_polygon(table, poly, mid_lat[line], mid_lon[line])
+    n_near = np.bincount(line, minlength=len(mid_lat))
+    n_inside = np.bincount(line[inside], minlength=len(mid_lat))
+    pick = np.full(len(mid_lat), -1)
+    pick[line[inside]] = poly[inside]  # right where one polygon contains the midpoint
+    cuts = np.searchsorted(line, np.arange(len(mid_lat) + 1)).tolist()
+    for g in np.flatnonzero((n_inside != 1) & (n_near > 0)).tolist():
+        # The nearest edge among the containing polygons, or else all nearby.
+        near = poly[cuts[g] : cuts[g + 1]]
+        containing = near[inside[cuts[g] : cuts[g + 1]]].tolist()
+        mid = GeoPoint(float(mid_lat[g]), float(mid_lon[g]))
+        edge, i = min(
+            (_ring_edge_distance_ft(mid, rings[pending[i][1]]), i) for i in containing or near.tolist()
+        )
+        pick[g] = -1 if not containing and edge > line_edge_match_ft else i
 
-    for leg in pending:
-        if leg["line"] is None:
-            rejects.append(RejectEntry("polygon", leg["name"], "no_entering_line"))
+    picks = iter(pick.tolist())
+    for k, ok in enumerate(valid.tolist()):
+        if not ok:
+            rejects.append(RejectEntry("line", lines.names[k], "invalid_line"))
+        elif (i := next(picks)) < 0:
+            rejects.append(RejectEntry("line", lines.names[k], "unassigned_line"))
+        elif pending[i][2] is not None:
+            rejects.append(RejectEntry("line", lines.names[k], "extra_line"))
+        else:
+            pending[i][2] = k
+
+    for intxn_id, k, line_k in pending:
+        if line_k is None:
+            rejects.append(RejectEntry("polygon", polygons.names[k], "no_entering_line"))
             continue
-        intxn = intersections[leg["intxn_id"]]
+        intxn = intersections[intxn_id]
         intxn.approaches.append(
-            ApproachLeg(len(intxn.approaches) + 1, leg["ring"], leg["line"])
+            ApproachLeg(len(intxn.approaches) + 1, rings[k], lines.coordinates(line_k))
         )
 
     reviewed = []

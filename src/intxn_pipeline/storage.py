@@ -221,10 +221,21 @@ class Store(dict):
         """``reader`` of the text file at ``path``, parsed only when the store
         holds nothing under its digest.
 
-        The bytes hashed are the bytes parsed, so a file replaced meanwhile is
-        never stored under another content's digest. The caller gets a slice
-        of the stored table or list, so it cannot change the stored one.
+        When the store holds an object for ``key``, the file is first hashed a
+        mebibyte at a time, so a hit never holds the whole file. Otherwise the
+        whole file is read and those bytes hashed and parsed, so a file
+        replaced meanwhile is never stored under another content's digest.
+        The caller gets a slice of the stored table or list, so it cannot
+        change the stored one.
         """
+        held = self.get(key)
+        if held is not None:
+            sha256, block = hashlib.sha256(), bytearray(1 << 20)
+            with resolve_uri(path, "rb") as handle:
+                while size := handle.readinto(block):
+                    sha256.update(memoryview(block)[:size])
+            if sha256.hexdigest() + on == held[0]:
+                return held[1][:]
         with resolve_uri(path, "rb") as handle:
             data = handle.read()
         digest = hashlib.sha256(data).hexdigest() + on

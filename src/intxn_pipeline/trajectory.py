@@ -8,9 +8,11 @@ window, and the window is cut from the whole drive by cumulative distance:
 
 ``_leg_hits`` gives each approach leg's ascending sensor-table rows inside
 its polygon and heading the way of its entering line, over the whole study
-at once: a per-leg cell, box and heading gate, then one polygon test of
-every gated (point, leg) pair against a ``RingTable`` of all the legs.
-Extraction finds each row's drive in the table's offsets.
+at once: one cell, box and heading gate of every (cell candidate, leg)
+pair, then one polygon test of every gated (point, leg) pair against a
+``RingTable`` of all the legs. Extraction finds each row's drive in the
+table's offsets, and ranks each visit's hits by a numpy distance estimate,
+computing the exact distance only for the hits that can be nearest.
 
 The trajectories are one ``TrajectoryTable``, keyed by (subj, drive) like
 the sensor and detection tables. A row is one (drive, intersection) pass:
@@ -36,9 +38,9 @@ from .geo import (
     CellGrid,
     RingTable,
     angular_difference_deg,
-    haversine_distances_ft,
     in_box,
     initial_bearing_deg,
+    nearest_distances_ft,
     points_in_polygon,
 )
 from .ingest import (
@@ -154,27 +156,26 @@ def _leg_hits(
     approaches: its intersection, the leg, and the ascending rows of
     ``sensor`` inside the polygon heading the entering way.
 
-    All points sit in one study-wide ``CellGrid``. Each leg gathers the
-    points in the cells its bounding box meets and applies the box and the
-    heading gate, from the ``_entering_bearing`` of its line (so a
-    degenerate line is a DataError), as array operations; one
-    ``points_in_polygon`` then tests every (point, leg) pair that passed.
+    All points sit in one study-wide ``CellGrid``. The grid pairs every
+    leg with the points in the cells its bounding box meets, a block of
+    pairs at a time; the box and the heading gate, from the
+    ``_entering_bearing`` of each leg's line (so a degenerate line is a
+    DataError), test all those pairs at once, and one ``points_in_polygon``
+    then tests every (point, leg) pair that passed.
     """
     legs = [(intxn, leg) for intxn in reviewed for leg in intxn.approaches]
-    bearings = [_entering_bearing(intxn, leg) for intxn, leg in legs]
+    bearings = np.array([_entering_bearing(intxn, leg) for intxn, leg in legs], dtype=float)
     rings = RingTable([leg.polygon for _, leg in legs])
+    boxes = np.array(rings.bounds, dtype=float).reshape(-1, 4).T
     lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
-    grid = CellGrid(lats, lons, LEG_CELL_FT)
-
-    gated = []
-    for box, bearing in zip(rings.bounds, bearings):
-        idx = grid.overlapping(box)
-        keep = in_box(box, lats[idx], lons[idx]) & (
-            angular_difference_deg(headings[idx], bearing) <= heading_tol_deg
+    # Each gated pair as leg * len(lats) + row, so one sort orders them.
+    gated = [np.empty(0, np.int64)]
+    for leg, idx in CellGrid(lats, lons, LEG_CELL_FT).overlap_pairs(boxes):
+        keep = in_box(boxes[:, leg], lats[idx], lons[idx]) & (
+            angular_difference_deg(headings[idx], bearings[leg]) <= heading_tol_deg
         )
-        gated.append(idx[keep])
-    ring = np.repeat(np.arange(len(legs)), [len(rows) for rows in gated])
-    rows = np.concatenate([np.empty(0, np.int64), *gated])
+        gated.append(leg[keep] * len(lats) + idx[keep])
+    ring, rows = np.divmod(np.sort(np.concatenate(gated)), max(len(lats), 1))
     inside = points_in_polygon(rings, ring, lats[rows], lons[rows])
     rows, cuts = rows[inside], np.searchsorted(ring[inside], range(len(legs) + 1)).tolist()
     return [(*legs[k], rows[lo:hi]) for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
@@ -189,7 +190,11 @@ def extract_trajectories(
 
     Each approach leg's hits in one drive split into visits where more than
     ``pass_gap_s`` passes between two of them. A visit's reference is its
-    point closest to the intersection, the earliest of equals. Repeat visits
+    point closest to the intersection by ``haversine_distances_ft``, the
+    earliest of equals; ``nearest_distances_ft`` computes that exact
+    distance only for the hits within its estimate's error bound of the
+    visit's nearest, so the references are those of the exact distance
+    everywhere. Repeat visits
     (multiple approaches, or repeat passes within one drive) keep the
     earliest reference time, then the lowest leg and row, and are tallied in
     the skip report as ``duplicate_pass``. Windows cut short by the start or
@@ -218,12 +223,15 @@ def extract_trajectories(
     split[1:] = (entry[1:] != entry[:-1]) | (drive[1:] != drive[:-1])
     split[1:] |= t[1:] - t[:-1] > params.pass_gap_s
     visit = np.cumsum(split) - 1
-    dist = haversine_distances_ft(
+    starts = np.flatnonzero(split)
+    # The exact distance only where it can pick the reference; +inf elsewhere.
+    dist = nearest_distances_ft(
         sensor.lat[row], sensor.lon[row],
         per_hit([intxn.pos.lat_deg for intxn in intxns], float),
         per_hit([intxn.pos.lon_deg for intxn in intxns], float),
+        np.append(starts, len(row)),
     )
-    refs = np.lexsort((row, t, dist, visit))[np.flatnonzero(split)]
+    refs = np.lexsort((row, t, dist, visit))[starts]
 
     # Per (drive, intersection), the earliest visit.
     drive, ids, t, legs, ref = drive[refs], ids[refs], t[refs], legs[refs], row[refs]

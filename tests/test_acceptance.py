@@ -212,11 +212,11 @@ def test_criterion_6_round_trip_fidelity(scenario, clean, tmp_path, trajectories
         )
         kml_path = tmp_path / "candidates.kml"
         export_candidates_kml(visited, kml_path)
-        feats = parse_kml_features(kml_path)
-        assert [int(p.name) for p in feats.points] == [v.intxn_id for v in visited]
-        for parsed, v in zip(feats.points, visited):
-            assert abs(parsed.coordinates[0].lat_deg - v.pos.lat_deg) <= 1e-6
-            assert abs(parsed.coordinates[0].lon_deg - v.pos.lon_deg) <= 1e-6
+        points = parse_kml_features(kml_path).points
+        assert [int(name) for name in points.names] == [v.intxn_id for v in visited]
+        for lat, lon, v in zip(points.lat.tolist(), points.lon.tolist(), visited):
+            assert abs(lat - v.pos.lat_deg) <= 1e-6
+            assert abs(lon - v.pos.lon_deg) <= 1e-6
 
         videos = read_videos_csv(scenario.paths["videos"])
         specs, _ = build_clip_specs(trajectories, videos)

@@ -464,12 +464,12 @@ EVERY_REJECT = {
 def _with_every_reject(kml: Path) -> None:
     """Add to synth's reviewed KML one placemark for each reject reason."""
     text = kml.read_text()
-    first = parse_kml_features(kml).points[0]
-    junction = first.coordinates[0]
+    points = parse_kml_features(kml).points
+    first, junction = points.names[0], points.coordinates(0)[0]
     a, b = GeoPoint(32.0, -92.0), GeoPoint(32.001, -92.0)
     true_marks = (
         point_mark("x", GeoPoint(33.0, -93.0))  # non_integer_name
-        + point_mark(first.name, GeoPoint(33.1, -93.0))  # duplicate_id
+        + point_mark(first, GeoPoint(33.1, -93.0))  # duplicate_id
         + point_mark("9001", GeoPoint(33.2, -93.0), "yield")  # invalid_control
         + point_mark("9002", GeoPoint(33.3, -93.0))  # no_polygons
     )
@@ -511,7 +511,7 @@ def test_import_review_report_reconciles(workspace, doctored):
     rejects = {kind: [] for kind in ("intersection", "polygon", "line")}
     for reject in report["rejects"]:
         rejects[reject["kind"]].append(reject["reason"])
-    true_points = [p for p in feats.points if TRUE_FOLDER in p.folders]
+    true_points = [path for path in feats.points.folders if TRUE_FOLDER in path]
     assert len(true_points) == report["intersections"] + len(rejects["intersection"])
     assert len(feats.polygons) == report["approaches"] + len(rejects["polygon"])
     assert len(feats.lines) == report["approaches"] + len(rejects["line"])

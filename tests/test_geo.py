@@ -7,21 +7,31 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import polyline_midpoint
+
 from intxn_pipeline import geo
 from intxn_pipeline.geo import (
     EARTH_RADIUS_FT,
     FT_PER_DEG,
+    HAVERSINE_ESTIMATE_ABS_FT,
+    HAVERSINE_ESTIMATE_REL,
     ON_EDGE_TOL_DEG,
+    CellGrid,
     GeoPoint,
     PolygonRing,
     RingTable,
     angular_difference_deg,
     centroid,
+    centroids,
     haversine_distance_ft,
+    haversine_distances_ft,
+    haversine_estimates_ft,
+    in_box,
     initial_bearing_deg,
+    nearest_distances_ft,
     point_in_polygon,
     points_in_polygon,
-    polyline_midpoint,
+    polyline_midpoints,
 )
 
 # Closed-form oracles: R * delta_lambda for the equatorial arc and
@@ -319,9 +329,211 @@ def test_polygon_ring_validation():
 
 
 def test_polyline_midpoint_straight_segment():
-    mid = polyline_midpoint([GeoPoint(0, 0), GeoPoint(0, 1)])
-    assert mid.lon_deg == pytest.approx(0.5, abs=1e-9)
-    assert mid.lat_deg == pytest.approx(0.0, abs=1e-12)
+    lat, lon = polyline_midpoints(np.array([0.0, 0.0]), np.array([0.0, 1.0]), np.array([0, 2]))
+    assert lon[0] == pytest.approx(0.5, abs=1e-9)
+    assert lat[0] == pytest.approx(0.0, abs=1e-12)
+
+
+# Vertices of short polylines and rings near one base point, often repeated
+# (zero-length segments, whole lines of one point) or at a far lattice step.
+_VERTEX_STEPS = st.sampled_from([0.0, 0.0, 1e-9, 2.0**-20, 1e-4, 3e-3, -7e-4])
+
+
+@st.composite
+def polylines(draw, min_size):
+    base = (draw(st.floats(-89.0, 89.0)), draw(st.floats(-179.0, 179.0)))
+    lines = draw(
+        st.lists(
+            st.lists(st.tuples(_VERTEX_STEPS, _VERTEX_STEPS), min_size=min_size, max_size=6),
+            min_size=1, max_size=5,
+        )
+    )
+    return [[GeoPoint(base[0] + a, base[1] + b) for a, b in line] for line in lines]
+
+
+def _columns(lines):
+    lat = np.array([p.lat_deg for line in lines for p in line])
+    lon = np.array([p.lon_deg for line in lines for p in line])
+    return lat, lon, np.cumsum([0] + [len(line) for line in lines])
+
+
+@settings(max_examples=300, deadline=None)
+@given(polylines(min_size=2))
+def test_polyline_midpoints_are_the_scalar_walk(lines):
+    lat, lon = polyline_midpoints(*_columns(lines))
+    assert list(zip(lat.tolist(), lon.tolist())) == [
+        (m.lat_deg, m.lon_deg) for m in map(polyline_midpoint, lines)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(polylines(min_size=1))
+def test_centroids_are_the_scalar_sums(rings):
+    lat, lon = centroids(*_columns(rings))
+    assert list(zip(lat.tolist(), lon.tolist())) == [
+        (c.lat_deg, c.lon_deg) for c in map(centroid, rings)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# CellGrid against brute force. Every batched lookup goes through the
+# per-row runs that ``block`` and ``overlapping`` take one query at a time.
+
+
+@st.composite
+def binned_points(draw):
+    lat0 = draw(st.sampled_from([0.0, 41.25, -63.0, 89.9, -89.9, 89.0]))
+    lon0 = draw(st.sampled_from([-96.0, 0.0, 179.99, -179.99]))
+    cell_ft = draw(st.sampled_from([50.0, 300.0, 1000.0]))
+    spread = draw(st.sampled_from([1e-4, 2e-3, 1e-2]))
+    n = draw(st.integers(0, 60))
+    rnd = draw(st.randoms(use_true_random=False))
+    lats = [min(89.9, max(-89.9, lat0 + rnd.uniform(-spread, spread))) for _ in range(n)]
+    lons = [min(180.0, max(-180.0, lon0 + rnd.uniform(-spread, spread) * 20)) for _ in range(n)]
+    return lats, lons, cell_ft, rnd
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_points(), st.lists(st.floats(-89.9, 89.9), max_size=3))
+def test_cell_grid_block_holds_every_point_within_cell_ft(points, cover):
+    lats, lons, cell_ft, rnd = points
+    grid = CellGrid(lats, lons, cell_ft, cover_lats=cover)
+    binned = list(map(GeoPoint, lats, lons))
+    # Queries at a binned or covered latitude, near the points or anywhere;
+    # a pair whose short way crosses the ±180° seam is not joined (below).
+    for lat in lats[:8] + cover:
+        for lon in lons[:4] + [rnd.uniform(-180.0, 180.0)]:
+            query = GeoPoint(lat, lon)
+            within = [
+                i for i, p in enumerate(binned)
+                if haversine_distance_ft(query, p) <= cell_ft and abs(p.lon_deg - lon) <= 180.0
+            ]
+            assert set(within) <= set(grid.block(lat, lon).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_points(), st.data())
+def test_cell_grid_overlapping_holds_every_point_inside_the_box(points, data):
+    lats, lons, cell_ft, rnd = points
+    grid = CellGrid(lats, lons, cell_ft)
+    lat_arr, lon_arr = np.array(lats), np.array(lons)
+    for _ in range(6):
+        s, n = sorted(rnd.uniform(-90.0, 90.0) if rnd.random() < 0.2 else rnd.choice(lats or [0.0]) +
+                      rnd.uniform(-1e-3, 1e-3) for _ in range(2))
+        w, e = sorted(rnd.choice(lons or [0.0]) + rnd.uniform(-2e-2, 2e-2) for _ in range(2))
+        box = (s, w, n, e)
+        inside = np.flatnonzero(in_box(box, lat_arr, lon_arr)).tolist()
+        assert set(inside) <= set(grid.overlapping(box).tolist())
+
+
+def test_cell_grid_does_not_join_the_antimeridian():
+    # Two points 2 ft apart across the ±180° seam: neither grid lookup
+    # joins them, as the CellGrid docstring says.
+    east, west = 180.0 - 2.5e-6, -180.0 + 2.5e-6
+    assert haversine_distance_ft(GeoPoint(0.0, east), GeoPoint(0.0, west)) < 2.0
+    grid = CellGrid([0.0, 0.0], [east, west], 100.0)
+    assert grid.block(0.0, east).tolist() == [0]
+    assert grid.block(0.0, west).tolist() == [1]
+    assert grid.overlapping((-1e-3, east - 1e-3, 1e-3, 180.0)).tolist() == [0]
+    assert grid.overlapping((-1e-3, -180.0, 1e-3, west + 1e-3)).tolist() == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(binned_points(), st.sampled_from([1, 3, 64]))
+def test_cell_grid_batched_lookups_are_the_single_ones(points, block):
+    lats, lons, cell_ft, rnd = points
+    grid = CellGrid(lats, lons, cell_ft)
+    q_lats = [rnd.choice(lats or [0.0]) + rnd.uniform(-1e-3, 1e-3) for _ in range(20)]
+    q_lons = [rnd.choice(lons or [0.0]) + rnd.uniform(-1e-2, 1e-2) for _ in range(20)]
+    boxes = np.array([q_lats, q_lons, np.add(q_lats, 2e-3), np.add(q_lons, 3e-3)])
+    with patch.object(geo, "PAIR_BLOCK", block):  # many blocks of pairs
+        near = geo.joined(grid.block_pairs(np.array(q_lats), np.array(q_lons)))
+        over = geo.joined(grid.overlap_pairs(boxes))
+    for (query, point), single in (
+        (near, [grid.block(a, b) for a, b in zip(q_lats, q_lons)]),
+        (over, [grid.overlapping(tuple(box)) for box in boxes.T.tolist()]),
+    ):
+        assert (np.diff(query) >= 0).all()
+        got = [sorted(point[query == q].tolist()) for q in range(20)]
+        assert got == [s.tolist() for s in single]
+
+
+# ---------------------------------------------------------------------------
+# The numpy distance estimate and the filter built on it
+
+
+def _pairs_near_and_far(rng, n):
+    lat1 = rng.uniform(-90.0, 90.0, n)
+    lon1 = rng.uniform(-180.0, 180.0, n)
+    kind = rng.integers(0, 4, n)
+    step = np.where(kind == 0, 1e-5, np.where(kind == 1, 1e-2, 10.0))
+    lat2 = np.clip(lat1 + rng.normal(0.0, 1.0, n) * step, -90.0, 90.0)
+    lon2 = np.clip(lon1 + rng.normal(0.0, 1.0, n) * step, -180.0, 180.0)
+    # Near-antipodal pairs, where h is about 1, and pairs far apart.
+    anti = kind == 3
+    lat2[anti] = np.clip(-lat1[anti] + rng.normal(0.0, 1e-3, anti.sum()), -90.0, 90.0)
+    lon2[anti] = lon1[anti] - np.sign(lon1[anti]) * 180.0 + rng.normal(0.0, 1e-3, anti.sum())
+    lon2 = np.clip(lon2, -180.0, 180.0)
+    return lat1, lon1, lat2, lon2
+
+
+def test_haversine_estimate_is_within_its_bound():
+    rng = np.random.default_rng(7)
+    lat1, lon1, lat2, lon2 = _pairs_near_and_far(rng, 40_000)
+    # And the poles, the equator and coincident points.
+    extra = np.array(
+        [[90.0, 0.0, 89.9999, 170.0], [-90.0, 0.0, -90.0, 90.0], [0.0, 0.0, 0.0, 0.0],
+         [0.0, -180.0, 0.0, 180.0], [1e-300, 0.0, 0.0, 0.0], [45.0, 10.0, -45.0, -170.0]]
+    ).T
+    lat1, lon1, lat2, lon2 = (np.concatenate([a, b]) for a, b in zip((lat1, lon1, lat2, lon2), extra))
+    exact = haversine_distances_ft(lat1, lon1, lat2, lon2)
+    est = haversine_estimates_ft(lat1, lon1, lat2, lon2)
+    known = ~np.isnan(est)
+    assert (np.abs(est - exact)[known] <= HAVERSINE_ESTIMATE_REL * exact[known] + HAVERSINE_ESTIMATE_ABS_FT).all()
+    # No estimate past sqrt(h) = 0.9 (a central angle of 2 asin(0.9)), and
+    # one for every pair well inside it.
+    angle = exact / EARTH_RADIUS_FT
+    assert known[angle < 2.0 * math.asin(0.9) * (1 - 1e-9)].all()
+    assert not known[angle > 2.0 * math.asin(0.9) * (1 + 1e-9)].any()
+    assert (~known).sum() > 1000  # the near-antipodal pairs fall back
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_nearest_distances_refine_every_possible_nearest(sizes, rnd):
+    # Groups of points about a junction, with exact ties (mirror images) and
+    # one-ulp differences, and now and then a far or near-antipodal one.
+    lat0, lon0 = 41.0, -96.0
+    rows = []
+    for size in sizes:
+        group = []
+        for _ in range(size):
+            pick = rnd.random()
+            if pick < 0.3 and group:
+                lat, lon = group[-1]
+                group.append((2 * lat0 - lat, lon))  # mirrored: an exact tie
+            elif pick < 0.4 and group:
+                lat, lon = group[-1]
+                group.append((math.nextafter(lat, 90.0), lon))
+            elif pick < 0.45:
+                group.append((-lat0 + rnd.uniform(-1e-3, 1e-3), lon0 + 180.0))
+            else:
+                group.append((lat0 + rnd.uniform(-1e-3, 1e-3), lon0 + rnd.uniform(-1e-3, 1e-3)))
+        rows.append(group)
+    lat = np.array([p[0] for g in rows for p in g], dtype=float)
+    lon = np.array([p[1] for g in rows for p in g], dtype=float)
+    first = np.cumsum([0] + sizes)
+    at_lat, at_lon = np.full(len(lat), lat0), np.full(len(lat), lon0)
+    got = nearest_distances_ft(lat, lon, at_lat, at_lon, first)
+    exact = haversine_distances_ft(lat, lon, at_lat, at_lon)
+    for a, b in zip(first.tolist(), first[1:].tolist()):
+        if a == b:
+            continue
+        low = exact[a:b].min()
+        refined = np.isfinite(got[a:b])
+        assert (got[a:b][refined] == exact[a:b][refined]).all()
+        assert refined[exact[a:b] == low].all()  # every nearest and tie
+        assert (exact[a:b][~refined] > low).all()
 
 
 def test_ft_per_deg_constant_consistency():

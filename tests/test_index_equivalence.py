@@ -5,7 +5,8 @@ all-points x all-legs scan and the all-pairs KML assembly the indexed code
 replaced. Every case asserts equal trajectories, skip reports,
 reviewed-intersection JSON and rejects: on jittered synthetic scenarios, and
 on generated geometry that sits on bounding-box edges, cell boundaries,
-polygon edges, heading-gate limits and distance-gate limits.
+polygon edges, heading-gate limits and distance-gate limits, and on hits
+whose distances from the junction tie or differ by one ulp.
 """
 
 import io
@@ -16,7 +17,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import row_tuples, table_of
+from oracles import old_parse_kml_features, polyline_midpoint, row_tuples, table_of
 
 from intxn_pipeline.geo import (
     FT_PER_DEG,
@@ -30,7 +31,6 @@ from intxn_pipeline.geo import (
     initial_bearing_deg,
     point_in_polygon,
     point_to_segment_ft,
-    polyline_midpoint,
 )
 from intxn_pipeline.ingest import SensorTable, clean_sensor, to_us
 from intxn_pipeline.review import (
@@ -42,7 +42,6 @@ from intxn_pipeline.review import (
     RejectEntry,
     ReviewedIntersection,
     import_reviewed_kml,
-    parse_kml_features,
     reviewed_to_json,
 )
 from intxn_pipeline.synth import ScenarioSpec, generate
@@ -135,53 +134,54 @@ def _edge_distance_ft(pt, ring):
 
 
 def brute_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
-    """Every polygon against every intersection, every line against every polygon."""
-    feats = parse_kml_features(source)
+    """Every polygon against every intersection, every line against every
+    polygon, from the KML as the one-placemark-at-a-time reader gives it."""
+    feats, folder_names = old_parse_kml_features(source)
     rejects = []
-    if TRUE_FOLDER in feats.folder_names:
-        true_points = [p for p in feats.points if TRUE_FOLDER in p.folders]
+    if TRUE_FOLDER in folder_names:
+        true_points = [p for p in feats["point"] if TRUE_FOLDER in p[1]]
     else:
-        true_points = list(feats.points)
+        true_points = feats["point"]
     intersections = {}
-    for p in true_points:
+    for name, _, coordinates, extended in true_points:
         try:
-            intxn_id = int(p.name)
+            intxn_id = int(name)
         except ValueError:
-            rejects.append(RejectEntry("intersection", p.name, "non_integer_name"))
+            rejects.append(RejectEntry("intersection", name, "non_integer_name"))
             continue
         if intxn_id in intersections:
-            rejects.append(RejectEntry("intersection", p.name, "duplicate_id"))
+            rejects.append(RejectEntry("intersection", name, "duplicate_id"))
             continue
-        control = p.extended.get("control", "stop")
+        control = extended.get("control", "stop")
         if control not in CONTROL_TYPES:
-            rejects.append(RejectEntry("intersection", p.name, "invalid_control"))
+            rejects.append(RejectEntry("intersection", name, "invalid_control"))
             continue
-        intersections[intxn_id] = ReviewedIntersection(intxn_id, p.coordinates[0], control)
+        intersections[intxn_id] = ReviewedIntersection(intxn_id, coordinates[0], control)
 
     pending = []
-    for poly in feats.polygons:
+    for name, _, coordinates, _ in feats["polygon"]:
         try:
-            ring = PolygonRing(tuple(poly.coordinates))
+            ring = PolygonRing(tuple(coordinates))
         except ValueError:
-            rejects.append(RejectEntry("polygon", poly.name, "invalid_polygon"))
+            rejects.append(RejectEntry("polygon", name, "invalid_polygon"))
             continue
         if not intersections:
-            rejects.append(RejectEntry("polygon", poly.name, "unassigned_polygon"))
+            rejects.append(RejectEntry("polygon", name, "unassigned_polygon"))
             continue
         center = centroid(list(ring.vertices))
         best_id = min(
             intersections, key=lambda i: (haversine_distance_ft(center, intersections[i].pos), i)
         )
         if haversine_distance_ft(center, intersections[best_id].pos) > polygon_match_ft:
-            rejects.append(RejectEntry("polygon", poly.name, "unassigned_polygon"))
+            rejects.append(RejectEntry("polygon", name, "unassigned_polygon"))
             continue
-        pending.append({"intxn_id": best_id, "ring": ring, "name": poly.name, "line": None})
+        pending.append({"intxn_id": best_id, "ring": ring, "name": name, "line": None})
 
-    for line in feats.lines:
-        if len(line.coordinates) < 2:
-            rejects.append(RejectEntry("line", line.name, "invalid_line"))
+    for name, _, coordinates, _ in feats["line"]:
+        if len(coordinates) < 2:
+            rejects.append(RejectEntry("line", name, "invalid_line"))
             continue
-        mid = polyline_midpoint(line.coordinates)
+        mid = polyline_midpoint(coordinates)
         containing = [
             (i, leg) for i, leg in enumerate(pending) if point_in_polygon(mid, leg["ring"])
         ]
@@ -190,13 +190,13 @@ def brute_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
         else:
             ranked = sorted((_edge_distance_ft(mid, leg["ring"]), i) for i, leg in enumerate(pending))
             if not ranked or ranked[0][0] > line_edge_match_ft:
-                rejects.append(RejectEntry("line", line.name, "unassigned_line"))
+                rejects.append(RejectEntry("line", name, "unassigned_line"))
                 continue
             idx = ranked[0][1]
         if pending[idx]["line"] is not None:
-            rejects.append(RejectEntry("line", line.name, "extra_line"))
+            rejects.append(RejectEntry("line", name, "extra_line"))
             continue
-        pending[idx]["line"] = line.coordinates
+        pending[idx]["line"] = coordinates
 
     for leg in pending:
         if leg["line"] is None:
@@ -310,19 +310,53 @@ def probe_points(ring, draw):
     return pts
 
 
+def mirrored_pairs(ring, junction):
+    """Positions across the junction's meridian from each other, inside the
+    leg's box: their exact distances from the junction are equal, since
+    the longitude gaps are exact negatives (a multiple of 2**-30 degrees)."""
+    s, w, n, e = ring.bounds()
+    d = math.ldexp(math.floor(math.ldexp((e - w) / 4.0, 30)), -30)
+    lon = junction.lon_deg
+    return [((s + t * (n - s), lon - d), (s + t * (n - s), lon + d)) for t in (0.25, 0.5, 1.0)]
+
+
+def ulp_pairs(ring, junction):
+    """Pairs of positions in the leg's box, a few ulps apart, whose exact
+    distances from a far junction are adjacent floats."""
+    s, w, n, e = ring.bounds()
+    pairs = []
+    for lat, lon in ((s + (n - s) / 3.0, w + (e - w) / 3.0), ((s + n) / 2.0, (w + e) / 2.0)):
+        want = math.nextafter(haversine_distance_ft(GeoPoint(lat, lon), junction), math.inf)
+        for i, j in ((i, j) for i in range(-3, 4) for j in range(-3, 4)):
+            other = (lat + i * math.ulp(lat), lon + j * math.ulp(lon))
+            if haversine_distance_ft(GeoPoint(*other), junction) == want:
+                pairs.append(((lat, lon), other))
+                break
+    return pairs
+
+
 @st.composite
 def trajectory_scene(draw):
+    """Legs on cell edges with probe points, random points and near ties:
+    pairs of hits at equal exact distances from the junction, and pairs one
+    ulp apart from a junction ~30 degrees away (or one near the antipode,
+    where the distance estimate gives way to the exact distance)."""
     intersections = {}
     points = [(TOP_LAT, LON0)]
+    ties = []  # pairs of positions, passed one second apart on the leg's bearing
     for _ in range(draw(st.integers(1, 3))):
         ring = draw(leg_polygon())
         s, w, n, e = ring.bounds()
         start = GeoPoint(s, (w + e) / 2)
         end = GeoPoint(n, (w + e) / 2) if draw(st.booleans()) else GeoPoint(s, e)
-        intxn_id = draw(st.integers(1, 2))
-        intxn = intersections.setdefault(intxn_id, ReviewedIntersection(intxn_id, end, "stop"))
-        intxn.approaches.append(ApproachLeg(len(intxn.approaches) + 1, ring, [start, end]))
+        intxn_id = draw(st.integers(1, 3))
+        at = {1: end, 2: end, 3: draw(st.sampled_from([GeoPoint(11.0, -80.0), GeoPoint(-41.0, 84.0)]))}
+        intxn = intersections.setdefault(intxn_id, ReviewedIntersection(intxn_id, at[intxn_id], "stop"))
+        leg = ApproachLeg(len(intxn.approaches) + 1, ring, [start, end])
+        intxn.approaches.append(leg)
         points += probe_points(ring, draw)
+        near = mirrored_pairs(ring, intxn.pos) if intxn_id < 3 else ulp_pairs(ring, intxn.pos)
+        ties += [(pair, entering_bearing(leg)) for pair in near]
     reviewed = [intersections[i] for i in sorted(intersections)]
     points += draw(
         st.lists(st.tuples(coordinate(DLAT, ROW0), coordinate(DLON, COL0)), max_size=20)
@@ -334,15 +368,25 @@ def trajectory_scene(draw):
     # hypothesis costs more than the search under test.
     rnd = draw(st.randoms(use_true_random=False))
     rnd.shuffle(points)
+    samples = [(lat, lon, None, rnd.choice([1, 1, 45])) for lat, lon in points]
+    for k, ((a, b), bearing) in enumerate(ties):
+        # A visit of its own, either first; the first pair leads drive 1, so
+        # its visit is the pass that drive keeps.
+        at = 0 if k == 0 else rnd.randrange(len(samples) + 1)
+        pair = [a, b] if rnd.random() < 0.5 else [b, a]
+        samples[at:at] = [(*pair[0], bearing, 45), (*pair[1], bearing, 1)]
+        if at + 2 < len(samples):
+            samples[at + 2] = (*samples[at + 2][:3], 45)
     n_drives = draw(st.integers(1, 3))
     sensor = []
     t, cum = to_us(T0), 0.0
-    for rank, (lat, lon) in enumerate(points):
-        b = rnd.choice(bearings)
-        heading = rnd.choice([b, b + tol, b - tol, b + 180.0, rnd.uniform(0.0, 360.0)])
-        t += rnd.choice([1, 1, 45]) * 1_000_000  # 45 s splits a repeat pass
+    for rank, (lat, lon, heading, step) in enumerate(samples):
+        if heading is None:
+            b = rnd.choice(bearings)
+            heading = rnd.choice([b, b + tol, b - tol, b + 180.0, rnd.uniform(0.0, 360.0)])
+        t += step * 1_000_000  # 45 s splits a repeat pass
         cum += rnd.uniform(0.0, 80.0)
-        drive = 1 + rank * n_drives // len(points)
+        drive = 1 + rank * n_drives // len(samples)
         sensor.append(("A", drive, t, lat, lon, heading % 360.0, 30.0, cum))
     params = WindowParams(heading_tol_deg=tol, upstream_ft=draw(st.floats(1.0, 400.0)))
     return table_of(SensorTable, sensor), reviewed, params

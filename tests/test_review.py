@@ -9,6 +9,7 @@ from xml.sax.saxutils import escape
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import old_parse_kml_features, placemark_rows
 
 from intxn_pipeline.discovery import IntersectionCandidate
 from intxn_pipeline.errors import DataError, KmlParseError
@@ -121,11 +122,11 @@ def test_export_import_roundtrip_preserves_ids_and_positions():
     out = io.StringIO()
     export_candidates_kml(candidates, out)
     out.seek(0)
-    feats = parse_kml_features(out)
-    assert [int(p.name) for p in feats.points] == [1, 2, 3, 4, 5]
-    for cand, parsed in zip(candidates, feats.points):
-        assert abs(parsed.coordinates[0].lat_deg - cand.pos.lat_deg) < 1e-6
-        assert abs(parsed.coordinates[0].lon_deg - cand.pos.lon_deg) < 1e-6
+    points = parse_kml_features(out).points
+    assert [int(name) for name in points.names] == [1, 2, 3, 4, 5]
+    for cand, lat, lon in zip(candidates, points.lat.tolist(), points.lon.tolist()):
+        assert abs(lat - cand.pos.lat_deg) < 1e-6
+        assert abs(lon - cand.pos.lon_deg) < 1e-6
 
 
 def test_import_single_intersection_two_approaches(tmp_path):
@@ -473,3 +474,23 @@ def test_reviewed_kml_gives_intersections_or_a_data_error(trees):
     assert len(feats.true_points()) == len(reviewed) + kinds.count("intersection")
     assert len(feats.polygons) == approaches + kinds.count("polygon")
     assert len(feats.lines) == approaches + kinds.count("line")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(KML_TREES, max_size=4))
+def test_kml_reader_is_the_one_placemark_at_a_time_reader(trees):
+    # Reading every coordinate text at once gives the placemarks, folders
+    # and coordinates of the reader that took one tuple at a time, or the
+    # KmlParseError it raised first, word for word.
+    text = kml_doc("".join(trees))
+    try:
+        expected, folder_names = old_parse_kml_features(io.StringIO(text))
+    except KmlParseError as exc:
+        with pytest.raises(KmlParseError) as raised:
+            parse_kml_features(io.StringIO(text))
+        assert str(raised.value) == str(exc)
+        return
+    feats = parse_kml_features(io.StringIO(text))
+    got = {kind: placemark_rows(getattr(feats, kind + "s")) for kind in ("point", "line", "polygon")}
+    assert got == expected
+    assert feats.folder_names == folder_names

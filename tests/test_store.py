@@ -289,3 +289,40 @@ def test_separate_processes_give_the_workspace_of_one(study):
             check=True, env=env, stdout=subprocess.DEVNULL, timeout=120,
         )
     assert _workspace(ws) == together
+
+
+def test_a_hit_hashes_the_file_without_holding_it(tmp_path):
+    # A 4 MB file already in the store is checked a block at a time: the
+    # load allocates well under the file's size.
+    import tracemalloc
+
+    path = tmp_path / "big.csv"
+    path.write_bytes(b"0123456789abcde\n" * (1 << 18))
+    store, parses = storage.Store(), []
+
+    def reader(stream):
+        parses.append(1)
+        return [len(stream.read())]
+
+    assert store.load("big", path, reader) == [1 << 22]
+    tracemalloc.start()
+    try:
+        assert store.load("big", path, reader) == [1 << 22]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parses == [1]
+    assert peak < 2_000_000
+
+
+def test_a_same_size_rewrite_is_parsed_again(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("a,b\n1,2\n")
+    store = storage.Store()
+    read = lambda stream: stream.read().splitlines()  # noqa: E731
+    assert store.load("table", path, read) == ["a,b", "1,2"]
+    stat = path.stat()
+    path.write_text("a,b\n3,4\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size and mtime
+    assert store.load("table", path, read) == ["a,b", "3,4"]
+    assert store["table"][0] == hashlib.sha256(b"a,b\n3,4\n").hexdigest()
