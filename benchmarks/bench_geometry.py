@@ -12,16 +12,15 @@ import pytest
 
 from intxn_pipeline.geo import (
     CellGrid,
-    GeoPoint,
-    RingTable,
     angular_difference_deg,
     in_box,
-    point_in_polygon,
+    joined,
+    points_in_polygon,
 )
 from intxn_pipeline.ingest import clean_sensor
 from intxn_pipeline.review import import_reviewed_kml, parse_kml_features, save_reviewed_json
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import LEG_CELL_FT, _entering_bearing, extract_trajectories
+from intxn_pipeline.trajectory import LEG_CELL_FT, _entering_bearings, extract_trajectories
 
 SPEC = ScenarioSpec(grid_rows=4, grid_cols=12, n_subjects=2, drives_per_subject=4)
 # The shape of perfbench's wide-grid workload: 390 reviewed legs, where a
@@ -48,11 +47,11 @@ def wide_scenario(tmp_path_factory):
     return _scenario(WIDE_SPEC, tmp_path_factory)
 
 
-def test_point_in_polygon(benchmark, scenario):
+def test_points_in_polygon(benchmark, scenario):
+    # 500 points against the first leg's polygon, in one call.
     _, sensor, reviewed = scenario
-    ring = reviewed[0].approaches[0].polygon
-    points = list(map(GeoPoint, sensor.lat[:500].tolist(), sensor.lon[:500].tolist()))
-    benchmark(lambda: [point_in_polygon(p, ring) for p in points])
+    ring = np.zeros(500, dtype=np.int64)
+    benchmark(points_in_polygon, reviewed.rings, ring, sensor.lat[:500], sensor.lon[:500])
 
 
 def test_indexed_leg_lookup(benchmark, scenario):
@@ -61,9 +60,8 @@ def test_indexed_leg_lookup(benchmark, scenario):
     _, sensor, reviewed = scenario
     lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
     grid = CellGrid(lats, lons, LEG_CELL_FT)
-    legs = [(intxn, leg) for intxn in reviewed for leg in intxn.approaches]
-    bearings = np.array([_entering_bearing(intxn, leg) for intxn, leg in legs])
-    boxes = np.array(RingTable([leg.polygon for _, leg in legs]).bounds).T
+    bearings = _entering_bearings(reviewed)
+    boxes = reviewed.rings.bounds
 
     def lookup():
         found = 0
@@ -99,7 +97,7 @@ def test_import_reviewed_kml_wide(benchmark, wide_scenario):
 def test_parse_kml_features_wide(benchmark, wide_scenario):
     scn, _, reviewed = wide_scenario
     feats = benchmark(parse_kml_features, scn.paths["reviewed_kml"])
-    assert len(feats.polygons) == sum(len(r.approaches) for r in reviewed)
+    assert len(feats.polygons) == len(reviewed.leg_id)
 
 
 def test_save_reviewed_json_wide(benchmark, wide_scenario):
@@ -112,4 +110,4 @@ def test_cell_grid_build(benchmark):
     lats = 41.0 + rng.random(20_000) * 0.03
     lons = -96.0 + rng.random(20_000) * 0.1
     grid = benchmark(CellGrid, lats, lons, LEG_CELL_FT)
-    assert grid.block(41.01, -95.95).size > 0
+    assert joined(grid.block_pairs([41.01], [-95.95]))[1].size > 0

@@ -23,7 +23,7 @@ crowded-junctions, many short drives through few junctions: 500 drives and
 import hashlib
 import io
 from dataclasses import replace
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -35,8 +35,8 @@ from intxn_pipeline.ingest import (
     SENSOR_CUM_COLUMN,
     EPOCH,
     clean_cv,
+    _time_texts,
     clean_sensor,
-    format_time_utc,
     parse_time_utc,
     read_clean_detections,
     read_clean_sensor,
@@ -91,8 +91,11 @@ def test_parse_time_utc(benchmark, text):
     benchmark(parse_time_utc, text)
 
 
-def test_format_time_utc(benchmark):
-    benchmark(format_time_utc, datetime(2019, 5, 1, 14, 3, 22, 500000, tzinfo=timezone.utc))
+def test_time_texts(benchmark, sensor):
+    texts = benchmark(_time_texts, sensor.t_us)
+    assert texts[0] == (EPOCH + timedelta(microseconds=int(sensor.t_us[0]))).isoformat(
+        timespec="milliseconds"
+    )[:-6] + "Z"
 
 
 def test_clean_sensor(benchmark, raw_texts, sensor):
@@ -186,7 +189,8 @@ def test_write_sensor_csv_distinct(benchmark, distinct_sensor):
     t = distinct_sensor
     rows = zip(zip(*t.key_texts()), t.t_us.tolist(), *(c.tolist() for c in t.columns()[1:]))
     expected = [SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)] + [
-        (*key, format_time_utc(EPOCH + timedelta(microseconds=us)), *map(repr, floats))
+        (*key, (EPOCH + timedelta(microseconds=us)).isoformat(timespec="milliseconds")[:-6] + "Z",
+         *map(repr, floats))
         for key, us, *floats in rows
     ]
     assert benchmark(write).getvalue() == "".join(",".join(map(str, r)) + "\n" for r in expected)

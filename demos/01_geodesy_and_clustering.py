@@ -3,21 +3,25 @@
 Walks through the building blocks the pipeline stands on: great-circle
 distances in feet, bearings, heading comparison, point-in-polygon tests,
 last-in-run detection filtering, and DBSCAN clustering of the surviving
-detections.
+detections. The distance and polygon functions take arrays, as the
+pipeline calls them, so each question below is one call for all its points.
 """
 
 import math
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
+
 from intxn_pipeline.discovery import cluster_detections, last_in_runs
 from intxn_pipeline.geo import (
     FT_PER_DEG,
     GeoPoint,
-    PolygonRing,
+    RingTable,
     angular_difference_deg,
-    haversine_distance_ft,
+    check_ring,
+    haversine_distances_ft,
     initial_bearing_deg,
-    point_in_polygon,
+    points_in_polygon,
 )
 from intxn_pipeline.ingest import CLASS_NAMES, DetectionTable, to_us
 
@@ -33,28 +37,46 @@ def offset(north_ft=0.0, east_ft=0.0):
     )
 
 
+def distances_ft(points, to):
+    """The great-circle distance of each point from ``to``, in feet."""
+    lats = np.array([p.lat_deg for p in points])
+    lons = np.array([p.lon_deg for p in points])
+    return haversine_distances_ft(
+        lats, lons, np.full_like(lats, to.lat_deg), np.full_like(lons, to.lon_deg)
+    )
+
+
 print("== Distances and bearings ==")
 down_the_block = offset(east_ft=660.0)
-print(f"one block east      : {haversine_distance_ft(CORNER, down_the_block):8.2f} ft")
-print(f"bearing to it       : {initial_bearing_deg(CORNER, down_the_block):8.2f} deg")
+(block_ft,) = distances_ft([down_the_block], CORNER)
+bearing = initial_bearing_deg(
+    CORNER.lat_deg, CORNER.lon_deg, down_the_block.lat_deg, down_the_block.lon_deg
+)
+print(f"one block east      : {block_ft:8.2f} ft")
+print(f"bearing to it       : {bearing:8.2f} deg")
 print(f"heading 350 vs 10   : {angular_difference_deg(350, 10):8.2f} deg apart")
 
 print()
 print("== Approach polygon membership ==")
-approach = PolygonRing(
-    (
-        offset(-20, -300),
-        offset(-20, 0),
-        offset(20, 0),
-        offset(20, -300),
-    )
+# One approach ring, checked as the review import checks every polygon, in
+# a ring table of one ring.
+corners = [offset(-20, -300), offset(-20, 0), offset(20, 0), offset(20, -300)]
+lats, lons = [p.lat_deg for p in corners], [p.lon_deg for p in corners]
+check_ring(lats, lons)
+approach = RingTable(lats, lons, [0, len(corners)])
+probes = {
+    "150 ft up the approach": offset(0, -150),
+    "exactly on the stop bar": offset(0, 0),
+    "a block away": offset(0, 660),
+}
+inside = points_in_polygon(
+    approach,
+    np.zeros(len(probes), dtype=np.int64),
+    np.array([p.lat_deg for p in probes.values()]),
+    np.array([p.lon_deg for p in probes.values()]),
 )
-for label, pt in [
-    ("150 ft up the approach", offset(0, -150)),
-    ("exactly on the stop bar", offset(0, 0)),
-    ("a block away", offset(0, 660)),
-]:
-    print(f"{label:26s}: inside={point_in_polygon(pt, approach)}")
+for label, hit in zip(probes, inside.tolist()):
+    print(f"{label:26s}: inside={hit}")
 
 print()
 print("== Last-in-run filtering ==")
@@ -81,8 +103,7 @@ print("== DBSCAN on the survivors ==")
 # Both visits stop at the same sign, so their last detections are within
 # the 100 ft search distance and merge into one cluster of two.
 clusters = cluster_detections(survivors, eps_ft=100.0, min_pts=2)
-for cluster in clusters:
-    dist = haversine_distance_ft(cluster.center, CORNER)
+for cluster, dist in zip(clusters, distances_ft([c.center for c in clusters], CORNER)):
     print(
         f"cluster {cluster.cluster_id}: {len(cluster.rows)} members, "
         f"center {dist:.1f} ft from the corner"

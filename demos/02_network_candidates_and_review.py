@@ -74,9 +74,9 @@ reviewed_kml.write_text(
 """
 )
 reviewed, rejects = import_reviewed_kml(reviewed_kml)
-for intxn in reviewed:
+for row, (intxn_id, control) in enumerate(zip(reviewed.intxn_id, reviewed.control)):
     print(
-        f"reviewed intersection {intxn.intxn_id}: control={intxn.control_type}, "
-        f"{len(intxn.approaches)} approach(es)"
+        f"reviewed intersection {intxn_id}: control={control}, "
+        f"{int((reviewed.owner == row).sum())} approach(es)"
     )
 print(f"rejects: {[(r.kind, r.reason) for r in rejects] or 'none'}")

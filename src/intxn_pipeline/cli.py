@@ -12,11 +12,11 @@ each output. ``all`` runs the whole chain and pauses before
 ``import-review`` when the human-reviewed KML does not exist yet.
 
 One process that runs several stages (``all``, or one ``main`` call per
-stage) parses none of the clean tables, reviewed intersections,
-trajectories and cut-list that it wrote or parsed before: each is kept
-with the sha256 of its file's bytes, and a stage that reads one hashes the
-file and parses it only when the digest differs, so a changed file is
-always parsed again.
+stage) parses none of the clean tables, candidate lists, reviewed
+intersections, trajectories and cut-list that it wrote or parsed before:
+each is kept with the sha256 of its file's bytes, and a stage that reads
+one hashes the file and parses it only when the digest differs, so a
+changed file is always parsed again.
 
 Exit codes: 0 success, 1 user error, 2 data error.
 """
@@ -29,6 +29,7 @@ import sys
 import time
 from collections.abc import Callable
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from . import clips as clips_mod
@@ -69,10 +70,12 @@ def _require(path: Path, what: str, produced_by: str | None = None) -> None:
 
 
 # The stage outputs this process wrote or parsed last: the clean tables,
-# the reviewed intersections, the trajectories and the cut-list. The
-# trajectories' digest adds the clean sensor table's, from which their
-# reader cuts their windows.
+# the candidate lists, the reviewed intersections, the trajectories and the
+# cut-list. The trajectories' digest adds the clean sensor table's, from
+# which their reader cuts their windows.
 _store = Store()
+
+_by_id = attrgetter("intxn_id")  # the order the candidate readers return
 
 
 def _trajectories(traj_path: Path, sensor_path: Path) -> list:
@@ -160,6 +163,7 @@ def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
     candidates = discovery.extract_lrs_candidates(network, tol_ft=cfg.params["tol_ft"])
     out = cfg.output_path("lrs_candidates")
     write_json(discovery.candidates_to_geojson(candidates), out)
+    _store.put("lrs_candidates", out, sorted(candidates, key=_by_id))
     report = {
         "polylines": len(network.polylines),
         "vertices": sum(len(pts) for _, pts in network.polylines),
@@ -175,7 +179,8 @@ def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
 )
 def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> StageResult:
     detections = _store.load("clean_cv", cv_path, ingest.read_clean_detections)
-    candidates = read_json(cand_path, discovery.candidates_from_geojson, "candidate GeoJSON")
+    read = partial(read_json, build=discovery.candidates_from_geojson, what="candidate GeoJSON")
+    candidates = _store.load("lrs_candidates", cand_path, read)
     if not candidates:
         raise DataError(f"candidate list is empty: {cand_path}")
 
@@ -190,6 +195,7 @@ def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> St
     )
     out = cfg.output_path("visited_candidates")
     write_json(discovery.visited_to_geojson(visited), out)
+    _store.put("visited_candidates", out, sorted(visited, key=_by_id))
     report = {
         "detections": len(detections),
         "last_in_runs": len(last),
@@ -210,7 +216,10 @@ def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> St
 
 @_stage("export-kml", ("visited_candidates", "visited candidate list", "subj-intxns"))
 def stage_export_kml(cfg: PipelineConfig, visited_path: Path) -> StageResult:
-    visited = read_json(visited_path, discovery.visited_from_geojson, "visited candidate GeoJSON")
+    read = partial(
+        read_json, build=discovery.visited_from_geojson, what="visited candidate GeoJSON"
+    )
+    visited = _store.load("visited_candidates", visited_path, read)
     if not visited:
         raise DataError(f"no visited candidates to export: {visited_path}")
     out = cfg.output_path("candidates_kml")
@@ -235,7 +244,7 @@ def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
             points=len(feats.true_points()), polygons=len(feats.polygons), lines=len(feats.lines)
         ),
         "intersections": len(reviewed),
-        "approaches": sum(len(r.approaches) for r in reviewed),
+        "approaches": len(reviewed.leg_id),
         "rejects": [{"kind": r.kind, "name": r.name, "reason": r.reason} for r in rejects],
     }
     summary = f"import-review: {len(reviewed)} true intersections, {len(rejects)} rejects"

@@ -43,41 +43,6 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon_deg!r}")
 
 
-@dataclass(frozen=True)
-class PolygonRing:
-    """Simple polygon given as an open vertex ring (closure is implicit).
-
-    Vertices must not repeat the first point at the end, there must be at
-    least three of them, and the ring must not self-intersect.
-    """
-
-    vertices: tuple[GeoPoint, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError("polygon ring needs at least 3 vertices")
-        if self.vertices[0] == self.vertices[-1]:
-            raise ValueError("polygon ring must not repeat its first vertex")
-        if _ring_self_intersects(self.vertices):
-            raise ValueError("polygon ring is self-intersecting")
-
-    def edge_lengths(self) -> list[float]:
-        """Planar length, in degrees, of each edge: vertex i to vertex i + 1."""
-        v = self.vertices
-        pairs = zip(v, v[1:] + v[:1])
-        return [math.hypot(b.lon_deg - a.lon_deg, b.lat_deg - a.lat_deg) for a, b in pairs]
-
-    def bounds(self, pad_deg: float = 0.0) -> tuple[float, float, float, float]:
-        """(min_lat, min_lon, max_lat, max_lon) of the ring, widened by ``pad_deg``.
-
-        Every point ``point_in_polygon`` accepts lies within
-        ``bounds(ON_EDGE_TOL_DEG)``.
-        """
-        lats = [v.lat_deg for v in self.vertices]
-        lons = [v.lon_deg for v in self.vertices]
-        return min(lats) - pad_deg, min(lons) - pad_deg, max(lats) + pad_deg, max(lons) + pad_deg
-
-
 def in_box(box, lats, lons):
     """Vectorised closed-box test of point arrays against (min_lat, min_lon, max_lat, max_lon)."""
     min_lat, min_lon, max_lat, max_lon = box
@@ -167,14 +132,6 @@ class CellGrid:
         r1, c1 = self._cell_of(boxes[2], boxes[3])
         return self._pairs(r0, c0, r1, c1)
 
-    def block(self, lat: float, lon: float) -> np.ndarray:
-        """Ascending indices of the points in the 3x3 cell block around (lat, lon)."""
-        return np.sort(joined(self.block_pairs([lat], [lon]))[1])
-
-    def overlapping(self, box: tuple[float, float, float, float]) -> np.ndarray:
-        """Ascending indices of the points in cells that meet ``box``."""
-        return np.sort(joined(self.overlap_pairs([[side] for side in box]))[1])
-
 
 def joined(blocks) -> tuple[np.ndarray, np.ndarray]:
     """The (query, point) pairs of a ``CellGrid`` lookup's blocks, all at once."""
@@ -187,27 +144,18 @@ def joined(blocks) -> tuple[np.ndarray, np.ndarray]:
 PAIR_BLOCK = 16384
 
 
-def haversine_distance_ft(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points, in feet.
-
-    Total and symmetric; returns 0.0 for coincident points.
-    """
-    phi1 = math.radians(a.lat_deg)
-    phi2 = math.radians(b.lat_deg)
-    dphi = math.radians(b.lat_deg - a.lat_deg)
-    dlam = math.radians(b.lon_deg - a.lon_deg)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_FT * math.asin(min(1.0, math.sqrt(h)))
-
-
 def haversine_distances_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """``haversine_distance_ft`` of each pair of points a = (lat1, lon1) and
-    b = (lat2, lon2), given as equal-length arrays, bit for bit.
+    """The great-circle distance in feet between each pair of points
+    a = (lat1, lon1) and b = (lat2, lon2), given as equal-length arrays:
+    2R asin(min(1, sqrt(h))), where h = sin(dphi / 2) ** 2 + cos(phi1)
+    cos(phi2) sin(dlam / 2) ** 2, phi is the latitude in radians, and dphi
+    and dlam are radians(lat2 - lat1) and radians(lon2 - lon1). Total and
+    symmetric; 0.0 for coincident points.
 
-    The arithmetic is the same IEEE operations in the same order. sin, cos,
-    asin and squaring are math's own: numpy's SIMD asin can differ in the
-    last bit, and numpy squares by multiplying where Python's ``** 2`` calls
-    the C library's pow.
+    Each distance is that formula evaluated in Python floats, bit for bit:
+    the same IEEE operations in the same order, with math's own sin, cos and
+    asin and pow(s, 2.0) for each square. numpy's SIMD asin can differ in
+    the last bit, and numpy squares by multiplying.
     """
 
     def each(fn, x):
@@ -267,16 +215,16 @@ def nearest_distances_ft(lat1, lon1, lat2, lon2, first) -> np.ndarray:
     return dist
 
 
-def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
-    """Forward azimuth at ``a`` toward ``b``, degrees in [0, 360).
+def initial_bearing_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Forward azimuth at (lat1, lon1) toward (lat2, lon2), degrees in [0, 360).
 
     Raises ValueError for coincident points, where the bearing is undefined.
     """
-    if a.lat_deg == b.lat_deg and a.lon_deg == b.lon_deg:
+    if lat1 == lat2 and lon1 == lon2:
         raise ValueError("bearing undefined for coincident points")
-    phi1 = math.radians(a.lat_deg)
-    phi2 = math.radians(b.lat_deg)
-    dlam = math.radians(b.lon_deg - a.lon_deg)
+    phi1 = math.radians(lat1)
+    phi2 = math.radians(lat2)
+    dlam = math.radians(lon2 - lon1)
     y = math.sin(dlam) * math.cos(phi2)
     x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
     return math.degrees(math.atan2(y, x)) % 360.0
@@ -356,61 +304,19 @@ def polyline_midpoints(lats, lons, first) -> tuple[np.ndarray, np.ndarray]:
     return lat, lon
 
 
-def _on_segment(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
-    # Lateral distance from the segment's line, then a bbox check.
-    ax, ay = a.lon_deg, a.lat_deg
-    bx, by = b.lon_deg, b.lat_deg
-    px, py = pt.lon_deg, pt.lat_deg
-    seg_len = math.hypot(bx - ax, by - ay)
-    if seg_len == 0.0:
-        return math.hypot(px - ax, py - ay) <= ON_EDGE_TOL_DEG
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if abs(cross) / seg_len > ON_EDGE_TOL_DEG:
-        return False
-    tol = ON_EDGE_TOL_DEG
-    return (
-        min(ax, bx) - tol <= px <= max(ax, bx) + tol
-        and min(ay, by) - tol <= py <= max(ay, by) + tol
-    )
-
-
-def point_in_polygon(pt: GeoPoint, ring: PolygonRing) -> bool:
-    """Boundary-inclusive containment test, ray casting in the lat/lon plane.
-
-    Treating lat/lon as planar coordinates is valid here because approach-leg
-    polygons span well under 1,000 ft.
-    """
-    verts = ring.vertices
-    n = len(verts)
-    for i in range(n):
-        if _on_segment(pt, verts[i], verts[(i + 1) % n]):
-            return True
-    x, y = pt.lon_deg, pt.lat_deg
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i].lon_deg, verts[i].lat_deg
-        xj, yj = verts[j].lon_deg, verts[j].lat_deg
-        if (yi > y) != (yj > y):
-            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
-            if x < x_cross:
-                inside = not inside
-        j = i
-    return inside
-
-
 class RingTable:
     """Polygon rings stacked for ``points_in_polygon``: ring r's vertices are
-    ``first[r]:first[r + 1]``, and edge k runs from vertex k (a) to the next
-    vertex of its ring (b). Each edge's ``math.hypot`` length and each ring's
-    bounds padded by ``ON_EDGE_TOL_DEG`` are computed once.
+    (``ay[v]``, ``ax[v]``) (lat, lon) for v in ``first[r]:first[r + 1]``,
+    and edge k runs from vertex k (a) to the next vertex of its ring (b).
+    Each edge's ``math.hypot`` length, and each ring's bounds padded by
+    ``ON_EDGE_TOL_DEG`` as the rows (min lat, min lon, max lat, max lon) of
+    ``bounds``, are computed once.
     """
 
-    def __init__(self, rings: list[PolygonRing]):
-        self.first = np.cumsum([0] + [len(ring.vertices) for ring in rings])
-        verts = [(v.lon_deg, v.lat_deg) for ring in rings for v in ring.vertices]
-        self.ax, self.ay = np.array(verts, dtype=float).reshape(-1, 2).T.copy()
-        succ = np.arange(1, len(verts) + 1)
+    def __init__(self, lats: np.ndarray, lons: np.ndarray, first: np.ndarray):
+        self.first = np.asarray(first, dtype=np.int64)
+        self.ax, self.ay = np.asarray(lons, dtype=float), np.asarray(lats, dtype=float)
+        succ = np.arange(1, len(self.ax) + 1)
         succ[self.first[1:] - 1] = self.first[:-1]
         self.bx, self.by = self.ax[succ], self.ay[succ]
         dx, dy = (self.bx - self.ax).tolist(), (self.by - self.ay).tolist()
@@ -418,7 +324,7 @@ class RingTable:
         heads, tol = self.first[:-1], ON_EDGE_TOL_DEG
         lows = [np.minimum.reduceat(c, heads) - tol for c in (self.ay, self.ax)]
         highs = [np.maximum.reduceat(c, heads) + tol for c in (self.ay, self.ax)]
-        self.bounds = list(zip(*(c.tolist() for c in lows + highs)))
+        self.bounds = np.array(lows + highs, dtype=float)
 
 
 # Points tested at once, so that the (point, edge) temporaries stay near a
@@ -427,14 +333,19 @@ POLYGON_TEST_BLOCK = 2048
 
 
 def points_in_polygon(rings: RingTable, ring, lats, lons) -> np.ndarray:
-    """``point_in_polygon`` of each point at (lats[i], lons[i]) in ring
-    ``ring[i]`` of ``rings``, as array operations over every (point, edge)
-    pair.
+    """Whether each point at (lats[i], lons[i]) lies in ring ``ring[i]`` of
+    ``rings``, boundary included, as array operations over every (point,
+    edge) pair, in the lat/lon plane (valid for approach-leg polygons, which
+    span well under 1,000 ft).
 
-    Each pair runs the scalar test's IEEE expressions, with the edge's
-    length and a zero-length edge's distances from ``math.hypot``, so the
-    answers are the scalar ones, on edges and vertices too. The on-edge
-    test runs only for the points the crossing number puts outside.
+    A point is inside when it lies on an edge: within ``ON_EDGE_TOL_DEG`` of
+    the edge's line (|cross| / length, or for a zero-length edge its
+    ``math.hypot`` distance from the vertex) and within the edge's bounding
+    box widened by the same tolerance. Otherwise it is inside when a ray
+    cast toward +lon crosses an odd number of edges, an edge from vertex i
+    to the previous vertex j crossing where (yi > y) != (yj > y) and
+    x < (xj - xi) (y - yi) / (yj - yi) + xi. The on-edge test runs only for
+    the points the crossing number puts outside.
     """
     size = POLYGON_TEST_BLOCK
     if len(ring) > size:
@@ -494,12 +405,8 @@ def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) ->
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _segments_intersect(p1: GeoPoint, p2: GeoPoint, p3: GeoPoint, p4: GeoPoint) -> bool:
+def _segments_intersect(x1, y1, x2, y2, x3, y3, x4, y4) -> bool:
     # Proper crossings and collinear overlap both count.
-    x1, y1 = p1.lon_deg, p1.lat_deg
-    x2, y2 = p2.lon_deg, p2.lat_deg
-    x3, y3 = p3.lon_deg, p3.lat_deg
-    x4, y4 = p4.lon_deg, p4.lat_deg
     d1 = _orient(x3, y3, x4, y4, x1, y1)
     d2 = _orient(x3, y3, x4, y4, x2, y2)
     d3 = _orient(x1, y1, x2, y2, x3, y3)
@@ -521,15 +428,21 @@ def _segments_intersect(p1: GeoPoint, p2: GeoPoint, p3: GeoPoint, p4: GeoPoint) 
     return False
 
 
-def _ring_self_intersects(verts: tuple[GeoPoint, ...]) -> bool:
-    n = len(verts)
+def check_ring(lats: list[float], lons: list[float]) -> None:
+    """Raise ValueError unless the vertices (lats[i], lons[i]) are an open
+    ring (closure implicit) of a simple polygon: at least three of them, the
+    last not repeating the first, and no two edges without a shared vertex
+    crossing or touching in the lon/lat plane."""
+    n = len(lats)
+    if n < 3:
+        raise ValueError("polygon ring needs at least 3 vertices")
+    if lats[0] == lats[-1] and lons[0] == lons[-1]:
+        raise ValueError("polygon ring must not repeat its first vertex")
     for i in range(n):
-        a1, a2 = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            # Skip the segment itself and segments sharing an endpoint.
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b1, b2 = verts[j], verts[(j + 1) % n]
-            if _segments_intersect(a1, a2, b1, b2):
-                return True
-    return False
+        i2 = (i + 1) % n
+        for j in range(i + 2, n if i else n - 1):  # no edge sharing a vertex with edge i
+            j2 = (j + 1) % n
+            if _segments_intersect(
+                lons[i], lats[i], lons[i2], lats[i2], lons[j], lats[j], lons[j2], lats[j2]
+            ):
+                raise ValueError("polygon ring is self-intersecting")

@@ -95,12 +95,6 @@ def parse_time_utc(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def format_time_utc(dt: datetime) -> str:
-    """Render UTC time with millisecond precision, e.g. 2019-05-01T14:03:22.500Z."""
-    # isoformat pads the year to four digits, as %Y does not below 1000.
-    return dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")[:-6] + "Z"
-
-
 def to_us(dt: datetime) -> int:
     """Epoch microseconds of an aware datetime, exactly."""
     return (dt - EPOCH) // _US
@@ -237,8 +231,9 @@ def _times_us(texts: tuple[str, ...] | np.ndarray, bad: np.ndarray) -> np.ndarra
 
 
 def _time_texts(t_us: np.ndarray) -> list[str]:
-    """Epoch-us times as format_time_utc renders them, cut to the
-    millisecond: the inverse of ``_canonical_us``. The date, hour and
+    """Epoch-us times as UTC texts cut to the millisecond, e.g.
+    2019-05-01T14:03:22.500Z (the year in four digits): the inverse of
+    ``_canonical_us``. The date, hour and
     minute are rendered once per distinct minute, the seconds and
     milliseconds from digits.
     """
@@ -680,8 +675,9 @@ def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable
     """Set ``cum`` over each (start, stop) span to the running sum, from 0, of
     the haversine steps between its positions, in feet.
 
-    Bit-identical to adding ``geo.haversine_distance_ft`` step by step: the
-    steps are ``geo.haversine_distances_ft``, and np.cumsum adds in sequence.
+    The steps are ``geo.haversine_distances_ft`` of each position and the
+    next, and np.cumsum adds them in sequence, as adding them one at a time
+    in floats would.
     """
     for start, stop in spans:
         lat_, lon_ = lat[start:stop], lon[start:stop]

@@ -8,10 +8,14 @@ back through ``storage.read_json``. The reviewed KML is read into columns,
 one per geometry (``Placemarks``), with every coordinate text read at
 once, and the geometry is assembled with array passes over all placemarks
 and cell-grid joins, the scalar tests running only where they decide.
-The annotation side reads the demographics sidecar with ``ingest``'s CSV
-parser and produces a review-template CSV plus a JSON manifest of allowed
-values per custom column, standing in for a spreadsheet with cell
-validation.
+The result is one columnar ``ReviewedSet``, from the import to ``traj``:
+no per-intersection, per-leg or per-vertex objects are built.
+``reviewed.json`` keeps it as nested intersections and legs, and its
+reader rebuilds the same set, holding a hand-edited file to what the
+import guarantees. The annotation side reads the demographics sidecar
+with ``ingest``'s CSV parser and produces a review-template CSV plus a
+JSON manifest of allowed values per custom column, standing in for a
+spreadsheet with cell validation.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from __future__ import annotations
 import functools
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, replace
+from itertools import chain, pairwise, repeat
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
 
@@ -31,9 +35,9 @@ from .geo import (
     FT_PER_DEG,
     CellGrid,
     GeoPoint,
-    PolygonRing,
     RingTable,
     centroids,
+    check_ring,
     haversine_distances_ft,
     joined,
     point_to_segment_ft,
@@ -63,20 +67,43 @@ TRUE_FOLDER = "true"
 CANDIDATES_FOLDER = "candidates"
 
 
-@dataclass
-class ApproachLeg:
-    leg_id: int
-    polygon: PolygonRing
-    entering_line: list[GeoPoint]
-    entering_bearing: float | None = None
+@dataclass(eq=False)
+class ReviewedSet:
+    """Reviewed intersections and their approach legs, as columns.
 
+    Intersection i, ids ascending, is ``intxn_id[i]`` at (``lat[i]``,
+    ``lon[i]``) under control ``control[i]``. Leg k is leg ``leg_id[k]`` of
+    intersection ``owner[k]``, which ascends, so each intersection's legs
+    are one run; its approach polygon is ring k of ``rings``, and its
+    entering line runs through the vertices (``line_lat[v]``,
+    ``line_lon[v]``) for v in ``line_first[k]:line_first[k + 1]``. Ids stay
+    Python ints, so an id of any size is kept.
+    """
 
-@dataclass
-class ReviewedIntersection:
-    intxn_id: int
-    pos: GeoPoint
-    control_type: str = "stop"
-    approaches: list[ApproachLeg] = field(default_factory=list)
+    intxn_id: list[int]
+    lat: np.ndarray
+    lon: np.ndarray
+    control: list[str]
+    owner: np.ndarray
+    leg_id: list[int]
+    rings: RingTable
+    line_lat: np.ndarray
+    line_lon: np.ndarray
+    line_first: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.intxn_id)
+
+    def __eq__(self, other):
+        if type(other) is not ReviewedSet:
+            return NotImplemented
+        return reviewed_to_json(self) == reviewed_to_json(other)
+
+    def __getitem__(self, whole: slice) -> ReviewedSet:
+        # A shallow copy, as [:] of a list: what storage.Store.load hands out.
+        if whole != slice(None):
+            raise TypeError("a reviewed set slices only as [:]")
+        return replace(self)
 
 
 @dataclass
@@ -151,10 +178,6 @@ class Placemarks:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def coordinates(self, k: int) -> list[GeoPoint]:
-        a, b = self.first[k : k + 2].tolist()
-        return list(map(GeoPoint, self.lat[a:b].tolist(), self.lon[a:b].tolist()))
 
 
 _GEOMETRIES = ("Point", "LineString", "Polygon")
@@ -291,19 +314,27 @@ def parse_kml_features(source: str | Path | IO) -> KmlFeatures:
     return KmlFeatures(*map(columns, range(3)), folder_names)
 
 
-def _ring_edge_distance_ft(pt: GeoPoint, ring: PolygonRing) -> float:
-    verts = ring.vertices
-    return min(
-        point_to_segment_ft(pt, verts[i], verts[(i + 1) % len(verts)])
-        for i in range(len(verts))
-    )
+def _ring_edge_distance_ft(pt: GeoPoint, rings: RingTable, r: int) -> float:
+    a, b = rings.first[r : r + 2].tolist()
+    verts = list(map(GeoPoint, rings.ay[a:b].tolist(), rings.ax[a:b].tolist()))
+    return min(map(point_to_segment_ft, repeat(pt), verts, verts[1:] + verts[:1]))
+
+
+def _runs(marks: Placemarks, picks: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices of placemarks ``picks``, in that order, as lat, lon and
+    the offsets of each placemark's run."""
+    picks = np.asarray(picks, dtype=np.int64)
+    counts = np.diff(marks.first)[picks]
+    first = np.cumsum([0, *counts])
+    at = np.arange(first[-1]) + np.repeat(marks.first[picks] - first[:-1], counts)
+    return marks.lat[at], marks.lon[at], first
 
 
 def import_reviewed_kml(
     source: str | Path | IO | KmlFeatures,
     polygon_match_ft: float = POLYGON_MATCH_FT,
     line_edge_match_ft: float = LINE_EDGE_MATCH_FT,
-) -> tuple[list[ReviewedIntersection], list[RejectEntry]]:
+) -> tuple[ReviewedSet, list[RejectEntry]]:
     """Assemble reviewed intersections from a human-edited KML or its ``KmlFeatures``.
 
     Point placemarks under a folder named ``true`` (or all point placemarks
@@ -318,12 +349,13 @@ def import_reviewed_kml(
     Centroids, midpoints, the intersections near each centroid and the
     polygons near each midpoint are array passes over all polygons and
     lines; the scalar edge distance runs only for a line whose midpoint
-    lies in no polygon or in more than one.
+    lies in no polygon or in more than one. Each intersection's legs are
+    numbered from 1 in the document order of their polygons.
     """
     feats = source if isinstance(source, KmlFeatures) else parse_kml_features(source)
     points, polygons, lines = feats.points, feats.polygons, feats.lines
     rejects: list[RejectEntry] = []
-    intersections: dict[int, ReviewedIntersection] = {}
+    intersections: dict[int, tuple[int, str]] = {}  # intxn_id -> (point, control)
     for k in feats.true_points().tolist():
         name = points.names[k]
         try:
@@ -338,31 +370,29 @@ def import_reviewed_kml(
         if control not in CONTROL_TYPES:
             rejects.append(RejectEntry("intersection", name, "invalid_control"))
             continue
-        pos = GeoPoint(float(points.lat[k]), float(points.lon[k]))
-        intersections[intxn_id] = ReviewedIntersection(intxn_id, pos, control)
+        intersections[intxn_id] = (k, control)
 
     # Polygon -> nearest intersection. Candidates come from the 3x3 cell
     # block around the centroid; cells a margin wider than the gate hold
     # every intersection the gate can accept, and the exact distance with
     # the (dist, id) tie-break decides among them.
-    rings: list[PolygonRing | None] = []
     lat, lon, first = polygons.lat.tolist(), polygons.lon.tolist(), polygons.first.tolist()
-    for a, b in zip(first, first[1:]):
+    valid = np.ones(len(polygons), dtype=bool)
+    for k, (a, b) in enumerate(zip(first, first[1:])):
         try:
-            rings.append(PolygonRing(tuple(map(GeoPoint, lat[a:b], lon[a:b]))))
+            check_ring(lat[a:b], lon[a:b])
         except ValueError:
-            rings.append(None)
-    valid = np.array([ring is not None for ring in rings], dtype=bool)
+            valid[k] = False
     rows = np.repeat(valid, np.diff(polygons.first))
     center_lat, center_lon = centroids(
         polygons.lat[rows], polygons.lon[rows], np.cumsum([0, *np.diff(polygons.first)[valid]])
     )
     ids = sorted(intersections)
-    at = np.array([(intersections[i].pos.lat_deg, intersections[i].pos.lon_deg) for i in ids])
-    at = at.reshape(-1, 2).T
-    grid = CellGrid(at[0], at[1], max(polygon_match_ft, 0.0) + INDEX_MARGIN_FT, cover_lats=center_lat)
+    at = np.array([intersections[i][0] for i in ids], dtype=np.int64)
+    at_lat, at_lon = points.lat[at], points.lon[at]
+    grid = CellGrid(at_lat, at_lon, max(polygon_match_ft, 0.0) + INDEX_MARGIN_FT, cover_lats=center_lat)
     center, near = joined(grid.block_pairs(center_lat, center_lon))  # near: index into ids
-    dist = haversine_distances_ft(center_lat[center], center_lon[center], at[0][near], at[1][near])
+    dist = haversine_distances_ft(center_lat[center], center_lon[center], at_lat[near], at_lon[near])
     best = np.lexsort((near, dist, center))
     best = best[np.diff(center[best], prepend=-1) > 0]  # each polygon's first
     owner = np.full(len(center_lat), -1)
@@ -370,8 +400,8 @@ def import_reviewed_kml(
 
     pending: list[list] = []  # [intxn_id, polygon, entering line or None]
     owners = iter(owner.tolist())
-    for k, ring in enumerate(rings):
-        if ring is None:
+    for k, ok in enumerate(valid.tolist()):
+        if not ok:
             rejects.append(RejectEntry("polygon", polygons.names[k], "invalid_polygon"))
         elif (i := next(owners)) < 0:
             rejects.append(RejectEntry("polygon", polygons.names[k], "unassigned_polygon"))
@@ -385,8 +415,7 @@ def import_reviewed_kml(
     # pairs each polygon with the midpoints in cells that meet its box so
     # widened (a superset: any other polygon is beyond the gate), and one
     # points_in_polygon call tests every pair.
-    table = RingTable([rings[k] for _, k, _ in pending])
-    boxes = np.array(table.bounds, dtype=float).reshape(-1, 4).T
+    table = RingTable(*_runs(polygons, [k for _, k, _ in pending]))
     counts = np.diff(lines.first)
     # A line whose ends coincide gives no entering bearing.
     valid = counts >= 2
@@ -399,7 +428,7 @@ def import_reviewed_kml(
     cut = max(line_edge_match_ft, 0.0) + INDEX_MARGIN_FT
     pad, cos_min = min(cut / FT_PER_DEG, 180.0), float(np.cos(np.radians(mid_lat)).min(initial=1.0))
     pad_lon = 360.0 if cos_min * 360.0 <= pad else pad / cos_min
-    padded = boxes + np.array([[-pad], [-pad_lon], [pad], [pad_lon]])
+    padded = table.bounds + np.array([[-pad], [-pad_lon], [pad], [pad_lon]])
     poly, line = joined(CellGrid(mid_lat, mid_lon, cut).overlap_pairs(padded))
     line, poly = np.divmod(np.sort(line * len(pending) + poly), max(len(pending), 1))
     inside = points_in_polygon(table, poly, mid_lat[line], mid_lon[line])
@@ -413,9 +442,7 @@ def import_reviewed_kml(
         near = poly[cuts[g] : cuts[g + 1]]
         containing = near[inside[cuts[g] : cuts[g + 1]]].tolist()
         mid = GeoPoint(float(mid_lat[g]), float(mid_lon[g]))
-        edge, i = min(
-            (_ring_edge_distance_ft(mid, rings[pending[i][1]]), i) for i in containing or near.tolist()
-        )
+        edge, i = min((_ring_edge_distance_ft(mid, table, i), i) for i in containing or near.tolist())
         pick[g] = -1 if not containing and edge > line_edge_match_ft else i
 
     picks = iter(pick.tolist())
@@ -429,79 +456,117 @@ def import_reviewed_kml(
         else:
             pending[i][2] = k
 
-    for intxn_id, k, line_k in pending:
+    for _, k, line_k in pending:
         if line_k is None:
             rejects.append(RejectEntry("polygon", polygons.names[k], "no_entering_line"))
-            continue
-        intxn = intersections[intxn_id]
-        intxn.approaches.append(
-            ApproachLeg(len(intxn.approaches) + 1, rings[k], lines.coordinates(line_k))
-        )
-
-    reviewed = []
-    for intxn_id in sorted(intersections):
-        intxn = intersections[intxn_id]
-        if not intxn.approaches:
-            rejects.append(RejectEntry("intersection", str(intxn_id), "no_polygons"))
-            continue
-        reviewed.append(intxn)
+    # Sorted stably, so each intersection's legs keep their document order.
+    legs = sorted((leg for leg in pending if leg[2] is not None), key=lambda leg: leg[0])
+    kept = sorted({intxn_id for intxn_id, _, _ in legs})
+    row = {intxn_id: r for r, intxn_id in enumerate(kept)}
+    rejects += [RejectEntry("intersection", str(i), "no_polygons") for i in ids if i not in row]
+    owner = np.array([row[intxn_id] for intxn_id, _, _ in legs], dtype=np.int64)
+    spots = np.array([intersections[i][0] for i in kept], dtype=np.int64)
+    reviewed = ReviewedSet(
+        kept, points.lat[spots], points.lon[spots], [intersections[i][1] for i in kept], owner,
+        (np.arange(len(owner)) - np.searchsorted(owner, owner) + 1).tolist(),
+        RingTable(*_runs(polygons, [k for _, k, _ in legs])),
+        *_runs(lines, [line_k for _, _, line_k in legs]),
+    )
     return reviewed, rejects
 
 
 # ---------------------------------------------------------------------------
 # Reviewed-intersection JSON (stage interchange)
 
-def reviewed_to_json(reviewed: list[ReviewedIntersection]) -> dict:
-    return {
-        "intersections": [
-            {
-                "intxn_id": r.intxn_id,
-                "lat": r.pos.lat_deg,
-                "lon": r.pos.lon_deg,
-                "control_type": r.control_type,
-                "approaches": [
-                    {
-                        "leg_id": leg.leg_id,
-                        "polygon": [[v.lat_deg, v.lon_deg] for v in leg.polygon.vertices],
-                        "entering_line": [[v.lat_deg, v.lon_deg] for v in leg.entering_line],
-                        "entering_bearing": leg.entering_bearing,
-                    }
-                    for leg in r.approaches
-                ],
-            }
-            for r in sorted(reviewed, key=lambda r: r.intxn_id)
-        ]
-    }
+def reviewed_to_json(reviewed: ReviewedSet) -> dict:
+    """The nested document of ``reviewed``: each intersection with its
+    approach legs, each leg's polygon and entering line as [lat, lon] pairs."""
+    rings = reviewed.rings
 
+    def pairs(lats: np.ndarray, lons: np.ndarray, first: np.ndarray) -> list[list]:
+        vertices = list(map(list, zip(lats.tolist(), lons.tolist())))
+        return [vertices[a:b] for a, b in pairwise(first.tolist())]
 
-def reviewed_from_json(doc: dict) -> list[ReviewedIntersection]:
-    out = []
-    for entry in doc["intersections"]:
-        approaches = [
-            ApproachLeg(
-                int(leg["leg_id"]),
-                PolygonRing(tuple(GeoPoint(lat, lon) for lat, lon in leg["polygon"])),
-                [GeoPoint(lat, lon) for lat, lon in leg["entering_line"]],
-                leg.get("entering_bearing"),
-            )
-            for leg in entry["approaches"]
-        ]
-        out.append(
-            ReviewedIntersection(
-                int(entry["intxn_id"]),
-                GeoPoint(entry["lat"], entry["lon"]),
-                entry["control_type"],
-                approaches,
-            )
+    approaches = [
+        {"leg_id": leg_id, "polygon": polygon, "entering_line": line}
+        for leg_id, polygon, line in zip(
+            reviewed.leg_id,
+            pairs(rings.ay, rings.ax, rings.first),
+            pairs(reviewed.line_lat, reviewed.line_lon, reviewed.line_first),
         )
-    return sorted(out, key=lambda r: r.intxn_id)
+    ]
+    cuts = pairwise(np.searchsorted(reviewed.owner, np.arange(len(reviewed) + 1)).tolist())
+    columns = reviewed.intxn_id, reviewed.lat.tolist(), reviewed.lon.tolist(), reviewed.control
+    return {"intersections": [
+        {"intxn_id": i, "lat": lat, "lon": lon, "control_type": c, "approaches": approaches[a:b]}
+        for i, lat, lon, c, (a, b) in zip(*columns, cuts)
+    ]}
 
 
-def save_reviewed_json(reviewed: list[ReviewedIntersection], dest: str | Path | IO) -> None:
+def _integer(value) -> int:
+    if type(value) is not int:  # JSON's true, 7.9 or "7" is no id
+        raise ValueError(f"id {value!r} is not an integer")
+    return value
+
+
+def reviewed_from_json(doc: dict) -> ReviewedSet:
+    """The ``ReviewedSet`` of a document in ``reviewed_to_json``'s layout,
+    in any intersection order, keys other than its own ignored.
+
+    Raises ValueError (or the error of a value of the wrong type or shape)
+    for a document that breaks what ``import_reviewed_kml`` guarantees: an
+    id that is not an integer, an intersection id given twice, a control type not in ``CONTROL_TYPES``,
+    an intersection without approaches, a leg_id given twice within one
+    intersection, a coordinate that is not a number or is out of range, or
+    a polygon that is not a simple ring (``geo.check_ring``).
+    """
+    entries = sorted(doc["intersections"], key=lambda entry: _integer(entry["intxn_id"]))
+    ids = [entry["intxn_id"] for entry in entries]
+    for a, b in pairwise(ids):
+        if a == b:
+            raise ValueError(f"intersection {a} is given twice")
+    control, owner, leg_id, spots, polygons, lines = [], [], [], [], [], []
+    for row, (intxn_id, entry) in enumerate(zip(ids, entries)):
+        if entry["control_type"] not in CONTROL_TYPES:
+            raise ValueError(f"intersection {intxn_id}: control_type is not one of {CONTROL_TYPES}")
+        control.append(entry["control_type"])
+        spots.append((entry["lat"], entry["lon"]))
+        numbers = [_integer(leg["leg_id"]) for leg in entry["approaches"]]
+        if not numbers:
+            raise ValueError(f"intersection {intxn_id} has no approaches")
+        if len(set(numbers)) < len(numbers):
+            raise ValueError(f"intersection {intxn_id} gives a leg_id twice")
+        owner += [row] * len(numbers)
+        leg_id += numbers
+        for leg in entry["approaches"]:
+            polygons.append([(lat, lon) for lat, lon in leg["polygon"]])
+            lines.append([(lat, lon) for lat, lon in leg["entering_line"]])
+
+    def columns(runs: list[list[tuple]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        values = [value for run in runs for vertex in run for value in vertex]
+        if not {int, float}.issuperset(map(type, values)):
+            raise ValueError("a coordinate is not a number")
+        lat, lon = np.array(values, dtype=float).reshape(-1, 2).T
+        if not (np.all(np.abs(lat) <= 90.0) and np.all(np.abs(lon) <= 180.0)):
+            raise ValueError("a coordinate is out of range")
+        return lat, lon, np.cumsum([0, *map(len, runs)])
+
+    lat, lon, _ = columns([spots])
+    rings = columns(polygons)
+    ring_lat, ring_lon = rings[0].tolist(), rings[1].tolist()
+    for a, b in pairwise(rings[2].tolist()):
+        check_ring(ring_lat[a:b], ring_lon[a:b])
+    return ReviewedSet(
+        ids, lat, lon, control, np.array(owner, dtype=np.int64), leg_id, RingTable(*rings),
+        *columns(lines),
+    )
+
+
+def save_reviewed_json(reviewed: ReviewedSet, dest: str | Path | IO) -> None:
     write_json(reviewed_to_json(reviewed), dest)
 
 
-def load_reviewed_json(source: str | Path | IO) -> list[ReviewedIntersection]:
+def load_reviewed_json(source: str | Path | IO) -> ReviewedSet:
     return read_json(source, reviewed_from_json, "reviewed-intersection JSON")
 
 

@@ -255,7 +255,8 @@ def _write_reviewed_kml(
 
 
 def _time_column(times: list[datetime]) -> list[str]:
-    """format_time_utc of each aware time, rendered as one array."""
+    """Each aware time as ``ingest._time_texts`` renders it, in UTC to the
+    millisecond, e.g. 2019-05-01T14:03:22.500Z; all rendered as one array."""
     us = (np.array(times, dtype=object) - EPOCH).astype("timedelta64[us]")
     return _time_texts(us.view(np.int64))
 

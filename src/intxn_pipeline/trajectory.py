@@ -6,13 +6,17 @@ traffic, the surviving point closest to the intersection anchors the
 window, and the window is cut from the whole drive by cumulative distance:
 300 ft upstream to 200 ft downstream by default.
 
-``_leg_hits`` gives each approach leg's ascending sensor-table rows inside
-its polygon and heading the way of its entering line, over the whole study
-at once: one cell, box and heading gate of every (cell candidate, leg)
-pair, then one polygon test of every gated (point, leg) pair against a
-``RingTable`` of all the legs. Extraction finds each row's drive in the
-table's offsets, and ranks each visit's hits by a numpy distance estimate,
-computing the exact distance only for the hits that can be nearest.
+The reviewed intersections come as the columns of a ``review.ReviewedSet``
+and are read as they are: its ``RingTable`` of approach polygons, each
+leg's owning intersection, and the ends of each leg's entering line, whose
+bearing gates the headings. ``_leg_hits`` gives each approach leg's
+ascending sensor-table rows inside its polygon and heading the way of its
+entering line, over the whole study at once: one cell, box and heading
+gate of every (cell candidate, leg) pair, then one polygon test of every
+gated (point, leg) pair against the ring table. Extraction finds each
+row's drive in the table's offsets, and ranks each visit's hits by a numpy
+distance estimate, computing the exact distance only for the hits that can
+be nearest.
 
 The trajectories are one ``TrajectoryTable``, keyed by (subj, drive) like
 the sensor and detection tables. A row is one (drive, intersection) pass:
@@ -27,7 +31,7 @@ and review-template stages take the table as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 from pathlib import Path
 from typing import IO
 
@@ -36,7 +40,6 @@ import numpy as np
 from .errors import DataError
 from .geo import (
     CellGrid,
-    RingTable,
     angular_difference_deg,
     in_box,
     initial_bearing_deg,
@@ -54,7 +57,7 @@ from .ingest import (
     _Table,
     _time_texts,
 )
-from .review import ApproachLeg, ReviewedIntersection
+from .review import ReviewedSet
 from .storage import write_csv
 
 
@@ -129,17 +132,21 @@ class TrajectoryTable(_Table):
         return [f"{s}_{d}_{i}" for s, d, i in zip(*self.key_texts(), self.intxn_id.tolist())]
 
 
-def _entering_bearing(intxn: ReviewedIntersection, leg: ApproachLeg) -> float:
-    """The forward azimuth from the first vertex of the leg's entering line
+def _entering_bearings(reviewed: ReviewedSet) -> np.ndarray:
+    """The forward azimuth of each leg's entering line from its first vertex
     to its last; intermediate vertices are ignored since the endpoints define
     the reviewer's intent. Raises DataError for a line without two distinct
     ends."""
-    line = leg.entering_line
-    if not line or line[0] == line[-1]:
-        raise DataError(
-            f"degenerate entering line on intersection {intxn.intxn_id} leg {leg.leg_id}"
-        )
-    return initial_bearing_deg(line[0], line[-1])
+    lat, lon = reviewed.line_lat.tolist(), reviewed.line_lon.tolist()
+    bearings = []
+    for k, (a, b) in enumerate(pairwise(reviewed.line_first.tolist())):
+        if a == b or (lat[a], lon[a]) == (lat[b - 1], lon[b - 1]):
+            intxn_id = reviewed.intxn_id[reviewed.owner[k]]
+            raise DataError(
+                f"degenerate entering line on intersection {intxn_id} leg {reviewed.leg_id[k]}"
+            )
+        bearings.append(initial_bearing_deg(lat[a], lon[a], lat[b - 1], lon[b - 1]))
+    return np.array(bearings, dtype=float)
 
 
 # Cell size of the point index, about one approach leg long, so a leg's
@@ -148,42 +155,37 @@ LEG_CELL_FT = 300.0
 
 
 def _leg_hits(
-    sensor: SensorTable,
-    reviewed: list[ReviewedIntersection],
-    heading_tol_deg: float,
-) -> list[tuple[ReviewedIntersection, ApproachLeg, np.ndarray]]:
-    """Per approach leg with hits, in the order of ``reviewed`` and its
-    approaches: its intersection, the leg, and the ascending rows of
-    ``sensor`` inside the polygon heading the entering way.
+    sensor: SensorTable, reviewed: ReviewedSet, heading_tol_deg: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each (leg, row) pair of a leg of ``reviewed`` and a row of ``sensor``
+    inside the leg's polygon heading the entering way, as two arrays, by
+    leg, then row.
 
     All points sit in one study-wide ``CellGrid``. The grid pairs every
     leg with the points in the cells its bounding box meets, a block of
     pairs at a time; the box and the heading gate, from the
-    ``_entering_bearing`` of each leg's line (so a degenerate line is a
+    ``_entering_bearings`` of the legs' lines (so a degenerate line is a
     DataError), test all those pairs at once, and one ``points_in_polygon``
     then tests every (point, leg) pair that passed.
     """
-    legs = [(intxn, leg) for intxn in reviewed for leg in intxn.approaches]
-    bearings = np.array([_entering_bearing(intxn, leg) for intxn, leg in legs], dtype=float)
-    rings = RingTable([leg.polygon for _, leg in legs])
-    boxes = np.array(rings.bounds, dtype=float).reshape(-1, 4).T
+    bearings = _entering_bearings(reviewed)
+    rings = reviewed.rings
     lats, lons, headings = sensor.lat, sensor.lon, sensor.heading
     # Each gated pair as leg * len(lats) + row, so one sort orders them.
     gated = [np.empty(0, np.int64)]
-    for leg, idx in CellGrid(lats, lons, LEG_CELL_FT).overlap_pairs(boxes):
-        keep = in_box(boxes[:, leg], lats[idx], lons[idx]) & (
+    for leg, idx in CellGrid(lats, lons, LEG_CELL_FT).overlap_pairs(rings.bounds):
+        keep = in_box(rings.bounds[:, leg], lats[idx], lons[idx]) & (
             angular_difference_deg(headings[idx], bearings[leg]) <= heading_tol_deg
         )
         gated.append(leg[keep] * len(lats) + idx[keep])
-    ring, rows = np.divmod(np.sort(np.concatenate(gated)), max(len(lats), 1))
-    inside = points_in_polygon(rings, ring, lats[rows], lons[rows])
-    rows, cuts = rows[inside], np.searchsorted(ring[inside], range(len(legs) + 1)).tolist()
-    return [(*legs[k], rows[lo:hi]) for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
+    leg, rows = np.divmod(np.sort(np.concatenate(gated)), max(len(lats), 1))
+    inside = points_in_polygon(rings, leg, lats[rows], lons[rows])
+    return leg[inside], rows[inside]
 
 
 def extract_trajectories(
     sensor: SensorTable,
-    reviewed: list[ReviewedIntersection],
+    reviewed: ReviewedSet,
     params: WindowParams | None = None,
 ) -> tuple[TrajectoryTable, dict[str, int]]:
     """Extract one entering trajectory per (subj, drive, intersection).
@@ -201,34 +203,28 @@ def extract_trajectories(
     end of the drive are kept and tallied as ``truncated``.
     """
     params = params or WindowParams()
-    hits = _leg_hits(sensor, reviewed, params.heading_tol_deg)
-    entry = np.repeat(np.arange(len(hits)), [len(rows) for *_, rows in hits])
-
-    def per_hit(values, dtype):
-        return np.array(values, dtype=dtype)[entry]
-
-    intxns = [intxn for intxn, _, _ in hits]
+    leg, row = _leg_hits(sensor, reviewed, params.heading_tol_deg)
+    # Ids of the legs with hits only, so an id beyond int64 fails only there.
+    used, entry = np.unique(leg, return_inverse=True)
     try:
-        ids = per_hit([intxn.intxn_id for intxn in intxns], np.int64)
-        legs = per_hit([leg.leg_id for _, leg, _ in hits], np.int64)
+        ids = np.array([reviewed.intxn_id[i] for i in reviewed.owner[used].tolist()], np.int64)
+        legs = np.array([reviewed.leg_id[k] for k in used.tolist()], np.int64)
     except OverflowError as exc:
         raise DataError("intersection and leg ids must lie in the int64 range") from exc
-    row = np.concatenate([np.empty(0, np.int64), *(rows for *_, rows in hits)])
+    ids, legs, at = ids[entry], legs[entry], reviewed.owner[leg]
     bounds = np.array(sensor.offsets)
     drive = np.searchsorted(bounds, row, "right") - 1
     t = sensor.seconds()[row]
 
     # Visits: runs of one leg's hits in one drive without a gap over pass_gap_s.
     split = np.ones(len(row), dtype=bool)
-    split[1:] = (entry[1:] != entry[:-1]) | (drive[1:] != drive[:-1])
+    split[1:] = (leg[1:] != leg[:-1]) | (drive[1:] != drive[:-1])
     split[1:] |= t[1:] - t[:-1] > params.pass_gap_s
     visit = np.cumsum(split) - 1
     starts = np.flatnonzero(split)
     # The exact distance only where it can pick the reference; +inf elsewhere.
     dist = nearest_distances_ft(
-        sensor.lat[row], sensor.lon[row],
-        per_hit([intxn.pos.lat_deg for intxn in intxns], float),
-        per_hit([intxn.pos.lon_deg for intxn in intxns], float),
+        sensor.lat[row], sensor.lon[row], reviewed.lat[at], reviewed.lon[at],
         np.append(starts, len(row)),
     )
     refs = np.lexsort((row, t, dist, visit))[starts]

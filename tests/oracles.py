@@ -12,12 +12,24 @@ tuple at a time, as ``review.parse_kml_features`` did before it read all
 coordinate texts at once; ``placemark_rows`` turns the new reader's
 columns into the rows it gives. ``polyline_midpoint`` is the scalar walk
 that ``geo.polyline_midpoints`` does for all lines at once.
+
+``scalar_import_reviewed_kml`` assembles reviewed geometry one object at a
+time: every polygon against every intersection, every line against every
+polygon, with ``PolygonRing``, ``ApproachLeg`` and ``ReviewedIntersection``
+objects and the scalar ``point_in_polygon``, as the import did before it
+gave one columnar ``review.ReviewedSet``. ``reviewed_set`` turns such
+objects into that set. ``haversine_distance_ft``, ``format_time_utc``,
+``cell_block`` and ``cells_overlapping`` are the scalar forms of the distance, the
+time text and the ``CellGrid`` lookups that the pipeline does in batches.
 """
 
 import csv
+import math
 import shlex
 import types
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -25,7 +37,22 @@ import numpy as np
 
 from intxn_pipeline.clips import OVERLAY_BOX_EXPR
 from intxn_pipeline.errors import KmlParseError
-from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
+from intxn_pipeline.geo import (
+    EARTH_RADIUS_FT,
+    ON_EDGE_TOL_DEG,
+    GeoPoint,
+    RingTable,
+    centroid,
+    check_ring,
+    joined,
+    point_to_segment_ft,
+)
+from intxn_pipeline.review import (
+    CONTROL_TYPES,
+    TRUE_FOLDER,
+    RejectEntry,
+    reviewed_from_json,
+)
 from intxn_pipeline.storage import resolve_uri
 
 
@@ -112,11 +139,17 @@ def polyline_midpoint(points: list[GeoPoint]) -> GeoPoint:
     return points[-1]
 
 
+def coordinates(placemarks, k: int) -> list[GeoPoint]:
+    """The vertices of placemark ``k`` of a ``review.Placemarks``."""
+    a, b = placemarks.first[k : k + 2].tolist()
+    return list(map(GeoPoint, placemarks.lat[a:b].tolist(), placemarks.lon[a:b].tolist()))
+
+
 def placemark_rows(placemarks) -> list[tuple]:
     """Each placemark of a ``review.Placemarks`` as (name, folders,
     coordinates as GeoPoints, extended data)."""
     return [
-        (name, folders, placemarks.coordinates(k), extended)
+        (name, folders, coordinates(placemarks, k), extended)
         for k, (name, folders, extended) in enumerate(
             zip(placemarks.names, placemarks.folders, placemarks.extended)
         )
@@ -209,3 +242,253 @@ def old_parse_kml_features(source) -> tuple[dict[str, list[tuple]], set[str]]:
 
     walk(tree.getroot(), ())
     return feats, folder_names
+
+
+# ---------------------------------------------------------------------------
+# Scalar geodesy, time text and grid lookups
+
+
+def haversine_distance_ft(a: GeoPoint, b: GeoPoint) -> float:
+    """Great-circle distance between two points, in feet.
+
+    Total and symmetric; returns 0.0 for coincident points.
+    """
+    phi1 = math.radians(a.lat_deg)
+    phi2 = math.radians(b.lat_deg)
+    dphi = math.radians(b.lat_deg - a.lat_deg)
+    dlam = math.radians(b.lon_deg - a.lon_deg)
+    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_FT * math.asin(min(1.0, math.sqrt(h)))
+
+
+def format_time_utc(dt: datetime) -> str:
+    """Render UTC time with millisecond precision, e.g. 2019-05-01T14:03:22.500Z."""
+    # isoformat pads the year to four digits, as %Y does not below 1000.
+    return dt.astimezone(timezone.utc).isoformat(timespec="milliseconds")[:-6] + "Z"
+
+
+def cell_block(grid, lat: float, lon: float):
+    """Ascending indices of the points of a ``geo.CellGrid`` in the 3x3 cell
+    block around (lat, lon)."""
+    return np.sort(joined(grid.block_pairs([lat], [lon]))[1])
+
+
+def cells_overlapping(grid, box: tuple[float, float, float, float]):
+    """Ascending indices of the points of a ``geo.CellGrid`` in cells that
+    meet ``box``."""
+    return np.sort(joined(grid.overlap_pairs([[side] for side in box]))[1])
+
+
+# ---------------------------------------------------------------------------
+# Reviewed geometry, one object at a time
+
+
+@dataclass(frozen=True)
+class PolygonRing:
+    """Simple polygon given as an open vertex ring (closure is implicit).
+
+    Vertices must not repeat the first point at the end, there must be at
+    least three of them, and the ring must not self-intersect.
+    """
+
+    vertices: tuple[GeoPoint, ...]
+
+    def __post_init__(self) -> None:
+        check_ring([v.lat_deg for v in self.vertices], [v.lon_deg for v in self.vertices])
+
+    def edge_lengths(self) -> list[float]:
+        """Planar length, in degrees, of each edge: vertex i to vertex i + 1."""
+        v = self.vertices
+        pairs = zip(v, v[1:] + v[:1])
+        return [math.hypot(b.lon_deg - a.lon_deg, b.lat_deg - a.lat_deg) for a, b in pairs]
+
+    def bounds(self, pad_deg: float = 0.0) -> tuple[float, float, float, float]:
+        """(min_lat, min_lon, max_lat, max_lon) of the ring, widened by ``pad_deg``.
+
+        Every point ``point_in_polygon`` accepts lies within
+        ``bounds(ON_EDGE_TOL_DEG)``.
+        """
+        lats = [v.lat_deg for v in self.vertices]
+        lons = [v.lon_deg for v in self.vertices]
+        return min(lats) - pad_deg, min(lons) - pad_deg, max(lats) + pad_deg, max(lons) + pad_deg
+
+
+def ring_table(rings: list[PolygonRing]) -> RingTable:
+    """The ``geo.RingTable`` of ``rings``, in order."""
+    verts = [v for ring in rings for v in ring.vertices]
+    first = np.cumsum([0] + [len(ring.vertices) for ring in rings])
+    return RingTable([v.lat_deg for v in verts], [v.lon_deg for v in verts], first)
+
+
+def _on_segment(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> bool:
+    # Lateral distance from the segment's line, then a bbox check.
+    ax, ay = a.lon_deg, a.lat_deg
+    bx, by = b.lon_deg, b.lat_deg
+    px, py = pt.lon_deg, pt.lat_deg
+    seg_len = math.hypot(bx - ax, by - ay)
+    if seg_len == 0.0:
+        return math.hypot(px - ax, py - ay) <= ON_EDGE_TOL_DEG
+    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    if abs(cross) / seg_len > ON_EDGE_TOL_DEG:
+        return False
+    tol = ON_EDGE_TOL_DEG
+    return (
+        min(ax, bx) - tol <= px <= max(ax, bx) + tol
+        and min(ay, by) - tol <= py <= max(ay, by) + tol
+    )
+
+
+def point_in_polygon(pt: GeoPoint, ring: PolygonRing) -> bool:
+    """Boundary-inclusive containment test, ray casting in the lat/lon plane."""
+    verts = ring.vertices
+    n = len(verts)
+    for i in range(n):
+        if _on_segment(pt, verts[i], verts[(i + 1) % n]):
+            return True
+    x, y = pt.lon_deg, pt.lat_deg
+    inside = False
+    j = n - 1
+    for i in range(n):
+        xi, yi = verts[i].lon_deg, verts[i].lat_deg
+        xj, yj = verts[j].lon_deg, verts[j].lat_deg
+        if (yi > y) != (yj > y):
+            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
+            if x < x_cross:
+                inside = not inside
+        j = i
+    return inside
+
+
+@dataclass
+class ApproachLeg:
+    leg_id: int
+    polygon: PolygonRing
+    entering_line: list[GeoPoint]
+
+
+@dataclass
+class ReviewedIntersection:
+    intxn_id: int
+    pos: GeoPoint
+    control_type: str = "stop"
+    approaches: list[ApproachLeg] = field(default_factory=list)
+
+
+def reviewed_doc(reviewed: list[ReviewedIntersection]) -> dict:
+    """The ``reviewed.json`` document of the intersections, in id order."""
+    return {
+        "intersections": [
+            {
+                "intxn_id": r.intxn_id,
+                "lat": r.pos.lat_deg,
+                "lon": r.pos.lon_deg,
+                "control_type": r.control_type,
+                "approaches": [
+                    {
+                        "leg_id": leg.leg_id,
+                        "polygon": [[v.lat_deg, v.lon_deg] for v in leg.polygon.vertices],
+                        "entering_line": [[v.lat_deg, v.lon_deg] for v in leg.entering_line],
+                    }
+                    for leg in r.approaches
+                ],
+            }
+            for r in sorted(reviewed, key=lambda r: r.intxn_id)
+        ]
+    }
+
+
+def reviewed_set(reviewed: list[ReviewedIntersection]):
+    """The ``review.ReviewedSet`` of the intersections."""
+    return reviewed_from_json(reviewed_doc(reviewed))
+
+
+def _edge_distance_ft(pt, ring):
+    verts = ring.vertices
+    return min(
+        point_to_segment_ft(pt, verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))
+    )
+
+
+def scalar_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
+    """``review.import_reviewed_kml`` one object at a time: every polygon
+    against every intersection, every line against every polygon, from the
+    KML as the one-placemark-at-a-time reader gives it. Returns the
+    ``ReviewedIntersection`` list, in id order, and the rejects."""
+    feats, folder_names = old_parse_kml_features(source)
+    rejects = []
+    if TRUE_FOLDER in folder_names:
+        true_points = [p for p in feats["point"] if TRUE_FOLDER in p[1]]
+    else:
+        true_points = feats["point"]
+    intersections = {}
+    for name, _, coords, extended in true_points:
+        try:
+            intxn_id = int(name)
+        except ValueError:
+            rejects.append(RejectEntry("intersection", name, "non_integer_name"))
+            continue
+        if intxn_id in intersections:
+            rejects.append(RejectEntry("intersection", name, "duplicate_id"))
+            continue
+        control = extended.get("control", "stop")
+        if control not in CONTROL_TYPES:
+            rejects.append(RejectEntry("intersection", name, "invalid_control"))
+            continue
+        intersections[intxn_id] = ReviewedIntersection(intxn_id, coords[0], control)
+
+    pending = []
+    for name, _, coords, _ in feats["polygon"]:
+        try:
+            ring = PolygonRing(tuple(coords))
+        except ValueError:
+            rejects.append(RejectEntry("polygon", name, "invalid_polygon"))
+            continue
+        if not intersections:
+            rejects.append(RejectEntry("polygon", name, "unassigned_polygon"))
+            continue
+        center = centroid(list(ring.vertices))
+        best_id = min(
+            intersections, key=lambda i: (haversine_distance_ft(center, intersections[i].pos), i)
+        )
+        if haversine_distance_ft(center, intersections[best_id].pos) > polygon_match_ft:
+            rejects.append(RejectEntry("polygon", name, "unassigned_polygon"))
+            continue
+        pending.append({"intxn_id": best_id, "ring": ring, "name": name, "line": None})
+
+    for name, _, coords, _ in feats["line"]:
+        # A line whose ends coincide gives no entering bearing.
+        if len(coords) < 2 or coords[0] == coords[-1]:
+            rejects.append(RejectEntry("line", name, "invalid_line"))
+            continue
+        mid = polyline_midpoint(coords)
+        containing = [
+            (i, leg) for i, leg in enumerate(pending) if point_in_polygon(mid, leg["ring"])
+        ]
+        if containing:
+            idx = min(containing, key=lambda t: (_edge_distance_ft(mid, t[1]["ring"]), t[0]))[0]
+        else:
+            ranked = sorted((_edge_distance_ft(mid, leg["ring"]), i) for i, leg in enumerate(pending))
+            if not ranked or ranked[0][0] > line_edge_match_ft:
+                rejects.append(RejectEntry("line", name, "unassigned_line"))
+                continue
+            idx = ranked[0][1]
+        if pending[idx]["line"] is not None:
+            rejects.append(RejectEntry("line", name, "extra_line"))
+            continue
+        pending[idx]["line"] = coords
+
+    for leg in pending:
+        if leg["line"] is None:
+            rejects.append(RejectEntry("polygon", leg["name"], "no_entering_line"))
+            continue
+        intxn = intersections[leg["intxn_id"]]
+        intxn.approaches.append(ApproachLeg(len(intxn.approaches) + 1, leg["ring"], leg["line"]))
+
+    reviewed = []
+    for intxn_id in sorted(intersections):
+        intxn = intersections[intxn_id]
+        if not intxn.approaches:
+            rejects.append(RejectEntry("intersection", str(intxn_id), "no_polygons"))
+            continue
+        reviewed.append(intxn)
+    return reviewed, rejects

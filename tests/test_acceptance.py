@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import haversine_distance_ft
 
 from intxn_pipeline.cli import main
 from intxn_pipeline.clips import build_clip_specs, emit_cutlist, parse_cutlist, read_videos_csv
@@ -25,7 +26,7 @@ from intxn_pipeline.discovery import (
     load_network_geojson,
     match_clusters,
 )
-from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
+from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import clean_cv, clean_sensor
 from intxn_pipeline.review import (
     build_review_template,

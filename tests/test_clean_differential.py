@@ -21,13 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import format_time_utc, haversine_distance_ft
+
 from intxn_pipeline import ingest
-from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
+from intxn_pipeline.geo import GeoPoint
 from intxn_pipeline.ingest import (
     SENSOR_COLUMNS,
     SENSOR_CUM_COLUMN,
     clean_sensor,
-    format_time_utc,
     parse_time_utc,
     write_sensor_csv,
 )

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from oracles import coordinates
 from test_clean_differential import raw_files
 from test_detection_differential import raw_detection_files
 from test_review import coord, line_mark, point_mark, polygon_mark, pt_offset
@@ -465,7 +466,7 @@ def _with_every_reject(kml: Path) -> None:
     """Add to synth's reviewed KML one placemark for each reject reason."""
     text = kml.read_text()
     points = parse_kml_features(kml).points
-    first, junction = points.names[0], points.coordinates(0)[0]
+    first, junction = points.names[0], coordinates(points, 0)[0]
     a, b = GeoPoint(32.0, -92.0), GeoPoint(32.001, -92.0)
     true_marks = (
         point_mark("x", GeoPoint(33.0, -93.0))  # non_integer_name

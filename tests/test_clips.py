@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import old_emit_cutlist, table_of
+from oracles import old_emit_cutlist, reviewed_set, table_of
 from test_trajectory import T0, northbound_drive, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
@@ -32,7 +32,7 @@ A_MP4 = "file:///videos/a.mp4"
 def _trajs(sensor=None, intxns=None):
     sensor = sensor if sensor is not None else northbound_drive()
     intxns = intxns if intxns is not None else [northbound_intersection()]
-    trajs, _ = extract_trajectories(table_of(SensorTable, sensor), intxns)
+    trajs, _ = extract_trajectories(table_of(SensorTable, sensor), reviewed_set(intxns))
     return trajs
 
 

@@ -19,7 +19,7 @@ from datetime import timedelta, timezone
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import row_tuples
+from oracles import format_time_utc, row_tuples
 
 from intxn_pipeline.discovery import cluster_detections, dbscan_labels, last_in_runs
 from intxn_pipeline.errors import DataError
@@ -33,7 +33,6 @@ from intxn_pipeline.ingest import (
     OBJECT_CLASSES,
     SensorTable,
     clean_cv,
-    format_time_utc,
     header_indices,
     parse_time_utc,
     read_clean_detections,

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from oracles import row_tuples, table_of
+from oracles import haversine_distance_ft, row_tuples, table_of
 
 from intxn_pipeline.discovery import (
     IntersectionCandidate,
@@ -20,7 +20,7 @@ from intxn_pipeline.discovery import (
     match_clusters,
 )
 from intxn_pipeline.errors import DataError
-from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, centroid, haversine_distance_ft
+from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, centroid
 from intxn_pipeline.ingest import CLASS_NAMES, DetectionTable, to_us
 from intxn_pipeline.storage import write_json
 from intxn_pipeline.synth import ScenarioSpec, generate

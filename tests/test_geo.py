@@ -7,7 +7,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import polyline_midpoint
+from oracles import (
+    PolygonRing,
+    cell_block,
+    cells_overlapping,
+    haversine_distance_ft,
+    point_in_polygon,
+    polyline_midpoint,
+    ring_table,
+)
 
 from intxn_pipeline import geo
 from intxn_pipeline.geo import (
@@ -18,18 +26,15 @@ from intxn_pipeline.geo import (
     ON_EDGE_TOL_DEG,
     CellGrid,
     GeoPoint,
-    PolygonRing,
-    RingTable,
     angular_difference_deg,
     centroid,
     centroids,
-    haversine_distance_ft,
+    check_ring,
     haversine_distances_ft,
     haversine_estimates_ft,
     in_box,
     initial_bearing_deg,
     nearest_distances_ft,
-    point_in_polygon,
     points_in_polygon,
     polyline_midpoints,
 )
@@ -76,14 +81,14 @@ def test_haversine_triangle_inequality():
 
 
 def test_bearing_cardinal_directions():
-    assert initial_bearing_deg(GeoPoint(0, 0), GeoPoint(1, 0)) == pytest.approx(0.0)
-    assert initial_bearing_deg(GeoPoint(0, 0), GeoPoint(0, 1)) == pytest.approx(90.0)
-    assert initial_bearing_deg(GeoPoint(10, 20), GeoPoint(9, 20)) == pytest.approx(180.0)
+    assert initial_bearing_deg(0.0, 0.0, 1.0, 0.0) == pytest.approx(0.0)
+    assert initial_bearing_deg(0.0, 0.0, 0.0, 1.0) == pytest.approx(90.0)
+    assert initial_bearing_deg(10.0, 20.0, 9.0, 20.0) == pytest.approx(180.0)
 
 
 def test_bearing_coincident_points_rejected():
     with pytest.raises(ValueError):
-        initial_bearing_deg(GeoPoint(5, 5), GeoPoint(5, 5))
+        initial_bearing_deg(5.0, 5.0, 5.0, 5.0)
 
 
 def test_bearing_range():
@@ -92,7 +97,7 @@ def test_bearing_range():
         a, b = _random_point(rng), _random_point(rng)
         if (a.lat_deg, a.lon_deg) == (b.lat_deg, b.lon_deg):
             continue
-        bearing = initial_bearing_deg(a, b)
+        bearing = initial_bearing_deg(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
         assert 0.0 <= bearing < 360.0
 
 
@@ -272,12 +277,12 @@ def test_points_in_polygon_is_the_scalar_test(cases, rng):
     lats = np.array([lat for _, (lat, _) in pairs])
     lons = np.array([lon for _, (_, lon) in pairs])
     expected = [point_in_polygon(GeoPoint(lat, lon), rings[r]) for r, (lat, lon) in pairs]
-    table = RingTable(rings)
+    table = ring_table(rings)
     assert points_in_polygon(table, which, lats, lons).tolist() == expected
     with patch.object(geo, "POLYGON_TEST_BLOCK", 7):  # blocks split the pairs
         assert points_in_polygon(table, which, lats, lons).tolist() == expected
     assert points_in_polygon(table, which[:0], lats[:0], lons[:0]).tolist() == []
-    assert table.bounds == [ring.bounds(ON_EDGE_TOL_DEG) for ring in rings]
+    assert table.bounds.T.tolist() == [list(ring.bounds(ON_EDGE_TOL_DEG)) for ring in rings]
     assert table.length.tolist() == [d for ring in rings for d in ring.edge_lengths()]
 
 
@@ -320,12 +325,13 @@ def test_geopoint_rejects_bool_coordinates(lat, lon):
 
 
 def test_polygon_ring_validation():
-    with pytest.raises(ValueError):
-        PolygonRing((GeoPoint(0, 0), GeoPoint(0, 1)))
-    with pytest.raises(ValueError):
-        PolygonRing((GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 1), GeoPoint(0, 0)))
-    with pytest.raises(ValueError):  # bow-tie
-        PolygonRing((GeoPoint(0, 0), GeoPoint(1, 1), GeoPoint(1, 0), GeoPoint(0, 1)))
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        check_ring([0.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="must not repeat its first vertex"):
+        check_ring([0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="self-intersecting"):  # bow-tie
+        check_ring([0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])
+    check_ring([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0])
 
 
 def test_polyline_midpoint_straight_segment():
@@ -377,7 +383,8 @@ def test_centroids_are_the_scalar_sums(rings):
 
 # ---------------------------------------------------------------------------
 # CellGrid against brute force. Every batched lookup goes through the
-# per-row runs that ``block`` and ``overlapping`` take one query at a time.
+# per-row runs that ``oracles.cell_block`` and ``oracles.cells_overlapping``
+# take one query at a time.
 
 
 @st.composite
@@ -408,7 +415,7 @@ def test_cell_grid_block_holds_every_point_within_cell_ft(points, cover):
                 i for i, p in enumerate(binned)
                 if haversine_distance_ft(query, p) <= cell_ft and abs(p.lon_deg - lon) <= 180.0
             ]
-            assert set(within) <= set(grid.block(lat, lon).tolist())
+            assert set(within) <= set(cell_block(grid, lat, lon).tolist())
 
 
 @settings(max_examples=200, deadline=None)
@@ -423,7 +430,7 @@ def test_cell_grid_overlapping_holds_every_point_inside_the_box(points, data):
         w, e = sorted(rnd.choice(lons or [0.0]) + rnd.uniform(-2e-2, 2e-2) for _ in range(2))
         box = (s, w, n, e)
         inside = np.flatnonzero(in_box(box, lat_arr, lon_arr)).tolist()
-        assert set(inside) <= set(grid.overlapping(box).tolist())
+        assert set(inside) <= set(cells_overlapping(grid, box).tolist())
 
 
 def test_cell_grid_does_not_join_the_antimeridian():
@@ -432,10 +439,10 @@ def test_cell_grid_does_not_join_the_antimeridian():
     east, west = 180.0 - 2.5e-6, -180.0 + 2.5e-6
     assert haversine_distance_ft(GeoPoint(0.0, east), GeoPoint(0.0, west)) < 2.0
     grid = CellGrid([0.0, 0.0], [east, west], 100.0)
-    assert grid.block(0.0, east).tolist() == [0]
-    assert grid.block(0.0, west).tolist() == [1]
-    assert grid.overlapping((-1e-3, east - 1e-3, 1e-3, 180.0)).tolist() == [0]
-    assert grid.overlapping((-1e-3, -180.0, 1e-3, west + 1e-3)).tolist() == [1]
+    assert cell_block(grid, 0.0, east).tolist() == [0]
+    assert cell_block(grid, 0.0, west).tolist() == [1]
+    assert cells_overlapping(grid, (-1e-3, east - 1e-3, 1e-3, 180.0)).tolist() == [0]
+    assert cells_overlapping(grid, (-1e-3, -180.0, 1e-3, west + 1e-3)).tolist() == [1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -450,8 +457,8 @@ def test_cell_grid_batched_lookups_are_the_single_ones(points, block):
         near = geo.joined(grid.block_pairs(np.array(q_lats), np.array(q_lons)))
         over = geo.joined(grid.overlap_pairs(boxes))
     for (query, point), single in (
-        (near, [grid.block(a, b) for a, b in zip(q_lats, q_lons)]),
-        (over, [grid.overlapping(tuple(box)) for box in boxes.T.tolist()]),
+        (near, [cell_block(grid, a, b) for a, b in zip(q_lats, q_lons)]),
+        (over, [cells_overlapping(grid, tuple(box)) for box in boxes.T.tolist()]),
     ):
         assert (np.diff(query) >= 0).all()
         got = [sorted(point[query == q].tolist()) for q in range(20)]

@@ -1,8 +1,8 @@
 """The indexed trajectory search and KML assembly against brute-force references.
 
-``brute_extract_trajectories`` and ``brute_import_reviewed_kml`` keep the
-all-points x all-legs scan and the all-pairs KML assembly the indexed code
-replaced. Every case asserts equal trajectories, skip reports,
+``brute_extract_trajectories`` keeps the all-points x all-legs scan the
+indexed code replaced, and ``oracles.scalar_import_reviewed_kml`` the
+all-pairs KML assembly. Every case asserts equal trajectories, skip reports,
 reviewed-intersection JSON and rejects: on jittered synthetic scenarios, and
 on generated geometry that sits on bounding-box edges, cell boundaries,
 polygon edges, heading-gate limits and distance-gate limits, and on hits
@@ -17,30 +17,34 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import old_parse_kml_features, polyline_midpoint, row_tuples, table_of
+from oracles import (
+    ApproachLeg,
+    PolygonRing,
+    ReviewedIntersection,
+    haversine_distance_ft,
+    point_in_polygon,
+    polyline_midpoint,
+    reviewed_doc,
+    reviewed_set,
+    row_tuples,
+    scalar_import_reviewed_kml,
+    table_of,
+)
 
 from intxn_pipeline.geo import (
     FT_PER_DEG,
     ON_EDGE_TOL_DEG,
     CellGrid,
     GeoPoint,
-    PolygonRing,
     angular_difference_deg,
     centroid,
-    haversine_distance_ft,
     initial_bearing_deg,
-    point_in_polygon,
-    point_to_segment_ft,
 )
 from intxn_pipeline.ingest import SensorTable, clean_sensor, to_us
 from intxn_pipeline.review import (
-    CONTROL_TYPES,
     LINE_EDGE_MATCH_FT,
     POLYGON_MATCH_FT,
-    TRUE_FOLDER,
-    ApproachLeg,
     RejectEntry,
-    ReviewedIntersection,
     import_reviewed_kml,
     reviewed_to_json,
 )
@@ -66,7 +70,8 @@ def _split_episodes(indices, times, gap_s):
 
 def entering_bearing(leg):
     """The bearing from the leg's entering line's first vertex to its last."""
-    return initial_bearing_deg(leg.entering_line[0], leg.entering_line[-1])
+    a, b = leg.entering_line[0], leg.entering_line[-1]
+    return initial_bearing_deg(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg)
 
 
 def brute_extract_trajectories(sensor, reviewed, params):
@@ -126,101 +131,12 @@ def brute_extract_trajectories(sensor, reviewed, params):
     return sorted(trajs, key=lambda t: t[0]), skips
 
 
-def _edge_distance_ft(pt, ring):
-    verts = ring.vertices
-    return min(
-        point_to_segment_ft(pt, verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))
-    )
-
-
-def brute_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
-    """Every polygon against every intersection, every line against every
-    polygon, from the KML as the one-placemark-at-a-time reader gives it."""
-    feats, folder_names = old_parse_kml_features(source)
-    rejects = []
-    if TRUE_FOLDER in folder_names:
-        true_points = [p for p in feats["point"] if TRUE_FOLDER in p[1]]
-    else:
-        true_points = feats["point"]
-    intersections = {}
-    for name, _, coordinates, extended in true_points:
-        try:
-            intxn_id = int(name)
-        except ValueError:
-            rejects.append(RejectEntry("intersection", name, "non_integer_name"))
-            continue
-        if intxn_id in intersections:
-            rejects.append(RejectEntry("intersection", name, "duplicate_id"))
-            continue
-        control = extended.get("control", "stop")
-        if control not in CONTROL_TYPES:
-            rejects.append(RejectEntry("intersection", name, "invalid_control"))
-            continue
-        intersections[intxn_id] = ReviewedIntersection(intxn_id, coordinates[0], control)
-
-    pending = []
-    for name, _, coordinates, _ in feats["polygon"]:
-        try:
-            ring = PolygonRing(tuple(coordinates))
-        except ValueError:
-            rejects.append(RejectEntry("polygon", name, "invalid_polygon"))
-            continue
-        if not intersections:
-            rejects.append(RejectEntry("polygon", name, "unassigned_polygon"))
-            continue
-        center = centroid(list(ring.vertices))
-        best_id = min(
-            intersections, key=lambda i: (haversine_distance_ft(center, intersections[i].pos), i)
-        )
-        if haversine_distance_ft(center, intersections[best_id].pos) > polygon_match_ft:
-            rejects.append(RejectEntry("polygon", name, "unassigned_polygon"))
-            continue
-        pending.append({"intxn_id": best_id, "ring": ring, "name": name, "line": None})
-
-    for name, _, coordinates, _ in feats["line"]:
-        if len(coordinates) < 2:
-            rejects.append(RejectEntry("line", name, "invalid_line"))
-            continue
-        mid = polyline_midpoint(coordinates)
-        containing = [
-            (i, leg) for i, leg in enumerate(pending) if point_in_polygon(mid, leg["ring"])
-        ]
-        if containing:
-            idx = min(containing, key=lambda t: (_edge_distance_ft(mid, t[1]["ring"]), t[0]))[0]
-        else:
-            ranked = sorted((_edge_distance_ft(mid, leg["ring"]), i) for i, leg in enumerate(pending))
-            if not ranked or ranked[0][0] > line_edge_match_ft:
-                rejects.append(RejectEntry("line", name, "unassigned_line"))
-                continue
-            idx = ranked[0][1]
-        if pending[idx]["line"] is not None:
-            rejects.append(RejectEntry("line", name, "extra_line"))
-            continue
-        pending[idx]["line"] = coordinates
-
-    for leg in pending:
-        if leg["line"] is None:
-            rejects.append(RejectEntry("polygon", leg["name"], "no_entering_line"))
-            continue
-        intxn = intersections[leg["intxn_id"]]
-        intxn.approaches.append(ApproachLeg(len(intxn.approaches) + 1, leg["ring"], leg["line"]))
-
-    reviewed = []
-    for intxn_id in sorted(intersections):
-        intxn = intersections[intxn_id]
-        if not intxn.approaches:
-            rejects.append(RejectEntry("intersection", str(intxn_id), "no_polygons"))
-            continue
-        reviewed.append(intxn)
-    return reviewed, rejects
-
-
 # ---------------------------------------------------------------------------
 # Comparison helpers
 
 
 def assert_same_trajectories(sensor, reviewed, params):
-    trajs, skips = extract_trajectories(sensor, reviewed, params)
+    trajs, skips = extract_trajectories(sensor, reviewed_set(reviewed), params)
     expected, expected_skips = brute_extract_trajectories(row_tuples(sensor), reviewed, params)
     columns = (c.tolist() for c in (trajs.leg_id, trajs.ref, trajs.start, trajs.stop))
     t_us = sensor.t_us.tolist()
@@ -234,13 +150,15 @@ def assert_same_trajectories(sensor, reviewed, params):
 
 
 def assert_same_assembly(kml, polygon_match_ft=POLYGON_MATCH_FT, line_edge_match_ft=LINE_EDGE_MATCH_FT):
+    """The columnar import against the scalar one; returns the latter's
+    ``ReviewedIntersection`` objects and the rejects."""
     reviewed, rejects = import_reviewed_kml(io.StringIO(kml), polygon_match_ft, line_edge_match_ft)
-    expected, expected_rejects = brute_import_reviewed_kml(
+    expected, expected_rejects = scalar_import_reviewed_kml(
         io.StringIO(kml), polygon_match_ft, line_edge_match_ft
     )
-    assert reviewed_to_json(reviewed) == reviewed_to_json(expected)
+    assert reviewed_to_json(reviewed) == reviewed_doc(expected)
     assert rejects == expected_rejects
-    return reviewed, rejects
+    return expected, rejects
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import row_tuples
+from oracles import format_time_utc, haversine_distance_ft, row_tuples
 
 from intxn_pipeline import ingest
 from intxn_pipeline.errors import DataError, HeaderMismatchError, StorageNotFoundError
-from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, haversine_distance_ft
+from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import (
     CLASS_NAMES,
     clean_cv,
     clean_sensor,
-    format_time_utc,
     parse_time_utc,
     read_clean_detections,
     read_clean_sensor,

@@ -9,21 +9,30 @@ from xml.sax.saxutils import escape
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import old_parse_kml_features, placemark_rows
+from oracles import (
+    old_parse_kml_features,
+    placemark_rows,
+    reviewed_doc,
+    scalar_import_reviewed_kml,
+)
 
 from intxn_pipeline.discovery import IntersectionCandidate
 from intxn_pipeline.errors import DataError, KmlParseError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.review import (
+    LINE_EDGE_MATCH_FT,
+    POLYGON_MATCH_FT,
     REVIEW_COLUMNS,
     build_review_template,
     export_candidates_kml,
     import_reviewed_kml,
+    load_reviewed_json,
     parse_kml_features,
     read_demographics,
     reviewed_from_json,
     reviewed_to_json,
+    save_reviewed_json,
     write_review_csv,
 )
 from intxn_pipeline.trajectory import TrajectoryTable
@@ -142,11 +151,10 @@ def test_import_single_intersection_two_approaches(tmp_path):
     path.write_text(kml_doc(body))
     reviewed, rejects = import_reviewed_kml(path)
     assert not rejects
-    assert len(reviewed) == 1
-    assert reviewed[0].intxn_id == 7
-    assert reviewed[0].control_type == "signal"
-    assert len(reviewed[0].approaches) == 2
-    assert [leg.leg_id for leg in reviewed[0].approaches] == [1, 2]
+    assert reviewed.intxn_id == [7]
+    assert reviewed.control == ["signal"]
+    assert reviewed.leg_id == [1, 2]
+    assert reviewed.owner.tolist() == [0, 0]
 
 
 def test_import_defaults_to_stop_control(tmp_path):
@@ -158,7 +166,7 @@ def test_import_defaults_to_stop_control(tmp_path):
     path = tmp_path / "reviewed.kml"
     path.write_text(kml_doc(body))
     reviewed, _ = import_reviewed_kml(path)
-    assert reviewed[0].control_type == "stop"
+    assert reviewed.control == ["stop"]
 
 
 def test_import_far_polygon_rejected(tmp_path):
@@ -227,7 +235,7 @@ def test_import_without_true_folder_keeps_all_points(tmp_path):
     path = tmp_path / "reviewed.kml"
     path.write_text(kml_doc(body))
     reviewed, rejects = import_reviewed_kml(path)
-    assert [r.intxn_id for r in reviewed] == [3]
+    assert reviewed.intxn_id == [3]
     assert not rejects
 
 
@@ -242,7 +250,7 @@ def test_import_true_folder_excludes_outside_points(tmp_path):
     path = tmp_path / "reviewed.kml"
     path.write_text(kml_doc(body))
     reviewed, _ = import_reviewed_kml(path)
-    assert [r.intxn_id for r in reviewed] == [1]
+    assert reviewed.intxn_id == [1]
 
 
 def test_import_partition_property(tmp_path):
@@ -263,12 +271,10 @@ def test_import_partition_property(tmp_path):
     path = tmp_path / "reviewed.kml"
     path.write_text(kml_doc(body))
     reviewed, rejects = import_reviewed_kml(path)
-    kept_polygons = sum(len(r.approaches) for r in reviewed)
+    kept_polygons = len(reviewed.rings.first) - 1
     rejected_polygons = sum(1 for r in rejects if r.kind == "polygon")
     assert kept_polygons + rejected_polygons == 3
-    kept_lines = sum(
-        1 for r in reviewed for leg in r.approaches if leg.entering_line is not None
-    )
+    kept_lines = len(reviewed.line_first) - 1
     rejected_lines = sum(1 for r in rejects if r.kind == "line")
     assert kept_lines + rejected_lines == 3
 
@@ -291,9 +297,136 @@ def test_reviewed_json_roundtrip(tmp_path):
     reviewed, _ = import_reviewed_kml(path)
     doc = reviewed_to_json(reviewed)
     restored = reviewed_from_json(json.loads(json.dumps(doc)))
-    assert restored[0].intxn_id == reviewed[0].intxn_id
-    assert restored[0].approaches[0].polygon == reviewed[0].approaches[0].polygon
-    assert restored[0].approaches[0].entering_line == reviewed[0].approaches[0].entering_line
+    assert restored == reviewed
+    assert restored.intxn_id == reviewed.intxn_id == [4]
+    assert restored.rings.ay.tolist() == reviewed.rings.ay.tolist()
+    assert restored.line_lon.tolist() == reviewed.line_lon.tolist()
+
+
+# A reviewed.json as written before legs lost their "entering_bearing",
+# which nothing set or read: every leg carries it as null.
+OLD_REVIEWED_JSON = """{
+  "intersections": [
+    {
+      "intxn_id": 4,
+      "lat": 41.0,
+      "lon": -96.0,
+      "control_type": "stop",
+      "approaches": [
+        {
+          "leg_id": 1,
+          "polygon": [
+            [
+              41.0,
+              -96.00000012345
+            ],
+            [
+              41.00082,
+              -96.0001
+            ],
+            [
+              41.00082,
+              -95.9999
+            ]
+          ],
+          "entering_line": [
+            [
+              40.999,
+              -96.0
+            ],
+            [
+              41.0,
+              -96.0
+            ]
+          ],
+          "entering_bearing": null
+        }
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_a_reviewed_json_with_entering_bearings_loads_as_before():
+    old = load_reviewed_json(io.StringIO(OLD_REVIEWED_JSON))
+    out = io.StringIO()
+    save_reviewed_json(old, out)
+    assert "entering_bearing" not in out.getvalue()
+    new = load_reviewed_json(io.StringIO(out.getvalue()))
+    assert new == old
+    assert new.rings.ay.tolist() == old.rings.ay.tolist() == [41.0, 41.00082, 41.00082]
+    assert new.rings.ax.tolist() == old.rings.ax.tolist()
+    doc = json.loads(OLD_REVIEWED_JSON)
+    for entry in doc["intersections"]:
+        for leg in entry["approaches"]:
+            del leg["entering_bearing"]
+    assert json.loads(out.getvalue()) == doc
+
+
+def _reviewed_doc_with(**changes):
+    """OLD_REVIEWED_JSON's document with the first intersection's keys changed."""
+    doc = json.loads(OLD_REVIEWED_JSON)
+    doc["intersections"][0].update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("control", [5, "yield", None])
+def test_reviewed_json_with_an_unknown_control_type_is_a_data_error(control):
+    with pytest.raises(DataError, match="invalid reviewed-intersection JSON: .*control_type"):
+        load_reviewed_json(io.StringIO(_reviewed_doc_with(control_type=control)))
+
+
+def test_reviewed_json_with_a_repeated_intersection_is_a_data_error():
+    doc = json.loads(OLD_REVIEWED_JSON)
+    doc["intersections"].append(doc["intersections"][0])
+    with pytest.raises(DataError, match="invalid reviewed-intersection JSON: .*given twice"):
+        load_reviewed_json(io.StringIO(json.dumps(doc)))
+
+
+def test_reviewed_json_with_a_repeated_leg_id_is_a_data_error():
+    doc = json.loads(OLD_REVIEWED_JSON)
+    legs = doc["intersections"][0]["approaches"]
+    legs.append(dict(legs[0]))
+    with pytest.raises(DataError, match="invalid reviewed-intersection JSON: .*leg_id twice"):
+        load_reviewed_json(io.StringIO(json.dumps(doc)))
+    legs[1]["leg_id"] = 2
+    assert load_reviewed_json(io.StringIO(json.dumps(doc))).leg_id == [1, 2]
+
+
+@pytest.mark.parametrize("key, value", [("intxn_id", 4.5), ("intxn_id", "4"), ("leg_id", True)])
+def test_reviewed_json_ids_must_be_integers(key, value):
+    doc = json.loads(OLD_REVIEWED_JSON)
+    entry = doc["intersections"][0]
+    (entry if key == "intxn_id" else entry["approaches"][0])[key] = value
+    with pytest.raises(DataError, match="invalid reviewed-intersection JSON: .*not an integer"):
+        load_reviewed_json(io.StringIO(json.dumps(doc)))
+
+
+def test_reviewed_json_with_an_intersection_without_approaches_is_a_data_error():
+    with pytest.raises(DataError, match="invalid reviewed-intersection JSON: .*no approaches"):
+        load_reviewed_json(io.StringIO(_reviewed_doc_with(approaches=[])))
+
+
+@pytest.mark.parametrize(
+    "polygon, message",
+    [
+        ([[41.0, -96.0], [41.001, -96.0]], "at least 3 vertices"),
+        ([[41.0, -96.0], [41.001, -96.0], [41.001, -95.999], [41.0, -96.0]], "repeat its first"),
+        ([[41.0, -96.0], [41.001, -95.999], [41.001, -96.0], [41.0, -95.999]], "self-intersecting"),
+    ],
+)
+def test_reviewed_json_ring_checks_keep_their_texts(polygon, message):
+    doc = json.loads(OLD_REVIEWED_JSON)
+    doc["intersections"][0]["approaches"][0]["polygon"] = polygon
+    with pytest.raises(DataError, match=f"invalid reviewed-intersection JSON: ValueError: .*{message}"):
+        load_reviewed_json(io.StringIO(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("lat", [91.0, True, "41.0", float("nan")])
+def test_reviewed_json_coordinates_must_be_numbers_in_range(lat):
+    with pytest.raises(DataError, match="invalid reviewed-intersection JSON"):
+        load_reviewed_json(io.StringIO(_reviewed_doc_with(lat=lat)))
 
 
 def _trajs(n=1):
@@ -470,7 +603,7 @@ def test_reviewed_kml_gives_intersections_or_a_data_error(trees):
         return
     assert import_reviewed_kml(io.StringIO(text)) == (reviewed, rejects)
     kinds = [r.kind for r in rejects]
-    approaches = sum(len(r.approaches) for r in reviewed)
+    approaches = len(reviewed.leg_id)
     assert len(feats.true_points()) == len(reviewed) + kinds.count("intersection")
     assert len(feats.polygons) == approaches + kinds.count("polygon")
     assert len(feats.lines) == approaches + kinds.count("line")
@@ -494,3 +627,23 @@ def test_kml_reader_is_the_one_placemark_at_a_time_reader(trees):
     got = {kind: placemark_rows(getattr(feats, kind + "s")) for kind in ("point", "line", "polygon")}
     assert got == expected
     assert feats.folder_names == folder_names
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(KML_TREES, max_size=4), st.sampled_from([POLYGON_MATCH_FT, 50.0, 2000.0]))
+def test_reviewed_kml_assembles_as_one_object_at_a_time(trees, polygon_match_ft):
+    # The columnar import gives the intersections, legs and rejects, in the
+    # same order and with the same reasons, as the scalar per-object one.
+    text = kml_doc("".join(trees))
+    try:
+        expected, expected_rejects = scalar_import_reviewed_kml(
+            io.StringIO(text), polygon_match_ft, LINE_EDGE_MATCH_FT
+        )
+    except KmlParseError:
+        with pytest.raises(KmlParseError):
+            import_reviewed_kml(io.StringIO(text), polygon_match_ft)
+        return
+    reviewed, rejects = import_reviewed_kml(io.StringIO(text), polygon_match_ft)
+    assert reviewed_to_json(reviewed) == reviewed_doc(expected)
+    assert rejects == expected_rejects
+    assert reviewed_from_json(reviewed_doc(expected)) == reviewed

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import row_tuples, table_of
+from oracles import format_time_utc, haversine_distance_ft, row_tuples, table_of
 
 from intxn_pipeline import cli, ingest, storage
 from intxn_pipeline.errors import DataError, HeaderMismatchError
-from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
+from intxn_pipeline.geo import GeoPoint
 from intxn_pipeline.ingest import (
     SensorTable,
-    format_time_utc,
     parse_time_utc,
     read_clean_sensor,
     to_us,
@@ -417,5 +416,5 @@ def test_seconds_are_total_seconds(us):
 @example([-62_135_596_800_000_000, 253_402_300_799_999_999, -1, -999, 999, 1_000])
 @example([951_782_400_000_000, 4_107_542_399_999_999, 4_107_542_400_000_000])
 def test_time_texts_are_format_time_utc(us):
-    expected = [ingest.format_time_utc(ingest.EPOCH + timedelta(microseconds=n)) for n in us]
+    expected = [format_time_utc(ingest.EPOCH + timedelta(microseconds=n)) for n in us]
     assert ingest._time_texts(np.array(us, dtype=np.int64)) == expected

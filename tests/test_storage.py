@@ -19,7 +19,7 @@ import oracles
 from intxn_pipeline import clips, discovery, ingest, review, storage, trajectory
 from intxn_pipeline.cli import main
 from intxn_pipeline.errors import DataError
-from intxn_pipeline.geo import GeoPoint, PolygonRing
+from intxn_pipeline.geo import GeoPoint
 
 
 @pytest.fixture(scope="module")
@@ -325,13 +325,23 @@ VALID_DOCS = {
     "visited": discovery.visited_to_geojson(
         [discovery.VisitedCandidate(1, GeoPoint(41.0, -96.0), [1, 2], 12.5)]
     ),
-    "reviewed": review.reviewed_to_json([
-        review.ReviewedIntersection(4, GeoPoint(41.0, -96.0), "stop", [review.ApproachLeg(
-            1,
-            PolygonRing((GeoPoint(41.0, -96.0), GeoPoint(41.0, -96.001), GeoPoint(41.001, -96.0))),
-            [GeoPoint(40.999, -96.0), GeoPoint(41.0, -96.0)],
-        )])
-    ]),
+    "reviewed": {
+        "intersections": [
+            {
+                "intxn_id": 4,
+                "lat": 41.0,
+                "lon": -96.0,
+                "control_type": "stop",
+                "approaches": [
+                    {
+                        "leg_id": 1,
+                        "polygon": [[41.0, -96.0], [41.0, -96.001], [41.001, -96.0]],
+                        "entering_line": [[40.999, -96.0], [41.0, -96.0]],
+                    }
+                ],
+            }
+        ]
+    },
 }
 JSON_READERS = {
     "network": discovery.load_network_geojson,

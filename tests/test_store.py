@@ -1,7 +1,7 @@
 """The store of stage outputs: what a stage writes is what its reader returns.
 
-``clean``, ``import-review``, ``traj`` and ``clips`` put the objects they
-wrote into ``cli._store``, keyed by the sha256 of the bytes ``atomic_write``
+``clean``, ``lrs-intxns``, ``subj-intxns``, ``import-review``, ``traj`` and
+``clips`` put the objects they wrote into ``cli._store``, keyed by the sha256 of the bytes ``atomic_write``
 wrote, and later stages of the same process take them from it instead of parsing the
 files again. Each stored object must equal what its reader returns from the
 file; a file changed between two stages must be parsed again; and running
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from oracles import table_of
 
 import intxn_pipeline
-from intxn_pipeline import cli, clips, ingest, review, storage, trajectory
+from intxn_pipeline import cli, clips, discovery, ingest, review, storage, trajectory
 from intxn_pipeline.clips import ClipSpec
 from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.trajectory import TrajectoryTable
@@ -182,6 +182,12 @@ READERS = {
     ),
     "cutlist": lambda out: clips.parse_cutlist(out / "cutlist.json"),
     "reviewed": lambda out: review.load_reviewed_json(out / "reviewed.json"),
+    "lrs_candidates": lambda out: storage.read_json(
+        out / "lrs_candidates.geojson", discovery.candidates_from_geojson, "candidates"
+    ),
+    "visited_candidates": lambda out: storage.read_json(
+        out / "visited_candidates.geojson", discovery.visited_from_geojson, "visited"
+    ),
 }
 
 
@@ -214,7 +220,9 @@ def test_all_stores_what_every_file_reads_back(study, monkeypatch):
     monkeypatch.setattr(trajectory, "load_trajectories_csv", lambda *a, **k: parses.append("traj"))
     monkeypatch.setattr(clips, "parse_cutlist", lambda *a: parses.append("cutlist"))
     monkeypatch.setattr(review, "load_reviewed_json", lambda *a: parses.append("reviewed"))
-    _run(config, "subj-intxns", "traj", "clips", "template")
+    for name in ("candidates_from_geojson", "visited_from_geojson"):
+        monkeypatch.setattr(discovery, name, lambda *a, name=name: parses.append(name))
+    _run(config, "subj-intxns", "export-kml", "traj", "clips", "template")
     assert parses == []
 
 

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_writer
+from oracles import csv_writer, format_time_utc
 
 from intxn_pipeline.clips import VIDEO_COLUMNS
 from intxn_pipeline.discovery import IntersectionCandidate
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
-from intxn_pipeline.ingest import SensorTable, format_time_utc, to_us, write_sensor_csv
+from intxn_pipeline.ingest import SensorTable, to_us, write_sensor_csv
 from intxn_pipeline.storage import resolve_uri
 from intxn_pipeline.synth import (
     DETECT_FT,

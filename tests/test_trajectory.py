@@ -3,15 +3,21 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from oracles import table_of
+from oracles import (
+    ApproachLeg,
+    PolygonRing,
+    ReviewedIntersection,
+    haversine_distance_ft,
+    reviewed_set,
+    table_of,
+)
 
 from intxn_pipeline.errors import DataError
-from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, PolygonRing, haversine_distance_ft
+from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import SensorTable, to_us
-from intxn_pipeline.review import ApproachLeg, ReviewedIntersection
 from intxn_pipeline.trajectory import (
     WindowParams,
-    _entering_bearing,
+    _entering_bearings,
     extract_trajectories,
     load_trajectories_csv,
     write_trajectories_csv,
@@ -54,9 +60,12 @@ def northbound_intersection(intxn_id=4, junction_north_ft=500.0, length_ft=300.0
     return ReviewedIntersection(intxn_id, junction, "stop", [ApproachLeg(1, ring, line)])
 
 
+def _bearing(intxn):
+    return _entering_bearings(reviewed_set([intxn]))[0]
+
+
 def test_entering_bearing_due_north():
-    intxn = northbound_intersection()
-    assert _entering_bearing(intxn, intxn.approaches[0]) == pytest.approx(0.0, abs=1e-6)
+    assert _bearing(northbound_intersection()) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_entering_bearing_due_east():
@@ -66,7 +75,7 @@ def test_entering_bearing_due_east():
         [GeoPoint(0, 0), GeoPoint(0, 0.001)],
     )
     intxn = ReviewedIntersection(1, GeoPoint(0, 0.001), "stop", [leg])
-    assert _entering_bearing(intxn, leg) == pytest.approx(90.0, abs=1e-6)
+    assert _bearing(intxn) == pytest.approx(90.0, abs=1e-6)
 
 
 def test_entering_bearing_dogleg_uses_endpoints():
@@ -77,7 +86,7 @@ def test_entering_bearing_dogleg_uses_endpoints():
     )
     intxn = ReviewedIntersection(1, GeoPoint(0.001, 0), "stop", [leg])
     # first -> last is due north
-    assert _entering_bearing(intxn, leg) == pytest.approx(0.0, abs=1e-6)
+    assert _bearing(intxn) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_degenerate_entering_line_rejected():
@@ -91,7 +100,7 @@ def test_degenerate_entering_line_rejected():
 
 
 def _extract(sensor, intxns, **kwargs):
-    return extract_trajectories(table_of(SensorTable, sensor), intxns, **kwargs)
+    return extract_trajectories(table_of(SensorTable, sensor), reviewed_set(intxns), **kwargs)
 
 
 @pytest.mark.filterwarnings("error")  # dividing by the zero length must not warn

@@ -26,7 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_writer, old_emit_cutlist, table_of
+from oracles import (
+    csv_writer,
+    format_time_utc,
+    haversine_distance_ft,
+    old_emit_cutlist,
+    reviewed_set,
+    table_of,
+)
 from test_trajectory import T0, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
@@ -40,8 +47,8 @@ from intxn_pipeline.clips import (
     emit_cutlist,
 )
 from intxn_pipeline.errors import DataError
-from intxn_pipeline.geo import GeoPoint, haversine_distance_ft
-from intxn_pipeline.ingest import EPOCH, SensorTable, format_time_utc, to_us
+from intxn_pipeline.geo import GeoPoint
+from intxn_pipeline.ingest import EPOCH, SensorTable, to_us
 from intxn_pipeline.review import REVIEW_COLUMNS, build_review_template, write_review_csv
 from intxn_pipeline.trajectory import (
     TrajectoryTable,
@@ -105,15 +112,13 @@ def old_extract_for_drive(rows, first, hits, params):
     lats, lons = rows.lat.tolist(), rows.lon.tolist()
     ((subj, drive),) = rows.keys
     picks = []
-    for intxn, leg, surviving in hits:
+    for intxn_id, pos, leg_id, surviving in hits:
         for episode in old_split_episodes(surviving, times, params.pass_gap_s):
             ref_i = min(
                 episode,
-                key=lambda i: (
-                    haversine_distance_ft(GeoPoint(lats[i], lons[i]), intxn.pos), times[i]
-                ),
+                key=lambda i: (haversine_distance_ft(GeoPoint(lats[i], lons[i]), pos), times[i]),
             )
-            picks.append((intxn.intxn_id, times[ref_i], leg.leg_id, ref_i))
+            picks.append((intxn_id, times[ref_i], leg_id, ref_i))
     by_intxn = {}
     for pick in picks:
         by_intxn.setdefault(pick[0], []).append(pick)
@@ -141,9 +146,14 @@ def old_extract_for_drive(rows, first, hits, params):
 def old_extract_trajectories(sensor, reviewed, params):
     # Each leg's study rows, regrouped per drive as drive-local rows.
     hits, starts = {}, sensor.offsets
-    for intxn, leg, rows in _leg_hits(sensor, reviewed, params.heading_tol_deg):
-        for d, members in groupby(rows.tolist(), key=lambda i: bisect_right(starts, i) - 1):
-            hits.setdefault(d, []).append((intxn, leg, [i - starts[d] for i in members]))
+    legs, rows = _leg_hits(sensor, reviewed, params.heading_tol_deg)
+    lats, lons = reviewed.lat.tolist(), reviewed.lon.tolist()
+    for k, leg_rows in groupby(zip(legs.tolist(), rows.tolist()), key=lambda hit: hit[0]):
+        o = int(reviewed.owner[k])
+        leg = (reviewed.intxn_id[o], GeoPoint(lats[o], lons[o]), reviewed.leg_id[k])
+        drives = groupby((i for _, i in leg_rows), key=lambda i: bisect_right(starts, i) - 1)
+        for d, members in drives:
+            hits.setdefault(d, []).append((*leg, [i - starts[d] for i in members]))
     trajs, skips = [], {"duplicate_pass": 0, "truncated": 0}
     for d in sorted(hits):
         first = sensor.offsets[d]
@@ -368,7 +378,7 @@ def studies(draw):
         on_upstream_ft=draw(st.sampled_from([150.0, 0.0, 400.0])),
         off_downstream_ft=draw(st.sampled_from([50.0, 0.0])),
     )
-    return table_of(SensorTable, records), reviewed, videos, params, overlay
+    return table_of(SensorTable, records), reviewed_set(reviewed), videos, params, overlay
 
 
 @settings(max_examples=300, deadline=None)
