@@ -12,7 +12,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from intxn_pipeline.discovery import cluster_detections, last_in_runs
+from intxn_pipeline.discovery import cluster_detections, dbscan_labels, last_in_runs
 from intxn_pipeline.geo import (
     FT_PER_DEG,
     GeoPoint,
@@ -102,9 +102,10 @@ print()
 print("== DBSCAN on the survivors ==")
 # Both visits stop at the same sign, so their last detections are within
 # the 100 ft search distance and merge into one cluster of two.
-clusters = cluster_detections(survivors, eps_ft=100.0, min_pts=2)
-for cluster, dist in zip(clusters, distances_ft([c.center for c in clusters], CORNER)):
-    print(
-        f"cluster {cluster.cluster_id}: {len(cluster.rows)} members, "
-        f"center {dist:.1f} ft from the corner"
-    )
+# The clusters come back as their centers' lat and lon columns, in cluster-id
+# order; DBSCAN's labels say which detections are in some cluster.
+lat, lon = cluster_detections(survivors, eps_ft=100.0, min_pts=2)
+clustered = int((dbscan_labels(survivors.lat, survivors.lon, 100.0, 2) >= 0).sum())
+print(f"{len(lat)} cluster(s) holding {clustered} of {len(survivors)} detections")
+for k, dist in enumerate(distances_ft(list(map(GeoPoint, lat.tolist(), lon.tolist())), CORNER)):
+    print(f"cluster {k + 1}: center {dist:.1f} ft from the corner")

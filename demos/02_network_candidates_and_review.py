@@ -10,6 +10,8 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from intxn_pipeline.discovery import RoadNetwork, extract_lrs_candidates
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.review import export_candidates_kml, import_reviewed_kml, parse_kml_features
@@ -25,21 +27,28 @@ def pt(north_ft=0.0, east_ft=0.0):
 print("== Candidate extraction ==")
 # Main street with a crossroad (4-way) and a T-junction 1,000 ft apart.
 # Lines are split at junctions, as state LRS networks are.
+# The network is columns: every line's vertices, one after the other, and
+# where each line starts.
 cross, tee = pt(), pt(east_ft=1000)
+lines = {
+    "main-w": [pt(east_ft=-800), cross],
+    "main-m": [cross, tee],
+    "main-e": [tee, pt(east_ft=1800)],
+    "cross-n": [cross, pt(north_ft=800)],
+    "cross-s": [cross, pt(north_ft=-800)],
+    "tee-stem": [tee, pt(north_ft=800, east_ft=1000)],
+}
+vertices = [p for line in lines.values() for p in line]
 network = RoadNetwork(
-    [
-        ("main-w", [pt(east_ft=-800), cross]),
-        ("main-m", [cross, tee]),
-        ("main-e", [tee, pt(east_ft=1800)]),
-        ("cross-n", [cross, pt(north_ft=800)]),
-        ("cross-s", [cross, pt(north_ft=-800)]),
-        ("tee-stem", [tee, pt(north_ft=800, east_ft=1000)]),
-    ]
+    list(lines),
+    np.array([p.lat_deg for p in vertices]),
+    np.array([p.lon_deg for p in vertices]),
+    np.cumsum([0] + [len(line) for line in lines.values()]),
 )
 candidates = extract_lrs_candidates(network, tol_ft=1.0)
-for cand in candidates:
-    kind = {3: "T-junction", 4: "crossroad"}.get(cand.degree, f"{cand.degree}-way")
-    print(f"candidate {cand.intxn_id}: degree {cand.degree} ({kind})")
+for intxn_id, degree in zip(candidates.intxn_id, candidates.props["degree"]):
+    kind = {3: "T-junction", 4: "crossroad"}.get(degree, f"{degree}-way")
+    print(f"candidate {intxn_id}: degree {degree} ({kind})")
 print("note: plain road continuations (2 coincident vertices) are not junctions")
 
 workdir = Path(tempfile.mkdtemp(prefix="intxn-demo-"))

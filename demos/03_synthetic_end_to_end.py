@@ -46,12 +46,12 @@ candidates = extract_lrs_candidates(network)
 print(f"extracted {len(candidates)}, expected {len(gt.candidates)}")
 
 print("\n== 3. participant-visited candidates ==")
-clusters = cluster_detections(last_in_runs(detections))
-visited, unmatched = match_clusters(
-    [(c.cluster_id, c.center) for c in clusters], candidates
-)
-print(f"visited ids {[v.intxn_id for v in visited]}, expected {gt.visited_ids}")
-print(f"max match distance: {max(v.match_dist_ft for v in visited):.3f} ft")
+# Cluster centers come back as lat and lon columns, and the visited
+# candidates as columns too.
+lat, lon = cluster_detections(last_in_runs(detections))
+visited, unmatched = match_clusters(lat, lon, candidates)
+print(f"visited ids {visited.intxn_id}, expected {gt.visited_ids}")
+print(f"max match distance: {max(visited.props['match_dist_ft']):.3f} ft")
 
 print("\n== 4. review import and trajectory windows ==")
 reviewed, rejects = import_reviewed_kml(scenario.paths["reviewed_kml"])

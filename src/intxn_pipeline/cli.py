@@ -29,7 +29,6 @@ import sys
 import time
 from collections.abc import Callable
 from functools import partial
-from operator import attrgetter
 from pathlib import Path
 
 from . import clips as clips_mod
@@ -75,7 +74,11 @@ def _require(path: Path, what: str, produced_by: str | None = None) -> None:
 # which their reader cuts their windows.
 _store = Store()
 
-_by_id = attrgetter("intxn_id")  # the order the candidate readers return
+
+def _candidates(key: str, path: Path, props: dict, what: str) -> discovery.Candidates:
+    """The candidate list of ``key`` at ``path``, its features carrying ``props``."""
+    build = partial(discovery.candidates_from_geojson, props=props)
+    return _store.load(key, path, partial(read_json, build=build, what=what))
 
 
 def _trajectories(traj_path: Path, sensor_path: Path) -> list:
@@ -163,10 +166,10 @@ def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
     candidates = discovery.extract_lrs_candidates(network, tol_ft=cfg.params["tol_ft"])
     out = cfg.output_path("lrs_candidates")
     write_json(discovery.candidates_to_geojson(candidates), out)
-    _store.put("lrs_candidates", out, sorted(candidates, key=_by_id))
+    _store.put("lrs_candidates", out, candidates)
     report = {
-        "polylines": len(network.polylines),
-        "vertices": sum(len(pts) for _, pts in network.polylines),
+        "polylines": len(network.line_id),
+        "vertices": len(network.lat),
         "candidates": len(candidates),
     }
     return f"lrs-intxns: {len(candidates)} intersection candidates", [(out, report)]
@@ -179,36 +182,28 @@ def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
 )
 def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> StageResult:
     detections = _store.load("clean_cv", cv_path, ingest.read_clean_detections)
-    read = partial(read_json, build=discovery.candidates_from_geojson, what="candidate GeoJSON")
-    candidates = _store.load("lrs_candidates", cand_path, read)
+    candidates = _candidates(
+        "lrs_candidates", cand_path, discovery.LRS_PROPS, "candidate GeoJSON"
+    )
     if not candidates:
         raise DataError(f"candidate list is empty: {cand_path}")
 
     last = discovery.last_in_runs(detections, max_gap_s=cfg.params["max_gap_s"])
-    clusters = discovery.cluster_detections(
+    lat, lon = discovery.cluster_detections(
         last, eps_ft=cfg.params["eps_ft"], min_pts=int(cfg.params["min_pts"])
     )
     visited, unmatched = discovery.match_clusters(
-        [(c.cluster_id, c.center) for c in clusters],
-        candidates,
-        max_match_ft=cfg.params["max_match_ft"],
+        lat, lon, candidates, max_match_ft=cfg.params["max_match_ft"]
     )
     out = cfg.output_path("visited_candidates")
-    write_json(discovery.visited_to_geojson(visited), out)
-    _store.put("visited_candidates", out, sorted(visited, key=_by_id))
+    write_json(discovery.candidates_to_geojson(visited), out)
+    _store.put("visited_candidates", out, visited)
     report = {
         "detections": len(detections),
         "last_in_runs": len(last),
-        "clusters": len(clusters),
+        "clusters": len(lat),
         "visited": len(visited),
-        "unmatched": [
-            {
-                "cluster_id": u.cluster_id,
-                "nearest_intxn_id": u.nearest_intxn_id,
-                "dist_ft": u.dist_ft,
-            }
-            for u in unmatched
-        ],
+        "unmatched": unmatched,
     }
     summary = f"subj-intxns: {len(visited)} visited candidates, {len(unmatched)} unmatched clusters"
     return summary, [(out, report)]
@@ -216,10 +211,9 @@ def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> St
 
 @_stage("export-kml", ("visited_candidates", "visited candidate list", "subj-intxns"))
 def stage_export_kml(cfg: PipelineConfig, visited_path: Path) -> StageResult:
-    read = partial(
-        read_json, build=discovery.visited_from_geojson, what="visited candidate GeoJSON"
+    visited = _candidates(
+        "visited_candidates", visited_path, discovery.VISITED_PROPS, "visited candidate GeoJSON"
     )
-    visited = _store.load("visited_candidates", visited_path, read)
     if not visited:
         raise DataError(f"no visited candidates to export: {visited_path}")
     out = cfg.output_path("candidates_kml")

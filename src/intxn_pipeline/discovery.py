@@ -3,22 +3,35 @@
 Road-network polylines yield intersection candidates where three or more
 vertices coincide. Detection streams are reduced to last-in-run sightings,
 clustered with DBSCAN under a haversine metric, and snapped to the nearest
-network candidate to mark participant-visited intersections.
+network candidate to mark participant-visited intersections. All of it
+works on columns: the network's vertices, ``geo.centroids`` of all groups
+or clusters at once, one broadcast haversine for all cluster centers, and
+one ``Candidates`` type that both candidate GeoJSON files read into.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import itemgetter
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
 from .errors import DataError
-from .geo import EARTH_RADIUS_FT, FT_PER_DEG, CellGrid, GeoPoint, centroid
+from .geo import (
+    EARTH_RADIUS_FT,
+    FT_PER_DEG,
+    PAIR_BLOCK,
+    CellGrid,
+    centroids,
+    haversine_distances_ft,
+    haversine_estimates_ft,
+)
 from .ingest import CLASS_NAMES, DetectionTable, to_seconds
-from .storage import read_json
+from .storage import json_integer, json_points, read_json
 
 DEFAULT_COINCIDENCE_TOL_FT = 1.0
 DEFAULT_RUN_GAP_S = 2.0
@@ -27,96 +40,73 @@ DEFAULT_MIN_PTS = 2
 DEFAULT_MAX_MATCH_FT = 200.0
 
 
-@dataclass
+@dataclass(eq=False)
 class RoadNetwork:
-    """Polyline road geometry: (line_id, ordered vertex list) pairs."""
+    """Polyline road geometry as columns: line k is ``line_id[k]``, through
+    the vertices (``lat[v]``, ``lon[v]``) for v in ``first[k]:first[k + 1]``."""
 
-    polylines: list[tuple[str, list[GeoPoint]]]
-
-
-@dataclass(frozen=True)
-class IntersectionCandidate:
-    intxn_id: int
-    pos: GeoPoint
-    degree: int
+    line_id: list[str]
+    lat: np.ndarray
+    lon: np.ndarray
+    first: np.ndarray
 
 
-@dataclass
-class DetectionCluster:
-    """A DBSCAN cluster: its members are the ascending ``rows`` of the
-    clustered detection table."""
+@dataclass(eq=False)
+class Candidates:
+    """Intersection candidates as columns: candidate i, ids ascending, is
+    ``intxn_id[i]`` at (``lat[i]``, ``lon[i]``) with the value
+    ``props[name][i]`` of each further GeoJSON property, in written order:
+    ``LRS_PROPS`` for the network's candidates, ``VISITED_PROPS`` for the
+    visited ones. Ids and property values are Python objects."""
 
-    cluster_id: int
-    rows: np.ndarray
-    center: GeoPoint
+    intxn_id: list[int]
+    lat: np.ndarray
+    lon: np.ndarray
+    props: dict[str, list]
 
+    def __len__(self) -> int:
+        return len(self.intxn_id)
 
-@dataclass
-class VisitedCandidate:
-    intxn_id: int
-    pos: GeoPoint
-    supporting_cluster_ids: list[int]
-    match_dist_ft: float
-
-
-@dataclass
-class UnmatchedCluster:
-    cluster_id: int
-    center: GeoPoint
-    nearest_intxn_id: int
-    dist_ft: float
-
-
-def _haversine_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """Haversine distance in feet between numpy-broadcast coordinates, degrees in.
-
-    Symmetric in its two points (their differences enter only through squared
-    sines), so a pair compares with eps the same way whichever is the query.
-    """
-    phi1 = np.radians(lat1)
-    phi2 = np.radians(lat2)
-    dphi = np.radians(lat2 - lat1)
-    dlam = np.radians(lon2 - lon1)
-    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_FT * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    def __eq__(self, other):
+        if type(other) is not Candidates:
+            return NotImplemented
+        return candidates_to_geojson(self) == candidates_to_geojson(other)
 
 
 def extract_lrs_candidates(
     network: RoadNetwork, tol_ft: float = DEFAULT_COINCIDENCE_TOL_FT
-) -> list[IntersectionCandidate]:
+) -> Candidates:
     """Intersection candidates where three or more polyline vertices coincide.
 
     All vertices are pooled and grouped by transitive closure of the
     within-``tol_ft`` neighbor relation (DBSCAN with min_pts = 1); each
-    group of size three or more becomes a candidate at the group centroid,
+    group of size three or more becomes a candidate at its ``_centers``,
     with the group size as its degree. IDs are assigned in row order:
     latitudes that lie within ``tol_ft`` of the next lower one chain into
     one band, bands go south to north and each goes west to east, so
     centroids of one street that differ in their last bits keep the order
-    of the street's junctions.
+    of the street's junctions. Equal centroids keep their groups' order.
     """
-    verts: list[GeoPoint] = []
-    for _, points in network.polylines:
-        verts.extend(points)
-    if not verts:
-        return []
-
-    groups: dict[int, list[GeoPoint]] = {}
-    lats, lons = np.array([(v.lat_deg, v.lon_deg) for v in verts], dtype=float).T
-    for v, lab in zip(verts, dbscan_labels(lats, lons, tol_ft, 1).tolist()):
-        groups.setdefault(lab, []).append(v)
-
-    found = []
-    for members in groups.values():
-        if len(members) >= 3:
-            members = sorted(members, key=lambda p: (p.lat_deg, p.lon_deg))
-            found.append((centroid(members), len(members)))
-    found.sort(key=lambda t: (t[0].lat_deg, t[0].lon_deg))
+    lat, lon = network.lat, network.lon
+    _, first, (c_lat, c_lon) = _centers(lat, lon, dbscan_labels(lat, lon, tol_ft, 1))
+    size = np.diff(first)
+    keep = np.flatnonzero(size >= 3)
+    by_lat = keep[np.lexsort((c_lon[keep], c_lat[keep]))]
     # A band starts where the latitude rises by more than tol_ft.
-    lat = np.array([pos.lat_deg for pos, _ in found])
-    bands = np.cumsum(np.diff(lat, prepend=-np.inf) * FT_PER_DEG > tol_ft).tolist()
-    ordered = sorted(zip(bands, found), key=lambda b: (b[0], b[1][0].lon_deg))
-    return [IntersectionCandidate(i + 1, pos, deg) for i, (_, (pos, deg)) in enumerate(ordered)]
+    bands = np.cumsum(np.diff(c_lat[by_lat], prepend=-np.inf) * FT_PER_DEG > tol_ft)
+    at = by_lat[np.lexsort((c_lon[by_lat], bands))]
+    ids = list(range(1, len(at) + 1))
+    return Candidates(ids, c_lat[at], c_lon[at], {"degree": size[at].tolist()})
+
+
+def _centers(lat: np.ndarray, lon: np.ndarray, labels: np.ndarray):
+    """The points of each label but -1, label by label, as ``rows`` of the
+    arrays in (lat, lon) order, the offsets ``first`` of each label's run,
+    and the ``centroids`` of the runs."""
+    rows = np.flatnonzero(labels >= 0)
+    rows = rows[np.lexsort((lon[rows], lat[rows], labels[rows]))]
+    first = np.append(np.flatnonzero(np.diff(labels[rows], prepend=-1)), len(rows))
+    return rows, first, centroids(lat[rows], lon[rows], first)
 
 
 def last_in_runs(
@@ -156,7 +146,8 @@ def dbscan_labels(lats: np.ndarray, lons: np.ndarray, eps_ft: float, min_pts: in
     cell of ``min_pts`` or more points is all core with no distance test; a
     point of a sparser cell counts its neighbors with one haversine against
     the cells within reach. Cells within reach join in a union-find over
-    cells when some pair of their core points is within eps.
+    cells when some pair of their core points is within eps. Distances are
+    ``haversine_estimates_ft``, NaN and so never within eps past ~128°.
     """
     n = len(lats)
     if n == 0:
@@ -192,7 +183,8 @@ def dbscan_labels(lats: np.ndarray, lons: np.ndarray, eps_ft: float, min_pts: in
         for k in range(0, len(own), step):
             rows = own[k : k + step]
             within = (
-                _haversine_ft(lats[rows, None], lons[rows, None], lats[cand], lons[cand]) <= eps_ft
+                haversine_estimates_ft(lats[rows, None], lons[rows, None], lats[cand], lons[cand])
+                <= eps_ft
             )
             is_core = within.sum(axis=1) >= min_pts
             core[rows[is_core]] = True
@@ -245,7 +237,7 @@ def _within_any(lats, lons, a: np.ndarray, b: np.ndarray, eps_ft: float) -> np.n
         ai = a[i : i + _PAIR_BLOCK, None]
         for j in range(0, len(b), _PAIR_BLOCK):
             bj = b[None, j : j + _PAIR_BLOCK]
-            d = _haversine_ft(lats[ai], lons[ai], lats[bj], lons[bj])
+            d = haversine_estimates_ft(lats[ai], lons[ai], lats[bj], lons[bj])
             hit[j : j + _PAIR_BLOCK] |= (d <= eps_ft).any(axis=0)
     return hit
 
@@ -254,70 +246,67 @@ def cluster_detections(
     detections: DetectionTable,
     eps_ft: float = DEFAULT_EPS_FT,
     min_pts: int = DEFAULT_MIN_PTS,
-) -> list[DetectionCluster]:
-    """DBSCAN the detection positions into clusters with centroid centers.
+) -> tuple[np.ndarray, np.ndarray]:
+    """DBSCAN the detection positions into clusters; the clusters'
+    ``_centers`` as lat and lon columns, in cluster-id order.
 
-    Noise detections are excluded. Cluster IDs are assigned by the (lat,
-    lon) of each cluster's minimal member so output is stable under input
-    permutation.
+    Noise detections are excluded. Cluster IDs, from 1, follow the (lat,
+    lon) of each cluster's minimal member, so output is stable under input
+    permutation: detections at one position have the same neighbors, so
+    they are never in two clusters.
     """
     lat, lon = detections.lat, detections.lon
-    labels = dbscan_labels(lat, lon, eps_ft, min_pts)
-    found = np.flatnonzero(labels >= 0)
-    found = found[np.argsort(labels[found], kind="stable")]
-    built = []
-    for rows in np.split(found, np.flatnonzero(np.diff(labels[found])) + 1) if found.size else []:
-        # The centroid adds up the members in (lat, lon) order, as
-        # geo.centroid adds up the positions it is given.
-        lats, lons = (c[rows[np.lexsort((lon[rows], lat[rows]))]].tolist() for c in (lat, lon))
-        center = GeoPoint(sum(lats) / len(rows), sum(lons) / len(rows))
-        # Rows ascend in sort-key order, so rows[0] is the minimal member.
-        built.append(((lats[0], lons[0], int(rows[0])), rows, center))
-    built.sort(key=lambda t: t[0])
-    return [DetectionCluster(i + 1, rows, center) for i, (_, rows, center) in enumerate(built)]
+    rows, first, (c_lat, c_lon) = _centers(lat, lon, dbscan_labels(lat, lon, eps_ft, min_pts))
+    minimal = rows[first[:-1]]
+    ids = np.lexsort((lon[minimal], lat[minimal]))
+    return c_lat[ids], c_lon[ids]
 
 
 def match_clusters(
-    centers: list[tuple[int, GeoPoint]],
-    candidates: list[IntersectionCandidate],
+    lat: np.ndarray,
+    lon: np.ndarray,
+    candidates: Candidates,
     max_match_ft: float = DEFAULT_MAX_MATCH_FT,
-) -> tuple[list[VisitedCandidate], list[UnmatchedCluster]]:
-    """Snap cluster centers to their nearest intersection candidates.
+) -> tuple[Candidates, list[dict]]:
+    """Snap the cluster centers (lat[k], lon[k]), cluster IDs k + 1, to their
+    nearest candidates, ties to the lowest intxn_id, with one
+    ``haversine_estimates_ft`` broadcast over blocks of about ``PAIR_BLOCK``
+    pairs (``haversine_distances_ft`` where it gives no number).
 
-    Centers farther than ``max_match_ft`` from every candidate land in the
-    unmatched report. Candidates matched by several centers are emitted
-    once, carrying all supporting cluster IDs and the smallest match
-    distance. Every input center appears in exactly one of the two outputs.
+    Returns the visited candidates, each with all its supporting cluster IDs
+    and the smallest match distance, and the unmatched report rows of the
+    centers farther than ``max_match_ft`` from every candidate. Every center
+    appears in exactly one of the two.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    cands = sorted(candidates, key=lambda c: c.intxn_id)
-    lats = np.array([c.pos.lat_deg for c in cands], dtype=float)
-    lons = np.array([c.pos.lon_deg for c in cands], dtype=float)
+    nearest = np.empty(len(lat), dtype=np.int64)
+    dist = np.empty(len(lat))
+    step = max(1, PAIR_BLOCK // len(candidates))
+    for a in range(0, len(lat), step):
+        b_lat, b_lon = lat[a : a + step], lon[a : a + step]
+        d = haversine_estimates_ft(b_lat[:, None], b_lon[:, None], candidates.lat, candidates.lon)
+        i, j = np.nonzero(np.isnan(d))
+        d[i, j] = haversine_distances_ft(b_lat[i], b_lon[i], candidates.lat[j], candidates.lon[j])
+        nearest[a : a + step] = k = np.argmin(d, axis=1)
+        dist[a : a + step] = d[np.arange(len(k)), k]
 
-    matched: dict[int, list[tuple[int, float]]] = {}
-    unmatched: list[UnmatchedCluster] = []
-    for cluster_id, center in sorted(centers, key=lambda t: t[0]):
-        dists = _haversine_ft(center.lat_deg, center.lon_deg, lats, lons)
-        k = int(np.argmin(dists))  # ties resolve to the lowest intxn_id
-        dist = float(dists[k])
-        if dist > max_match_ft:
-            unmatched.append(UnmatchedCluster(cluster_id, center, cands[k].intxn_id, dist))
-        else:
-            matched.setdefault(k, []).append((cluster_id, dist))
-
-    visited = []
-    for k in sorted(matched):
-        support = matched[k]
-        visited.append(
-            VisitedCandidate(
-                cands[k].intxn_id,
-                cands[k].pos,
-                sorted(cid for cid, _ in support),
-                min(dist for _, dist in support),
-            )
-        )
-    return visited, unmatched
+    far = dist > max_match_ft
+    ids = np.arange(1, len(lat) + 1)
+    unmatched = [
+        {"cluster_id": c, "nearest_intxn_id": candidates.intxn_id[k], "dist_ft": d}
+        for c, k, d in zip(ids[far].tolist(), nearest[far].tolist(), dist[far].tolist())
+    ]
+    hit = np.flatnonzero(~far)
+    hit = hit[np.argsort(nearest[hit], kind="stable")]
+    heads = np.flatnonzero(np.diff(nearest[hit], prepend=-1))
+    k = nearest[hit[heads]]
+    props = {
+        "supporting_cluster_ids": [c.tolist() for c in np.split(ids[hit], heads)[1:]],
+        "match_dist_ft": np.minimum.reduceat(dist[hit], heads).tolist(),
+    }
+    intxn_id = [candidates.intxn_id[i] for i in k.tolist()]
+    return Candidates(intxn_id, candidates.lat[k], candidates.lon[k], props), unmatched
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +322,13 @@ def _network_from_geojson(doc: dict) -> RoadNetwork:
     if doc.get("type") != "FeatureCollection":
         raise DataError("road network must be a GeoJSON FeatureCollection")
 
-    polylines: list[tuple[str, list[GeoPoint]]] = []
+    line_ids, runs = [], []
 
     def add_line(line_id: str, coords) -> None:
         if len(coords) < 2:
             raise DataError(f"polyline {line_id!r} has fewer than 2 vertices")
-        polylines.append((line_id, [GeoPoint(lat, lon) for lon, lat, *_ in coords]))
+        line_ids.append(line_id)
+        runs.append([(lat, lon) for lon, lat, *_ in coords])
 
     for i, feature in enumerate(doc.get("features", [])):
         geom = feature.get("geometry") or {}
@@ -352,76 +342,49 @@ def _network_from_geojson(doc: dict) -> RoadNetwork:
                 add_line(f"{line_id}:{k}", part)
         else:
             raise DataError(f"unsupported geometry type {gtype!r} in feature {line_id!r}")
-    return RoadNetwork(polylines)
+    return RoadNetwork(line_ids, *json_points(runs))
 
 
-def _point_feature(pos: GeoPoint, properties: dict) -> dict:
-    return {
-        "type": "Feature",
-        "geometry": {"type": "Point", "coordinates": [pos.lon_deg, pos.lat_deg]},
-        "properties": properties,
-    }
-
-
-def candidates_to_geojson(candidates: list[IntersectionCandidate]) -> dict:
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            _point_feature(c.pos, {"intxn_id": c.intxn_id, "degree": c.degree})
-            for c in sorted(candidates, key=lambda c: c.intxn_id)
-        ],
-    }
-
-
-def _point_features(doc: dict):
-    """(position, properties) of each feature ``_point_feature`` wrote."""
-    for feature in doc.get("features", []):
-        coords = feature["geometry"]["coordinates"]
-        yield GeoPoint(coords[1], coords[0]), feature["properties"]
-
-
-def _by_id(items: list) -> list:
-    """``items`` sorted by intxn_id; raises ValueError on a repeated id."""
-    out = sorted(items, key=lambda c: c.intxn_id)
-    for a, b in zip(out, out[1:]):
-        if a.intxn_id == b.intxn_id:
-            raise ValueError(f"repeated intxn_id {a.intxn_id}")
-    return out
-
-
-def candidates_from_geojson(doc: dict) -> list[IntersectionCandidate]:
-    out = [
-        IntersectionCandidate(int(props["intxn_id"]), pos, int(props["degree"]))
-        for pos, props in _point_features(doc)
+def candidates_to_geojson(candidates: Candidates) -> dict:
+    """One Point feature per candidate, with intxn_id and then ``props``."""
+    names = ["intxn_id", *candidates.props]
+    columns = candidates.lon.tolist(), candidates.lat.tolist(), candidates.intxn_id
+    features = [
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": [lon, lat]},
+         "properties": dict(zip(names, values))}
+        for lon, lat, *values in zip(*columns, *candidates.props.values())
     ]
-    return _by_id(out)
+    return {"type": "FeatureCollection", "features": features}
 
 
-def visited_to_geojson(visited: list[VisitedCandidate]) -> dict:
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            _point_feature(
-                v.pos,
-                {
-                    "intxn_id": v.intxn_id,
-                    "supporting_cluster_ids": v.supporting_cluster_ids,
-                    "match_dist_ft": v.match_dist_ft,
-                },
-            )
-            for v in sorted(visited, key=lambda v: v.intxn_id)
-        ],
-    }
+def _match_distance(value) -> float:
+    if type(value) not in (int, float) or not 0.0 <= value < math.inf:
+        raise ValueError(f"match distance {value!r} is not a number of feet")
+    return float(value)
 
 
-def visited_from_geojson(doc: dict) -> list[VisitedCandidate]:
-    out = [
-        VisitedCandidate(
-            int(props["intxn_id"]),
-            pos,
-            [int(x) for x in props["supporting_cluster_ids"]],
-            float(props["match_dist_ft"]),
-        )
-        for pos, props in _point_features(doc)
-    ]
-    return _by_id(out)
+# The properties after intxn_id of each candidate file, each with its reader.
+LRS_PROPS: dict[str, Callable] = {"degree": json_integer}
+VISITED_PROPS: dict[str, Callable] = {
+    "supporting_cluster_ids": lambda ids: list(map(json_integer, ids)),
+    "match_dist_ft": _match_distance,
+}
+
+
+def candidates_from_geojson(doc: dict, props: dict[str, Callable]) -> Candidates:
+    """The ``Candidates`` of a document ``candidates_to_geojson`` wrote, in any
+    feature order, each property in ``props`` read by its function; raises
+    ValueError (or the error of a value of the wrong type or shape) for an
+    id that is not an integer or is repeated, or a bad coordinate."""
+    features = sorted(
+        ((json_integer(f["properties"]["intxn_id"]), f) for f in doc.get("features", [])),
+        key=itemgetter(0),
+    )
+    for (a, _), (b, _) in pairwise(features):
+        if a == b:
+            raise ValueError(f"repeated intxn_id {a}")
+    coords = [f["geometry"]["coordinates"] for _, f in features]
+    lat, lon, _ = json_points([[(c[1], c[0]) for c in coords]])
+    values = [f["properties"] for _, f in features]
+    columns = {name: [read(v[name]) for v in values] for name, read in props.items()}
+    return Candidates([i for i, _ in features], lat, lon, columns)

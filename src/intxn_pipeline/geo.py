@@ -184,8 +184,9 @@ HAVERSINE_ESTIMATE_ABS_FT = 1e-9
 
 def haversine_estimates_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
     """``haversine_distances_ft`` computed in numpy alone, within the bound
-    above; NaN where sqrt(h) > 0.9 (central angles over ~128°), where asin's
-    slope makes no bound short enough to be useful."""
+    above, over numpy-broadcast coordinates: the one numpy haversine; NaN
+    where sqrt(h) > 0.9 (central angles over ~128°), where asin's slope
+    makes no bound short enough to be useful."""
     dphi = np.radians(lat2 - lat1)
     dlam = np.radians(lon2 - lon1)
     cos_cos = np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
@@ -239,40 +240,45 @@ def angular_difference_deg(h1, h2):
     return np.minimum(d, 360.0 - d)
 
 
-def centroid(points: list[GeoPoint]) -> GeoPoint:
-    """Arithmetic mean of latitudes and longitudes.
-
-    Valid at cluster scale (up to a few hundred feet). Raises ValueError
-    on empty input.
-    """
-    if not points:
-        raise ValueError("centroid of empty point list")
-    n = len(points)
-    return GeoPoint(
-        sum(p.lat_deg for p in points) / n,
-        sum(p.lon_deg for p in points) / n,
-    )
+# Padded values ``_run_sums`` adds at once: its temporaries stay near a megabyte.
+RUN_SUM_BLOCK = 1 << 17
 
 
 def _run_sums(values: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each run ``values[..., first[k]:first[k + 1]]`` added left to right
-    from 0.0, as Python's ``sum`` adds floats (up to 3.11): the sum before
-    each value, and each run's total."""
+    """Each run ``values[first[k]:first[k + 1]]`` added left to right from
+    0.0: the sum before each value, and each run's total.
+
+    ``np.cumsum`` adds in sequence along rows of 0.0 and one run each,
+    padded with zeros; runs go by length, in blocks of about
+    ``RUN_SUM_BLOCK`` padded values, so a long run pads few short ones.
+    """
     counts = np.diff(first)
-    before = np.empty(values.shape)
-    total = np.zeros(values.shape[:-1] + counts.shape)
-    for k in range(int(counts.max(initial=0))):
-        runs = np.flatnonzero(counts > k)
-        at = first[runs] + k
-        before[..., at] = total[..., runs]
-        total[..., runs] += values[..., at]
+    before, total = np.empty(len(values)), np.zeros(len(counts))
+    runs, a = np.argsort(counts, kind="stable"), 0
+    while a < len(runs):
+        # A block's rows are as wide as its last, longest run and the 0.0.
+        width = counts[runs[a : a + RUN_SUM_BLOCK]] + 1
+        fits = np.count_nonzero(np.arange(1, len(width) + 1) * width <= RUN_SUM_BLOCK)
+        block = runs[a : a + max(1, fits)]
+        size, w = counts[block], int(counts[block[-1]]) + 1
+        at = np.arange(size.sum()) + np.repeat(first[block] - np.cumsum(size) + size, size)
+        # Row r of the block holds run block[r] from its column 1 on.
+        cell = at + np.repeat(np.arange(len(block)) * w - first[block] + 1, size)
+        padded = np.zeros(len(block) * w)
+        padded[cell] = values[at]
+        sums = np.cumsum(padded.reshape(-1, w), axis=1).ravel()
+        before[at] = sums[cell - 1]
+        total[block] = sums[np.arange(len(block)) * w + size]
+        a += len(block)
     return before, total
 
 
 def centroids(lats, lons, first) -> np.ndarray:
-    """``centroid`` of each run of vertices ``first[k]:first[k + 1]``, none
-    empty, as (lats, lons) rows, with the same sums."""
-    return _run_sums(np.stack([lats, lons]), first)[1] / np.diff(first)
+    """The mean latitude and longitude of each run of vertices
+    ``first[k]:first[k + 1]``, none empty, as (lats, lons) rows: each sum
+    added left to right from 0.0, then divided by the run's length. Valid at
+    cluster scale (up to a few hundred feet)."""
+    return np.array([_run_sums(lats, first)[1], _run_sums(lons, first)[1]]) / np.diff(first)
 
 
 def polyline_midpoints(lats, lons, first) -> tuple[np.ndarray, np.ndarray]:

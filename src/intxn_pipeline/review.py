@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, pairwise, repeat
 from pathlib import Path
 from typing import IO, TYPE_CHECKING
@@ -45,9 +45,12 @@ from .geo import (
     polyline_midpoints,
 )
 from .ingest import _TEXT, _parse_csv, _time_texts
-from .storage import WRITE_ROWS, read_json, resolve_uri, write_csv, write_json
+from .storage import (
+    WRITE_ROWS, json_integer, json_points, read_json, resolve_uri, write_csv, write_json,
+)
 
 if TYPE_CHECKING:
+    from .discovery import Candidates
     from .trajectory import TrajectoryTable
 
 KML_NS = "http://www.opengis.net/kml/2.2"
@@ -99,12 +102,6 @@ class ReviewedSet:
             return NotImplemented
         return reviewed_to_json(self) == reviewed_to_json(other)
 
-    def __getitem__(self, whole: slice) -> ReviewedSet:
-        # A shallow copy, as [:] of a list: what storage.Store.load hands out.
-        if whole != slice(None):
-            raise TypeError("a reviewed set slices only as [:]")
-        return replace(self)
-
 
 @dataclass
 class RejectEntry:
@@ -113,15 +110,10 @@ class RejectEntry:
     reason: str
 
 
-def _fmt_coord(value: float) -> str:
-    return f"{value:.10g}"
-
-
-def export_candidates_kml(candidates: list, dest: str | Path | IO) -> None:
-    """Write one Placemark per candidate into a Folder named ``candidates``.
-
-    Accepts any objects carrying ``intxn_id`` and ``pos``. Placemark names
-    are the intersection IDs; coordinates follow KML lon,lat,alt order.
+def export_candidates_kml(candidates: Candidates, dest: str | Path | IO) -> None:
+    """Write one Placemark per candidate, in id order, into a Folder named
+    ``candidates``. Placemark names are the intersection IDs; coordinates
+    follow KML lon,lat,alt order.
     """
     if not candidates:
         raise ValueError("no candidates to export")
@@ -129,13 +121,12 @@ def export_candidates_kml(candidates: list, dest: str | Path | IO) -> None:
     doc = ET.SubElement(kml, "Document")
     folder = ET.SubElement(doc, "Folder")
     ET.SubElement(folder, "name").text = CANDIDATES_FOLDER
-    for cand in sorted(candidates, key=lambda c: c.intxn_id):
+    columns = candidates.intxn_id, candidates.lat.tolist(), candidates.lon.tolist()
+    for intxn_id, lat, lon in zip(*columns):
         mark = ET.SubElement(folder, "Placemark")
-        ET.SubElement(mark, "name").text = str(cand.intxn_id)
+        ET.SubElement(mark, "name").text = str(intxn_id)
         point = ET.SubElement(mark, "Point")
-        ET.SubElement(point, "coordinates").text = (
-            f"{_fmt_coord(cand.pos.lon_deg)},{_fmt_coord(cand.pos.lat_deg)},0"
-        )
+        ET.SubElement(point, "coordinates").text = f"{lon:.10g},{lat:.10g},0"
     write_kml(kml, dest)
 
 
@@ -503,12 +494,6 @@ def reviewed_to_json(reviewed: ReviewedSet) -> dict:
     ]}
 
 
-def _integer(value) -> int:
-    if type(value) is not int:  # JSON's true, 7.9 or "7" is no id
-        raise ValueError(f"id {value!r} is not an integer")
-    return value
-
-
 def reviewed_from_json(doc: dict) -> ReviewedSet:
     """The ``ReviewedSet`` of a document in ``reviewed_to_json``'s layout,
     in any intersection order, keys other than its own ignored.
@@ -520,7 +505,7 @@ def reviewed_from_json(doc: dict) -> ReviewedSet:
     intersection, a coordinate that is not a number or is out of range, or
     a polygon that is not a simple ring (``geo.check_ring``).
     """
-    entries = sorted(doc["intersections"], key=lambda entry: _integer(entry["intxn_id"]))
+    entries = sorted(doc["intersections"], key=lambda entry: json_integer(entry["intxn_id"]))
     ids = [entry["intxn_id"] for entry in entries]
     for a, b in pairwise(ids):
         if a == b:
@@ -531,7 +516,7 @@ def reviewed_from_json(doc: dict) -> ReviewedSet:
             raise ValueError(f"intersection {intxn_id}: control_type is not one of {CONTROL_TYPES}")
         control.append(entry["control_type"])
         spots.append((entry["lat"], entry["lon"]))
-        numbers = [_integer(leg["leg_id"]) for leg in entry["approaches"]]
+        numbers = [json_integer(leg["leg_id"]) for leg in entry["approaches"]]
         if not numbers:
             raise ValueError(f"intersection {intxn_id} has no approaches")
         if len(set(numbers)) < len(numbers):
@@ -542,23 +527,14 @@ def reviewed_from_json(doc: dict) -> ReviewedSet:
             polygons.append([(lat, lon) for lat, lon in leg["polygon"]])
             lines.append([(lat, lon) for lat, lon in leg["entering_line"]])
 
-    def columns(runs: list[list[tuple]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        values = [value for run in runs for vertex in run for value in vertex]
-        if not {int, float}.issuperset(map(type, values)):
-            raise ValueError("a coordinate is not a number")
-        lat, lon = np.array(values, dtype=float).reshape(-1, 2).T
-        if not (np.all(np.abs(lat) <= 90.0) and np.all(np.abs(lon) <= 180.0)):
-            raise ValueError("a coordinate is out of range")
-        return lat, lon, np.cumsum([0, *map(len, runs)])
-
-    lat, lon, _ = columns([spots])
-    rings = columns(polygons)
+    lat, lon, _ = json_points([spots])
+    rings = json_points(polygons)
     ring_lat, ring_lon = rings[0].tolist(), rings[1].tolist()
     for a, b in pairwise(rings[2].tolist()):
         check_ring(ring_lat[a:b], ring_lon[a:b])
     return ReviewedSet(
         ids, lat, lon, control, np.array(owner, dtype=np.int64), leg_id, RingTable(*rings),
-        *columns(lines),
+        *json_points(lines),
     )
 
 

@@ -12,6 +12,7 @@ through ``read_json``, so a malformed document is one kind of ``DataError``.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import json
@@ -205,6 +206,26 @@ def read_json(source: str | Path | IO, build: Callable, what: str):
             raise DataError(f"invalid {what}: {type(exc).__name__}: {exc}") from exc
 
 
+def json_integer(value) -> int:
+    """``value``, if a JSON integer (JSON's true, 7.9 or "7" is none), else ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"id {value!r} is not an integer")
+    return value
+
+
+def json_points(runs: list[list[tuple]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (lat, lon) pairs of ``runs`` as lat and lon columns and each run's
+    offset; ValueError for a coordinate not a number (a bool is not) in range."""
+    values = [value for run in runs for vertex in run for value in vertex]
+    if not {int, float}.issuperset(map(type, values)):
+        bad = next(value for value in values if type(value) not in (int, float))
+        raise ValueError(f"coordinate {bad!r} is a {type(bad).__name__}, not a number")
+    lat, lon = np.array(values, dtype=float).reshape(-1, 2).T
+    if not (np.all(np.abs(lat) <= 90.0) and np.all(np.abs(lon) <= 180.0)):
+        raise ValueError("a coordinate is out of range")
+    return lat, lon, np.cumsum([0, *map(len, runs)])
+
+
 class Store(dict):
     """The latest object of each key, as its reader returns it from a file.
 
@@ -225,8 +246,8 @@ class Store(dict):
         mebibyte at a time, so a hit never holds the whole file. Otherwise the
         whole file is read and those bytes hashed and parsed, so a file
         replaced meanwhile is never stored under another content's digest.
-        The caller gets a slice of the stored table or list, so it cannot
-        change the stored one.
+        The caller gets a shallow copy of the stored object, so it cannot
+        rebind the stored one's fields or change its list.
         """
         held = self.get(key)
         if held is not None:
@@ -235,7 +256,7 @@ class Store(dict):
                 while size := handle.readinto(block):
                     sha256.update(memoryview(block)[:size])
             if sha256.hexdigest() + on == held[0]:
-                return held[1][:]
+                return copy.copy(held[1])
         with resolve_uri(path, "rb") as handle:
             data = handle.read()
         digest = hashlib.sha256(data).hexdigest() + on
@@ -244,4 +265,4 @@ class Store(dict):
             stream = io.BytesIO(data)
             stream.name = str(path)  # errors name the file, not the stream
             self[key] = (digest, reader(io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")))
-        return self[key][1][:]
+        return copy.copy(self[key][1])

@@ -20,13 +20,14 @@ import math
 import random
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from itertools import pairwise
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .clips import VIDEO_COLUMNS
-from .discovery import IntersectionCandidate, RoadNetwork
+from .discovery import Candidates, RoadNetwork
 from .geo import FT_PER_DEG, GeoPoint
 from .ingest import _US, DETECTION_COLUMNS, EPOCH, SensorTable, _time_texts, to_us, write_sensor_csv
 from .review import KML_NS, TRUE_FOLDER, write_kml
@@ -101,7 +102,7 @@ class GroundTruth:
     """Closed-form expected answers for every pipeline stage."""
 
     junctions: list[tuple[GeoPoint, int]]
-    candidates: list[IntersectionCandidate]
+    candidates: Candidates
     visited_ids: list[int]
     traj_counts: dict[tuple[str, int], int]
     trajectories: dict[str, ExpectedTrajectory]
@@ -143,31 +144,29 @@ class _Grid:
 
 
 def _build_network(grid: _Grid) -> RoadNetwork:
-    spec = grid.spec
-    polylines: list[tuple[str, list[GeoPoint]]] = []
-    for i in range(spec.grid_rows):
-        for j in range(spec.grid_cols - 1):
-            polylines.append((f"h{i}-{j}", [grid.junction(i, j), grid.junction(i, j + 1)]))
-    for i in range(spec.grid_rows - 1):
-        for j in range(spec.grid_cols):
-            polylines.append((f"v{i}-{j}", [grid.junction(i, j), grid.junction(i + 1, j)]))
-    return RoadNetwork(polylines)
+    """Every block of every row (h<row>-<col>), then of every column
+    (v<row>-<col>), as a line from junction to junction."""
+    rows, cols = range(grid.spec.grid_rows), range(grid.spec.grid_cols)
+    lines = [(f"h{i}-{j}", (i, j), (i, j + 1)) for i in rows for j in cols[:-1]]
+    lines += [(f"v{i}-{j}", (i, j), (i + 1, j)) for i in rows[:-1] for j in cols]
+    ends = [end for _, a, b in lines for end in (a, b)]
+    north, east = np.array(ends, dtype=float).T * grid.spec.block_ft
+    first = np.arange(0, len(ends) + 1, 2)
+    return RoadNetwork([name for name, _, _ in lines], grid.lat_at(north), grid.lon_at(east), first)
 
 
 def _network_geojson(network: RoadNetwork) -> dict:
+    vertices = list(map(list, zip(network.lon.tolist(), network.lat.tolist())))
     return {
         "type": "FeatureCollection",
         "features": [
             {
                 "type": "Feature",
                 "id": line_id,
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[p.lon_deg, p.lat_deg] for p in points],
-                },
+                "geometry": {"type": "LineString", "coordinates": vertices[a:b]},
                 "properties": {},
             }
-            for line_id, points in network.polylines
+            for line_id, (a, b) in zip(network.line_id, pairwise(network.first.tolist()))
         ],
     }
 
@@ -263,6 +262,7 @@ def _time_column(times: list[datetime]) -> list[str]:
 
 def _ground_truth_json(gt: GroundTruth) -> dict:
     trajs = [t for _, t in sorted(gt.trajectories.items())]
+    c = gt.candidates
     times = zip(*(
         _time_column([getattr(t, name) for t in trajs])
         for name in ("ref_time_utc", "start_time_utc", "end_time_utc")
@@ -272,8 +272,10 @@ def _ground_truth_json(gt: GroundTruth) -> dict:
             {"lat": p.lat_deg, "lon": p.lon_deg, "degree": d} for p, d in gt.junctions
         ],
         "candidates": [
-            {"intxn_id": c.intxn_id, "lat": c.pos.lat_deg, "lon": c.pos.lon_deg, "degree": c.degree}
-            for c in gt.candidates
+            {"intxn_id": i, "lat": lat, "lon": lon, "degree": d}
+            for i, lat, lon, d in zip(
+                c.intxn_id, c.lat.tolist(), c.lon.tolist(), c.props["degree"]
+            )
         ],
         "visited_ids": gt.visited_ids,
         "traj_counts": [
@@ -317,14 +319,11 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
         for j in range(spec.grid_cols):
             junctions.append((grid.junction(i, j), grid.degree(i, j)))
 
-    eligible = sorted(
-        ((pos, deg) for pos, deg in junctions if deg >= 3),
-        key=lambda t: (t[0].lat_deg, t[0].lon_deg),
-    )
-    candidates = [
-        IntersectionCandidate(k + 1, pos, deg) for k, (pos, deg) in enumerate(eligible)
-    ]
-    id_by_pos = {(c.pos.lat_deg, c.pos.lon_deg): c.intxn_id for c in candidates}
+    eligible = sorted((p.lat_deg, p.lon_deg, deg) for p, deg in junctions if deg >= 3)
+    lats, lons, degrees = (list(c) for c in zip(*eligible))
+    ids = list(range(1, len(eligible) + 1))
+    candidates = Candidates(ids, np.array(lats), np.array(lons), {"degree": degrees})
+    id_by_pos = dict(zip(zip(lats, lons), ids))
 
     def junction_id(row: int, col: int) -> int:
         pos = grid.junction(row, col)

@@ -20,11 +20,21 @@ objects and the scalar ``point_in_polygon``, as the import did before it
 gave one columnar ``review.ReviewedSet``. ``reviewed_set`` turns such
 objects into that set. ``haversine_distance_ft``, ``format_time_utc``,
 ``cell_block`` and ``cells_overlapping`` are the scalar forms of the distance, the
-time text and the ``CellGrid`` lookups that the pipeline does in batches.
+time text and the ``CellGrid`` lookups that the pipeline does in batches,
+and ``centroid`` the per-point mean that ``geo.centroids`` takes of runs.
+
+``object_extract_lrs_candidates``, ``object_cluster_centers`` and
+``object_match_clusters`` find the network's candidates, the cluster
+centers and the visited candidates with ``GeoPoint`` lists and one
+``IntersectionCandidate``, ``VisitedCandidate`` or ``UnmatchedCluster``
+per row, as ``discovery`` did before it worked on columns;
+``candidates_of`` and ``network_of`` turn such rows into its columns.
 """
 
 import csv
+import functools
 import math
+import operator
 import shlex
 import types
 import xml.etree.ElementTree as ET
@@ -37,12 +47,13 @@ import numpy as np
 
 from intxn_pipeline.clips import OVERLAY_BOX_EXPR
 from intxn_pipeline.errors import KmlParseError
+from intxn_pipeline.discovery import Candidates, RoadNetwork, dbscan_labels
 from intxn_pipeline.geo import (
     EARTH_RADIUS_FT,
+    FT_PER_DEG,
     ON_EDGE_TOL_DEG,
     GeoPoint,
     RingTable,
-    centroid,
     check_ring,
     joined,
     point_to_segment_ft,
@@ -259,6 +270,19 @@ def haversine_distance_ft(a: GeoPoint, b: GeoPoint) -> float:
     dlam = math.radians(b.lon_deg - a.lon_deg)
     h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_FT * math.asin(min(1.0, math.sqrt(h)))
+
+
+def centroid(points: list[GeoPoint]) -> GeoPoint:
+    """Arithmetic mean of latitudes and longitudes, each added left to right
+    from 0.0 (``functools.reduce``: from Python 3.12, ``sum`` adds floats with
+    compensation). Raises ValueError on empty input."""
+    if not points:
+        raise ValueError("centroid of empty point list")
+    n = len(points)
+    return GeoPoint(
+        functools.reduce(operator.add, (p.lat_deg for p in points), 0.0) / n,
+        functools.reduce(operator.add, (p.lon_deg for p in points), 0.0) / n,
+    )
 
 
 def format_time_utc(dt: datetime) -> str:
@@ -492,3 +516,142 @@ def scalar_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
             continue
         reviewed.append(intxn)
     return reviewed, rejects
+
+
+# ---------------------------------------------------------------------------
+# Intersection candidates, one object at a time
+
+
+@dataclass(frozen=True)
+class IntersectionCandidate:
+    intxn_id: int
+    pos: GeoPoint
+    degree: int
+
+
+@dataclass
+class VisitedCandidate:
+    intxn_id: int
+    pos: GeoPoint
+    supporting_cluster_ids: list[int]
+    match_dist_ft: float
+
+
+@dataclass
+class UnmatchedCluster:
+    cluster_id: int
+    center: GeoPoint
+    nearest_intxn_id: int
+    dist_ft: float
+
+
+def network_of(polylines: list[tuple[str, list[GeoPoint]]]) -> RoadNetwork:
+    """The ``discovery.RoadNetwork`` of (line_id, vertex list) pairs."""
+    points = [p for _, line in polylines for p in line]
+    return RoadNetwork(
+        [line_id for line_id, _ in polylines],
+        np.array([p.lat_deg for p in points], dtype=float),
+        np.array([p.lon_deg for p in points], dtype=float),
+        np.cumsum([0] + [len(line) for _, line in polylines]),
+    )
+
+
+def candidates_of(rows: list) -> Candidates:
+    """The ``discovery.Candidates`` of ``IntersectionCandidate`` or
+    ``VisitedCandidate`` rows, in id order."""
+    rows = sorted(rows, key=lambda r: r.intxn_id)
+    if rows and isinstance(rows[0], VisitedCandidate):
+        names = ("supporting_cluster_ids", "match_dist_ft")
+    else:
+        names = ("degree",)
+    return Candidates(
+        [r.intxn_id for r in rows],
+        np.array([r.pos.lat_deg for r in rows], dtype=float),
+        np.array([r.pos.lon_deg for r in rows], dtype=float),
+        {name: [getattr(r, name) for r in rows] for name in names},
+    )
+
+
+def candidate_rows(candidates: Candidates) -> list:
+    """The rows of ``candidates``, as ``IntersectionCandidate`` or
+    ``VisitedCandidate`` objects."""
+    positions = list(map(GeoPoint, candidates.lat.tolist(), candidates.lon.tolist()))
+    row = IntersectionCandidate if "degree" in candidates.props else VisitedCandidate
+    return list(map(row, candidates.intxn_id, positions, *candidates.props.values()))
+
+
+def object_extract_lrs_candidates(polylines, tol_ft: float) -> list[IntersectionCandidate]:
+    """``discovery.extract_lrs_candidates`` of (line_id, vertex list) pairs,
+    a group and a candidate at a time."""
+    verts = [p for _, points in polylines for p in points]
+    if not verts:
+        return []
+    groups = {}
+    lats, lons = np.array([(v.lat_deg, v.lon_deg) for v in verts], dtype=float).T
+    for v, lab in zip(verts, dbscan_labels(lats, lons, tol_ft, 1).tolist()):
+        groups.setdefault(lab, []).append(v)
+    found = []
+    for members in groups.values():
+        if len(members) >= 3:
+            members = sorted(members, key=lambda p: (p.lat_deg, p.lon_deg))
+            found.append((centroid(members), len(members)))
+    found.sort(key=lambda t: (t[0].lat_deg, t[0].lon_deg))
+    # A band starts where the latitude rises by more than tol_ft.
+    lat = np.array([pos.lat_deg for pos, _ in found])
+    bands = np.cumsum(np.diff(lat, prepend=-np.inf) * FT_PER_DEG > tol_ft).tolist()
+    ordered = sorted(zip(bands, found), key=lambda b: (b[0], b[1][0].lon_deg))
+    return [IntersectionCandidate(i + 1, pos, deg) for i, (_, (pos, deg)) in enumerate(ordered)]
+
+
+def object_cluster_centers(detections, eps_ft: float, min_pts: int) -> list[tuple[int, GeoPoint]]:
+    """The (cluster_id, center) of each cluster ``discovery.cluster_detections``
+    finds, one cluster at a time."""
+    lat, lon = detections.lat, detections.lon
+    labels = dbscan_labels(lat, lon, eps_ft, min_pts)
+    found = np.flatnonzero(labels >= 0)
+    found = found[np.argsort(labels[found], kind="stable")]
+    built = []
+    for rows in np.split(found, np.flatnonzero(np.diff(labels[found])) + 1) if found.size else []:
+        order = rows[np.lexsort((lon[rows], lat[rows]))]
+        members = list(map(GeoPoint, lat[order].tolist(), lon[order].tolist()))
+        # rows ascend, so rows[0] is the cluster's first row.
+        built.append(((members[0].lat_deg, members[0].lon_deg, int(rows[0])), centroid(members)))
+    built.sort(key=lambda t: t[0])
+    return [(i + 1, center) for i, (_, center) in enumerate(built)]
+
+
+def numpy_haversine_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """The haversine distance in feet between numpy-broadcast coordinates,
+    2R asin(min(1, sqrt(h))), as ``discovery`` computed it before it called
+    ``geo.haversine_estimates_ft``."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlam = np.radians(lon2 - lon1)
+    h = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_FT * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
+def object_match_clusters(centers, candidates, max_match_ft: float):
+    """``discovery.match_clusters`` of (cluster_id, center) pairs and
+    ``IntersectionCandidate`` rows, a center at a time: the
+    ``VisitedCandidate`` list and the ``UnmatchedCluster`` list."""
+    cands = sorted(candidates, key=lambda c: c.intxn_id)
+    lats = np.array([c.pos.lat_deg for c in cands], dtype=float)
+    lons = np.array([c.pos.lon_deg for c in cands], dtype=float)
+    matched, unmatched = {}, []
+    for cluster_id, center in sorted(centers, key=lambda t: t[0]):
+        dists = numpy_haversine_ft(center.lat_deg, center.lon_deg, lats, lons)
+        k = int(np.argmin(dists))  # ties resolve to the lowest intxn_id
+        dist = float(dists[k])
+        if dist > max_match_ft:
+            unmatched.append(UnmatchedCluster(cluster_id, center, cands[k].intxn_id, dist))
+        else:
+            matched.setdefault(k, []).append((cluster_id, dist))
+    visited = [
+        VisitedCandidate(
+            cands[k].intxn_id, cands[k].pos, sorted(c for c, _ in support), min(d for _, d in support)
+        )
+        for k, support in sorted(matched.items())
+    ]
+    return visited, unmatched

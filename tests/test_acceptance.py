@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import haversine_distance_ft
+from oracles import candidate_rows, haversine_distance_ft
 
 from intxn_pipeline.cli import main
 from intxn_pipeline.clips import build_clip_specs, emit_cutlist, parse_cutlist, read_videos_csv
@@ -80,9 +80,9 @@ def test_criterion_1_grid_recovery(scenario):
     with criterion(1, "grid recovery"):
         network = load_network_geojson(scenario.paths["network"])
         t0 = time.perf_counter()
-        candidates = extract_lrs_candidates(network)
+        candidates = candidate_rows(extract_lrs_candidates(network))
         elapsed = time.perf_counter() - t0
-        expected = scenario.ground_truth.candidates
+        expected = candidate_rows(scenario.ground_truth.candidates)
         assert len(candidates) == 12
         assert all(c.degree >= 3 for c in candidates)
         assert [c.intxn_id for c in candidates] == [c.intxn_id for c in expected]
@@ -157,13 +157,10 @@ def test_criterion_3_visited_intersection_recovery(scenario, clean):
         network = load_network_geojson(scenario.paths["network"])
         candidates = extract_lrs_candidates(network)
         last = last_in_runs(detections)
-        clusters = cluster_detections(last)
-        visited, unmatched = match_clusters(
-            [(c.cluster_id, c.center) for c in clusters], candidates
-        )
+        visited, unmatched = match_clusters(*cluster_detections(last), candidates)
         assert not unmatched
-        assert [v.intxn_id for v in visited] == scenario.ground_truth.visited_ids
-        assert all(v.match_dist_ft <= 30.0 for v in visited)
+        assert visited.intxn_id == scenario.ground_truth.visited_ids
+        assert all(d <= 30.0 for d in visited.props["match_dist_ft"])
 
 
 def test_criterion_4_trajectory_windows(scenario, clean, trajectories):
@@ -207,15 +204,12 @@ def test_criterion_6_round_trip_fidelity(scenario, clean, tmp_path, trajectories
         _, detections = clean
         network = load_network_geojson(scenario.paths["network"])
         candidates = extract_lrs_candidates(network)
-        clusters = cluster_detections(last_in_runs(detections))
-        visited, _ = match_clusters(
-            [(c.cluster_id, c.center) for c in clusters], candidates
-        )
+        visited, _ = match_clusters(*cluster_detections(last_in_runs(detections)), candidates)
         kml_path = tmp_path / "candidates.kml"
         export_candidates_kml(visited, kml_path)
         points = parse_kml_features(kml_path).points
-        assert [int(name) for name in points.names] == [v.intxn_id for v in visited]
-        for lat, lon, v in zip(points.lat.tolist(), points.lon.tolist(), visited):
+        assert [int(name) for name in points.names] == visited.intxn_id
+        for lat, lon, v in zip(points.lat.tolist(), points.lon.tolist(), candidate_rows(visited)):
             assert abs(lat - v.pos.lat_deg) <= 1e-6
             assert abs(lon - v.pos.lon_deg) <= 1e-6
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import shutil
 import stat
@@ -352,6 +353,27 @@ MALFORMED_JSON = {
         ("clean", "import-review"), "out/reviewed.json", ("intersections", 0, "lat"), True, "traj",
     ),
     "network-list": ((), "network.geojson", (), [], "lrs-intxns"),
+    # Values that int() and float() would coerce.
+    "candidate-float-id": (
+        ("clean", "lrs-intxns"), "out/lrs_candidates.geojson",
+        ("features", 0, "properties", "intxn_id"), 70.9, "subj-intxns",
+    ),
+    "candidate-bool-degree": (
+        ("clean", "lrs-intxns"), "out/lrs_candidates.geojson",
+        ("features", 0, "properties", "degree"), True, "subj-intxns",
+    ),
+    "visited-float-and-bool-cluster-ids": (
+        ("clean", "lrs-intxns", "subj-intxns"), "out/visited_candidates.geojson",
+        ("features", 0, "properties", "supporting_cluster_ids"), [1.5, True], "export-kml",
+    ),
+    "visited-nan-distance": (
+        ("clean", "lrs-intxns", "subj-intxns"), "out/visited_candidates.geojson",
+        ("features", 0, "properties", "match_dist_ft"), math.nan, "export-kml",
+    ),
+    "visited-negative-distance": (
+        ("clean", "lrs-intxns", "subj-intxns"), "out/visited_candidates.geojson",
+        ("features", 0, "properties", "match_dist_ft"), -0.5, "export-kml",
+    ),
 }
 
 

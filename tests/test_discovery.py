@@ -5,11 +5,21 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from oracles import haversine_distance_ft, row_tuples, table_of
+from oracles import (
+    IntersectionCandidate,
+    VisitedCandidate,
+    candidate_rows,
+    candidates_of,
+    centroid,
+    haversine_distance_ft,
+    network_of,
+    row_tuples,
+    table_of,
+)
 
 from intxn_pipeline.discovery import (
-    IntersectionCandidate,
-    RoadNetwork,
+    LRS_PROPS,
+    VISITED_PROPS,
     candidates_from_geojson,
     candidates_to_geojson,
     cluster_detections,
@@ -20,7 +30,7 @@ from intxn_pipeline.discovery import (
     match_clusters,
 )
 from intxn_pipeline.errors import DataError
-from intxn_pipeline.geo import FT_PER_DEG, GeoPoint, centroid
+from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import CLASS_NAMES, DetectionTable, to_us
 from intxn_pipeline.storage import write_json
 from intxn_pipeline.synth import ScenarioSpec, generate
@@ -40,18 +50,35 @@ def det(position, seconds=0.0, subj="A", drive=1, object_class="stop_sign"):
     return subj, drive, t, position.lat_deg, position.lon_deg, CLASS_NAMES.index(object_class), 0.9
 
 
-def clusters_of(dets, **kwargs):
-    """``cluster_detections`` of a table of ``dets``: each cluster's id, its
-    members' rows, which must ascend, and its center."""
-    table = table_of(DetectionTable, dets)
-    clusters = cluster_detections(table, **kwargs)
-    assert all((np.diff(c.rows) > 0).all() for c in clusters)
-    return [(c.cluster_id, row_tuples(table.take(c.rows)), c.center) for c in clusters]
+def centers_of(dets, **kwargs):
+    """``cluster_detections`` of a table of ``dets``: each cluster's center,
+    in cluster-id order."""
+    lat, lon = cluster_detections(table_of(DetectionTable, dets), **kwargs)
+    return list(map(GeoPoint, lat.tolist(), lon.tolist()))
+
+
+def mean_of(dets):
+    """The center of a cluster of ``dets``: their centroid in (lat, lon) order."""
+    return centroid([GeoPoint(lat, lon) for lat, lon in sorted(d[3:5] for d in dets)])
+
+
+def match(centers, candidates, **kwargs):
+    """``match_clusters`` of the centers, cluster IDs 1, 2, ..., and the
+    candidate rows: the visited candidate rows and the unmatched report."""
+    lat = np.array([c.lat_deg for c in centers], dtype=float)
+    lon = np.array([c.lon_deg for c in centers], dtype=float)
+    visited, unmatched = match_clusters(lat, lon, candidates_of(candidates), **kwargs)
+    return candidate_rows(visited), unmatched
+
+
+def lrs_candidates(polylines, **kwargs):
+    """``extract_lrs_candidates`` of (line_id, vertex list) pairs, as rows."""
+    return candidate_rows(extract_lrs_candidates(network_of(polylines), **kwargs))
 
 
 def test_four_way_junction():
     center = pt()
-    network = RoadNetwork(
+    candidates = lrs_candidates(
         [
             ("n", [center, pt(north_ft=500)]),
             ("s", [center, pt(north_ft=-500)]),
@@ -59,7 +86,6 @@ def test_four_way_junction():
             ("w", [center, pt(east_ft=-500)]),
         ]
     )
-    candidates = extract_lrs_candidates(network)
     assert len(candidates) == 1
     assert candidates[0].degree == 4
     assert haversine_distance_ft(candidates[0].pos, center) < 0.01
@@ -67,29 +93,26 @@ def test_four_way_junction():
 
 def test_road_continuation_is_not_a_junction():
     shared = pt()
-    network = RoadNetwork(
-        [("a", [pt(east_ft=-500), shared]), ("b", [shared, pt(east_ft=500)])]
-    )
-    assert extract_lrs_candidates(network) == []
+    network = [("a", [pt(east_ft=-500), shared]), ("b", [shared, pt(east_ft=500)])]
+    assert lrs_candidates(network) == []
 
 
 def test_t_junction():
     center = pt()
-    network = RoadNetwork(
+    candidates = lrs_candidates(
         [
             ("a", [pt(east_ft=-500), center]),
             ("b", [center, pt(east_ft=500)]),
             ("stem", [center, pt(north_ft=500)]),
         ]
     )
-    candidates = extract_lrs_candidates(network)
     assert len(candidates) == 1
     assert candidates[0].degree == 3
 
 
 def test_candidates_invariant_to_tolerance():
     center = pt()
-    network = RoadNetwork(
+    network = network_of(
         [
             ("a", [pt(east_ft=-400), center]),
             ("b", [center, pt(east_ft=400)]),
@@ -109,8 +132,10 @@ def test_candidate_ids_follow_grid_rows_whose_centroids_differ_in_last_bits(tmp_
         origin=GeoPoint(47.61, -122.33),
     )
     scenario = generate(spec, tmp_path)
-    candidates = extract_lrs_candidates(load_network_geojson(scenario.paths["network"]))
-    expected = scenario.ground_truth.candidates
+    candidates = candidate_rows(
+        extract_lrs_candidates(load_network_geojson(scenario.paths["network"]))
+    )
+    expected = candidate_rows(scenario.ground_truth.candidates)
     assert len(candidates) == len(expected) == 476
     assert [c.intxn_id for c in candidates] == [c.intxn_id for c in expected]
     for got, want in zip(candidates, expected):
@@ -147,18 +172,18 @@ def test_last_in_runs_separates_streams():
 
 def test_dbscan_pair_within_eps():
     dets = [det(pt(), 0), det(pt(east_ft=50), 1)]
-    assert [members for _, members, _ in clusters_of(dets, eps_ft=100)] == [dets]
+    assert centers_of(dets, eps_ft=100) == [mean_of(dets)]
 
 
 def test_dbscan_isolated_point_is_noise():
     dets = [det(pt(), 0), det(pt(east_ft=50), 1), det(pt(east_ft=1050), 2)]
-    assert [members for _, members, _ in clusters_of(dets, eps_ft=100)] == [dets[:2]]
+    assert centers_of(dets, eps_ft=100) == [mean_of(dets[:2])]
 
 
 def test_cluster_center_adds_members_in_lat_lon_order():
     # Float addition is not associative: these four positions sum to other
     # last bits in time order or in (lon, lat) order than in (lat, lon)
-    # order, which is the order geo.centroid is given.
+    # order, which is the order geo.centroids adds them in.
     positions = [
         GeoPoint(41.000084072, -95.999956736),
         GeoPoint(41.000074618, -95.99993104),
@@ -166,16 +191,16 @@ def test_cluster_center_adds_members_in_lat_lon_order():
         GeoPoint(41.000080386, -95.999982185),
     ]
     dets = [det(p, seconds=i) for i, p in enumerate(positions)]
-    (cluster,) = cluster_detections(table_of(DetectionTable, dets), eps_ft=100)
-    assert cluster.center == centroid(sorted(positions, key=lambda p: (p.lat_deg, p.lon_deg)))
-    assert cluster.center != centroid(sorted(positions, key=lambda p: (p.lon_deg, p.lat_deg)))
+    (center,) = centers_of(dets, eps_ft=100)
+    assert center == centroid(sorted(positions, key=lambda p: (p.lat_deg, p.lon_deg)))
+    assert center != centroid(sorted(positions, key=lambda p: (p.lon_deg, p.lat_deg)))
 
 
 def test_dbscan_chain_is_one_cluster():
     # Chain of 6 points spaced 80 ft: the 100-ft eps-graph is connected,
     # so brute-force components say one cluster of 6.
     chain = [det(pt(east_ft=80 * i), i) for i in range(6)]
-    assert [members for _, members, _ in clusters_of(chain, eps_ft=100)] == [chain]
+    assert centers_of(chain, eps_ft=100) == [mean_of(chain)]
 
 
 def _brute_force_components(points, eps_ft):
@@ -241,7 +266,7 @@ def test_match_clusters_nearest():
         IntersectionCandidate(1, pt(), 4),
         IntersectionCandidate(2, pt(east_ft=500), 4),
     ]
-    visited, unmatched = match_clusters([(1, pt(east_ft=30))], candidates)
+    visited, unmatched = match([pt(east_ft=30)], candidates)
     assert not unmatched
     assert visited[0].intxn_id == 1
     assert visited[0].match_dist_ft == pytest.approx(30.0, abs=0.01)
@@ -249,24 +274,37 @@ def test_match_clusters_nearest():
 
 def test_match_clusters_gate():
     candidates = [IntersectionCandidate(1, pt(), 4)]
-    visited, unmatched = match_clusters([(7, pt(east_ft=300))], candidates, max_match_ft=200)
-    assert not visited
-    assert unmatched[0].cluster_id == 7
-    assert unmatched[0].nearest_intxn_id == 1
-    assert unmatched[0].dist_ft == pytest.approx(300.0, abs=0.01)
+    visited, unmatched = match([pt(east_ft=10), pt(east_ft=300)], candidates, max_match_ft=200)
+    assert [v.supporting_cluster_ids for v in visited] == [[1]]
+    assert unmatched == [
+        {"cluster_id": 2, "nearest_intxn_id": 1, "dist_ft": pytest.approx(300.0, abs=0.01)}
+    ]
 
 
 def test_match_clusters_merges_supporting_clusters():
     candidates = [IntersectionCandidate(1, pt(), 4)]
-    visited, _ = match_clusters([(2, pt(east_ft=40)), (1, pt(east_ft=-20))], candidates)
+    visited, _ = match([pt(east_ft=-20), pt(east_ft=40)], candidates)
     assert len(visited) == 1
     assert visited[0].supporting_cluster_ids == [1, 2]
     assert visited[0].match_dist_ft == pytest.approx(20.0, abs=0.01)
 
 
+def test_match_clusters_without_centers_and_past_the_estimates_range():
+    candidates = [IntersectionCandidate(3, pt(), 4)]
+    visited, unmatched = match([], candidates)
+    assert visited == [] and unmatched == []
+    # Nearly antipodal: the estimate gives no number, the exact distance does.
+    far = GeoPoint(-LAT0 + 1e-3, LON0 + 180.0)
+    visited, unmatched = match([far], candidates)
+    assert visited == []
+    assert unmatched == [
+        {"cluster_id": 1, "nearest_intxn_id": 3, "dist_ft": haversine_distance_ft(far, pt())}
+    ]
+
+
 def test_match_clusters_requires_candidates():
     with pytest.raises(ValueError):
-        match_clusters([(1, pt())], [])
+        match([pt()], [])
 
 
 def test_match_clusters_partition_property():
@@ -274,35 +312,37 @@ def test_match_clusters_partition_property():
     candidates = [
         IntersectionCandidate(i + 1, pt(north_ft=1000 * i), 3) for i in range(5)
     ]
-    centers = [(i + 1, pt(north_ft=rng.uniform(0, 6000))) for i in range(40)]
-    visited, unmatched = match_clusters(centers, candidates, max_match_ft=200)
+    centers = [pt(north_ft=rng.uniform(0, 6000)) for _ in range(40)]
+    visited, unmatched = match(centers, candidates, max_match_ft=200)
     matched_ids = [cid for v in visited for cid in v.supporting_cluster_ids]
-    unmatched_ids = [u.cluster_id for u in unmatched]
-    assert sorted(matched_ids + unmatched_ids) == sorted(cid for cid, _ in centers)
+    unmatched_ids = [u["cluster_id"] for u in unmatched]
+    assert sorted(matched_ids + unmatched_ids) == list(range(1, 41))
     assert all(v.match_dist_ft <= 200 for v in visited)
 
 
 def test_cluster_outputs_deterministic_under_permutation():
     rng = random.Random(17)
     detections = [det(_p, i) for i, _p in enumerate(_random_points(rng, 60, 400.0))]
-    baseline = clusters_of(detections)
+    baseline = centers_of(detections)
     for seed in range(3):
         shuffled = detections[:]
         random.Random(seed).shuffle(shuffled)
-        assert clusters_of(shuffled) == baseline
+        assert centers_of(shuffled) == baseline
 
 
 def test_candidates_geojson_roundtrip():
-    candidates = [
-        IntersectionCandidate(1, pt(), 3),
-        IntersectionCandidate(2, pt(north_ft=1000), 4),
-    ]
-    buffer = io.StringIO()
-    write_json(candidates_to_geojson(candidates), buffer)
-    buffer.seek(0)
     import json
 
-    assert candidates_from_geojson(json.load(buffer)) == candidates
+    network = [IntersectionCandidate(1, pt(), 3), IntersectionCandidate(2, pt(north_ft=1000), 4)]
+    visited = [VisitedCandidate(4, pt(), [1, 3], 12.5), VisitedCandidate(9, pt(east_ft=9), [2], 0.0)]
+    for rows, props in ((network, LRS_PROPS), (visited, VISITED_PROPS)):
+        candidates = candidates_of(rows)
+        buffer = io.StringIO()
+        write_json(candidates_to_geojson(candidates), buffer)
+        doc = json.loads(buffer.getvalue())
+        doc["features"].reverse()  # any feature order reads back in id order
+        assert candidates_from_geojson(doc, props) == candidates
+        assert candidate_rows(candidates) == rows
 
 
 def test_load_network_geojson(tmp_path):
@@ -333,8 +373,10 @@ def test_load_network_geojson(tmp_path):
 
     path.write_text(json.dumps(doc))
     network = load_network_geojson(path)
-    assert [line_id for line_id, _ in network.polylines] == ["road-1", "road-2:0"]
-    assert network.polylines[0][1][0] == GeoPoint(41.0, -96.0)
+    assert network.line_id == ["road-1", "road-2:0"]
+    assert network.first.tolist() == [0, 2, 4]
+    assert network.lat.tolist() == [41.0, 41.01, 41.0, 41.0]
+    assert network.lon.tolist() == [-96.0, -96.0, -96.0, -95.99]
 
 
 def test_load_network_geojson_rejects_bool_coordinate(tmp_path):

@@ -1,4 +1,7 @@
+import functools
+import itertools
 import math
+import operator
 import random
 from unittest.mock import patch
 
@@ -11,7 +14,9 @@ from oracles import (
     PolygonRing,
     cell_block,
     cells_overlapping,
+    centroid,
     haversine_distance_ft,
+    numpy_haversine_ft,
     point_in_polygon,
     polyline_midpoint,
     ring_table,
@@ -27,7 +32,6 @@ from intxn_pipeline.geo import (
     CellGrid,
     GeoPoint,
     angular_difference_deg,
-    centroid,
     centroids,
     check_ring,
     haversine_distances_ft,
@@ -286,14 +290,20 @@ def test_points_in_polygon_is_the_scalar_test(cases, rng):
     assert table.length.tolist() == [d for ring in rings for d in ring.edge_lengths()]
 
 
+def _centroid(points):
+    """``centroids`` of one run of ``points``."""
+    lat, lon = centroids(*_columns([points]))
+    return GeoPoint(float(lat[0]), float(lon[0]))
+
+
 def test_centroid_singleton():
     p = GeoPoint(12.5, -33.25)
-    assert centroid([p]) == p
+    assert _centroid([p]) == p
 
 
 def test_centroid_square_center():
     pts = [GeoPoint(0, 0), GeoPoint(0, 2), GeoPoint(2, 2), GeoPoint(2, 0)]
-    c = centroid(pts)
+    c = _centroid(pts)
     assert c.lat_deg == pytest.approx(1.0, abs=1e-12)
     assert c.lon_deg == pytest.approx(1.0, abs=1e-12)
 
@@ -301,14 +311,9 @@ def test_centroid_square_center():
 def test_centroid_matches_mean_oracle():
     rng = random.Random(99)
     pts = [GeoPoint(rng.uniform(40, 41), rng.uniform(-97, -96)) for _ in range(50)]
-    c = centroid(pts)
-    assert c.lat_deg == pytest.approx(sum(p.lat_deg for p in pts) / 50, abs=1e-12)
-    assert c.lon_deg == pytest.approx(sum(p.lon_deg for p in pts) / 50, abs=1e-12)
-
-
-def test_centroid_empty_rejected():
-    with pytest.raises(ValueError):
-        centroid([])
+    c = _centroid(pts)
+    assert c.lat_deg == pytest.approx(math.fsum(p.lat_deg for p in pts) / 50, abs=1e-12)
+    assert c.lon_deg == pytest.approx(math.fsum(p.lon_deg for p in pts) / 50, abs=1e-12)
 
 
 def test_geopoint_validates_ranges():
@@ -379,6 +384,53 @@ def test_centroids_are_the_scalar_sums(rings):
     assert list(zip(lat.tolist(), lon.tolist())) == [
         (c.lat_deg, c.lon_deg) for c in map(centroid, rings)
     ]
+
+
+def _left_to_right(run):
+    """Each prefix sum of ``run`` and its total, added left to right from 0.0."""
+    prefixes = list(itertools.accumulate(run, operator.add, initial=0.0))
+    return prefixes[:-1], functools.reduce(operator.add, run, 0.0)
+
+
+def _run_shape(kind, rnd):
+    """Run lengths: one run of 1,000 to 3,000 values beside many short ones,
+    all of one length, or lengths skewed toward the short end."""
+    if kind == "long":
+        return [rnd.randint(1000, 3000)] + [rnd.randint(1, 14) for _ in range(rnd.randint(0, 300))]
+    if kind == "equal":
+        return [rnd.randint(1, 8)] * rnd.randint(1, 500)
+    return [rnd.randint(0, 60) ** 2 // 60 + 1 for _ in range(rnd.randint(1, 200))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["long", "equal", "skewed"]),
+    st.integers(0, 2**32),
+    st.sampled_from([None, 5, 64, 4096]),
+)
+def test_run_sums_add_left_to_right_from_zero(kind, seed, block):
+    rnd = random.Random(seed)  # drawn here: the runs are too long for hypothesis to draw
+    counts = _run_shape(kind, rnd)
+    # Latitudes near 41.25, where sums of one run differ in their last bits
+    # with the order or the method of adding; now and then a -0.0 run.
+    rnd.shuffle(counts)
+    values = [41.25 + rnd.uniform(-1e-3, 1e-3) for _ in range(sum(counts))]
+    first = np.cumsum([0, *counts])
+    if rnd.random() < 0.2:
+        values[: counts[0]] = [-0.0] * counts[0]
+    lat = np.array(values)
+    with patch.object(geo, "RUN_SUM_BLOCK", block or geo.RUN_SUM_BLOCK):  # blocks split the runs
+        before, total = geo._run_sums(lat, first)
+        lats, lons = centroids(lat, lat[::-1].copy(), first)
+    runs = [values[a:b] for a, b in zip(first.tolist(), first[1:].tolist())]
+    expected = [_left_to_right(run) for run in runs]
+    # Compared as bytes, so that -0.0 and 0.0 differ.
+    assert before.tobytes() == np.array([x for xs, _ in expected for x in xs]).tobytes()
+    assert total.tobytes() == np.array([t for _, t in expected]).tobytes()
+    assert lats.tobytes() == np.array([t / len(run) for (_, t), run in zip(expected, runs)]).tobytes()
+    reversed_runs = [values[::-1][a:b] for a, b in zip(first.tolist(), first[1:].tolist())]
+    means = [_left_to_right(run)[1] / len(run) for run in reversed_runs]
+    assert lons.tobytes() == np.array(means).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +593,23 @@ def test_nearest_distances_refine_every_possible_nearest(sizes, rnd):
         assert (got[a:b][refined] == exact[a:b][refined]).all()
         assert refined[exact[a:b] == low].all()  # every nearest and tie
         assert (exact[a:b][~refined] > low).all()
+
+
+def test_haversine_estimate_is_the_old_numpy_haversine():
+    # Where it gives a number, the estimate is the numpy haversine that
+    # discovery used before, bit for bit, pair by pair and broadcast.
+    rng = np.random.default_rng(11)
+    lat1, lon1, lat2, lon2 = _pairs_near_and_far(rng, 200_000)
+    est = haversine_estimates_ft(lat1, lon1, lat2, lon2)
+    known = ~np.isnan(est)
+    assert known.sum() > 140_000  # all but the near-antipodal pairs
+    assert est[known].tobytes() == numpy_haversine_ft(lat1, lon1, lat2, lon2)[known].tobytes()
+    centers = (41.25 + rng.normal(0.0, 0.01, (390, 1)), -96.0 + rng.normal(0.0, 0.01, (390, 1)))
+    cands = 41.25 + rng.normal(0.0, 0.01, 476), -96.0 + rng.normal(0.0, 0.01, 476)
+    broadcast = haversine_estimates_ft(*centers, *cands)
+    for k in range(390):
+        one = numpy_haversine_ft(float(centers[0][k, 0]), float(centers[1][k, 0]), *cands)
+        assert broadcast[k].tobytes() == one.tobytes()
 
 
 def test_ft_per_deg_constant_consistency():

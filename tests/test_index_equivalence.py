@@ -21,6 +21,7 @@ from oracles import (
     ApproachLeg,
     PolygonRing,
     ReviewedIntersection,
+    centroid,
     haversine_distance_ft,
     point_in_polygon,
     polyline_midpoint,
@@ -37,7 +38,6 @@ from intxn_pipeline.geo import (
     CellGrid,
     GeoPoint,
     angular_difference_deg,
-    centroid,
     initial_bearing_deg,
 )
 from intxn_pipeline.ingest import SensorTable, clean_sensor, to_us

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    IntersectionCandidate,
+    candidates_of,
     old_parse_kml_features,
     placemark_rows,
     reviewed_doc,
     scalar_import_reviewed_kml,
 )
 
-from intxn_pipeline.discovery import IntersectionCandidate
 from intxn_pipeline.errors import DataError, KmlParseError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import SensorTable, to_us
@@ -99,7 +100,7 @@ def pt_offset(base, north_ft, east_ft):
 
 def test_export_kml_coordinate_order():
     out = io.StringIO()
-    export_candidates_kml([IntersectionCandidate(1, GeoPoint(41, -96), 4)], out)
+    export_candidates_kml(candidates_of([IntersectionCandidate(1, GeoPoint(41, -96), 4)]), out)
     assert "<coordinates>-96,41,0</coordinates>" in out.getvalue()
     assert "<name>candidates</name>" in out.getvalue()
 
@@ -107,11 +108,11 @@ def test_export_kml_coordinate_order():
 def test_export_kml_document_order():
     out = io.StringIO()
     export_candidates_kml(
-        [
+        candidates_of([
             IntersectionCandidate(3, pt(north_ft=200), 3),
             IntersectionCandidate(1, pt(), 3),
             IntersectionCandidate(2, pt(north_ft=100), 3),
-        ],
+        ]),
         out,
     )
     text = out.getvalue()
@@ -120,7 +121,7 @@ def test_export_kml_document_order():
 
 def test_export_kml_rejects_empty():
     with pytest.raises(ValueError):
-        export_candidates_kml([], io.StringIO())
+        export_candidates_kml(candidates_of([]), io.StringIO())
 
 
 def test_export_import_roundtrip_preserves_ids_and_positions():
@@ -129,7 +130,7 @@ def test_export_import_roundtrip_preserves_ids_and_positions():
         for i in range(5)
     ]
     out = io.StringIO()
-    export_candidates_kml(candidates, out)
+    export_candidates_kml(candidates_of(candidates), out)
     out.seek(0)
     points = parse_kml_features(out).points
     assert [int(name) for name in points.names] == [1, 2, 3, 4, 5]

@@ -3,6 +3,7 @@
 import ast
 import copy
 import csv
+import functools
 import io
 import json
 import re
@@ -20,6 +21,9 @@ from intxn_pipeline import clips, discovery, ingest, review, storage, trajectory
 from intxn_pipeline.cli import main
 from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import GeoPoint
+
+read_candidates = functools.partial(discovery.candidates_from_geojson, props=discovery.LRS_PROPS)
+read_visited = functools.partial(discovery.candidates_from_geojson, props=discovery.VISITED_PROPS)
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +64,7 @@ STREAM_CASES = {
     "review.export_candidates_kml": (
         None,
         lambda s, ws: review.export_candidates_kml(
-            storage.read_json(
-                ws / "out" / "visited_candidates.geojson", discovery.visited_from_geojson, "visited"
-            ),
+            storage.read_json(ws / "out" / "visited_candidates.geojson", read_visited, "visited"),
             s,
         ),
     ),
@@ -80,7 +82,7 @@ STREAM_CASES = {
     "storage.write_json": (None, lambda s, ws: storage.write_json({"features": []}, s)),
     "storage.read_json": (
         "out/lrs_candidates.geojson",
-        lambda s, ws: storage.read_json(s, discovery.candidates_from_geojson, "candidates"),
+        lambda s, ws: storage.read_json(s, read_candidates, "candidates"),
     ),
     # The stages' own JSON documents, which their modules once wrote with their
     # own writers (the case names are kept); both now go through storage.write_json.
@@ -320,10 +322,10 @@ VALID_DOCS = {
         ],
     },
     "candidates": discovery.candidates_to_geojson(
-        [discovery.IntersectionCandidate(1, GeoPoint(41.0, -96.0), 3)]
+        oracles.candidates_of([oracles.IntersectionCandidate(1, GeoPoint(41.0, -96.0), 3)])
     ),
-    "visited": discovery.visited_to_geojson(
-        [discovery.VisitedCandidate(1, GeoPoint(41.0, -96.0), [1, 2], 12.5)]
+    "visited": discovery.candidates_to_geojson(
+        oracles.candidates_of([oracles.VisitedCandidate(1, GeoPoint(41.0, -96.0), [1, 2], 12.5)])
     ),
     "reviewed": {
         "intersections": [
@@ -345,8 +347,8 @@ VALID_DOCS = {
 }
 JSON_READERS = {
     "network": discovery.load_network_geojson,
-    "candidates": lambda s: storage.read_json(s, discovery.candidates_from_geojson, "candidates"),
-    "visited": lambda s: storage.read_json(s, discovery.visited_from_geojson, "visited"),
+    "candidates": lambda s: storage.read_json(s, read_candidates, "candidates"),
+    "visited": lambda s: storage.read_json(s, read_visited, "visited"),
     "reviewed": review.load_reviewed_json,
 }
 JSON_KEYS = st.sampled_from(sorted({

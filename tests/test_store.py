@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from functools import partial
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -183,10 +184,14 @@ READERS = {
     "cutlist": lambda out: clips.parse_cutlist(out / "cutlist.json"),
     "reviewed": lambda out: review.load_reviewed_json(out / "reviewed.json"),
     "lrs_candidates": lambda out: storage.read_json(
-        out / "lrs_candidates.geojson", discovery.candidates_from_geojson, "candidates"
+        out / "lrs_candidates.geojson",
+        partial(discovery.candidates_from_geojson, props=discovery.LRS_PROPS),
+        "candidates",
     ),
     "visited_candidates": lambda out: storage.read_json(
-        out / "visited_candidates.geojson", discovery.visited_from_geojson, "visited"
+        out / "visited_candidates.geojson",
+        partial(discovery.candidates_from_geojson, props=discovery.VISITED_PROPS),
+        "visited",
     ),
 }
 
@@ -220,8 +225,9 @@ def test_all_stores_what_every_file_reads_back(study, monkeypatch):
     monkeypatch.setattr(trajectory, "load_trajectories_csv", lambda *a, **k: parses.append("traj"))
     monkeypatch.setattr(clips, "parse_cutlist", lambda *a: parses.append("cutlist"))
     monkeypatch.setattr(review, "load_reviewed_json", lambda *a: parses.append("reviewed"))
-    for name in ("candidates_from_geojson", "visited_from_geojson"):
-        monkeypatch.setattr(discovery, name, lambda *a, name=name: parses.append(name))
+    monkeypatch.setattr(
+        discovery, "candidates_from_geojson", lambda *a, props: parses.append(list(props))
+    )
     _run(config, "subj-intxns", "export-kml", "traj", "clips", "template")
     assert parses == []
 

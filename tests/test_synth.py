@@ -16,16 +16,15 @@ def test_grid_junction_and_candidate_counts(tmp_path):
     assert len(gt.junctions) == 16
     # Brute-force oracle: degree = number of polyline vertices coincident
     # with each junction across the generated network.
-    vertex_counts = Counter()
-    for _, points in scenario.network.polylines:
-        for p in points:
-            vertex_counts[(p.lat_deg, p.lon_deg)] += 1
+    network = scenario.network
+    vertex_counts = Counter(zip(network.lat.tolist(), network.lon.tolist()))
+    assert network.first.tolist() == list(range(0, 2 * len(network.line_id) + 1, 2))
     for pos, degree in gt.junctions:
         assert vertex_counts[(pos.lat_deg, pos.lon_deg)] == degree
     # 4x4 grid: 4 corners of degree 2 are excluded, 12 candidates remain.
     assert len(gt.candidates) == 12
-    assert all(c.degree >= 3 for c in gt.candidates)
-    assert sorted(c.intxn_id for c in gt.candidates) == list(range(1, 13))
+    assert all(d >= 3 for d in gt.candidates.props["degree"])
+    assert gt.candidates.intxn_id == list(range(1, 13))
 
 
 def test_drive_passes_three_controlled_junctions(tmp_path):
@@ -66,7 +65,7 @@ def test_generated_tables_clean_without_drops(tmp_path):
 def test_ground_truth_ids_consistent(tmp_path):
     scenario = generate(ScenarioSpec(), tmp_path)
     gt = scenario.ground_truth
-    candidate_ids = {c.intxn_id for c in gt.candidates}
+    candidate_ids = set(gt.candidates.intxn_id)
     assert set(gt.visited_ids) <= candidate_ids
     for traj in gt.trajectories.values():
         assert traj.intxn_id in set(gt.visited_ids)

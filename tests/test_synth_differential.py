@@ -19,10 +19,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_writer, format_time_utc
+from oracles import (
+    IntersectionCandidate,
+    candidate_rows,
+    candidates_of,
+    csv_writer,
+    format_time_utc,
+    network_of,
+)
 
 from intxn_pipeline.clips import VIDEO_COLUMNS
-from intxn_pipeline.discovery import IntersectionCandidate
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import SensorTable, to_us, write_sensor_csv
 from intxn_pipeline.storage import resolve_uri
@@ -32,12 +38,10 @@ from intxn_pipeline.synth import (
     GroundTruth,
     ScenarioSpec,
     SynthScenario,
-    _build_network,
     _controlled_cols,
     _drive_start,
     _driven_row,
     _Grid,
-    _network_geojson,
     _sample_offsets_us,
     _subj_name,
     _write_reviewed_kml,
@@ -51,6 +55,37 @@ def old_write_json(doc, dest):
         handle.write("\n")
 
 
+def old_build_network(grid):
+    """The grid's polylines, as (line_id, vertex list) pairs."""
+    spec = grid.spec
+    polylines = []
+    for i in range(spec.grid_rows):
+        for j in range(spec.grid_cols - 1):
+            polylines.append((f"h{i}-{j}", [grid.junction(i, j), grid.junction(i, j + 1)]))
+    for i in range(spec.grid_rows - 1):
+        for j in range(spec.grid_cols):
+            polylines.append((f"v{i}-{j}", [grid.junction(i, j), grid.junction(i + 1, j)]))
+    return polylines
+
+
+def old_network_geojson(polylines):
+    return {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "id": line_id,
+                "geometry": {
+                    "type": "LineString",
+                    "coordinates": [[p.lon_deg, p.lat_deg] for p in points],
+                },
+                "properties": {},
+            }
+            for line_id, points in polylines
+        ],
+    }
+
+
 def old_ground_truth_json(gt):
     return {
         "junctions": [
@@ -58,7 +93,7 @@ def old_ground_truth_json(gt):
         ],
         "candidates": [
             {"intxn_id": c.intxn_id, "lat": c.pos.lat_deg, "lon": c.pos.lon_deg, "degree": c.degree}
-            for c in gt.candidates
+            for c in candidate_rows(gt.candidates)
         ],
         "visited_ids": gt.visited_ids,
         "traj_counts": [
@@ -87,7 +122,7 @@ def old_generate(spec, out):
     grid = _Grid(spec)
     spacing = spec.sample_spacing_ft
     rng = random.Random(spec.seed)
-    network = _build_network(grid)
+    polylines = old_build_network(grid)
 
     junctions = []
     for i in range(spec.grid_rows):
@@ -179,7 +214,7 @@ def old_generate(spec, out):
 
     ground_truth = GroundTruth(
         junctions=junctions,
-        candidates=candidates,
+        candidates=candidates_of(candidates),
         visited_ids=[intxn_id for intxn_id, _, _ in controlled],
         traj_counts=traj_counts,
         trajectories=trajectories,
@@ -192,7 +227,7 @@ def old_generate(spec, out):
         "ground_truth": out / "ground_truth.json",
     }
     out.mkdir(parents=True, exist_ok=True)
-    old_write_json(_network_geojson(network), paths["network"])
+    old_write_json(old_network_geojson(polylines), paths["network"])
 
     paths["sensor_files"] = []
     for subj in sorted(sensor_by_subj):
@@ -224,7 +259,7 @@ def old_generate(spec, out):
 
     _write_reviewed_kml(paths["reviewed_kml"], grid, controlled)
     old_write_json(old_ground_truth_json(ground_truth), paths["ground_truth"])
-    return SynthScenario(spec, network, ground_truth, paths)
+    return SynthScenario(spec, network_of(polylines), ground_truth, paths)
 
 
 # The benchmark's three workload shapes, as perfbench/run.py declares them.
@@ -268,7 +303,8 @@ def test_generate_matches_per_sample_original(tmp_path, case):
     for name, data in old_files.items():
         assert new_files[name] == data, name
     assert new.ground_truth == old.ground_truth
-    assert new.network.polylines == old.network.polylines
+    for column in ("line_id", "lat", "lon", "first"):
+        assert list(getattr(new.network, column)) == list(getattr(old.network, column))
     assert _relative(new.paths, tmp_path / "new") == _relative(old.paths, tmp_path / "old")
 
 
