@@ -9,7 +9,7 @@ times each past three controlled junctions, sampled at 0.5 Hz, which gives
 the traj stage gets, as the clean file holds it. Each bench times one
 layer's call in memory, seven rounds: extraction, writing the trajectory
 CSV (also with a comma in every subject, so that every subj and traj_id
-is quoted), building the clip specs, writing the cut-list and its script,
+is quoted), building the cut-list, writing it and its script,
 and building and writing the review template.
 """
 
@@ -54,7 +54,7 @@ def trajs(study):
 
 
 @pytest.fixture(scope="module")
-def specs(study, trajs):
+def cut(study, trajs):
     return build_clip_specs(trajs, study["videos"])[0]
 
 
@@ -89,26 +89,29 @@ def test_write_trajectories_csv_quoted(benchmark, trajs):
 
 
 def test_build_clip_specs(benchmark, study, trajs):
-    specs, report = benchmark.pedantic(build_clip_specs, (trajs, study["videos"]), rounds=ROUNDS)
-    assert len(specs) == len(trajs) and not report["unclippable"]
+    cut, report = benchmark.pedantic(build_clip_specs, (trajs, study["videos"]), rounds=ROUNDS)
+    assert len(cut) == len(trajs) and not report["unclippable"]
 
 
-def test_emit_cutlist(benchmark, specs):
+def test_emit_cutlist(benchmark, cut):
     def emit():
-        return emit_cutlist(specs, io.StringIO(newline=""), io.StringIO(newline=""))
+        out = [io.StringIO(newline=""), io.StringIO(newline="")]
+        emit_cutlist(cut, *out)
+        return out
 
-    assert len(benchmark.pedantic(emit, rounds=ROUNDS)) == len(specs)
+    cutlist, script = benchmark.pedantic(emit, rounds=ROUNDS)
+    assert cutlist.getvalue().count("\n") == len(cut) + 2 == script.getvalue().count("\n") + 2
 
 
-def test_build_review_template(benchmark, study, trajs, specs):
+def test_build_review_template(benchmark, study, trajs, cut):
     rows, _, warnings = benchmark.pedantic(
-        build_review_template, (trajs, specs, study["participants"]), rounds=ROUNDS
+        build_review_template, (trajs, cut, study["participants"]), rounds=ROUNDS
     )
     assert len(rows["stop_traj_id"]) == len(trajs) and not warnings["missing_demographics"]
 
 
-def test_write_review_csv(benchmark, study, trajs, specs):
-    columns, _, _ = build_review_template(trajs, specs, study["participants"])
+def test_write_review_csv(benchmark, study, trajs, cut):
+    columns, _, _ = build_review_template(trajs, cut, study["participants"])
 
     def write():
         buf = io.StringIO(newline="")

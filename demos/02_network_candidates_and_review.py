@@ -88,4 +88,4 @@ for row, (intxn_id, control) in enumerate(zip(reviewed.intxn_id, reviewed.contro
         f"reviewed intersection {intxn_id}: control={control}, "
         f"{int((reviewed.owner == row).sum())} approach(es)"
     )
-print(f"rejects: {[(r.kind, r.reason) for r in rejects] or 'none'}")
+print(f"rejects: {[(r['kind'], r['reason']) for r in rejects] or 'none'}")

@@ -69,19 +69,20 @@ print(
 
 print("\n== 5. clips and review template ==")
 videos = read_videos_csv(scenario.paths["videos"])
-specs, clip_report = build_clip_specs(trajs, videos)
-spec = specs[0]
+# The cut-list is columns too, its rows in traj_id order.
+cut, clip_report = build_clip_specs(trajs, videos)
+k = cut.traj_id.index(sample_id)
 print(
-    f"{spec.traj_id}: seek {spec.in_offset_s:.3f} s, duration {spec.duration_s:.3f} s, "
-    f"overlay {spec.overlay_on_s:.3f}..{spec.overlay_off_s:.3f} s "
+    f"{sample_id}: seek {cut.in_offset_s[k]:.3f} s, duration {cut.duration_s[k]:.3f} s, "
+    f"overlay {cut.overlay_on_s[k]:.3f}..{cut.overlay_off_s[k]:.3f} s "
     f"(expected {expected.overlay_on_s:.3f}..{expected.overlay_off_s:.3f})"
 )
 participants = read_demographics(scenario.paths["demographics"])
 rows, manifest, warnings = build_review_template(
-    trajs, specs, participants, custom_fields={"stop_type": ["full", "rolling", "none"]}
+    trajs, cut, participants, custom_fields={"stop_type": ["full", "rolling", "none"]}
 )
 print(f"review rows {len(trajs)}, validation manifest {manifest}, warnings {warnings}")
-overlay_by_id = {s.traj_id: s.overlay_on_s for s in specs}
+overlay_by_id = dict(zip(cut.traj_id, cut.overlay_on_s.tolist()))
 aligned = all(
     jump == overlay_by_id[traj_id]
     for traj_id, jump in zip(rows["stop_traj_id"], rows["jump_to_ref"])

@@ -239,7 +239,7 @@ def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
         ),
         "intersections": len(reviewed),
         "approaches": len(reviewed.leg_id),
-        "rejects": [{"kind": r.kind, "name": r.name, "reason": r.reason} for r in rejects],
+        "rejects": rejects,
     }
     summary = f"import-review: {len(reviewed)} true intersections, {len(rejects)} rejects"
     return summary, [(out, report)]
@@ -283,13 +283,12 @@ def stage_clips(
         on_upstream_ft=cfg.params["overlay_on_upstream_ft"],
         off_downstream_ft=cfg.params["overlay_off_downstream_ft"],
     )
-    specs, report = clips_mod.build_clip_specs(trajs, videos, overlay)
+    cut, report = clips_mod.build_clip_specs(trajs, videos, overlay)
     out = cfg.output_path("cutlist")
-    script_out = cfg.output_path("cutlist_script")
-    written = clips_mod.emit_cutlist(specs, out, script_out, processor=cfg.processor)
-    _store.put("cutlist", out, written)
-    summary = f"clips: {len(specs)} clip specs, {len(report['unclippable'])} unclippable"
-    return summary, [(out, {"trajectories": len(trajs), "clips": len(specs), **report})]
+    clips_mod.emit_cutlist(cut, out, cfg.output_path("cutlist_script"), processor=cfg.processor)
+    _store.put("cutlist", out, cut)
+    summary = f"clips: {len(cut)} clip specs, {len(report['unclippable'])} unclippable"
+    return summary, [(out, {"trajectories": len(trajs), "clips": len(cut), **report})]
 
 
 @_stage(
@@ -303,11 +302,11 @@ def stage_template(
     cfg: PipelineConfig, traj_path: Path, sensor_path: Path, cutlist_path: Path, demo_path: Path
 ) -> StageResult:
     trajs = _trajectories(traj_path, sensor_path)
-    specs = _store.load("cutlist", cutlist_path, clips_mod.parse_cutlist)
+    cut = _store.load("cutlist", cutlist_path, clips_mod.parse_cutlist)
     participants = review.read_demographics(demo_path)
     columns, manifest, warnings = review.build_review_template(
         trajs,
-        specs,
+        cut,
         participants,
         custom_fields=cfg.custom_fields,
         video_base_url=cfg.video_base_url,

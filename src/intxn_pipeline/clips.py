@@ -14,8 +14,9 @@ as they are and works on their columns: it matches every trajectory to its
 video, and finds every clip's span and overlay times, with array
 operations in integer microseconds.
 Overlay times round as ``datetime.fromtimestamp`` rounds, and every time is
-cut to the millisecond as the cut-list prints it, so the specs are exactly
+cut to the millisecond as the cut-list prints it, so the clips are exactly
 those of matching, interpolating and rounding one trajectory at a time.
+They are one ``CutList``, a column per field, from ``clips`` to ``template``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from __future__ import annotations
 import shlex
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import IO
 
 import numpy as np
 
@@ -42,7 +42,9 @@ VIDEO_COLUMNS = ("uri", "subj", "drive", "start_time_utc", "end_time_utc", "fps"
 # to 10% of frame width.
 OVERLAY_BOX_EXPR = "x=0.45*iw:y=0.3*ih-0.05*iw:w=0.1*iw:h=0.1*iw:color=red:t=fill"
 # Quoted once: a 3-decimal overlay time holds nothing shlex.quote escapes.
-_DRAWBOX = shlex.quote(f"drawbox={OVERLAY_BOX_EXPR}:enable='between(t,{{:.3f}},{{:.3f}})'")
+_DRAWBOX = shlex.quote(f"drawbox={OVERLAY_BOX_EXPR}:enable='between(t,{{}},{{}})'")
+_NAMES = ("traj_id", "source_uri", "output_name")  # a cut-list entry's texts
+_TIMES = ("in_offset_s", "duration_s", "overlay_on_s", "overlay_off_s")
 
 
 @dataclass(eq=False)
@@ -74,30 +76,48 @@ class OverlayParams:
             raise ValueError("overlay distances must be nonnegative")
 
 
-class _ClipFields(NamedTuple):
-    traj_id: str
-    source_uri: str
-    in_offset_s: float
-    duration_s: float
-    overlay_on_s: float
-    overlay_off_s: float
-    output_name: str
+@dataclass(eq=False)
+class CutList:
+    """The clips to cut as columns, rows sorted by traj_id, times read-only.
+    Built from rows in any order; ValueError names the first clip given whose
+    offset is not finite and 0 or more, duration not finite and positive, or
+    overlay not 0 <= on <= off <= duration + 1e-9, or a repeated traj_id or
+    output_name."""
 
+    traj_id: list[str]
+    source_uri: list[str]
+    in_offset_s: np.ndarray
+    duration_s: np.ndarray
+    overlay_on_s: np.ndarray
+    overlay_off_s: np.ndarray
+    output_name: list[str]
 
-class ClipSpec(_ClipFields):
-    """One clip to cut: an immutable tuple of its fields."""
+    def __post_init__(self) -> None:
+        times = np.array([getattr(self, key) for key in _TIMES], dtype=float)
+        at, length, on, off = times
+        span = (at >= 0) & (length > 0) & np.isfinite(at) & np.isfinite(length)
+        bad = np.flatnonzero(~span | ~((0 <= on) & (on <= off) & (off <= length + 1e-9)))
+        if len(bad):
+            reason = "overlay interval outside clip" if span[bad[0]] else "bad offset/duration"
+            raise ValueError(f"clip {self.traj_id[bad[0]]}: {reason}")
+        order = sorted(range(len(at)), key=self.traj_id.__getitem__)
+        times = times[:, order]
+        times.flags.writeable = False  # and so are its rows, the time columns
+        self.in_offset_s, self.duration_s, self.overlay_on_s, self.overlay_off_s = times
+        names = (self.traj_id, self.source_uri, self.output_name)
+        self.traj_id, self.source_uri, self.output_name = ([c[k] for k in order] for c in names)
+        for key, names in (("traj_id", self.traj_id), ("output_name", sorted(self.output_name))):
+            repeated = [a for a, b in pairwise(names) if a == b]
+            if repeated:
+                raise ValueError(f"repeated {key} {repeated[0]}")
 
-    __slots__ = ()
+    def __len__(self) -> int:
+        return len(self.traj_id)
 
-    def __new__(
-        cls, traj_id, source_uri, in_offset_s, duration_s, overlay_on_s, overlay_off_s, output_name
-    ):
-        if in_offset_s < 0 or duration_s <= 0:
-            raise ValueError(f"clip {traj_id}: bad offset/duration")
-        if not 0 <= overlay_on_s <= overlay_off_s <= duration_s + 1e-9:
-            raise ValueError(f"clip {traj_id}: overlay interval outside clip")
-        fields = traj_id, source_uri, in_offset_s, duration_s, overlay_on_s, overlay_off_s
-        return tuple.__new__(cls, fields + (output_name,))
+    def __eq__(self, other):
+        if type(other) is not CutList:
+            return NotImplemented
+        return all([*getattr(self, k)] == [*getattr(other, k)] for k in _NAMES + _TIMES)
 
 
 def _written(seconds: float) -> float:
@@ -209,8 +229,8 @@ def build_clip_specs(
     trajs: TrajectoryTable,
     videos: VideoTable,
     overlay: OverlayParams | None = None,
-) -> tuple[list[ClipSpec], dict[str, list]]:
-    """Build one ClipSpec per clippable trajectory plus a problem report.
+) -> tuple[CutList, dict[str, list]]:
+    """Build the cut-list of every clippable trajectory plus a problem report.
 
     Each trajectory gets the video ``_match_videos`` picks for it. The report
     maps ``unclippable`` to (traj_id, reason) entries and ``warnings`` to
@@ -246,16 +266,14 @@ def build_clip_specs(
         "unclippable": [{"traj_id": ids[k], "reason": reasons[k]} for k in sorted(reasons)],
         "warnings": [{"traj_id": ids[k], "warning": "spans_files"} for k in warned],
     }
+    names = [ids[k] for k in rows[kept].tolist()]
     uris = videos.uri[video[kept]].tolist()
-    specs = [
-        ClipSpec(ids[k], uri, *times, f"{ids[k]}.mp4")
-        for k, uri, *times in zip(rows[kept].tolist(), uris, *(w[kept].tolist() for w in written))
-    ]
-    return specs, report
+    outputs = [f"{name}.mp4" for name in names]
+    return CutList(names, uris, *(w[kept] for w in written), outputs), report
 
 
 def emit_cutlist(
-    specs: list[ClipSpec],
+    cut: CutList,
     json_dest: str | Path | IO,
     script_dest: str | Path | IO | None = None,
     processor: str = "ffmpeg",
@@ -266,47 +284,47 @@ def emit_cutlist(
     clips can be rendered later, elsewhere, or not at all (dry runs).
     Numbers are serialized with exactly three decimals. Given paths, both
     files are written inside one ``with``, so a failure while writing either
-    leaves neither file behind. Returns the specs in traj_id order, which
-    for specs of ``build_clip_specs`` is what ``parse_cutlist`` reads back.
-    Both are rendered a field and ``WRITE_ROWS`` specs at a time.
+    leaves neither file behind. Both are rendered a field and ``WRITE_ROWS``
+    clips at a time.
     """
-    ordered = sorted(specs, key=attrgetter("traj_id"))
-    names = [s.output_name for s in ordered]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate output names in cut-list")
     script_cm = nullcontext() if script_dest is None else resolve_uri(script_dest, "w")
     as_json = encode_basestring_ascii
     with resolve_uri(json_dest, "w") as handle, script_cm as script:
-        handle.write("[\n" if ordered else "[]\n")
-        for start in range(0, len(ordered), WRITE_ROWS):
-            ids, uris, *times, outputs = zip(*ordered[start : start + WRITE_ROWS])
-            at, length, on, off = ([*map(format, column, repeat(".3f"))] for column in times)
+        handle.write("[\n" if len(cut) else "[]\n")
+        for start in range(0, len(cut), WRITE_ROWS):
+            rows = slice(start, start + WRITE_ROWS)
+            ids, uris, outputs, *times = (getattr(cut, key)[rows] for key in _NAMES + _TIMES)
+            at, length, on, off = ([*map(format, t.tolist(), repeat(".3f"))] for t in times)
             cells = interleave(len(ids), [
                 '  {"traj_id": ', map(as_json, ids), ', "source_uri": ', map(as_json, uris),
                 ', "in_offset_s": ', at, ', "duration_s": ', length, ', "overlay_on_s": ', on,
                 ', "overlay_off_s": ', off, ', "output_name": ', map(as_json, outputs), "},\n",
             ])
-            if start + WRITE_ROWS >= len(ordered):
+            if start + WRITE_ROWS >= len(cut):
                 cells[-1] = "}\n]\n"
             handle.write("".join(cells))
             if script is not None:
                 quoted = {uri: shlex.quote(uri) for uri in set(uris)}
                 script.write("".join(interleave(len(ids), [
                     f"{processor} -y -ss ", at, " -t ", length, " -i ", map(quoted.get, uris),
-                    " -vf ", map(_DRAWBOX.format, times[2], times[3]),
-                    " ", map(shlex.quote, outputs), "\n",
+                    " -vf ", map(_DRAWBOX.format, on, off), " ", map(shlex.quote, outputs), "\n",
                 ])))
-    return ordered
 
 
-def _clip_specs(entries: list) -> list[ClipSpec]:
-    times = ("in_offset_s", "duration_s", "overlay_on_s", "overlay_off_s")
-    return [
-        ClipSpec(e["traj_id"], e["source_uri"], *(float(e[k]) for k in times), e["output_name"])
-        for e in entries
-    ]
+def _cutlist(entries: list) -> CutList:
+    """The ``CutList`` of a cut-list document's entries; TypeError for a
+    document that is not an array, a name that is not a str, or a time
+    that is not a JSON number (``true`` and ``"10"`` are none)."""
+    if type(entries) is not list:
+        raise TypeError(f"a cut-list is an array, not a {type(entries).__name__}")
+    columns = {key: [entry[key] for entry in entries] for key in _NAMES + _TIMES}
+    for key, column in columns.items():
+        bad = [v for v in column if type(v) not in ((str,) if key in _NAMES else (int, float))]
+        if bad:
+            raise TypeError(f"{key} {bad[0]!r} is a {type(bad[0]).__name__}")
+    return CutList(**columns)
 
 
-def parse_cutlist(source: str | Path | IO) -> list[ClipSpec]:
+def parse_cutlist(source: str | Path | IO) -> CutList:
     """Read a cut-list; raises DataError on invalid JSON or a bad entry."""
-    return read_json(source, _clip_specs, "cut-list JSON")
+    return read_json(source, _cutlist, "cut-list JSON")

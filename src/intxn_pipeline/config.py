@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -120,17 +120,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    known_keys = {
-        "workspace",
-        "inputs",
-        "outputs",
-        "params",
-        "processor",
-        "custom_fields",
-        "video_base_url",
-        "synth",
-    }
-    unknown = sorted(set(doc) - known_keys)
+    unknown = sorted(set(doc) - {f.name for f in fields(PipelineConfig)})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -140,17 +130,12 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
 
     workspace = (path.parent / doc.get("workspace", ".")).resolve()
 
-    inputs = dict(DEFAULT_INPUTS)
-    inputs.update(doc.get("inputs", {}))
-    unknown = sorted(set(inputs) - set(DEFAULT_INPUTS))
-    if unknown:
-        raise ConfigError(f"unknown input keys: {', '.join(unknown)}")
-
-    out_cfg = dict(DEFAULT_OUTPUTS)
-    out_cfg.update(doc.get("outputs", {}))
-    unknown = sorted(set(out_cfg) - set(DEFAULT_OUTPUTS))
-    if unknown:
-        raise ConfigError(f"unknown output keys: {', '.join(unknown)}")
+    for kind, defaults in (("input", DEFAULT_INPUTS), ("output", DEFAULT_OUTPUTS)):
+        unknown = sorted(set(doc.get(kind + "s", {})) - set(defaults))
+        if unknown:
+            raise ConfigError(f"unknown {kind} keys: {', '.join(unknown)}")
+    inputs = {**DEFAULT_INPUTS, **doc.get("inputs", {})}
+    out_cfg = {**DEFAULT_OUTPUTS, **doc.get("outputs", {})}
     outputs = {key: workspace / str(value) for key, value in out_cfg.items()}
 
     params = dict(PARAM_DEFAULTS)

@@ -50,6 +50,7 @@ from .storage import (
 )
 
 if TYPE_CHECKING:
+    from .clips import CutList
     from .discovery import Candidates
     from .trajectory import TrajectoryTable
 
@@ -101,13 +102,6 @@ class ReviewedSet:
         if type(other) is not ReviewedSet:
             return NotImplemented
         return reviewed_to_json(self) == reviewed_to_json(other)
-
-
-@dataclass
-class RejectEntry:
-    kind: str  # intersection | polygon | line
-    name: str
-    reason: str
 
 
 def export_candidates_kml(candidates: Candidates, dest: str | Path | IO) -> None:
@@ -325,7 +319,7 @@ def import_reviewed_kml(
     source: str | Path | IO | KmlFeatures,
     polygon_match_ft: float = POLYGON_MATCH_FT,
     line_edge_match_ft: float = LINE_EDGE_MATCH_FT,
-) -> tuple[ReviewedSet, list[RejectEntry]]:
+) -> tuple[ReviewedSet, list[dict[str, str]]]:
     """Assemble reviewed intersections from a human-edited KML or its ``KmlFeatures``.
 
     Point placemarks under a folder named ``true`` (or all point placemarks
@@ -335,7 +329,7 @@ def import_reviewed_kml(
     midpoint, else the polygon with the nearest edge within
     ``line_edge_match_ft``. Geometry that cannot be assigned, approaches
     without a direction line, and intersections without approaches all land
-    in the rejects report rather than raising.
+    in the rejects report, as kind/name/reason rows, rather than raising.
 
     Centroids, midpoints, the intersections near each centroid and the
     polygons near each midpoint are array passes over all polygons and
@@ -345,21 +339,23 @@ def import_reviewed_kml(
     """
     feats = source if isinstance(source, KmlFeatures) else parse_kml_features(source)
     points, polygons, lines = feats.points, feats.polygons, feats.lines
-    rejects: list[RejectEntry] = []
+    rejects: list[dict[str, str]] = []
+    def reject(kind: str, name: str, reason: str) -> None:
+        rejects.append({"kind": kind, "name": name, "reason": reason})
     intersections: dict[int, tuple[int, str]] = {}  # intxn_id -> (point, control)
     for k in feats.true_points().tolist():
         name = points.names[k]
         try:
             intxn_id = int(name)
         except ValueError:
-            rejects.append(RejectEntry("intersection", name, "non_integer_name"))
+            reject("intersection", name, "non_integer_name")
             continue
         if intxn_id in intersections:
-            rejects.append(RejectEntry("intersection", name, "duplicate_id"))
+            reject("intersection", name, "duplicate_id")
             continue
         control = points.extended[k].get("control", "stop")
         if control not in CONTROL_TYPES:
-            rejects.append(RejectEntry("intersection", name, "invalid_control"))
+            reject("intersection", name, "invalid_control")
             continue
         intersections[intxn_id] = (k, control)
 
@@ -393,9 +389,9 @@ def import_reviewed_kml(
     owners = iter(owner.tolist())
     for k, ok in enumerate(valid.tolist()):
         if not ok:
-            rejects.append(RejectEntry("polygon", polygons.names[k], "invalid_polygon"))
+            reject("polygon", polygons.names[k], "invalid_polygon")
         elif (i := next(owners)) < 0:
-            rejects.append(RejectEntry("polygon", polygons.names[k], "unassigned_polygon"))
+            reject("polygon", polygons.names[k], "unassigned_polygon")
         else:
             pending.append([ids[i], k, None])
 
@@ -439,22 +435,23 @@ def import_reviewed_kml(
     picks = iter(pick.tolist())
     for k, ok in enumerate(valid.tolist()):
         if not ok:
-            rejects.append(RejectEntry("line", lines.names[k], "invalid_line"))
+            reject("line", lines.names[k], "invalid_line")
         elif (i := next(picks)) < 0:
-            rejects.append(RejectEntry("line", lines.names[k], "unassigned_line"))
+            reject("line", lines.names[k], "unassigned_line")
         elif pending[i][2] is not None:
-            rejects.append(RejectEntry("line", lines.names[k], "extra_line"))
+            reject("line", lines.names[k], "extra_line")
         else:
             pending[i][2] = k
 
     for _, k, line_k in pending:
         if line_k is None:
-            rejects.append(RejectEntry("polygon", polygons.names[k], "no_entering_line"))
+            reject("polygon", polygons.names[k], "no_entering_line")
     # Sorted stably, so each intersection's legs keep their document order.
     legs = sorted((leg for leg in pending if leg[2] is not None), key=lambda leg: leg[0])
     kept = sorted({intxn_id for intxn_id, _, _ in legs})
     row = {intxn_id: r for r, intxn_id in enumerate(kept)}
-    rejects += [RejectEntry("intersection", str(i), "no_polygons") for i in ids if i not in row]
+    for i in sorted(set(ids) - set(kept)):
+        reject("intersection", str(i), "no_polygons")
     owner = np.array([row[intxn_id] for intxn_id, _, _ in legs], dtype=np.int64)
     spots = np.array([intersections[i][0] for i in kept], dtype=np.int64)
     reviewed = ReviewedSet(
@@ -587,7 +584,7 @@ def read_demographics(source: str | Path | IO) -> dict[str, tuple[str, str]]:
 
 def build_review_template(
     trajs: TrajectoryTable,
-    clips: list,
+    clips: CutList,
     participants: dict[str, tuple[str, str]],
     custom_fields: dict[str, list[str]] | None = None,
     video_base_url: str = "",
@@ -603,12 +600,11 @@ def build_review_template(
     demographics only costs a warning count.
     """
     custom_fields = custom_fields or {}
-    by_traj = {c.traj_id: c for c in clips}
     ids = trajs.traj_ids()
-    matched = list(map(by_traj.get, ids))
-    for traj_id, clip in zip(ids, matched):
-        if clip is None:
-            raise DataError(f"no clip for trajectory {traj_id}")
+    row = dict(zip(clips.traj_id, range(len(clips))))
+    at = [row.get(traj_id, -1) for traj_id in ids]
+    if -1 in at:
+        raise DataError(f"no clip for trajectory {ids[at.index(-1)]}")
     subj, drive = trajs.key_texts()
     demographics = list(map(participants.get, subj))
     known = [demo or ("", "") for demo in demographics]
@@ -620,8 +616,8 @@ def build_review_template(
         _time_texts(trajs.sensor.t_us[trajs.ref]),
         [age for age, _ in known],
         [gender for _, gender in known],
-        [clip.overlay_on_s for clip in matched],
-        [video_base_url + clip.output_name for clip in matched],
+        clips.overlay_on_s[at].tolist(),
+        [video_base_url + clips.output_name[k] for k in at],
     )))
     columns.update((name, [""] * len(ids)) for name in custom_fields)
     manifest = {name: list(values) for name, values in custom_fields.items()}

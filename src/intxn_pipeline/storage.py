@@ -247,7 +247,7 @@ class Store(dict):
         whole file is read and those bytes hashed and parsed, so a file
         replaced meanwhile is never stored under another content's digest.
         The caller gets a shallow copy of the stored object, so it cannot
-        rebind the stored one's fields or change its list.
+        rebind the stored one's fields.
         """
         held = self.get(key)
         if held is not None:

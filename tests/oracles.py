@@ -7,6 +7,15 @@ the CSV files went through before ``storage.write_csv``;
 clip, as ``clips.emit_cutlist`` did before it rendered them a field at a
 time. Tests compare the new writers' bytes with these.
 
+``ClipSpec`` is one clip as an immutable tuple that checks its times, as
+``clips`` held each clip before the columnar ``clips.CutList``;
+``clip_specs`` and ``cutlist_of`` turn a cut-list into such tuples and
+back. ``old_build_clip_specs`` matches videos and interpolates overlay
+times one trajectory at a time with ``datetime`` arithmetic, from the
+trajectories as ``trajectory_rows`` gives them and the videos as
+``video_rows`` gives them, as ``clips.build_clip_specs`` did before it
+worked on columns.
+
 ``old_parse_kml_features`` reads a KML one placemark and one coordinate
 tuple at a time, as ``review.parse_kml_features`` did before it read all
 coordinate texts at once; ``placemark_rows`` turns the new reader's
@@ -38,14 +47,16 @@ import operator
 import shlex
 import types
 import xml.etree.ElementTree as ET
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
-from intxn_pipeline.clips import OVERLAY_BOX_EXPR
+from intxn_pipeline.clips import OVERLAY_BOX_EXPR, CutList, _written
 from intxn_pipeline.errors import KmlParseError
 from intxn_pipeline.discovery import Candidates, RoadNetwork, dbscan_labels
 from intxn_pipeline.geo import (
@@ -58,12 +69,8 @@ from intxn_pipeline.geo import (
     joined,
     point_to_segment_ft,
 )
-from intxn_pipeline.review import (
-    CONTROL_TYPES,
-    TRUE_FOLDER,
-    RejectEntry,
-    reviewed_from_json,
-)
+from intxn_pipeline.ingest import EPOCH
+from intxn_pipeline.review import CONTROL_TYPES, TRUE_FOLDER, reviewed_from_json
 from intxn_pipeline.storage import resolve_uri
 
 
@@ -126,6 +133,159 @@ def old_emit_cutlist(specs, processor: str = "ffmpeg") -> tuple[str, str]:
     else:
         body = "[]\n"
     return body, "".join(clip_command(s, processor) + "\n" for s in ordered)
+
+
+class _ClipFields(NamedTuple):
+    traj_id: str
+    source_uri: str
+    in_offset_s: float
+    duration_s: float
+    overlay_on_s: float
+    overlay_off_s: float
+    output_name: str
+
+
+class ClipSpec(_ClipFields):
+    """One clip to cut: an immutable tuple of its fields."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, traj_id, source_uri, in_offset_s, duration_s, overlay_on_s, overlay_off_s, output_name
+    ):
+        if in_offset_s < 0 or duration_s <= 0:
+            raise ValueError(f"clip {traj_id}: bad offset/duration")
+        if not 0 <= overlay_on_s <= overlay_off_s <= duration_s + 1e-9:
+            raise ValueError(f"clip {traj_id}: overlay interval outside clip")
+        fields = traj_id, source_uri, in_offset_s, duration_s, overlay_on_s, overlay_off_s
+        return tuple.__new__(cls, fields + (output_name,))
+
+
+def clip_specs(cut: CutList) -> list[ClipSpec]:
+    """Each row of a ``clips.CutList``, in its order, as a ``ClipSpec``."""
+    columns = [getattr(cut, key) for key in ClipSpec._fields]
+    return [ClipSpec(*row) for row in zip(*(getattr(c, "tolist", lambda: c)() for c in columns))]
+
+
+def cutlist_of(specs: list[ClipSpec]) -> CutList:
+    """The ``clips.CutList`` of ``specs``, in any order."""
+    columns = [list(column) for column in zip(*specs)] or [[] for _ in ClipSpec._fields]
+    return CutList(*columns)
+
+
+def from_us(us) -> datetime:
+    return EPOCH + timedelta(microseconds=int(us))
+
+
+@dataclass
+class OldVideo:
+    """A row of the video table, as the original reader gave it."""
+
+    uri: str
+    subj: str
+    drive: int
+    start_time_utc: datetime
+    end_time_utc: datetime
+    fps: float
+
+
+def video_rows(videos) -> list[OldVideo]:
+    """Each row of a ``clips.VideoTable`` as an ``OldVideo``."""
+    return [
+        OldVideo(uri, subj, drive, from_us(start), from_us(end), fps)
+        for subj, drive, start, end, fps, uri in row_tuples(videos)
+    ]
+
+
+def trajectory_rows(trajs) -> list[types.SimpleNamespace]:
+    """Each row of a ``trajectory.TrajectoryTable`` with the fields the
+    per-trajectory code read: its window ``points``, a slice of the sensor
+    table, the reference's index in it and the window's times."""
+    t_us, ids = trajs.sensor.t_us, trajs.traj_ids()
+    rows = zip(row_tuples(trajs), ids)
+    return [
+        types.SimpleNamespace(
+            traj_id=traj_id, subj=subj, drive=drive, intxn_id=intxn_id,
+            points=trajs.sensor[start:stop], ref_index=ref - start,
+            ref_cum_dist_ft=float(trajs.sensor.cum[ref]), ref_time_utc=from_us(t_us[ref]),
+            start_time_utc=from_us(t_us[start]), end_time_utc=from_us(t_us[stop - 1]),
+        )
+        for (subj, drive, intxn_id, _, ref, start, stop), traj_id in rows
+    ]
+
+
+def old_distance_crossing_time(points, target):
+    cums = points.cum.tolist()
+    i = bisect_left(cums, target)
+    if cums[i] == target:
+        return from_us(points.t_us[i])
+    c0, c1 = cums[i - 1], cums[i]
+    t0 = int(points.t_us[i - 1]) / 1_000_000
+    t1 = int(points.t_us[i]) / 1_000_000
+    frac = (target - c0) / (c1 - c0)
+    return datetime.fromtimestamp(t0 + frac * (t1 - t0), tz=timezone.utc)
+
+
+def old_overlay_time(traj, target, clip_start, clip_end):
+    cums = traj.points.cum
+    if target < cums[0]:
+        return clip_start
+    if target > cums[-1]:
+        return clip_end
+    return old_distance_crossing_time(traj.points, target)
+
+
+class OldNoCoveringVideo(Exception):
+    pass
+
+
+def old_match_video(traj, videos):
+    containing = [
+        v for v in videos
+        if v.start_time_utc <= traj.start_time_utc and traj.end_time_utc <= v.end_time_utc
+    ]
+    if containing:
+        return min(containing, key=lambda v: (v.start_time_utc, v.uri)), None
+    at_ref = [v for v in videos if v.start_time_utc <= traj.ref_time_utc <= v.end_time_utc]
+    if at_ref:
+        return min(at_ref, key=lambda v: (v.start_time_utc, v.uri)), "spans_files"
+    raise OldNoCoveringVideo(f"no video covers trajectory {traj.traj_id}")
+
+
+def old_build_clip_specs(trajs, videos, overlay):
+    """The ``ClipSpec`` of each clippable trajectory, in (subj, drive,
+    intxn_id) order, and the problem report, one trajectory at a time."""
+    by_drive = {}
+    for v in videos:
+        by_drive.setdefault((v.subj, v.drive), []).append(v)
+    specs, report = [], {"unclippable": [], "warnings": []}
+    for traj in sorted(trajs, key=lambda t: (t.subj, t.drive, t.intxn_id)):
+        try:
+            video, warning = old_match_video(traj, by_drive.get((traj.subj, traj.drive), []))
+        except OldNoCoveringVideo:
+            report["unclippable"].append({"traj_id": traj.traj_id, "reason": "no_covering_video"})
+            continue
+        if warning:
+            report["warnings"].append({"traj_id": traj.traj_id, "warning": warning})
+        clip_start = max(traj.start_time_utc, video.start_time_utc)
+        clip_end = min(traj.end_time_utc, video.end_time_utc)
+        duration = (clip_end - clip_start).total_seconds()
+        if _written(duration) <= 0:
+            report["unclippable"].append({"traj_id": traj.traj_id, "reason": "empty_overlap"})
+            continue
+        ref_cum = traj.ref_cum_dist_ft
+        t_on = old_overlay_time(traj, ref_cum - overlay.on_upstream_ft, clip_start, clip_end)
+        t_off = old_overlay_time(traj, ref_cum + overlay.off_downstream_ft, clip_start, clip_end)
+        on_s = min(max((t_on - clip_start).total_seconds(), 0.0), duration)
+        off_s = min(max((t_off - clip_start).total_seconds(), on_s), duration)
+        specs.append(
+            ClipSpec(
+                traj.traj_id, video.uri,
+                _written((clip_start - video.start_time_utc).total_seconds()),
+                _written(duration), _written(on_s), _written(off_s), f"{traj.traj_id}.mp4",
+            )
+        )
+    return specs, report
 
 
 def polyline_midpoint(points: list[GeoPoint]) -> GeoPoint:
@@ -433,11 +593,16 @@ def _edge_distance_ft(pt, ring):
     )
 
 
+def reject(kind: str, name: str, reason: str) -> dict[str, str]:
+    """A row of the import's rejects report."""
+    return {"kind": kind, "name": name, "reason": reason}
+
+
 def scalar_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
     """``review.import_reviewed_kml`` one object at a time: every polygon
     against every intersection, every line against every polygon, from the
     KML as the one-placemark-at-a-time reader gives it. Returns the
-    ``ReviewedIntersection`` list, in id order, and the rejects."""
+    ``ReviewedIntersection`` list, in id order, and the rejects report rows."""
     feats, folder_names = old_parse_kml_features(source)
     rejects = []
     if TRUE_FOLDER in folder_names:
@@ -449,14 +614,14 @@ def scalar_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
         try:
             intxn_id = int(name)
         except ValueError:
-            rejects.append(RejectEntry("intersection", name, "non_integer_name"))
+            rejects.append(reject("intersection", name, "non_integer_name"))
             continue
         if intxn_id in intersections:
-            rejects.append(RejectEntry("intersection", name, "duplicate_id"))
+            rejects.append(reject("intersection", name, "duplicate_id"))
             continue
         control = extended.get("control", "stop")
         if control not in CONTROL_TYPES:
-            rejects.append(RejectEntry("intersection", name, "invalid_control"))
+            rejects.append(reject("intersection", name, "invalid_control"))
             continue
         intersections[intxn_id] = ReviewedIntersection(intxn_id, coords[0], control)
 
@@ -465,24 +630,24 @@ def scalar_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
         try:
             ring = PolygonRing(tuple(coords))
         except ValueError:
-            rejects.append(RejectEntry("polygon", name, "invalid_polygon"))
+            rejects.append(reject("polygon", name, "invalid_polygon"))
             continue
         if not intersections:
-            rejects.append(RejectEntry("polygon", name, "unassigned_polygon"))
+            rejects.append(reject("polygon", name, "unassigned_polygon"))
             continue
         center = centroid(list(ring.vertices))
         best_id = min(
             intersections, key=lambda i: (haversine_distance_ft(center, intersections[i].pos), i)
         )
         if haversine_distance_ft(center, intersections[best_id].pos) > polygon_match_ft:
-            rejects.append(RejectEntry("polygon", name, "unassigned_polygon"))
+            rejects.append(reject("polygon", name, "unassigned_polygon"))
             continue
         pending.append({"intxn_id": best_id, "ring": ring, "name": name, "line": None})
 
     for name, _, coords, _ in feats["line"]:
         # A line whose ends coincide gives no entering bearing.
         if len(coords) < 2 or coords[0] == coords[-1]:
-            rejects.append(RejectEntry("line", name, "invalid_line"))
+            rejects.append(reject("line", name, "invalid_line"))
             continue
         mid = polyline_midpoint(coords)
         containing = [
@@ -493,17 +658,17 @@ def scalar_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
         else:
             ranked = sorted((_edge_distance_ft(mid, leg["ring"]), i) for i, leg in enumerate(pending))
             if not ranked or ranked[0][0] > line_edge_match_ft:
-                rejects.append(RejectEntry("line", name, "unassigned_line"))
+                rejects.append(reject("line", name, "unassigned_line"))
                 continue
             idx = ranked[0][1]
         if pending[idx]["line"] is not None:
-            rejects.append(RejectEntry("line", name, "extra_line"))
+            rejects.append(reject("line", name, "extra_line"))
             continue
         pending[idx]["line"] = coords
 
     for leg in pending:
         if leg["line"] is None:
-            rejects.append(RejectEntry("polygon", leg["name"], "no_entering_line"))
+            rejects.append(reject("polygon", leg["name"], "no_entering_line"))
             continue
         intxn = intersections[leg["intxn_id"]]
         intxn.approaches.append(ApproachLeg(len(intxn.approaches) + 1, leg["ring"], leg["line"]))
@@ -512,7 +677,7 @@ def scalar_import_reviewed_kml(source, polygon_match_ft, line_edge_match_ft):
     for intxn_id in sorted(intersections):
         intxn = intersections[intxn_id]
         if not intxn.approaches:
-            rejects.append(RejectEntry("intersection", str(intxn_id), "no_polygons"))
+            rejects.append(reject("intersection", str(intxn_id), "no_polygons"))
             continue
         reviewed.append(intxn)
     return reviewed, rejects

@@ -185,16 +185,15 @@ def test_criterion_4_trajectory_windows(scenario, clean, trajectories):
 def test_criterion_5_clip_timing_oracle(scenario, trajectories):
     with criterion(5, "clip timing oracle"):
         videos = read_videos_csv(scenario.paths["videos"])
-        specs, report = build_clip_specs(trajectories, videos)
+        cut, report = build_clip_specs(trajectories, videos)
         assert not report["unclippable"]
-        assert len(specs) == len(trajectories)
-        for spec in specs:
-            assert abs(spec.overlay_on_s - 3.0) <= SAMPLE_PERIOD_S
-            assert abs(spec.overlay_off_s - 7.0) <= SAMPLE_PERIOD_S
-            assert abs(spec.duration_s - 10.0) <= SAMPLE_PERIOD_S
+        assert len(cut) == len(trajectories)
+        assert (np.abs(cut.overlay_on_s - 3.0) <= SAMPLE_PERIOD_S).all()
+        assert (np.abs(cut.overlay_off_s - 7.0) <= SAMPLE_PERIOD_S).all()
+        assert (np.abs(cut.duration_s - 10.0) <= SAMPLE_PERIOD_S).all()
         participants = read_demographics(scenario.paths["demographics"])
-        rows, _, _ = build_review_template(trajectories, specs, participants)
-        overlay_by_id = {s.traj_id: s.overlay_on_s for s in specs}
+        rows, _, _ = build_review_template(trajectories, cut, participants)
+        overlay_by_id = dict(zip(cut.traj_id, cut.overlay_on_s.tolist()))
         for traj_id, jump_to_ref in zip(rows["stop_traj_id"], rows["jump_to_ref"]):
             assert jump_to_ref == overlay_by_id[traj_id]
 
@@ -214,33 +213,14 @@ def test_criterion_6_round_trip_fidelity(scenario, clean, tmp_path, trajectories
             assert abs(lon - v.pos.lon_deg) <= 1e-6
 
         videos = read_videos_csv(scenario.paths["videos"])
-        specs, _ = build_clip_specs(trajectories, videos)
+        cut, _ = build_clip_specs(trajectories, videos)
         cutlist_path = tmp_path / "cutlist.json"
-        emit_cutlist(specs, cutlist_path)
+        emit_cutlist(cut, cutlist_path)
         restored = parse_cutlist(cutlist_path)
-        assert sorted(
-            (
-                s.traj_id,
-                s.source_uri,
-                round(s.in_offset_s, 3),
-                round(s.duration_s, 3),
-                round(s.overlay_on_s, 3),
-                round(s.overlay_off_s, 3),
-                s.output_name,
-            )
-            for s in specs
-        ) == sorted(
-            (
-                s.traj_id,
-                s.source_uri,
-                s.in_offset_s,
-                s.duration_s,
-                s.overlay_on_s,
-                s.overlay_off_s,
-                s.output_name,
-            )
-            for s in restored
-        )
+        assert restored == cut and restored.traj_id == sorted(trajectories.traj_ids())
+        for key in ("in_offset_s", "duration_s", "overlay_on_s", "overlay_off_s"):
+            times = getattr(restored, key)
+            assert (times == np.round(times, 3)).all()
 
 
 def _data_outputs(ws):

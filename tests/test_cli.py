@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -18,9 +20,9 @@ from test_detection_differential import raw_detection_files
 from test_review import coord, line_mark, point_mark, polygon_mark, pt_offset
 
 import intxn_pipeline
-from intxn_pipeline import cli, ingest
+from intxn_pipeline import cli, clips, discovery, ingest, review, trajectory
 from intxn_pipeline.cli import main
-from intxn_pipeline.config import load_config
+from intxn_pipeline.config import PARAM_DEFAULTS, load_config
 from intxn_pipeline.errors import ConfigError, StorageNotFoundError, UnsupportedSchemeError
 from intxn_pipeline.geo import GeoPoint
 from intxn_pipeline.review import TRUE_FOLDER, parse_kml_features
@@ -323,6 +325,8 @@ def test_out_of_range_reviewed_coordinate_is_a_data_error(workspace, capsys, lon
 
 
 _DELETE = object()
+# The stages that write the cut-list.
+CLIPPED = ("clean", "import-review", "traj", "clips")
 
 # A hand-edited JSON input: the stages that make it, its file, the path to
 # the value edited (the whole document for an empty path), the new value or
@@ -374,6 +378,15 @@ MALFORMED_JSON = {
         ("clean", "lrs-intxns", "subj-intxns"), "out/visited_candidates.geojson",
         ("features", 0, "properties", "match_dist_ft"), -0.5, "export-kml",
     ),
+    # A cut-list's names are text and its times finite numbers, not true or "10".
+    "cutlist-int-output-name": (CLIPPED, "out/cutlist.json", (0, "output_name"), 5, "template"),
+    "cutlist-int-traj-id": (CLIPPED, "out/cutlist.json", (0, "traj_id"), 5, "template"),
+    "cutlist-nan-offset": (CLIPPED, "out/cutlist.json", (0, "in_offset_s"), math.nan, "template"),
+    "cutlist-infinite-offset": (
+        CLIPPED, "out/cutlist.json", (0, "in_offset_s"), math.inf, "template",
+    ),
+    "cutlist-bool-time": (CLIPPED, "out/cutlist.json", (0, "overlay_on_s"), True, "template"),
+    "cutlist-text-time": (CLIPPED, "out/cutlist.json", (0, "duration_s"), "10", "template"),
 }
 
 
@@ -421,6 +434,21 @@ def test_repeated_intxn_id_is_a_data_error(workspace, capsys, before, name, stag
     err = capsys.readouterr().err
     assert err.startswith("error: invalid ")
     assert f"repeated intxn_id {first['intxn_id']}" in err
+
+
+@pytest.mark.parametrize("key", ["traj_id", "output_name"])
+def test_repeated_cutlist_name_is_a_data_error(workspace, capsys, key):
+    ws, config = workspace
+    for earlier in CLIPPED:
+        assert _run(config, earlier) == 0
+    path = ws / "out" / "cutlist.json"
+    entries = json.loads(path.read_text())
+    entries[1][key] = entries[0][key]
+    path.write_text(json.dumps(entries))
+    capsys.readouterr()
+    assert _run(config, "template") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid ") and f"repeated {key} {entries[0][key]}" in err
 
 
 def test_stage_reports_reconcile(workspace):
@@ -626,6 +654,30 @@ def test_only_the_stage_runner_times_and_writes_reports():
                 outside.append(f"cli.py:{node.lineno}: {what}")
     assert outside == []
     assert inside == {"perf_counter", ".report.json"}
+
+
+def test_param_defaults_are_the_library_defaults():
+    # config.PARAM_DEFAULTS restates the default of each argument or field
+    # that a parameter feeds (discovery's DEFAULT_*, ingest.DEFAULT_JOIN_TOL_S,
+    # review's two gates, WindowParams and OverlayParams); the two copies
+    # must agree, value and type.
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    library = {
+        "tol_ft": default(discovery.extract_lrs_candidates, "tol_ft"),
+        "max_gap_s": default(discovery.last_in_runs, "max_gap_s"),
+        "eps_ft": default(discovery.cluster_detections, "eps_ft"),
+        "min_pts": default(discovery.cluster_detections, "min_pts"),
+        "max_match_ft": default(discovery.match_clusters, "max_match_ft"),
+        "join_tol_s": default(ingest.clean_cv, "join_tol_s"),
+        "polygon_match_ft": default(review.import_reviewed_kml, "polygon_match_ft"),
+        "line_edge_match_ft": default(review.import_reviewed_kml, "line_edge_match_ft"),
+        **{f.name: f.default for f in dataclasses.fields(trajectory.WindowParams)},
+        **{f"overlay_{f.name}": f.default for f in dataclasses.fields(clips.OverlayParams)},
+    }
+    typed = lambda params: {key: (value, type(value)) for key, value in params.items()}  # noqa: E731
+    assert typed(PARAM_DEFAULTS) == typed(library)
 
 
 @pytest.mark.parametrize("key", ["eps_ft", "min_pts"])

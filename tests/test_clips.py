@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import shlex
 from datetime import timedelta
 
@@ -7,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import old_emit_cutlist, reviewed_set, table_of
+from oracles import ClipSpec, clip_specs, cutlist_of, old_emit_cutlist, reviewed_set, table_of
 from test_trajectory import T0, northbound_drive, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
     OVERLAY_BOX_EXPR,
     VIDEO_COLUMNS,
-    ClipSpec,
+    CutList,
     OverlayParams,
     VideoTable,
     build_clip_specs,
@@ -47,17 +48,17 @@ def videos(*spans):
 
 
 def test_match_video_containment():
-    specs, report = build_clip_specs(_trajs(), videos())  # spans T0+4 .. T0+14
-    assert [s.source_uri for s in specs] == [A_MP4]
+    cut, report = build_clip_specs(_trajs(), videos())  # spans T0+4 .. T0+14
+    assert cut.source_uri == [A_MP4]
     assert report == {"unclippable": [], "warnings": []}
 
 
 def test_match_video_straddling_files_picks_ref_file():
     # Neither file holds T0+4 .. T0+14; the second holds the ref at T0+10.
     split = videos((0.0, 8.0, "file:///videos/part1.mp4"), (8.0, 600.0, "file:///videos/part2.mp4"))
-    specs, report = build_clip_specs(_trajs(), split)
-    assert specs[0].source_uri == "file:///videos/part2.mp4"
-    assert (specs[0].in_offset_s, specs[0].duration_s) == (0.0, 6.0)  # T0+8 .. T0+14
+    cut, report = build_clip_specs(_trajs(), split)
+    assert cut.source_uri == ["file:///videos/part2.mp4"]
+    assert (cut.in_offset_s[0], cut.duration_s[0]) == (0.0, 6.0)  # T0+8 .. T0+14
     assert report["warnings"] == [{"traj_id": "A_1_4", "warning": "spans_files"}]
 
 
@@ -68,8 +69,8 @@ def test_match_video_no_coverage_raises():
     vids = VideoTable.from_columns(
         ["A", "A"], [1, 2], window[0::2], window[1::2], [30.0, 30.0], [A_MP4, "file:///videos/b.mp4"]
     )
-    specs, report = build_clip_specs(_trajs(), vids)
-    assert specs == []
+    cut, report = build_clip_specs(_trajs(), vids)
+    assert len(cut) == 0
     assert report == {
         "unclippable": [{"traj_id": "A_1_4", "reason": "no_covering_video"}],
         "warnings": [],
@@ -79,14 +80,14 @@ def test_match_video_no_coverage_raises():
 def test_crossing_time_constant_speed():
     # 50 ft/s from T0+4: the ref (cum 500) at 6 s, cum 375 at 3.5 s, cum 575 at 7.5 s.
     overlay = OverlayParams(on_upstream_ft=125.0, off_downstream_ft=75.0)
-    specs, _ = build_clip_specs(_trajs(), videos(), overlay)
-    assert (specs[0].overlay_on_s, specs[0].overlay_off_s) == (3.5, 7.5)
+    cut, _ = build_clip_specs(_trajs(), videos(), overlay)
+    assert (cut.overlay_on_s.tolist(), cut.overlay_off_s.tolist()) == ([3.5], [7.5])
 
 
 def test_crossing_time_at_knot_returns_sample_time():
     # Cum 350 is the sample at T0+7, 3 s into the clip.
-    specs, _ = build_clip_specs(_trajs(), videos())
-    assert specs[0].overlay_on_s == 3.0
+    cut, _ = build_clip_specs(_trajs(), videos())
+    assert cut.overlay_on_s.tolist() == [3.0]
 
 
 def test_crossing_time_flat_segment_resolves_earliest():
@@ -98,16 +99,16 @@ def test_crossing_time_flat_segment_resolves_earliest():
     sensor = table_of(SensorTable, points)
     trajs = TrajectoryTable.from_columns(["A"], [1], [4], [1], [2], [0], [5], sensor=sensor)
     overlay = OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
-    specs, _ = build_clip_specs(trajs, videos(), overlay)
-    assert (specs[0].overlay_on_s, specs[0].overlay_off_s) == (1.0, 1.0)
+    cut, _ = build_clip_specs(trajs, videos(), overlay)
+    assert (cut.overlay_on_s.tolist(), cut.overlay_off_s.tolist()) == ([1.0], [1.0])
 
 
 def test_clip_specs_constant_speed_oracle():
     # Closed form at 50 ft/s: overlay on (300-150)/50 = 3 s into the clip,
     # off (300+50)/50 = 7 s, duration 500/50 = 10 s.
-    specs, report = build_clip_specs(_trajs(), videos())
+    cut, report = build_clip_specs(_trajs(), videos())
     assert not report["unclippable"] and not report["warnings"]
-    spec = specs[0]
+    (spec,) = clip_specs(cut)
     assert spec.in_offset_s == pytest.approx(4.0)
     assert spec.duration_s == pytest.approx(10.0)
     assert spec.overlay_on_s == pytest.approx(3.0)
@@ -119,61 +120,52 @@ def test_clip_specs_truncated_window_clamps_overlay_on():
     # Junction 100 ft into the drive: only 100 ft of upstream history, so
     # the 150-ft overlay target precedes the clip and clamps to 0.
     trajs = _trajs(intxns=[northbound_intersection(junction_north_ft=100.0, length_ft=100.0)])
-    specs, _ = build_clip_specs(trajs, videos())
-    assert specs[0].overlay_on_s == 0.0
-    assert specs[0].overlay_off_s == pytest.approx(3.0)  # (100+50)/50
+    cut, _ = build_clip_specs(trajs, videos())
+    assert cut.overlay_on_s[0] == 0.0
+    assert cut.overlay_off_s[0] == pytest.approx(3.0)  # (100+50)/50
 
 
 def test_clip_specs_degenerate_overlay_distances():
     trajs = _trajs()
-    specs, _ = build_clip_specs(
+    cut, _ = build_clip_specs(
         trajs, videos(), OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
     )
-    spec = specs[0]
+    (spec,) = clip_specs(cut)
     assert spec.overlay_on_s == spec.overlay_off_s == pytest.approx(6.0)  # ref at 300/50
 
 
 def test_clip_specs_unclippable_reported():
-    specs, report = build_clip_specs(_trajs(), videos((100.0, 200.0, A_MP4)))
-    assert specs == []
+    cut, report = build_clip_specs(_trajs(), videos((100.0, 200.0, A_MP4)))
+    assert len(cut) == 0
     assert report["unclippable"] == [{"traj_id": "A_1_4", "reason": "no_covering_video"}]
 
 
 def test_clip_shorter_than_the_cut_list_holds_is_unclippable():
     # 0.3 ms of video at the reference time: the cut-list's three decimals
     # would write its duration as 0.000, which parse_cutlist rejects.
-    specs, report = build_clip_specs(_trajs(), videos((9.9997, 10.0, A_MP4)))
-    assert specs == []
+    cut, report = build_clip_specs(_trajs(), videos((9.9997, 10.0, A_MP4)))
+    assert len(cut) == 0
     assert report["unclippable"] == [{"traj_id": "A_1_4", "reason": "empty_overlap"}]
 
 
 def test_clip_fits_in_source_invariant():
     trajs = _trajs()
     vid = videos()
-    specs, _ = build_clip_specs(trajs, vid)
-    for spec in specs:
-        assert spec.in_offset_s >= 0.0
-        video_duration = (vid.end_us[0] - vid.t_us[0]) / 1e6
-        assert spec.in_offset_s + spec.duration_s <= video_duration + 1e-9
+    cut, _ = build_clip_specs(trajs, vid)
+    assert len(cut) == 1 and (cut.in_offset_s >= 0.0).all()
+    video_duration = (vid.end_us[0] - vid.t_us[0]) / 1e6
+    assert (cut.in_offset_s + cut.duration_s <= video_duration + 1e-9).all()
 
 
 def test_emit_cutlist_roundtrip_lossless(tmp_path):
-    specs, _ = build_clip_specs(_trajs(), videos())
+    cut, _ = build_clip_specs(_trajs(), videos())
     json_path = tmp_path / "cutlist.json"
     script_path = tmp_path / "cutlist.sh"
-    emit_cutlist(specs, json_path, script_path)
+    emit_cutlist(cut, json_path, script_path)
     restored = parse_cutlist(json_path)
-    assert restored == [
-        ClipSpec(
-            s.traj_id,
-            s.source_uri,
-            round(s.in_offset_s, 3),
-            round(s.duration_s, 3),
-            round(s.overlay_on_s, 3),
-            round(s.overlay_off_s, 3),
-            s.output_name,
-        )
-        for s in specs
+    assert restored == cut
+    assert clip_specs(restored) == [
+        ClipSpec(*s[:2], *(round(t, 3) for t in s[2:6]), s.output_name) for s in clip_specs(cut)
     ]
     # Three-decimal fixed serialization.
     assert '"in_offset_s": 4.000' in json_path.read_text()
@@ -196,10 +188,22 @@ GOOD_ENTRY = {
         [{**GOOD_ENTRY, "overlay_on_s": 1e6}],
         ["A_1_4"],
         [{**GOOD_ENTRY, "duration_s": 10**400}],
+        {},
+        [{**GOOD_ENTRY, "in_offset_s": float("nan")}],
+        [{**GOOD_ENTRY, "duration_s": float("inf"), "overlay_off_s": float("inf")}],
+        [{**GOOD_ENTRY, "overlay_on_s": True}],
+        [{**GOOD_ENTRY, "duration_s": "10"}],
+        [{**GOOD_ENTRY, "traj_id": 5}],
+        [{**GOOD_ENTRY, "output_name": 5}],
+        [{**GOOD_ENTRY, "source_uri": None}],
+        [GOOD_ENTRY, {**GOOD_ENTRY, "output_name": "other.mp4"}],
+        [GOOD_ENTRY, {**GOOD_ENTRY, "traj_id": "A_1_5"}],
     ],
     ids=[
         "object", "number", "missing-key", "bad-number", "null", "overlay-outside", "not-object",
-        "beyond-float",
+        "beyond-float", "empty-object", "nan-offset", "infinite-duration", "bool-time",
+        "text-time", "int-traj-id", "int-output-name", "null-uri", "repeated-traj-id",
+        "repeated-output-name",
     ],
 )
 def test_bad_cutlist_entry_raises_data_error(tmp_path, entries):
@@ -213,7 +217,7 @@ def test_bad_cutlist_entry_raises_data_error(tmp_path, entries):
 def test_emit_cutlist_empty(tmp_path):
     json_path = tmp_path / "cutlist.json"
     script_path = tmp_path / "cutlist.sh"
-    emit_cutlist([], json_path, script_path)
+    emit_cutlist(cutlist_of([]), json_path, script_path)
     assert json_path.read_text() == "[]\n"
     assert script_path.read_text() == ""
 
@@ -224,10 +228,10 @@ def test_emit_cutlist_two_specs_same_source(tmp_path):
         northbound_intersection(intxn_id=2, junction_north_ft=500.0),
         northbound_intersection(intxn_id=9, junction_north_ft=1500.0),
     ]
-    specs, _ = build_clip_specs(_trajs(sensor, intxns), videos())
+    cut, _ = build_clip_specs(_trajs(sensor, intxns), videos())
     json_path = tmp_path / "cutlist.json"
     script_path = tmp_path / "cutlist.sh"
-    emit_cutlist(specs, json_path, script_path)
+    emit_cutlist(cut, json_path, script_path)
     lines = script_path.read_text().splitlines()
     assert len(lines) == 2
     assert all("file:///videos/a.mp4" in line for line in lines)
@@ -235,17 +239,20 @@ def test_emit_cutlist_two_specs_same_source(tmp_path):
 
 
 def test_emit_cutlist_deterministic_bytes(tmp_path):
-    specs, _ = build_clip_specs(_trajs(), videos())
+    sensor = northbound_drive(n=41)
+    intxns = [northbound_intersection(i, north) for i, north in ((9, 500.0), (10, 1500.0))]
+    cut, _ = build_clip_specs(_trajs(sensor, intxns), videos())
+    assert cut.traj_id == ["A_1_10", "A_1_9"]  # traj_id order, not the table's
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    emit_cutlist(specs, p1)
-    emit_cutlist(list(reversed(specs)), p2)
+    emit_cutlist(cut, p1)
+    emit_cutlist(cutlist_of(clip_specs(cut)[::-1]), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def _emitted(specs, processor="ffmpeg") -> tuple[str, str]:
-    """The cut-list's and the script's texts for ``specs``."""
+    """The cut-list's and the script's texts for ``specs``, ``ClipSpec``s."""
     out = [io.StringIO(newline=""), io.StringIO(newline="")]
-    emit_cutlist(specs, *out, processor=processor)
+    emit_cutlist(cutlist_of(specs), *out, processor=processor)
     return out[0].getvalue(), out[1].getvalue()
 
 
@@ -266,7 +273,7 @@ def test_cutlist_script_quotes_each_clip_as_a_whole(tmp_path):
         ClipSpec("A_3_4", 'file:///"q"\\n.mp4', 0.0, 2.0, 1e-4, 2.0, "\n\t.mp4"),
     ]
     script_path = tmp_path / "cutlist.sh"
-    emit_cutlist(specs, tmp_path / "cutlist.json", script_path)
+    emit_cutlist(cutlist_of(specs), tmp_path / "cutlist.json", script_path)
     expected = []
     for s in specs:
         on_off = f"{s.overlay_on_s:.3f},{s.overlay_off_s:.3f}"
@@ -363,19 +370,60 @@ def test_video_table_without_a_column_raises_header_mismatch():
         read_videos_csv(io.StringIO(header, newline=""))
 
 
-def test_clipspec_invariants():
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ((-1.0, 10.0, 0.0, 1.0), "bad offset/duration"),
+        ((0.0, 0.0, 0.0, 0.0), "bad offset/duration"),
+        ((float("inf"), 10.0, 0.0, 1.0), "bad offset/duration"),
+        ((0.0, float("nan"), 0.0, 1.0), "bad offset/duration"),
+        ((0.0, 10.0, 5.0, 2.0), "overlay interval outside clip"),
+        ((0.0, 10.0, 5.0, 12.0), "overlay interval outside clip"),
+        ((0.0, 10.0, 5.0, 10.000001), "overlay interval outside clip"),
+        ((0.0, 10.0, -1.0, 2.0), "overlay interval outside clip"),
+        ((0.0, 10.0, float("nan"), 2.0), "overlay interval outside clip"),
+    ],
+    ids=[
+        "negative-offset", "zero-duration", "infinite-offset", "nan-duration", "on-after-off",
+        "off-past-duration", "off-just-past-duration", "negative-on", "nan-on",
+    ],
+)
+def test_cutlist_checks_name_the_first_bad_clip(tmp_path, times, message):
+    # Entries y (good), x (bad) and w (bad, sorting first): x is named, as
+    # the one-clip-at-a-time check named the first bad clip it met.
+    bad = dict(zip(["in_offset_s", "duration_s", "overlay_on_s", "overlay_off_s"], times))
+    entries = [
+        {**GOOD_ENTRY, "traj_id": "y", "output_name": "y.mp4"},
+        {**GOOD_ENTRY, **bad, "traj_id": "x", "output_name": "x.mp4"},
+        {**GOOD_ENTRY, **bad, "traj_id": "w", "output_name": "w.mp4"},
+    ]
+    if all(map(math.isfinite, times)):  # the one-clip check took NaN and inf
+        with pytest.raises(ValueError, match=f"^clip x: {message}$"):
+            ClipSpec(**entries[1])
+    columns = {key: [e[key] for e in entries] for key in GOOD_ENTRY}
+    with pytest.raises(ValueError, match=f"^clip x: {message}$"):
+        CutList(**columns)
+    path = tmp_path / "cutlist.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(DataError, match=f"clip x: {message}$"):
+        parse_cutlist(path)
+
+
+def test_cutlist_sorts_by_traj_id_with_read_only_times():
+    columns = {key: [GOOD_ENTRY[key]] * 3 for key in GOOD_ENTRY}
+    columns["traj_id"] = ["b", "c", "a"]
+    columns["output_name"] = ["2.mp4", "1.mp4", "3.mp4"]
+    columns["in_offset_s"] = [2.0, 1.0, 3.0]
+    cut = CutList(**columns)
+    assert cut.traj_id == ["a", "b", "c"] and cut.output_name == ["3.mp4", "2.mp4", "1.mp4"]
+    assert cut.in_offset_s.tolist() == [3.0, 2.0, 1.0] and cut.duration_s.tolist() == [10.0] * 3
+    assert cut == CutList(**columns) and cut != CutList(**{**columns, "source_uri": list("uvw")})
     with pytest.raises(ValueError):
-        ClipSpec("x", "u", -1.0, 10.0, 0.0, 1.0, "x.mp4")
-    with pytest.raises(ValueError):
-        ClipSpec("x", "u", 0.0, 10.0, 5.0, 2.0, "x.mp4")
-    with pytest.raises(ValueError):
-        ClipSpec("x", "u", 0.0, 10.0, 5.0, 12.0, "x.mp4")
-    with pytest.raises(ValueError):
-        ClipSpec(**{**GOOD_ENTRY, "duration_s": 0.0})
-    spec = ClipSpec(**GOOD_ENTRY)
-    assert spec == ClipSpec(*GOOD_ENTRY.values()) and spec.duration_s == 10.0
-    with pytest.raises(AttributeError):
-        spec.duration_s = 1.0
+        cut.overlay_on_s[0] = 1.0
+    with pytest.raises(ValueError, match="repeated traj_id b"):
+        CutList(**{**columns, "traj_id": ["b", "c", "b"]})
+    with pytest.raises(ValueError, match="repeated output_name 1.mp4"):
+        CutList(**{**columns, "output_name": ["1.mp4", "2.mp4", "1.mp4"]})
 
 
 def test_short_video_row_raises_data_error():

@@ -44,7 +44,6 @@ from intxn_pipeline.ingest import SensorTable, clean_sensor, to_us
 from intxn_pipeline.review import (
     LINE_EDGE_MATCH_FT,
     POLYGON_MATCH_FT,
-    RejectEntry,
     import_reviewed_kml,
     reviewed_to_json,
 )
@@ -458,7 +457,7 @@ def test_line_midpoint_on_shared_edge(cl, cn, hl, hn):
         [("enter", a, b), ("enter-again", a, b)],
     )
     _, rejects = assert_same_assembly(doc, polygon_match_ft=10_000.0)
-    assert RejectEntry("line", "enter-again", "extra_line") in rejects
+    assert {"kind": "line", "name": "enter-again", "reason": "extra_line"} in rejects
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,15 +3,16 @@ import io
 import json
 import math
 from datetime import datetime, timezone
-from types import SimpleNamespace
 from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    ClipSpec,
     IntersectionCandidate,
     candidates_of,
+    cutlist_of,
     old_parse_kml_features,
     placemark_rows,
     reviewed_doc,
@@ -181,7 +182,7 @@ def test_import_far_polygon_rejected(tmp_path):
     path.write_text(kml_doc(body))
     reviewed, rejects = import_reviewed_kml(path)
     assert len(reviewed) == 1
-    assert [(r.kind, r.name, r.reason) for r in rejects] == [
+    assert [(r["kind"], r["name"], r["reason"]) for r in rejects] == [
         ("polygon", "p-far", "unassigned_polygon")
     ]
 
@@ -198,7 +199,7 @@ def test_import_unassignable_line_rejected(tmp_path):
     reviewed, rejects = import_reviewed_kml(path)
     assert len(reviewed) == 1
     assert ("line", "l-lost", "unassigned_line") in [
-        (r.kind, r.name, r.reason) for r in rejects
+        (r["kind"], r["name"], r["reason"]) for r in rejects
     ]
 
 
@@ -214,7 +215,7 @@ def test_import_zero_length_line_rejected(tmp_path):
     path.write_text(kml_doc(body))
     reviewed, rejects = import_reviewed_kml(path)
     assert not reviewed
-    assert [(r.kind, r.name, r.reason) for r in rejects] == [
+    assert [(r["kind"], r["name"], r["reason"]) for r in rejects] == [
         ("line", "l-zero", "invalid_line"),
         ("polygon", "p", "no_entering_line"),
         ("intersection", "1", "no_polygons"),
@@ -227,7 +228,7 @@ def test_import_intersection_without_polygons_rejected(tmp_path):
     path.write_text(kml_doc(body))
     reviewed, rejects = import_reviewed_kml(path)
     assert not reviewed
-    assert [(r.kind, r.reason) for r in rejects] == [("intersection", "no_polygons")]
+    assert [(r["kind"], r["reason"]) for r in rejects] == [("intersection", "no_polygons")]
 
 
 def test_import_without_true_folder_keeps_all_points(tmp_path):
@@ -273,10 +274,10 @@ def test_import_partition_property(tmp_path):
     path.write_text(kml_doc(body))
     reviewed, rejects = import_reviewed_kml(path)
     kept_polygons = len(reviewed.rings.first) - 1
-    rejected_polygons = sum(1 for r in rejects if r.kind == "polygon")
+    rejected_polygons = sum(1 for r in rejects if r["kind"] == "polygon")
     assert kept_polygons + rejected_polygons == 3
     kept_lines = len(reviewed.line_first) - 1
-    rejected_lines = sum(1 for r in rejects if r.kind == "line")
+    rejected_lines = sum(1 for r in rejects if r["kind"] == "line")
     assert kept_lines + rejected_lines == 3
 
 
@@ -438,14 +439,13 @@ def _trajs(n=1):
 
 
 def _clip(traj_id="A_1_4", overlay_on_s=3.0):
-    return SimpleNamespace(
-        traj_id=traj_id, overlay_on_s=overlay_on_s, output_name=f"{traj_id}.mp4"
-    )
+    """The cut-list of one clip of trajectory ``traj_id``."""
+    return cutlist_of([ClipSpec(traj_id, "v.mp4", 0.0, 10.0, overlay_on_s, 10.0, f"{traj_id}.mp4")])
 
 
 def test_template_copies_overlay_on_as_jump_to_ref():
     rows, _, warnings = build_review_template(
-        _trajs(), [_clip(overlay_on_s=3.0)], {"A": ("52", "F")}
+        _trajs(), _clip(overlay_on_s=3.0), {"A": ("52", "F")}
     )
     assert rows["jump_to_ref"][0] == 3.0
     assert rows["primary_sub_age"][0] == "52"
@@ -455,7 +455,7 @@ def test_template_copies_overlay_on_as_jump_to_ref():
 def test_template_custom_field_manifest():
     rows, manifest, _ = build_review_template(
         _trajs(),
-        [_clip()],
+        _clip(),
         {"A": ("52", "F")},
         custom_fields={"stop_type": ["full", "rolling", "none"]},
     )
@@ -464,7 +464,7 @@ def test_template_custom_field_manifest():
 
 
 def test_template_zero_trajectories():
-    rows, manifest, _ = build_review_template(_trajs(0), [], {})
+    rows, manifest, _ = build_review_template(_trajs(0), cutlist_of([]), {})
     out = io.StringIO()
     write_review_csv(rows, [], out)
     assert out.getvalue() == ",".join(REVIEW_COLUMNS) + "\n"
@@ -472,21 +472,31 @@ def test_template_zero_trajectories():
 
 
 def test_template_missing_demographics_warns():
-    rows, _, warnings = build_review_template(_trajs(), [_clip()], {})
+    rows, _, warnings = build_review_template(_trajs(), _clip(), {})
     assert rows["primary_sub_age"][0] == ""
     assert rows["primary_subj_gender"][0] == ""
     assert warnings["missing_demographics"] == 1
 
 
+def test_template_takes_each_trajectory_its_own_clip():
+    # The cut-list holds a clip sorting before A_1_4's, which the table lacks.
+    cut = cutlist_of([
+        ClipSpec("A_1_4", "v.mp4", 0.0, 10.0, 3.0, 10.0, "four.mp4"),
+        ClipSpec("A_1_3", "v.mp4", 0.0, 10.0, 5.0, 10.0, "three.mp4"),
+    ])
+    rows, _, _ = build_review_template(_trajs(), cut, {}, video_base_url="u/")
+    assert (rows["jump_to_ref"], rows["video_url"]) == ([3.0], ["u/four.mp4"])
+
+
 def test_template_missing_clip_raises():
     with pytest.raises(DataError):
-        build_review_template(_trajs(), [], {})
+        build_review_template(_trajs(), cutlist_of([]), {})
 
 
 def test_template_csv_column_order_and_formatting():
     rows, _, _ = build_review_template(
         _trajs(),
-        [_clip()],
+        _clip(),
         {"A": ("52", "F")},
         custom_fields={"stop_type": ["full"], "lead_vehicle": ["yes", "no"]},
         video_base_url="https://storage.example/clips/",
@@ -509,7 +519,7 @@ def test_review_csv_reads_back_a_subject_with_a_carriage_return():
     t = to_us(datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc))
     sensor = SensorTable.from_columns(["A\rB"], [1], [t], [LAT0], [LON0], [0.0], [0.0], [0.0])
     trajs = TrajectoryTable.from_columns(["A\rB"], [1], [4], [1], [0], [0], [1], sensor=sensor)
-    columns, _, _ = build_review_template(trajs, [_clip("A\rB_1_4")], {})
+    columns, _, _ = build_review_template(trajs, _clip("A\rB_1_4"), {})
     out = io.StringIO(newline="")
     write_review_csv(columns, [], out)
     header, row = csv.reader(io.StringIO(out.getvalue(), newline=""))
@@ -603,7 +613,7 @@ def test_reviewed_kml_gives_intersections_or_a_data_error(trees):
             import_reviewed_kml(io.StringIO(text))
         return
     assert import_reviewed_kml(io.StringIO(text)) == (reviewed, rejects)
-    kinds = [r.kind for r in rejects]
+    kinds = [r["kind"] for r in rejects]
     approaches = len(reviewed.leg_id)
     assert len(feats.true_points()) == len(reviewed) + kinds.count("intersection")
     assert len(feats.polygons) == approaches + kinds.count("polygon")

@@ -26,11 +26,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import table_of
+from oracles import ClipSpec, cutlist_of, table_of
 
 import intxn_pipeline
 from intxn_pipeline import cli, clips, discovery, ingest, review, storage, trajectory
-from intxn_pipeline.clips import ClipSpec
 from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.trajectory import TrajectoryTable
 
@@ -158,10 +157,11 @@ def clip_specs(draw):
 @settings(max_examples=200, deadline=None)
 @given(clip_specs())
 def test_stored_cutlist_is_what_its_file_reads_back(specs):
+    cut = cutlist_of(specs)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cutlist.json"
-        stored = clips.emit_cutlist(specs, path)
-        assert clips.parse_cutlist(path) == stored
+        clips.emit_cutlist(cut, path)
+        assert clips.parse_cutlist(path) == cut
 
 
 @settings(max_examples=500, deadline=None)
@@ -241,7 +241,7 @@ def test_a_hand_edited_trajectory_table_is_parsed_again(study):
     path.write_text(header + "".join(rows))
     _run(config, "clips", "template")
     assert cli._store["trajectories"][1] == READERS["trajectories"](ws / "out")
-    cut = [spec.traj_id for spec in clips.parse_cutlist(ws / "out" / "cutlist.json")]
+    cut = clips.parse_cutlist(ws / "out" / "cutlist.json").traj_id
     assert len(cut) == len(rows) and dropped not in cut
     template = (ws / "out" / "review_template.csv").read_text().splitlines()
     assert len(template) == 1 + len(rows)
@@ -253,8 +253,12 @@ def test_a_hand_edited_cutlist_is_parsed_again(study):
     path = ws / "out" / "cutlist.json"
     entries = json.loads(path.read_text())
     entries[0]["overlay_on_s"] = 0.123
-    path.write_text(json.dumps(entries))
+    path.write_text(json.dumps(entries[::-1]))  # out of order: the reader sorts
     _run(config, "template")
+    # The store answers with what the reader returns for the edited file.
+    stored = cli._store["cutlist"][1]
+    assert type(stored) is clips.CutList and stored == clips.parse_cutlist(path)
+    assert stored.traj_id == [e["traj_id"] for e in entries] and stored.overlay_on_s[0] == 0.123
     text = (ws / "out" / "review_template.csv").read_text()
     rows = list(csv.DictReader(io.StringIO(text, newline="")))
     (row,) = [r for r in rows if r["stop_traj_id"] == entries[0]["traj_id"]]

@@ -3,7 +3,8 @@
 The ``old_*`` functions below are the implementations that
 ``TrajectoryTable`` replaced (an ``OldTrajectory`` per trajectory,
 scalar distances, bisects and ``datetime`` arithmetic per window, a dict
-per review row), kept here as the oracle. Hypothesis builds small studies
+per review row), kept here as the oracle, with the per-clip
+``oracles.old_build_clip_specs``. Hypothesis builds small studies
 of northbound drives past junctions on one meridian, drawing from small
 pools so that the cases below occur often: repeat passes within and beyond
 ``pass_gap_s``, points at equal distance from a junction (mirrored across
@@ -27,9 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    OldVideo,
     csv_writer,
+    cutlist_of,
     format_time_utc,
+    from_us,
     haversine_distance_ft,
+    old_build_clip_specs,
     old_emit_cutlist,
     reviewed_set,
     table_of,
@@ -37,7 +42,6 @@ from oracles import (
 from test_trajectory import T0, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
-    ClipSpec,
     OverlayParams,
     VideoTable,
     _fromtimestamp_us,
@@ -48,7 +52,7 @@ from intxn_pipeline.clips import (
 )
 from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import GeoPoint
-from intxn_pipeline.ingest import EPOCH, SensorTable, to_us
+from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.review import REVIEW_COLUMNS, build_review_template, write_review_csv
 from intxn_pipeline.trajectory import (
     TrajectoryTable,
@@ -58,10 +62,6 @@ from intxn_pipeline.trajectory import (
     load_trajectories_csv,
     write_trajectories_csv,
 )
-
-
-def from_us(us) -> datetime:
-    return EPOCH + timedelta(microseconds=int(us))
 
 
 @dataclass(frozen=True)
@@ -180,43 +180,6 @@ def old_write_trajectories_csv(trajs):
     return out.getvalue()
 
 
-def old_distance_crossing_time(points, target):
-    cums = points.cum.tolist()
-    i = bisect_left(cums, target)
-    if cums[i] == target:
-        return from_us(points.t_us[i])
-    c0, c1 = cums[i - 1], cums[i]
-    t0 = int(points.t_us[i - 1]) / 1_000_000
-    t1 = int(points.t_us[i]) / 1_000_000
-    frac = (target - c0) / (c1 - c0)
-    return datetime.fromtimestamp(t0 + frac * (t1 - t0), tz=timezone.utc)
-
-
-def old_overlay_time(traj, target, clip_start, clip_end):
-    cums = traj.points.cum
-    if target < cums[0]:
-        return clip_start
-    if target > cums[-1]:
-        return clip_end
-    return old_distance_crossing_time(traj.points, target)
-
-
-@dataclass
-class OldVideo:
-    """A row of the video table, as the original reader gave it."""
-
-    uri: str
-    subj: str
-    drive: int
-    start_time_utc: datetime
-    end_time_utc: datetime
-    fps: float
-
-
-class OldNoCoveringVideo(Exception):
-    pass
-
-
 def video_table(videos):
     """The new side's table of the oracle's videos."""
     return VideoTable.from_columns(
@@ -224,53 +187,6 @@ def video_table(videos):
         [to_us(v.start_time_utc) for v in videos], [to_us(v.end_time_utc) for v in videos],
         [v.fps for v in videos], [v.uri for v in videos],
     )
-
-
-def old_match_video(traj, videos):
-    containing = [
-        v for v in videos
-        if v.start_time_utc <= traj.start_time_utc and traj.end_time_utc <= v.end_time_utc
-    ]
-    if containing:
-        return min(containing, key=lambda v: (v.start_time_utc, v.uri)), None
-    at_ref = [v for v in videos if v.start_time_utc <= traj.ref_time_utc <= v.end_time_utc]
-    if at_ref:
-        return min(at_ref, key=lambda v: (v.start_time_utc, v.uri)), "spans_files"
-    raise OldNoCoveringVideo(f"no video covers trajectory {traj.traj_id}")
-
-
-def old_build_clip_specs(trajs, videos, overlay):
-    by_drive = {}
-    for v in videos:
-        by_drive.setdefault((v.subj, v.drive), []).append(v)
-    specs, report = [], {"unclippable": [], "warnings": []}
-    for traj in sorted(trajs, key=lambda t: (t.subj, t.drive, t.intxn_id)):
-        try:
-            video, warning = old_match_video(traj, by_drive.get((traj.subj, traj.drive), []))
-        except OldNoCoveringVideo:
-            report["unclippable"].append({"traj_id": traj.traj_id, "reason": "no_covering_video"})
-            continue
-        if warning:
-            report["warnings"].append({"traj_id": traj.traj_id, "warning": warning})
-        clip_start = max(traj.start_time_utc, video.start_time_utc)
-        clip_end = min(traj.end_time_utc, video.end_time_utc)
-        duration = (clip_end - clip_start).total_seconds()
-        if _written(duration) <= 0:
-            report["unclippable"].append({"traj_id": traj.traj_id, "reason": "empty_overlap"})
-            continue
-        ref_cum = traj.ref_cum_dist_ft
-        t_on = old_overlay_time(traj, ref_cum - overlay.on_upstream_ft, clip_start, clip_end)
-        t_off = old_overlay_time(traj, ref_cum + overlay.off_downstream_ft, clip_start, clip_end)
-        on_s = min(max((t_on - clip_start).total_seconds(), 0.0), duration)
-        off_s = min(max((t_off - clip_start).total_seconds(), on_s), duration)
-        specs.append(
-            ClipSpec(
-                traj.traj_id, video.uri,
-                _written((clip_start - video.start_time_utc).total_seconds()),
-                _written(duration), _written(on_s), _written(off_s), f"{traj.traj_id}.mp4",
-            )
-        )
-    return specs, report
 
 
 def old_build_review_template(trajs, clips, participants, custom_fields, video_base_url):
@@ -395,24 +311,24 @@ def test_columnar_trajectories_match_the_original(study):
     assert text.getvalue() == old_write_trajectories_csv(old_trajs)
     assert load_trajectories_csv(io.StringIO(text.getvalue(), newline=""), sensor) == trajs
 
-    specs, report = build_clip_specs(trajs, video_table(videos), overlay)
-    assert (specs, report) == old_build_clip_specs(old_trajs, videos, overlay)
+    cut, report = build_clip_specs(trajs, video_table(videos), overlay)
+    old_specs, old_report = old_build_clip_specs(old_trajs, videos, overlay)
+    assert (cut, report) == (cutlist_of(old_specs), old_report)
     new = [io.StringIO(newline=""), io.StringIO(newline="")]
-    emit_cutlist(specs, *new)
-    old = old_emit_cutlist(old_build_clip_specs(old_trajs, videos, overlay)[0])
-    assert tuple(f.getvalue() for f in new) == old
+    emit_cutlist(cut, *new)
+    assert tuple(f.getvalue() for f in new) == old_emit_cutlist(old_specs)
 
     participants = {"A": ("52", "F"), "a,b": ("47", "M")}
     custom = {"stop_type": ["full", "rolling"], "subj": []}
     if report["unclippable"]:
         with pytest.raises(DataError, match="no clip for trajectory"):
-            build_review_template(trajs, specs, participants, custom)
+            build_review_template(trajs, cut, participants, custom)
         with pytest.raises(DataError, match="no clip for trajectory"):
-            old_build_review_template(old_trajs, specs, participants, custom, "")
+            old_build_review_template(old_trajs, old_specs, participants, custom, "")
         return
     url = "https://x/"
-    columns, _, warnings = build_review_template(trajs, specs, participants, custom, url)
-    rows, old_warnings = old_build_review_template(old_trajs, specs, participants, custom, url)
+    columns, _, warnings = build_review_template(trajs, cut, participants, custom, url)
+    rows, old_warnings = old_build_review_template(old_trajs, old_specs, participants, custom, url)
     assert warnings == old_warnings
     out = io.StringIO(newline="")
     write_review_csv(columns, list(custom), out)
