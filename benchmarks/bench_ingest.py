@@ -8,13 +8,18 @@ the ``fromisoformat`` fast path; the offset form takes the general path.
 The table benches clean, write, read, join and search a synth study of
 9,608 sensor rows held in memory, so no disk time is measured, except by
 the hashed write bench: it writes the table to a file through
-``storage.atomic_write``, which hashes the bytes as it writes them, so
-against the in-memory write it adds the sha256, the temp file and the
-rename. The distinct write bench draws every float of that table at
-random, so that no value repeats and none is rendered for more than one
-row: the writer's worst case. The dirty clean benches give the raw files
-one unparseable row in 100 or in 4,000, or only as their last row, and
-the quoted bench quotes every subject.
+``storage.atomic_write``, hashing the bytes as it writes them, as the
+pipeline writes the outputs its store holds, so against the in-memory
+write it adds the sha256, the temp file and the rename. The synth study's
+drives repeat each other's floats, so the writer renders each distinct
+value once for the table. The distinct write bench draws every float of
+that table at random, so that no value repeats and none is rendered for
+more than one row: the writer's worst case. The quantized write bench
+shapes the table as vehicle sensors log it: positions and odometer that
+never repeat, headings rounded to 0.1 degree and speeds to 0.01 fps,
+whose few thousand distinct values each render once. The dirty clean
+benches give the raw files one unparseable row in 100 or in 4,000, or
+only as their last row, and the quoted bench quotes every subject.
 The detection benches run a study shaped like perfbench's
 crowded-junctions, many short drives through few junctions: 500 drives and
 3,000 detections, also in memory.
@@ -159,12 +164,7 @@ def test_read_clean_sensor(benchmark, sensor, sensor_text):
 
 
 def test_write_sensor_csv(benchmark, sensor, sensor_text):
-    def write():
-        buf = io.StringIO(newline="")
-        write_sensor_csv(sensor, buf)
-        return buf
-
-    assert benchmark(write).getvalue() == sensor_text
+    assert written_text(benchmark, sensor) == sensor_text
 
 
 @pytest.fixture(scope="module")
@@ -180,25 +180,57 @@ def distinct_sensor(sensor):
     )
 
 
-def test_write_sensor_csv_distinct(benchmark, distinct_sensor):
-    def write():
-        buf = io.StringIO(newline="")
-        write_sensor_csv(distinct_sensor, buf)
-        return buf
+@pytest.fixture(scope="module")
+def quantized_sensor(sensor):
+    """The study's table as a vehicle logs it: positions and odometer that
+    never repeat, headings to 0.1 degree and speeds to 0.01 fps."""
+    rng = np.random.default_rng(0)
+    n = len(sensor)
+    return replace(
+        sensor, lat=rng.uniform(41.0, 41.1, n), lon=rng.uniform(-96.1, -96.0, n),
+        heading=np.round(rng.uniform(0, 359.9, n), 1), speed=np.round(rng.uniform(0, 100, n), 2),
+        cum=np.cumsum(rng.uniform(0, 10, n)),
+    )
 
-    t = distinct_sensor
+
+def sensor_csv_text(t):
+    """The text of table ``t``, each float its repr, as csv.writer writes it."""
     rows = zip(zip(*t.key_texts()), t.t_us.tolist(), *(c.tolist() for c in t.columns()[1:]))
     expected = [SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)] + [
         (*key, (EPOCH + timedelta(microseconds=us)).isoformat(timespec="milliseconds")[:-6] + "Z",
          *map(repr, floats))
         for key, us, *floats in rows
     ]
-    assert benchmark(write).getvalue() == "".join(",".join(map(str, r)) + "\n" for r in expected)
+    return "".join(",".join(map(str, r)) + "\n" for r in expected)
+
+
+def written_text(benchmark, table):
+    """The text ``write_sensor_csv`` writes of ``table``, under the benchmark."""
+
+    def write():
+        buf = io.StringIO(newline="")
+        write_sensor_csv(table, buf)
+        return buf
+
+    return benchmark(write).getvalue()
+
+
+def test_write_sensor_csv_distinct(benchmark, distinct_sensor):
+    assert written_text(benchmark, distinct_sensor) == sensor_csv_text(distinct_sensor)
+
+
+def test_write_sensor_csv_quantized(benchmark, quantized_sensor):
+    assert written_text(benchmark, quantized_sensor) == sensor_csv_text(quantized_sensor)
 
 
 def test_write_sensor_csv_hashed(benchmark, sensor, sensor_text, tmp_path):
     path = tmp_path / "clean_sensor.csv"
-    benchmark(write_sensor_csv, sensor, path)
+
+    def write():
+        with storage.atomic_write(path, hashed=True) as handle:
+            write_sensor_csv(sensor, handle)
+
+    benchmark(write)
     data = sensor_text.encode("utf-8")
     assert path.read_bytes() == data
     assert storage.written[path] == hashlib.sha256(data).hexdigest()

@@ -26,11 +26,11 @@ chunk costs two parses, and either path gives the same columns.
 
 As in Arrow's dictionary encoding, each distinct value is parsed or
 rendered once, not once per row: a text column's texts once per chunk,
-the drive keys from integer codes per column, a write chunk's float
-``repr`` once per bit pattern, and a time's date, hour and minute once
-per distinct minute. This pays where values repeat, as subj, drive and
-the minute always do, and as the floats do in synthetic drives; a float
-column with no repeats renders about as fast as one ``repr`` per row.
+the drive keys from integer codes per column, a written table's float
+``repr`` once per bit pattern (see ``_float_renderer``), and a time's date,
+hour and minute once per distinct minute. This pays where values repeat,
+as subj, drive and the minute always do, and as floats do across drives;
+a float column with no repeats renders about as fast as one ``repr`` per row.
 """
 
 from __future__ import annotations
@@ -263,9 +263,30 @@ def _per_value(fn, column: np.ndarray) -> list:
     return np.array(list(map(fn, values.view(float).tolist())), dtype=object)[inverse].tolist()
 
 
+# The most distinct floats a table's column renders once each: ~1.2 MB of texts.
+_FLOAT_DICTIONARY = 16 * WRITE_ROWS
+
+
+def _float_renderer(fn, column: np.ndarray) -> Callable[[np.ndarray], list]:
+    """What renders each slice of ``column`` as ``fn`` of its floats: as in
+    Parquet's dictionary encoding, each bit pattern once, and a slice gathers
+    its texts by binary search; past ``_FLOAT_DICTIONARY`` patterns, ``_per_value``
+    of each slice, and without repeats, ``fn`` of each value. The bits are
+    sorted, as numpy 2.4.6's ``np.unique`` hashes int64, ~20x slower."""
+    bits = np.sort(column.view(np.int64))
+    new = bits[1:] != bits[:-1]
+    if new.all():  # no slice repeats a value either
+        return lambda part: list(map(fn, part.tolist()))
+    if new.sum() >= _FLOAT_DICTIONARY:
+        return partial(_per_value, fn)
+    values = np.append(bits[:1], bits[1:][new])
+    texts = np.array(list(map(fn, values.view(float).tolist())), dtype=object)
+    return lambda part: texts[np.searchsorted(values, part.view(np.int64))].tolist()
+
+
 # Column kinds, each (dtype, parse, render, read): parse turns a CSV
 # column's texts into a column, marking ``bad`` the rows whose value does
-# not parse, and render turns a slice of the column back into texts. The
+# not parse, and render(column) gives what renders its slices as texts. The
 # writer renders subj and drive as the row key. A class outside CLASS_NAMES
 # parses as -1, and an _INT64 value outside int64 does not parse. A raw
 # file's _STRIPPED columns are stripped before they parse. ``read`` is the
@@ -285,17 +306,17 @@ _INT64 = (
     None,
     object,
 )
-_TIME = (np.int64, _times_us, _time_texts, "<U25")
+_TIME = (np.int64, _times_us, lambda column: _time_texts, "<U25")
 _FLOAT = (
     float,
     lambda texts, bad: np.array(_each(float, texts, bad), dtype=float),
-    partial(_per_value, repr),
+    partial(_float_renderer, repr),
     float,
 )
 _CLASS = (
     np.int64,
     lambda names, bad: np.fromiter(map(_CLASS_CODE.get, names, repeat(-1)), np.int64, len(names)),
-    lambda codes: list(map(CLASS_NAMES.__getitem__, codes.tolist())),
+    lambda column: lambda codes: list(map(CLASS_NAMES.__getitem__, codes.tolist())),
     object,
 )
 _STRIPPED = ("subj", "object_class", "uri", "age", "gender")
@@ -784,10 +805,10 @@ def _write_table(table: _Table, dest) -> _Table:
     columns rendered by the column's kind. Returns the table as the file
     holds it, its times cut to the millisecond.
     """
-    kinds = table.COLUMNS.values()
+    renders = [kind[2](c) for kind, c in zip(table.COLUMNS.values(), table.columns())]
 
     def render(part: _Table) -> list:
-        return [*part.key_texts(), *(kind[2](c) for kind, c in zip(kinds, part.columns()))]
+        return [*part.key_texts(), *(r(c) for r, c in zip(renders, part.columns()))]
 
     write_csv(dest, table.HEADER, table.chunks(render))
     t_us = table.t_us // 1000 * 1000

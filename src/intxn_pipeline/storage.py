@@ -2,8 +2,8 @@
 
 Batch runs accumulate over months, so every path opened for writing goes
 through a temp-file-plus-rename and a crash never leaves a partial file
-behind. The bytes are hashed as they are written, so a stage knows the
-digest of each file it wrote without reading it back. Only ``file:`` and
+behind. The bytes of a file a ``Store`` will hold are hashed as written,
+so a stage knows its digest without reading it back. Only ``file:`` and
 bare paths are supported. Every CSV file is written through
 ``write_csv``, a column and a thousand rows at a time. Every JSON file is
 written through ``write_json``, and every JSON input but the config is read
@@ -35,8 +35,8 @@ from .errors import DataError, StorageNotFoundError, UnsupportedSchemeError
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
-# The sha256 hex digest of the bytes ``atomic_write`` last committed to each
-# path in this process.
+# The sha256 hex digest of the bytes ``atomic_write`` last committed, hashed,
+# to each path in this process.
 written: dict[Path, str] = {}
 
 
@@ -89,18 +89,18 @@ def resolve_uri(source: str | Path | IO, mode: str = "rb") -> AbstractContextMan
 
 
 @contextmanager
-def atomic_write(uri: str | Path, mode: str = "w") -> Iterator[IO]:
+def atomic_write(uri: str | Path, mode: str = "w", hashed: bool = False) -> Iterator[IO]:
     """Write to a temp file in the target directory, rename on success.
 
     The result gets the mode a plain ``open`` would give it (0o666 less the
-    umask), not the 0o600 of the temp file. Once it is in place, the sha256
-    of its bytes is in ``written[path]``.
+    umask), not the 0o600 of the temp file. Once a ``hashed`` file, one a
+    ``Store`` will hold, is in place, the sha256 of its bytes is in ``written[path]``.
     """
     path = local_path(uri)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
-        raw = _HashingFile(fd)
+        raw = _HashingFile(fd) if hashed else io.FileIO(fd, "wb")
         handle = io.BufferedWriter(raw)
         if "b" not in mode:
             handle = io.TextIOWrapper(handle, encoding="utf-8", newline="")
@@ -110,14 +110,15 @@ def atomic_write(uri: str | Path, mode: str = "w") -> Iterator[IO]:
             handle.close()
         os.chmod(tmp_name, 0o666 & ~_UMASK)
         os.replace(tmp_name, path)
-        written[path] = raw.sha256.hexdigest()
+        if hashed:
+            written[path] = raw.sha256.hexdigest()
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
 
 
-# Rows rendered before each write: a few drives' worth at most.
+# Rows rendered before each write: a few drives' worth. A float dictionary holds 16x as many.
 WRITE_ROWS = 1000
 
 # What csv.writer quotes: its delimiter, quote or "\r\n" line terminator's characters.

@@ -52,8 +52,8 @@ from .ingest import (
     _TEXT,
     _TIME,
     SensorTable,
+    _float_renderer,
     _parse_csv,
-    _per_value,
     _Table,
     _time_texts,
 )
@@ -252,6 +252,7 @@ def extract_trajectories(
 
 def write_trajectories_csv(trajs: TrajectoryTable, dest: str | Path | IO) -> None:
     t_us, cum = trajs.sensor.t_us, trajs.sensor.cum
+    ref_cum = _float_renderer(repr, cum[trajs.ref])
 
     def render(part: TrajectoryTable) -> list:
         return [
@@ -259,7 +260,7 @@ def write_trajectories_csv(trajs: TrajectoryTable, dest: str | Path | IO) -> Non
             *part.key_texts(),
             *(list(map(str, ids.tolist())) for ids in (part.intxn_id, part.leg_id)),
             *(_time_texts(t_us[rows]) for rows in (part.ref, part.start, part.stop - 1)),
-            _per_value(repr, cum[part.ref]),
+            ref_cum(cum[part.ref]),
             list(map(str, (part.stop - part.start).tolist())),
         ]
 

@@ -669,13 +669,83 @@ FLOAT_BITS = st.floats().map(lambda x: _bits(x)[0]) | st.integers(-(2**63), 2**6
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(FLOAT_BITS, max_size=30), st.integers(0, 30))
-@example(_bits(0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324), 9)
-@example([0x7FF8000000000000, 0x7FF0000000000001, -1, -(2**63), 0], 5)
-def test_float_render_is_repr_of_each_value(bits, repeats):
-    # Repeats of the leading values share one rendering each.
+@given(
+    st.lists(FLOAT_BITS, max_size=30),
+    st.integers(0, 30),
+    st.lists(st.integers(1, 8), max_size=8),
+    st.integers(1, 12),
+    st.integers(1, 32),
+)
+@example(
+    _bits(0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324), 9, [2, 5], 3, 32
+)
+@example(_bits(0.0, -0.0, math.nan, 5e-324, 2.5e-308, -math.inf), 6, [4, 4], 4, 2)
+@example([0x7FF8000000000000, 0x7FF0000000000001, -1, -(2**63), 0], 5, [1, 1, 3], 2, 3)
+@example([0x7FF8000000000000, 0x7FF0000000000001, -1, -(2**63), 0], 0, [2], 1, 32)
+def test_float_render_is_repr_of_each_value(bits, repeats, drives, write_rows, cap):
+    # A table cut into drives of the given lengths (the rest one more drive),
+    # written ``write_rows`` rows or more at a time with a dictionary of at
+    # most ``cap`` values: the repeated leading values recur across chunks.
     column = np.array(bits + bits[:repeats], dtype=np.int64).view(np.float64)
-    assert ingest._per_value(repr, column) == list(map(repr, column.tolist()))
+    drives = [n for n in np.diff(np.clip(np.cumsum([0, *drives]), 0, len(column))) if n]
+    drives += [len(column) - sum(drives)] if len(column) > sum(drives) else []
+    codes = np.repeat(np.arange(len(drives)), drives)
+    table = ingest.SensorTable._grouped(
+        [("S", d) for d in range(len(drives))], codes, np.zeros(len(column), np.int64),
+        *[column] * 5,
+    )
+    out, calls = io.StringIO(newline=""), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "WRITE_ROWS", write_rows)
+        patch.setattr(ingest, "_FLOAT_DICTIONARY", cap)
+        write_sensor_csv(table, out)
+        render = ingest._float_renderer(lambda x: calls.append(x) or repr(x), column)
+        parts = list(table.chunks(lambda part: part.lon))
+    assert [line.split(",")[3:] for line in out.getvalue().splitlines()[1:]] == [
+        [repr(x)] * 5 for x in column.tolist()
+    ]
+    assert [render(part) for part in parts] == [list(map(repr, p.tolist())) for p in parts]
+    # Each distinct value renders once for the table, unless past the cap.
+    distinct = len(set(bits))
+    per_chunk = sum(len(set(part.view(np.int64).tolist())) for part in parts)
+    assert len(calls) == (distinct if distinct <= cap else per_chunk)
+
+
+class _Sink:
+    """A text stream that keeps only the count of characters written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_a_write_holds_a_chunk_not_the_table():
+    # 200,000 rows in drives of 1,000, each float in two rows: more distinct
+    # values than the dictionary holds, so each chunk renders its own. The
+    # write's allocation peak stays near one chunk's, far below the text.
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    n = 200_000
+    assert n // 2 > ingest._FLOAT_DICTIONARY
+    values = rng.uniform(-1, 1, n // 2)
+    table = ingest.SensorTable._grouped(
+        [("S", d) for d in range(n // 1000)], np.repeat(np.arange(n // 1000), 1000),
+        np.arange(n, dtype=np.int64) * 100_000,
+        *(rng.permutation(np.repeat(values, 2)) for _ in range(5)),
+    )
+    peaks = []
+    for part in (table[:1000], table):
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            write_sensor_csv(part, sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert sink.size > 25_000_000
+    assert peaks[1] < 3 * peaks[0] < 3_000_000
 
 
 def _tuple_drive_codes(subj, drive):

@@ -232,6 +232,25 @@ def test_all_stores_what_every_file_reads_back(study, monkeypatch):
     assert parses == []
 
 
+def test_only_what_the_store_holds_is_hashed(tmp_path, monkeypatch):
+    # synth's inputs, the reports, the KML, the script and the template are
+    # written unhashed; each stored output's digest is that of its bytes.
+    monkeypatch.setattr(cli, "_store", storage.Store())
+    monkeypatch.setattr(storage, "written", {})
+    config = tmp_path / "pipeline.json"
+    config.write_text("{}")
+    _run(config, "synth", "all")
+    stored = [
+        "clean_sensor.csv", "clean_cv.csv", "lrs_candidates.geojson",
+        "visited_candidates.geojson", "reviewed.json", "trajectories.csv", "cutlist.json",
+    ]
+    assert sorted(p.resolve() for p in storage.written) == sorted(
+        tmp_path.resolve() / "out" / name for name in stored
+    )
+    for path, digest in storage.written.items():
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), path
+
+
 def test_a_hand_edited_trajectory_table_is_parsed_again(study):
     ws, config = study
     _run(config, "clean", "lrs-intxns", "subj-intxns", "export-kml", "import-review", "traj")
