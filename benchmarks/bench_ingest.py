@@ -8,7 +8,7 @@ the ``fromisoformat`` fast path; the offset form takes the general path.
 The table benches clean, write, read, join and search a synth study of
 9,608 sensor rows held in memory, so no disk time is measured, except by
 the hashed write bench: it writes the table to a file through
-``storage.atomic_write``, hashing the bytes as it writes them, as the
+``storage.Store.put``, hashing the bytes as it writes them, as the
 pipeline writes the outputs its store holds, so against the in-memory
 write it adds the sha256, the temp file and the rename. The synth study's
 drives repeat each other's floats, so the writer renders each distinct
@@ -29,6 +29,7 @@ import hashlib
 import io
 from dataclasses import replace
 from datetime import timedelta
+from functools import partial
 
 import numpy as np
 import pytest
@@ -226,11 +227,7 @@ def test_write_sensor_csv_quantized(benchmark, quantized_sensor):
 def test_write_sensor_csv_hashed(benchmark, sensor, sensor_text, tmp_path):
     path = tmp_path / "clean_sensor.csv"
 
-    def write():
-        with storage.atomic_write(path, hashed=True) as handle:
-            write_sensor_csv(sensor, handle)
-
-    benchmark(write)
+    benchmark(storage.Store().put, "clean_sensor", path, partial(write_sensor_csv, sensor))
     data = sensor_text.encode("utf-8")
     assert path.read_bytes() == data
     assert storage.written[path] == hashlib.sha256(data).hexdigest()

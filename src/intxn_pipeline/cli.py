@@ -35,7 +35,7 @@ from . import clips as clips_mod
 from . import discovery, ingest, review, synth, trajectory
 from .config import DEFAULT_INPUTS, PipelineConfig, load_config
 from .errors import DataError, MissingPrerequisiteError, PipelineError
-from .storage import Store, atomic_write, read_json, write_json
+from .storage import Store, read_json, write_json
 
 # Stage order for `all`, with the review pause between export-kml and
 # import-review.
@@ -70,7 +70,7 @@ def _require(path: Path, what: str, produced_by: str | None = None) -> None:
 
 # The stage outputs this process wrote or parsed last: the clean tables,
 # the candidate lists, the reviewed intersections, the trajectories and the
-# cut-list, each written hashed. The trajectories' digest adds the clean
+# cut-list, each written by ``put``. The trajectories' digest adds the clean
 # sensor table's, from which their reader cuts their windows.
 _store = Store()
 
@@ -149,9 +149,7 @@ def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str
         ("clean_cv", ingest.write_detections_csv, detections, cv_drops, cv_in, cv_files),
     ):
         out = cfg.output_path(key)
-        with atomic_write(out, hashed=True) as handle:
-            held = write(rows, handle)
-        _store.put(key, out, held)
+        _store.put(key, out, partial(write, rows))
         write_json(drops, Path(str(out) + ".drops.json"))
         report = {"rows_in": rows_in, "rows_out": len(rows), "drops": drops, "inputs": inputs}
         reports.append((out, report))
@@ -167,9 +165,8 @@ def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
     network = discovery.load_network_geojson(network_path)
     candidates = discovery.extract_lrs_candidates(network, tol_ft=cfg.params["tol_ft"])
     out = cfg.output_path("lrs_candidates")
-    with atomic_write(out, hashed=True) as handle:
-        write_json(discovery.candidates_to_geojson(candidates), handle)
-    _store.put("lrs_candidates", out, candidates)
+    geojson = discovery.candidates_to_geojson(candidates)
+    _store.put("lrs_candidates", out, partial(write_json, geojson), candidates)
     report = {
         "polylines": len(network.line_id),
         "vertices": len(network.lat),
@@ -199,9 +196,8 @@ def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> St
         lat, lon, candidates, max_match_ft=cfg.params["max_match_ft"]
     )
     out = cfg.output_path("visited_candidates")
-    with atomic_write(out, hashed=True) as handle:
-        write_json(discovery.candidates_to_geojson(visited), handle)
-    _store.put("visited_candidates", out, visited)
+    geojson = discovery.candidates_to_geojson(visited)
+    _store.put("visited_candidates", out, partial(write_json, geojson), visited)
     report = {
         "detections": len(detections),
         "last_in_runs": len(last),
@@ -235,9 +231,7 @@ def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
         line_edge_match_ft=cfg.params["line_edge_match_ft"],
     )
     out = cfg.output_path("reviewed_json")
-    with atomic_write(out, hashed=True) as handle:
-        review.save_reviewed_json(reviewed, handle)
-    _store.put("reviewed", out, reviewed)
+    _store.put("reviewed", out, partial(review.save_reviewed_json, reviewed), reviewed)
     report = {
         "placemarks": dict(
             points=len(feats.true_points()), polygons=len(feats.polygons), lines=len(feats.lines)
@@ -266,9 +260,8 @@ def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> S
     )
     trajs, skip_report = trajectory.extract_trajectories(sensor, reviewed, params)
     out = cfg.output_path("trajectories")
-    with atomic_write(out, hashed=True) as handle:
-        trajectory.write_trajectories_csv(trajs, handle)
-    _store.put("trajectories", out, trajs, _store["clean_sensor"][0])
+    write = partial(trajectory.write_trajectories_csv, trajs)
+    _store.put("trajectories", out, write, trajs, _store["clean_sensor"][0])
     summary = f"traj: {len(trajs)} entering trajectories, skips {skip_report}"
     visits = len(trajs) + skip_report["duplicate_pass"]
     return summary, [(out, {"visits": visits, "trajectories": len(trajs), "skips": skip_report})]
@@ -291,9 +284,8 @@ def stage_clips(
     )
     cut, report = clips_mod.build_clip_specs(trajs, videos, overlay)
     out = cfg.output_path("cutlist")
-    with atomic_write(out, hashed=True) as handle:
-        clips_mod.emit_cutlist(cut, handle, cfg.output_path("cutlist_script"), cfg.processor)
-    _store.put("cutlist", out, cut)
+    script = cfg.output_path("cutlist_script")
+    _store.put("cutlist", out, lambda f: clips_mod.emit_cutlist(cut, f, script, cfg.processor), cut)
     summary = f"clips: {len(cut)} clip specs, {len(report['unclippable'])} unclippable"
     return summary, [(out, {"trajectories": len(trajs), "clips": len(cut), **report})]
 

@@ -270,14 +270,13 @@ _FLOAT_DICTIONARY = 16 * WRITE_ROWS
 def _float_renderer(fn, column: np.ndarray) -> Callable[[np.ndarray], list]:
     """What renders each slice of ``column`` as ``fn`` of its floats: as in
     Parquet's dictionary encoding, each bit pattern once, and a slice gathers
-    its texts by binary search; past ``_FLOAT_DICTIONARY`` patterns, ``_per_value``
-    of each slice, and without repeats, ``fn`` of each value. The bits are
-    sorted, as numpy 2.4.6's ``np.unique`` hashes int64, ~20x slower."""
+    its texts by binary search; without repeats or past ``_FLOAT_DICTIONARY``
+    patterns, ``_per_value`` of each slice. The sorted bits (~9 bytes a row)
+    are the one table-sized scratch; numpy 2.4.6's ``np.unique`` hashes int64,
+    ~20x slower."""
     bits = np.sort(column.view(np.int64))
     new = bits[1:] != bits[:-1]
-    if new.all():  # no slice repeats a value either
-        return lambda part: list(map(fn, part.tolist()))
-    if new.sum() >= _FLOAT_DICTIONARY:
+    if new.all() or new.sum() >= _FLOAT_DICTIONARY:
         return partial(_per_value, fn)
     values = np.append(bits[:1], bits[1:][new])
     texts = np.array(list(map(fn, values.view(float).tolist())), dtype=object)

@@ -2,8 +2,8 @@
 
 Batch runs accumulate over months, so every path opened for writing goes
 through a temp-file-plus-rename and a crash never leaves a partial file
-behind. The bytes of a file a ``Store`` will hold are hashed as written,
-so a stage knows its digest without reading it back. Only ``file:`` and
+behind. ``Store.put`` hashes the bytes of each file it holds as they are
+written, so a stage knows its digest without reading it back. Only ``file:`` and
 bare paths are supported. Every CSV file is written through
 ``write_csv``, a column and a thousand rows at a time. Every JSON file is
 written through ``write_json``, and every JSON input but the config is read
@@ -93,8 +93,8 @@ def atomic_write(uri: str | Path, mode: str = "w", hashed: bool = False) -> Iter
     """Write to a temp file in the target directory, rename on success.
 
     The result gets the mode a plain ``open`` would give it (0o666 less the
-    umask), not the 0o600 of the temp file. Once a ``hashed`` file, one a
-    ``Store`` will hold, is in place, the sha256 of its bytes is in ``written[path]``.
+    umask), not the 0o600 of the temp file. Once a ``hashed`` file (one
+    ``Store.put`` writes) is in place, the sha256 of its bytes is in ``written[path]``.
     """
     path = local_path(uri)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -235,9 +235,13 @@ class Store(dict):
     reader takes, so a change to either file misses.
     """
 
-    def put(self, key: str, path: Path, obj, on: str = "") -> None:
-        """Store ``obj``, what the reader returns for the bytes just written to ``path``."""
-        self[key] = (written[path] + on, obj)
+    def put(self, key: str, path: Path, write: Callable[[IO], object], obj=None, on="") -> None:
+        """Write ``path`` by ``write(handle)``, hashing the bytes as they are
+        written, and store ``obj`` (by default what ``write`` returns), what
+        the reader returns for those bytes."""
+        with atomic_write(path, hashed=True) as handle:
+            held = write(handle)
+        self[key] = (written[path] + on, held if obj is None else obj)
 
     def load(self, key: str, path: Path, reader: Callable, on: str = ""):
         """``reader`` of the text file at ``path``, parsed only when the store

@@ -720,32 +720,34 @@ class _Sink:
         self.size += len(text)
 
 
-def test_a_write_holds_a_chunk_not_the_table():
-    # 200,000 rows in drives of 1,000, each float in two rows: more distinct
-    # values than the dictionary holds, so each chunk renders its own. The
-    # write's allocation peak stays near one chunk's, far below the text.
+def test_a_write_holds_one_sorted_column_beyond_a_chunk():
+    # Tables in drives of 1,000 rows, each float in two rows: more distinct
+    # values than the dictionary holds, so each chunk renders its own. Beyond
+    # one chunk's peak, a write holds one column's sorted bits and neighbour
+    # mask, 9 bytes a row, not the ~130 bytes a row of text it writes.
     import tracemalloc
 
     rng = np.random.default_rng(0)
-    n = 200_000
-    assert n // 2 > ingest._FLOAT_DICTIONARY
-    values = rng.uniform(-1, 1, n // 2)
-    table = ingest.SensorTable._grouped(
-        [("S", d) for d in range(n // 1000)], np.repeat(np.arange(n // 1000), 1000),
-        np.arange(n, dtype=np.int64) * 100_000,
-        *(rng.permutation(np.repeat(values, 2)) for _ in range(5)),
-    )
-    peaks = []
-    for part in (table[:1000], table):
+    peaks, sizes = [], []
+    for n in (1000, 100_000, 200_000):
+        values = rng.uniform(-1, 1, n // 2)
+        table = ingest.SensorTable._grouped(
+            [("S", d) for d in range(n // 1000)], np.repeat(np.arange(n // 1000), 1000),
+            np.arange(n, dtype=np.int64) * 100_000,
+            *(rng.permutation(np.repeat(values, 2)) for _ in range(5)),
+        )
+        assert n == 1000 or n // 2 > ingest._FLOAT_DICTIONARY
         sink = _Sink()
         tracemalloc.start()
         try:
-            write_sensor_csv(part, sink)
+            write_sensor_csv(table, sink)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert sink.size > 25_000_000
-    assert peaks[1] < 3 * peaks[0] < 3_000_000
+        sizes.append(sink.size)
+    assert sizes[2] > 25_000_000
+    assert peaks[2] - peaks[1] <= 10 * 100_000
+    assert peaks[2] <= peaks[0] + 10 * 200_000
 
 
 def _tuple_drive_codes(subj, drive):
