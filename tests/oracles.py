@@ -22,6 +22,12 @@ coordinate texts at once; ``placemark_rows`` turns the new reader's
 columns into the rows it gives. ``polyline_midpoint`` is the scalar walk
 that ``geo.polyline_midpoints`` does for all lines at once.
 
+``et_write_kml`` writes an ElementTree document indented by ``ET.indent``,
+as the KML writers did before ``review.write_kml`` rendered text;
+``et_kml`` builds the tree of ``review.write_kml``'s folders, and
+``et_export_candidates_kml`` and ``et_write_reviewed_kml`` are the
+candidates export and synth's reviewed KML as those ElementTree builds.
+
 ``scalar_import_reviewed_kml`` assembles reviewed geometry one object at a
 time: every polygon against every intersection, every line against every
 polygon, with ``PolygonRing``, ``ApproachLeg`` and ``ReviewedIntersection``
@@ -413,6 +419,112 @@ def old_parse_kml_features(source) -> tuple[dict[str, list[tuple]], set[str]]:
 
     walk(tree.getroot(), ())
     return feats, folder_names
+
+
+def et_write_kml(kml, dest) -> None:
+    """Write the ElementTree document rooted at ``kml`` indented, after an
+    XML declaration."""
+    ET.indent(kml)
+    payload = ET.tostring(kml, encoding="unicode")
+    with resolve_uri(dest, "w") as handle:
+        handle.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+        handle.write(payload)
+        handle.write("\n")
+
+
+def et_kml(folders):
+    """The ElementTree document of ``review.write_kml``'s folders: each a
+    (name, placemarks) pair, each placemark a (name, geometry, coordinate
+    text, control or None) tuple."""
+    kml = ET.Element("kml", xmlns="http://www.opengis.net/kml/2.2")
+    doc = ET.SubElement(kml, "Document")
+    for folder_name, placemarks in folders:
+        folder = ET.SubElement(doc, "Folder")
+        ET.SubElement(folder, "name").text = folder_name
+        for name, geometry, text, control in placemarks:
+            mark = ET.SubElement(folder, "Placemark")
+            ET.SubElement(mark, "name").text = name
+            if control is not None:
+                ext = ET.SubElement(mark, "ExtendedData")
+                data = ET.SubElement(ext, "Data", name="control")
+                ET.SubElement(data, "value").text = control
+            geom = ET.SubElement(mark, geometry)
+            if geometry == "Polygon":
+                outer = ET.SubElement(geom, "outerBoundaryIs")
+                geom = ET.SubElement(outer, "LinearRing")
+            ET.SubElement(geom, "coordinates").text = text
+    return kml
+
+
+def et_export_candidates_kml(candidates, dest) -> None:
+    """``review.export_candidates_kml`` as an ElementTree build."""
+    if not candidates:
+        raise ValueError("no candidates to export")
+    kml = ET.Element("kml", xmlns="http://www.opengis.net/kml/2.2")
+    doc = ET.SubElement(kml, "Document")
+    folder = ET.SubElement(doc, "Folder")
+    ET.SubElement(folder, "name").text = "candidates"
+    columns = candidates.intxn_id, candidates.lat.tolist(), candidates.lon.tolist()
+    for intxn_id, lat, lon in zip(*columns):
+        mark = ET.SubElement(folder, "Placemark")
+        ET.SubElement(mark, "name").text = str(intxn_id)
+        point = ET.SubElement(mark, "Point")
+        ET.SubElement(point, "coordinates").text = f"{lon:.10g},{lat:.10g},0"
+    et_write_kml(kml, dest)
+
+
+def _kml_coord(p: GeoPoint) -> str:
+    return f"{p.lon_deg!r},{p.lat_deg!r},0"
+
+
+def et_write_reviewed_kml(path, grid, controlled, length_ft: float, half_width_ft: float) -> None:
+    """Synth's reviewed KML as an ElementTree build: each controlled
+    junction, (intxn_id, row, col) of ``grid``, as a point under ``true``
+    with control ``stop``, and its eastbound approach, a ``length_ft`` by
+    2 * ``half_width_ft`` rectangle ending on the junction, with the entering
+    line along its centre, under ``approaches``."""
+    kml = ET.Element("kml", xmlns="http://www.opengis.net/kml/2.2")
+    doc = ET.SubElement(kml, "Document")
+    true_folder = ET.SubElement(doc, "Folder")
+    ET.SubElement(true_folder, "name").text = "true"
+    approach_folder = ET.SubElement(doc, "Folder")
+    ET.SubElement(approach_folder, "name").text = "approaches"
+
+    dlat = half_width_ft / FT_PER_DEG
+    dlon = length_ft / (FT_PER_DEG * grid.cos0)
+    for intxn_id, row, col in sorted(controlled):
+        pos = grid.junction(row, col)
+        mark = ET.SubElement(true_folder, "Placemark")
+        ET.SubElement(mark, "name").text = str(intxn_id)
+        ext = ET.SubElement(mark, "ExtendedData")
+        data = ET.SubElement(ext, "Data", name="control")
+        ET.SubElement(data, "value").text = "stop"
+        point = ET.SubElement(mark, "Point")
+        ET.SubElement(point, "coordinates").text = _kml_coord(pos)
+
+        ring = [
+            GeoPoint(pos.lat_deg - dlat, pos.lon_deg - dlon),
+            GeoPoint(pos.lat_deg - dlat, pos.lon_deg),
+            GeoPoint(pos.lat_deg + dlat, pos.lon_deg),
+            GeoPoint(pos.lat_deg + dlat, pos.lon_deg - dlon),
+        ]
+        poly_mark = ET.SubElement(approach_folder, "Placemark")
+        ET.SubElement(poly_mark, "name").text = f"approach-{intxn_id}"
+        polygon = ET.SubElement(poly_mark, "Polygon")
+        outer = ET.SubElement(polygon, "outerBoundaryIs")
+        linear = ET.SubElement(outer, "LinearRing")
+        ET.SubElement(linear, "coordinates").text = " ".join(
+            _kml_coord(v) for v in ring + [ring[0]]
+        )
+
+        line_mark = ET.SubElement(approach_folder, "Placemark")
+        ET.SubElement(line_mark, "name").text = f"enter-{intxn_id}"
+        line = ET.SubElement(line_mark, "LineString")
+        ET.SubElement(line, "coordinates").text = " ".join(
+            [_kml_coord(GeoPoint(pos.lat_deg, pos.lon_deg - dlon)), _kml_coord(pos)]
+        )
+
+    et_write_kml(kml, path)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ from oracles import (
     IntersectionCandidate,
     candidates_of,
     cutlist_of,
+    et_export_candidates_kml,
     old_parse_kml_features,
     placemark_rows,
     reviewed_doc,
     scalar_import_reviewed_kml,
 )
+from test_synth_differential import BENCH_SPECS
 
 from intxn_pipeline.errors import DataError, KmlParseError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
@@ -37,6 +39,7 @@ from intxn_pipeline.review import (
     save_reviewed_json,
     write_review_csv,
 )
+from intxn_pipeline.synth import ScenarioSpec, generate
 from intxn_pipeline.trajectory import TrajectoryTable
 
 LAT0, LON0 = 41.0, -96.0
@@ -118,6 +121,15 @@ def test_export_kml_document_order():
     )
     text = out.getvalue()
     assert text.index("<name>1</name>") < text.index("<name>2</name>") < text.index("<name>3</name>")
+
+
+@pytest.mark.parametrize("shape", sorted(BENCH_SPECS))
+def test_export_kml_is_the_element_tree_document(tmp_path, shape):
+    candidates = generate(ScenarioSpec(**BENCH_SPECS[shape]), tmp_path).ground_truth.candidates
+    new, old = io.StringIO(), io.StringIO()
+    export_candidates_kml(candidates, new)
+    et_export_candidates_kml(candidates, old)
+    assert new.getvalue() == old.getvalue()
 
 
 def test_export_kml_rejects_empty():

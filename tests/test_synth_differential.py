@@ -3,10 +3,11 @@
 ``old_generate`` below is the implementation that array sampling replaced
 (a Python loop over every sample of every drive, a ``datetime`` per sensor,
 detection, video and ground-truth time, ``format_time_utc`` per rendered
-time, and ``json.dump`` token by token), kept here as the oracle. Both
-sides must write the same files byte for byte and return the same ground
-truth, on the benchmark's workload shapes, at several sample rates, with
-GPS jitter, away from the default origin and with over 99 subjects.
+time, ``json.dump`` token by token, and the reviewed KML built as an
+ElementTree by ``oracles.et_write_reviewed_kml``), kept here as the oracle.
+Both sides must write the same files byte for byte and return the same
+ground truth, on the benchmark's workload shapes, at several sample rates,
+with GPS jitter, away from the default origin and with over 99 subjects.
 """
 
 import csv
@@ -24,6 +25,7 @@ from oracles import (
     candidate_rows,
     candidates_of,
     csv_writer,
+    et_write_reviewed_kml,
     format_time_utc,
     network_of,
 )
@@ -33,6 +35,8 @@ from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import SensorTable, to_us, write_sensor_csv
 from intxn_pipeline.storage import resolve_uri
 from intxn_pipeline.synth import (
+    APPROACH_HALF_WIDTH_FT,
+    APPROACH_LENGTH_FT,
     DETECT_FT,
     ExpectedTrajectory,
     GroundTruth,
@@ -44,7 +48,6 @@ from intxn_pipeline.synth import (
     _Grid,
     _sample_offsets_us,
     _subj_name,
-    _write_reviewed_kml,
     generate,
 )
 
@@ -257,7 +260,9 @@ def old_generate(spec, out):
         for subj_idx in range(spec.n_subjects):
             w.writerow([_subj_name(subj_idx), 30 + 2 * subj_idx, ("F", "M")[subj_idx % 2]])
 
-    _write_reviewed_kml(paths["reviewed_kml"], grid, controlled)
+    et_write_reviewed_kml(
+        paths["reviewed_kml"], grid, controlled, APPROACH_LENGTH_FT, APPROACH_HALF_WIDTH_FT
+    )
     old_write_json(old_ground_truth_json(ground_truth), paths["ground_truth"])
     return SynthScenario(spec, network_of(polylines), ground_truth, paths)
 
