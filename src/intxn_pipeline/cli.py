@@ -91,7 +91,7 @@ def _trajectories(traj_path: Path, sensor_path: Path) -> list:
 def _expand_files(cfg: PipelineConfig, key: str, what: str) -> list[str]:
     """The files the patterns of ``key`` name, each once, in first-seen order."""
     files: dict[Path, str] = {}  # resolved path -> the name it was first found by
-    patterns = cfg.input_globs(key)
+    patterns = cfg.inputs[key]
     for pattern in patterns:
         found = sorted(glob.glob(pattern)) if any(ch in pattern for ch in "*?[") else [pattern]
         for f in found:
@@ -105,11 +105,11 @@ def _expand_files(cfg: PipelineConfig, key: str, what: str) -> list[str]:
 
 def _prerequisite(cfg: PipelineConfig, key: str, what: str, produced_by: str | None):
     if produced_by:
-        path = cfg.output_path(key)
+        path = cfg.outputs[key]
     elif isinstance(DEFAULT_INPUTS[key], list):  # a file set: the body gets its file list
         return _expand_files(cfg, key, what)
     else:
-        path = cfg.input_path(key)
+        path = cfg.inputs[key]
     _require(path, what, produced_by)
     return path
 
@@ -148,7 +148,7 @@ def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str
         ("clean_sensor", ingest.write_sensor_csv, sensor, sensor_drops, sensor_in, sensor_files),
         ("clean_cv", ingest.write_detections_csv, detections, cv_drops, cv_in, cv_files),
     ):
-        out = cfg.output_path(key)
+        out = cfg.outputs[key]
         _store.put(key, out, partial(write, rows))
         write_json(drops, Path(str(out) + ".drops.json"))
         report = {"rows_in": rows_in, "rows_out": len(rows), "drops": drops, "inputs": inputs}
@@ -164,7 +164,7 @@ def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str
 def stage_lrs_intxns(cfg: PipelineConfig, network_path: Path) -> StageResult:
     network = discovery.load_network_geojson(network_path)
     candidates = discovery.extract_lrs_candidates(network, tol_ft=cfg.params["tol_ft"])
-    out = cfg.output_path("lrs_candidates")
+    out = cfg.outputs["lrs_candidates"]
     geojson = discovery.candidates_to_geojson(candidates)
     _store.put("lrs_candidates", out, partial(write_json, geojson), candidates)
     report = {
@@ -195,7 +195,7 @@ def stage_subj_intxns(cfg: PipelineConfig, cv_path: Path, cand_path: Path) -> St
     visited, unmatched = discovery.match_clusters(
         lat, lon, candidates, max_match_ft=cfg.params["max_match_ft"]
     )
-    out = cfg.output_path("visited_candidates")
+    out = cfg.outputs["visited_candidates"]
     geojson = discovery.candidates_to_geojson(visited)
     _store.put("visited_candidates", out, partial(write_json, geojson), visited)
     report = {
@@ -216,7 +216,7 @@ def stage_export_kml(cfg: PipelineConfig, visited_path: Path) -> StageResult:
     )
     if not visited:
         raise DataError(f"no visited candidates to export: {visited_path}")
-    out = cfg.output_path("candidates_kml")
+    out = cfg.outputs["candidates_kml"]
     review.export_candidates_kml(visited, out)
     summary = f"export-kml: {len(visited)} candidates written to {out}"
     return summary, [(out, {"candidates": len(visited)})]
@@ -230,7 +230,7 @@ def stage_import_review(cfg: PipelineConfig, kml_path: Path) -> StageResult:
         polygon_match_ft=cfg.params["polygon_match_ft"],
         line_edge_match_ft=cfg.params["line_edge_match_ft"],
     )
-    out = cfg.output_path("reviewed_json")
+    out = cfg.outputs["reviewed_json"]
     _store.put("reviewed", out, partial(review.save_reviewed_json, reviewed), reviewed)
     report = {
         "placemarks": dict(
@@ -259,7 +259,7 @@ def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> S
         pass_gap_s=cfg.params["pass_gap_s"],
     )
     trajs, skip_report = trajectory.extract_trajectories(sensor, reviewed, params)
-    out = cfg.output_path("trajectories")
+    out = cfg.outputs["trajectories"]
     write = partial(trajectory.write_trajectories_csv, trajs)
     _store.put("trajectories", out, write, trajs, _store["clean_sensor"][0])
     summary = f"traj: {len(trajs)} entering trajectories, skips {skip_report}"
@@ -283,8 +283,8 @@ def stage_clips(
         off_downstream_ft=cfg.params["overlay_off_downstream_ft"],
     )
     cut, report = clips_mod.build_clip_specs(trajs, videos, overlay)
-    out = cfg.output_path("cutlist")
-    script = cfg.output_path("cutlist_script")
+    out = cfg.outputs["cutlist"]
+    script = cfg.outputs["cutlist_script"]
     _store.put("cutlist", out, lambda f: clips_mod.emit_cutlist(cut, f, script, cfg.processor), cut)
     summary = f"clips: {len(cut)} clip specs, {len(report['unclippable'])} unclippable"
     return summary, [(out, {"trajectories": len(trajs), "clips": len(cut), **report})]
@@ -310,9 +310,9 @@ def stage_template(
         custom_fields=cfg.custom_fields,
         video_base_url=cfg.video_base_url,
     )
-    out = cfg.output_path("review_template")
+    out = cfg.outputs["review_template"]
     review.write_review_csv(columns, list(cfg.custom_fields), out)
-    manifest_out = cfg.output_path("validation_manifest")
+    manifest_out = cfg.outputs["validation_manifest"]
     write_json(manifest, manifest_out)
     report = {"rows": len(trajs), "custom_fields": list(cfg.custom_fields), "warnings": warnings}
     return f"template: {len(trajs)} review rows", [(out, report)]
@@ -345,10 +345,10 @@ def run(stage: str, cfg: PipelineConfig) -> list[str]:
         return [_run_stage(stage, cfg)]
 
     lines = [_run_stage(name, cfg) for name in PRE_REVIEW_STAGES]
-    kml_path = cfg.input_path("reviewed_kml")
+    kml_path = cfg.inputs["reviewed_kml"]
     if not kml_path.exists():
         pause = (
-            f"all: paused before import-review. Review {cfg.output_path('candidates_kml')} "
+            f"all: paused before import-review. Review {cfg.outputs['candidates_kml']} "
             f"in an earth viewer, save the reviewed file as {kml_path}, and rerun "
             "`intxn-pipeline all`."
         )

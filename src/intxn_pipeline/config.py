@@ -64,7 +64,7 @@ DEFAULT_OUTPUTS = {
 @dataclass
 class PipelineConfig:
     workspace: Path
-    inputs: dict[str, object] = field(default_factory=dict)
+    inputs: dict[str, Path | list[str]] = field(default_factory=dict)  # a path or its globs
     outputs: dict[str, Path] = field(default_factory=dict)
     params: dict[str, float | int] = field(default_factory=dict)
     processor: str = "ffmpeg"
@@ -72,21 +72,10 @@ class PipelineConfig:
     video_base_url: str = ""
     synth: ScenarioSpec = field(default_factory=ScenarioSpec)
 
-    def input_path(self, key: str) -> Path:
-        value = self.inputs[key]
-        return self.workspace / str(value)
-
-    def input_globs(self, key: str) -> list[str]:
-        value = self.inputs[key]
-        if isinstance(value, str):
-            value = [value]
-        return [str(self.workspace / str(v)) for v in value]
-
-    def output_path(self, key: str) -> Path:
-        return self.outputs[key]
-
 
 def _coerce_param(key: str, raw: object) -> float | int:
+    if key not in PARAM_DEFAULTS:
+        raise ConfigError(f"unknown parameter {key!r}")
     default = PARAM_DEFAULTS[key]
     if isinstance(raw, bool):
         raise ConfigError(f"parameter {key!r} must be numeric, got {raw!r}")
@@ -104,6 +93,12 @@ def _coerce_param(key: str, raw: object) -> float | int:
         raise ConfigError(f"parameter {key!r} must be positive, got {value!r}")
     if key == "heading_tol_deg" and value >= 90:
         raise ConfigError(f"parameter {key!r} must be below 90, got {value!r}")
+    return value
+
+
+def _string(value: object, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
     return value
 
 
@@ -128,27 +123,28 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         if not isinstance(doc.get(key, {}), dict):
             raise ConfigError(f"config key {key!r} must be a JSON object, got {doc[key]!r}")
 
-    workspace = (path.parent / doc.get("workspace", ".")).resolve()
+    workspace = (path.parent / _string(doc.get("workspace", "."), "workspace")).resolve()
 
     for kind, defaults in (("input", DEFAULT_INPUTS), ("output", DEFAULT_OUTPUTS)):
         unknown = sorted(set(doc.get(kind + "s", {})) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown {kind} keys: {', '.join(unknown)}")
-    inputs = {**DEFAULT_INPUTS, **doc.get("inputs", {})}
+    inputs = {}
+    for key, value in {**DEFAULT_INPUTS, **doc.get("inputs", {})}.items():
+        many = isinstance(DEFAULT_INPUTS[key], list)  # a glob or a list of globs
+        values = value if many and isinstance(value, list) else [value]
+        paths = [workspace / _string(v, f"inputs.{key}") for v in values]
+        inputs[key] = [*map(str, paths)] if many else paths[0]
     out_cfg = {**DEFAULT_OUTPUTS, **doc.get("outputs", {})}
-    outputs = {key: workspace / str(value) for key, value in out_cfg.items()}
+    outputs = {key: workspace / _string(value, f"outputs.{key}") for key, value in out_cfg.items()}
 
     params = dict(PARAM_DEFAULTS)
     for key, value in doc.get("params", {}).items():
-        if key not in PARAM_DEFAULTS:
-            raise ConfigError(f"unknown parameter {key!r}")
         params[key] = _coerce_param(key, value)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         key, _, value = item.partition("=")
-        if key not in PARAM_DEFAULTS:
-            raise ConfigError(f"unknown parameter {key!r}")
         params[key] = _coerce_param(key, value)
 
     custom_fields = doc.get("custom_fields", {})
@@ -175,8 +171,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         inputs=inputs,
         outputs=outputs,
         params=params,
-        processor=str(doc.get("processor", "ffmpeg")),
+        processor=_string(doc.get("processor", "ffmpeg"), "processor"),
         custom_fields={k: list(v) for k, v in custom_fields.items()},
-        video_base_url=str(doc.get("video_base_url", "")),
+        video_base_url=_string(doc.get("video_base_url", ""), "video_base_url"),
         synth=synth,
     )

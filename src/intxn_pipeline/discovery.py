@@ -318,6 +318,23 @@ def load_network_geojson(source: str | Path | IO) -> RoadNetwork:
     return read_json(source, _network_from_geojson, "road network GeoJSON")
 
 
+def network_to_geojson(network: RoadNetwork) -> dict:
+    """One LineString feature per line, its id the line's, in line order."""
+    vertices = list(map(list, zip(network.lon.tolist(), network.lat.tolist())))
+    return {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "id": line_id,
+                "geometry": {"type": "LineString", "coordinates": vertices[a:b]},
+                "properties": {},
+            }
+            for line_id, (a, b) in zip(network.line_id, pairwise(network.first.tolist()))
+        ],
+    }
+
+
 def _network_from_geojson(doc: dict) -> RoadNetwork:
     if doc.get("type") != "FeatureCollection":
         raise DataError("road network must be a GeoJSON FeatureCollection")

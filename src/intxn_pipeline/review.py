@@ -4,7 +4,9 @@ Candidates go out as KML for inspection in an earth viewer; the reviewer
 keeps true intersections (folder ``true``, or simply deletes false ones),
 draws one polygon per controlled approach leg and one line per entering
 direction, and the result comes back in here and goes on as JSON, read
-back through ``storage.read_json``. The reviewed KML is read into columns,
+back through ``storage.read_json``. Every KML the package writes, the
+synthetic reviewed one included, goes through ``write_kml``, which renders
+folders of placemarks as text. The reviewed KML is read into columns,
 one per geometry (``Placemarks``), with every coordinate text read at
 once, and the geometry is assembled with array passes over all placemarks
 and cell-grid joins, the scalar tests running only where they decide.
@@ -26,7 +28,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from itertools import chain, pairwise, repeat
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -53,8 +55,6 @@ if TYPE_CHECKING:
     from .clips import CutList
     from .discovery import Candidates
     from .trajectory import TrajectoryTable
-
-KML_NS = "http://www.opengis.net/kml/2.2"
 
 # Spatial-join gates for assembling reviewed geometry. Approach legs sit
 # within ~300 ft of their junction, so these bounds are generous.
@@ -111,27 +111,53 @@ def export_candidates_kml(candidates: Candidates, dest: str | Path | IO) -> None
     """
     if not candidates:
         raise ValueError("no candidates to export")
-    kml = ET.Element("kml", xmlns=KML_NS)
-    doc = ET.SubElement(kml, "Document")
-    folder = ET.SubElement(doc, "Folder")
-    ET.SubElement(folder, "name").text = CANDIDATES_FOLDER
     columns = candidates.intxn_id, candidates.lat.tolist(), candidates.lon.tolist()
-    for intxn_id, lat, lon in zip(*columns):
-        mark = ET.SubElement(folder, "Placemark")
-        ET.SubElement(mark, "name").text = str(intxn_id)
-        point = ET.SubElement(mark, "Point")
-        ET.SubElement(point, "coordinates").text = f"{lon:.10g},{lat:.10g},0"
-    write_kml(kml, dest)
+    marks = [(str(i), "Point", f"{lon:.10g},{lat:.10g},0", None) for i, lat, lon in zip(*columns)]
+    write_kml([(CANDIDATES_FOLDER, marks)], dest)
 
 
-def write_kml(kml: ET.Element, dest: str | Path | IO) -> None:
-    """Write the document rooted at ``kml`` indented, after an XML declaration."""
-    ET.indent(kml)
-    payload = ET.tostring(kml, encoding="unicode")
+def _escaped(text: str) -> str:
+    """``text`` as ElementTree writes element text."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _nested(tags: list[str], depth: int = 4) -> str:
+    """Elements ``tags``, each inside the one before, as ``ET.indent`` lays
+    them out ``depth`` levels down, with a slot for the last one's text."""
+    pad = "\n" + "  " * depth
+    inner = _nested(tags[1:], depth + 1) + pad if tags[1:] else "{}"
+    return f"{pad}<{tags[0]}>{inner}</{tags[0].split()[0]}>"
+
+
+# A placemark's control and each of its geometries, as its children.
+_CONTROL = _nested(["ExtendedData", 'Data name="control"', "value"])
+_GEOMETRY = {tags[0]: _nested([*tags, "coordinates"]) for tags in (
+    ["Point"], ["LineString"], ["Polygon", "outerBoundaryIs", "LinearRing"])}
+
+
+def write_kml(folders: Iterable[tuple[str, Iterable[tuple]]], dest: str | Path | IO) -> None:
+    """Write a KML document of ``folders``, (name, placemarks) pairs, each
+    placemark a (name, geometry, coordinate text, control or None) tuple:
+    geometry is ``Point``, ``LineString`` or ``Polygon`` (the text its outer
+    ring), and a control goes into ExtendedData. The text is what
+    ``ET.indent`` and ``ET.tostring`` give for that tree, after an XML
+    declaration, with ``&``, ``<`` and ``>`` escaped in every text; but an
+    empty text, or a document without folders, is an open and a close tag
+    where ElementTree writes an empty-element tag, which reads alike.
+    """
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+             '<kml xmlns="http://www.opengis.net/kml/2.2">\n  <Document>']
+    for folder, placemarks in folders:
+        parts.append(f"\n    <Folder>\n      <name>{_escaped(folder)}</name>")
+        for name, geometry, coordinates, control in placemarks:
+            parts.append(f"\n      <Placemark>\n        <name>{_escaped(name)}</name>")
+            if control is not None:
+                parts.append(_CONTROL.format(_escaped(control)))
+            parts.append(_GEOMETRY[geometry].format(_escaped(coordinates)) + "\n      </Placemark>")
+        parts.append("\n    </Folder>")
+    parts.append("\n  </Document>\n</kml>\n")
     with resolve_uri(dest, "w") as handle:
-        handle.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-        handle.write(payload)
-        handle.write("\n")
+        handle.write("".join(parts))
 
 
 @functools.lru_cache(maxsize=256)
@@ -559,11 +585,14 @@ REVIEW_COLUMNS = (
 )
 
 
+DEMOGRAPHICS_COLUMNS = ("subj", "age", "gender")
+
+
 class _Demographics:
     """The demographics CSV as ``ingest._parse_csv`` reads a raw file: three
     text columns, each stripped, and a non-empty subj."""
 
-    RAW = ("subj", "age", "gender")
+    RAW = DEMOGRAPHICS_COLUMNS
     OPTIONAL = ()
 
     @classmethod

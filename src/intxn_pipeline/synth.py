@@ -18,19 +18,17 @@ from __future__ import annotations
 
 import math
 import random
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from itertools import pairwise
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .clips import VIDEO_COLUMNS
-from .discovery import Candidates, RoadNetwork
+from .discovery import Candidates, RoadNetwork, network_to_geojson
 from .geo import FT_PER_DEG, GeoPoint
 from .ingest import _US, DETECTION_COLUMNS, EPOCH, SensorTable, _time_texts, to_us, write_sensor_csv
-from .review import KML_NS, TRUE_FOLDER, write_kml
+from .review import DEMOGRAPHICS_COLUMNS, TRUE_FOLDER, write_kml
 from .storage import write_csv, write_json
 
 BASE_TIME = datetime(2019, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -155,22 +153,6 @@ def _build_network(grid: _Grid) -> RoadNetwork:
     return RoadNetwork([name for name, _, _ in lines], grid.lat_at(north), grid.lon_at(east), first)
 
 
-def _network_geojson(network: RoadNetwork) -> dict:
-    vertices = list(map(list, zip(network.lon.tolist(), network.lat.tolist())))
-    return {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "id": line_id,
-                "geometry": {"type": "LineString", "coordinates": vertices[a:b]},
-                "properties": {},
-            }
-            for line_id, (a, b) in zip(network.line_id, pairwise(network.first.tolist()))
-        ],
-    }
-
-
 def _driven_row(spec: ScenarioSpec, drive: int) -> int:
     drivable = spec.grid_rows - 2  # rows 1..grid_rows-2 have degree >= 3 junctions
     return 1 + ((drive - 1) % drivable)
@@ -198,59 +180,30 @@ def _sample_offsets_us(spec: ScenarioSpec) -> np.ndarray:
     return np.array([timedelta(seconds=k / spec.sample_hz) // _US for k in range(n_samples)])
 
 
-def _kml_coord(p: GeoPoint) -> str:
+def _kml_coords(*points: tuple[float, float]) -> str:
     # Full float precision so reimported geometry matches the grid exactly.
-    return f"{p.lon_deg!r},{p.lat_deg!r},0"
+    return " ".join(f"{lon!r},{lat!r},0" for lat, lon in points)
 
 
-def _write_reviewed_kml(
-    path: Path, grid: _Grid, controlled: list[tuple[int, int, int]]
-) -> None:
+def _write_reviewed_kml(path: Path, grid: _Grid, controlled: list[tuple[int, int, int]]) -> None:
     """controlled: (intxn_id, row, col) of every controlled junction."""
-    kml = ET.Element("kml", xmlns=KML_NS)
-    doc = ET.SubElement(kml, "Document")
-    true_folder = ET.SubElement(doc, "Folder")
-    ET.SubElement(true_folder, "name").text = TRUE_FOLDER
-    approach_folder = ET.SubElement(doc, "Folder")
-    ET.SubElement(approach_folder, "name").text = "approaches"
-
     dlat = APPROACH_HALF_WIDTH_FT / FT_PER_DEG
     dlon = APPROACH_LENGTH_FT / (FT_PER_DEG * grid.cos0)
+    points, approaches = [], []
     for intxn_id, row, col in sorted(controlled):
         pos = grid.junction(row, col)
-        mark = ET.SubElement(true_folder, "Placemark")
-        ET.SubElement(mark, "name").text = str(intxn_id)
-        ext = ET.SubElement(mark, "ExtendedData")
-        data = ET.SubElement(ext, "Data", name="control")
-        ET.SubElement(data, "value").text = "stop"
-        point = ET.SubElement(mark, "Point")
-        ET.SubElement(point, "coordinates").text = _kml_coord(pos)
-
+        lat, lon = pos.lat_deg, pos.lon_deg
+        south, north, west = lat - dlat, lat + dlat, lon - dlon
+        points.append((str(intxn_id), "Point", _kml_coords((lat, lon)), "stop"))
         # Eastbound approach: a rectangle reaching 300 ft west of the
-        # junction, with the junction itself on its east edge.
-        ring = [
-            GeoPoint(pos.lat_deg - dlat, pos.lon_deg - dlon),
-            GeoPoint(pos.lat_deg - dlat, pos.lon_deg),
-            GeoPoint(pos.lat_deg + dlat, pos.lon_deg),
-            GeoPoint(pos.lat_deg + dlat, pos.lon_deg - dlon),
+        # junction, with the junction itself on its east edge, and the
+        # entering line along its middle.
+        ring = _kml_coords((south, west), (south, lon), (north, lon), (north, west), (south, west))
+        approaches += [
+            (f"approach-{intxn_id}", "Polygon", ring, None),
+            (f"enter-{intxn_id}", "LineString", _kml_coords((lat, west), (lat, lon)), None),
         ]
-        poly_mark = ET.SubElement(approach_folder, "Placemark")
-        ET.SubElement(poly_mark, "name").text = f"approach-{intxn_id}"
-        polygon = ET.SubElement(poly_mark, "Polygon")
-        outer = ET.SubElement(polygon, "outerBoundaryIs")
-        linear = ET.SubElement(outer, "LinearRing")
-        ET.SubElement(linear, "coordinates").text = " ".join(
-            _kml_coord(v) for v in ring + [ring[0]]
-        )
-
-        line_mark = ET.SubElement(approach_folder, "Placemark")
-        ET.SubElement(line_mark, "name").text = f"enter-{intxn_id}"
-        line = ET.SubElement(line_mark, "LineString")
-        ET.SubElement(line, "coordinates").text = " ".join(
-            [_kml_coord(GeoPoint(pos.lat_deg, pos.lon_deg - dlon)), _kml_coord(pos)]
-        )
-
-    write_kml(kml, path)
+    write_kml([(TRUE_FOLDER, points), ("approaches", approaches)], path)
 
 
 def _time_column(times: list[datetime]) -> list[str]:
@@ -366,7 +319,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
         "cv_files": [],
     }
     out.mkdir(parents=True, exist_ok=True)
-    write_json(_network_geojson(network), paths["network"])
+    write_json(network_to_geojson(network), paths["network"])
 
     video_rows: list[tuple] = []
     traj_counts: dict[tuple[str, int], int] = {}
@@ -436,7 +389,7 @@ def generate(spec: ScenarioSpec, out_dir: str | Path) -> SynthScenario:
     subjects = range(spec.n_subjects)
     ages = [str(30 + 2 * k) for k in subjects]
     demographics = [[*map(_subj_name, subjects)], ages, ["FM"[k % 2] for k in subjects]]
-    write_csv(paths["demographics"], ("subj", "age", "gender"), [demographics])
+    write_csv(paths["demographics"], DEMOGRAPHICS_COLUMNS, [demographics])
 
     _write_reviewed_kml(paths["reviewed_kml"], grid, controlled)
 

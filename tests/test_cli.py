@@ -715,3 +715,37 @@ def test_bad_config_section_is_user_error(tmp_path, capsys):
     assert main(["clean", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "synth" in err
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"workspace": 5}, "workspace"),
+        ({"workspace": None}, "workspace"),
+        ({"inputs": {"sensor_files": 5}}, "inputs.sensor_files"),
+        ({"inputs": {"cv_files": ["cv/*.csv", None]}}, "inputs.cv_files"),
+        ({"inputs": {"network": ["a.geojson"]}}, "inputs.network"),
+        ({"inputs": {"reviewed_kml": None}}, "inputs.reviewed_kml"),
+        ({"outputs": {"clean_sensor": None}}, "outputs.clean_sensor"),
+        ({"outputs": {"cutlist": 3}}, "outputs.cutlist"),
+        ({"processor": None}, "processor"),
+        ({"video_base_url": None}, "video_base_url"),
+        ({"video_base_url": 8080}, "video_base_url"),
+    ],
+)
+def test_config_value_of_the_wrong_type_is_user_error(tmp_path, capsys, doc, key):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps(doc))
+    assert main(["clean", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "None").exists()
+
+
+def test_config_globs_may_be_one_string_or_a_list(tmp_path):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"inputs": {"sensor_files": "s/*.csv", "cv_files": ["a", "b"]}}))
+    cfg = load_config(config)
+    assert cfg.inputs["sensor_files"] == [str(tmp_path / "s/*.csv")]
+    assert cfg.inputs["cv_files"] == [str(tmp_path / "a"), str(tmp_path / "b")]
+    assert cfg.inputs["network"] == tmp_path / "network.geojson"

@@ -5,6 +5,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     IntersectionCandidate,
     VisitedCandidate,
@@ -16,6 +18,7 @@ from oracles import (
     row_tuples,
     table_of,
 )
+from test_synth_differential import BENCH_SPECS
 
 from intxn_pipeline.discovery import (
     LRS_PROPS,
@@ -28,6 +31,7 @@ from intxn_pipeline.discovery import (
     last_in_runs,
     load_network_geojson,
     match_clusters,
+    network_to_geojson,
 )
 from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
@@ -377,6 +381,31 @@ def test_load_network_geojson(tmp_path):
     assert network.first.tolist() == [0, 2, 4]
     assert network.lat.tolist() == [41.0, 41.01, 41.0, 41.0]
     assert network.lon.tolist() == [-96.0, -96.0, -96.0, -95.99]
+
+
+def assert_network_round_trips(network):
+    buffer = io.StringIO()
+    write_json(network_to_geojson(network), buffer)
+    buffer.seek(0)
+    back = load_network_geojson(buffer)
+    assert back.line_id == network.line_id
+    for column in ("lat", "lon", "first"):
+        assert getattr(back, column).tolist() == getattr(network, column).tolist(), column
+
+
+@pytest.mark.parametrize("shape", [*sorted(BENCH_SPECS), "origin"])
+def test_synth_network_geojson_round_trips(tmp_path, shape):
+    spec = BENCH_SPECS.get(shape, dict(origin=GeoPoint(-33.9, 151.2), grid_rows=5))
+    assert_network_round_trips(generate(ScenarioSpec(**spec), tmp_path).network)
+
+
+_vertices = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)).map(lambda p: GeoPoint(*p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.lists(_vertices, min_size=2, max_size=5)), max_size=6))
+def test_network_geojson_round_trips(polylines):
+    assert_network_round_trips(network_of(polylines))
 
 
 def test_load_network_geojson_rejects_bool_coordinate(tmp_path):

@@ -14,6 +14,8 @@ from oracles import (
     candidates_of,
     cutlist_of,
     et_export_candidates_kml,
+    et_kml,
+    et_write_kml,
     old_parse_kml_features,
     placemark_rows,
     reviewed_doc,
@@ -37,6 +39,7 @@ from intxn_pipeline.review import (
     reviewed_from_json,
     reviewed_to_json,
     save_reviewed_json,
+    write_kml,
     write_review_csv,
 )
 from intxn_pipeline.synth import ScenarioSpec, generate
@@ -129,6 +132,42 @@ def test_export_kml_is_the_element_tree_document(tmp_path, shape):
     new, old = io.StringIO(), io.StringIO()
     export_candidates_kml(candidates, new)
     et_export_candidates_kml(candidates, old)
+    assert new.getvalue() == old.getvalue()
+
+
+def test_write_kml_escapes_texts_as_element_tree():
+    folders = [
+        ("true & <kept>", [("7 <&> 8", "Point", "-96,41,0", "stop & <go>")]),
+        ("approaches", [
+            ("a>b", "Polygon", "-96,41,0 -95,41,0 -95,42,0 -96,41,0", None),
+            ("&amp;", "LineString", "-96,41,0 -95,41,0", None),
+        ]),
+    ]
+    new, old = io.StringIO(), io.StringIO()
+    write_kml(folders, new)
+    et_write_kml(et_kml(folders), old)
+    assert new.getvalue() == old.getvalue()
+    assert "<name>true &amp; &lt;kept&gt;</name>" in new.getvalue()
+    assert "<name>&amp;amp;</name>" in new.getvalue()
+    new.seek(0)
+    feats = parse_kml_features(new)
+    assert feats.folder_names == {"true & <kept>", "approaches"}
+    assert (feats.points.names, feats.points.extended) == (["7 <&> 8"], [{"control": "stop & <go>"}])
+    assert (feats.polygons.names, feats.lines.names) == (["a>b"], ["&amp;"])
+
+
+_kml_texts = st.text(min_size=1)
+_placemarks = st.tuples(
+    _kml_texts, st.sampled_from(["Point", "LineString", "Polygon"]), _kml_texts, st.none() | _kml_texts
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_kml_texts, st.lists(_placemarks, max_size=4)), min_size=1, max_size=3))
+def test_write_kml_is_the_element_tree_document(folders):
+    new, old = io.StringIO(), io.StringIO()
+    write_kml(folders, new)
+    et_write_kml(et_kml(folders), old)
     assert new.getvalue() == old.getvalue()
 
 
