@@ -131,8 +131,10 @@ def _nested(tags: list[str], depth: int = 4) -> str:
 
 # A placemark's control and each of its geometries, as its children.
 _CONTROL = _nested(["ExtendedData", 'Data name="control"', "value"])
-_GEOMETRY = {tags[0]: _nested([*tags, "coordinates"]) for tags in (
-    ["Point"], ["LineString"], ["Polygon", "outerBoundaryIs", "LinearRing"])}
+_GEOMETRY = {
+    tags[0]: _nested([*tags, "coordinates"])
+    for tags in (["Point"], ["LineString"], ["Polygon", "outerBoundaryIs", "LinearRing"])
+}
 
 
 def write_kml(folders: Iterable[tuple[str, Iterable[tuple]]], dest: str | Path | IO) -> None:
