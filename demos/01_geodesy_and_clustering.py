@@ -15,13 +15,14 @@ import numpy as np
 from intxn_pipeline.discovery import cluster_detections, dbscan_labels, last_in_runs
 from intxn_pipeline.geo import (
     FT_PER_DEG,
+    RING_FAULTS,
     GeoPoint,
     RingTable,
     angular_difference_deg,
-    check_ring,
     haversine_distances_ft,
     initial_bearing_deg,
     points_in_polygon,
+    ring_faults,
 )
 from intxn_pipeline.ingest import CLASS_NAMES, DetectionTable, to_us
 
@@ -58,11 +59,12 @@ print(f"heading 350 vs 10   : {angular_difference_deg(350, 10):8.2f} deg apart")
 
 print()
 print("== Approach polygon membership ==")
-# One approach ring, checked as the review import checks every polygon, in
-# a ring table of one ring.
+# One approach ring, checked as the review import checks every polygon at
+# once, then held in a ring table of one ring.
 corners = [offset(-20, -300), offset(-20, 0), offset(20, 0), offset(20, -300)]
-lats, lons = [p.lat_deg for p in corners], [p.lon_deg for p in corners]
-check_ring(lats, lons)
+lats, lons = np.array([p.lat_deg for p in corners]), np.array([p.lon_deg for p in corners])
+(fault,) = ring_faults(lats, lons, [0, len(corners)])
+print(f"ring check          : {RING_FAULTS[fault] or 'a simple polygon'}")
 approach = RingTable(lats, lons, [0, len(corners)])
 probes = {
     "150 ft up the approach": offset(0, -150),

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .geo import GeoPoint
@@ -36,6 +37,9 @@ PARAM_DEFAULTS: dict[str, float | int] = {
     "polygon_match_ft": 500.0,  # reviewed polygon to intersection gate
     "line_edge_match_ft": 100.0,  # reviewed line to polygon-edge gate
 }
+
+# Each synth spec field's type: an int takes a JSON integer, a float any JSON number.
+SYNTH_TYPES = get_type_hints(ScenarioSpec)
 
 DEFAULT_INPUTS = {
     "sensor_files": ["sensor/*.csv"],
@@ -155,6 +159,11 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         raise ConfigError("custom_fields must map column names to lists of strings")
 
     synth_doc = dict(doc.get("synth", {}))
+    for key, value in synth_doc.items():  # a JSON true is a bool, not an int
+        want = SYNTH_TYPES.get(key)
+        if want in (int, float) and type(value) not in (int, want):
+            kind = "an integer" if want is int else "a number"
+            raise ConfigError(f"synth {key!r} must be {kind}, got {value!r}")
     if "origin" in synth_doc:
         try:
             lat, lon = synth_doc["origin"]

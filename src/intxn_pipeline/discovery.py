@@ -339,18 +339,23 @@ def _network_from_geojson(doc: dict) -> RoadNetwork:
     if doc.get("type") != "FeatureCollection":
         raise DataError("road network must be a GeoJSON FeatureCollection")
 
-    line_ids, runs = [], []
+    line_ids, runs = {}, []  # line_ids: a dict, in line order
 
     def add_line(line_id: str, coords) -> None:
         if len(coords) < 2:
             raise DataError(f"polyline {line_id!r} has fewer than 2 vertices")
-        line_ids.append(line_id)
+        if line_id in line_ids:
+            raise DataError(f"line id {line_id!r} is given twice")
+        line_ids[line_id] = None
         runs.append([(lat, lon) for lon, lat, *_ in coords])
 
     for i, feature in enumerate(doc.get("features", [])):
         geom = feature.get("geometry") or {}
         props = feature.get("properties") or {}
-        line_id = str(feature.get("id", props.get("id", i)))
+        line_id = feature.get("id", props.get("id", i))
+        if line_id is None:
+            raise DataError(f"feature {i} has a null id")
+        line_id = str(line_id)
         gtype = geom.get("type")
         if gtype == "LineString":
             add_line(line_id, geom.get("coordinates", []))
@@ -359,7 +364,7 @@ def _network_from_geojson(doc: dict) -> RoadNetwork:
                 add_line(f"{line_id}:{k}", part)
         else:
             raise DataError(f"unsupported geometry type {gtype!r} in feature {line_id!r}")
-    return RoadNetwork(line_ids, *json_points(runs))
+    return RoadNetwork(list(line_ids), *json_points(runs))
 
 
 def candidates_to_geojson(candidates: Candidates) -> dict:

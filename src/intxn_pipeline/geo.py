@@ -107,14 +107,8 @@ class CellGrid:
         row = np.arange(len(query)) - np.repeat(np.cumsum(count) - count, count) + r0[query]
         lo = self.starts[np.searchsorted(self.keys, row + 1j * c0[query])]
         hi = self.starts[np.searchsorted(self.keys, row + 1j * c1[query], "right")]
-        ends = np.cumsum(hi - lo)
-        cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1:].sum(), PAIR_BLOCK)).tolist()
-        for a, b in zip([0, *cuts], [*cuts, len(ends)]):
-            if a == b:
-                continue
-            size = hi[a:b] - lo[a:b]
-            at = np.arange(size.sum()) + np.repeat(lo[a:b] - np.cumsum(size) + size, size)
-            yield np.repeat(query[a:b], size), self.order[at]
+        for run, at in run_blocks(lo, hi):
+            yield query[run], self.order[at]
 
     def block_pairs(self, lats, lons) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The pairs of each query point (lats[q], lons[q]) with the points in
@@ -134,14 +128,28 @@ class CellGrid:
 
 
 def joined(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The (query, point) pairs of a ``CellGrid`` lookup's blocks, all at once."""
+    """The pairs of the blocks of a ``CellGrid`` lookup or of ``run_blocks``, all at once."""
     empty = np.empty(0, np.int64)
     return tuple(map(np.concatenate, zip((empty, empty), *blocks)))
 
 
-# (query, point) pairs a ``CellGrid`` lookup hands over at once, so that the
-# caller's per-pair temporaries stay near a megabyte.
+# Pairs that ``run_blocks`` hands over at once, so that the caller's
+# per-pair temporaries stay near a megabyte.
 PAIR_BLOCK = 16384
+
+
+def run_blocks(lo, hi) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (run, index) pairs of the runs ``lo[r] <= index < hi[r]``, runs
+    and then indices ascending, in blocks of about ``PAIR_BLOCK`` pairs; a
+    block holds whole runs."""
+    ends = np.cumsum(hi - lo)
+    cuts = np.searchsorted(ends, np.arange(PAIR_BLOCK, ends[-1:].sum(), PAIR_BLOCK)).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(ends)]):
+        if a == b:
+            continue
+        size = hi[a:b] - lo[a:b]
+        at = np.arange(size.sum()) + np.repeat(lo[a:b] - np.cumsum(size) + size, size)
+        yield np.repeat(np.arange(a, b), size), at
 
 
 def haversine_distances_ft(lat1, lon1, lat2, lon2) -> np.ndarray:
@@ -388,67 +396,65 @@ def points_in_polygon(rings: RingTable, ring, lats, lons) -> np.ndarray:
     return inside
 
 
-def point_to_segment_ft(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
-    """Distance in feet from a point to a segment, local planar approximation.
-
-    Accurate to well under a foot at the sub-kilometer scales the pipeline
-    works with.
-    """
-    cos0 = math.cos(math.radians(pt.lat_deg))
-    ax = (a.lon_deg - pt.lon_deg) * cos0 * FT_PER_DEG
-    ay = (a.lat_deg - pt.lat_deg) * FT_PER_DEG
-    bx = (b.lon_deg - pt.lon_deg) * cos0 * FT_PER_DEG
-    by = (b.lat_deg - pt.lat_deg) * FT_PER_DEG
-    dx, dy = bx - ax, by - ay
-    seg_sq = dx * dx + dy * dy
-    if seg_sq == 0.0:
-        return math.hypot(ax, ay)
-    t = max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_sq))
-    return math.hypot(ax + t * dx, ay + t * dy)
-
-
-def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _segments_intersect(x1, y1, x2, y2, x3, y3, x4, y4) -> bool:
-    # Proper crossings and collinear overlap both count.
-    d1 = _orient(x3, y3, x4, y4, x1, y1)
-    d2 = _orient(x3, y3, x4, y4, x2, y2)
-    d3 = _orient(x1, y1, x2, y2, x3, y3)
-    d4 = _orient(x1, y1, x2, y2, x4, y4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-
-    def within(px, py, qx, qy, rx, ry):
-        return min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy)
-
-    if d1 == 0 and within(x3, y3, x4, y4, x1, y1):
-        return True
-    if d2 == 0 and within(x3, y3, x4, y4, x2, y2):
-        return True
-    if d3 == 0 and within(x1, y1, x2, y2, x3, y3):
-        return True
-    if d4 == 0 and within(x1, y1, x2, y2, x4, y4):
-        return True
-    return False
+def edge_distances_ft(rings: RingTable, ring, lats, lons) -> np.ndarray:
+    """The distance in feet from each point (lats[i], lons[i]) to the nearest
+    edge of ring ``ring[i]`` of ``rings``, in a plane of feet east and north
+    of the point (dlon cos(lat) and dlat, times FT_PER_DEG): within a foot at
+    sub-kilometer scales. Each cos and hypot is math's, so each distance is
+    what Python floats give, bit for bit."""
+    dist = np.empty(len(ring))
+    cos = np.fromiter(map(math.cos, np.radians(lats).tolist()), float, len(ring))
+    for pair, edge in run_blocks(rings.first[ring], rings.first[ring + 1]):
+        lat, lon, cos0 = lats[pair], lons[pair], cos[pair]
+        ax, ay = (rings.ax[edge] - lon) * cos0 * FT_PER_DEG, (rings.ay[edge] - lat) * FT_PER_DEG
+        bx, by = (rings.bx[edge] - lon) * cos0 * FT_PER_DEG, (rings.by[edge] - lat) * FT_PER_DEG
+        dx, dy = bx - ax, by - ay
+        seg_sq = dx * dx + dy * dy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.fmax(0.0, np.fmin(1.0, -(ax * dx + ay * dy) / seg_sq))
+        t[seg_sq == 0.0] = 0.0  # a zero-length edge: the distance to its vertex
+        x, y = (ax + t * dx).tolist(), (ay + t * dy).tolist()
+        heads = np.flatnonzero(np.diff(pair, prepend=-1))
+        dist[pair[heads]] = np.minimum.reduceat(np.array(list(map(math.hypot, x, y))), heads)
+    return dist
 
 
-def check_ring(lats: list[float], lons: list[float]) -> None:
-    """Raise ValueError unless the vertices (lats[i], lons[i]) are an open
-    ring (closure implicit) of a simple polygon: at least three of them, the
-    last not repeating the first, and no two edges without a shared vertex
-    crossing or touching in the lon/lat plane."""
-    n = len(lats)
-    if n < 3:
-        raise ValueError("polygon ring needs at least 3 vertices")
-    if lats[0] == lats[-1] and lons[0] == lons[-1]:
-        raise ValueError("polygon ring must not repeat its first vertex")
-    for i in range(n):
-        i2 = (i + 1) % n
-        for j in range(i + 2, n if i else n - 1):  # no edge sharing a vertex with edge i
-            j2 = (j + 1) % n
-            if _segments_intersect(
-                lons[i], lats[i], lons[i2], lats[i2], lons[j], lats[j], lons[j2], lats[j2]
-            ):
-                raise ValueError("polygon ring is self-intersecting")
+# The faults of a polygon ring, in the order ``ring_faults`` tests them.
+RING_FAULTS = (None, "polygon ring needs at least 3 vertices",
+               "polygon ring must not repeat its first vertex", "polygon ring is self-intersecting")
+
+
+def ring_faults(lats, lons, first) -> np.ndarray:
+    """Each open ring of vertices (lats[v], lons[v]), v in ``first[r]:first[r
+    + 1]``, as an index into ``RING_FAULTS``: 0 for a simple polygon, else
+    its first fault. Each edge is tested against every later edge without a
+    shared vertex, in ``run_blocks`` of pairs, in the lon/lat plane: two edges
+    meet when each one's ends lie strictly on opposite sides of the other's
+    line, or an end of one lies on the other's line within its bounding box."""
+    def side(ax, ay, bx, by, cx, cy):  # c against a -> b, and whether it lies on a-b
+        d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        box = (np.minimum(ax, bx) <= cx) & (cx <= np.maximum(ax, bx))
+        return d, (d == 0) & box & (np.minimum(ay, by) <= cy) & (cy <= np.maximum(ay, by))
+
+    first = np.asarray(first, dtype=np.int64)
+    x, y = np.asarray(lons, dtype=float), np.asarray(lats, dtype=float)
+    n = np.diff(first)
+    ok = np.flatnonzero(n >= 3)
+    head, tail = first[ok], first[ok + 1] - 1
+    fault = np.where(n < 3, 1, 0)
+    fault[ok[(x[head] == x[tail]) & (y[head] == y[tail])]] = 2
+    succ = np.arange(1, len(x) + 1)
+    succ[tail] = head  # each vertex's next around its ring
+    ring = np.repeat(np.arange(len(n)), n)
+    edge = np.flatnonzero(fault[ring] == 0)
+    # Edge i pairs with edges i + 2 on; edge 0 not with the last, which ends where it starts.
+    lo, hi = edge + 2, first[ring[edge] + 1] - (edge == first[ring[edge]])
+    for run, j in run_blocks(lo, np.maximum(lo, hi)):
+        i = edge[run]
+        p1, p2, p3, p4 = ((x[v], y[v]) for v in (i, succ[i], j, succ[j]))
+        (d1, t1), (d2, t2) = side(*p3, *p4, *p1), side(*p3, *p4, *p2)
+        (d3, t3), (d4, t4) = side(*p1, *p2, *p3), side(*p1, *p2, *p4)
+        cross = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+        cross &= (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+        fault[ring[i[cross | t1 | t2 | t3 | t4]]] = 3
+    return fault

@@ -26,7 +26,7 @@ import functools
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from itertools import chain, pairwise, repeat
+from itertools import chain, pairwise
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable
 
@@ -35,16 +35,17 @@ import numpy as np
 from .errors import DataError, KmlParseError
 from .geo import (
     FT_PER_DEG,
+    RING_FAULTS,
     CellGrid,
-    GeoPoint,
     RingTable,
     centroids,
-    check_ring,
+    edge_distances_ft,
     haversine_distances_ft,
     joined,
-    point_to_segment_ft,
     points_in_polygon,
     polyline_midpoints,
+    ring_faults,
+    run_blocks,
 )
 from .ingest import _TEXT, _parse_csv, _time_texts
 from .storage import (
@@ -327,20 +328,13 @@ def parse_kml_features(source: str | Path | IO) -> KmlFeatures:
     return KmlFeatures(*map(columns, range(3)), folder_names)
 
 
-def _ring_edge_distance_ft(pt: GeoPoint, rings: RingTable, r: int) -> float:
-    a, b = rings.first[r : r + 2].tolist()
-    verts = list(map(GeoPoint, rings.ay[a:b].tolist(), rings.ax[a:b].tolist()))
-    return min(map(point_to_segment_ft, repeat(pt), verts, verts[1:] + verts[:1]))
-
-
 def _runs(marks: Placemarks, picks: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The vertices of placemarks ``picks``, in that order, as lat, lon and
     the offsets of each placemark's run."""
     picks = np.asarray(picks, dtype=np.int64)
-    counts = np.diff(marks.first)[picks]
-    first = np.cumsum([0, *counts])
-    at = np.arange(first[-1]) + np.repeat(marks.first[picks] - first[:-1], counts)
-    return marks.lat[at], marks.lon[at], first
+    lo, hi = marks.first[picks], marks.first[picks + 1]
+    at = joined(run_blocks(lo, hi))[1]
+    return marks.lat[at], marks.lon[at], np.cumsum([0, *(hi - lo)])
 
 
 def import_reviewed_kml(
@@ -361,8 +355,8 @@ def import_reviewed_kml(
 
     Centroids, midpoints, the intersections near each centroid and the
     polygons near each midpoint are array passes over all polygons and
-    lines; the scalar edge distance runs only for a line whose midpoint
-    lies in no polygon or in more than one. Each intersection's legs are
+    lines; the edge distances are taken only for a line whose midpoint lies
+    in no polygon or in more than one. Each intersection's legs are
     numbered from 1 in the document order of their polygons.
     """
     feats = source if isinstance(source, KmlFeatures) else parse_kml_features(source)
@@ -391,17 +385,8 @@ def import_reviewed_kml(
     # block around the centroid; cells a margin wider than the gate hold
     # every intersection the gate can accept, and the exact distance with
     # the (dist, id) tie-break decides among them.
-    lat, lon, first = polygons.lat.tolist(), polygons.lon.tolist(), polygons.first.tolist()
-    valid = np.ones(len(polygons), dtype=bool)
-    for k, (a, b) in enumerate(zip(first, first[1:])):
-        try:
-            check_ring(lat[a:b], lon[a:b])
-        except ValueError:
-            valid[k] = False
-    rows = np.repeat(valid, np.diff(polygons.first))
-    center_lat, center_lon = centroids(
-        polygons.lat[rows], polygons.lon[rows], np.cumsum([0, *np.diff(polygons.first)[valid]])
-    )
+    valid = ring_faults(polygons.lat, polygons.lon, polygons.first) == 0
+    center_lat, center_lon = centroids(*_runs(polygons, np.flatnonzero(valid)))
     ids = sorted(intersections)
     at = np.array([intersections[i][0] for i in ids], dtype=np.int64)
     at_lat, at_lon = points.lat[at], points.lon[at]
@@ -424,7 +409,7 @@ def import_reviewed_kml(
             pending.append([ids[i], k, None])
 
     # Line midpoint -> polygon. A polygon's bounding box gives a lower bound
-    # on its edge distance, in the same local frame as point_to_segment_ft,
+    # on its edge distance, in the same local frame as edge_distances_ft,
     # so only polygons whose box lies within the edge gate (plus margin) can
     # contain the midpoint or be its nearest edge. A grid of the midpoints
     # pairs each polygon with the midpoints in cells that meet its box so
@@ -436,10 +421,7 @@ def import_reviewed_kml(
     valid = counts >= 2
     ends = lines.first[:-1][valid], lines.first[1:][valid] - 1
     valid[valid] = (lines.lat[ends[0]] != lines.lat[ends[1]]) | (lines.lon[ends[0]] != lines.lon[ends[1]])
-    rows = np.repeat(valid, counts)
-    mid_lat, mid_lon = polyline_midpoints(
-        lines.lat[rows], lines.lon[rows], np.cumsum([0, *counts[valid]])
-    )
+    mid_lat, mid_lon = polyline_midpoints(*_runs(lines, np.flatnonzero(valid)))
     cut = max(line_edge_match_ft, 0.0) + INDEX_MARGIN_FT
     pad, cos_min = min(cut / FT_PER_DEG, 180.0), float(np.cos(np.radians(mid_lat)).min(initial=1.0))
     pad_lon = 360.0 if cos_min * 360.0 <= pad else pad / cos_min
@@ -447,18 +429,16 @@ def import_reviewed_kml(
     poly, line = joined(CellGrid(mid_lat, mid_lon, cut).overlap_pairs(padded))
     line, poly = np.divmod(np.sort(line * len(pending) + poly), max(len(pending), 1))
     inside = points_in_polygon(table, poly, mid_lat[line], mid_lon[line])
-    n_near = np.bincount(line, minlength=len(mid_lat))
-    n_inside = np.bincount(line[inside], minlength=len(mid_lat))
+    # Each line's one polygon containing its midpoint; else the nearest edge
+    # among the containing polygons, or among all nearby ones within the
+    # gate, with the (distance, polygon) tie-break.
+    edge = np.zeros(len(line))
+    rows = np.flatnonzero(np.bincount(line[inside], minlength=len(mid_lat))[line] != 1)
+    edge[rows] = edge_distances_ft(table, poly[rows], mid_lat[line[rows]], mid_lon[line[rows]])
+    best = np.lexsort((poly, edge, ~inside, line))
+    best = best[np.diff(line[best], prepend=-1) > 0]  # each line's first
     pick = np.full(len(mid_lat), -1)
-    pick[line[inside]] = poly[inside]  # right where one polygon contains the midpoint
-    cuts = np.searchsorted(line, np.arange(len(mid_lat) + 1)).tolist()
-    for g in np.flatnonzero((n_inside != 1) & (n_near > 0)).tolist():
-        # The nearest edge among the containing polygons, or else all nearby.
-        near = poly[cuts[g] : cuts[g + 1]]
-        containing = near[inside[cuts[g] : cuts[g + 1]]].tolist()
-        mid = GeoPoint(float(mid_lat[g]), float(mid_lon[g]))
-        edge, i = min((_ring_edge_distance_ft(mid, table, i), i) for i in containing or near.tolist())
-        pick[g] = -1 if not containing and edge > line_edge_match_ft else i
+    pick[line[best]] = np.where(~inside[best] & (edge[best] > line_edge_match_ft), -1, poly[best])
 
     picks = iter(pick.tolist())
     for k, ok in enumerate(valid.tolist()):
@@ -528,7 +508,7 @@ def reviewed_from_json(doc: dict) -> ReviewedSet:
     id that is not an integer, an intersection id given twice, a control type not in ``CONTROL_TYPES``,
     an intersection without approaches, a leg_id given twice within one
     intersection, a coordinate that is not a number or is out of range, or
-    a polygon that is not a simple ring (``geo.check_ring``).
+    a polygon that is not a simple ring (``geo.ring_faults``).
     """
     entries = sorted(doc["intersections"], key=lambda entry: json_integer(entry["intxn_id"]))
     ids = [entry["intxn_id"] for entry in entries]
@@ -554,9 +534,9 @@ def reviewed_from_json(doc: dict) -> ReviewedSet:
 
     lat, lon, _ = json_points([spots])
     rings = json_points(polygons)
-    ring_lat, ring_lon = rings[0].tolist(), rings[1].tolist()
-    for a, b in pairwise(rings[2].tolist()):
-        check_ring(ring_lat[a:b], ring_lon[a:b])
+    faults = ring_faults(*rings)
+    if faults.any():
+        raise ValueError(RING_FAULTS[faults[faults > 0][0]])
     return ReviewedSet(
         ids, lat, lon, control, np.array(owner, dtype=np.int64), leg_id, RingTable(*rings),
         *json_points(lines),

@@ -31,8 +31,10 @@ candidates export and synth's reviewed KML as those ElementTree builds.
 ``scalar_import_reviewed_kml`` assembles reviewed geometry one object at a
 time: every polygon against every intersection, every line against every
 polygon, with ``PolygonRing``, ``ApproachLeg`` and ``ReviewedIntersection``
-objects and the scalar ``point_in_polygon``, as the import did before it
-gave one columnar ``review.ReviewedSet``. ``reviewed_set`` turns such
+objects and the scalar ``point_in_polygon``, ``check_ring`` and
+``point_to_segment_ft``, as the import did before it gave one columnar
+``review.ReviewedSet`` and checked rings and took edge distances with
+``geo.ring_faults`` and ``geo.edge_distances_ft``. ``reviewed_set`` turns such
 objects into that set. ``haversine_distance_ft``, ``format_time_utc``,
 ``cell_block`` and ``cells_overlapping`` are the scalar forms of the distance, the
 time text and the ``CellGrid`` lookups that the pipeline does in batches,
@@ -71,9 +73,7 @@ from intxn_pipeline.geo import (
     ON_EDGE_TOL_DEG,
     GeoPoint,
     RingTable,
-    check_ring,
     joined,
-    point_to_segment_ft,
 )
 from intxn_pipeline.ingest import EPOCH
 from intxn_pipeline.review import CONTROL_TYPES, TRUE_FOLDER, reviewed_from_json
@@ -577,6 +577,72 @@ def cells_overlapping(grid, box: tuple[float, float, float, float]):
 
 # ---------------------------------------------------------------------------
 # Reviewed geometry, one object at a time
+
+
+def point_to_segment_ft(pt: GeoPoint, a: GeoPoint, b: GeoPoint) -> float:
+    """Distance in feet from a point to a segment, local planar approximation.
+
+    Accurate to well under a foot at the sub-kilometer scales the pipeline
+    works with.
+    """
+    cos0 = math.cos(math.radians(pt.lat_deg))
+    ax = (a.lon_deg - pt.lon_deg) * cos0 * FT_PER_DEG
+    ay = (a.lat_deg - pt.lat_deg) * FT_PER_DEG
+    bx = (b.lon_deg - pt.lon_deg) * cos0 * FT_PER_DEG
+    by = (b.lat_deg - pt.lat_deg) * FT_PER_DEG
+    dx, dy = bx - ax, by - ay
+    seg_sq = dx * dx + dy * dy
+    if seg_sq == 0.0:
+        return math.hypot(ax, ay)
+    t = max(0.0, min(1.0, -(ax * dx + ay * dy) / seg_sq))
+    return math.hypot(ax + t * dx, ay + t * dy)
+
+
+def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _segments_intersect(x1, y1, x2, y2, x3, y3, x4, y4) -> bool:
+    # Proper crossings and collinear overlap both count.
+    d1 = _orient(x3, y3, x4, y4, x1, y1)
+    d2 = _orient(x3, y3, x4, y4, x2, y2)
+    d3 = _orient(x1, y1, x2, y2, x3, y3)
+    d4 = _orient(x1, y1, x2, y2, x4, y4)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return True
+
+    def within(px, py, qx, qy, rx, ry):
+        return min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy)
+
+    if d1 == 0 and within(x3, y3, x4, y4, x1, y1):
+        return True
+    if d2 == 0 and within(x3, y3, x4, y4, x2, y2):
+        return True
+    if d3 == 0 and within(x1, y1, x2, y2, x3, y3):
+        return True
+    if d4 == 0 and within(x1, y1, x2, y2, x4, y4):
+        return True
+    return False
+
+
+def check_ring(lats: list[float], lons: list[float]) -> None:
+    """Raise ValueError unless the vertices (lats[i], lons[i]) are an open
+    ring (closure implicit) of a simple polygon: at least three of them, the
+    last not repeating the first, and no two edges without a shared vertex
+    crossing or touching in the lon/lat plane."""
+    n = len(lats)
+    if n < 3:
+        raise ValueError("polygon ring needs at least 3 vertices")
+    if lats[0] == lats[-1] and lons[0] == lons[-1]:
+        raise ValueError("polygon ring must not repeat its first vertex")
+    for i in range(n):
+        i2 = (i + 1) % n
+        for j in range(i + 2, n if i else n - 1):  # no edge sharing a vertex with edge i
+            j2 = (j + 1) % n
+            if _segments_intersect(
+                lons[i], lats[i], lons[i2], lats[i2], lons[j], lats[j], lons[j2], lats[j2]
+            ):
+                raise ValueError("polygon ring is self-intersecting")
 
 
 @dataclass(frozen=True)

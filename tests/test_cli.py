@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -27,6 +28,7 @@ from intxn_pipeline.errors import ConfigError, StorageNotFoundError, Unsupported
 from intxn_pipeline.geo import GeoPoint
 from intxn_pipeline.review import TRUE_FOLDER, parse_kml_features
 from intxn_pipeline.storage import atomic_write, local_path, resolve_uri
+from intxn_pipeline.synth import ScenarioSpec
 
 
 def test_resolve_uri_file_scheme(tmp_path):
@@ -740,6 +742,35 @@ def test_config_value_of_the_wrong_type_is_user_error(tmp_path, capsys, doc, key
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert not (tmp_path / "None").exists()
+
+
+@pytest.mark.parametrize(
+    "synth, message",
+    [
+        ({"grid_rows": 3.5}, "'grid_rows' must be an integer, got 3.5"),
+        ({"grid_cols": "4"}, "'grid_cols' must be an integer, got '4'"),
+        ({"n_subjects": True}, "'n_subjects' must be an integer, got True"),
+        ({"drives_per_subject": None}, "'drives_per_subject' must be an integer, got None"),
+        ({"seed": [1]}, "'seed' must be an integer, got [1]"),
+        ({"block_ft": True}, "'block_ft' must be a number, got True"),
+        ({"speed_fps": "50"}, "'speed_fps' must be a number, got '50'"),
+        ({"jitter_ft": [0.0]}, "'jitter_ft' must be a number, got [0.0]"),
+    ],
+)
+def test_synth_spec_field_of_the_wrong_type_is_user_error(tmp_path, capsys, synth, message):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"synth": synth}))
+    with pytest.raises(ConfigError, match=re.escape(f"synth {message}")):
+        load_config(config)
+    assert main(["synth", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_synth_spec_takes_json_integers_and_numbers(tmp_path):
+    config = tmp_path / "pipeline.json"
+    synth = {"grid_rows": 5, "seed": 7, "block_ft": 500, "sample_hz": 2.0, "jitter_ft": 0}
+    config.write_text(json.dumps({"synth": synth}))
+    assert load_config(config).synth == ScenarioSpec(**synth)
 
 
 def test_config_globs_may_be_one_string_or_a_list(tmp_path):

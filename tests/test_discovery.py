@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 from datetime import datetime, timedelta, timezone
@@ -403,9 +404,49 @@ _vertices = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)).map(lamb
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.text(), st.lists(_vertices, min_size=2, max_size=5)), max_size=6))
+@given(
+    st.lists(
+        st.tuples(st.text(), st.lists(_vertices, min_size=2, max_size=5)),
+        max_size=6,
+        unique_by=lambda line: line[0],
+    )
+)
 def test_network_geojson_round_trips(polylines):
     assert_network_round_trips(network_of(polylines))
+
+
+def _network_doc(*features):
+    line = {"type": "LineString", "coordinates": [[-96.0, 41.0], [-96.0, 41.01]]}
+    return {
+        "type": "FeatureCollection",
+        "features": [{"type": "Feature", "geometry": line, **feature} for feature in features],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_network_doc({"id": "a"}, {"id": None}), "feature 1 has a null id"),
+        (_network_doc({"properties": {"id": None}}), "feature 0 has a null id"),
+        (_network_doc({"id": None, "properties": {"id": "a"}}), "feature 0 has a null id"),
+        (_network_doc({"id": "a"}, {"properties": {"id": "a"}}), "line id 'a' is given twice"),
+        (_network_doc({"id": 7}, {"id": "7"}), "line id '7' is given twice"),
+        # The id of a MultiLineString's part k ends in ":k".
+        (
+            _network_doc({"id": "a:0"}, {"id": "a", "geometry": {
+                "type": "MultiLineString", "coordinates": [[[-96.0, 41.0], [-95.99, 41.0]]]}}),
+            "line id 'a:0' is given twice",
+        ),
+    ],
+)
+def test_load_network_geojson_rejects_null_and_repeated_ids(doc, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        load_network_geojson(io.StringIO(json.dumps(doc)))
+
+
+def test_network_feature_without_an_id_is_named_by_its_index():
+    doc = _network_doc({"id": "a"}, {}, {"properties": {}})
+    assert load_network_geojson(io.StringIO(json.dumps(doc))).line_id == ["a", "1", "2"]
 
 
 def test_load_network_geojson_rejects_bool_coordinate(tmp_path):

@@ -15,9 +15,11 @@ from oracles import (
     cell_block,
     cells_overlapping,
     centroid,
+    check_ring,
     haversine_distance_ft,
     numpy_haversine_ft,
     point_in_polygon,
+    point_to_segment_ft,
     polyline_midpoint,
     ring_table,
 )
@@ -29,11 +31,13 @@ from intxn_pipeline.geo import (
     HAVERSINE_ESTIMATE_ABS_FT,
     HAVERSINE_ESTIMATE_REL,
     ON_EDGE_TOL_DEG,
+    RING_FAULTS,
     CellGrid,
     GeoPoint,
+    RingTable,
     angular_difference_deg,
     centroids,
-    check_ring,
+    edge_distances_ft,
     haversine_distances_ft,
     haversine_estimates_ft,
     in_box,
@@ -41,6 +45,7 @@ from intxn_pipeline.geo import (
     nearest_distances_ft,
     points_in_polygon,
     polyline_midpoints,
+    ring_faults,
 )
 
 # Closed-form oracles: R * delta_lambda for the equatorial arc and
@@ -329,14 +334,88 @@ def test_geopoint_rejects_bool_coordinates(lat, lon):
         GeoPoint(lat, lon)
 
 
+def _ring_fault(lats, lons):
+    """``ring_faults`` of one ring, as the text of its fault or None."""
+    return RING_FAULTS[ring_faults(np.array(lats), np.array(lons), [0, len(lats)])[0]]
+
+
+def _scalar_fault(lats, lons):
+    """The scalar check's text for one ring, or None."""
+    try:
+        check_ring(lats, lons)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_polygon_ring_validation():
-    with pytest.raises(ValueError, match="at least 3 vertices"):
-        check_ring([0.0, 0.0], [0.0, 1.0])
-    with pytest.raises(ValueError, match="must not repeat its first vertex"):
-        check_ring([0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="self-intersecting"):  # bow-tie
-        check_ring([0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])
-    check_ring([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0])
+    assert "at least 3 vertices" in _ring_fault([0.0, 0.0], [0.0, 1.0])
+    repeated = _ring_fault([0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0])
+    assert "must not repeat its first vertex" in repeated
+    assert "self-intersecting" in _ring_fault([0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0])  # bow-tie
+    assert _ring_fault([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]) is None
+
+
+# Rings of up to 7 vertices on a 4x4 integer lattice, where bow-ties,
+# collinear overlaps, touching vertices, a repeated first vertex and
+# zero-length edges are common.
+_lattice_rings = st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=7), max_size=8
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lattice_rings)
+@example([[(0, 0), (1, 1), (0, 1), (1, 0)], [], [(0, 0), (1, 1), (1, 1)], [(0, 0), (2, 0), (1, 0)]])
+@example([[(0, 1), (0, 0), (0, 2), (1, 1)]])  # vertex 0 on edge 1: only edge 3's end meets it
+def test_ring_faults_are_the_scalar_check(rings):
+    lats = [float(lat) for ring in rings for lat, _ in ring]
+    lons = [float(lon) for ring in rings for _, lon in ring]
+    first = np.cumsum([0, *map(len, rings)])
+    expected = [_scalar_fault(lats[a:b], lons[a:b]) for a, b in zip(first, first[1:])]
+    faults = ring_faults(np.array(lats), np.array(lons), first)
+    assert [RING_FAULTS[fault] for fault in faults] == expected
+
+
+def test_ring_faults_of_a_ring_spanning_several_blocks():
+    # A regular 300-gon meets 44,550 pairs of edges; then one late vertex
+    # moves past the next two, so edge 290 crosses edge 292.
+    n = 300
+    assert n * (n - 3) // 2 > 2 * geo.PAIR_BLOCK
+    turns = [k / n for k in range(n)]
+    turns[290] = 292.5 / n
+    simple = [41.0 + 1e-3 * math.cos(2 * math.pi * k / n) for k in range(n)]
+    lats = simple + [41.0 + 1e-3 * math.cos(2 * math.pi * t) for t in turns]
+    lons = [-96.0 + 1e-3 * math.sin(2 * math.pi * k / n) for k in range(n)]
+    lons += [-96.0 + 1e-3 * math.sin(2 * math.pi * t) for t in turns]
+    assert _scalar_fault(lats[:n], lons[:n]) is None
+    assert _scalar_fault(lats[n:], lons[n:]) == RING_FAULTS[3]
+    assert ring_faults(np.array(lats), np.array(lons), [0, n, 2 * n]).tolist() == [0, 3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=7),
+             min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), st.floats(-1.0, 4.0), st.floats(-1.0, 4.0)), max_size=12),
+    st.sampled_from([0.0, 41.0, -60.0]),
+)
+def test_edge_distances_are_the_scalar_distances(rings, points, lat0):
+    # Lattice steps of 1e-4 degrees (~36 ft); repeated vertices give
+    # zero-length edges, and a one-vertex ring is one.
+    def at(lat, lon):
+        return GeoPoint(lat0 + 1e-4 * lat, -96.0 + 1e-4 * lon)
+
+    verts = [[at(*v) for v in ring] for ring in rings]
+    pairs = [(k % len(rings), at(lat, lon)) for k, lat, lon in points]
+    table = RingTable(*_columns(verts))
+    which = np.array([r for r, _ in pairs], dtype=np.int64)
+    lats, lons = (np.array([getattr(p, c) for _, p in pairs]) for c in ("lat_deg", "lon_deg"))
+    expected = [
+        min(point_to_segment_ft(p, a, b) for a, b in zip(verts[r], verts[r][1:] + verts[r][:1]))
+        for r, p in pairs
+    ]
+    assert edge_distances_ft(table, which, lats, lons).tolist() == expected
 
 
 def test_polyline_midpoint_straight_segment():

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     ApproachLeg,
@@ -493,6 +493,24 @@ def test_line_outside_every_polygon_near_the_edge_gate(gap_ft, side, half_ft):
         assert bool(reviewed) == (gap_ft == 99.0)
 
 
+def lattice_shape(center_lat_steps, center_lon_steps, half_lat_steps, half_lon_steps, shape):
+    """A rectangle, a diamond or a triangle in the rectangle's box, the
+    rectangle with a vertex given twice (a zero-length edge, whose
+    neighbours touch: not a simple ring), or a segment with its end given
+    twice (a simple ring with a zero-length edge)."""
+    rect = lattice_rect(center_lat_steps, center_lon_steps, half_lat_steps, half_lon_steps)
+    s, w = rect[0].lat_deg, rect[0].lon_deg
+    n, e = rect[2].lat_deg, rect[2].lon_deg
+    mid_lat, mid_lon = (s + n) / 2, (w + e) / 2
+    return {
+        "rect": rect,
+        "diamond": [GeoPoint(*v) for v in ((mid_lat, w), (n, mid_lon), (mid_lat, e), (s, mid_lon))],
+        "triangle": [rect[0], GeoPoint(n, mid_lon), rect[3]],
+        "repeated": rect[:2] + rect[1:],
+        "segment": [rect[0], rect[2], rect[2]],
+    }[shape]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(-3000, 3000), st.integers(-3000, 3000)), min_size=0, max_size=5),
@@ -502,6 +520,7 @@ def test_line_outside_every_polygon_near_the_edge_gate(gap_ft, side, half_ft):
             st.integers(-4000, 4000),
             st.integers(5, 300),
             st.integers(5, 300),
+            st.sampled_from(["rect", "diamond", "triangle", "repeated", "segment"]),
         ),
         min_size=0,
         max_size=6,
@@ -514,10 +533,13 @@ def test_line_outside_every_polygon_near_the_edge_gate(gap_ft, side, half_ft):
     st.floats(1.0, 3000.0),
     st.floats(1.0, 500.0),
 )
+@example(  # a midpoint inside two polygons, both edges beyond the edge gate
+    [(0, 0)], [(0, 0, 300, 300, "rect"), (0, 10, 300, 300, "diamond")], [(0, 0, 5)], 3000.0, 1.0
+)
 def test_random_reviews_match_brute_force(points, polygons, lines, polygon_gate, edge_gate):
     doc = kml(
         [(str(k + 1), lattice(la, lo)) for k, (la, lo) in enumerate(points)],
-        [(f"p{k}", lattice_rect(*spec)) for k, spec in enumerate(polygons)],
+        [(f"p{k}", lattice_shape(*spec)) for k, spec in enumerate(polygons)],
         [(f"l{k}", lattice(la, lo - h), lattice(la, lo + h)) for k, (la, lo, h) in enumerate(lines)],
     )
     assert_same_assembly(doc, polygon_match_ft=polygon_gate, line_edge_match_ft=edge_gate)

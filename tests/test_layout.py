@@ -1,20 +1,24 @@
-"""``src/`` holds no code that only the tests use, and each file format
-that more than one module writes lives in one module.
+"""``src/`` holds no code that only the tests use, ``tests/oracles.py``
+none that no test uses, and each file format that more than one module
+writes lives in one module.
 
 Every function, class and method defined in the package must be named, as
 a ``Name`` or an ``Attribute``, somewhere in the package outside its own
 definition. Dunders are exempt (Python calls them), and so are the CLI's
 stage bodies, which ``@_stage`` registers by decorating them. A helper
-that only the tests call belongs in ``tests/oracles.py``.
+that only the tests call belongs in ``tests/oracles.py``, and each of its
+definitions must be named by a test module or by a definition so named.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import intxn_pipeline
 
 PACKAGE = Path(intxn_pipeline.__file__).parent
+TESTS = Path(__file__).parent
 
 # Definitions allowed to go unnamed in the package; keep it empty.
 ALLOWED: set[str] = set()
@@ -89,3 +93,18 @@ def test_each_file_format_is_written_in_one_module():
                 geojson_modules.add(module)
     assert xml_importers == {"review.py"}
     assert geojson_modules == {"discovery.py"}
+
+
+def test_every_oracle_is_reached_from_a_test():
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    # The names the test modules use, and those the oracles' module-level
+    # statements use, which run on import.
+    reached = set().union(*(_names(ast.parse(p.read_text())) for p in TESTS.glob("test_*.py")))
+    left = dict(_definitions(tree))
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    reached.update(*(_names(node) for node in tree.body if not isinstance(node, kinds)))
+    while hits := [qualname for qualname, node in left.items() if node.name in reached]:
+        for qualname in hits:
+            reached.update(_names(left.pop(qualname)))
+    unreached = [q for q, node in left.items() if not re.fullmatch("__.*__", node.name)]
+    assert sorted(unreached) == []

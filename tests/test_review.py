@@ -471,7 +471,13 @@ def test_reviewed_json_with_an_intersection_without_approaches_is_a_data_error()
 )
 def test_reviewed_json_ring_checks_keep_their_texts(polygon, message):
     doc = json.loads(OLD_REVIEWED_JSON)
-    doc["intersections"][0]["approaches"][0]["polygon"] = polygon
+    legs = doc["intersections"][0]["approaches"]
+    legs[0]["polygon"] = polygon
+    with pytest.raises(DataError, match=f"invalid reviewed-intersection JSON: ValueError: .*{message}"):
+        load_reviewed_json(io.StringIO(json.dumps(doc)))
+    # The first faulty ring gives the text, whatever the rings after it.
+    for fault in ([], [[41.0, -96.0], [41.001, -95.999], [41.001, -96.0], [41.0, -95.999]]):
+        legs.append(dict(legs[0], leg_id=len(legs) + 1, polygon=fault))
     with pytest.raises(DataError, match=f"invalid reviewed-intersection JSON: ValueError: .*{message}"):
         load_reviewed_json(io.StringIO(json.dumps(doc)))
 
