@@ -139,9 +139,7 @@ def _run_stage(name: str, cfg: PipelineConfig) -> str:
 )
 def stage_clean(cfg: PipelineConfig, sensor_files: list[str], cv_files: list[str]) -> StageResult:
     sensor, sensor_drops, sensor_in = ingest.clean_sensor(sensor_files)
-    detections, cv_drops, cv_in = ingest.clean_cv(
-        cv_files, sensor, join_tol_s=cfg.params["join_tol_s"]
-    )
+    detections, cv_drops, cv_in = ingest.clean_cv(cv_files, sensor, cfg.params["join_tol_s"])
 
     reports = []
     for key, write, rows, drops, rows_in, inputs in (

@@ -32,7 +32,7 @@ from typing import IO
 import numpy as np
 
 from .errors import DataError
-from .ingest import _FLOAT, _INT, _TEXT, _TIME, SensorTable, _parse_csv, _Table, to_seconds
+from .ingest import _FLOAT, _KEY, _TEXT, _TIME, SensorTable, _parse_csv, _sorted_keys, _Table, to_seconds
 from .storage import WRITE_ROWS, interleave, read_json, resolve_uri
 from .trajectory import TrajectoryTable
 
@@ -63,7 +63,7 @@ class VideoTable(_Table):
 
     @classmethod
     def kinds(cls) -> dict[str, tuple]:
-        return dict(zip(VIDEO_COLUMNS, (_TEXT, _TEXT, _INT, _TIME, _TIME, _FLOAT)))
+        return dict(zip(VIDEO_COLUMNS, (_TEXT, _KEY, _KEY, _TIME, _TIME, _FLOAT)))
 
 
 @dataclass
@@ -156,11 +156,11 @@ def read_videos_csv(source: str | Path | IO) -> VideoTable:
     def bad_row(reason, line, row):
         raise DataError(f"bad video row at line {line}: {row!r}")
 
-    uri, subj, drive, start, end, fps = _parse_csv(source, VideoTable, True, bad_row)[0].values()
+    key, uri, start, end, fps, keys = _parse_csv(source, VideoTable, True, bad_row)[0].values()
     late = np.flatnonzero(end <= start)
     if len(late):
         raise DataError(f"video {uri[late[0]]}: end time not after start time")
-    return VideoTable.from_columns(subj, drive, start, end, fps, uri)
+    return VideoTable._sorted(*_sorted_keys(keys, key), start, end, fps, uri)
 
 
 def _crossing_us(points: SensorTable, at: np.ndarray, targets: np.ndarray) -> np.ndarray:

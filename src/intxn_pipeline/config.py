@@ -164,6 +164,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         if want in (int, float) and type(value) not in (int, want):
             kind = "an integer" if want is int else "a number"
             raise ConfigError(f"synth {key!r} must be {kind}, got {value!r}")
+        if want is float and not math.isfinite(value):  # JSON's Infinity or NaN
+            raise ConfigError(f"synth {key!r} must be finite, got {value!r}")
     if "origin" in synth_doc:
         try:
             lat, lon = synth_doc["origin"]

@@ -22,12 +22,7 @@ import numpy as np
 
 from .errors import DataError
 from .geo import (
-    EARTH_RADIUS_FT,
-    FT_PER_DEG,
-    PAIR_BLOCK,
-    CellGrid,
-    centroids,
-    haversine_distances_ft,
+    EARTH_RADIUS_FT, FT_PER_DEG, PAIR_BLOCK, CellGrid, centroids, haversine_distances_ft,
     haversine_estimates_ft,
 )
 from .ingest import CLASS_NAMES, DetectionTable, to_seconds

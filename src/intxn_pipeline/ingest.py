@@ -16,26 +16,21 @@ tables and one writer writes both. The same parser reads the trajectory
 table and, in the raw layout, the video and demographics sidecars.
 
 The parser reads a file a chunk of lines at a time. numpy's C tokenizer,
-``np.loadtxt``, reads each chunk into typed columns, and a clean-form
-time column parses from its digits. A chunk goes through the csv.reader
-row path instead when it holds a quote, a NUL or only blank lines, when
-loadtxt rejects it (a short row, a value that is not a float, an embedded
-line break), or when one of its rows does not parse or fails a check. The
-row path counts, drops and names bad rows by their line, so only such a
-chunk costs two parses, and either path gives the same columns.
-
-As in Arrow's dictionary encoding, each distinct value is parsed or
-rendered once, not once per row: a text column's texts once per chunk,
-the drive keys from integer codes per column, a written table's float
-``repr`` once per bit pattern (see ``_float_renderer``), and a time's date,
-hour and minute once per distinct minute. This pays where values repeat,
-as subj, drive and the minute always do, and as floats do across drives;
-a float column with no repeats renders about as fast as one ``repr`` per row.
+``np.loadtxt``, reads each chunk into typed columns; a chunk with a stray
+quote, a NUL or a bad row goes through the csv.reader row path instead,
+which counts, drops and names bad rows by their line. A parsed chunk holds
+no per-row Python object: floats, int64 epoch microseconds (the date, hour
+and minute parsed once per run of rows that share them) and, as in Arrow's
+dictionary encoding, an int64 code per row for its (subj, drive) key. The
+chunks' columns grow in place, so ``clean_sensor`` peaks at about 1.8x the
+table it keeps at 58k rows and 1.4x at 230k (``tracemalloc``). A written
+table renders each float's ``repr`` once per bit pattern.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
@@ -100,29 +95,49 @@ def to_us(dt: datetime) -> int:
     return (dt - EPOCH) // _US
 
 
-def _sorted_codes(values) -> tuple[list, np.ndarray]:
-    """The sorted distinct values of texts or ints and each one's index
-    among them, looked up once per run of equal values."""
-    column = np.asarray(values, dtype=object)
-    head = np.ones(len(column), dtype=bool)
-    head[1:] = column[1:] != column[:-1]
-    heads = column[head].tolist()
-    distinct = sorted(dict.fromkeys(heads))
-    index = dict(zip(distinct, range(len(distinct))))
-    codes = np.fromiter(map(index.__getitem__, heads), np.int64, len(heads))
-    return distinct, codes[np.cumsum(head) - 1]
+def _codes(index: dict, key: Callable, bad: np.ndarray, *columns) -> np.ndarray:
+    """Each row's code in ``index``, which maps keys to codes and gains those
+    first seen here. A row's key is ``key`` of its values in ``columns``,
+    called once per run of rows that hold the same ones; a run whose key
+    raises ValueError marks its rows ``bad``, with code -1."""
+    columns = [np.asarray(c, dtype=object) for c in columns]
+    head = np.ones(len(bad), dtype=bool)
+    head[1:] = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+
+    def code(*values) -> int:
+        try:
+            return index.setdefault(key(*values), len(index))
+        except ValueError:
+            return -1
+
+    codes = np.fromiter(map(code, *(c[head].tolist() for c in columns)), np.int64)
+    bad |= (codes := codes[np.cumsum(head) - 1]) < 0
+    return codes
+
+
+def _file_key(strip: bool, check: bool, subj: str, drive: str) -> tuple[str, int]:
+    """A file's subj and drive texts as a key, subj stripped if ``strip``;
+    ValueError (from int) if the drive does not parse, or ``check`` and subj is empty."""
+    subj = subj.strip() if strip else subj
+    return subj, int(drive if subj or not check else "")
+
+
+def _sorted_keys(keys: Iterable, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """The keys that ``codes`` index into ``keys``, ascending, and each
+    code's index among them."""
+    keys = list(keys)
+    used = np.flatnonzero(np.bincount(codes, minlength=len(keys))).tolist()
+    order = sorted(used, key=keys.__getitem__)
+    rank = np.zeros(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [keys[k] for k in order], rank[codes]
 
 
 def _drive_codes(subj, drive) -> tuple[list[tuple[str, int]], np.ndarray]:
-    """The sorted distinct (subj, drive) keys and each row's index among them.
-
-    Subjects and drives each get sorted codes, so a key's combined code
-    sorts as the key does.
-    """
-    subjs, s = _sorted_codes(subj)
-    drives, d = _sorted_codes(drive)
-    pairs, codes = np.unique(s * len(drives) + d, return_inverse=True)
-    return [(subjs[p // len(drives)], drives[p % len(drives)]) for p in pairs.tolist()], codes
+    """The sorted distinct (subj, drive) keys and each row's index among them."""
+    index = {}
+    codes = _codes(index, lambda *key: key, np.zeros(len(subj), dtype=bool), subj, drive)
+    return _sorted_keys(index, codes)
 
 
 def to_seconds(us: np.ndarray) -> np.ndarray:
@@ -144,15 +159,12 @@ def _int64(text: str) -> int:
 def _per_text(parse, texts, strip: bool, bad: np.ndarray):
     """``parse(texts, bad)`` run once per distinct text, stripped first if
     ``strip``: a text that does not parse marks every row holding it ``bad``."""
-    if not len(texts):
-        return parse(texts, bad)
-    distinct, inverse = _sorted_codes(texts)
-    failed = np.zeros(len(distinct), dtype=bool)
-    values = parse(tuple(map(str.strip, distinct)) if strip else tuple(distinct), failed)
+    index = {}
+    inverse = _codes(index, str.strip if strip else str, bad, texts)
+    failed = np.zeros(len(index), dtype=bool)
+    values = parse(tuple(index), failed)
     bad |= failed[inverse]
-    if isinstance(values, np.ndarray):
-        return values[inverse]
-    return np.array(values, dtype=object)[inverse].tolist()
+    return values[inverse]
 
 
 def _each(fn, texts: tuple[str, ...], bad: np.ndarray) -> list:
@@ -173,47 +185,40 @@ def _each(fn, texts: tuple[str, ...], bad: np.ndarray) -> list:
 # The clean tables' time form; zeros stand for digits.
 _CANONICAL_TIME = np.array(list(map(ord, "0000-00-00T00:00:00.000Z")), dtype=np.uint32)
 # How far a character of a canonical time may lie above the form's: 9 at a
-# digit, 0 at a separator.
+# digit, 5 at the tens of the minute and of the second, 0 at a separator.
 _TIME_SPAN = np.where(_CANONICAL_TIME == ord("0"), 9, 0).astype(np.uint32)
-# The digit spans of year, month, day, hour, minute, second and millisecond.
-_TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 23))
-# Per two-digit month, its days in a common year and the days of the year
-# before it; 0 for the months 0 and 13 to 99.
-_MONTH_DAYS = np.zeros(100, dtype=np.int64)
-_MONTH_DAYS[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-_DAYS_BEFORE_MONTH = np.zeros(100, dtype=np.int64)
-_DAYS_BEFORE_MONTH[2:13] = np.cumsum(_MONTH_DAYS[1:12])
-_EPOCH_ORDINAL = EPOCH.toordinal()
+_TIME_SPAN[[14, 17]] = 5
+# The place value of each character of a canonical ":SS.mmmZ" in SSmmm.
+_SECOND_PLACES = np.array([0, 1e4, 1e3, 0, 100, 10, 1, 0])
 # The digit characters of each number below 10,000, four to a row.
 _DIGITS = (np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint32)
 
 
 def _canonical_us(text: np.ndarray) -> np.ndarray | None:
     """Epoch microseconds of a "<U24" column wholly in the clean tables'
-    form, YYYY-MM-DDTHH:MM:SS.mmmZ, computed from its digits; None if a time
-    is not in that form or names a time that fromisoformat rejects: year 0,
-    a month outside 1-12, a day outside its month, hour 24 and up, minute or
-    second 60 and up.
+    form, YYYY-MM-DDTHH:MM:SS.mmmZ; None if a time is not in that form or
+    names a time that fromisoformat rejects: year 0, a month outside 1-12,
+    a day outside its month, hour 24 and up, minute or second 60 and up.
+    numpy parses the date, hour and minute once per run of rows that share
+    them, as ``_time_texts`` renders them; each row's seconds and
+    milliseconds come from its digits. The column may be strided.
     """
-    digits = text.view(np.uint32).reshape(len(text), 24) - _CANONICAL_TIME
-    if not (digits <= _TIME_SPAN).all():
-        return None
-    year, month, day, hour, minute, second, ms = (  # int64: uint32 digits @ int64 places
-        digits[:, start:stop] @ 10 ** np.arange(stop - start - 1, -1, -1)
-        for start, stop in _TIME_FIELDS
-    )
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    chars = text[:, None].view(np.uint32)
+    head = np.ones(len(chars), dtype=bool)
+    head[1:] = (chars[1:, :16] != chars[:-1, :16]).any(axis=1)
+    minutes, tail = chars[head, :16], chars[:, 16:] - _CANONICAL_TIME[16:]
     if not (
-        (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
-        & (hour < 24) & (minute < 60) & (second < 60)
-    ).all():
+        (tail <= _TIME_SPAN[16:]).all()
+        and (minutes - _CANONICAL_TIME[:16] <= _TIME_SPAN[:16]).all()
+        and (minutes[:, :4] > ord("0")).any(axis=1).all()  # not year 0
+    ):
         return None
-    # The proleptic Gregorian ordinal of the date, as date.toordinal gives it.
-    y = year - 1
-    ordinal = y * 365 + y // 4 - y // 100 + y // 400
-    ordinal += _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
-    seconds = ((ordinal - _EPOCH_ORDINAL) * 24 + hour) * 3600 + minute * 60 + second
-    return seconds * 1_000_000 + ms * 1000
+    try:
+        minutes = minutes.view("<U16")[:, 0].astype("datetime64[m]").astype(np.int64)
+    except ValueError:  # a month, day or hour out of range
+        return None
+    ms = (tail @ _SECOND_PLACES).astype(np.int64)
+    return minutes[np.cumsum(head) - 1] * 60_000_000 + ms * 1000
 
 
 def _times_us(texts: tuple[str, ...] | np.ndarray, bad: np.ndarray) -> np.ndarray:
@@ -233,9 +238,8 @@ def _times_us(texts: tuple[str, ...] | np.ndarray, bad: np.ndarray) -> np.ndarra
 def _time_texts(t_us: np.ndarray) -> list[str]:
     """Epoch-us times as UTC texts cut to the millisecond, e.g.
     2019-05-01T14:03:22.500Z (the year in four digits): the inverse of
-    ``_canonical_us``. The date, hour and
-    minute are rendered once per distinct minute, the seconds and
-    milliseconds from digits.
+    ``_canonical_us``. The date, hour and minute are rendered once per
+    distinct minute, the seconds and milliseconds from digits.
     """
     minutes, ms = np.divmod(np.asarray(t_us, dtype=np.int64) // 1000, 60_000)
     distinct, inverse = np.unique(minutes, return_inverse=True)
@@ -285,9 +289,10 @@ def _float_renderer(fn, column: np.ndarray) -> Callable[[np.ndarray], list]:
 
 # Column kinds, each (dtype, parse, render, read): parse turns a CSV
 # column's texts into a column, marking ``bad`` the rows whose value does
-# not parse, and render(column) gives what renders its slices as texts. The
-# writer renders subj and drive as the row key. A class outside CLASS_NAMES
-# parses as -1, and an _INT64 value outside int64 does not parse. A raw
+# not parse, and render(column) gives what renders its slices as texts.
+# Subj and drive, of kind _KEY, parse together as the row's key code (see
+# ``_parse_csv``). A class outside CLASS_NAMES parses as -1, and an _INT64
+# value outside int64 does not parse. A raw
 # file's _STRIPPED columns are stripped before they parse. ``read`` is the
 # dtype np.loadtxt reads the texts as: a kind read as its own dtype needs no
 # parse, and "<U25" holds one character more than a canonical time, so a
@@ -297,20 +302,15 @@ def _float_renderer(fn, column: np.ndarray) -> Callable[[np.ndarray], list]:
 # np.loadtxt(io.StringIO("\U00105da6¼\n"), delimiter=",", dtype=np.int64,
 # comments=None), each raising ValueError, did in 4 of 6 runs; and int()
 # keeps drives beyond int64.
-_TEXT = (None, lambda texts, bad: texts, None, object)
-_INT = (None, partial(_each, int), None, object)
+_TEXT = (None, lambda texts, bad: np.array(texts, dtype=object), None, object)
+_KEY = (None, None, None, object)
 _INT64 = (
-    np.int64,
-    lambda texts, bad: np.array(_each(_int64, texts, bad), dtype=np.int64),
-    None,
-    object,
+    np.int64, lambda texts, bad: np.array(_each(_int64, texts, bad), dtype=np.int64), None, object
 )
 _TIME = (np.int64, _times_us, lambda column: _time_texts, "<U25")
 _FLOAT = (
-    float,
-    lambda texts, bad: np.array(_each(float, texts, bad), dtype=float),
-    partial(_float_renderer, repr),
-    float,
+    float, lambda texts, bad: np.array(_each(float, texts, bad), dtype=float),
+    partial(_float_renderer, repr), float,
 )
 _CLASS = (
     np.int64,
@@ -367,8 +367,7 @@ class _Table:
     def from_columns(cls, subj, drive, *columns, **extra):
         """A table of rows given column by column in any order; ties keep
         their order. ``extra`` are the fields of the class other than columns."""
-        keys, codes = _drive_codes(subj, drive)
-        return cls._sorted(keys, codes, *columns, **extra)
+        return cls._sorted(*_drive_codes(subj, drive), *columns, **extra)
 
     @classmethod
     def _sorted(cls, keys: list, codes: np.ndarray, *columns, **extra):
@@ -394,7 +393,7 @@ class _Table:
     def kinds(cls) -> dict[str, tuple | None]:
         """The kind of each CSV column by name; None for one the file must
         hold but the reader skips."""
-        return dict(zip(cls.HEADER, (_TEXT, _INT, *cls.COLUMNS.values())))
+        return dict(zip(cls.HEADER, (_KEY, _KEY, *cls.COLUMNS.values())))
 
     def __len__(self) -> int:
         return self.offsets[-1]
@@ -442,8 +441,7 @@ class _Table:
 
     def take(self, rows: np.ndarray):
         """The table of the rows at ascending indices, or where a mask is true."""
-        used, codes = np.unique(self.codes()[rows], return_inverse=True)
-        keys = [self.keys[k] for k in used.tolist()]
+        keys, codes = _sorted_keys(self.keys, self.codes()[rows])
         return self._grouped(keys, codes, *(c[rows] for c in self.columns()))
 
     def __getitem__(self, i: slice):
@@ -532,16 +530,16 @@ def header_indices(header: list[str] | None, columns: tuple[str, ...], source) -
 _CHUNK_ROWS = 2048
 
 
-def _row_columns(fields: list[tuple], rows: list[list[str]], bad: np.ndarray) -> list:
-    """Columns of CSV rows, one per (index, kind, strip) field: the texts
-    at that index, stripped if ``strip``, through the kind's parse. A short
-    row reads as empty texts; a value that does not parse marks its row
-    ``bad``."""
-    width = max(i for i, *_ in fields) + 1
+def _row_columns(fields: list[tuple], key: tuple, rows: list[list[str]], bad: np.ndarray) -> list:
+    """Columns of CSV rows: ``code(bad, subj, drive)`` of the texts at the
+    indices of a (subj, drive, code) ``key``, if any; then, per (index, kind,
+    strip) field, the texts there, stripped if ``strip``, through the kind's
+    parse. A short row reads as empty texts; a bad value marks its row ``bad``."""
+    width = max([i for i, *_ in fields] + list(key[:2])) + 1
     if min(map(len, rows), default=width) < width:
         rows = [row if len(row) >= width else [""] * width for row in rows]
     cols = list(zip(*rows)) or [()] * width
-    return [
+    return ([key[2](bad, cols[key[0]], cols[key[1]])] if key else []) + [
         _per_text(kind[1], cols[i], strip, bad) if kind[3] is object else kind[1](cols[i], bad)
         for i, kind, strip in fields
     ]
@@ -552,45 +550,51 @@ def _failures(columns: list, bad: np.ndarray, checks: list[tuple]) -> np.ndarray
     return np.array([bad, *(~test(columns[k]) for k, test, _ in checks)])
 
 
-def _parse_chunk(chunk: list[str], fields: list[tuple], checks: list[tuple]) -> list | None:
+# A whole quoted field on one line, which csv.reader and loadtxt read alike.
+# Its first quote leads the pattern, so re scans for quotes.
+_QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")[^"\r\n]*(?:""[^"\r\n]*)*"(?![^,\r\n])')
+
+
+def _parse_chunk(chunk: list[str], fields: list[tuple], key, checks: list[tuple]) -> list | None:
     """The ``_row_columns`` of CSV data lines, tokenised by np.loadtxt; None
     if loadtxt rejects them, or if a row does not parse or fails a check.
 
-    Lines holding a quote are left to the row path, so no quoted field,
-    which may run over lines, is cut at a chunk's end. So are lines holding
-    a NUL, which a str field drops from a text's end (Python 3.10's
-    fromisoformat rejects "...Z\\0", 3.11's accepts it), and blank lines
-    only, of which loadtxt warns.
+    Lines with a quote outside whole quoted fields are left to the row path,
+    so no quoted field, which may run over lines, is cut at a chunk's end; so
+    are lines holding a NUL, which a str field drops from a text's end
+    (Python 3.10's fromisoformat rejects "...Z\\0", 3.11's accepts it), and
+    blank lines only, of which loadtxt warns.
     """
     text = "".join(chunk)
-    if '"' in text or "\0" in text or not text.strip("\r\n"):
+    if "\0" in text or not text.strip("\r\n") or '"' in text and '"' in _QUOTED_FIELD.sub("", text):
         return None
-    dtype = np.dtype([(f"f{k}", kind[3]) for k, (_, kind, _) in enumerate(fields)])
+    used = [*key[:2], *(i for i, *_ in fields)]
+    reads = [object] * len(key[:2]) + [kind[3] for _, kind, _ in fields]
+    dtype = np.dtype([(f"f{k}", read) for k, read in enumerate(reads)])
     try:
         table = np.loadtxt(
-            chunk, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-            usecols=[i for i, *_ in fields], ndmin=1,
+            chunk, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=used, ndmin=1
         )
     except ValueError:
         return None
     bad = np.zeros(len(table), dtype=bool)
-    columns = []
-    for name, (_, kind, strip) in zip(dtype.names, fields):
-        column = table[name].copy()  # a field's view would keep the whole table
+    columns = [key[2](bad, table["f0"], table["f1"])] if key else []
+    for name, (_, kind, strip) in zip(dtype.names[len(key[:2]) :], fields):
+        column = table[name]  # a view, copied once: into the columns it extends
         if kind[3] is object:
             column = _per_text(kind[1], column, strip, bad)
         elif kind[3] != kind[0]:
-            # loadtxt cuts a text to the field's width: a text that fills it
-            # may be cut, and the rest fit one character less.
-            width = column.dtype.itemsize // 4
-            if (np.char.str_len(column) == width).any():
+            # loadtxt cuts a text to the field's width: one that fills it may
+            # be cut, and the rest fit one character less, read in place.
+            chars = column[:, None].view(np.uint32)
+            if chars[:, -1].any():
                 return None
-            column = kind[1](column.astype(f"<U{width - 1}"), bad)
+            column = kind[1](chars[:, :-1].view(f"<U{chars.shape[1] - 1}")[:, 0], bad)
         columns.append(column)
     return None if _failures(columns, bad, checks).any() else columns
 
 
-def _parse_rows(reader, stop: int, first: int, fields: list[tuple], checks: list[tuple], bad_row):
+def _parse_rows(reader, stop: int, first: int, fields, key, checks: list[tuple], bad_row):
     """The ``_row_columns`` of the non-blank rows a csv reader gives until
     it has read ``stop`` lines, and how many rows it gave; its line k is
     the file's line ``first + k``.
@@ -608,7 +612,7 @@ def _parse_rows(reader, stop: int, first: int, fields: list[tuple], checks: list
         if reader.line_num >= stop:
             break
     bad = np.zeros(len(rows), dtype=bool)
-    columns = _row_columns(fields, rows, bad)
+    columns = _row_columns(fields, key, rows, bad)
     fails = _failures(columns, bad, checks)
     failed = fails.any(axis=0)
     if failed.any():
@@ -616,79 +620,94 @@ def _parse_rows(reader, stop: int, first: int, fields: list[tuple], checks: list
         which = fails.argmax(axis=0).tolist()
         for k in np.flatnonzero(failed).tolist():
             bad_row(reasons[which[k]], lines[k], rows[k])
-        keep = (~failed).tolist()
-        columns[:2] = [list(compress(c, keep)) for c in columns[:2]]
-        columns[2:] = [c[~failed] for c in columns[2:]]
+        columns = [c[~failed] for c in columns]
     return columns, len(rows)
 
 
-def _concat(parts: list[list]) -> list:
-    """Columns of several parts, one after another: an array where the
-    first part's column is one, else a list."""
-    return [
-        np.concatenate(cols) if isinstance(cols[0], np.ndarray) else list(chain.from_iterable(cols))
-        for cols in zip(*parts)
-    ]
+class _Columns(dict):
+    """Arrays by name that chunks of rows extend in place; nothing else may
+    view one. Each grows by an eighth when full, a large one by mremap."""
+
+    rows = 0
+
+    def append(self, named: dict) -> None:
+        stop = self.rows + len(next(iter(named.values())))
+        for name, new in named.items():
+            have = self.setdefault(name, np.empty(0, new.dtype))
+            if len(have) < stop:
+                have.resize(max(stop, len(have) * 9 // 8), refcheck=False)
+            have[self.rows : stop] = new
+        self.rows = stop
 
 
-def _parse_csv(source, cls: type[_Table], raw: bool, bad_row) -> tuple[dict, int]:
+def _parse_csv(source, cls, raw: bool, bad_row, index=None, into=None) -> tuple[dict, int]:
     """The columns of a raw or clean CSV of ``cls`` rows, by name, and how
     many non-blank data rows it holds.
 
     A clean file's columns are ``cls.HEADER``, less those of no kind, with
     the ``CLEAN_CHECKED`` ones checked. A raw file's are ``cls.RAW`` and
-    those of ``cls.OPTIONAL`` it holds, all checked, the ``_STRIPPED`` ones
-    stripped; of ``cls`` the raw layout reads only those two and
-    ``kinds()``. Each row that does not parse or fails a check goes to
-    ``bad_row(reason, line, row)`` and is left out.
+    ``cls.OPTIONAL`` (NaN where it lacks one), all checked, the
+    ``_STRIPPED`` ones stripped; of ``cls`` the raw layout reads only those
+    two and ``kinds()``. Each row that does not parse or fails a check goes
+    to ``bad_row(reason, line, row)`` and is left out. Subj and drive come
+    back as "key", each row's code in ``index`` (a new dict if None), which
+    gains the keys first seen here and whose keys "keys" lists.
 
-    The data lines parse ``_CHUNK_ROWS`` at a time by ``_parse_chunk``. A
-    chunk it rejects goes through csv.reader and ``_parse_rows``, which
-    reads on past the chunk's last line to end a quoted field.
+    The data lines parse ``_CHUNK_ROWS`` at a time by ``_parse_chunk``, or
+    if it rejects them by csv.reader and ``_parse_rows``, which reads on
+    past the chunk's end to end a quoted field. Each chunk's columns go
+    straight into ``into`` (a new ``_Columns`` if None).
     """
+    index, into = {} if index is None else index, _Columns() if into is None else into
     with resolve_uri(source, "r") as handle:
         lines = iter(handle)
         reader = csv.reader(lines)
         header = next(reader, None)
         optional = tuple(c for c in cls.OPTIONAL if c in (header or ()))
         names = cls.RAW + optional if raw else cls.HEADER
-        idx = header_indices(header, names, source)
-        kinds = cls.kinds()
-        used = [(i, n) for i, n in zip(idx, names) if kinds[n]]
-        names = [n for _, n in used]
-        fields = [(i, kinds[n], raw and n in _STRIPPED) for i, n in used]
-        checked = names if raw else cls.CLEAN_CHECKED
-        checks = [(names.index(c), *_CHECKS[c]) for c in _CHECKS if c in checked]
+        kinds, checked = cls.kinds(), names if raw else cls.CLEAN_CHECKED
+        at = dict(zip(names, header_indices(header, names, source)))
+        key, used = (), [n for n in names if kinds[n] and kinds[n] is not _KEY]
+        if kinds.get("drive") is _KEY:
+            code = partial(_codes, index, partial(_file_key, raw, "subj" in checked))
+            key = (at["subj"], at["drive"], code)
+        fields = [(at[n], kinds[n], raw and n in _STRIPPED) for n in used]
+        names = ["key"] * bool(key) + used
+        checks = [(names.index(c), *_CHECKS[c]) for c in _CHECKS if c in checked and c in names]
+        lacking = [c for c in cls.OPTIONAL if raw and c not in optional]
         # The columns of no rows, so that a file without data rows has columns.
-        parts, read, line = [_row_columns(fields, [], np.zeros(0, dtype=bool))], 0, reader.line_num
-        while chunk := list(islice(lines, _CHUNK_ROWS)):
-            columns = _parse_chunk(chunk, fields, checks)
+        columns, read, line = _row_columns(fields, key, [], np.zeros(0, bool)), 0, reader.line_num
+        while True:
+            nan = np.full(len(columns[0]), np.nan)
+            into.append({**dict(zip(names, columns)), **dict.fromkeys(lacking, nan)})
+            if not (chunk := list(islice(lines, _CHUNK_ROWS))):
+                break
+            columns = _parse_chunk(chunk, fields, key, checks)
             if columns is None:
                 reader = csv.reader(chain(chunk, lines))
-                columns, rows = _parse_rows(reader, len(chunk), line, fields, checks, bad_row)
-                line += reader.line_num
+                columns, rows = _parse_rows(reader, len(chunk), line, fields, key, checks, bad_row)
+                line, read = line + reader.line_num, read + rows
             else:
-                rows = len(columns[0])
-                line += len(chunk)
-            parts.append(columns)
-            read += rows
-    return dict(zip(names, _concat(parts))), read
+                line, read = line + len(chunk), read + len(columns[0])
+    for column in into.values():  # each cut to the rows it holds
+        column.resize(into.rows, refcheck=False)
+    return ({**into, "keys": list(index)} if key else into), read
 
 
-def _parse_files(cls: type[_Table], files: list, drops: dict) -> tuple[list, int]:
-    """The rows of raw CSVs of ``cls``, file after file, as columns in ``RAW``
-    then ``OPTIONAL`` order, and how many were read; ``drops`` counts each
-    dropped row under its reason."""
+def _parse_files(cls: type[_Table], files: list, drops: dict) -> tuple[list, list, int]:
+    """The sorted keys of raw CSVs of ``cls``; their rows, file after file: the
+    index of each one's key, then ``RAW`` after subj and drive, then ``OPTIONAL``;
+    and how many rows were read. ``drops`` counts dropped rows by reason."""
 
     def bad_row(reason, line, row):
         drops[reason] += 1
 
-    parsed = [_parse_csv(f, cls, True, bad_row) for f in files]
-    layout = cls.RAW + cls.OPTIONAL  # an optional column a file lacks reads as NaN
-    parts = [
-        [named.get(c, np.full(len(named["subj"]), np.nan)) for c in layout] for named, _ in parsed
-    ]
-    return _concat(parts), sum(read for _, read in parsed)
+    index, columns, read = {}, _Columns(), 0
+    for source in files:
+        read += _parse_csv(source, cls, True, bad_row, index, columns)[1]
+    columns = [columns[c] for c in ("key", *cls.RAW[2:], *cls.OPTIONAL)]
+    keys, columns[0] = _sorted_keys(index, columns[0])
+    return keys, columns, read
 
 
 def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable) -> None:
@@ -719,28 +738,33 @@ def clean_sensor(files: list) -> tuple[SensorTable, dict[str, int], int]:
     if not files:
         return SensorTable.from_columns(*[[]] * 8), drops, 0
 
-    columns, rows_in = _parse_files(SensorTable, files, drops)
-    subj, drive, t, lat, lon, heading, speed, cum = columns
-    keys, codes = _drive_codes(subj, drive)
+    keys, columns, rows_in = _parse_files(SensorTable, files, drops)
     # Drives seen in any file without the odometer column, which reads as NaN
     # (a non-finite odometer is out of range), get it recomputed.
-    recompute = np.zeros(len(keys), dtype=bool)
-    recompute[codes[np.isnan(cum)]] = True
+    recompute = np.bincount(columns[0][np.isnan(columns[-1])], minlength=len(keys)) > 0
 
-    # The full-row sort makes the dedupe winner independent of file order;
-    # a NaN odometer sorts last.
-    order = np.lexsort((cum, speed, heading, lon, lat, t, codes))
-    codes, t, lat, lon, heading, speed, cum = (
-        a[order] for a in (codes, t, lat, lon, heading, speed, cum)
-    )
+    # The full-row sort makes the dedupe winner independent of file order; a
+    # NaN odometer sorts last. Rows already in ascending (key, time) order
+    # with no time repeated, as a study's files usually are, stay as they are.
+    codes, t = columns[:2]
+    ascending = ((codes[1:] > codes[:-1]) | (codes[1:] == codes[:-1]) & (t[1:] > t[:-1])).all()
+    order = slice(None) if ascending else np.lexsort(columns[::-1])
+    del codes, t
+    columns[0] = columns[0][order]  # one column at a time, each freed as it goes
+    columns[1] = columns[1][order]
+    codes, t = columns[:2]
     # The clean table stores milliseconds: dedupe on what it will hold.
     ms = t // 1000
     first = np.ones(len(t), dtype=bool)
     first[1:] = (codes[1:] != codes[:-1]) | (ms[1:] != ms[:-1])
     drops["duplicate"] = len(t) - int(first.sum())
-    codes, t, lat, lon, heading, speed, cum = (
-        a[first] for a in (codes, t, lat, lon, heading, speed, cum)
-    )
+    if drops["duplicate"]:
+        order = np.flatnonzero(first) if ascending else order[first]
+        columns[:2] = codes[first], t[first]
+    del codes, t, ms, first
+    for k in range(2, len(columns)):  # each gathered once, by the sort and dedupe
+        columns[k] = columns[k][order]
+    codes, t, lat, lon, heading, speed, cum = columns
 
     bounds = np.searchsorted(codes, np.arange(len(keys) + 1)).tolist()
     spans = list(zip(bounds, bounds[1:]))
@@ -751,14 +775,13 @@ def clean_sensor(files: list) -> tuple[SensorTable, dict[str, int], int]:
         run = cum[start:stop]
         keep[start + 1 : stop] = run[1:] >= np.maximum.accumulate(run)[:-1]
     drops["cum_dist_regression"] = len(keep) - int(keep.sum())
-    columns = (a[keep] for a in (t, lat, lon, heading, speed, cum))
-    return SensorTable._grouped(keys, codes[keep], *columns), drops, rows_in
+    if drops["cum_dist_regression"]:
+        columns = [a[keep] for a in columns]
+    return SensorTable._grouped(keys, *columns), drops, rows_in
 
 
 def clean_cv(
-    files: list,
-    sensor: SensorTable,
-    join_tol_s: float = DEFAULT_JOIN_TOL_S,
+    files: list, sensor: SensorTable, join_tol_s: float = DEFAULT_JOIN_TOL_S
 ) -> tuple[DetectionTable, dict[str, int], int]:
     """Position-join detection CSVs to an already-cleaned sensor table.
 
@@ -772,9 +795,9 @@ def clean_cv(
     if not files:
         return DetectionTable.from_columns(*[[]] * 7), drops, 0
 
-    (subj, drive, t, code, conf), rows_in = _parse_files(DetectionTable, files, drops)
+    keys, (codes, t, code, conf), rows_in = _parse_files(DetectionTable, files, drops)
     where = {key: d for d, key in enumerate(sensor.keys)}
-    drive = np.fromiter(map(where.get, zip(subj, drive), repeat(-1)), np.int64, len(t))
+    drive = np.array([where.get(key, -1) for key in keys], dtype=np.int64)[codes]
     seen = drive >= 0
     drive, t, code, conf = drive[seen], t[seen], code[seen], conf[seen]
 
@@ -789,12 +812,11 @@ def clean_cv(
     matched = np.minimum(before, after) <= join_tol_s
     drops["no_sensor_match"] += len(seen) - int(matched.sum())
 
-    used, codes = np.unique(drive[matched], return_inverse=True)
     nearest = nearest[matched]
     # The clean table stores milliseconds: order the rows by what it holds,
     # so that reading the file back gives them in the same order.
     return DetectionTable._sorted(
-        [sensor.keys[d] for d in used.tolist()], codes, t[matched] // 1000 * 1000,
+        *_sorted_keys(sensor.keys, drive[matched]), t[matched] // 1000 * 1000,
         sensor.lat[nearest], sensor.lon[nearest], code[matched], conf[matched],
     ), drops, rows_in
 
@@ -809,7 +831,8 @@ def _write_table(table: _Table, dest) -> _Table:
     def render(part: _Table) -> list:
         return [*part.key_texts(), *(r(c) for r, c in zip(renders, part.columns()))]
 
-    write_csv(dest, table.HEADER, table.chunks(render))
+    # Only subj may hold a text that needs quotes.
+    write_csv(dest, table.HEADER, table.chunks(render), plain=range(1, len(table.HEADER)))
     t_us = table.t_us // 1000 * 1000
     t_us.flags.writeable = False
     return replace(table, t_us=t_us)
@@ -833,7 +856,8 @@ def _read_table(source, cls: type[_Table], what: str):
     def bad_row(reason, line, row):
         raise DataError(f"bad row in clean {what} table at line {line}: {row!r}")
 
-    return cls.from_columns(*_parse_csv(source, cls, False, bad_row)[0].values())
+    key, *columns, keys = _parse_csv(source, cls, False, bad_row)[0].values()
+    return cls._sorted(*_sorted_keys(keys, key), *columns)
 
 
 def read_clean_sensor(source: str | Path | IO) -> SensorTable:

@@ -34,18 +34,8 @@ import numpy as np
 
 from .errors import DataError, KmlParseError
 from .geo import (
-    FT_PER_DEG,
-    RING_FAULTS,
-    CellGrid,
-    RingTable,
-    centroids,
-    edge_distances_ft,
-    haversine_distances_ft,
-    joined,
-    points_in_polygon,
-    polyline_midpoints,
-    ring_faults,
-    run_blocks,
+    FT_PER_DEG, RING_FAULTS, CellGrid, RingTable, centroids, edge_distances_ft,
+    haversine_distances_ft, joined, points_in_polygon, polyline_midpoints, ring_faults, run_blocks,
 )
 from .ingest import _TEXT, _parse_csv, _time_texts
 from .storage import (

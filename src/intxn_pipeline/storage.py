@@ -143,12 +143,13 @@ def interleave(n: int, pieces: list) -> list[str]:
     return cells
 
 
-def write_csv(dest: str | Path | IO, header, chunks: Iterable[list]) -> None:
+def write_csv(dest: str | Path | IO, header, chunks: Iterable[list], plain=()) -> None:
     """Write ``header`` and the rows of ``chunks``, each a list of two or more
-    columns of texts, as csv.writer writes them with rows ending in "\n"."""
+    columns of texts, as csv.writer writes them with rows ending in "\n"; the
+    columns at indices in ``plain`` (header too) hold nothing to quote, unscanned."""
     with resolve_uri(dest, "w") as handle:
         for columns in chain([[[name] for name in header]], chunks):
-            pieces = [piece for column in map(_quoted, columns) for piece in (column, ",")]
+            pieces = [p for j, c in enumerate(columns) for p in (c if j in plain else _quoted(c), ",")]
             pieces[-1] = "\n"
             handle.write("".join(interleave(len(columns[0]), pieces)))
 

@@ -59,6 +59,9 @@ class ScenarioSpec:
     origin: GeoPoint = GeoPoint(41.25, -96.0)
 
     def __post_init__(self) -> None:
+        for name in ("block_ft", "speed_fps", "sample_hz", "jitter_ft", "lead_ft"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if min(self.grid_rows, self.grid_cols, self.n_subjects, self.drives_per_subject) < 1:
             raise ValueError("scenario counts must be positive")
         if min(self.block_ft, self.speed_fps, self.sample_hz, self.lead_ft) <= 0:

@@ -31,7 +31,7 @@ and review-template stages take the table as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise, repeat
+from itertools import pairwise
 from pathlib import Path
 from typing import IO
 
@@ -39,22 +39,11 @@ import numpy as np
 
 from .errors import DataError
 from .geo import (
-    CellGrid,
-    angular_difference_deg,
-    in_box,
-    initial_bearing_deg,
-    nearest_distances_ft,
+    CellGrid, angular_difference_deg, in_box, initial_bearing_deg, nearest_distances_ft,
     points_in_polygon,
 )
 from .ingest import (
-    _INT,
-    _INT64,
-    _TEXT,
-    _TIME,
-    SensorTable,
-    _float_renderer,
-    _parse_csv,
-    _Table,
+    _INT64, _KEY, _TEXT, _TIME, SensorTable, _float_renderer, _parse_csv, _sorted_keys, _Table,
     _time_texts,
 )
 from .review import ReviewedSet
@@ -124,7 +113,7 @@ class TrajectoryTable(_Table):
         # The reader cuts each window by its times, which fix the other two.
         times = dict.fromkeys(("ref_time_utc", "start_time_utc", "end_time_utc"), _TIME)
         return {
-            "traj_id": _TEXT, "subj": _TEXT, "drive": _INT, "intxn_id": _INT64, "leg_id": _INT64,
+            "traj_id": _TEXT, "subj": _KEY, "drive": _KEY, "intxn_id": _INT64, "leg_id": _INT64,
             **times, "ref_cum_dist_ft": None, "n_points": None,
         }
 
@@ -242,9 +231,8 @@ def extract_trajectories(
     lo = cum[ref] - params.upstream_ft
     hi = cum[ref] + params.downstream_ft
     truncated = (cum[bounds[drive]] > lo) | (cum[bounds[drive + 1] - 1] < hi)
-    used, codes = np.unique(drive, return_inverse=True)
     table = TrajectoryTable._grouped(
-        [sensor.keys[d] for d in used.tolist()], codes, ids[pick], legs[pick], ref,
+        *_sorted_keys(sensor.keys, drive), ids[pick], legs[pick], ref,
         sensor.search(cum, drive, lo), sensor.search(cum, drive, hi, "right"), sensor=sensor,
     )
     return table, {"duplicate_pass": len(refs) - len(pick), "truncated": int(truncated.sum())}
@@ -282,9 +270,10 @@ def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> Traje
         raise DataError(f"bad trajectory row at line {line}: {row!r}")
 
     named = _parse_csv(source, TrajectoryTable, False, bad_row)[0]
-    subj, drive, intxn_id = named["subj"], named["drive"], named["intxn_id"]
-    where = {key: d for d, key in enumerate(sensor.keys)}
-    codes = np.fromiter(map(where.get, zip(subj, drive), repeat(-1)), np.int64, len(subj))
+    keys, key = _sorted_keys(named["keys"], named["key"])
+    intxn_id = named["intxn_id"]
+    where = {k: d for d, k in enumerate(sensor.keys)}
+    codes = np.array([where.get(k, -1) for k in keys], dtype=np.int64)[key]
     problem = np.where(codes < 0, 1, 0)
 
     # Times search as offsets from their drive's first time: a float holds
@@ -306,7 +295,7 @@ def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> Traje
         [left >= right, (at == right) | (t_us[np.minimum(at, len(t_us) - 1)] != ref_us)], [2, 3]
     )
     ids = named["traj_id"]
-    expected = [f"{s}_{v}_{i}" for s, v, i in zip(subj, drive, intxn_id.tolist())]
+    expected = ["%s_%s_%s" % (*keys[k], i) for k, i in zip(key.tolist(), intxn_id.tolist())]
     renamed = np.array([a != b for a, b in zip(ids, expected)], dtype=bool)
     problem[(problem == 0) & renamed] = 4
     bad = np.flatnonzero(problem)
@@ -320,6 +309,4 @@ def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> Traje
                 f"trajectory id {ids[k]!r} is not {expected[k]!r}",
             )[problem[k] - 1]
         )
-    return TrajectoryTable.from_columns(
-        subj, drive, intxn_id, named["leg_id"], at, left, right, sensor=sensor
-    )
+    return TrajectoryTable._sorted(keys, key, intxn_id, named["leg_id"], at, left, right, sensor=sensor)

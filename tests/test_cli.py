@@ -766,6 +766,27 @@ def test_synth_spec_field_of_the_wrong_type_is_user_error(tmp_path, capsys, synt
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text", ['{"block_ft": Infinity}', '{"jitter_ft": NaN}', '{"lead_ft": -Infinity}']
+)
+def test_synth_spec_number_that_is_not_finite_is_user_error(tmp_path, capsys, text):
+    # Python's json reads these non-JSON words as floats.
+    config = tmp_path / "pipeline.json"
+    config.write_text('{"synth": %s}' % text)
+    key = text.split('"')[1]
+    assert main(["synth", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: synth {key!r} must be finite") and "Traceback" not in err
+    assert not (tmp_path / "sensor").exists()
+
+
+@pytest.mark.parametrize("name", ["block_ft", "speed_fps", "sample_hz", "jitter_ft", "lead_ft"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_scenario_spec_rejects_numbers_that_are_not_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScenarioSpec(**{name: value})
+
+
 def test_synth_spec_takes_json_integers_and_numbers(tmp_path):
     config = tmp_path / "pipeline.json"
     synth = {"grid_rows": 5, "seed": 7, "block_ft": 500, "sample_hz": 2.0, "jitter_ft": 0}

@@ -27,6 +27,7 @@ from intxn_pipeline.ingest import (
     write_detections_csv,
     write_sensor_csv,
 )
+from intxn_pipeline.synth import ScenarioSpec, generate
 
 SENSOR_HEADER = "subj,drive,time_utc,lat,lon,heading_deg,speed_fps"
 CV_HEADER = "subj,drive,time_utc,object_class,confidence"
@@ -659,6 +660,54 @@ def test_chunk_path_parses_as_the_row_path(chunk_rows, case):
         assert _parsed(cls, raw, text) == rows
 
 
+@pytest.mark.parametrize(
+    "field, whole",
+    [('A"B', False), ('"A"B', False), ('"A,B"', True), ('"A""B"', True), ('"A\nB"', False),
+     ('""', True), ('"A" ', False), (' "A"', False), ('"A"', True), ('"AB"', True)],
+)
+@pytest.mark.parametrize("column", [0, 2, 3])
+def test_quoted_fields_parse_as_csv_reader_reads_them(field, whole, column, monkeypatch):
+    # A chunk goes to loadtxt only when each of its quotes opens or closes a
+    # whole field on one line; either way its rows parse as csv.reader reads them.
+    good = GOOD_SENSOR.split(",")
+    if column:  # a quoted time or lat: A and B are the halves of its value
+        half = len(good[column]) // 2
+        field = field.replace("A", good[column][:half], 1).replace("B", good[column][half:], 1)
+    lines = [",".join(good[:column] + [field] + good[column + 1 :]), GOOD_SENSOR, ""]
+    text = "\n".join([SENSOR_HEADER, *lines])
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_parse_chunk", lambda *args: None)
+        rows = _parsed(ingest.SensorTable, True, text)
+    chunked = []
+    real = ingest._parse_rows
+    monkeypatch.setattr(ingest, "_parse_rows", lambda *args: chunked.append(1) or real(*args))
+    assert _parsed(ingest.SensorTable, True, text) == rows
+    columns, read, bad = rows
+    # The row path runs for a stray quote or a bad row only.
+    assert bool(chunked) == (not whole or bool(bad))
+    row = next(csv.reader(io.StringIO(text.split("\n", 1)[1], newline="")))
+    if column == 0 and row[0].strip():
+        assert columns["keys"][0] == (row[0].strip(), 1) and not bad
+    assert read == 2
+
+
+def test_a_subj_that_needs_quotes_is_written_as_csv_writer_writes_it():
+    subj = 'A,"B\nC\rD'
+    t = to_us(datetime(2019, 5, 1, 12, tzinfo=timezone.utc))
+    rows = [
+        (subj, 1, t, 41.0, -96.0, 90.0, 50.0, 0.0), ("E", 2, t + 1000, 41.5, -96.5, 0.5, 1e-7, 2.5)
+    ]
+    table = ingest.SensorTable.from_columns(*zip(*rows))
+    out, expected = io.StringIO(newline=""), io.StringIO(newline="")
+    write_sensor_csv(table, out)
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(ingest.SensorTable.HEADER)
+    for s, d, us, *floats in rows:
+        writer.writerow([s, d, format_time_utc(ingest.EPOCH + timedelta(microseconds=us)), *floats])
+    assert out.getvalue() == expected.getvalue()
+    assert read_clean_sensor(io.StringIO(out.getvalue(), newline="")) == table
+
+
 # Every float64 bit pattern, mostly through st.floats(), and NaNs of other
 # signs and payloads, infinities and subnormals by their bits.
 def _bits(*values):
@@ -748,6 +797,29 @@ def test_a_write_holds_one_sorted_column_beyond_a_chunk():
     assert sizes[2] > 25_000_000
     assert peaks[2] - peaks[1] <= 10 * 100_000
     assert peaks[2] <= peaks[0] + 10 * 200_000
+
+
+def test_clean_sensor_holds_about_twice_the_table_it_keeps(tmp_path):
+    # A synth study of four subjects, cleaned from one file and from all
+    # four: each added row raises the tracemalloc peak by at most twice the
+    # bytes the table keeps for it, and beyond that the peak holds one
+    # chunk's scratch (a loadtxt table, its texts and its time digits).
+    import tracemalloc
+
+    spec = ScenarioSpec(grid_rows=3, grid_cols=6, n_subjects=4, drives_per_subject=8, sample_hz=10.0)
+    files = generate(spec, tmp_path).paths["sensor_files"]
+    peaks, kept = [], []
+    for part in (files[:1], files):
+        tracemalloc.start()
+        try:
+            table, _, _ = clean_sensor(part)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        kept.append(sum(c.nbytes for c in table.columns()))
+    assert kept[1] > 1_800_000
+    assert peaks[1] - peaks[0] <= 2 * (kept[1] - kept[0])
+    assert peaks[0] <= 2 * kept[0] + 2_000_000
 
 
 def _tuple_drive_codes(subj, drive):
