@@ -1,22 +1,26 @@
-"""The study-scale curve of the ``clean`` stage: time and memory against study size.
+"""The study-scale curve of every stage: time and memory against study size.
 
 Run with ``python benchmarks/bench_scale.py [SCALE ...]`` (default 1 4 16).
 
 Each scale is perfbench's dense-drives shape (a 3x6 grid, 8 drives per
 subject at 10 Hz) with ``6 * SCALE`` subjects: 57,648 sensor rows at 1x,
-922,368 at 16x. The synth stage writes the study once per scale. Then the
-clean stage runs twice, each time in a fresh process through
-``intxn_pipeline.cli.main``, which records:
+922,368 at 16x. The synth stage writes the study, with its reviewed KML,
+once per scale. Then each of the eight stages, in pipeline order, runs
+twice, each time in a fresh process through ``intxn_pipeline.cli.main``,
+which records:
 
-- ``clean_s``: the stage's wall time;
+- ``s``: the stage's wall time;
 - ``rise_mb``: how far the process's peak RSS (``ru_maxrss``) rose during
   the stage, above its peak after the imports;
 - ``peak_mb``: the process's peak RSS.
 
-Each run checks that the clean table kept every row synth wrote: the
-stage report's ``rows_out`` must equal the data rows of the raw sensor
-files. The work goes into a temporary directory, removed at the end. The
-last line of standard output is the curve as one JSON object.
+Two checks guard the answers: the ``clean`` report's ``rows_out`` must
+equal the data rows of the raw sensor files, and the ``traj`` report's
+``trajectories`` must equal the trajectories in synth's
+``ground_truth.json``. The work goes into a temporary directory, removed
+at the end. After the per-run lines come each stage's largest-over-first
+scale time ratio (fastest runs); a ratio above 20 for 16x is superlinear.
+The last line of standard output is the curve as one JSON object.
 """
 
 from __future__ import annotations
@@ -32,20 +36,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DENSE_DRIVES = {
     "grid_rows": 3, "grid_cols": 6, "n_subjects": 6, "drives_per_subject": 8, "sample_hz": 10.0
 }
+STAGES = ("clean", "lrs-intxns", "subj-intxns", "export-kml", "import-review", "traj", "clips", "template")
 RUNS = 2
 
-# What one fresh process runs: the clean stage, timed, between two readings
-# of its peak RSS (in KiB on Linux).
+# What one fresh process runs: one stage, timed, between two readings of
+# its peak RSS (in KiB on Linux).
 CHILD = """
 import json, resource, sys, time
 from intxn_pipeline import cli
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = time.perf_counter()
-code = cli.main(["clean", "--config", sys.argv[1]])
+code = cli.main([sys.argv[1], "--config", sys.argv[2]])
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 rise_mb, peak_mb = (peak - before) / 1024, peak / 1024
-print(json.dumps({"code": code, "clean_s": seconds, "rise_mb": rise_mb, "peak_mb": peak_mb}))
+print(json.dumps({"code": code, "s": seconds, "rise_mb": rise_mb, "peak_mb": peak_mb}))
 """
 
 
@@ -66,6 +71,20 @@ def data_rows(workspace: Path) -> int:
     return rows
 
 
+def check(stage: str, workspace: Path) -> str | None:
+    """What is wrong with the stage's answer, if ``clean`` or ``traj``."""
+    report = {"clean": "clean_sensor.csv", "traj": "trajectories.csv"}.get(stage)
+    if report is None:
+        return None
+    got = json.loads((workspace / "out" / f"{report}.report.json").read_text(encoding="utf-8"))
+    if stage == "clean":
+        got, expected, what = got["rows_out"], data_rows(workspace), "rows"
+    else:
+        truth = json.loads((workspace / "ground_truth.json").read_text(encoding="utf-8"))
+        got, expected, what = got["trajectories"], len(truth["trajectories"]), "trajectories"
+    return None if got == expected else f"{stage} gave {got} {what}, expected {expected}"
+
+
 def main(argv: list[str]) -> int:
     scales = [int(a) for a in argv] or [1, 4, 16]
     curve = []
@@ -77,21 +96,22 @@ def main(argv: list[str]) -> int:
             spec = dict(DENSE_DRIVES, n_subjects=DENSE_DRIVES["n_subjects"] * scale)
             config.write_text(json.dumps({"workspace": "ws", "synth": spec}), encoding="utf-8")
             run(["-m", "intxn_pipeline.cli", "synth", "--config"], config)
-            expected = data_rows(root / "ws")
-            for _ in range(RUNS):
-                result = json.loads(run(["-c", CHILD], config).splitlines()[-1])
-                report = root / "ws" / "out" / "clean_sensor.csv.report.json"
-                rows = json.loads(report.read_text(encoding="utf-8"))["rows_out"]
-                if result["code"] != 0 or rows != expected:
-                    print(f"error: {scale}x clean kept {rows} of {expected} rows", file=sys.stderr)
-                    return 1
-                del result["code"]
-                result = {"scale": scale, "rows": rows, **{k: round(v, 3) for k, v in result.items()}}
-                print(
-                    f"{scale:>3}x {rows:>9,} rows  clean {result['clean_s']:.3f} s  "
-                    f"RSS rise {result['rise_mb']:.1f} MB  peak {result['peak_mb']:.1f} MB"
-                )
-                curve.append(result)
+            for stage in STAGES:
+                for _ in range(RUNS):
+                    result = json.loads(run(["-c", CHILD, stage], config).splitlines()[-1])
+                    problem = check(stage, root / "ws")
+                    if result.pop("code") != 0 or problem:
+                        print(f"error: {scale}x {problem or stage + ' failed'}", file=sys.stderr)
+                        return 1
+                    result = {"scale": scale, "stage": stage, **{k: round(v, 3) for k, v in result.items()}}
+                    print(
+                        f"{scale:>3}x {stage:<13} {result['s']:.3f} s  "
+                        f"RSS rise {result['rise_mb']:.1f} MB  peak {result['peak_mb']:.1f} MB"
+                    )
+                    curve.append(result)
+    for stage in STAGES:
+        fastest = {s: min(r["s"] for r in curve if r["stage"] == stage and r["scale"] == s) for s in scales}
+        print(f"{stage:<13} {max(scales)}x/{min(scales)}x time {fastest[max(scales)] / fastest[min(scales)]:.1f}")
     print(json.dumps({"curve": curve}))
     return 0
 

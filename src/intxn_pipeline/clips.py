@@ -32,7 +32,7 @@ from typing import IO
 import numpy as np
 
 from .errors import DataError
-from .ingest import _FLOAT, _KEY, _TEXT, _TIME, SensorTable, _parse_csv, _sorted_keys, _Table, to_seconds
+from .ingest import _FLOAT, _KEY, _TEXT, _TIME, SensorTable, _parse_csv, _sorted_keys, _Table, search_runs, to_seconds
 from .storage import WRITE_ROWS, interleave, read_json, resolve_uri
 from .trajectory import TrajectoryTable
 
@@ -185,8 +185,7 @@ def _overlay_us(trajs: TrajectoryTable, rows: np.ndarray, targets, clip_start, c
     start, stop = trajs.start[rows], trajs.stop[rows]
     us = np.where(targets < sensor.cum[start], clip_start, clip_end)
     inside = np.flatnonzero((sensor.cum[start] <= targets) & (targets <= sensor.cum[stop - 1]))
-    drive = np.searchsorted(sensor.offsets, start[inside], "right") - 1
-    at = np.maximum(sensor.search(sensor.cum, drive, targets[inside]), start[inside])
+    at = search_runs(sensor.cum, start[inside], stop[inside], targets[inside])
     us[inside] = _crossing_us(sensor, at, targets[inside])
     return us
 
@@ -199,8 +198,7 @@ def _match_videos(trajs: TrajectoryTable, videos: VideoTable) -> tuple[np.ndarra
     """
     # Per trajectory, the first row and the count of its drive's videos; a
     # drive without videos is k = -1, which takes the zeros appended.
-    where = {key: k for k, key in enumerate(videos.keys)}
-    k = np.fromiter(map(where.get, trajs.keys, repeat(-1)), np.int64, len(trajs.keys))
+    k = videos.drive_index(trajs.keys)
     bounds = np.array(videos.offsets)
     codes = trajs.codes()
     first = np.append(bounds[:-1], 0)[k][codes]

@@ -18,6 +18,7 @@ from typing import get_type_hints
 
 from .errors import ConfigError
 from .geo import GeoPoint
+from .review import REVIEW_COLUMNS
 from .storage import resolve_uri
 from .synth import ScenarioSpec
 
@@ -157,6 +158,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Pipelin
         for v in custom_fields.values()
     ):
         raise ConfigError("custom_fields must map column names to lists of strings")
+    if shadowed := [name for name in custom_fields if name in REVIEW_COLUMNS]:
+        raise ConfigError(f"custom field {shadowed[0]!r} is already a review template column")
 
     synth_doc = dict(doc.get("synth", {}))
     for key, value in synth_doc.items():  # a JSON true is a bool, not an int

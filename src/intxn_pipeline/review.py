@@ -574,13 +574,18 @@ class _Demographics:
 
 def read_demographics(source: str | Path | IO) -> dict[str, tuple[str, str]]:
     """Load the subj,age,gender table as a subj -> (age, gender) map; raises
-    DataError naming the line of the first row without a subj or a column."""
+    DataError naming the line of the first row without a subj or a column,
+    or a subj given more than once."""
 
     def bad_row(reason, line, row):
         raise DataError(f"bad demographics row at line {line}: {row!r}")
 
     subj, age, gender = _parse_csv(source, _Demographics, True, bad_row)[0].values()
-    return dict(zip(subj, zip(age, gender)))
+    people = dict(zip(subj, zip(age, gender)))
+    if len(people) < len(subj):
+        names, counts = np.unique(subj, return_counts=True)
+        raise DataError(f"demographics subj {names[counts > 1][0]!r} is given more than once")
+    return people
 
 
 def build_review_template(

@@ -44,7 +44,7 @@ from .geo import (
 )
 from .ingest import (
     _INT64, _KEY, _TEXT, _TIME, SensorTable, _float_renderer, _parse_csv, _sorted_keys, _Table,
-    _time_texts,
+    _time_texts, search_runs, to_seconds,
 )
 from .review import ReviewedSet
 from .storage import write_csv
@@ -123,7 +123,7 @@ class TrajectoryTable(_Table):
 
 def _entering_bearings(reviewed: ReviewedSet) -> np.ndarray:
     """The forward azimuth of each leg's entering line from its first vertex
-    to its last; intermediate vertices are ignored since the endpoints define
+    to its last; intermediate vertices are ignored, as the endpoints define
     the reviewer's intent. Raises DataError for a line without two distinct
     ends."""
     lat, lon = reviewed.line_lat.tolist(), reviewed.line_lon.tolist()
@@ -203,7 +203,7 @@ def extract_trajectories(
     ids, legs, at = ids[entry], legs[entry], reviewed.owner[leg]
     bounds = np.array(sensor.offsets)
     drive = np.searchsorted(bounds, row, "right") - 1
-    t = sensor.seconds()[row]
+    t = to_seconds(sensor.t_us[row])
 
     # Visits: runs of one leg's hits in one drive without a gap over pass_gap_s.
     split = np.ones(len(row), dtype=bool)
@@ -227,13 +227,13 @@ def extract_trajectories(
     pick = order[first]
     drive, ref = drive[pick], ref[pick]
 
-    cum = sensor.cum
+    cum, first, end = sensor.cum, bounds[drive], bounds[drive + 1]
     lo = cum[ref] - params.upstream_ft
     hi = cum[ref] + params.downstream_ft
-    truncated = (cum[bounds[drive]] > lo) | (cum[bounds[drive + 1] - 1] < hi)
+    truncated = (cum[first] > lo) | (cum[end - 1] < hi)
     table = TrajectoryTable._grouped(
         *_sorted_keys(sensor.keys, drive), ids[pick], legs[pick], ref,
-        sensor.search(cum, drive, lo), sensor.search(cum, drive, hi, "right"), sensor=sensor,
+        search_runs(cum, first, end, lo), search_runs(cum, first, end, hi, "right"), sensor=sensor,
     )
     return table, {"duplicate_pass": len(refs) - len(pick), "truncated": int(truncated.sum())}
 
@@ -272,25 +272,15 @@ def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> Traje
     named = _parse_csv(source, TrajectoryTable, False, bad_row)[0]
     keys, key = _sorted_keys(named["keys"], named["key"])
     intxn_id = named["intxn_id"]
-    where = {k: d for d, k in enumerate(sensor.keys)}
-    codes = np.array([where.get(k, -1) for k in keys], dtype=np.int64)[key]
+    codes = sensor.drive_index(keys)[key]
     problem = np.where(codes < 0, 1, 0)
 
-    # Times search as offsets from their drive's first time: a float holds
-    # those exactly over any drive shorter than 285 years (2**53 us).
     found = np.flatnonzero(codes >= 0)
-    d = codes[found]
-    bounds = np.array(sensor.offsets)
-    t_us = sensor.t_us
-    since = t_us - np.repeat(t_us[bounds[:-1]], np.diff(bounds))
-    first_us = t_us[bounds[d]]
-
-    def search(name, side="left"):
-        return sensor.search(since, d, named[name][found] - first_us, side)
-
-    left, right = search("start_time_utc"), search("end_time_utc", "right")
-    at = np.clip(search("ref_time_utc"), left, right)
-    ref_us = named["ref_time_utc"][found]
+    bounds, t_us = np.array(sensor.offsets), sensor.t_us
+    first, end = bounds[codes[found]], bounds[codes[found] + 1]
+    start_us, end_us, ref_us = (named[n][found] for n in ("start_time_utc", "end_time_utc", "ref_time_utc"))
+    left, right = search_runs(t_us, first, end, start_us), search_runs(t_us, first, end, end_us, "right")
+    at = search_runs(t_us, left, right, ref_us)
     problem[found] = np.select(
         [left >= right, (at == right) | (t_us[np.minimum(at, len(t_us) - 1)] != ref_us)], [2, 3]
     )

@@ -801,3 +801,13 @@ def test_config_globs_may_be_one_string_or_a_list(tmp_path):
     assert cfg.inputs["sensor_files"] == [str(tmp_path / "s/*.csv")]
     assert cfg.inputs["cv_files"] == [str(tmp_path / "a"), str(tmp_path / "b")]
     assert cfg.inputs["network"] == tmp_path / "network.geojson"
+
+
+@pytest.mark.parametrize("name", ["subj", "video_url", "stop_traj_id"])
+def test_custom_field_that_names_a_review_column_is_user_error(tmp_path, capsys, name):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"custom_fields": {"notes": ["x"], name: ["x"]}}))
+    assert main(["all", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: custom field {name!r}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

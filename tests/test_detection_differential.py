@@ -7,7 +7,9 @@ lon, object_class, confidence). Hypothesis builds raw
 detection files from small pools of field values, so that time ties,
 class and confidence ties, UTC offsets, bad, short and blank rows, quoted
 subjects, unmatched drives and detections exactly ``join_tol_s`` (and one
-microsecond more or less) from a sensor sample all occur often. Both sides
+microsecond more or less), 1 or 30 microseconds from a sensor sample all
+occur often, in 2019 and in years 2300 and 9999, where epoch microseconds
+pass 2**53 and float seconds are 2 to 30 microseconds apart. Both sides
 must write the same bytes, report the same drops, give the same rows from
 ``read_clean_detections`` and ``last_in_runs`` and the same cluster centers,
 in cluster-id order, from ``cluster_detections``.
@@ -15,10 +17,10 @@ in cluster-id order, from ``cluster_detections``.
 
 import csv
 import io
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import centroid, format_time_utc, row_tuples
 
@@ -195,12 +197,17 @@ KEYS = [("A", 1), ("A", 2), ('q"uote', 1), ("c,omma", 7)]
 JOIN_TOL_S = 0.5
 
 
-def sensor_table():
+# Shifts of the samples to the same instant of years 2019, 2300 and 9999.
+YEAR_SHIFTS_US = [to_us(datetime(y, 5, 1, 12, tzinfo=timezone.utc)) - SAMPLE_US[0] for y in (2019, 2300, 9999)]
+
+
+def sensor_table(shift_us=0):
     """Positions ~45 ft apart, zig-zagging, so DBSCAN chains form and the
     (lat, lon) order of a cluster's members is not their time order."""
     rows = []
     for d, (subj, drive) in enumerate(KEYS):
         for k, t in enumerate(SAMPLE_US):
+            t += shift_us
             lat = 41.0 + 1.2345678e-4 * k + 2.5e-4 * d  # drives interleave too
             lon = -96.0 - 0.7654321e-4 * (k % 2)
             rows.append((subj, drive, t, lat, lon, 90.0, 50.0, 0.0))
@@ -210,8 +217,9 @@ def sensor_table():
 SUBJS = ["A", " A ", 'q"uote', "c,omma", "Z", "", "  "]
 DRIVES = ["1", "2", "7", " 1 ", "3", "x"]
 # Offsets from a sample in us: ties, the midpoint of two samples, the join
-# tolerance and one microsecond either side of it, and far off.
-OFFSETS_US = [0, 1, 250_000, 500_000, 499_999, 500_001, -500_000, -500_001, 700_000, 9_000_000]
+# tolerance and one microsecond either side of it, one float second's width
+# in 9999 (30 us), and far off.
+OFFSETS_US = [0, 1, -1, 30, -30, 250_000, 500_000, 499_999, 500_001, -500_000, -500_001, 700_000, 9_000_000]
 ZONES = [timedelta(0), timedelta(hours=2), timedelta(hours=-5, minutes=-30)]
 CLASSES = ["stop_sign", "signal_state", " stop_sign ", "pedestrian", ""]
 CONFIDENCES = ["0.9", "0.5", "0.0", "-0.0", "1.0", "1e-3", "1.5", "-0.1", "nan", "x"]
@@ -228,8 +236,9 @@ def render_time(us, zone):
 
 
 @st.composite
-def raw_detection_files(draw):
-    """1-3 raw detection files whose rows come from one shared pool, as CSV text."""
+def raw_detection_files(draw, shift_us=0):
+    """1-3 raw detection files whose rows come from one shared pool, as CSV
+    text, about the samples moved by ``shift_us``."""
     pick = st.sampled_from
     # A few keys and instants (sample, offset), shared by many rows: time
     # ties across classes and confidences, and gaps that equal max_gap_s.
@@ -259,7 +268,7 @@ def raw_detection_files(draw):
         w.writerow([DETECTION_COLUMNS[k] for k in order])
         for k in draw(st.lists(st.integers(0, len(pool) - 1), max_size=15)):
             (subj, drive), (sample, offset), zone, cls, conf = pool[k]
-            fields = [subj, drive, render_time(SAMPLE_US[sample] + offset, zone), cls, conf]
+            fields = [subj, drive, render_time(SAMPLE_US[sample] + shift_us + offset, zone), cls, conf]
             kind = draw(st.sampled_from(["row"] * 8 + ["short", "blank"]))
             if kind == "blank":
                 out.write("\n")
@@ -273,20 +282,31 @@ def raw_detection_files(draw):
     return texts, rows_in
 
 
+def beside_a_sample(shift_us):
+    """Detections 1 and 30 us either side of the first and last samples, and
+    the join tolerance and 1 us more beyond them, as (shift_us, (texts, rows_in))."""
+    instants = [SAMPLE_US[k] + d for k in (0, 5) for d in (1, -1, 30, -30)]
+    instants += [SAMPLE_US[0] - 500_000, SAMPLE_US[0] - 500_001, SAMPLE_US[5] + 500_000, SAMPLE_US[5] + 500_001]
+    rows = [f"A,1,{render_time(us + shift_us, timedelta(0))},stop_sign,0.9" for us in instants]
+    return shift_us, (["\n".join([",".join(DETECTION_COLUMNS), *rows, ""])], len(rows))
+
+
 def streams(texts):
     return [io.StringIO(text, newline="") for text in texts]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    raw_detection_files(),
+    st.sampled_from(YEAR_SHIFTS_US).flatmap(lambda us: st.tuples(st.just(us), raw_detection_files(us))),
     st.sampled_from([0.25, 0.5, 1.0, 2.0]),
     st.sampled_from([40.0, 100.0]),
     st.sampled_from([1, 2, 3]),
 )
+@example(beside_a_sample(YEAR_SHIFTS_US[1]), 0.5, 40.0, 1)
+@example(beside_a_sample(YEAR_SHIFTS_US[2]), 0.5, 40.0, 1)
 def test_detection_path_matches_record_based_original(files, max_gap_s, eps_ft, min_pts):
-    texts, rows_in = files
-    sensor = sensor_table()
+    shift_us, (texts, rows_in) = files
+    sensor = sensor_table(shift_us)
     table, drops, read = clean_cv(streams(texts), sensor, join_tol_s=JOIN_TOL_S)
     records, old_drops = old_clean_cv(streams(texts), sensor, JOIN_TOL_S)
     assert drops == old_drops

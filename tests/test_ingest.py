@@ -924,3 +924,34 @@ def test_one_function_parses_and_one_renders_the_table_csvs():
     assert len(_ingest_functions_naming("np.loadtxt")) == 1
     renders = _ingest_functions_naming("csv.writer", ".write", "write_csv", "repr", "_time_texts")
     assert len(renders) == 1, renders
+
+
+@st.composite
+def runs_and_queries(draw):
+    """Ascending runs, some empty, and one empty run at the column's end;
+    queries beside a row, or below or above every row."""
+    if draw(st.booleans()):  # int64 past 2**53, where float64 would merge neighbours
+        dtype, base = np.int64, draw(st.sampled_from([0, 2**53 - 3, 2**62]))
+        steps, nudges, ends = st.integers(0, 2), [-1, 0, 1], [-(2**63), 2**63 - 1]
+    else:  # floats with repeats
+        dtype, base = np.float64, draw(st.sampled_from([0.0, -1.5, 1e300]))
+        steps, nudges, ends = st.sampled_from([0.0, 0.25, 1e290]), [0.0], [-math.inf, math.inf]
+    runs = [base + np.cumsum(draw(st.lists(steps, max_size=6)), dtype=dtype) for _ in range(draw(st.integers(0, 4)))]
+    column = np.concatenate([np.zeros(0, dtype), *runs])
+    bounds = np.cumsum([0, *map(len, runs), 0])
+    near = st.tuples(st.sampled_from(column.tolist() or [base]), st.sampled_from(nudges)).map(sum)
+    value = st.one_of(near, st.sampled_from(ends))
+    queries = draw(st.lists(st.tuples(st.integers(0, len(bounds) - 2), value), max_size=12))
+    run = np.array([k for k, _ in queries], dtype=np.int64)
+    return column, bounds[run], bounds[run + 1], np.array([v for _, v in queries], dtype)
+
+
+@settings(max_examples=500, deadline=None)
+@given(runs_and_queries(), st.sampled_from(["left", "right"]))
+@example((np.array([2**53, 2**53 + 1, 2**53 + 2]), np.array([0, 0, 3, 1]), np.array([3, 3, 3, 0]),
+          np.array([2**53 + 1, 2**53 + 3, 0, 2**53 + 1])), "left")
+def test_search_runs_is_searchsorted_in_each_run(case, side):
+    column, lo, hi, values = case
+    found = ingest.search_runs(column, lo, hi, values, side)
+    expected = [np.searchsorted(column[a:b], v, side) + a for a, b, v in zip(lo, hi, values)]
+    assert found.tolist() == expected

@@ -593,6 +593,13 @@ def test_demographics_row_without_a_subj_raises_data_error():
         read_demographics(io.StringIO("subj,age,gender\nA,52,F\n ,47,M\n", newline=""))
 
 
+def test_demographics_subj_given_twice_raises_data_error():
+    # The later row would otherwise silently replace the earlier one.
+    text = "subj,age,gender\nA,52,F\nB,30,M\n A ,47,M\n"
+    with pytest.raises(DataError, match="demographics subj 'A' is given more than once"):
+        read_demographics(io.StringIO(text, newline=""))
+
+
 # Coordinate tuples near two junctions, so that drawn geometry often
 # assembles, and tuples that are garbage, NaN, out of range or short.
 KML_TOKENS = st.one_of(
