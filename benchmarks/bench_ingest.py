@@ -22,7 +22,9 @@ benches give the raw files one unparseable row in 100 or in 4,000, or
 only as their last row, and the quoted bench quotes every subject.
 The detection benches run a study shaped like perfbench's
 crowded-junctions, many short drives through few junctions: 500 drives and
-3,000 detections, also in memory.
+3,000 detections, also in memory. The many-small-files benches clean
+perfbench's crowded-junctions study itself, 50 sensor files of 1,025 rows
+and 50 detection files of 150, where set-up per file would dominate.
 """
 
 import hashlib
@@ -55,6 +57,8 @@ from intxn_pipeline.trajectory import extract_trajectories
 
 SPEC = ScenarioSpec(grid_rows=3, grid_cols=6, n_subjects=2, drives_per_subject=4, sample_hz=10.0)
 CROWDED = ScenarioSpec(grid_rows=3, grid_cols=4, n_subjects=20, drives_per_subject=25, sample_hz=0.5)
+# perfbench's crowded-junctions: one sensor and one detection file per subject.
+MANY = ScenarioSpec(grid_rows=3, grid_cols=4, n_subjects=50, drives_per_subject=25, sample_hz=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +282,26 @@ def test_read_clean_detections(benchmark, detections, detection_text):
 def test_last_in_runs(benchmark, detections):
     kept = benchmark(last_in_runs, detections)
     assert 0 < len(kept) < len(detections)
+
+
+@pytest.fixture(scope="module")
+def many_files(tmp_path_factory):
+    """The raw sensor and detection files' text of the MANY study, by kind."""
+    scenario = generate(MANY, tmp_path_factory.mktemp("many"))
+    return {
+        kind: [path.read_text(encoding="utf-8") for path in scenario.paths[kind]]
+        for kind in ("sensor_files", "cv_files")
+    }
+
+
+def test_clean_sensor_many_small_files(benchmark, many_files):
+    table, drops, _ = benchmark(lambda: clean_sensor(streams(many_files["sensor_files"])))
+    assert len(many_files["sensor_files"]) == 50 and len(table) == 51_250
+    assert not any(drops.values())
+
+
+def test_clean_cv_many_small_files(benchmark, many_files):
+    sensor = clean_sensor(streams(many_files["sensor_files"]))[0]
+    joined, drops, _ = benchmark(lambda: clean_cv(streams(many_files["cv_files"]), sensor))
+    assert len(many_files["cv_files"]) == 50 and len(joined) == 7_500
+    assert not any(drops.values())

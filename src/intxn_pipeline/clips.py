@@ -156,7 +156,7 @@ def read_videos_csv(source: str | Path | IO) -> VideoTable:
     def bad_row(reason, line, row):
         raise DataError(f"bad video row at line {line}: {row!r}")
 
-    key, uri, start, end, fps, keys = _parse_csv(source, VideoTable, True, bad_row)[0].values()
+    key, uri, start, end, fps, keys = _parse_csv([source], VideoTable, True, bad_row).values()
     late = np.flatnonzero(end <= start)
     if len(late):
         raise DataError(f"video {uri[late[0]]}: end time not after start time")

@@ -15,16 +15,18 @@ column's kind) once, so one parser reads raw and clean files of both
 tables and one writer writes both. The same parser reads the trajectory
 table and, in the raw layout, the video and demographics sidecars.
 
-The parser reads a file a chunk of lines at a time. numpy's C tokenizer,
-``np.loadtxt``, reads each chunk into typed columns; a chunk with a stray
-quote, a NUL or a bad row goes through the csv.reader row path instead,
-which counts, drops and names bad rows by their line. A parsed chunk holds
-no per-row Python object: floats, int64 epoch microseconds (the date, hour
-and minute parsed once per run of rows that share them) and, as in Arrow's
-dictionary encoding, an int64 code per row for its (subj, drive) key. The
-chunks' columns grow in place, so ``clean_sensor`` peaks at about 1.8x the
-table it keeps at 58k rows and 1.4x at 230k (``tracemalloc``). A written
-table renders each float's ``repr`` once per bit pattern.
+The parser streams the data lines of consecutive files of one header through
+one chunker, set up once per header, so a chunk may span files. numpy's C
+tokenizer, ``np.loadtxt``, reads each chunk into typed columns; one with a
+stray quote, a NUL or a bad row parses again a file at a time, and a file's
+part that fails again takes the csv.reader row path, which drops and names
+bad rows by their line in their file. A parsed chunk holds no per-row Python
+object: floats, int64 epoch microseconds (the date, hour and minute parsed
+once per run of rows that share them) and, as in Arrow's dictionary
+encoding, an int64 code per row for its (subj, drive) key. The chunks'
+columns grow in place, so ``clean_sensor`` peaks at about 1.8x the table it
+keeps at 58k rows and 1.4x at 230k (``tracemalloc``). A written table
+renders each float's ``repr`` once per bit pattern.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import csv
 import re
 from bisect import bisect_left, bisect_right
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -131,6 +134,15 @@ def _sorted_keys(keys: Iterable, codes: np.ndarray) -> tuple[list, np.ndarray]:
     rank = np.zeros(len(keys), dtype=np.int64)
     rank[order] = np.arange(len(order))
     return [keys[k] for k in order], rank[codes]
+
+
+def _ascending(keys: list, last=np.greater_equal) -> bool:
+    """Whether no row sorts below the one before it by ``keys``, primary last
+    as np.lexsort takes them, the first by ``last``; NaN is out of order."""
+    rising = last(keys[0][1:], keys[0][:-1])
+    for c in keys[1:]:
+        rising = (c[1:] > c[:-1]) | (c[1:] == c[:-1]) & rising
+    return bool(rising.all())
 
 
 def _drive_codes(subj, drive) -> tuple[list[tuple[str, int]], np.ndarray]:
@@ -388,10 +400,11 @@ class _Table:
     @classmethod
     def _sorted(cls, keys: list, codes: np.ndarray, *columns, **extra):
         """A table of rows in any order, each given its index into ``keys``;
-        ties keep their order."""
+        ties keep their order. Rows already in order are viewed, not gathered."""
         columns = [np.asarray(c, dtype=k[0]) for c, k in zip(columns, cls.COLUMNS.values())]
         named = dict(zip(cls.COLUMNS, columns))
-        order = np.lexsort([named[n] for n in reversed(cls.SORT)] + [codes])
+        by = [named[n] for n in reversed(cls.SORT)] + [codes]
+        order = slice(None) if _ascending(by) else np.lexsort(by)
         return cls._grouped(keys, codes[order], *(c[order] for c in columns), **extra)
 
     @classmethod
@@ -528,11 +541,11 @@ def header_indices(header: list[str] | None, columns: tuple[str, ...], source) -
     return [where[c] for c in columns]
 
 
-# Data lines parsed at once. A chunk with a bad row is parsed twice, by
-# loadtxt up to that row and then by the row path, so fewer lines make a
-# bad row cheaper; more make the per-chunk numpy calls cheaper. With 2,048
-# a raw sensor file of 4,800 rows whose row 4,000 is bad cleans faster
-# than by the csv.reader path alone; with 4,096 it cleans slower.
+# Data lines parsed at once. A chunk with a bad row is parsed by loadtxt up
+# to that row (again for the bad file's part if it spans files) and then by
+# the row path, so fewer lines make a bad row cheaper; more make the numpy
+# calls cheaper. With 2,048 a raw sensor file of 4,800 rows whose row 4,000
+# is bad cleans faster than by the csv.reader path alone; with 4,096 slower.
 _CHUNK_ROWS = 2048
 
 
@@ -561,17 +574,17 @@ def _failures(columns: list, bad: np.ndarray, checks: list[tuple]) -> np.ndarray
 _QUOTED_FIELD = re.compile(r'"(?<![^,\r\n]")[^"\r\n]*(?:""[^"\r\n]*)*"(?![^,\r\n])')
 
 
-def _parse_chunk(chunk: list[str], fields: list[tuple], key, checks: list[tuple]) -> list | None:
-    """The ``_row_columns`` of CSV data lines, tokenised by np.loadtxt; None
-    if loadtxt rejects them, or if a row does not parse or fails a check.
+def _parse_chunk(parts: list[list[str]], fields: list[tuple], key, checks: list) -> list | None:
+    """The ``_row_columns`` of the data lines of one file or more, by file,
+    tokenised by np.loadtxt; None if loadtxt rejects them, or if a row does
+    not parse or fails a check.
 
-    Lines with a quote outside whole quoted fields are left to the row path,
-    so no quoted field, which may run over lines, is cut at a chunk's end; so
-    are lines holding a NUL, which a str field drops from a text's end
-    (Python 3.10's fromisoformat rejects "...Z\\0", 3.11's accepts it), and
-    blank lines only, of which loadtxt warns.
+    A quote outside whole quoted fields on one line leaves the lines to the row
+    path, so no quoted field is cut at a chunk's end or runs into the next file;
+    so does a NUL, which a str field drops from a text's end (3.11's fromisoformat
+    accepts "...Z\\0"), and so do blank lines only, of which loadtxt warns.
     """
-    text = "".join(chunk)
+    text = "\n".join(map("".join, parts))  # no file's last line runs into the next's first
     if "\0" in text or not text.strip("\r\n") or '"' in text and '"' in _QUOTED_FIELD.sub("", text):
         return None
     used = [*key[:2], *(i for i, *_ in fields)]
@@ -579,7 +592,8 @@ def _parse_chunk(chunk: list[str], fields: list[tuple], key, checks: list[tuple]
     dtype = np.dtype([(f"f{k}", read) for k, read in enumerate(reads)])
     try:
         table = np.loadtxt(
-            chunk, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=used, ndmin=1
+            chain.from_iterable(parts), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            usecols=used, ndmin=1,
         )
     except ValueError:
         return None
@@ -600,10 +614,9 @@ def _parse_chunk(chunk: list[str], fields: list[tuple], key, checks: list[tuple]
     return None if _failures(columns, bad, checks).any() else columns
 
 
-def _parse_rows(reader, stop: int, first: int, fields, key, checks: list[tuple], bad_row):
+def _parse_rows(reader, stop: int, first: int, fields, key, checks: list[tuple], bad_row) -> list:
     """The ``_row_columns`` of the non-blank rows a csv reader gives until
-    it has read ``stop`` lines, and how many rows it gave; its line k is
-    the file's line ``first + k``.
+    it has read ``stop`` lines; its line k is the file's line ``first + k``.
 
     ``checks`` are (column index, test, reason), in the order they run. A
     row that does not parse or fails a test goes to ``bad_row(reason, line,
@@ -627,93 +640,105 @@ def _parse_rows(reader, stop: int, first: int, fields, key, checks: list[tuple],
         for k in np.flatnonzero(failed).tolist():
             bad_row(reasons[which[k]], lines[k], rows[k])
         columns = [c[~failed] for c in columns]
-    return columns, len(rows)
+    return columns
 
 
 class _Columns(dict):
-    """Arrays by name that chunks of rows extend in place; nothing else may
-    view one. Each grows by an eighth when full, a large one by mremap."""
+    """Arrays by name that chunks of rows extend in place, NaN where one lacks
+    a column; nothing else may view one. Each grows by an eighth, a large one by mremap."""
 
     rows = 0
 
     def append(self, named: dict) -> None:
         stop = self.rows + len(next(iter(named.values())))
-        for name, new in named.items():
-            have = self.setdefault(name, np.empty(0, new.dtype))
+        for name, new in {**dict.fromkeys(self, np.nan), **named}.items():
+            have = self.setdefault(name, np.empty(0, np.result_type(new)))
             if len(have) < stop:
                 have.resize(max(stop, len(have) * 9 // 8), refcheck=False)
             have[self.rows : stop] = new
         self.rows = stop
 
 
-def _parse_csv(source, cls, raw: bool, bad_row, index=None, into=None) -> tuple[dict, int]:
-    """The columns of a raw or clean CSV of ``cls`` rows, by name, and how
-    many non-blank data rows it holds.
+def _parse_csv(sources: list, cls, raw: bool, bad_row) -> dict:
+    """The columns of raw or clean CSVs of ``cls`` rows, by name, file after file.
 
     A clean file's columns are ``cls.HEADER``, less those of no kind, with
     the ``CLEAN_CHECKED`` ones checked. A raw file's are ``cls.RAW`` and
     ``cls.OPTIONAL`` (NaN where it lacks one), all checked, the
     ``_STRIPPED`` ones stripped; of ``cls`` the raw layout reads only those
     two and ``kinds()``. Each row that does not parse or fails a check goes
-    to ``bad_row(reason, line, row)`` and is left out. Subj and drive come
-    back as "key", each row's code in ``index`` (a new dict if None), which
-    gains the keys first seen here and whose keys "keys" lists.
+    to ``bad_row(reason, line, row)``, by its line in its own file, and is
+    left out. Subj and drive come back as "key", each row's code among the
+    keys in the order first seen, which "keys" lists.
 
-    The data lines parse ``_CHUNK_ROWS`` at a time by ``_parse_chunk``, or
-    if it rejects them by csv.reader and ``_parse_rows``, which reads on
-    past the chunk's end to end a quoted field. Each chunk's columns go
-    straight into ``into`` (a new ``_Columns`` if None).
+    Consecutive files of one header share its layout, worked out once, and a
+    chunker: ``_parse_chunk`` parses ``_CHUNK_ROWS`` data lines at a time,
+    across files, or else each file's part in turn, and a part it rejects
+    goes to csv.reader and ``_parse_rows``, which read on in that file only
+    to end a quoted field. The columns go straight into one ``_Columns``.
     """
-    index, into = {} if index is None else index, _Columns() if into is None else into
-    with resolve_uri(source, "r") as handle:
-        lines = iter(handle)
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        optional = tuple(c for c in cls.OPTIONAL if c in (header or ()))
-        names = cls.RAW + optional if raw else cls.HEADER
-        kinds, checked = cls.kinds(), names if raw else cls.CLEAN_CHECKED
-        at = dict(zip(names, header_indices(header, names, source)))
-        key, used = (), [n for n in names if kinds[n] and kinds[n] is not _KEY]
-        if kinds.get("drive") is _KEY:
-            code = partial(_codes, index, partial(_file_key, raw, "subj" in checked))
-            key = (at["subj"], at["drive"], code)
-        fields = [(at[n], kinds[n], raw and n in _STRIPPED) for n in used]
-        names = ["key"] * bool(key) + used
-        checks = [(names.index(c), *_CHECKS[c]) for c in _CHECKS if c in checked and c in names]
-        lacking = [c for c in cls.OPTIONAL if raw and c not in optional]
-        # The columns of no rows, so that a file without data rows has columns.
-        columns, read, line = _row_columns(fields, key, [], np.zeros(0, bool)), 0, reader.line_num
-        while True:
-            nan = np.full(len(columns[0]), np.nan)
-            into.append({**dict(zip(names, columns)), **dict.fromkeys(lacking, nan)})
-            if not (chunk := list(islice(lines, _CHUNK_ROWS))):
-                break
-            columns = _parse_chunk(chunk, fields, key, checks)
-            if columns is None:
-                reader = csv.reader(chain(chunk, lines))
-                columns, rows = _parse_rows(reader, len(chunk), line, fields, key, checks, bad_row)
-                line, read = line + reader.line_num, read + rows
-            else:
-                line, read = line + len(chunk), read + len(columns[0])
+    index, into, layouts, sources = {}, _Columns(), {}, iter(sources)
+    header, file, lines, source = (), [(), 0], iter(()), True  # () is no file's header
+    with ExitStack() as stack:
+        while source is not None:
+            if file[0] != header:  # a file of another header is open
+                header = file[0]
+                if (layout := layouts.get(str(header))) is None:
+                    optional = tuple(c for c in cls.OPTIONAL if c in (header or ()))
+                    names = cls.RAW + optional if raw else cls.HEADER
+                    kinds, checked = cls.kinds(), names if raw else cls.CLEAN_CHECKED
+                    at = dict(zip(names, header_indices(header, names, source)))
+                    key, used = (), [n for n in names if kinds[n] and kinds[n] is not _KEY]
+                    if kinds.get("drive") is _KEY:
+                        code = partial(_codes, index, partial(_file_key, raw, "subj" in checked))
+                        key = (at["subj"], at["drive"], code)
+                    fields = [(at[n], kinds[n], raw and n in _STRIPPED) for n in used]
+                    names = ["key"] * bool(key) + used
+                    tested = [c for c in _CHECKS if c in checked and c in names]
+                    checks = [(names.index(c), *_CHECKS[c]) for c in tested]
+                    layout = layouts[str(header)] = names, (fields, key, checks)
+                    # The columns of no rows, so that each column is there from the start.
+                    columns = dict(zip(names, _row_columns(fields, key, [], np.zeros(0, bool))))
+                    into.append({**columns, **dict.fromkeys(cls.OPTIONAL * raw, np.zeros(0))})
+                names, args = layout
+            # Each part is ([header, lines read] of a file, its lines here, its lines after).
+            parts, count = [], 0
+            while file[0] == header and count < _CHUNK_ROWS and source is not None:
+                count += len(got := list(islice(lines, _CHUNK_ROWS - count)))
+                parts += [(file, got, lines if count == _CHUNK_ROWS else ())] * bool(got)
+                if count < _CHUNK_ROWS and (source := next(sources, None)) is not None:
+                    stack.close()  # the file at its end, then the next
+                    lines = iter(stack.enter_context(resolve_uri(source, "r")))
+                    file = [next(reader := csv.reader(lines), None), reader.line_num]
+            whole = _parse_chunk([got for _, got, _ in parts], *args) if parts else None
+            if whole is not None:
+                into.append(dict(zip(names, whole)))
+            for counted, got, more in parts:
+                if whole is None:
+                    columns = _parse_chunk([got], *args) if len(parts) > 1 else None
+                    if columns is None:
+                        reader = csv.reader(chain(got, more))
+                        columns = _parse_rows(reader, len(got), counted[1], *args, bad_row)
+                        counted[1] += reader.line_num - len(got)  # the lines read past the part
+                    into.append(dict(zip(names, columns)))
+                counted[1] += len(got)
     for column in into.values():  # each cut to the rows it holds
         column.resize(into.rows, refcheck=False)
-    return ({**into, "keys": list(index)} if key else into), read
+    return {**into, "keys": list(index)} if "key" in into else into
 
 
 def _parse_files(cls: type[_Table], files: list, drops: dict) -> tuple[list, list, int]:
     """The sorted keys of raw CSVs of ``cls``; their rows, file after file: the
     index of each one's key, then ``RAW`` after subj and drive, then ``OPTIONAL``;
-    and how many rows were read. ``drops`` counts dropped rows by reason."""
+    and how many rows were read. ``drops``, all 0, counts dropped rows by reason."""
 
     def bad_row(reason, line, row):
         drops[reason] += 1
 
-    index, columns, read = {}, _Columns(), 0
-    for source in files:
-        read += _parse_csv(source, cls, True, bad_row, index, columns)[1]
-    columns = [columns[c] for c in ("key", *cls.RAW[2:], *cls.OPTIONAL)]
-    keys, columns[0] = _sorted_keys(index, columns[0])
-    return keys, columns, read
+    named = _parse_csv(files, cls, True, bad_row)
+    columns = [named[c] for c in ("key", *cls.RAW[2:], *cls.OPTIONAL)]
+    keys, columns[0] = _sorted_keys(named["keys"], columns[0])
+    return keys, columns, len(columns[0]) + sum(drops.values())
 
 
 def _odometer(cum: np.ndarray, lat: np.ndarray, lon: np.ndarray, spans: Iterable) -> None:
@@ -753,7 +778,7 @@ def clean_sensor(files: list) -> tuple[SensorTable, dict[str, int], int]:
     # NaN odometer sorts last. Rows already in ascending (key, time) order
     # with no time repeated, as a study's files usually are, stay as they are.
     codes, t = columns[:2]
-    ascending = ((codes[1:] > codes[:-1]) | (codes[1:] == codes[:-1]) & (t[1:] > t[:-1])).all()
+    ascending = _ascending([t, codes], np.greater)
     order = slice(None) if ascending else np.lexsort(columns[::-1])
     del codes, t
     columns[0] = columns[0][order]  # one column at a time, each freed as it goes
@@ -861,7 +886,7 @@ def _read_table(source, cls: type[_Table], what: str):
     def bad_row(reason, line, row):
         raise DataError(f"bad row in clean {what} table at line {line}: {row!r}")
 
-    key, *columns, keys = _parse_csv(source, cls, False, bad_row)[0].values()
+    key, *columns, keys = _parse_csv([source], cls, False, bad_row).values()
     return cls._sorted(*_sorted_keys(keys, key), *columns)
 
 

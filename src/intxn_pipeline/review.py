@@ -580,7 +580,7 @@ def read_demographics(source: str | Path | IO) -> dict[str, tuple[str, str]]:
     def bad_row(reason, line, row):
         raise DataError(f"bad demographics row at line {line}: {row!r}")
 
-    subj, age, gender = _parse_csv(source, _Demographics, True, bad_row)[0].values()
+    subj, age, gender = _parse_csv([source], _Demographics, True, bad_row).values()
     people = dict(zip(subj, zip(age, gender)))
     if len(people) < len(subj):
         names, counts = np.unique(subj, return_counts=True)

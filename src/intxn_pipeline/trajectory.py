@@ -269,7 +269,7 @@ def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> Traje
     def bad_row(reason, line, row):
         raise DataError(f"bad trajectory row at line {line}: {row!r}")
 
-    named = _parse_csv(source, TrajectoryTable, False, bad_row)[0]
+    named = _parse_csv([source], TrajectoryTable, False, bad_row)
     keys, key = _sorted_keys(named["keys"], named["key"])
     intxn_id = named["intxn_id"]
     codes = sensor.drive_index(keys)[key]

@@ -46,10 +46,16 @@ centers and the visited candidates with ``GeoPoint`` lists and one
 ``IntersectionCandidate``, ``VisitedCandidate`` or ``UnmatchedCluster``
 per row, as ``discovery`` did before it worked on columns;
 ``candidates_of`` and ``network_of`` turn such rows into its columns.
+
+``boundary_texts`` renders raw CSV files whose ends vary as they meet in
+``ingest._parse_csv``'s chunker; ``parsed`` is that parser's result over
+a list of files, and ``parsed_alone`` the same of each file by itself,
+joined, to compare with one run over all of them.
 """
 
 import csv
 import functools
+import io
 import math
 import operator
 import shlex
@@ -63,6 +69,7 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 from intxn_pipeline.clips import OVERLAY_BOX_EXPR, CutList, _written
 from intxn_pipeline.errors import KmlParseError
@@ -998,3 +1005,60 @@ def object_match_clusters(centers, candidates, max_match_ft: float):
         for k, support in sorted(matched.items())
     ]
     return visited, unmatched
+
+
+def _csv_line(fields) -> str:
+    """``fields`` as csv.writer writes a row, ending in "\\n"; None is a blank line."""
+    out = io.StringIO(newline="")
+    csv.writer(out, lineterminator="\n").writerow(fields) if fields is not None else out.write("\n")
+    return out.getvalue()
+
+
+def boundary_texts(draw, files) -> list[str]:
+    """The texts of raw CSV ``files``, each a header and its rows as field
+    lists (None a blank line), varied where one file meets the next.
+
+    A file may hold its header only, or its header and blank lines. It may
+    end without its last newline, or in a copy of its last row whose last
+    field a quote opens and never closes. Or it ends in a copy of that row
+    cut to ``,"x`` with no newline, and ``y",`` and the row's last field
+    start the next file's first data line: glued, the two would read as one
+    row whose field before last is the quoted ``"xy"``.
+    """
+    texts, carry = [], []
+    for k, (header, rows) in enumerate(files):
+        kind = draw(st.sampled_from(["rows"] * 4 + ["header only", "blank only"]))
+        rows = [] if kind == "header only" else [None] * 2 if kind == "blank only" else rows
+        lines = [_csv_line(header), *carry, *map(_csv_line, rows)]
+        last, carry = next((r for r in reversed(rows) if r), None), []
+        end = draw(st.sampled_from(["newline", "bare", "open quote", "split quote"]))
+        if end == "open quote" and last:
+            newline = draw(st.sampled_from(["", "\n"]))
+            lines.append(_csv_line(last[:-1])[:-1] + ',"' + last[-1] + newline)
+        elif end == "split quote" and last and len(last) > 2 and k + 1 < len(files):
+            lines.append(_csv_line(last[:-2])[:-1] + ',"' + last[-2][:1])
+            carry = [last[-2][1:] + '",' + _csv_line(last[-1:])]
+        text = "".join(lines)
+        texts.append(text[:-1] if end == "bare" and text.endswith("\n") else text)
+    return texts
+
+
+def parsed(parse, texts) -> tuple[list, dict, list]:
+    """``parse(sources, bad_row)`` of ``texts``, as ``ingest._parse_csv``
+    gives it: each row's key, each other column's bytes, and the bad rows
+    (reason, line, row) in order."""
+    bad = []
+    named = parse([io.StringIO(text, newline="") for text in texts], lambda *call: bad.append(call))
+    keys = [named["keys"][k] for k in named["key"].tolist()]
+    return keys, {n: c.tobytes() for n, c in named.items() if n not in ("key", "keys")}, bad
+
+
+def parsed_alone(parse, texts) -> tuple[list, dict, list]:
+    """``parsed`` of each text by itself, joined file after file."""
+    keys, columns, bad = [], {}, []
+    for file_keys, file_columns, file_bad in (parsed(parse, [text]) for text in texts):
+        keys += file_keys
+        bad += file_bad
+        for name, data in file_columns.items():
+            columns[name] = columns.get(name, b"") + data
+    return keys, columns, bad

@@ -3,13 +3,17 @@
 ``old_clean_sensor`` below is the record-by-record implementation that the
 columnar one replaced (DictReader, one tuple sort, a dedupe loop, per-drive
 records), kept here as the oracle; a record is a tuple (subj, drive, t_utc,
-lat, lon, heading, speed, cum). It carries one deliberate change: a
-non-finite speed or odometer counts as ``out_of_range``, as the columnar
-code now does. Hypothesis builds raw files from small pools of field values
-so that duplicates within one millisecond, one drive in files with and
-without the odometer column, odometer regressions, bad and short rows,
-quoted subjects and drive numbers beyond int64 all occur often; both sides
-must write the same bytes and report the same drops.
+lat, lon, heading, speed, cum). It carries two deliberate changes, both as
+the columnar code now does: a non-finite speed or odometer counts as
+``out_of_range``, and a row too short to reach its subj column (DictReader
+gives None there) as ``unparseable``. Hypothesis builds raw
+files from small pools of field values so that duplicates within one
+millisecond, one drive in files with and without the odometer column,
+odometer regressions, bad and short rows, quoted subjects and drive numbers
+beyond int64 all occur often; both sides must write the same bytes and
+report the same drops. ``boundary_files`` varies where files meet as well:
+headers that repeat and alternate, header-only and blank files, a last line
+without its newline and quotes left open at a file's end.
 """
 
 import csv
@@ -18,16 +22,17 @@ import math
 from itertools import groupby
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import format_time_utc, haversine_distance_ft
+from oracles import boundary_texts, format_time_utc, haversine_distance_ft, parsed, parsed_alone
 
 from intxn_pipeline import ingest
 from intxn_pipeline.geo import GeoPoint
 from intxn_pipeline.ingest import (
     SENSOR_COLUMNS,
     SENSOR_CUM_COLUMN,
+    SensorTable,
     clean_sensor,
     parse_time_utc,
     write_sensor_csv,
@@ -51,7 +56,7 @@ def old_parse_sensor_file(source):
             cum = float(raw[SENSOR_CUM_COLUMN]) if has_cum else None
             if not subj:
                 raise ValueError("empty subj")
-        except (KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             drops["unparseable"] += 1
             continue
         if (
@@ -147,11 +152,15 @@ SPEEDS = ["50.0", "0.0", "-1", "nan", "inf"]
 CUMS = ["0.0", "5.0", "10.0", "2.5", "-1.0", "nan", "inf", "-inf", "x"]
 
 
-@st.composite
-def raw_files(draw):
-    """1-3 raw sensor files whose rows come from one shared pool, as CSV text."""
+# Each CSV column's field in a row of the pool.
+FIELD_OF = dict(
+    zip((*SENSOR_COLUMNS, SENSOR_CUM_COLUMN), "subj drive time lat lon heading speed cum".split())
+)
+
+
+def pool_rows():
+    """A row's fields, mostly valid values, so the dedupe, sort and odometer see many rows."""
     pick = st.sampled_from
-    # Mostly valid values, so the dedupe, sort and odometer see many rows.
     good = {
         "subj": pick(SUBJS[:5]),
         "drive": pick(DRIVES[:4]),
@@ -172,8 +181,13 @@ def raw_files(draw):
         "speed": pick(SPEEDS),
         "cum": pick(CUMS),
     }
-    fields = st.one_of(st.fixed_dictionaries(good), st.fixed_dictionaries(anything))
-    pool = draw(st.lists(fields, min_size=1, max_size=8))
+    return st.one_of(st.fixed_dictionaries(good), st.fixed_dictionaries(anything))
+
+
+@st.composite
+def raw_files(draw):
+    """1-3 raw sensor files whose rows come from one shared pool, as CSV text."""
+    pool = draw(st.lists(pool_rows(), min_size=1, max_size=8))
     texts, rows_in = [], 0
     for _ in range(draw(st.integers(1, 3))):
         has_cum = draw(st.booleans())
@@ -194,6 +208,33 @@ def raw_files(draw):
             rows_in += 1
         texts.append(out.getvalue())
     return texts, rows_in
+
+
+@st.composite
+def boundary_files(draw):
+    """2-4 raw sensor files whose rows come from one shared pool, as
+    ``boundary_texts`` renders them: each file with or without the odometer
+    and in one of two column orders, the CSV's and a shuffled one with subj
+    last, so that headers repeat and alternate down the list."""
+    pool = draw(st.lists(pool_rows(), min_size=1, max_size=6))
+    shuffled = [c for c in draw(st.permutations(SENSOR_COLUMNS)) if c != "subj"] + ["subj"]
+    files = []
+    for _ in range(draw(st.integers(2, 4))):
+        order = draw(st.sampled_from([list(SENSOR_COLUMNS), shuffled]))
+        header = order + [SENSOR_CUM_COLUMN] * draw(st.booleans())
+        rows = []
+        for k in draw(st.lists(st.integers(0, len(pool) - 1), max_size=6)):
+            row = [pool[k][FIELD_OF[c]] for c in header]
+            kind = draw(st.sampled_from(["row"] * 6 + ["short", "blank"]))
+            if kind == "short":
+                row = row[: draw(st.integers(1, len(row) - 1))]
+            rows.append(None if kind == "blank" else row)
+        files.append((header, rows))
+    return boundary_texts(draw, files)
+
+
+def streams(texts):
+    return [io.StringIO(text, newline="") for text in texts]
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,3 +273,38 @@ def test_cumless_rows_that_lose_the_dedupe_still_recompute_the_drive():
     assert drops["duplicate"] == 1
     assert table.cum[0] == 0.0
     assert table.cum[1] == pytest.approx(36.5, abs=0.1)
+
+
+def parse_sensor(sources, bad_row):
+    return ingest._parse_csv(sources, SensorTable, True, bad_row)
+
+
+CUM_HEADER = ",".join(SENSOR_COLUMNS + (SENSOR_CUM_COLUMN,)) + "\n"
+SUBJ_LAST = "drive,time_utc,lat,lon,heading_deg,speed_fps,subj\n"
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 2048])
+@settings(max_examples=100, deadline=None)
+@given(boundary_files())
+# Glued, the two lines would read as one good row whose speed is "50.0".
+@example([CUM_HEADER + 'A,1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,"5', CUM_HEADER + '0.0",1.0\n'])
+# A subj whose quote a file leaves open, then a file of one good row.
+@example(
+    [
+        SUBJ_LAST + '1,2019-05-01T12:00:00.000Z,41.0,-96.0,90.0,50.0,"A',
+        SUBJ_LAST + "1,2019-05-01T12:00:01.000Z,41.0,-96.0,90.0,50.0,B\n",
+    ]
+)
+def test_files_that_meet_in_a_chunk_clean_as_the_record_based_original(chunk_rows, texts):
+    # A chunk spans the files of one header; each file's rows still parse,
+    # drop and count as that file read alone does.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        table, drops, read = clean_sensor(streams(texts))
+        assert parsed(parse_sensor, texts) == parsed_alone(parse_sensor, texts)
+    records, old_drops = old_clean_sensor(streams(texts))
+    out = io.StringIO(newline="")
+    write_sensor_csv(table, out)
+    assert out.getvalue() == old_write_sensor_csv(records)
+    assert drops == old_drops
+    assert read == sum(1 for text in texts for _ in csv.DictReader(io.StringIO(text, newline="")))

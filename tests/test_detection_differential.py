@@ -20,10 +20,14 @@ import io
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import centroid, format_time_utc, row_tuples
+from oracles import (
+    boundary_texts, centroid, format_time_utc, parsed, parsed_alone, row_tuples
+)
 
+from intxn_pipeline import ingest
 from intxn_pipeline.discovery import cluster_detections, dbscan_labels, last_in_runs
 from intxn_pipeline.errors import DataError
 from intxn_pipeline.geo import GeoPoint
@@ -32,6 +36,7 @@ from intxn_pipeline.ingest import (
     CLASS_NAMES,
     CLEAN_DETECTION_COLUMNS,
     DETECTION_COLUMNS,
+    DetectionTable,
     EPOCH,
     OBJECT_CLASSES,
     SensorTable,
@@ -235,10 +240,8 @@ def render_time(us, zone):
     return t.isoformat(timespec=spec).replace("+00:00", "Z")
 
 
-@st.composite
-def raw_detection_files(draw, shift_us=0):
-    """1-3 raw detection files whose rows come from one shared pool, as CSV
-    text, about the samples moved by ``shift_us``."""
+def detection_pool(draw):
+    """A pool of rows as (key, instant, zone, class, confidence)."""
     pick = st.sampled_from
     # A few keys and instants (sample, offset), shared by many rows: time
     # ties across classes and confidences, and gaps that equal max_gap_s.
@@ -259,7 +262,20 @@ def raw_detection_files(draw, shift_us=0):
         pick(CLASSES),
         pick(CONFIDENCES),
     )
-    pool = draw(st.lists(st.one_of(good, good, anything), min_size=1, max_size=12))
+    return draw(st.lists(st.one_of(good, good, anything), min_size=1, max_size=12))
+
+
+def detection_fields(row, shift_us):
+    """A pool row's fields, in ``DETECTION_COLUMNS`` order, about the samples moved by ``shift_us``."""
+    (subj, drive), (sample, offset), zone, cls, conf = row
+    return [subj, drive, render_time(SAMPLE_US[sample] + shift_us + offset, zone), cls, conf]
+
+
+@st.composite
+def raw_detection_files(draw, shift_us=0):
+    """1-3 raw detection files whose rows come from one shared pool, as CSV
+    text, about the samples moved by ``shift_us``."""
+    pool = detection_pool(draw)
     texts, rows_in = [], 0
     for _ in range(draw(st.integers(1, 3))):
         out = io.StringIO(newline="")
@@ -267,8 +283,7 @@ def raw_detection_files(draw, shift_us=0):
         order = draw(st.permutations(range(len(DETECTION_COLUMNS))))
         w.writerow([DETECTION_COLUMNS[k] for k in order])
         for k in draw(st.lists(st.integers(0, len(pool) - 1), max_size=15)):
-            (subj, drive), (sample, offset), zone, cls, conf = pool[k]
-            fields = [subj, drive, render_time(SAMPLE_US[sample] + shift_us + offset, zone), cls, conf]
+            fields = detection_fields(pool[k], shift_us)
             kind = draw(st.sampled_from(["row"] * 8 + ["short", "blank"]))
             if kind == "blank":
                 out.write("\n")
@@ -280,6 +295,27 @@ def raw_detection_files(draw, shift_us=0):
             rows_in += 1
         texts.append(out.getvalue())
     return texts, rows_in
+
+
+@st.composite
+def boundary_detection_files(draw):
+    """2-4 raw detection files whose rows come from one shared pool, as
+    ``boundary_texts`` renders them, each in one of two column orders, so
+    that headers repeat and alternate down the list."""
+    pool = detection_pool(draw)
+    orders = [draw(st.permutations(range(len(DETECTION_COLUMNS)))) for _ in range(2)]
+    files = []
+    for _ in range(draw(st.integers(2, 4))):
+        order = draw(st.sampled_from(orders))
+        rows = []
+        for k in draw(st.lists(st.integers(0, len(pool) - 1), max_size=8)):
+            fields = [detection_fields(pool[k], 0)[j] for j in order]
+            kind = draw(st.sampled_from(["row"] * 6 + ["short", "blank"]))
+            if kind == "short":
+                fields = fields[: draw(st.integers(1, len(fields) - 1))]
+            rows.append(None if kind == "blank" else fields)
+        files.append(([DETECTION_COLUMNS[j] for j in order], rows))
+    return boundary_texts(draw, files)
 
 
 def beside_a_sample(shift_us):
@@ -330,3 +366,32 @@ def test_detection_path_matches_record_based_original(files, max_gap_s, eps_ft, 
     assert list(map(GeoPoint, lat.tolist(), lon.tolist())) == [
         center for _, _, center in old_clusters
     ]
+
+
+CV_HEADER = ",".join(DETECTION_COLUMNS) + "\n"
+
+
+def parse_detections(sources, bad_row):
+    return ingest._parse_csv(sources, DetectionTable, True, bad_row)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 2048])
+@settings(max_examples=100, deadline=None)
+@given(boundary_detection_files())
+# Glued, the two lines would read as one good detection of a stop sign.
+@example([CV_HEADER + 'A,1,2019-05-01T12:00:00.000Z,"stop', CV_HEADER + '_sign",0.9\n'])
+def test_detection_files_that_meet_in_a_chunk_join_as_the_record_based_original(chunk_rows, texts):
+    # A chunk spans the files of one header; each file's rows still parse,
+    # drop and count as that file read alone does.
+    sensor = sensor_table()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        table, drops, read = clean_cv(streams(texts), sensor, join_tol_s=JOIN_TOL_S)
+        assert parsed(parse_detections, texts) == parsed_alone(parse_detections, texts)
+    records, old_drops = old_clean_cv(streams(texts), sensor, JOIN_TOL_S)
+    assert drops == old_drops
+    out = io.StringIO(newline="")
+    write_detections_csv(table, out)
+    assert out.getvalue() == old_write_detections_csv(records)
+    rows = [row for text in texts for row in csv.reader(io.StringIO(text, newline="")) if row]
+    assert read == len(rows) - len(texts)

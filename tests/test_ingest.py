@@ -629,15 +629,15 @@ def chunked_files(draw):
 
 def _parsed(cls, raw, text):
     """What _parse_csv gives for a file: its columns, as bytes so that a
-    float's sign and NaN bits count, its row count and its bad rows."""
+    float's sign and NaN bits count, its row count (kept or bad) and its bad rows."""
     calls = []
-    columns, read = ingest._parse_csv(
-        io.StringIO(text, newline=""), cls, raw, lambda *call: calls.append(call)
+    columns = ingest._parse_csv(
+        [io.StringIO(text, newline="")], cls, raw, lambda *call: calls.append(call)
     )
     return {
         name: list(c) if isinstance(c, list) else (c.dtype, c.tobytes())
         for name, c in columns.items()
-    }, read, calls
+    }, len(columns["key"]) + len(calls), calls
 
 
 @pytest.mark.filterwarnings("error")
@@ -820,6 +820,100 @@ def test_clean_sensor_holds_about_twice_the_table_it_keeps(tmp_path):
     assert kept[1] > 1_800_000
     assert peaks[1] - peaks[0] <= 2 * (kept[1] - kept[0])
     assert peaks[0] <= 2 * kept[0] + 2_000_000
+
+
+def test_an_ordered_clean_file_reads_within_twice_the_table_it_keeps(tmp_path):
+    # A clean file as written is in table order, so the reader neither sorts
+    # it nor gathers its columns: the clean sensor table of a study of 24
+    # subjects in dense-drives' shape (230,592 rows) reads within twice the
+    # bytes of the columns it keeps. A lexsort and a gather of every column
+    # took it to 2.67x.
+    import tracemalloc
+
+    spec = ScenarioSpec(grid_rows=3, grid_cols=6, n_subjects=24, drives_per_subject=8, sample_hz=10.0)
+    table = clean_sensor(generate(spec, tmp_path).paths["sensor_files"])[0]
+    write_sensor_csv(table, tmp_path / "clean_sensor.csv")
+    kept = sum(c.nbytes for c in table.columns())
+    del table
+    tracemalloc.start()
+    try:
+        table = read_clean_sensor(tmp_path / "clean_sensor.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 230_000
+    assert peak <= 2 * kept
+
+
+def test_a_hand_edited_clean_file_out_of_order_still_reads_sorted():
+    # Only rows already in table order skip the sort: a clean file whose
+    # rows were moved about reads as the ordered file does.
+    t = to_us(datetime(2019, 5, 1, 12, tzinfo=timezone.utc))
+    sensor = ingest.SensorTable.from_columns(
+        ["A", "A", "B", "B"], [1, 1, 1, 2], [t, t + 1000, t, t], *[[41.0, 41.5, 42.0, 42.5]] * 2,
+        *[[90.0] * 4] * 2, [0.0, 1.0, 0.0, 0.0],
+    )
+    # The first two rows differ by confidence only.
+    detections = ingest.DetectionTable.from_columns(
+        ["A"] * 4, [1] * 4, [t, t, t, t + 1000], [41.0] * 4, [-96.0] * 4, [0, 0, 1, 0],
+        [0.5, 0.9, 0.5, 0.5],
+    )
+    cases = [(sensor, write_sensor_csv, read_clean_sensor)]
+    cases.append((detections, write_detections_csv, read_clean_detections))
+    for table, write, read in cases:
+        out = io.StringIO(newline="")
+        write(table, out)
+        header, *rows = out.getvalue().splitlines(keepends=True)
+        for edited in (rows[::-1], [rows[1], rows[0], *rows[2:]]):
+            assert read(io.StringIO(header + "".join(edited), newline="")) == table
+
+
+def _detection_files(bad=None) -> list:
+    """50 raw detection files of 150 good rows, subj S00 to S49, under one
+    header; ``bad`` is the (file, row) whose confidence does not parse."""
+    texts = []
+    for k in range(50):
+        times = [f"2019-05-01T12:{i // 60:02d}:{i % 60:02d}.000Z" for i in range(150)]
+        rows = [f"S{k:02d},1,{t},stop_sign,0.9" for t in times]
+        if bad and bad[0] == k:
+            rows[bad[1]] = rows[bad[1]][:-3] + "x"  # in place of 0.9
+        texts.append(io.StringIO(CV_HEADER + "\n" + "\n".join(rows) + "\n", newline=""))
+    return texts
+
+
+def test_a_chunk_spans_the_files_of_one_header(monkeypatch):
+    # 7,500 good rows in 50 files of one header parse in ceil(7,500 / 2,048)
+    # = 4 chunks, not one a file. With a bad row in the third file, the
+    # chunk that holds it parses again a file at a time, and only that
+    # file's lines go to the row path, which names the row by its own line.
+    chunks, row_parts = [], []
+    real_chunk, real_rows = ingest._parse_chunk, ingest._parse_rows
+
+    def parse_chunk(parts, *args):
+        chunks.append(list(map(len, parts)))
+        return real_chunk(parts, *args)
+
+    def parse_rows(reader, stop, first, *args):
+        row_parts.append((stop, first))
+        return real_rows(reader, stop, first, *args)
+
+    monkeypatch.setattr(ingest, "_parse_chunk", parse_chunk)
+    monkeypatch.setattr(ingest, "_parse_rows", parse_rows)
+    bad = []
+    named = ingest._parse_csv(_detection_files(), ingest.DetectionTable, True, bad.append)
+    assert [sum(parts) for parts in chunks] == [2048, 2048, 2048, 1356]
+    assert len(named["key"]) == 7500 and not row_parts and not bad
+
+    chunks.clear()
+    named = ingest._parse_csv(
+        _detection_files(bad=(2, 9)), ingest.DetectionTable, True, lambda *call: bad.append(call)
+    )
+    first = [150] * 13 + [98]  # files S00 to S12, and the head of S13
+    rest = [[52, *[150] * 13, 46], [104, *[150] * 12, 144], [6, *[150] * 9]]
+    assert chunks == [first, *([n] for n in first), *rest]
+    assert row_parts == [(150, 1)]
+    assert bad == [("unparseable", 11, ["S02", "1", "2019-05-01T12:00:09.000Z", "stop_sign", "x"])]
+    assert len(named["key"]) == 7499
 
 
 def _tuple_drive_codes(subj, drive):
