@@ -6,14 +6,18 @@ keeps it out of the default test collection.
 
 The crowded scene is what last-in-run detections look like at a few busy
 junctions: every sighting of a junction at one position, so each junction is
-one cell of ~1,250 points that is core without a distance test. The spread
-scene is 2,000 points uniform over a 2,000 ft square, mostly one or two
-points a cell, so the per-point neighbor counts and cross-cell merges do
-the work. The wide grid is perfbench's wide-grid network: 12 x 40 junctions,
-476 candidates, 390 of them on the drives' rows.
+one cell of ~1,250 points that is core without a distance test. The
+junctions scene spreads each junction's sightings over a 150 ft square, a
+dozen crowded cells that must join. The spread scene is 2,000 points
+uniform over a 2,000 ft square, mostly one or two points a cell, so the
+per-point neighbor counts and cross-cell merges do the work. The wide grid
+is perfbench's wide-grid network: 12 x 40 junctions, 476 candidates, 390 of
+them on the drives' rows; at 48 and 192 rows it shows how the candidate and
+match passes grow with the network.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,20 +51,35 @@ def crowded():
 
 
 @pytest.fixture(scope="module")
+def junctions():
+    rng = np.random.default_rng(1)
+    sites = np.array([[0.0, 0.0], [0.0, 1500.0], [1500.0, 0.0]])
+    picks = sites[np.repeat(np.arange(3), 1250)] + rng.uniform(-75.0, 75.0, (3750, 2))
+    return _scene(picks[:, 0], picks[:, 1])
+
+
+@pytest.fixture(scope="module")
 def spread():
     rng = np.random.default_rng(0)
     return _scene(rng.uniform(0, 2000, 2000), rng.uniform(0, 2000, 2000))
 
 
-@pytest.fixture(scope="module")
-def wide(tmp_path_factory):
-    """The wide grid's network, and the synth ground truth of its scenario."""
-    scenario = generate(WIDE_SPEC, tmp_path_factory.mktemp("wide"))
+@pytest.fixture(scope="module", params=[12, 48, 192])
+def wide(request, tmp_path_factory):
+    """The wide grid's network at 12, 48 and 192 rows, and the synth ground
+    truth of its scenario."""
+    spec = replace(WIDE_SPEC, grid_rows=request.param)
+    scenario = generate(spec, tmp_path_factory.mktemp(f"wide{request.param}"))
     return load_network_geojson(scenario.paths["network"]), scenario.ground_truth
 
 
 def test_dbscan_crowded(benchmark, crowded):
     labels = benchmark(dbscan_labels, *crowded, 100.0, 2)
+    assert sorted(set(labels.tolist())) == [0, 1, 2]
+
+
+def test_dbscan_junctions(benchmark, junctions):
+    labels = benchmark(dbscan_labels, *junctions, 100.0, 2)
     assert sorted(set(labels.tolist())) == [0, 1, 2]
 
 

@@ -5,8 +5,9 @@ vertices coincide. Detection streams are reduced to last-in-run sightings,
 clustered with DBSCAN under a haversine metric, and snapped to the nearest
 network candidate to mark participant-visited intersections. All of it
 works on columns: the network's vertices, ``geo.centroids`` of all groups
-or clusters at once, one broadcast haversine for all cluster centers, and
-one ``Candidates`` type that both candidate GeoJSON files read into.
+or clusters at once, distance tests over blocks of the pairs that a
+``geo.CellGrid`` finds near each point or cluster center, and one
+``Candidates`` type that both candidate GeoJSON files read into.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import DataError
 from .geo import (
     EARTH_RADIUS_FT, FT_PER_DEG, PAIR_BLOCK, CellGrid, centroids, haversine_distances_ft,
-    haversine_estimates_ft,
+    haversine_estimates_ft, run_blocks,
 )
 from .ingest import CLASS_NAMES, DetectionTable, to_seconds
 from .storage import json_integer, json_points, read_json
@@ -139,102 +140,101 @@ def dbscan_labels(lats: np.ndarray, lons: np.ndarray, eps_ft: float, min_pts: in
     Grid DBSCAN (Gunawan, "A faster algorithm for DBSCAN", 2013): cells are
     at most eps/2 on a side, so the points of one cell are all neighbors. A
     cell of ``min_pts`` or more points is all core with no distance test; a
-    point of a sparser cell counts its neighbors with one haversine against
-    the cells within reach. Cells within reach join in a union-find over
-    cells when some pair of their core points is within eps. Distances are
-    ``haversine_estimates_ft``, NaN and so never within eps past ~128°.
+    point of a sparser cell counts its neighbors in the cells within reach.
+    Two cells join when some pair of their core points is within eps: each
+    cell's smallest core point is tested first, and all its core points
+    only where that leaves it apart from a later cell. The joined cells'
+    components come from min-label hooking and pointer jumping (Shiloach
+    and Vishkin, "An O(log n) parallel connectivity algorithm", 1982).
+    Every distance test runs over ``run_blocks`` of pairs, and distances
+    are ``haversine_estimates_ft``, NaN and so never within eps past ~128°.
     """
     n = len(lats)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     grid = CellGrid(lats, lons, eps_ft / 2.0, narrow=True)
-    bounds = grid.starts.tolist()
-    cells = [grid.order[s:e] for s, e in zip(bounds, bounds[1:])]
+    size = np.diff(grid.starts)
+    m = len(size)
+    cell = np.empty(n, dtype=np.int64)
+    cell[grid.order] = np.repeat(np.arange(m), size)
 
     # A pair within eps is at most 2 cell heights apart, so at most 3 rows
     # (one for rounding in the cell index), and at most `reach` columns:
     # haversine bounds its longitude gap by cos(lat) * sin(dlam / 2) <=
-    # sin(eps / 2R), taken at the smallest cos(lat), plus half a cell.
+    # sin(eps / 2R), taken at the largest |lat|, plus half a cell.
     x = math.sin(min(eps_ft / (2.0 * EARTH_RADIUS_FT), math.pi / 2.0))
-    x /= float(np.min(np.cos(np.radians(lats))))
+    x /= math.cos(math.radians(float(np.max(np.abs(lats)))))
     reach = math.ceil(2.0 * math.degrees(math.asin(x)) / grid.dlon + 0.5) if x < 1.0 else math.inf
     # Complex numbers sort by (real, imag), so keys ascend as the cells do,
-    # and each row within reach is one run [lo, hi) of cell indices.
-    keys = grid.keys
-    runs = [
-        (np.searchsorted(keys, keys + dr - complex(0, reach)).tolist(),
-         np.searchsorted(keys, keys + dr + complex(0, reach), side="right").tolist())
-        for dr in range(-3, 4)
-    ]
+    # and row dr - 3 around cell a is the run lo[dr, a]:hi[dr, a] of cells.
+    rows = grid.keys + np.arange(-3, 4)[:, None]
+    lo = np.searchsorted(grid.keys, rows - complex(0, reach))
+    hi = np.searchsorted(grid.keys, rows + complex(0, reach), side="right")
 
-    core = np.zeros(n, dtype=bool)
-    near: dict[int, np.ndarray] = {}  # non-core point -> its neighbors
-    for a, own in enumerate(cells):
-        if len(own) >= min_pts:
-            core[own] = True
-            continue
-        cand = np.concatenate([cells[b] for lo, hi in runs for b in range(lo[a], hi[a])])
-        step = max(1, _PAIR_BLOCK**2 // len(cand))
-        for k in range(0, len(own), step):
-            rows = own[k : k + step]
-            within = (
-                haversine_estimates_ft(lats[rows, None], lons[rows, None], lats[cand], lons[cand])
-                <= eps_ft
-            )
-            is_core = within.sum(axis=1) >= min_pts
-            core[rows[is_core]] = True
-            near.update((i, cand[w]) for i, w in zip(rows[~is_core].tolist(), within[~is_core]))
+    def near(query, lo, hi):
+        """The pairs (i, j) within eps of each point i of ``query`` and each
+        point j of the cells lo[:, a]:hi[:, a] around i's cell a, in blocks."""
+        if not len(query):
+            return
+        a = cell[query]
+        for run, at in run_blocks(grid.starts[lo[:, a].T.ravel()], grid.starts[hi[:, a].T.ravel()]):
+            i, j = query[run // len(lo)], grid.order[at]
+            within = haversine_estimates_ft(lats[i], lons[i], lats[j], lons[j]) <= eps_ft
+            yield i[within], j[within]
 
-    parent = list(range(len(cells)))
+    core = size[cell] >= min_pts
+    sparse = np.flatnonzero(~core)
+    count = np.zeros(n, dtype=np.int64)
+    for i, _ in near(sparse, lo, hi):
+        np.add.at(count, i, 1)
+    core[sparse] = count[sparse] >= min_pts
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    # Each pair of cells is tested from the lower one, against its own row
+    # from the next cell on and the 3 rows above.
+    after = np.vstack([np.arange(1, m + 1), lo[4:]])
 
-    cores = [own[core[own]] for own in cells]
-    for a, ca in enumerate(cores):
-        if not ca.size:
-            continue
-        root = find(a)
-        later = [
-            b for lo, hi in runs for b in range(max(lo[a], a + 1), hi[a])
-            if cores[b].size and find(b) != root
-        ]
-        if later:
-            cb = np.concatenate([cores[b] for b in later])
-            owner = np.repeat(later, [cores[b].size for b in later])
-            for b in set(owner[_within_any(lats, lons, ca, cb, eps_ft)].tolist()):
-                parent[find(b)] = find(a)
+    def hooked(root, query):
+        """``root`` with the cells of ``query``'s points joined to the later cells
+        with a core point within eps of one: each edge's larger root hooks onto
+        its smaller one, then every cell points at its root, until none joins two."""
+        edges = [np.unique(cell[i[core[j]]] * m + cell[j[core[j]]])
+                 for i, j in near(query, after, hi[3:])]
+        a, b = divmod(np.concatenate([np.empty(0, np.int64), *edges]), m)
+        while len(a):
+            ra, rb = root[a], root[b]
+            cross = ra != rb
+            a, b = a[cross], b[cross]
+            np.minimum.at(root, np.maximum(ra, rb)[cross], np.minimum(ra, rb)[cross])
+            while ((jumped := root[root]) != root).any():
+                root = jumped
+        return root
+
+    # The pairs (a, b) of such cells that both hold a core point: each cell's
+    # smallest core point is tested first, as in a crowded cell it joins most
+    # of the cells near it, and then every core point of a cell still apart.
+    first = np.where(size >= min_pts, grid.order[grid.starts[:-1]], n)
+    np.minimum.at(first, cell[sparse[core[sparse]]], sparse[core[sparse]])
+    width = (hi[3:] - after).ravel()
+    a = np.repeat(np.tile(np.arange(m), 4), width)
+    b = np.arange(len(a)) + np.repeat(after.ravel() - np.cumsum(width) + width, width)
+    both = (first[a] < n) & (first[b] < n)
+    a, b = a[both], b[both]
+    root = hooked(np.arange(m), first[np.bincount(a, minlength=m) > 0])
+    apart = np.bincount(a[root[a] != root[b]], minlength=m) > 0
+    if apart.any():
+        root = hooked(root, np.flatnonzero(core & apart[cell]))
 
     # Number the components in the order of their smallest core point.
-    rank: dict[int, int] = {}
-    labels = np.full(n, -1, dtype=np.int64)
-    for _, a in sorted((int(ca[0]), a) for a, ca in enumerate(cores) if ca.size):
-        labels[cores[a]] = rank.setdefault(find(a), len(rank))
-    for i, found in near.items():
-        adopted = labels[found[core[found]]]
-        if adopted.size:
-            labels[i] = adopted.min()
+    low = np.full(m, n)
+    np.minimum.at(low, root, first)
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(low)] = np.arange(m)
+    labels = np.where(core, rank[root][cell], n)
+    border = sparse[~core[sparse]]
+    for i, j in near(border, lo, hi):
+        np.minimum.at(labels, i[core[j]], labels[j[core[j]]])
+    labels[border[labels[border] == n]] = -1
     return labels
-
-
-# Cross-cell distance tests run on blocks of at most this many points a
-# side, so their temporaries stay small however crowded a cell is.
-_PAIR_BLOCK = 256
-
-
-def _within_any(lats, lons, a: np.ndarray, b: np.ndarray, eps_ft: float) -> np.ndarray:
-    """For each point of ``b``, whether some point of ``a`` is within eps_ft."""
-    hit = np.zeros(len(b), dtype=bool)
-    for i in range(0, len(a), _PAIR_BLOCK):
-        ai = a[i : i + _PAIR_BLOCK, None]
-        for j in range(0, len(b), _PAIR_BLOCK):
-            bj = b[None, j : j + _PAIR_BLOCK]
-            d = haversine_estimates_ft(lats[ai], lons[ai], lats[bj], lons[bj])
-            hit[j : j + _PAIR_BLOCK] |= (d <= eps_ft).any(axis=0)
-    return hit
 
 
 def cluster_detections(
@@ -264,9 +264,15 @@ def match_clusters(
     max_match_ft: float = DEFAULT_MAX_MATCH_FT,
 ) -> tuple[Candidates, list[dict]]:
     """Snap the cluster centers (lat[k], lon[k]), cluster IDs k + 1, to their
-    nearest candidates, ties to the lowest intxn_id, with one
-    ``haversine_estimates_ft`` broadcast over blocks of about ``PAIR_BLOCK``
-    pairs (``haversine_distances_ft`` where it gives no number).
+    nearest candidates by ``haversine_estimates_ft``, ties to the lowest
+    intxn_id.
+
+    One ``CellGrid`` lookup pairs each center with the candidates in a box
+    that holds every candidate the estimate can put within
+    ``max_match_ft``, and one lexsort picks the nearest inside the gate. A
+    center with none, or whose box crosses the ±180° seam, is tested against
+    every candidate in blocks of about ``PAIR_BLOCK`` pairs, with
+    ``haversine_distances_ft`` where the estimate gives no number.
 
     Returns the visited candidates, each with all its supporting cluster IDs
     and the smallest match distance, and the unmatched report rows of the
@@ -275,16 +281,36 @@ def match_clusters(
     """
     if not candidates:
         raise ValueError("candidate list is empty")
+    # A candidate the estimate puts within the gate is within `reach` (a margin covers
+    # its error and rounding): dphi in latitude and, as cos(phi1) cos(phi2) sin(dlam / 2)**2
+    # <= sin(reach / 2R)**2, dlam in longitude, with cos taken dphi farther from the equator.
+    reach = max(max_match_ft, 0.0) * (1.0 + 2.0**-30) + 1e-3
+    dphi = math.degrees(reach / EARTH_RADIUS_FT)
+    cos_far = np.cos(np.radians(np.minimum(np.abs(lat) + dphi, 90.0)))
+    x = math.sin(min(reach / (2.0 * EARTH_RADIUS_FT), math.pi / 2.0)) / cos_far
+    dlam = 2.0 * np.degrees(np.arcsin(np.minimum(x, 1.0)))
+    boxes = lat - dphi, lon - dlam, lat + dphi, lon + dlam
+    hits = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+    for q, k in CellGrid(candidates.lat, candidates.lon, reach).overlap_pairs(boxes):
+        d = haversine_estimates_ft(lat[q], lon[q], candidates.lat[k], candidates.lon[k])
+        gate = d <= max_match_ft
+        hits.append((q[gate], k[gate], d[gate]))
+    q, k, d = map(np.concatenate, zip(*hits))
+    by = np.lexsort((k, d, q))
+    head = by[np.flatnonzero(np.diff(q[by], prepend=-1))]
     nearest = np.empty(len(lat), dtype=np.int64)
     dist = np.empty(len(lat))
+    nearest[q[head]], dist[q[head]] = k[head], d[head]
+    rest = np.isin(np.arange(len(lat)), q[head], invert=True)
+    rest = np.flatnonzero(rest | (boxes[1] <= -180.0) | (boxes[3] >= 180.0))
     step = max(1, PAIR_BLOCK // len(candidates))
-    for a in range(0, len(lat), step):
-        b_lat, b_lon = lat[a : a + step], lon[a : a + step]
-        d = haversine_estimates_ft(b_lat[:, None], b_lon[:, None], candidates.lat, candidates.lon)
+    for a in range(0, len(rest), step):
+        c = rest[a : a + step]
+        d = haversine_estimates_ft(lat[c, None], lon[c, None], candidates.lat, candidates.lon)
         i, j = np.nonzero(np.isnan(d))
-        d[i, j] = haversine_distances_ft(b_lat[i], b_lon[i], candidates.lat[j], candidates.lon[j])
-        nearest[a : a + step] = k = np.argmin(d, axis=1)
-        dist[a : a + step] = d[np.arange(len(k)), k]
+        d[i, j] = haversine_distances_ft(lat[c[i]], lon[c[i]], candidates.lat[j], candidates.lon[j])
+        nearest[c] = k = np.argmin(d, axis=1)
+        dist[c] = d[np.arange(len(k)), k]
 
     far = dist > max_match_ft
     ids = np.arange(1, len(lat) + 1)
@@ -296,8 +322,9 @@ def match_clusters(
     hit = hit[np.argsort(nearest[hit], kind="stable")]
     heads = np.flatnonzero(np.diff(nearest[hit], prepend=-1))
     k = nearest[hit[heads]]
+    support = ids[hit].tolist()
     props = {
-        "supporting_cluster_ids": [c.tolist() for c in np.split(ids[hit], heads)[1:]],
+        "supporting_cluster_ids": [support[a:b] for a, b in pairwise([*heads.tolist(), len(hit)])],
         "match_dist_ft": np.minimum.reduceat(dist[hit], heads).tolist(),
     }
     intxn_id = [candidates.intxn_id[i] for i in k.tolist()]

@@ -800,8 +800,11 @@ def clean_sensor(files: list) -> tuple[SensorTable, dict[str, int], int]:
     bounds = np.searchsorted(codes, np.arange(len(keys) + 1)).tolist()
     spans = list(zip(bounds, bounds[1:]))
     _odometer(cum, lat, lon, compress(spans, recompute))
+    # Only a drive whose odometer falls between two of its rows can lose any.
+    down = np.flatnonzero(cum[1:] < cum[:-1])
+    falls = np.bincount(codes[down][codes[down] == codes[down + 1]], minlength=len(keys)) > 0
     keep = np.ones(len(t), dtype=bool)
-    for start, stop in compress(spans, ~recompute):
+    for start, stop in compress(spans, falls & ~recompute):
         # A row that runs the odometer below any earlier row is dropped.
         run = cum[start:stop]
         keep[start + 1 : stop] = run[1:] >= np.maximum.accumulate(run)[:-1]

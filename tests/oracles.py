@@ -46,6 +46,10 @@ centers and the visited candidates with ``GeoPoint`` lists and one
 ``IntersectionCandidate``, ``VisitedCandidate`` or ``UnmatchedCluster``
 per row, as ``discovery`` did before it worked on columns;
 ``candidates_of`` and ``network_of`` turn such rows into its columns.
+``cell_loop_dbscan_labels`` is the grid DBSCAN with Python loops over
+its cells, as ``discovery.dbscan_labels`` ran before it tested pairs in
+blocks and joined the cells by pointer jumping; ``counting`` wraps a
+function such as the distance estimate to count the pairs it is given.
 
 ``boundary_texts`` renders raw CSV files whose ends vary as they meet in
 ``ingest._parse_csv``'s chunker; ``parsed`` is that parser's result over
@@ -78,8 +82,10 @@ from intxn_pipeline.geo import (
     EARTH_RADIUS_FT,
     FT_PER_DEG,
     ON_EDGE_TOL_DEG,
+    CellGrid,
     GeoPoint,
     RingTable,
+    haversine_estimates_ft,
     joined,
 )
 from intxn_pipeline.ingest import EPOCH
@@ -1005,6 +1011,116 @@ def object_match_clusters(centers, candidates, max_match_ft: float):
         for k, support in sorted(matched.items())
     ]
     return visited, unmatched
+
+
+def cell_loop_dbscan_labels(lats, lons, eps_ft: float, min_pts: int) -> np.ndarray:
+    """``discovery.dbscan_labels`` as it was before it worked on arrays of
+    pairs: on the same cells, a loop over the sparse cells counts their
+    points' neighbors, and a union-find over the cells tests each one's core
+    points against those of the later cells within reach that it has not
+    joined yet."""
+    n = len(lats)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    grid = CellGrid(lats, lons, eps_ft / 2.0, narrow=True)
+    bounds = grid.starts.tolist()
+    cells = [grid.order[s:e] for s, e in zip(bounds, bounds[1:])]
+
+    # A pair within eps is at most 2 cell heights apart, so at most 3 rows
+    # (one for rounding in the cell index), and at most `reach` columns:
+    # haversine bounds its longitude gap by cos(lat) * sin(dlam / 2) <=
+    # sin(eps / 2R), taken at the smallest cos(lat), plus half a cell.
+    x = math.sin(min(eps_ft / (2.0 * EARTH_RADIUS_FT), math.pi / 2.0))
+    x /= float(np.min(np.cos(np.radians(lats))))
+    reach = math.ceil(2.0 * math.degrees(math.asin(x)) / grid.dlon + 0.5) if x < 1.0 else math.inf
+    # Complex numbers sort by (real, imag), so keys ascend as the cells do,
+    # and each row within reach is one run [lo, hi) of cell indices.
+    keys = grid.keys
+    runs = [
+        (np.searchsorted(keys, keys + dr - complex(0, reach)).tolist(),
+         np.searchsorted(keys, keys + dr + complex(0, reach), side="right").tolist())
+        for dr in range(-3, 4)
+    ]
+
+    core = np.zeros(n, dtype=bool)
+    near: dict[int, np.ndarray] = {}  # non-core point -> its neighbors
+    for a, own in enumerate(cells):
+        if len(own) >= min_pts:
+            core[own] = True
+            continue
+        cand = np.concatenate([cells[b] for lo, hi in runs for b in range(lo[a], hi[a])])
+        step = max(1, _PAIR_BLOCK**2 // len(cand))
+        for k in range(0, len(own), step):
+            rows = own[k : k + step]
+            within = (
+                haversine_estimates_ft(lats[rows, None], lons[rows, None], lats[cand], lons[cand])
+                <= eps_ft
+            )
+            is_core = within.sum(axis=1) >= min_pts
+            core[rows[is_core]] = True
+            near.update((i, cand[w]) for i, w in zip(rows[~is_core].tolist(), within[~is_core]))
+
+    parent = list(range(len(cells)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    cores = [own[core[own]] for own in cells]
+    for a, ca in enumerate(cores):
+        if not ca.size:
+            continue
+        root = find(a)
+        later = [
+            b for lo, hi in runs for b in range(max(lo[a], a + 1), hi[a])
+            if cores[b].size and find(b) != root
+        ]
+        if later:
+            cb = np.concatenate([cores[b] for b in later])
+            owner = np.repeat(later, [cores[b].size for b in later])
+            for b in set(owner[_within_any(lats, lons, ca, cb, eps_ft)].tolist()):
+                parent[find(b)] = find(a)
+
+    # Number the components in the order of their smallest core point.
+    rank: dict[int, int] = {}
+    labels = np.full(n, -1, dtype=np.int64)
+    for _, a in sorted((int(ca[0]), a) for a, ca in enumerate(cores) if ca.size):
+        labels[cores[a]] = rank.setdefault(find(a), len(rank))
+    for i, found in near.items():
+        adopted = labels[found[core[found]]]
+        if adopted.size:
+            labels[i] = adopted.min()
+    return labels
+
+
+# Cross-cell distance tests run on blocks of at most this many points a
+# side, so their temporaries stay small however crowded a cell is.
+_PAIR_BLOCK = 256
+
+
+def _within_any(lats, lons, a: np.ndarray, b: np.ndarray, eps_ft: float) -> np.ndarray:
+    """For each point of ``b``, whether some point of ``a`` is within eps_ft."""
+    hit = np.zeros(len(b), dtype=bool)
+    for i in range(0, len(a), _PAIR_BLOCK):
+        ai = a[i : i + _PAIR_BLOCK, None]
+        for j in range(0, len(b), _PAIR_BLOCK):
+            bj = b[None, j : j + _PAIR_BLOCK]
+            d = haversine_estimates_ft(lats[ai], lons[ai], lats[bj], lons[bj])
+            hit[j : j + _PAIR_BLOCK] |= (d <= eps_ft).any(axis=0)
+    return hit
+
+
+def counting(fn, sizes: list):
+    """``fn`` that appends to ``sizes`` the number of elements its numpy-broadcast
+    arguments give, one entry per call."""
+
+    def counted(*args):
+        sizes.append(np.broadcast(*args).size)
+        return fn(*args)
+
+    return counted
 
 
 def _csv_line(fields) -> str:

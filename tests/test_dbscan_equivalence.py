@@ -6,19 +6,25 @@ case asserts equal label lists, not only equal clusters: on scenes with
 coincident points, pairs at exactly eps and one ulp either side of it,
 points on and one ulp off the cell boundaries, and clumps spread over
 0°-60° of latitude, where cells sized from the wrong cos(lat) would hold
-points more than eps apart or miss neighbors more than two cells away.
+points more than eps apart or miss neighbors more than two cells away. A
+30,000-point scene, too large for the queue, is checked against
+``oracles.cell_loop_dbscan_labels``, the grid DBSCAN with a loop over its
+cells; it and a scene of crowded cells also bound the distance tests made.
 """
 
 import math
 from collections import deque
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import cell_loop_dbscan_labels, counting
 
+from intxn_pipeline import discovery
 from intxn_pipeline.discovery import dbscan_labels
-from intxn_pipeline.geo import EARTH_RADIUS_FT, FT_PER_DEG, CellGrid, GeoPoint
+from intxn_pipeline.geo import EARTH_RADIUS_FT, FT_PER_DEG, PAIR_BLOCK, CellGrid, GeoPoint
 
 # ---------------------------------------------------------------------------
 # Queue-based reference
@@ -177,6 +183,23 @@ def test_crowded_cells_equal_queue_dbscan():
         assert _labels(points, 100.0, min_pts) == queue_dbscan(points, 100.0, min_pts)
 
 
+def test_junctions_over_many_crowded_cells_equal_queue_dbscan():
+    # Three junctions of 400 sightings each, spread over 150 ft squares: a
+    # dozen crowded cells a junction, which their smallest points join
+    # without testing every pair of their points. At min_pts 50 the cells
+    # are sparse, and every point counts its neighbors.
+    rng = np.random.default_rng(4)
+    junctions = [GeoPoint(41.0, -96.0), _offset(GeoPoint(41.0, -96.0), 0.0, 1500.0),
+                 _offset(GeoPoint(41.0, -96.0), 1500.0, 0.0)]
+    points = [_offset(junctions[k], *rng.uniform(-75.0, 75.0, 2)) for k in rng.integers(0, 3, 1200)]
+    for min_pts in (2, 5, 50):
+        sizes = []
+        with patch.object(discovery, "haversine_estimates_ft", counting(discovery.haversine_estimates_ft, sizes)):
+            labels = _labels(points, 100.0, min_pts)
+        assert labels == queue_dbscan(points, 100.0, min_pts)
+        assert min_pts == 50 or sum(sizes) <= 20 * len(points)
+
+
 def test_crowded_cells_merge_through_their_last_points():
     # Two cells of 301 points each, two cells apart. Only their last points
     # (one per cell) are within eps of each other, so the merge test must
@@ -190,6 +213,42 @@ def test_crowded_cells_merge_through_their_last_points():
 
     points = [at(0.02)] * 300 + [at(2.98)] * 300 + [at(0.9), at(2.1)]
     assert _labels(points, eps_ft, 2) == queue_dbscan(points, eps_ft, 2) == [0] * 602
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(25.0, 49.0), st.floats(-124.0, -67.0)), min_size=1, max_size=4),
+    st.sampled_from([1, 2, 3, 5]),
+    st.randoms(use_true_random=False),
+)
+def test_clumps_across_the_seed_latitudes_equal_queue_dbscan(origins, min_pts, rnd):
+    # Clumps at origins drawn over 25-49 degrees of latitude, as perfbench's
+    # seeds draw them: the cells are as narrow as the southern clumps need,
+    # so a northern point's neighbors lie more columns away.
+    points = []
+    for lat, lon in origins:
+        spread = rnd.uniform(50.0, 400.0)
+        points += [_offset(GeoPoint(lat, lon), rnd.uniform(-spread, spread), rnd.uniform(-spread, spread))
+                   for _ in range(rnd.randint(1, 40))]
+    rnd.shuffle(points)
+    assert _labels(points, 100.0, min_pts) == queue_dbscan(points, 100.0, min_pts)
+
+
+def test_sparse_scene_tests_blocks_of_pairs_not_cells():
+    # 30,000 points uniform over a 10,000 ft square: about 26,000 occupied
+    # cells, most of one point, with about 9 neighbors a point.
+    rng = np.random.default_rng(5)
+    north, east = rng.uniform(0.0, 10_000.0, (2, 30_000))
+    lats = 41.0 + north / FT_PER_DEG
+    lons = -96.0 + east / (FT_PER_DEG * math.cos(math.radians(41.0)))
+    sizes = []
+    with patch.object(discovery, "haversine_estimates_ft", counting(discovery.haversine_estimates_ft, sizes)):
+        labels = dbscan_labels(lats, lons, 100.0, 4)
+    # One call a block, each of the four passes (neighbor counts, two rounds
+    # of cell joins, border points) ending in at most one part-block.
+    assert len(sizes) <= sum(sizes) / PAIR_BLOCK + 4
+    assert len(CellGrid(lats, lons, 50.0, narrow=True).keys) > 20_000
+    assert labels.tolist() == cell_loop_dbscan_labels(lats, lons, 100.0, 4).tolist()
 
 
 @pytest.mark.parametrize("eps_ft", [0.0, -1.0, math.nan])

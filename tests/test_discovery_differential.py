@@ -26,6 +26,7 @@ from oracles import (
     IntersectionCandidate,
     candidate_rows,
     candidates_of,
+    counting,
     network_of,
     numpy_haversine_ft,
     object_cluster_centers,
@@ -36,7 +37,7 @@ from oracles import (
 
 from intxn_pipeline import discovery
 from intxn_pipeline.discovery import cluster_detections, extract_lrs_candidates, match_clusters
-from intxn_pipeline.geo import GeoPoint
+from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
 from intxn_pipeline.ingest import CLASS_NAMES, DetectionTable
 
 STEP = 2.0**-20  # degrees
@@ -166,7 +167,7 @@ CENTERS = st.tuples(st.integers(0, 4), st.integers(-3, 3), st.integers(-600, 600
     st.lists(CENTERS, min_size=1, max_size=30),
     st.lists(st.integers(0, 400), min_size=1, max_size=5),
     st.permutations(range(1, 11)),
-    st.sampled_from([50.0, 200.0, 1e6, "first"]),
+    st.sampled_from([50.0, 200.0, 1e6, "first", "below all"]),
     st.sampled_from([None, 1, 7]),
 )
 def test_match_ties_gates_and_shared_candidates(origin, specs, gaps, ids, max_match_ft, block):
@@ -174,7 +175,7 @@ def test_match_ties_gates_and_shared_candidates(origin, specs, gaps, ids, max_ma
     # drawn order: a center on a site is exactly as far from both, and the
     # lower id must win. Centers off a site land on one candidate, often
     # several on one, or beyond the gate, which may be exactly the first
-    # center's distance.
+    # center's distance or just below every center's.
     rows, id_of = [], iter(ids)
     for site, gap in enumerate(gaps):
         for side in (-1, 1):
@@ -182,11 +183,83 @@ def test_match_ties_gates_and_shared_candidates(origin, specs, gaps, ids, max_ma
     centers = [at(origin, (site % len(gaps)) * 800 + dn, de) for site, dn, de in specs]
     lat = np.array([c.lat_deg for c in centers], dtype=float)
     lon = np.array([c.lon_deg for c in centers], dtype=float)
-    if max_match_ft == "first":
+    if max_match_ft in ("first", "below all"):
         cand_lat, cand_lon = (np.array([getattr(r.pos, k) for r in rows]) for k in ("lat_deg", "lon_deg"))
-        max_match_ft = float(numpy_haversine_ft(lat[:1, None], lon[:1, None], cand_lat, cand_lon).min())
+        dist = numpy_haversine_ft(lat[:, None], lon[:, None], cand_lat, cand_lon)
+        first = max_match_ft == "first"
+        max_match_ft = float(dist[0].min() if first else np.nextafter(dist.min(), -np.inf))
     with patch.object(discovery, "PAIR_BLOCK", block or discovery.PAIR_BLOCK):
         visited, unmatched = match_clusters(lat, lon, candidates_of(rows), max_match_ft)
     old_visited, old_unmatched = object_match_clusters(list(enumerate(centers, 1)), rows, max_match_ft)
     assert candidate_rows(visited) == old_visited
     assert unmatched == _unmatched_rows(old_unmatched)
+
+
+def _offset(origin, north_ft, east_ft):
+    lat, lon = origin
+    return GeoPoint(lat + north_ft / FT_PER_DEG, lon + east_ft / (FT_PER_DEG * math.cos(math.radians(lat))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(25.0, 49.0), st.floats(-124.0, -67.0)), min_size=1, max_size=4),
+    st.sampled_from([50.0, 200.0]),
+    st.randoms(use_true_random=False),
+)
+def test_matches_across_the_seed_latitudes(origins, max_match_ft, rnd):
+    # Candidates 300 ft apart around origins drawn over 25-49 degrees of
+    # latitude, as perfbench's seeds draw them, and centers up to 1.5 gates
+    # from a candidate in any direction: each center's box must reach every
+    # candidate its estimate puts within the gate, at its own latitude.
+    rows, centers = [], []
+    ids = iter(rnd.sample(range(1, 10_000), 25 * len(origins)))
+    for origin in origins:
+        sites = [_offset(origin, 300.0 * i, 300.0 * j) for i in range(5) for j in range(5)]
+        rows += [IntersectionCandidate(next(ids), p, 3) for p in sites]
+        for _ in range(rnd.randint(1, 30)):
+            site, r, theta = rnd.choice(sites), rnd.uniform(0, 1.5) * max_match_ft, rnd.uniform(0, 2 * math.pi)
+            centers.append(_offset((site.lat_deg, site.lon_deg), r * math.cos(theta), r * math.sin(theta)))
+    lat = np.array([c.lat_deg for c in centers])
+    lon = np.array([c.lon_deg for c in centers])
+    visited, unmatched = match_clusters(lat, lon, candidates_of(rows), max_match_ft)
+    old_visited, old_unmatched = object_match_clusters(list(enumerate(centers, 1)), rows, max_match_ft)
+    assert candidate_rows(visited) == old_visited
+    assert unmatched == _unmatched_rows(old_unmatched)
+
+
+def test_match_across_the_seam():
+    # The first center's nearest candidate lies across the 180th meridian,
+    # nearer than a candidate on its own side that is also inside the gate.
+    rows = [IntersectionCandidate(1, GeoPoint(10.0, 179.9995), 3),
+            IntersectionCandidate(2, GeoPoint(10.0, -179.9999), 3)]
+    centers = [GeoPoint(10.0, 179.9999), GeoPoint(10.0, -179.9998)]
+    lat = np.array([c.lat_deg for c in centers])
+    lon = np.array([c.lon_deg for c in centers])
+    visited, unmatched = match_clusters(lat, lon, candidates_of(rows))
+    old_visited, _ = object_match_clusters(list(enumerate(centers, 1)), rows, 200.0)
+    assert candidate_rows(visited) == old_visited and not unmatched
+    assert visited.intxn_id == [2] and visited.props["supporting_cluster_ids"] == [[1, 2]]
+
+
+def test_match_clusters_tests_pairs_near_each_center():
+    # A wide-grid-shaped network at 16x its rows: 192 x 40 junctions 1,000 ft
+    # apart, the four corners (of degree 2) not candidates, and a center 20 ft
+    # east of each junction in 32 of the columns. Every center against every
+    # candidate would be 6,144 x 7,676 pairs.
+    cos0 = math.cos(math.radians(41.25))
+    junction = [[(41.25 + 1000.0 * i / FT_PER_DEG, -96.0 + 1000.0 * j / (FT_PER_DEG * cos0))
+                 for j in range(40)] for i in range(192)]
+    corners = {(0, 0), (0, 39), (191, 0), (191, 39)}
+    sites = [junction[i][j] for i in range(192) for j in range(40) if (i, j) not in corners]
+    rows = [IntersectionCandidate(k, GeoPoint(*p), 3) for k, p in enumerate(sites, 1)]
+    east = 20.0 / (FT_PER_DEG * cos0)
+    centers = [GeoPoint(lat, lon + east) for row in junction for lat, lon in row[4:36]]
+    lat = np.array([c.lat_deg for c in centers])
+    lon = np.array([c.lon_deg for c in centers])
+    sizes = []
+    with patch.object(discovery, "haversine_estimates_ft", counting(discovery.haversine_estimates_ft, sizes)):
+        visited, unmatched = match_clusters(lat, lon, candidates_of(rows))
+    assert sum(sizes) <= 20 * (len(centers) + len(rows))
+    old_visited, old_unmatched = object_match_clusters(list(enumerate(centers, 1)), rows, 200.0)
+    assert candidate_rows(visited) == old_visited and len(old_visited) == len(centers) == 6144
+    assert unmatched == _unmatched_rows(old_unmatched) == []
