@@ -7,10 +7,11 @@ The study has perfbench's crowded-junctions shape: 50 subjects drive 25
 times each past three controlled junctions, sampled at 0.5 Hz, which gives
 3,750 trajectories of about six points each. The sensor table is the one
 the traj stage gets, as the clean file holds it. Each bench times one
-layer's call in memory, seven rounds: extraction, writing the trajectory
-CSV (also with a comma in every subject, so that every subj and traj_id
-is quoted), building the cut-list, writing it and its script,
-and building and writing the review template.
+layer's call in memory, seven rounds: extraction, cutting the windows from
+the sensor table by their times, writing the trajectory CSV (also with a
+comma in every subject, so that every subj and traj_id is quoted),
+building the cut-list, writing it and its script, and building and
+writing the review template.
 """
 
 import io
@@ -27,7 +28,7 @@ from intxn_pipeline.review import (
     write_review_csv,
 )
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import extract_trajectories, write_trajectories_csv
+from intxn_pipeline.trajectory import extract_trajectories, windows, write_trajectories_csv
 
 CROWDED = ScenarioSpec(grid_rows=3, grid_cols=4, n_subjects=50, drives_per_subject=25, sample_hz=0.5)
 ROUNDS = 7
@@ -55,7 +56,7 @@ def trajs(study):
 
 @pytest.fixture(scope="module")
 def cut(study, trajs):
-    return build_clip_specs(trajs, study["videos"])[0]
+    return build_clip_specs(trajs, study["sensor"], study["videos"])[0]
 
 
 def test_extract_trajectories(benchmark, study):
@@ -65,23 +66,31 @@ def test_extract_trajectories(benchmark, study):
     assert len(trajs) == study["expected"] == 3750
 
 
-def test_write_trajectories_csv(benchmark, trajs):
+def test_windows(benchmark, study, trajs):
+    ref, start, stop = benchmark.pedantic(windows, (trajs, study["sensor"]), rounds=ROUNDS)
+    assert len(ref) == len(trajs) and (start <= ref).all() and (ref < stop).all()
+
+
+def test_write_trajectories_csv(benchmark, study, trajs):
     def write():
         buf = io.StringIO(newline="")
-        write_trajectories_csv(trajs, buf)
+        write_trajectories_csv(trajs, study["sensor"], buf)
         return buf
 
     assert benchmark.pedantic(write, rounds=ROUNDS).getvalue().count("\n") == len(trajs) + 1
 
 
-def test_write_trajectories_csv_quoted(benchmark, trajs):
+def test_write_trajectories_csv_quoted(benchmark, study, trajs):
     # The worst case for the writer's quoting: every subj column and traj_id
     # column of every chunk needs quotes.
-    quoted = replace(trajs, keys=[(f"{subj},x", drive) for subj, drive in trajs.keys])
+    quoted, sensor = (
+        replace(table, keys=[(f"{subj},x", drive) for subj, drive in table.keys])
+        for table in (trajs, study["sensor"])
+    )
 
     def write():
         buf = io.StringIO(newline="")
-        write_trajectories_csv(quoted, buf)
+        write_trajectories_csv(quoted, sensor, buf)
         return buf
 
     text = benchmark.pedantic(write, rounds=ROUNDS).getvalue()
@@ -89,7 +98,8 @@ def test_write_trajectories_csv_quoted(benchmark, trajs):
 
 
 def test_build_clip_specs(benchmark, study, trajs):
-    cut, report = benchmark.pedantic(build_clip_specs, (trajs, study["videos"]), rounds=ROUNDS)
+    args = (trajs, study["sensor"], study["videos"])
+    cut, report = benchmark.pedantic(build_clip_specs, args, rounds=ROUNDS)
     assert len(cut) == len(trajs) and not report["unclippable"]
 
 

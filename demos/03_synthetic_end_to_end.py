@@ -22,7 +22,7 @@ from intxn_pipeline.discovery import (
 from intxn_pipeline.ingest import clean_cv, clean_sensor
 from intxn_pipeline.review import build_review_template, import_reviewed_kml, read_demographics
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import extract_trajectories
+from intxn_pipeline.trajectory import extract_trajectories, windows
 
 workdir = Path(tempfile.mkdtemp(prefix="intxn-demo-"))
 print(f"workspace: {workdir}")
@@ -57,8 +57,10 @@ print("\n== 4. review import and trajectory windows ==")
 reviewed, rejects = import_reviewed_kml(scenario.paths["reviewed_kml"])
 trajs, skip_report = extract_trajectories(sensor, reviewed)
 print(f"trajectories {len(trajs)}, expected {len(gt.trajectories)}, skips {skip_report}")
-# The first trajectory's window is rows start:stop of the sensor table.
-sample_id, start, stop = trajs.traj_ids()[0], int(trajs.start[0]), int(trajs.stop[0])
+# The table holds each window's times; windows() cuts its rows start:stop
+# from the sensor table.
+_, starts, stops = windows(trajs, sensor)
+sample_id, start, stop = trajs.traj_ids()[0], int(starts[0]), int(stops[0])
 expected = gt.trajectories[sample_id]
 print(
     f"{sample_id}: {stop - start} points "
@@ -70,7 +72,7 @@ print(
 print("\n== 5. clips and review template ==")
 videos = read_videos_csv(scenario.paths["videos"])
 # The cut-list is columns too, its rows in traj_id order.
-cut, clip_report = build_clip_specs(trajs, videos)
+cut, clip_report = build_clip_specs(trajs, sensor, videos)
 k = cut.traj_id.index(sample_id)
 print(
     f"{sample_id}: seek {cut.in_offset_s[k]:.3f} s, duration {cut.duration_s[k]:.3f} s, "

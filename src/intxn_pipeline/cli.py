@@ -16,7 +16,8 @@ stage) parses none of the clean tables, candidate lists, reviewed
 intersections, trajectories and cut-list that it wrote or parsed before:
 each is kept with the sha256 of its file's bytes, and a stage that reads
 one hashes the file and parses it only when the digest differs, so a
-changed file is always parsed again.
+changed file is always parsed again. ``template`` needs no clean sensor
+table: the trajectory table holds its windows' times.
 
 Exit codes: 0 success, 1 user error, 2 data error.
 """
@@ -70,8 +71,7 @@ def _require(path: Path, what: str, produced_by: str | None = None) -> None:
 
 # The stage outputs this process wrote or parsed last: the clean tables,
 # the candidate lists, the reviewed intersections, the trajectories and the
-# cut-list, each written by ``put``. The trajectories' digest adds the clean
-# sensor table's, from which their reader cuts their windows.
+# cut-list, each written by ``put``.
 _store = Store()
 
 
@@ -79,13 +79,6 @@ def _candidates(key: str, path: Path, props: dict, what: str) -> discovery.Candi
     """The candidate list of ``key`` at ``path``, its features carrying ``props``."""
     build = partial(discovery.candidates_from_geojson, props=props)
     return _store.load(key, path, partial(read_json, build=build, what=what))
-
-
-def _trajectories(traj_path: Path, sensor_path: Path) -> list:
-    """The trajectories at ``traj_path``, cut from the table at ``sensor_path``."""
-    sensor = _store.load("clean_sensor", sensor_path, ingest.read_clean_sensor)
-    read = partial(trajectory.load_trajectories_csv, sensor=sensor)
-    return _store.load("trajectories", traj_path, read, _store["clean_sensor"][0])
 
 
 def _expand_files(cfg: PipelineConfig, key: str, what: str) -> list[str]:
@@ -258,8 +251,8 @@ def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> S
     )
     trajs, skip_report = trajectory.extract_trajectories(sensor, reviewed, params)
     out = cfg.outputs["trajectories"]
-    write = partial(trajectory.write_trajectories_csv, trajs)
-    _store.put("trajectories", out, write, trajs, _store["clean_sensor"][0])
+    write = partial(trajectory.write_trajectories_csv, trajs, sensor)
+    _store.put("trajectories", out, write, trajs)
     summary = f"traj: {len(trajs)} entering trajectories, skips {skip_report}"
     visits = len(trajs) + skip_report["duplicate_pass"]
     return summary, [(out, {"visits": visits, "trajectories": len(trajs), "skips": skip_report})]
@@ -274,13 +267,14 @@ def stage_traj(cfg: PipelineConfig, reviewed_path: Path, sensor_path: Path) -> S
 def stage_clips(
     cfg: PipelineConfig, traj_path: Path, sensor_path: Path, videos_path: Path
 ) -> StageResult:
-    trajs = _trajectories(traj_path, sensor_path)
+    trajs = _store.load("trajectories", traj_path, trajectory.load_trajectories_csv)
+    sensor = _store.load("clean_sensor", sensor_path, ingest.read_clean_sensor)
     videos = clips_mod.read_videos_csv(videos_path)
     overlay = clips_mod.OverlayParams(
         on_upstream_ft=cfg.params["overlay_on_upstream_ft"],
         off_downstream_ft=cfg.params["overlay_off_downstream_ft"],
     )
-    cut, report = clips_mod.build_clip_specs(trajs, videos, overlay)
+    cut, report = clips_mod.build_clip_specs(trajs, sensor, videos, overlay)
     out = cfg.outputs["cutlist"]
     script = cfg.outputs["cutlist_script"]
     _store.put("cutlist", out, lambda f: clips_mod.emit_cutlist(cut, f, script, cfg.processor), cut)
@@ -291,14 +285,13 @@ def stage_clips(
 @_stage(
     "template",
     ("trajectories", "trajectory table", "traj"),
-    ("clean_sensor", "clean sensor table", "clean"),
     ("cutlist", "cut-list JSON", "clips"),
     ("demographics", "demographics CSV", None),
 )
 def stage_template(
-    cfg: PipelineConfig, traj_path: Path, sensor_path: Path, cutlist_path: Path, demo_path: Path
+    cfg: PipelineConfig, traj_path: Path, cutlist_path: Path, demo_path: Path
 ) -> StageResult:
-    trajs = _trajectories(traj_path, sensor_path)
+    trajs = _store.load("trajectories", traj_path, trajectory.load_trajectories_csv)
     cut = _store.load("cutlist", cutlist_path, clips_mod.parse_cutlist)
     participants = review.read_demographics(demo_path)
     columns, manifest, warnings = review.build_review_template(

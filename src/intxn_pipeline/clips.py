@@ -9,10 +9,10 @@ only emits a JSON cut-list and a command script, so no media tooling is
 needed at test time.
 
 The video sidecar is a ``VideoTable``, the fourth ``ingest._Table``, read by
-the tables' parser. ``build_clip_specs`` takes it and the trajectory table
-as they are and works on their columns: it matches every trajectory to its
-video, and finds every clip's span and overlay times, with array
-operations in integer microseconds.
+the tables' parser. ``build_clip_specs`` takes it, the trajectory table and
+the sensor table its windows are cut from as they are and works on their
+columns: it matches every trajectory to its video, and finds every clip's
+span and overlay times, with array operations in integer microseconds.
 Overlay times round as ``datetime.fromtimestamp`` rounds, and every time is
 cut to the millisecond as the cut-list prints it, so the clips are exactly
 those of matching, interpolating and rounding one trajectory at a time.
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DataError
 from .ingest import _FLOAT, _KEY, _TEXT, _TIME, SensorTable, _parse_csv, _sorted_keys, _Table, search_runs, to_seconds
 from .storage import WRITE_ROWS, interleave, read_json, resolve_uri
-from .trajectory import TrajectoryTable
+from .trajectory import TrajectoryTable, windows
 
 VIDEO_COLUMNS = ("uri", "subj", "drive", "start_time_utc", "end_time_utc", "fps")
 
@@ -178,11 +178,9 @@ def _crossing_us(points: SensorTable, at: np.ndarray, targets: np.ndarray) -> np
     return us
 
 
-def _overlay_us(trajs: TrajectoryTable, rows: np.ndarray, targets, clip_start, clip_end):
-    """Per trajectory of ``rows``, when its odometer reaches its target: the
-    clip's start before its window, the clip's end after it."""
-    sensor = trajs.sensor
-    start, stop = trajs.start[rows], trajs.stop[rows]
+def _overlay_us(sensor: SensorTable, start, stop, targets, clip_start, clip_end):
+    """Per window ``start:stop`` of ``sensor``, when its odometer reaches its
+    target: the clip's start before the window, the clip's end after it."""
     us = np.where(targets < sensor.cum[start], clip_start, clip_end)
     inside = np.flatnonzero((sensor.cum[start] <= targets) & (targets <= sensor.cum[stop - 1]))
     at = search_runs(sensor.cum, start[inside], stop[inside], targets[inside])
@@ -190,11 +188,11 @@ def _overlay_us(trajs: TrajectoryTable, rows: np.ndarray, targets, clip_start, c
     return us
 
 
-def _match_videos(trajs: TrajectoryTable, videos: VideoTable) -> tuple[np.ndarray, np.ndarray]:
+def _match_videos(trajs: TrajectoryTable, videos: VideoTable, t_start, t_end) -> tuple:
     """Per trajectory, the row of ``videos`` of the first video of its
-    drive, by (start time, uri), that holds its whole span, else of the
-    first that holds its reference time, or -1 for none; and whether that
-    video holds only the reference time.
+    drive, by (start time, uri), that holds its whole span, ``t_start`` to
+    ``t_end``, else of the first that holds its reference time, or -1 for
+    none; and whether that video holds only the reference time.
     """
     # Per trajectory, the first row and the count of its drive's videos; a
     # drive without videos is k = -1, which takes the zeros appended.
@@ -207,8 +205,7 @@ def _match_videos(trajs: TrajectoryTable, videos: VideoTable) -> tuple[np.ndarra
     # Each trajectory paired with each video of its drive, in that order.
     pair = np.repeat(np.arange(len(trajs)), counts)
     video = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    t_us = trajs.sensor.t_us
-    t_start, t_end, t_ref = (t_us[rows][pair] for rows in (trajs.start, trajs.stop - 1, trajs.ref))
+    t_start, t_end, t_ref = (times[pair] for times in (t_start, t_end, trajs.ref_us))
 
     def first_video(covers: np.ndarray) -> np.ndarray:
         out = np.full(len(trajs), -1)
@@ -225,12 +222,14 @@ def _match_videos(trajs: TrajectoryTable, videos: VideoTable) -> tuple[np.ndarra
 
 def build_clip_specs(
     trajs: TrajectoryTable,
+    sensor: SensorTable,
     videos: VideoTable,
     overlay: OverlayParams | None = None,
 ) -> tuple[CutList, dict[str, list]]:
     """Build the cut-list of every clippable trajectory plus a problem report.
 
-    Each trajectory gets the video ``_match_videos`` picks for it. The report
+    Each trajectory's window is its ``windows`` in ``sensor`` (a DataError
+    where that lacks it), its video the one ``_match_videos`` picks. The report
     maps ``unclippable`` to (traj_id, reason) entries and ``warnings`` to
     (traj_id, warning) entries. When a trajectory straddles two files the
     clip covers the overlap of the trajectory with the file holding the
@@ -239,18 +238,19 @@ def build_clip_specs(
     rounded to the millisecond, as the cut-list holds them.
     """
     overlay = overlay or OverlayParams()
-    pick, spans = _match_videos(trajs, videos)
+    ref, start, stop = windows(trajs, sensor)
+    t_start, t_end = sensor.t_us[start], sensor.t_us[stop - 1]
+    pick, spans = _match_videos(trajs, videos, t_start, t_end)
     ids = trajs.traj_ids()
-    t_us, cum = trajs.sensor.t_us, trajs.sensor.cum
     rows = np.flatnonzero(pick >= 0)
     video = pick[rows]
     v_start = videos.t_us[video]
-    clip_start = np.maximum(t_us[trajs.start[rows]], v_start)
-    clip_end = np.minimum(t_us[trajs.stop[rows] - 1], videos.end_us[video])
+    clip_start = np.maximum(t_start[rows], v_start)
+    clip_end = np.minimum(t_end[rows], videos.end_us[video])
     duration = clip_end - clip_start
-    ref_cum = cum[trajs.ref[rows]]
-    t_on = _overlay_us(trajs, rows, ref_cum - overlay.on_upstream_ft, clip_start, clip_end)
-    t_off = _overlay_us(trajs, rows, ref_cum + overlay.off_downstream_ft, clip_start, clip_end)
+    ref_cum, span = sensor.cum[ref[rows]], (sensor, start[rows], stop[rows])
+    t_on = _overlay_us(*span, ref_cum - overlay.on_upstream_ft, clip_start, clip_end)
+    t_off = _overlay_us(*span, ref_cum + overlay.off_downstream_ft, clip_start, clip_end)
     on = np.minimum(np.maximum(t_on - clip_start, 0), duration)
     off = np.minimum(np.maximum(t_off - clip_start, on), duration)
     # The cut-list's times, each cut to the millisecond.

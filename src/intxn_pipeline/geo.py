@@ -57,9 +57,11 @@ class CellGrid:
     latitude and every latitude in ``cover_lats``, so any binned point within
     ``cell_ft`` of a point at one of those latitudes lies in the 3x3 cell
     block around it. With ``narrow`` they are instead at most ``cell_ft``
-    wide at all those latitudes (sized from the largest cos(lat)), so two
-    points in one cell are less than ``cell_ft * sqrt(2)`` apart, up to a
-    relative ~(cell_ft / R)^2. Longitude is planar: the ±180° seam is not
+    wide at all those latitudes, so two points in one cell are less than
+    ``cell_ft * sqrt(2)`` apart, up to a relative ~(cell_ft / R)^2. The
+    width takes one cos, of the largest |lat| of them (the smallest with
+    ``narrow``): cos falls as |lat| rises, so the bound holds at each, and
+    a NaN latitude makes it NaN. Longitude is planar: the ±180° seam is not
     joined. The occupied cells' (row, col) ascend in ``keys``, as complex
     numbers, and cell k's points are ``order[starts[k]:starts[k + 1]]``,
     ascending.
@@ -70,15 +72,15 @@ class CellGrid:
             raise ValueError("cell_ft must be positive")
         lats = np.asarray(lats, dtype=float)
         lons = np.asarray(lons, dtype=float)
-        cover = np.concatenate([lats, np.asarray(cover_lats, dtype=float)])
-        # One expression, so the per-point cos array is freed before binning.
-        pick = np.max if narrow else np.min
-        cos_ref = float(pick(np.cos(np.radians(cover)))) if cover.size else 1.0
+        pick = np.min if narrow else np.max  # of |lat|, so of cos(lat) the other way
+        ends = [pick(np.abs(a)) for a in (lats, np.asarray(cover_lats, dtype=float)) if a.size]
+        cos_ref = float(np.cos(np.radians(pick(ends)))) if ends else 1.0
         self.dlat = cell_ft / FT_PER_DEG
         self.dlon = cell_ft / (FT_PER_DEG * (cos_ref if narrow else max(1e-6, cos_ref)))
         rows, cols = self._cell_of(lats, lons)
         self.order = np.lexsort((cols, rows))  # stable, so indices ascend within a cell
-        rows, cols = rows[self.order], cols[self.order]
+        rows = rows[self.order]  # then cols: one column fewer held at once
+        cols = cols[self.order]
         first = np.ones(len(rows), dtype=bool)
         first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         self.starts = np.append(np.flatnonzero(first), len(rows))

@@ -619,7 +619,7 @@ def build_review_template(
         subj,
         drive,
         trajs.intxn_id.tolist(),
-        _time_texts(trajs.sensor.t_us[trajs.ref]),
+        _time_texts(trajs.ref_us),
         [age for age, _ in known],
         [gender for _, gender in known],
         clips.overlay_on_s[at].tolist(),

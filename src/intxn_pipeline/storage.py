@@ -3,8 +3,8 @@
 Batch runs accumulate over months, so every path opened for writing goes
 through a temp-file-plus-rename and a crash never leaves a partial file
 behind. ``Store.put`` hashes the bytes of each file it holds as they are
-written, so a stage knows its digest without reading it back. Only ``file:`` and
-bare paths are supported. Every CSV file is written through
+written, and ``Store.load`` as they are parsed. Only ``file:`` and bare
+paths are supported. Every CSV file is written through
 ``write_csv``, a column and a thousand rows at a time. Every JSON file is
 written through ``write_json``, and every JSON input but the config is read
 through ``read_json``, so a malformed document is one kind of ``DataError``.
@@ -40,16 +40,26 @@ os.umask(_UMASK)
 written: dict[Path, str] = {}
 
 
-class _HashingFile(io.FileIO):
-    """A file open for writing that hashes the bytes it writes."""
+class _HashingFile(io.RawIOBase):
+    """A raw stream over ``raw``, of its name, that hashes the bytes written
+    to or read through it; closing it leaves ``raw`` open."""
 
-    def __init__(self, fd: int) -> None:
-        super().__init__(fd, "wb")
-        self.sha256 = hashlib.sha256()
+    def __init__(self, raw: io.FileIO) -> None:
+        self.raw, self.name, self.sha256 = raw, raw.name, hashlib.sha256()
 
-    def write(self, data) -> int:
-        count = super().write(data)
-        self.sha256.update(memoryview(data)[:count])
+    def readable(self) -> bool:  # a buffer over it reads or writes, as ``raw`` does
+        return True
+
+    writable = readable
+
+    def readinto(self, buffer) -> int | None:
+        count = self.raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[: count or 0])
+        return count
+
+    def write(self, data) -> int | None:
+        count = self.raw.write(data)
+        self.sha256.update(memoryview(data)[: count or 0])
         return count
 
 
@@ -100,14 +110,15 @@ def atomic_write(uri: str | Path, mode: str = "w", hashed: bool = False) -> Iter
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
-        raw = _HashingFile(fd) if hashed else io.FileIO(fd, "wb")
-        handle = io.BufferedWriter(raw)
-        if "b" not in mode:
-            handle = io.TextIOWrapper(handle, encoding="utf-8", newline="")
-        try:
-            yield handle
-        finally:
-            handle.close()
+        with io.FileIO(fd, "wb") as file:
+            raw = _HashingFile(file) if hashed else file
+            handle = io.BufferedWriter(raw)
+            if "b" not in mode:
+                handle = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+            try:
+                yield handle
+            finally:
+                handle.close()
         os.chmod(tmp_name, 0o666 & ~_UMASK)
         os.replace(tmp_name, path)
         if hashed:
@@ -232,43 +243,42 @@ class Store(dict):
     """The latest object of each key, as its reader returns it from a file.
 
     ``store[key]`` is (digest, object): the digest is the sha256 of the
-    file's bytes followed by ``on``, the digest of any other file the
-    reader takes, so a change to either file misses.
+    file's bytes, so a changed file misses.
     """
 
-    def put(self, key: str, path: Path, write: Callable[[IO], object], obj=None, on="") -> None:
+    def put(self, key: str, path: Path, write: Callable[[IO], object], obj=None) -> None:
         """Write ``path`` by ``write(handle)``, hashing the bytes as they are
         written, and store ``obj`` (by default what ``write`` returns), what
         the reader returns for those bytes."""
         with atomic_write(path, hashed=True) as handle:
             held = write(handle)
-        self[key] = (written[path] + on, held if obj is None else obj)
+        self[key] = (written[path], held if obj is None else obj)
 
-    def load(self, key: str, path: Path, reader: Callable, on: str = ""):
+    def load(self, key: str, path: Path, reader: Callable):
         """``reader`` of the text file at ``path``, parsed only when the store
         holds nothing under its digest.
 
-        When the store holds an object for ``key``, the file is first hashed a
-        mebibyte at a time, so a hit never holds the whole file. Otherwise the
-        whole file is read and those bytes hashed and parsed, so a file
+        The file is read a buffer at a time, through a ``_HashingFile``, so
+        the whole file is never held. When the store holds an object for
+        ``key``, the file is hashed first. On a miss the reader parses it as
+        it is hashed, and the rest the reader left is hashed after, so a file
         replaced meanwhile is never stored under another content's digest.
         The caller gets a shallow copy of the stored object, so it cannot
         rebind the stored one's fields.
         """
-        held = self.get(key)
-        if held is not None:
-            sha256, block = hashlib.sha256(), bytearray(1 << 20)
-            with resolve_uri(path, "rb") as handle:
-                while size := handle.readinto(block):
-                    sha256.update(memoryview(block)[:size])
-            if sha256.hexdigest() + on == held[0]:
-                return copy.copy(held[1])
         with resolve_uri(path, "rb") as handle:
-            data = handle.read()
-        digest = hashlib.sha256(data).hexdigest() + on
-        if self.get(key, ("",))[0] != digest:
-            self.pop(key, None)  # free the old object before parsing the new one
-            stream = io.BytesIO(data)
-            stream.name = str(path)  # errors name the file, not the stream
-            self[key] = (digest, reader(io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")))
-        return copy.copy(self[key][1])
+            raw, block = _HashingFile(handle.raw), bytearray(1 << 18)
+            if key in self:
+                while raw.readinto(block):
+                    pass
+                if raw.sha256.hexdigest() == self[key][0]:
+                    return copy.copy(self[key][1])
+                del self[key]  # free the old object before parsing the new one
+                handle.raw.seek(0)
+                raw.sha256 = hashlib.sha256()
+            stream = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
+            obj = reader(stream)
+            while raw.readinto(block):  # the rest the reader left
+                pass
+            self[key] = (raw.sha256.hexdigest(), obj)
+        return copy.copy(obj)

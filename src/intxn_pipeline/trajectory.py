@@ -19,13 +19,12 @@ distance estimate, computing the exact distance only for the hits that can
 be nearest.
 
 The trajectories are one ``TrajectoryTable``, keyed by (subj, drive) like
-the sensor and detection tables. A row is one (drive, intersection) pass:
-its intersection, its approach leg, and three rows of the study's sensor
-table, the reference point and the first and one-past-last rows of the
-window. Times, the reference odometer and the point count follow from the
-sensor columns. Extraction picks all references with array operations,
-``trajectories.csv`` is written from and read into columns, and the clip
-and review-template stages take the table as it is.
+the sensor and detection tables. A row is one (drive, intersection) pass
+as ``trajectories.csv`` states it: its intersection, its approach leg, and
+the times of its reference point and of its window's first and last
+points. So it is read from the file alone, and the review template takes
+it as it is; ``windows`` cuts each pass's rows from a sensor table by
+those times, for the file's odometer and point count and the clip times.
 """
 
 from __future__ import annotations
@@ -83,42 +82,60 @@ TRAJECTORY_COLUMNS = (
     "n_points",
 )
 
-# A row of the sensor table; held by the trajectory table, never in a file.
-_ROW = (np.int64, None, None, None)
-
 
 @dataclass(eq=False)
 class TrajectoryTable(_Table):
     """Entering passes sorted by (subj, drive, intxn_id), each named by its
     traj_id ``<subj>_<drive>_<intxn_id>``.
 
-    ``ref``, ``start`` and ``stop`` are rows of ``sensor`` in the pass's
-    drive: its reference point, and its window ``start:stop``.
+    ``ref_us`` is the time of its reference point, ``start_us`` and ``end_us``
+    those of its window's first and last points, in epoch microseconds.
     """
 
-    COLUMNS = {"intxn_id": _INT64, "leg_id": _INT64, "ref": _ROW, "start": _ROW, "stop": _ROW}
+    COLUMNS = {
+        "intxn_id": _INT64, "leg_id": _INT64, "ref_us": _TIME, "start_us": _TIME, "end_us": _TIME
+    }
     SORT = ("intxn_id",)
     HEADER = TRAJECTORY_COLUMNS
     CLEAN_CHECKED = ()
 
     intxn_id: np.ndarray
     leg_id: np.ndarray
-    ref: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
-    sensor: SensorTable
+    ref_us: np.ndarray
+    start_us: np.ndarray
+    end_us: np.ndarray
 
     @classmethod
     def kinds(cls) -> dict[str, tuple | None]:
-        # The reader cuts each window by its times, which fix the other two.
-        times = dict.fromkeys(("ref_time_utc", "start_time_utc", "end_time_utc"), _TIME)
-        return {
-            "traj_id": _TEXT, "subj": _KEY, "drive": _KEY, "intxn_id": _INT64, "leg_id": _INT64,
-            **times, "ref_cum_dist_ft": None, "n_points": None,
-        }
+        # The odometer and point count follow from the sensor table.
+        return dict(zip(cls.HEADER, (_TEXT, _KEY, _KEY, *cls.COLUMNS.values(), None, None)))
 
     def traj_ids(self) -> list[str]:
         return [f"{s}_{d}_{i}" for s, d, i in zip(*self.key_texts(), self.intxn_id.tolist())]
+
+
+def windows(trajs: TrajectoryTable, sensor: SensorTable) -> tuple[np.ndarray, ...]:
+    """Each trajectory's reference row of ``sensor`` and its window's first
+    and one-past-last rows: those of its drive from its start to its end
+    time. One ``search_runs`` finds all three, the reference in the whole
+    drive. Raises DataError for the first trajectory, in table order, whose
+    drive is not in ``sensor``, whose window holds no row, or whose
+    reference time is no row's time in its window."""
+    drive = sensor.drive_index(trajs.keys)[trajs.codes()]
+    found = drive >= 0
+    bounds, t_us = np.array(sensor.offsets), sensor.t_us
+    first, end = (np.where(found, bounds[drive + k], 0) for k in (0, 1))
+    # Times are integers, so the first row after end_us is the first at end_us + 1 or later.
+    times = np.concatenate([trajs.start_us, trajs.end_us + 1, trajs.ref_us])
+    start, stop, ref = np.split(search_runs(t_us, np.tile(first, 3), np.tile(end, 3), times), 3)
+    hit = (start <= ref) & (ref < stop)
+    hit[hit] = t_us[ref[hit]] == trajs.ref_us[hit]
+    problem = np.select([~found, start >= stop, ~hit], [1, 2, 3])
+    if len(bad := np.flatnonzero(problem)):
+        k = int(bad[0])
+        reason = ("no sensor data", "empty window", "reference time not in window")[problem[k] - 1]
+        raise DataError(f"{reason} for trajectory {trajs[k : k + 1].traj_ids()[0]}")
+    return ref, start, stop
 
 
 def _entering_bearings(reviewed: ReviewedSet) -> np.ndarray:
@@ -193,14 +210,15 @@ def extract_trajectories(
     """
     params = params or WindowParams()
     leg, row = _leg_hits(sensor, reviewed, params.heading_tol_deg)
-    # Ids of the legs with hits only, so an id beyond int64 fails only there.
-    used, entry = np.unique(leg, return_inverse=True)
+    # Each hit's leg as its index among the legs with hits, the only legs
+    # whose ids are taken, so an id beyond int64 fails only there.
+    used, leg = np.unique(leg, return_inverse=True)
+    at = reviewed.owner[used]
     try:
-        ids = np.array([reviewed.intxn_id[i] for i in reviewed.owner[used].tolist()], np.int64)
+        ids = np.array([reviewed.intxn_id[i] for i in at.tolist()], np.int64)
         legs = np.array([reviewed.leg_id[k] for k in used.tolist()], np.int64)
     except OverflowError as exc:
         raise DataError("intersection and leg ids must lie in the int64 range") from exc
-    ids, legs, at = ids[entry], legs[entry], reviewed.owner[leg]
     bounds = np.array(sensor.offsets)
     drive = np.searchsorted(bounds, row, "right") - 1
     t = to_seconds(sensor.t_us[row])
@@ -213,13 +231,13 @@ def extract_trajectories(
     starts = np.flatnonzero(split)
     # The exact distance only where it can pick the reference; +inf elsewhere.
     dist = nearest_distances_ft(
-        sensor.lat[row], sensor.lon[row], reviewed.lat[at], reviewed.lon[at],
+        sensor.lat[row], sensor.lon[row], reviewed.lat[at][leg], reviewed.lon[at][leg],
         np.append(starts, len(row)),
     )
     refs = np.lexsort((row, t, dist, visit))[starts]
 
     # Per (drive, intersection), the earliest visit.
-    drive, ids, t, legs, ref = drive[refs], ids[refs], t[refs], legs[refs], row[refs]
+    drive, t, ref, ids, legs = drive[refs], t[refs], row[refs], ids[leg[refs]], legs[leg[refs]]
     order = np.lexsort((ref, legs, t, ids, drive))
     drives, intxn_ids = drive[order], ids[order]
     first = np.ones(len(order), dtype=bool)
@@ -227,42 +245,41 @@ def extract_trajectories(
     pick = order[first]
     drive, ref = drive[pick], ref[pick]
 
-    cum, first, end = sensor.cum, bounds[drive], bounds[drive + 1]
+    cum, t_us, first, end = sensor.cum, sensor.t_us, bounds[drive], bounds[drive + 1]
     lo = cum[ref] - params.upstream_ft
     hi = cum[ref] + params.downstream_ft
     truncated = (cum[first] > lo) | (cum[end - 1] < hi)
-    table = TrajectoryTable._grouped(
-        *_sorted_keys(sensor.keys, drive), ids[pick], legs[pick], ref,
-        search_runs(cum, first, end, lo), search_runs(cum, first, end, hi, "right"), sensor=sensor,
-    )
+    start, stop = search_runs(cum, first, end, lo), search_runs(cum, first, end, hi, "right")
+    columns = ids[pick], legs[pick], t_us[ref], t_us[start], t_us[stop - 1]
+    table = TrajectoryTable._grouped(*_sorted_keys(sensor.keys, drive), *columns)
     return table, {"duplicate_pass": len(refs) - len(pick), "truncated": int(truncated.sum())}
 
 
-def write_trajectories_csv(trajs: TrajectoryTable, dest: str | Path | IO) -> None:
-    t_us, cum = trajs.sensor.t_us, trajs.sensor.cum
-    ref_cum = _float_renderer(repr, cum[trajs.ref])
+def write_trajectories_csv(trajs: TrajectoryTable, sensor: SensorTable, dest: str | Path | IO):
+    """Write ``trajs``, each window's reference odometer and size from ``windows`` in ``sensor``."""
+    ref, start, stop = windows(trajs, sensor)
+    ref_cum, n_points = sensor.cum[ref], stop - start
+    render_cum = _float_renderer(repr, ref_cum)
+    done = 0  # the rows rendered before the part
 
     def render(part: TrajectoryTable) -> list:
+        nonlocal done
+        rows, done = slice(done, done + len(part)), done + len(part)
         return [
             part.traj_ids(),
             *part.key_texts(),
             *(list(map(str, ids.tolist())) for ids in (part.intxn_id, part.leg_id)),
-            *(_time_texts(t_us[rows]) for rows in (part.ref, part.start, part.stop - 1)),
-            ref_cum(cum[part.ref]),
-            list(map(str, (part.stop - part.start).tolist())),
+            *(_time_texts(t) for t in (part.ref_us, part.start_us, part.end_us)),
+            render_cum(ref_cum[rows]),
+            list(map(str, n_points[rows].tolist())),
         ]
 
     write_csv(dest, TRAJECTORY_COLUMNS, trajs.chunks(render))
 
 
-def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> TrajectoryTable:
-    """Rebuild trajectory windows from the summary CSV plus the sensor table.
-
-    The window is the time span [start, end] of the drive, which delimits
-    the same contiguous point run the extractor produced. Raises DataError
-    for the first row, in file order, that does not parse, or whose drive
-    is not in ``sensor``, whose window holds no row, whose reference time
-    is not a time in its window, or whose traj_id is not
+def load_trajectories_csv(source: str | Path | IO) -> TrajectoryTable:
+    """The trajectory table of a summary CSV. Raises DataError for the first
+    row, in file order, that does not parse, or whose traj_id is not
     ``<subj>_<drive>_<intxn_id>``.
     """
 
@@ -272,31 +289,9 @@ def load_trajectories_csv(source: str | Path | IO, sensor: SensorTable) -> Traje
     named = _parse_csv([source], TrajectoryTable, False, bad_row)
     keys, key = _sorted_keys(named["keys"], named["key"])
     intxn_id = named["intxn_id"]
-    codes = sensor.drive_index(keys)[key]
-    problem = np.where(codes < 0, 1, 0)
-
-    found = np.flatnonzero(codes >= 0)
-    bounds, t_us = np.array(sensor.offsets), sensor.t_us
-    first, end = bounds[codes[found]], bounds[codes[found] + 1]
-    start_us, end_us, ref_us = (named[n][found] for n in ("start_time_utc", "end_time_utc", "ref_time_utc"))
-    left, right = search_runs(t_us, first, end, start_us), search_runs(t_us, first, end, end_us, "right")
-    at = search_runs(t_us, left, right, ref_us)
-    problem[found] = np.select(
-        [left >= right, (at == right) | (t_us[np.minimum(at, len(t_us) - 1)] != ref_us)], [2, 3]
-    )
-    ids = named["traj_id"]
     expected = ["%s_%s_%s" % (*keys[k], i) for k, i in zip(key.tolist(), intxn_id.tolist())]
-    renamed = np.array([a != b for a, b in zip(ids, expected)], dtype=bool)
-    problem[(problem == 0) & renamed] = 4
-    bad = np.flatnonzero(problem)
-    if len(bad):
-        k = int(bad[0])
-        raise DataError(
-            (
-                f"no sensor data for trajectory {ids[k]}",
-                f"empty window for trajectory {ids[k]}",
-                f"reference time not in window for trajectory {ids[k]}",
-                f"trajectory id {ids[k]!r} is not {expected[k]!r}",
-            )[problem[k] - 1]
-        )
-    return TrajectoryTable._sorted(keys, key, intxn_id, named["leg_id"], at, left, right, sensor=sensor)
+    for traj_id, name in zip(named["traj_id"], expected):
+        if traj_id != name:
+            raise DataError(f"trajectory id {traj_id!r} is not {name!r}")
+    times = (named[n] for n in ("ref_time_utc", "start_time_utc", "end_time_utc"))
+    return TrajectoryTable._sorted(keys, key, intxn_id, named["leg_id"], *times)

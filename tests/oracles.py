@@ -14,7 +14,8 @@ back. ``old_build_clip_specs`` matches videos and interpolates overlay
 times one trajectory at a time with ``datetime`` arithmetic, from the
 trajectories as ``trajectory_rows`` gives them and the videos as
 ``video_rows`` gives them, as ``clips.build_clip_specs`` did before it
-worked on columns.
+worked on columns. ``trajectories_of`` builds a trajectory table from
+windows given as sensor rows.
 
 ``old_parse_kml_features`` reads a KML one placemark and one coordinate
 tuple at a time, as ``review.parse_kml_features`` did before it read all
@@ -65,7 +66,7 @@ import operator
 import shlex
 import types
 import xml.etree.ElementTree as ET
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
@@ -91,6 +92,7 @@ from intxn_pipeline.geo import (
 from intxn_pipeline.ingest import EPOCH
 from intxn_pipeline.review import CONTROL_TYPES, TRUE_FOLDER, reviewed_from_json
 from intxn_pipeline.storage import resolve_uri
+from intxn_pipeline.trajectory import TrajectoryTable
 
 
 def row_tuples(table) -> list[tuple]:
@@ -216,21 +218,36 @@ def video_rows(videos) -> list[OldVideo]:
     ]
 
 
-def trajectory_rows(trajs) -> list[types.SimpleNamespace]:
+def trajectories_of(sensor, rows):
+    """The ``trajectory.TrajectoryTable`` of passes given as (subj, drive,
+    intxn_id, leg_id, ref, start, stop), with rows of ``sensor``: each
+    holds the times of its reference and of its window's first and last row."""
+    t_us = sensor.t_us.tolist()
+    times = [(*row[:4], t_us[row[4]], t_us[row[5]], t_us[row[6] - 1]) for row in rows]
+    return table_of(TrajectoryTable, times)
+
+
+def trajectory_rows(trajs, sensor) -> list[types.SimpleNamespace]:
     """Each row of a ``trajectory.TrajectoryTable`` with the fields the
-    per-trajectory code read: its window ``points``, a slice of the sensor
-    table, the reference's index in it and the window's times."""
-    t_us, ids = trajs.sensor.t_us, trajs.traj_ids()
-    rows = zip(row_tuples(trajs), ids)
-    return [
-        types.SimpleNamespace(
+    per-trajectory code read: its window ``points``, the slice of
+    ``sensor`` from its start time to its end time, each bisected in its
+    drive's times, the reference's index in it and the window's times."""
+    found = []
+    for (subj, drive, intxn_id, _, ref_us, start_us, end_us), traj_id in zip(
+        row_tuples(trajs), trajs.traj_ids()
+    ):
+        d = sensor.keys.index((subj, drive))
+        first = sensor.offsets[d]
+        t_us = sensor.t_us[first : sensor.offsets[d + 1]].tolist()
+        points = sensor[first + bisect_left(t_us, start_us) : first + bisect_right(t_us, end_us)]
+        ref = points.t_us.tolist().index(ref_us)
+        found.append(types.SimpleNamespace(
             traj_id=traj_id, subj=subj, drive=drive, intxn_id=intxn_id,
-            points=trajs.sensor[start:stop], ref_index=ref - start,
-            ref_cum_dist_ft=float(trajs.sensor.cum[ref]), ref_time_utc=from_us(t_us[ref]),
-            start_time_utc=from_us(t_us[start]), end_time_utc=from_us(t_us[stop - 1]),
-        )
-        for (subj, drive, intxn_id, _, ref, start, stop), traj_id in rows
-    ]
+            points=points, ref_index=ref, ref_cum_dist_ft=float(points.cum[ref]),
+            ref_time_utc=from_us(ref_us), start_time_utc=from_us(points.t_us[0]),
+            end_time_utc=from_us(points.t_us[-1]),
+        ))
+    return found
 
 
 def old_distance_crossing_time(points, target):

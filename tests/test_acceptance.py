@@ -36,7 +36,7 @@ from intxn_pipeline.review import (
     read_demographics,
 )
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import extract_trajectories
+from intxn_pipeline.trajectory import extract_trajectories, windows
 
 _SUITE_START = time.perf_counter()
 
@@ -169,7 +169,7 @@ def test_criterion_4_trajectory_windows(scenario, clean, trajectories):
         gt = scenario.ground_truth
         assert len(trajectories) == len(gt.trajectories)
         cum, t_us = sensor.cum, sensor.t_us
-        rows = (c.tolist() for c in (trajectories.ref, trajectories.start, trajectories.stop))
+        rows = (c.tolist() for c in windows(trajectories, sensor))
         for ref, start, stop in zip(*rows):
             window = cum[start:stop]
             assert ((cum[ref] - 300.0 <= window) & (window <= cum[ref] + 200.0)).all()
@@ -182,10 +182,11 @@ def test_criterion_4_trajectory_windows(scenario, clean, trajectories):
         assert len(reversed_trajs) == 0
 
 
-def test_criterion_5_clip_timing_oracle(scenario, trajectories):
+def test_criterion_5_clip_timing_oracle(scenario, clean, trajectories):
     with criterion(5, "clip timing oracle"):
+        sensor, _ = clean
         videos = read_videos_csv(scenario.paths["videos"])
-        cut, report = build_clip_specs(trajectories, videos)
+        cut, report = build_clip_specs(trajectories, sensor, videos)
         assert not report["unclippable"]
         assert len(cut) == len(trajectories)
         assert (np.abs(cut.overlay_on_s - 3.0) <= SAMPLE_PERIOD_S).all()
@@ -200,7 +201,7 @@ def test_criterion_5_clip_timing_oracle(scenario, trajectories):
 
 def test_criterion_6_round_trip_fidelity(scenario, clean, tmp_path, trajectories):
     with criterion(6, "round-trip fidelity"):
-        _, detections = clean
+        sensor, detections = clean
         network = load_network_geojson(scenario.paths["network"])
         candidates = extract_lrs_candidates(network)
         visited, _ = match_clusters(*cluster_detections(last_in_runs(detections)), candidates)
@@ -213,7 +214,7 @@ def test_criterion_6_round_trip_fidelity(scenario, clean, tmp_path, trajectories
             assert abs(lon - v.pos.lon_deg) <= 1e-6
 
         videos = read_videos_csv(scenario.paths["videos"])
-        cut, _ = build_clip_specs(trajectories, videos)
+        cut, _ = build_clip_specs(trajectories, sensor, videos)
         cutlist_path = tmp_path / "cutlist.json"
         emit_cutlist(cut, cutlist_path)
         restored = parse_cutlist(cutlist_path)

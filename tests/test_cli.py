@@ -141,7 +141,6 @@ PREREQUISITES = [
     ("clips", "clean_sensor", "out/clean_sensor.csv", "clean"),
     ("clips", "videos", "videos.csv", None),
     ("template", "trajectories", "out/trajectories.csv", "traj"),
-    ("template", "clean_sensor", "out/clean_sensor.csv", "clean"),
     ("template", "cutlist", "out/cutlist.json", "clips"),
     ("template", "demographics", "demographics.csv", None),
 ]
@@ -182,6 +181,23 @@ def test_missing_prerequisite_names_file(
         assert f"(produced by `intxn-pipeline {produced_by}`)" in err
     else:
         assert "produced by" not in err
+
+
+def test_template_reads_no_clean_sensor_table(finished_study, tmp_path):
+    # A fresh process, so nothing is held from the run that wrote the study.
+    ws = shutil.copytree(finished_study, tmp_path / "study")
+    names = ("review_template.csv", "review_template.validation.json")
+    outputs = [ws / "out" / name for name in names]
+    before = [path.read_bytes() for path in outputs]
+    for path in outputs:
+        path.unlink()
+    (ws / "out" / "clean_sensor.csv").unlink()
+    env = dict(os.environ, PYTHONPATH=str(Path(intxn_pipeline.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-m", "intxn_pipeline.cli", "template", "--config", ws / "pipeline.json"],
+        check=True, env=env, stdout=subprocess.DEVNULL, timeout=120,
+    )
+    assert [path.read_bytes() for path in outputs] == before
 
 
 def test_run_all_completes_with_reviewed_kml(workspace, capsys):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ClipSpec, clip_specs, cutlist_of, old_emit_cutlist, reviewed_set, table_of
+from oracles import (
+    ClipSpec, clip_specs, cutlist_of, old_emit_cutlist, reviewed_set, table_of, trajectories_of,
+)
 from test_trajectory import T0, northbound_drive, northbound_intersection, pt
 
 from intxn_pipeline.clips import (
@@ -25,16 +27,17 @@ from intxn_pipeline.clips import (
 from intxn_pipeline.errors import DataError, HeaderMismatchError
 from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.review import read_demographics
-from intxn_pipeline.trajectory import TrajectoryTable, extract_trajectories
+from intxn_pipeline.trajectory import extract_trajectories
 
 A_MP4 = "file:///videos/a.mp4"
 
 
 def _trajs(sensor=None, intxns=None):
-    sensor = sensor if sensor is not None else northbound_drive()
+    """The trajectory table and the sensor table its windows are cut from."""
+    sensor = table_of(SensorTable, sensor if sensor is not None else northbound_drive())
     intxns = intxns if intxns is not None else [northbound_intersection()]
-    trajs, _ = extract_trajectories(table_of(SensorTable, sensor), reviewed_set(intxns))
-    return trajs
+    trajs, _ = extract_trajectories(sensor, reviewed_set(intxns))
+    return trajs, sensor
 
 
 def videos(*spans):
@@ -48,7 +51,7 @@ def videos(*spans):
 
 
 def test_match_video_containment():
-    cut, report = build_clip_specs(_trajs(), videos())  # spans T0+4 .. T0+14
+    cut, report = build_clip_specs(*_trajs(), videos())  # spans T0+4 .. T0+14
     assert cut.source_uri == [A_MP4]
     assert report == {"unclippable": [], "warnings": []}
 
@@ -56,7 +59,7 @@ def test_match_video_containment():
 def test_match_video_straddling_files_picks_ref_file():
     # Neither file holds T0+4 .. T0+14; the second holds the ref at T0+10.
     split = videos((0.0, 8.0, "file:///videos/part1.mp4"), (8.0, 600.0, "file:///videos/part2.mp4"))
-    cut, report = build_clip_specs(_trajs(), split)
+    cut, report = build_clip_specs(*_trajs(), split)
     assert cut.source_uri == ["file:///videos/part2.mp4"]
     assert (cut.in_offset_s[0], cut.duration_s[0]) == (0.0, 6.0)  # T0+8 .. T0+14
     assert report["warnings"] == [{"traj_id": "A_1_4", "warning": "spans_files"}]
@@ -69,7 +72,7 @@ def test_match_video_no_coverage_raises():
     vids = VideoTable.from_columns(
         ["A", "A"], [1, 2], window[0::2], window[1::2], [30.0, 30.0], [A_MP4, "file:///videos/b.mp4"]
     )
-    cut, report = build_clip_specs(_trajs(), vids)
+    cut, report = build_clip_specs(*_trajs(), vids)
     assert len(cut) == 0
     assert report == {
         "unclippable": [{"traj_id": "A_1_4", "reason": "no_covering_video"}],
@@ -80,13 +83,13 @@ def test_match_video_no_coverage_raises():
 def test_crossing_time_constant_speed():
     # 50 ft/s from T0+4: the ref (cum 500) at 6 s, cum 375 at 3.5 s, cum 575 at 7.5 s.
     overlay = OverlayParams(on_upstream_ft=125.0, off_downstream_ft=75.0)
-    cut, _ = build_clip_specs(_trajs(), videos(), overlay)
+    cut, _ = build_clip_specs(*_trajs(), videos(), overlay)
     assert (cut.overlay_on_s.tolist(), cut.overlay_off_s.tolist()) == ([3.5], [7.5])
 
 
 def test_crossing_time_at_knot_returns_sample_time():
     # Cum 350 is the sample at T0+7, 3 s into the clip.
-    cut, _ = build_clip_specs(_trajs(), videos())
+    cut, _ = build_clip_specs(*_trajs(), videos())
     assert cut.overlay_on_s.tolist() == [3.0]
 
 
@@ -97,16 +100,16 @@ def test_crossing_time_flat_segment_resolves_earliest():
         for s, cum in ((0, 0.0), (1, 100.0), (2, 100.0), (3, 100.0), (4, 200.0))
     ]
     sensor = table_of(SensorTable, points)
-    trajs = TrajectoryTable.from_columns(["A"], [1], [4], [1], [2], [0], [5], sensor=sensor)
+    trajs = trajectories_of(sensor, [("A", 1, 4, 1, 2, 0, 5)])
     overlay = OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
-    cut, _ = build_clip_specs(trajs, videos(), overlay)
+    cut, _ = build_clip_specs(trajs, sensor, videos(), overlay)
     assert (cut.overlay_on_s.tolist(), cut.overlay_off_s.tolist()) == ([1.0], [1.0])
 
 
 def test_clip_specs_constant_speed_oracle():
     # Closed form at 50 ft/s: overlay on (300-150)/50 = 3 s into the clip,
     # off (300+50)/50 = 7 s, duration 500/50 = 10 s.
-    cut, report = build_clip_specs(_trajs(), videos())
+    cut, report = build_clip_specs(*_trajs(), videos())
     assert not report["unclippable"] and not report["warnings"]
     (spec,) = clip_specs(cut)
     assert spec.in_offset_s == pytest.approx(4.0)
@@ -120,7 +123,7 @@ def test_clip_specs_truncated_window_clamps_overlay_on():
     # Junction 100 ft into the drive: only 100 ft of upstream history, so
     # the 150-ft overlay target precedes the clip and clamps to 0.
     trajs = _trajs(intxns=[northbound_intersection(junction_north_ft=100.0, length_ft=100.0)])
-    cut, _ = build_clip_specs(trajs, videos())
+    cut, _ = build_clip_specs(*trajs, videos())
     assert cut.overlay_on_s[0] == 0.0
     assert cut.overlay_off_s[0] == pytest.approx(3.0)  # (100+50)/50
 
@@ -128,14 +131,14 @@ def test_clip_specs_truncated_window_clamps_overlay_on():
 def test_clip_specs_degenerate_overlay_distances():
     trajs = _trajs()
     cut, _ = build_clip_specs(
-        trajs, videos(), OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
+        *trajs, videos(), OverlayParams(on_upstream_ft=0.0, off_downstream_ft=0.0)
     )
     (spec,) = clip_specs(cut)
     assert spec.overlay_on_s == spec.overlay_off_s == pytest.approx(6.0)  # ref at 300/50
 
 
 def test_clip_specs_unclippable_reported():
-    cut, report = build_clip_specs(_trajs(), videos((100.0, 200.0, A_MP4)))
+    cut, report = build_clip_specs(*_trajs(), videos((100.0, 200.0, A_MP4)))
     assert len(cut) == 0
     assert report["unclippable"] == [{"traj_id": "A_1_4", "reason": "no_covering_video"}]
 
@@ -143,7 +146,7 @@ def test_clip_specs_unclippable_reported():
 def test_clip_shorter_than_the_cut_list_holds_is_unclippable():
     # 0.3 ms of video at the reference time: the cut-list's three decimals
     # would write its duration as 0.000, which parse_cutlist rejects.
-    cut, report = build_clip_specs(_trajs(), videos((9.9997, 10.0, A_MP4)))
+    cut, report = build_clip_specs(*_trajs(), videos((9.9997, 10.0, A_MP4)))
     assert len(cut) == 0
     assert report["unclippable"] == [{"traj_id": "A_1_4", "reason": "empty_overlap"}]
 
@@ -151,14 +154,14 @@ def test_clip_shorter_than_the_cut_list_holds_is_unclippable():
 def test_clip_fits_in_source_invariant():
     trajs = _trajs()
     vid = videos()
-    cut, _ = build_clip_specs(trajs, vid)
+    cut, _ = build_clip_specs(*trajs, vid)
     assert len(cut) == 1 and (cut.in_offset_s >= 0.0).all()
     video_duration = (vid.end_us[0] - vid.t_us[0]) / 1e6
     assert (cut.in_offset_s + cut.duration_s <= video_duration + 1e-9).all()
 
 
 def test_emit_cutlist_roundtrip_lossless(tmp_path):
-    cut, _ = build_clip_specs(_trajs(), videos())
+    cut, _ = build_clip_specs(*_trajs(), videos())
     json_path = tmp_path / "cutlist.json"
     script_path = tmp_path / "cutlist.sh"
     emit_cutlist(cut, json_path, script_path)
@@ -228,7 +231,7 @@ def test_emit_cutlist_two_specs_same_source(tmp_path):
         northbound_intersection(intxn_id=2, junction_north_ft=500.0),
         northbound_intersection(intxn_id=9, junction_north_ft=1500.0),
     ]
-    cut, _ = build_clip_specs(_trajs(sensor, intxns), videos())
+    cut, _ = build_clip_specs(*_trajs(sensor, intxns), videos())
     json_path = tmp_path / "cutlist.json"
     script_path = tmp_path / "cutlist.sh"
     emit_cutlist(cut, json_path, script_path)
@@ -241,7 +244,7 @@ def test_emit_cutlist_two_specs_same_source(tmp_path):
 def test_emit_cutlist_deterministic_bytes(tmp_path):
     sensor = northbound_drive(n=41)
     intxns = [northbound_intersection(i, north) for i, north in ((9, 500.0), (10, 1500.0))]
-    cut, _ = build_clip_specs(_trajs(sensor, intxns), videos())
+    cut, _ = build_clip_specs(*_trajs(sensor, intxns), videos())
     assert cut.traj_id == ["A_1_10", "A_1_9"]  # traj_id order, not the table's
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     emit_cutlist(cut, p1)

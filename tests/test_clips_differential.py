@@ -22,6 +22,7 @@ from oracles import (
     old_emit_cutlist,
     row_tuples,
     table_of,
+    trajectories_of,
     trajectory_rows,
     video_rows,
 )
@@ -39,14 +40,16 @@ from intxn_pipeline.clips import (
 from intxn_pipeline.ingest import SensorTable, clean_sensor, to_us
 from intxn_pipeline.review import import_reviewed_kml
 from intxn_pipeline.synth import ScenarioSpec, generate
-from intxn_pipeline.trajectory import TrajectoryTable, extract_trajectories
+from intxn_pipeline.trajectory import extract_trajectories
 
 
-def assert_clips_are_the_oracles(trajs, vids, overlay=None) -> dict:
-    """Check the cut-list, report and files against the oracle's; returns the report."""
+def assert_clips_are_the_oracles(cut_from, vids, overlay=None) -> dict:
+    """Check the cut-list, report and files of the trajectories of
+    ``cut_from``, with the sensor table they are cut from, against the
+    oracle's; returns the report."""
     overlay = overlay or OverlayParams()
-    cut, report = build_clip_specs(trajs, vids, overlay)
-    specs, old_report = old_build_clip_specs(trajectory_rows(trajs), video_rows(vids), overlay)
+    cut, report = build_clip_specs(*cut_from, vids, overlay)
+    specs, old_report = old_build_clip_specs(trajectory_rows(*cut_from), video_rows(vids), overlay)
     assert report == old_report
     assert clip_specs(cut) == sorted(specs, key=lambda spec: spec.traj_id)
     assert cut == cutlist_of(specs)
@@ -64,7 +67,7 @@ def _flat_segment_trajs():
         for s, cum in ((0, 0.0), (1, 100.0), (2, 100.0), (3, 100.0), (4, 200.0))
     ]
     sensor = table_of(SensorTable, points)
-    return TrajectoryTable.from_columns(["A"], [1], [4], [1], [2], [0], [5], sensor=sensor)
+    return trajectories_of(sensor, [("A", 1, 4, 1, 2, 0, 5)]), sensor
 
 
 def _other_drive_videos():
@@ -109,7 +112,7 @@ def study(tmp_path_factory):
     sensor = clean_sensor([str(p) for p in scenario.paths["sensor_files"]])[0]
     reviewed = import_reviewed_kml(scenario.paths["reviewed_kml"])[0]
     trajs = extract_trajectories(sensor, reviewed)[0]
-    return trajs, read_videos_csv(scenario.paths["videos"])
+    return (trajs, sensor), read_videos_csv(scenario.paths["videos"])
 
 
 def _whole(k, row, ref):
@@ -145,14 +148,13 @@ EDITS = {
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_synth_clips_are_the_oracles(study, edit):
-    trajs, vids = study
+    (trajs, sensor), vids = study
     change, expected = EDITS[edit]
-    t_ref = trajs.sensor.t_us[trajs.ref]
-    first_ref = {key: int(t_ref[at]) for key, at in zip(trajs.keys, trajs.offsets)}
+    first_ref = {key: int(trajs.ref_us[at]) for key, at in zip(trajs.keys, trajs.offsets)}
     rows = []
     for k, row in enumerate(row_tuples(vids)):
         ref = first_ref.get(row[:2])  # None for a drive without trajectories
         rows += [row] if ref is None else change(k, row, ref)
-    report = assert_clips_are_the_oracles(trajs, table_of(VideoTable, rows))
+    report = assert_clips_are_the_oracles((trajs, sensor), table_of(VideoTable, rows))
     found = {r["reason"] for r in report["unclippable"]} | {w["warning"] for w in report["warnings"]}
     assert found == expected

@@ -52,6 +52,7 @@ from intxn_pipeline.trajectory import (
     LEG_CELL_FT,
     WindowParams,
     extract_trajectories,
+    windows,
 )
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def brute_extract_trajectories(sensor, reviewed, params):
 def assert_same_trajectories(sensor, reviewed, params):
     trajs, skips = extract_trajectories(sensor, reviewed_set(reviewed), params)
     expected, expected_skips = brute_extract_trajectories(row_tuples(sensor), reviewed, params)
-    columns = (c.tolist() for c in (trajs.leg_id, trajs.ref, trajs.start, trajs.stop))
+    columns = (c.tolist() for c in (trajs.leg_id, *windows(trajs, sensor)))
     t_us = sensor.t_us.tolist()
     got = [
         (traj_id, leg_id, ref - start, t_us[ref], row_tuples(sensor[start:stop]))

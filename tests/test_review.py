@@ -25,7 +25,7 @@ from test_synth_differential import BENCH_SPECS
 
 from intxn_pipeline.errors import DataError, KmlParseError
 from intxn_pipeline.geo import FT_PER_DEG, GeoPoint
-from intxn_pipeline.ingest import SensorTable, to_us
+from intxn_pipeline.ingest import to_us
 from intxn_pipeline.review import (
     LINE_EDGE_MATCH_FT,
     POLYGON_MATCH_FT,
@@ -491,8 +491,7 @@ def test_reviewed_json_coordinates_must_be_numbers_in_range(lat):
 def _trajs(n=1):
     """A trajectory table holding trajectory A_1_4, referenced at 12:00:30, n times."""
     t = to_us(datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc))
-    sensor = SensorTable.from_columns(["A"], [1], [t], [LAT0], [LON0], [0.0], [0.0], [0.0])
-    return TrajectoryTable.from_columns(*([v] * n for v in ("A", 1, 4, 1, 0, 0, 1)), sensor=sensor)
+    return TrajectoryTable.from_columns(*([v] * n for v in ("A", 1, 4, 1, t, t, t)))
 
 
 def _clip(traj_id="A_1_4", overlay_on_s=3.0):
@@ -574,8 +573,7 @@ def test_read_demographics(tmp_path):
 
 def test_review_csv_reads_back_a_subject_with_a_carriage_return():
     t = to_us(datetime(2019, 5, 1, 12, 0, 30, tzinfo=timezone.utc))
-    sensor = SensorTable.from_columns(["A\rB"], [1], [t], [LAT0], [LON0], [0.0], [0.0], [0.0])
-    trajs = TrajectoryTable.from_columns(["A\rB"], [1], [4], [1], [0], [0], [1], sensor=sensor)
+    trajs = TrajectoryTable.from_columns(["A\rB"], [1], [4], [1], [t], [t], [t])
     columns, _, _ = build_review_template(trajs, _clip("A\rB_1_4"), {})
     out = io.StringIO(newline="")
     write_review_csv(columns, [], out)

@@ -101,12 +101,11 @@ STREAM_CASES = {
     "trajectory.write_trajectories_csv": (
         None,
         lambda s, ws: trajectory.write_trajectories_csv(
-            trajectory.load_trajectories_csv(ws / "out" / "trajectories.csv", _sensor(ws)), s
+            trajectory.load_trajectories_csv(ws / "out" / "trajectories.csv"), _sensor(ws), s
         ),
     ),
     "trajectory.load_trajectories_csv": (
-        "out/trajectories.csv",
-        lambda s, ws: trajectory.load_trajectories_csv(s, _sensor(ws)),
+        "out/trajectories.csv", lambda s, ws: trajectory.load_trajectories_csv(s)
     ),
     "clips.read_videos_csv": ("videos.csv", lambda s, ws: clips.read_videos_csv(s)),
     # One stream takes both the cut-list and the script.

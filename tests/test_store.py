@@ -23,15 +23,15 @@ from functools import partial
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ClipSpec, cutlist_of, table_of
+from oracles import ClipSpec, cutlist_of, table_of, trajectories_of
 
 import intxn_pipeline
 from intxn_pipeline import cli, clips, discovery, ingest, review, storage, trajectory
 from intxn_pipeline.ingest import SensorTable, to_us
-from intxn_pipeline.trajectory import TrajectoryTable
 
 # Subjects as a raw file may spell them: quotes, commas and line breaks
 # among letters, spaces and any other character.
@@ -122,8 +122,7 @@ def windows(draw):
         for intxn_id in draw(st.lists(st.integers(-5, 2**40), max_size=3, unique=True)):
             left, ref, right = sorted(draw(st.integers(first, stop - 1)) for _ in range(3))
             rows.append((*key, intxn_id, draw(st.integers(0, 9)), ref, left, right + 1))
-    columns = zip(*rows) if rows else [[]] * 7
-    return sensor, TrajectoryTable.from_columns(*columns, sensor=sensor)
+    return sensor, trajectories_of(sensor, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,8 +131,8 @@ def test_stored_trajectories_are_what_their_file_reads_back(case):
     sensor, trajs = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectories.csv"
-        trajectory.write_trajectories_csv(trajs, path)
-        assert trajectory.load_trajectories_csv(path, sensor) == trajs
+        trajectory.write_trajectories_csv(trajs, sensor, path)
+        assert trajectory.load_trajectories_csv(path) == trajs
 
 
 @st.composite
@@ -178,9 +177,7 @@ def test_a_clip_time_prints_alike_rounded_to_the_millisecond(a, b):
 READERS = {
     "clean_sensor": lambda out: ingest.read_clean_sensor(out / "clean_sensor.csv"),
     "clean_cv": lambda out: ingest.read_clean_detections(out / "clean_cv.csv"),
-    "trajectories": lambda out: trajectory.load_trajectories_csv(
-        out / "trajectories.csv", ingest.read_clean_sensor(out / "clean_sensor.csv")
-    ),
+    "trajectories": lambda out: trajectory.load_trajectories_csv(out / "trajectories.csv"),
     "cutlist": lambda out: clips.parse_cutlist(out / "cutlist.json"),
     "reviewed": lambda out: review.load_reviewed_json(out / "reviewed.json"),
     "lrs_candidates": lambda out: storage.read_json(
@@ -285,9 +282,11 @@ def test_a_hand_edited_cutlist_is_parsed_again(study):
 
 
 def test_a_rewritten_sensor_table_invalidates_the_stored_trajectories(study):
+    # The trajectory table holds times only: clips cuts its windows again
+    # from the rewritten table, which is parsed again.
     ws, config = study
     _run(config, "all")
-    before = cli._store["trajectories"][1]
+    trajs, before = cli._store["trajectories"][1], cli._store["clean_sensor"][1]
     sensor_path = ws / "out" / "clean_sensor.csv"
     sensor = ingest.read_clean_sensor(sensor_path)
     cum = sensor.cum * 2
@@ -295,9 +294,11 @@ def test_a_rewritten_sensor_table_invalidates_the_stored_trajectories(study):
     ingest.write_sensor_csv(replace(sensor, cum=cum), sensor_path)
     cutlist = (ws / "out" / "cutlist.json").read_bytes()
     _run(config, "clips")
-    after = cli._store["trajectories"][1]
-    assert after == READERS["trajectories"](ws / "out") != before
-    assert after.sensor.cum[after.ref[0]] == 2 * before.sensor.cum[before.ref[0]]
+    after = cli._store["clean_sensor"][1]
+    assert after == READERS["clean_sensor"](ws / "out") != before
+    assert cli._store["trajectories"][1] == trajs == READERS["trajectories"](ws / "out")
+    (ref, *_), (old_ref, *_) = trajectory.windows(trajs, after), trajectory.windows(trajs, before)
+    assert after.cum[ref[0]] == 2 * before.cum[old_ref[0]]
     assert (ws / "out" / "cutlist.json").read_bytes() != cutlist
 
 
@@ -363,3 +364,56 @@ def test_a_same_size_rewrite_is_parsed_again(tmp_path):
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # same size and mtime
     assert store.load("table", path, read) == ["a,b", "3,4"]
     assert store["table"][0] == hashlib.sha256(b"a,b\n3,4\n").hexdigest()
+
+
+def test_a_file_replaced_mid_read_is_stored_under_the_bytes_parsed(tmp_path):
+    path = tmp_path / "table.csv"
+    old, new = b"a,b\n" + b"1,2\n" * 50_000, b"a,b\n3,4\n"
+    path.write_bytes(old)
+    store = storage.Store()
+
+    def reader(stream):
+        head = stream.readline()
+        replacement = tmp_path / "new.csv"
+        replacement.write_bytes(new)
+        os.replace(replacement, path)
+        return (head + stream.read()).splitlines()
+
+    assert len(store.load("table", path, reader)) == 50_001
+    assert store["table"][0] == hashlib.sha256(old).hexdigest()
+    assert store.load("table", path, reader) == ["a,b", "3,4"]
+    assert store["table"][0] == hashlib.sha256(new).hexdigest()
+
+
+def test_a_miss_hashes_what_the_reader_leaves_unread(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"a,b\n" + b"1,2\n" * 100_000)
+    store = storage.Store()
+    assert store.load("table", path, lambda stream: stream.readline()) == "a,b\n"
+    assert store["table"][0] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_cold_load_holds_about_the_columns_it_keeps(tmp_path):
+    # On a miss the file is parsed as it is read: no copy of its bytes
+    # (12 MB here, 2.6x the kept columns) is held beside the columns.
+    import tracemalloc
+
+    n = 100_000
+    rng = np.random.default_rng(0)
+    t_us = 1_556_712_000_000_000 + np.arange(n) * 100_000
+    table = SensorTable.from_columns(
+        [f"S{k % 4}" for k in range(n)], [k * 20 // n for k in range(n)], t_us,
+        41 + rng.random(n) / 100, -96 + rng.random(n) / 100, rng.random(n) * 359,
+        rng.random(n) * 50, np.cumsum(rng.random(n) * 5),
+    )
+    path = tmp_path / "clean_sensor.csv"
+    ingest.write_sensor_csv(table, path)
+    kept = sum(column.nbytes for column in table.columns())
+    tracemalloc.start()
+    try:
+        loaded = storage.Store().load("clean_sensor", path, ingest.read_clean_sensor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == table
+    assert peak <= 2 * kept

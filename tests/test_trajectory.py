@@ -20,6 +20,7 @@ from intxn_pipeline.trajectory import (
     _entering_bearings,
     extract_trajectories,
     load_trajectories_csv,
+    windows,
     write_trajectories_csv,
 )
 
@@ -103,6 +104,13 @@ def _extract(sensor, intxns, **kwargs):
     return extract_trajectories(table_of(SensorTable, sensor), reviewed_set(intxns), **kwargs)
 
 
+def _windows(sensor, intxns):
+    """The sensor table of ``sensor`` and the windows of its trajectories
+    through ``intxns``: each one's reference, start and stop row."""
+    table = table_of(SensorTable, sensor)
+    return table, windows(_extract(sensor, intxns)[0], table)
+
+
 @pytest.mark.filterwarnings("error")  # dividing by the zero length must not warn
 def test_polygon_with_a_repeated_vertex_takes_the_scalar_test():
     # A ring may repeat a vertex only as a degenerate triangle: here the
@@ -130,11 +138,12 @@ def test_constant_speed_window_oracle():
     trajs, skips = _extract(northbound_drive(), [northbound_intersection()])
     assert len(trajs) == 1
     assert trajs.traj_ids() == ["A_1_4"]
-    (start,), (stop,) = trajs.start.tolist(), trajs.stop.tolist()
+    sensor, (ref, start, stop) = _windows(northbound_drive(), [northbound_intersection()])
+    (start,), (stop,) = start.tolist(), stop.tolist()
     assert stop - start == 11
-    t_us, cum = trajs.sensor.t_us, trajs.sensor.cum
+    t_us, cum = sensor.t_us, sensor.cum
     assert t_us[stop - 1] - t_us[start] == 10_000_000
-    ref_cum = cum[trajs.ref[0]]
+    ref_cum = cum[ref[0]]
     assert ref_cum == 500.0
     assert ((ref_cum - 300.0 <= cum[start:stop]) & (cum[start:stop] <= ref_cum + 200.0)).all()
     assert skips == {"duplicate_pass": 0, "truncated": 0}
@@ -142,23 +151,23 @@ def test_constant_speed_window_oracle():
 
 def test_window_completeness():
     sensor = northbound_drive()
-    trajs, _ = _extract(sensor, [northbound_intersection()])
-    ref_cum = trajs.sensor.cum[trajs.ref[0]]
+    table, (ref, start, stop) = _windows(sensor, [northbound_intersection()])
+    ref_cum = table.cum[ref[0]]
     in_range = [r for r in sensor if ref_cum - 300.0 <= r[7] <= ref_cum + 200.0]
-    window = trajs.sensor.t_us[trajs.start[0] : trajs.stop[0]]
+    window = table.t_us[start[0] : stop[0]]
     assert window.tolist() == [r[2] for r in in_range]
 
 
 def test_ref_point_minimizes_distance_in_polygon():
-    trajs, _ = _extract(northbound_drive(), [northbound_intersection()])
+    sensor, (ref, _, _) = _windows(northbound_drive(), [northbound_intersection()])
     intxn_pos = pt(north_ft=500)
-    ref = trajs.ref[0]
+    ref = ref[0]
     best = min(
         haversine_distance_ft(GeoPoint(r[3], r[4]), intxn_pos)
         for r in northbound_drive()
         if 200.0 <= r[7] <= 500.0
     )
-    ref_pos = GeoPoint(trajs.sensor.lat[ref], trajs.sensor.lon[ref])
+    ref_pos = GeoPoint(sensor.lat[ref], sensor.lon[ref])
     assert haversine_distance_ft(ref_pos, intxn_pos) == pytest.approx(best, abs=1e-9)
 
 
@@ -199,16 +208,16 @@ def test_repeat_pass_in_one_drive_counted():
     second = [(*r[:2], r[2] + 120_000_000, *r[3:7], r[7] + 2000.0) for r in first]
     trajs, skips = _extract(first + second, [northbound_intersection()])
     assert len(trajs) == 1
-    assert trajs.sensor.t_us[trajs.ref[0]] == first[10][2]  # earliest pass wins
+    assert trajs.ref_us[0] == first[10][2]  # earliest pass wins
     assert skips["duplicate_pass"] == 1
 
 
 def test_truncated_window_kept_and_flagged():
-    trajs, skips = _extract(
-        northbound_drive(), [northbound_intersection(junction_north_ft=100.0, length_ft=100.0)]
-    )
+    intxns = [northbound_intersection(junction_north_ft=100.0, length_ft=100.0)]
+    trajs, skips = _extract(northbound_drive(), intxns)
     assert len(trajs) == 1
-    assert trajs.sensor.cum[trajs.start[0]] == 0.0  # clipped at drive start
+    sensor, (_, start, _) = _windows(northbound_drive(), intxns)
+    assert sensor.cum[start[0]] == 0.0  # clipped at drive start
     assert skips["truncated"] == 1
 
 
@@ -236,11 +245,22 @@ def test_trajectories_csv_roundtrip():
         sensor = northbound_drive(t0=T0.replace(year=year))
         trajs, _ = _extract(sensor, [northbound_intersection()])
         out = io.StringIO()
-        write_trajectories_csv(trajs, out)
+        write_trajectories_csv(trajs, table_of(SensorTable, sensor), out)
         out.seek(0)
-        restored = load_trajectories_csv(out, table_of(SensorTable, sensor))
+        restored = load_trajectories_csv(out)
         assert len(restored) == 1
         assert restored == trajs
+
+
+def _edited_csv(edits):
+    """trajectories.csv of the northbound drive's trajectory, ``edits``
+    mapping columns to the texts that replace theirs."""
+    trajs, _ = _extract(northbound_drive(), [northbound_intersection()])
+    out = io.StringIO()
+    write_trajectories_csv(trajs, table_of(SensorTable, northbound_drive()), out)
+    header, row = out.getvalue().splitlines()
+    cells = {**dict(zip(header.split(","), row.split(","))), **edits}
+    return io.StringIO(header + "\n" + ",".join(cells.values()) + "\n")
 
 
 @pytest.mark.parametrize(
@@ -248,22 +268,31 @@ def test_trajectories_csv_roundtrip():
     [
         ("drive", "x", "bad trajectory row at line 2"),
         ("start_time_utc", "noon", "bad trajectory row at line 2"),
-        ("drive", "7", "no sensor data for trajectory A_1_4"),
-        ("ref_time_utc", "2019-05-01T12:00:10.500Z", "reference time not in window"),
-        ("end_time_utc", "2019-05-01T12:00:02.000Z", "empty window for trajectory A_1_4"),
         ("traj_id", "A_1_5", "trajectory id 'A_1_5' is not 'A_1_4'"),
+        ("drive", "7", "trajectory id 'A_1_4' is not 'A_7_4'"),
     ],
 )
 def test_trajectories_csv_bad_row_raises_data_error(field, value, message):
-    sensor = table_of(SensorTable, northbound_drive())
-    trajs, _ = _extract(northbound_drive(), [northbound_intersection()])
-    out = io.StringIO()
-    write_trajectories_csv(trajs, out)
-    header, row = out.getvalue().splitlines()
-    cells = dict(zip(header.split(","), row.split(",")))
-    cells[field] = value
     with pytest.raises(DataError, match=message):
-        load_trajectories_csv(io.StringIO(header + "\n" + ",".join(cells.values()) + "\n"), sensor)
+        load_trajectories_csv(_edited_csv({field: value}))
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"drive": "7", "traj_id": "A_7_4"}, "no sensor data for trajectory A_7_4"),
+        (
+            {"ref_time_utc": "2019-05-01T12:00:10.500Z"},
+            "reference time not in window for trajectory A_1_4",
+        ),
+        ({"end_time_utc": "2019-05-01T12:00:02.000Z"}, "empty window for trajectory A_1_4"),
+    ],
+    ids=["no-sensor-data", "ref-not-in-window", "empty-window"],
+)
+def test_a_window_the_sensor_lacks_is_a_data_error(edits, message):
+    trajs = load_trajectories_csv(_edited_csv(edits))
+    with pytest.raises(DataError, match=message):
+        windows(trajs, table_of(SensorTable, northbound_drive()))
 
 
 @pytest.mark.parametrize("column", ["traj_id", "n_points"])
@@ -273,10 +302,10 @@ def test_trajectories_csv_missing_column_raises_header_mismatch(column):
     sensor = northbound_drive()
     trajs, _ = _extract(sensor, [northbound_intersection()])
     out = io.StringIO()
-    write_trajectories_csv(trajs, out)
+    write_trajectories_csv(trajs, table_of(SensorTable, sensor), out)
     header, row = out.getvalue().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     del cells[column]
     text = ",".join(cells) + "\n" + ",".join(cells.values()) + "\n"
     with pytest.raises(HeaderMismatchError, match=column):
-        load_trajectories_csv(io.StringIO(text), table_of(SensorTable, sensor))
+        load_trajectories_csv(io.StringIO(text))

@@ -38,6 +38,7 @@ from oracles import (
     old_emit_cutlist,
     reviewed_set,
     table_of,
+    trajectories_of,
 )
 from test_trajectory import T0, northbound_intersection, pt
 
@@ -55,7 +56,6 @@ from intxn_pipeline.geo import GeoPoint
 from intxn_pipeline.ingest import SensorTable, to_us
 from intxn_pipeline.review import REVIEW_COLUMNS, build_review_template, write_review_csv
 from intxn_pipeline.trajectory import (
-    TrajectoryTable,
     WindowParams,
     _leg_hits,
     extract_trajectories,
@@ -94,7 +94,7 @@ def old_table(trajs, sensor):
          t.first + len(t.points))
         for t in trajs
     ]
-    return table_of(TrajectoryTable, rows, sensor=sensor)
+    return trajectories_of(sensor, rows)
 
 
 def old_split_episodes(indices, times, gap_s):
@@ -307,11 +307,11 @@ def test_columnar_trajectories_match_the_original(study):
     assert skips == old_skips
 
     text = io.StringIO(newline="")
-    write_trajectories_csv(trajs, text)
+    write_trajectories_csv(trajs, sensor, text)
     assert text.getvalue() == old_write_trajectories_csv(old_trajs)
-    assert load_trajectories_csv(io.StringIO(text.getvalue(), newline=""), sensor) == trajs
+    assert load_trajectories_csv(io.StringIO(text.getvalue(), newline="")) == trajs
 
-    cut, report = build_clip_specs(trajs, video_table(videos), overlay)
+    cut, report = build_clip_specs(trajs, sensor, video_table(videos), overlay)
     old_specs, old_report = old_build_clip_specs(old_trajs, videos, overlay)
     assert (cut, report) == (cutlist_of(old_specs), old_report)
     new = [io.StringIO(newline=""), io.StringIO(newline="")]
